@@ -8,7 +8,6 @@ cosine similarity, and tracks the resulting tree of specialized models.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,54 +100,73 @@ def check_split_conditions(gradients: dict, sample_weights: dict, eps1: float, e
     return SplitCheck(agg_norm < eps1 and max_norm > eps2, agg_norm, max_norm)
 
 
-def _max_cross(values: np.ndarray, c1: tuple, c2: tuple) -> float:
-    return float(values[np.ix_(c1, c2)].max())
-
-
 def _exhaustive_bipartition(values: np.ndarray, n: int):
-    best = None
-    rest = range(1, n)
-    # Index 0 stays in c1, so each unordered bipartition appears once.
-    for r in range(0, n - 1):
-        for extra in itertools.combinations(rest, r):
-            c1 = (0,) + extra
-            c2 = tuple(i for i in rest if i not in extra)
-            key = (_max_cross(values, c1, c2), abs(len(c1) - len(c2)), c1)
-            if best is None or key < best[0]:
-                best = (key, c1, c2)
-    return best[1], best[2]
+    # Index 0 stays in c1, so each unordered bipartition appears once: mask
+    # bit k puts index k + 1 in c1, and the all-ones mask (empty c2) is out.
+    masks = np.arange((1 << (n - 1)) - 1)
+    bits = np.arange(n - 1)
+    cross = np.empty(masks.size)
+    size = np.empty(masks.size, dtype=np.int64)
+    # Chunked so the (chunk, n, n) temporary stays near 1 MiB.
+    step = max(1, (1 << 17) // (n * n))
+    for lo in range(0, masks.size, step):
+        c1 = np.ones((min(step, masks.size - lo), n), dtype=bool)
+        c1[:, 1:] = (masks[lo:lo + step, None] >> bits) & 1
+        to_c2 = np.where(~c1[:, None, :], values, -np.inf).max(axis=2)
+        cross[lo:lo + step] = np.where(c1, to_c2, -np.inf).max(axis=1)
+        size[lo:lo + step] = c1.sum(axis=1)
+    tied = np.flatnonzero(cross == cross.min())
+    imbalance = np.abs(2 * size[tied] - n)
+    tied = tied[imbalance == imbalance.min()]
+    c1 = min((0,) + tuple(k + 1 for k in range(n - 1) if m >> k & 1) for m in tied.tolist())
+    c2 = tuple(i for i in range(n) if i not in c1)
+    return c1, c2
 
 
 def _complete_linkage_bipartition(values: np.ndarray, n: int):
-    """Agglomerative merge on distance 1 - similarity until two clusters
-    remain. Ties merge the lexicographically smallest cluster pair, so the
-    result is deterministic."""
-    dist = 1.0 - values
-    clusters = [(i,) for i in range(n)]
-    while len(clusters) > 2:
-        best = None
-        for a, b in itertools.combinations(range(len(clusters)), 2):
-            d = float(dist[np.ix_(clusters[a], clusters[b])].max())
-            key = (d, clusters[a], clusters[b])
-            if best is None or key < best[0]:
-                best = (key, a, b)
-        _, a, b = best
-        merged = tuple(sorted(clusters[a] + clusters[b]))
-        clusters = [c for k, c in enumerate(clusters) if k not in (a, b)]
-        clusters.append(merged)
-        clusters.sort()
-    c1, c2 = sorted(clusters)
+    # Each cluster is keyed by its smallest index (its representative).
+    # link[a, b] is the largest distance 1 - similarity from a member of
+    # cluster a (rows) to one of cluster b (columns); merging keeps it exact
+    # by the Lance-Williams update d(a+b, k) = max(d(a, k), d(b, k)).
+    # pair holds link only for live representatives a < b, inf elsewhere, so
+    # the row-major argmin is the smallest (d, cluster a, cluster b): for
+    # disjoint sorted tuples, lexicographic order is that of their minima.
+    link = 1.0 - values
+    pair = link.copy()
+    pair[np.tril_indices(n)] = np.inf
+    rep = np.arange(n)
+    for _ in range(n - 2):
+        a, b = divmod(int(np.argmin(pair)), n)
+        np.maximum(link[a], link[b], out=link[a])
+        np.maximum(link[:, a], link[:, b], out=link[:, a])
+        link[b, :] = link[:, b] = np.inf
+        pair[a, a + 1:] = link[a, a + 1:]
+        pair[:a, a] = link[:a, a]
+        pair[b, :] = pair[:, b] = np.inf
+        rep[rep == b] = a
+    c1 = tuple(np.flatnonzero(rep == 0).tolist())
+    c2 = tuple(np.flatnonzero(rep != 0).tolist())
     return c1, c2
 
 
 def bipartition(sim: SimilarityMatrix):
     """Split the device set in two, minimizing the largest cross-pair
-    similarity. Exact search up to 15 devices, complete linkage beyond.
-    Ties prefer the more balanced split; c1 holds the lowest device id.
+    similarity; c1 holds the lowest device id.
+
+    Up to 15 devices the search is exact: every bipartition is scored by
+    (largest similarity from c1 to c2, size imbalance, c1 as a sorted index
+    tuple) and the smallest key wins. The masks are scored with numpy in
+    chunks, O(2^n * n^2) work. Beyond 15 devices, complete-linkage
+    agglomeration on distance 1 - similarity runs until two clusters remain,
+    with a Lance-Williams distance-matrix update: O(n^2) work per merge step.
+    Linkage ties merge the pair whose smallest members are smallest, which
+    is the lexicographically smallest pair of clusters.
     """
     n = len(sim.ids)
     if n < 2:
         raise ValueError("bipartition needs at least 2 devices")
+    if not np.all(np.isfinite(sim.values)):
+        raise ValueError("bipartition needs finite similarities")
     if n <= EXHAUSTIVE_LIMIT:
         i1, i2 = _exhaustive_bipartition(sim.values, n)
     else:
@@ -189,11 +207,19 @@ class ClusterNode:
 
 class ClusterTree:
     """Forest of cluster nodes, one root per edge, mutated by the
-    orchestrator as splits, stops, and cloud merges happen."""
+    orchestrator as splits, stops, and cloud merges happen.
+
+    Two indexes answer the per-device lookups without scanning the nodes:
+    a device -> current-leaf map, which add_root, split and merge point at
+    the leaf each device lands in, and the set of merge-product ids, which
+    merge fills.
+    """
 
     def __init__(self):
         self.nodes: dict[int, ClusterNode] = {}
         self._next_id = 0
+        self._leaf_of: dict = {}
+        self._merge_products: set = set()
 
     def _new_id(self) -> int:
         cid = self._next_id
@@ -201,9 +227,18 @@ class ClusterTree:
         return cid
 
     def add_root(self, edge_id: int, members, model: ModelParams) -> int:
+        members = frozenset(members)
+        for d in members:
+            if d in self._leaf_of:
+                raise ValueError(f"device {d} already belongs to cluster {self._leaf_of[d]}")
         cid = self._new_id()
-        self.nodes[cid] = ClusterNode(cid, edge_id, frozenset(members), model)
+        self.nodes[cid] = ClusterNode(cid, edge_id, members, model)
+        self._own(cid)
         return cid
+
+    def _own(self, cluster_id: int):
+        for d in self.nodes[cluster_id].members:
+            self._leaf_of[d] = cluster_id
 
     def node(self, cluster_id: int) -> ClusterNode:
         return self.nodes[cluster_id]
@@ -237,6 +272,7 @@ class ClusterTree:
                 node.model.with_weights(node.model.weights.copy()),
                 parent=cluster_id,
             )
+            self._own(cid)
             ids.append(cid)
         node.children = tuple(ids)
         return tuple(ids)
@@ -266,37 +302,35 @@ class ClusterTree:
         self.nodes[cid] = ClusterNode(cid, edge_id, members, model)
         for n in nodes:
             n.merged_into = cid
+        self._merge_products.add(cid)
+        self._own(cid)
         return cid
 
-    def leaves(self, edge_id: int | None = None) -> list:
-        out = [n for n in self.nodes.values() if n.is_current]
-        if edge_id is not None:
-            out = [n for n in out if n.edge_id == edge_id]
-        return sorted(out, key=lambda n: n.cluster_id)
+    def leaves(self) -> list:
+        return sorted(
+            (n for n in self.nodes.values() if n.is_current), key=lambda n: n.cluster_id
+        )
 
-    def active_leaves(self, edge_id: int | None = None) -> list:
-        return [n for n in self.leaves(edge_id) if n.status == ACTIVE]
+    def active_leaves(self) -> list:
+        return [n for n in self.leaves() if n.status == ACTIVE]
 
-    def specialized(self, edge_id: int | None = None) -> list:
+    def specialized(self) -> list:
         """Current leaves that exist because of a split or merge; an
         unsplit root is the shared model, not a specialized one."""
         return [
             n
-            for n in self.leaves(edge_id)
+            for n in self.leaves()
             if n.parent is not None or self.is_merge_product(n)
         ]
 
     def is_merge_product(self, node: ClusterNode) -> bool:
-        return node.parent is None and any(
-            other.merged_into == node.cluster_id for other in self.nodes.values()
-        )
+        return node.cluster_id in self._merge_products
 
     def cluster_of(self, device_id: int) -> ClusterNode:
         """The current leaf that owns a device."""
-        for n in self.leaves():
-            if device_id in n.members:
-                return n
-        raise KeyError(f"device {device_id} belongs to no current cluster")
+        if device_id not in self._leaf_of:
+            raise KeyError(f"device {device_id} belongs to no current cluster")
+        return self.nodes[self._leaf_of[device_id]]
 
     def root_of_edge(self, edge_id: int) -> ClusterNode:
         roots = [

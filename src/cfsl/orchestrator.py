@@ -273,10 +273,11 @@ class Simulation:
     def _candidate_models(self, device_id: int, r: int) -> dict:
         if self.labeling.use_global_model:
             return {GLOBAL_MODEL_ID: self.global_model}
+        nodes = self.tree.specialized()
         if self.labeling.candidate_scope == "edge":
-            nodes = self.tree.specialized(edge_id=self.radios[device_id].edge_id)
-        else:
-            nodes = self.tree.specialized()
+            # By members, not node.edge_id: a merge across edges has none.
+            edge_devices = self.tree.root_of_edge(self.radios[device_id].edge_id).members
+            nodes = [n for n in nodes if not n.members.isdisjoint(edge_devices)]
         # A cluster's model reflects its own members' training only from the
         # second round after creation; before that it is a copy of its parent.
         return {

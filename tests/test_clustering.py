@@ -226,6 +226,13 @@ def test_bipartition_rejects_single_device():
         bipartition(sim)
 
 
+def test_bipartition_rejects_non_finite_similarity():
+    values = np.eye(3)
+    values[0, 2] = np.nan
+    with pytest.raises(ValueError):
+        bipartition(SimilarityMatrix((0, 1, 2), values))
+
+
 # ---------------------------------------------------------------- tree
 
 
@@ -316,3 +323,65 @@ def test_tree_root_lookup_and_snapshot():
     assert tree.cluster_of(2).cluster_id == right
     with pytest.raises(KeyError):
         tree.cluster_of(9)
+
+
+def test_tree_indexes_match_brute_force_scan():
+    """cluster_of, is_merge_product and specialized() answer from indexes;
+    after every step of a random split/stop/merge sequence they must agree
+    with a scan over tree.nodes."""
+
+    def scan_leaves(tree):
+        return sorted((n for n in tree.nodes.values() if n.is_current),
+                      key=lambda n: n.cluster_id)
+
+    def scan_merge_product(tree, node):
+        return node.parent is None and any(
+            o.merged_into == node.cluster_id for o in tree.nodes.values())
+
+    def check(tree, devices):
+        leaves = scan_leaves(tree)
+        for d in devices:
+            owner = [n for n in leaves if d in n.members]
+            assert tree.cluster_of(d) is owner[0]
+        for node in tree.nodes.values():
+            assert tree.is_merge_product(node) == scan_merge_product(tree, node)
+        assert tree.specialized() == [
+            n for n in leaves if n.parent is not None or scan_merge_product(tree, n)]
+        with pytest.raises(KeyError):
+            tree.cluster_of(max(devices) + 1)
+
+    rng = np.random.default_rng(7)
+    model = zero_params(3, 2)
+    tree = ClusterTree()
+    devices = list(range(24))
+    for edge in range(3):
+        tree.add_root(edge, devices[8 * edge:8 * edge + 8], model)
+    check(tree, devices)
+    merges = cross_edge = 0
+    for _ in range(60):
+        leaves = scan_leaves(tree)
+        live = [n for n in leaves if n.status == "active" and len(n.members) > 1]
+        op = rng.choice(["split", "stop", "merge"], p=[0.6, 0.15, 0.25])
+        if op == "merge" and len(leaves) >= 2:
+            size = 2 if len(leaves) == 2 else int(rng.integers(2, 4))
+            picked = rng.choice(len(leaves), size=size, replace=False)
+            group = sorted(leaves[i].cluster_id for i in picked)
+            new = tree.merge(group, model)
+            merges += 1
+            cross_edge += tree.node(new).edge_id is None
+        elif op == "stop" and live:
+            tree.stop(live[int(rng.integers(len(live)))].cluster_id)
+        elif live:
+            node = live[int(rng.integers(len(live)))]
+            members = sorted(node.members)
+            cut = int(rng.integers(1, len(members)))
+            order = rng.permutation(members).tolist()
+            tree.split(node.cluster_id, (order[:cut], order[cut:]))
+        check(tree, devices)
+    assert merges and cross_edge
+
+
+def test_tree_add_root_rejects_owned_device():
+    tree, _ = make_tree()
+    with pytest.raises(ValueError):
+        tree.add_root(1, [3, 4], zero_params(3, 2))

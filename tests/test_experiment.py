@@ -1,5 +1,6 @@
 """Experiment driver: artifact writing, baselines, sweeps, plot tables."""
 
+import hashlib
 import json
 import math
 import os
@@ -173,6 +174,32 @@ def test_same_config_byte_identical_outputs(tmp_path):
     with open(b.events_path, "rb") as fh:
         eb = fh.read()
     assert ea == eb
+
+
+# sha256 of the README quick-start run's artifacts. They are exact bytes of
+# floating-point results, so the pin assumes the numpy/BLAS build that recorded
+# it (numpy 2.4, OpenBLAS, x86-64); on another build a mismatch may mean a
+# different last digit rather than a changed algorithm.
+README_DEMO_DIGESTS = {
+    "metrics.csv": "741ce74c52f1d4b9ffc5913c38beecab5fe443745b42ed98c3447a879e393846",
+    "events.jsonl": "7094bacc1e27ba3ba34c5bbac1aa6814ce325857551b0e43a954233b8f817b22",
+}
+
+
+def test_readme_demo_digests_pinned(tmp_path):
+    """A speed-up must not change results: the README demo config (its
+    `ini` block) still writes byte-identical artifacts."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    demo = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(demo)
+    cfg.run.out_dir = str(tmp_path)
+    res = run_experiment(cfg)
+    for path in (res.metrics_path, res.events_path):
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == README_DEMO_DIGESTS[os.path.basename(path)], path
 
 
 def test_seed_changes_metrics(tmp_path):

@@ -253,6 +253,19 @@ def test_global_model_labeling_mode():
     assert all(d.unlabeled_remaining == 0 for d in sim.devices)
 
 
+def test_edge_scope_candidates_include_cross_edge_merge():
+    # A merge across edges has edge_id None; its members must still see it.
+    lab = LabelSpec(enabled=True, candidate_scope="edge")
+    sim = make_sim(n_edges=2, labeling=lab, rounds=3, seed=17)
+    a, b = sim.tree.split(sim.tree.root_of_edge(0).cluster_id, ((0, 1), (2, 3)))
+    c, d = sim.tree.split(sim.tree.root_of_edge(1).cluster_id, ((4, 5), (6, 7)))
+    merged = sim.tree.merge([a, c], sim.global_model)
+    assert sim.tree.node(merged).edge_id is None
+    assert set(sim._candidate_models(0, 5)) == {b, merged}
+    assert set(sim._candidate_models(2, 5)) == {b, merged}
+    assert set(sim._candidate_models(6, 5)) == {d, merged}
+
+
 # ---------------------------------------------------------------- merging
 
 
