@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
+from .data import labeled_split
 from .errors import ConfigError
 
 REQUIRED = object()
@@ -191,9 +192,19 @@ def _cross_checks(cfg: ExperimentConfig):
 
     if data.mode == "csv" and not data.csv_path:
         raise ConfigError("data.csv_path", "required when data.mode = csv")
-    if data.mode != "csv" and data.labeled_fraction * data.samples_per_device < 1:
-        # The 1-per-class floor will lift this; nothing to reject.
-        pass
+    if data.mode != "csv":
+        # The cfl-fully-labeled baseline trains with every sample labeled.
+        fraction = 1.0 if cfg.run.baseline == "cfl-fully-labeled" else data.labeled_fraction
+        width = min(data.max_classes_per_device, data.classes)
+        n_labeled, n_hold = labeled_split(
+            fraction, data.samples_per_device, width, data.holdout_fraction
+        )
+        if n_hold >= n_labeled:
+            raise ConfigError(
+                "data.holdout_fraction",
+                f"holds out all {n_labeled} labeled samples of each device, "
+                "leaving none to train on",
+            )
     if data.mode == "label-permutation" and data.distributions > 2 and data.classes < 3:
         raise ConfigError("data.distributions",
                           "label-permutation with 2 classes supports at most 2 distributions")

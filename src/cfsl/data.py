@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -194,11 +195,22 @@ class DeviceDataset:
             return 1.0
         return float(self.injected_mask.mean())
 
+    @cached_property
+    def keep(self) -> np.ndarray:
+        """Labeled-pool rows outside the holdout, computed on first use."""
+        mask = np.ones(len(self.labeled), dtype=bool)
+        mask[self.holdout_indices] = False
+        return np.flatnonzero(mask)
+
+    @property
+    def train_size(self) -> int:
+        """len(self.train_batch()), without building the batch."""
+        return len(self.keep) + self.n_injected
+
     def train_batch(self) -> LabeledBatch:
         """Labeled samples outside the holdout, plus injected pseudo-labels."""
-        keep = np.setdiff1d(np.arange(len(self.labeled)), self.holdout_indices)
-        feats = [self.labeled.features[keep]]
-        labs = [self.labeled.labels[keep]]
+        feats = [self.labeled.features[self.keep]]
+        labs = [self.labeled.labels[self.keep]]
         if self.n_injected:
             idx = np.flatnonzero(self.injected_mask)
             feats.append(self.unlabeled_features[idx])
@@ -212,6 +224,19 @@ class DeviceDataset:
         """(pool indices, features) of unlabeled samples not yet injected."""
         idx = np.flatnonzero(~self.injected_mask)
         return idx, self.unlabeled_features[idx]
+
+
+def labeled_split(
+    labeled_fraction: float, samples_per_device: int, width: int, holdout_fraction: float
+):
+    """(labeled, holdout) sample counts of one synthetic device.
+
+    round(labeled_fraction * samples_per_device) samples are labeled, raised
+    to `width`, the floor of one per whitelisted class; round(holdout_fraction
+    * labeled) of them are held out.
+    """
+    n_labeled = max(int(round(labeled_fraction * samples_per_device)), width)
+    return n_labeled, int(round(holdout_fraction * n_labeled))
 
 
 def partition_devices(
@@ -255,14 +280,16 @@ def partition_devices(
         width = min(max_classes, universe.n_classes)
         whitelist = np.sort(rng.choice(universe.n_classes, size=width, replace=False))
 
-        n_labeled = int(round(labeled_fraction * samples_per_device))
-        if n_labeled < width:
+        n_labeled, n_hold = labeled_split(
+            labeled_fraction, samples_per_device, width, holdout_fraction
+        )
+        asked = round(labeled_fraction * samples_per_device)
+        if n_labeled > asked:
             log.warning(
                 "device %d: labeled_fraction %.4g gives %d labeled samples; "
                 "raising to the 1-per-class floor of %d",
-                k, labeled_fraction, n_labeled, width,
+                k, labeled_fraction, asked, width,
             )
-            n_labeled = width
 
         # First `width` labels cover the whitelist once so every class has
         # at least one labeled sample; the rest are uniform draws.
@@ -274,7 +301,6 @@ def partition_devices(
         unlabeled = features[n_labeled:]
         truth = labels[n_labeled:]
 
-        n_hold = int(round(holdout_fraction * n_labeled))
         holdout = np.sort(rng.choice(n_labeled, size=n_hold, replace=False))
 
         test_labels = rng.choice(whitelist, size=test_samples, replace=True).astype(np.int64)

@@ -39,6 +39,7 @@ from .orchestrator import (
     Simulation,
     TimingSpec,
     TrainingSpec,
+    jsonable,
 )
 from .seeding import DATA_STREAM, sweep_seed
 
@@ -287,17 +288,6 @@ def _atomic_write(path: str, text: str):
     os.replace(tmp, path)
 
 
-def _json_safe(obj):
-    """Strict-JSON view: infinities become the string "inf"."""
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
-    return obj
-
-
 def metrics_rows(cfg: ExperimentConfig, sim: Simulation) -> list:
     labeled_fraction, _, _, _ = _variant(cfg)
     rows = []
@@ -342,11 +332,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         "type": "run_header",
         "baseline": cfg.run.baseline,
         "seed": cfg.run.seed,
-        "config": _json_safe(cfg.resolved()),
+        "config": jsonable(cfg.resolved()),
         "defaults_applied": sorted(cfg.defaults_applied),
     }
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(json.dumps(ev, sort_keys=True) for ev in sim.events)
+    lines = [json.dumps(ev, sort_keys=True, allow_nan=False) for ev in [header, *sim.events]]
     _atomic_write(events_path, "\n".join(lines) + "\n")
 
     log.info(

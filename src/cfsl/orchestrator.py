@@ -36,7 +36,16 @@ from .labeling import (
     pseudo_label,
     select_best_model,
 )
-from .models import GradientUpdate, ModelParams, evaluate, gradient, init_params, loss, sgd_train
+from .models import (
+    STACK_CHUNK,
+    GradientUpdate,
+    ModelParams,
+    evaluate,
+    gradient,
+    init_params,
+    loss,
+    sgd_train,
+)
 from .network import edge_round_time, global_round_time, rayleigh_fading, schedule_round
 from .seeding import fading_seed, init_seed, training_seed
 
@@ -160,19 +169,29 @@ def cloud_aggregate(models: list, weights: list) -> ModelParams:
     return edge_aggregate(models, weights)
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays for JSON-lines emission."""
+def jsonable(obj):
+    """Strict-JSON view of an event or config: numpy scalars and arrays
+    become Python values, infinities the strings "inf" and "-inf"."""
     if isinstance(obj, dict):
-        return {_plain(k): _plain(v) for k, v in obj.items()}
+        return {jsonable(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return jsonable(obj.tolist())
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
+        obj = float(obj)
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
     return obj
+
+
+def _chunks(groups: dict):
+    """(group key, up to STACK_CHUNK of its device ids) for every group."""
+    for key, ids in groups.items():
+        for i in range(0, len(ids), STACK_CHUNK):
+            yield key, ids[i : i + STACK_CHUNK]
 
 
 class Simulation:
@@ -252,18 +271,18 @@ class Simulation:
     # ------------------------------------------------------------ helpers
 
     def _event(self, payload: dict):
-        self.events.append(_plain(payload))
+        self.events.append(jsonable(payload))
 
     def _is_unsplit_root(self, node) -> bool:
         return node.parent is None and node.is_leaf and not self.tree.is_merge_product(node)
 
-    def device_model(self, device_id: int) -> ModelParams:
-        """The model a device currently runs: its cluster's specialized
-        model, or the shared global model before its cluster ever split."""
-        node = self.tree.cluster_of(device_id)
+    def _model_of(self, node):
+        """(model id, model) the members of `node` run: the shared global
+        model (GLOBAL_MODEL_ID) before their cluster ever split, else the
+        cluster's own specialized model."""
         if self._is_unsplit_root(node):
-            return self.global_model
-        return node.model
+            return GLOBAL_MODEL_ID, self.global_model
+        return node.cluster_id, node.model
 
     def global_hash(self) -> str:
         return hashlib.sha256(
@@ -354,16 +373,21 @@ class Simulation:
                 log.warning("edge %d: every scheduled device missed the deadline in round %d",
                             edge.edge_id, r)
 
-        # (2) local training from the cluster's current model
-        trained = {}
+        # (2) local training from the cluster's current model, stacked over
+        # devices that share the start model and the train-set size
+        groups, starts = defaultdict(list), {}
         for edge in self.edges:
             for k in schedules[edge.edge_id].participating:
-                node = leaf_at_training[k]
-                start = self.global_model if self._is_unsplit_root(node) else node.model
-                trained[k] = sgd_train(
-                    start, self.devices[k].train_batch(), tr.epochs, tr.batch_size,
-                    tr.learning_rate, training_seed(self.run_spec.seed, r, k),
-                )
+                model_id, model = self._model_of(leaf_at_training[k])
+                starts[model_id] = model
+                groups[model_id, self.devices[k].train_size].append(k)
+        trained = {}
+        for (model_id, _), chunk in _chunks(groups):
+            trained.update(zip(chunk, sgd_train(
+                starts[model_id], [self.devices[k].train_batch() for k in chunk],
+                tr.epochs, tr.batch_size, tr.learning_rate,
+                [training_seed(self.run_spec.seed, r, k) for k in chunk],
+            )))
 
         # (3) labeling phase
         if self.labeling.enabled:
@@ -594,11 +618,21 @@ class Simulation:
             self._event(event)
 
     def _emit_metrics(self, r: int, duration: float, drops: int) -> MetricsRow:
-        device_losses, accs = {}, []
+        # One stacked pass per chunk of devices that share the model and
+        # their batch lengths. The values go back into device order, so the
+        # means below sum them in the same order as before.
+        groups, models = defaultdict(list), {}
         for dev in self.devices:
-            model = self.device_model(dev.device_id)
-            accs.append(evaluate(model, dev.test))
-            device_losses[dev.device_id] = loss(model, dev.train_batch())
+            model_id, model = self._model_of(self.tree.cluster_of(dev.device_id))
+            models[model_id] = model
+            groups[model_id, len(dev.test), dev.train_size].append(dev.device_id)
+        acc_of, loss_of = {}, {}
+        for (model_id, _, _), chunk in _chunks(groups):
+            model = models[model_id]
+            acc_of.update(zip(chunk, evaluate(model, [self.devices[k].test for k in chunk])))
+            loss_of.update(zip(chunk, loss(model, [self.devices[k].train_batch() for k in chunk])))
+        accs = [acc_of[dev.device_id] for dev in self.devices]
+        device_losses = {dev.device_id: loss_of[dev.device_id] for dev in self.devices}
 
         for node in self.tree.active_leaves():
             vals = [device_losses[k] for k in node.members]

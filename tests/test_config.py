@@ -143,6 +143,25 @@ def test_cross_checks():
     assert "data.distributions" in str(exc.value)
 
 
+def test_holdout_that_takes_every_labeled_sample_is_rejected():
+    # 5% of 40 samples is 2 labeled (also the 1-per-class floor of 2
+    # whitelisted classes); a 0.9 holdout rounds to both of them.
+    data = "\n[data]\nsamples_per_device = 40\nlabeled_fraction = 0.05\nholdout_fraction = {}\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(MINIMAL + data.format(0.9))
+    assert "data.holdout_fraction" in str(exc.value)
+    # 1% of 40 rounds to 0, lifted to the floor of 2: still all held out.
+    with pytest.raises(ConfigError) as exc:
+        parse_config(MINIMAL + data.format(0.9).replace("0.05", "0.01"))
+    assert "data.holdout_fraction" in str(exc.value)
+    # One of the two held out leaves one to train on.
+    assert parse_config(MINIMAL + data.format(0.7)).data.holdout_fraction == 0.7
+    # cfl-fully-labeled labels all 40 samples, so 0.9 leaves 4.
+    cfg = parse_config(MINIMAL.replace("[run]", "[run]\nbaseline = cfl-fully-labeled")
+                       + data.format(0.9))
+    assert cfg.run.baseline == "cfl-fully-labeled"
+
+
 def test_mlp_hidden_defaults():
     cfg = parse_config(MINIMAL + "\n[model]\nfamily = mlp\n")
     assert cfg.model.hidden == 16

@@ -202,6 +202,22 @@ def test_readme_demo_digests_pinned(tmp_path):
         assert digest == README_DEMO_DIGESTS[os.path.basename(path)], path
 
 
+def test_infinite_estimate_is_written_as_string(tmp_path):
+    # At -400 dB the SNR underflows, every rate is 0 and every upload
+    # estimate infinite; events.jsonl must still be strict JSON.
+    res = run_experiment(make_cfg("\n[network]\nref_gain_db = -400\n", out_dir=tmp_path))
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    with open(res.events_path) as fh:
+        events = [json.loads(line, parse_constant=reject) for line in fh]
+    schedules = [e for e in events if e["type"] == "schedule"]
+    assert schedules
+    for ev in schedules:
+        assert set(ev["est_times"].values()) == {"inf"}
+
+
 def test_seed_changes_metrics(tmp_path):
     a = run_experiment(make_cfg(out_dir=tmp_path / "a"))
     cfg = make_cfg(out_dir=tmp_path / "b")
