@@ -1,131 +1,18 @@
 """Deterministic simulator of clustered federated learning with device
-self-labeling over a modeled wireless edge network."""
+self-labeling over a modeled wireless edge network.
 
-from .clustering import (
-    ClusterTree,
-    SimilarityMatrix,
-    bipartition,
-    check_split_conditions,
-    cosine_similarity,
-    similarity_matrix,
-)
-from .config import ExperimentConfig, load_config, parse_config
-from .data import (
-    DeviceDataset,
-    TaskUniverse,
-    load_csv_dataset,
-    make_task_universe,
-    partition_devices,
-)
-from .errors import ConfigError, StateError
-from .experiment import (
-    METRIC_COLUMNS,
-    RunResult,
-    build_simulation,
-    emit_plot_data,
-    run_experiment,
-    sweep,
-)
-from .labeling import (
-    PseudoLabelBatch,
-    SelectionDecision,
-    UtilityScore,
-    inject,
-    labeling_accuracy,
-    objective_value,
-    pseudo_label,
-    select_best_model,
-    utility,
-)
-from .models import (
-    GradientUpdate,
-    LabeledBatch,
-    ModelParams,
-    evaluate,
-    forward,
-    gradient,
-    init_params,
-    loss,
-    sgd_train,
-)
-from .network import (
-    ChannelModel,
-    DeviceRadio,
-    EdgeConfig,
-    ScheduleEntry,
-    edge_round_time,
-    global_round_time,
-    sample_radios,
-    schedule_round,
-)
-from .orchestrator import (
-    ClusterSpec,
-    LabelSpec,
-    RunSpec,
-    Simulation,
-    TimingSpec,
-    TrainingSpec,
-    cloud_aggregate,
-    edge_aggregate,
-)
+The package exports the entry points; every other name is imported from
+its own module (`cfsl.config`, `cfsl.orchestrator`, ...)."""
+
+from .config import load_config, parse_config
+from .experiment import emit_plot_data, run_experiment, sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelModel",
-    "ClusterSpec",
-    "ClusterTree",
-    "ConfigError",
-    "DeviceDataset",
-    "DeviceRadio",
-    "EdgeConfig",
-    "ExperimentConfig",
-    "GradientUpdate",
-    "LabelSpec",
-    "LabeledBatch",
-    "METRIC_COLUMNS",
-    "ModelParams",
-    "PseudoLabelBatch",
-    "RunResult",
-    "RunSpec",
-    "ScheduleEntry",
-    "SelectionDecision",
-    "SimilarityMatrix",
-    "Simulation",
-    "StateError",
-    "TaskUniverse",
-    "TimingSpec",
-    "TrainingSpec",
-    "UtilityScore",
-    "bipartition",
-    "build_simulation",
-    "check_split_conditions",
-    "cloud_aggregate",
-    "cosine_similarity",
-    "edge_aggregate",
-    "edge_round_time",
     "emit_plot_data",
-    "evaluate",
-    "forward",
-    "global_round_time",
-    "gradient",
-    "inject",
-    "init_params",
-    "labeling_accuracy",
     "load_config",
-    "load_csv_dataset",
-    "loss",
-    "make_task_universe",
-    "objective_value",
     "parse_config",
-    "partition_devices",
-    "pseudo_label",
     "run_experiment",
-    "sample_radios",
-    "schedule_round",
-    "select_best_model",
-    "sgd_train",
-    "similarity_matrix",
     "sweep",
-    "utility",
 ]

@@ -11,7 +11,7 @@ import argparse
 import logging
 import sys
 
-from .config import BASELINES, load_config
+from .config import BASELINES, load_config, override
 from .errors import ConfigError
 from .experiment import FIGURE_COLUMNS, SWEEP_AXES, emit_plot_data, run_experiment, sweep
 
@@ -58,12 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg, args):
-    if args.seed is not None:
-        cfg.run.seed = args.seed
-    if args.out_dir is not None:
-        cfg.run.out_dir = args.out_dir
-    if args.baseline is not None:
-        cfg.run.baseline = args.baseline
+    given = {"run.seed": args.seed, "run.out_dir": args.out_dir, "run.baseline": args.baseline}
+    return override(cfg, {key: value for key, value in given.items() if value is not None})
 
 
 def main(argv=None) -> int:
@@ -77,8 +73,7 @@ def main(argv=None) -> int:
             print(f"wrote {path} ({len(rows)} rows)")
             return 0
 
-        cfg = load_config(args.config)
-        _apply_overrides(cfg, args)
+        cfg = _apply_overrides(load_config(args.config), args)
 
         if args.command == "run":
             result = run_experiment(cfg)

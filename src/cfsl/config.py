@@ -4,22 +4,27 @@ defaults applied and echoed.
 The format is INI-style text: `[section]` headers with `key = value`
 lines, `#`/`;` comments. Unknown sections or keys are rejected so typos
 fail loudly; every error names the offending `section.key`.
+
+Each section is one frozen dataclass whose field metadata holds the
+parser of the key's text and the check every value must pass, so the
+schema, the defaults and the typed object come from one declaration. A
+section runs its checks whenever it is built, from a file or by
+`dataclasses.replace`.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
-from types import SimpleNamespace
+from collections import defaultdict
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .data import labeled_split
 from .errors import ConfigError
 
-REQUIRED = object()
+REQUIRED = MISSING
 
 BASELINES = ("cfsl", "cfl-fully-labeled", "cfl-labeled-only", "hfl-ssl", "hfl-labeled-only")
-FIGURES = ("accuracy", "labeling-accuracy", "labeling-latency")
 
 
 def _bool(s: str) -> bool:
@@ -53,12 +58,17 @@ def _choice(*options):
     return parse
 
 
-@dataclass(frozen=True)
-class Field:
-    parse: callable
-    default: object
-    check: callable = None
-    message: str = ""
+def _key(parse, default=REQUIRED, check=None, message="", name=None):
+    """A config key: the parser of its text, its default (REQUIRED: none),
+    the check every value must pass and, when it differs from the
+    attribute's, its name in the file."""
+    return field(default=default,
+                 metadata={"parse": parse, "check": check, "message": message, "key": name})
+
+
+def ini_key(f) -> str:
+    """The name a section field has in the file."""
+    return f.metadata["key"] or f.name
 
 
 def _pos(v):
@@ -69,109 +79,168 @@ def _nonneg(v):
     return v >= 0
 
 
-SCHEMA = {
-    "topology": {
-        "edges": Field(int, REQUIRED, lambda v: v >= 1, "must be >= 1"),
-        "devices": Field(int, REQUIRED, lambda v: v >= 1, "must be >= 1"),
-        "edge_assignment": Field(_choice("blocks", "round-robin"), "blocks"),
-    },
-    "data": {
-        "mode": Field(_choice("label-permutation", "gaussian-clusters", "csv"),
-                      "label-permutation"),
-        "distributions": Field(int, 2, lambda v: v >= 1, "must be >= 1"),
-        "classes": Field(int, 4, lambda v: v >= 2, "must be >= 2"),
-        "features": Field(int, 8, lambda v: v >= 2, "must be >= 2"),
-        "samples_per_device": Field(int, 200, lambda v: v >= 2, "must be >= 2"),
-        "test_samples_per_device": Field(int, 40, lambda v: v >= 1, "must be >= 1"),
-        "labeled_fraction": Field(float, 0.05, lambda v: 0 < v <= 1, "must be in (0, 1]"),
-        "max_classes_per_device": Field(int, 2, lambda v: v >= 1, "must be >= 1"),
-        "distribution_assignment": Field(_choice("round-robin", "random"), "round-robin"),
-        "separation": Field(float, 4.0, _pos, "must be > 0"),
-        "noise_scale": Field(float, 1.0, _pos, "must be > 0"),
-        "holdout_fraction": Field(float, 0.2, lambda v: 0 <= v < 1, "must be in [0, 1)"),
-        "seed": Field(_auto_int, None),
-        "csv_path": Field(str, ""),
-    },
-    "model": {
-        "family": Field(_choice("logistic", "mlp"), "logistic"),
-        "hidden": Field(int, None, _nonneg, "must be >= 0"),
-        "learning_rate": Field(float, 0.01, _pos, "must be > 0"),
-        "epochs": Field(int, 5, lambda v: v >= 1, "must be >= 1"),
-        "batch_size": Field(int, 32, lambda v: v >= 1, "must be >= 1"),
-    },
-    "clustering": {
-        "enabled": Field(_bool, True),
-        "eps1": Field(_opt_float, None, lambda v: v is None or v > 0, "must be > 0"),
-        "eps2": Field(_opt_float, None, lambda v: v is None or v > 0, "must be > 0"),
-        "split_interval": Field(int, 5, lambda v: v >= 1, "must be >= 1"),
-        "gamma_merge": Field(float, 0.9, lambda v: -1 < v <= 1, "must be in (-1, 1]"),
-        "merge_log_only": Field(_bool, False),
-        "use_weight_deltas": Field(_bool, False),
-    },
-    "ssl": {
-        "enabled": Field(_bool, True),
-        "phi": Field(float, 0.8, lambda v: 0 <= v <= 1, "must be in [0, 1]"),
-        "label_interval": Field(int, 10, lambda v: v >= 1, "must be >= 1"),
-        "lambda": Field(float, 1.0, _nonneg, "must be >= 0"),
-        "inference_cycles_per_sample": Field(float, 20.0, _pos, "must be > 0"),
-        "candidate_scope": Field(_choice("cloud", "edge"), "cloud"),
-    },
-    "network": {
-        "bandwidth_hz": Field(float, 10e6, _pos, "must be > 0"),
-        "subchannels": Field(_auto_int, None, lambda v: v is None or v >= 1,
-                             "must be >= 1 or auto"),
-        "ref_gain_db": Field(float, -35.0),
-        "ref_distance_m": Field(float, 2.0, _pos, "must be > 0"),
-        "noise_w": Field(float, 1e-6, _pos, "must be > 0"),
-        "cpu_min_hz": Field(float, 1e9, _pos, "must be > 0"),
-        "cpu_max_hz": Field(float, 9e9, _pos, "must be > 0"),
-        "power_min_dbm": Field(float, -10.0),
-        "power_max_dbm": Field(float, 20.0),
-        "distance_min_m": Field(float, 2.0, _pos, "must be > 0"),
-        "distance_max_m": Field(float, 50.0, _pos, "must be > 0"),
-        "cloud_rate_bps": Field(float, 1e8, _pos, "must be > 0"),
-        "cycles_per_sample": Field(float, 20.0, _pos, "must be > 0"),
-        "deadline_policy": Field(_choice("median", "fixed"), "median"),
-        "deadline_kappa": Field(float, 2.0, _pos, "must be > 0"),
-        "deadline_s": Field(_opt_float, None, lambda v: v is None or v > 0, "must be > 0"),
-        "fading": Field(_choice("off", "rayleigh"), "off"),
-        "time_budget_s": Field(float, math.inf, _pos, "must be > 0"),
-    },
-    "run": {
-        "rounds": Field(int, REQUIRED, _nonneg, "must be >= 0"),
-        "seed": Field(int, 0),
-        "out_dir": Field(str, "out"),
-        "baseline": Field(_choice(*BASELINES), "cfsl"),
-        "convergence_eps": Field(float, 1e-4, _pos, "must be > 0"),
-        "convergence_window": Field(int, 10, lambda v: v >= 1, "must be >= 1"),
-    },
-}
+class _Section:
+    """Base of the config sections; `section` is the INI header."""
+
+    section = ""
+
+    def __post_init__(self):
+        for f in fields(self):
+            check, value = f.metadata["check"], getattr(self, f.name)
+            if check is not None and not check(value):
+                raise ConfigError(f"{self.section}.{ini_key(f)}",
+                                  f"{f.metadata['message']} (got {value!r})")
 
 
-@dataclass
+@dataclass(frozen=True)
+class TopologyConfig(_Section):
+    section = "topology"
+    edges: int = _key(int, REQUIRED, lambda v: v >= 1, "must be >= 1")
+    devices: int = _key(int, REQUIRED, lambda v: v >= 1, "must be >= 1")
+    edge_assignment: str = _key(_choice("blocks", "round-robin"), "blocks")
+
+
+@dataclass(frozen=True)
+class DataConfig(_Section):
+    section = "data"
+    mode: str = _key(_choice("label-permutation", "gaussian-clusters", "csv"),
+                     "label-permutation")
+    distributions: int = _key(int, 2, lambda v: v >= 1, "must be >= 1")
+    classes: int = _key(int, 4, lambda v: v >= 2, "must be >= 2")
+    features: int = _key(int, 8, lambda v: v >= 2, "must be >= 2")
+    samples_per_device: int = _key(int, 200, lambda v: v >= 2, "must be >= 2")
+    test_samples_per_device: int = _key(int, 40, lambda v: v >= 1, "must be >= 1")
+    labeled_fraction: float = _key(float, 0.05, lambda v: 0 < v <= 1, "must be in (0, 1]")
+    max_classes_per_device: int = _key(int, 2, lambda v: v >= 1, "must be >= 1")
+    distribution_assignment: str = _key(_choice("round-robin", "random"), "round-robin")
+    separation: float = _key(float, 4.0, _pos, "must be > 0")
+    noise_scale: float = _key(float, 1.0, _pos, "must be > 0")
+    holdout_fraction: float = _key(float, 0.2, lambda v: 0 <= v < 1, "must be in [0, 1)")
+    seed: int | None = _key(_auto_int, None)
+    csv_path: str = _key(str, "")
+
+
+@dataclass(frozen=True)
+class ModelConfig(_Section):
+    section = "model"
+    family: str = _key(_choice("logistic", "mlp"), "logistic")
+    # parse_config defaults this by family: 0 for logistic, 16 for mlp.
+    hidden: int = _key(int, 0, _nonneg, "must be >= 0")
+    learning_rate: float = _key(float, 0.01, _pos, "must be > 0")
+    epochs: int = _key(int, 5, lambda v: v >= 1, "must be >= 1")
+    batch_size: int = _key(int, 32, lambda v: v >= 1, "must be >= 1")
+
+
+@dataclass(frozen=True)
+class ClusteringConfig(_Section):
+    section = "clustering"
+    enabled: bool = _key(_bool, True)
+    eps1: float | None = _key(_opt_float, None, lambda v: v is None or v > 0, "must be > 0")
+    eps2: float | None = _key(_opt_float, None, lambda v: v is None or v > 0, "must be > 0")
+    split_interval: int = _key(int, 5, lambda v: v >= 1, "must be >= 1")
+    gamma_merge: float = _key(float, 0.9, lambda v: -1 < v <= 1, "must be in (-1, 1]")
+    merge_log_only: bool = _key(_bool, False)
+    use_weight_deltas: bool = _key(_bool, False)
+
+
+@dataclass(frozen=True)
+class SSLConfig(_Section):
+    section = "ssl"
+    enabled: bool = _key(_bool, True)
+    phi: float = _key(float, 0.8, lambda v: 0 <= v <= 1, "must be in [0, 1]")
+    label_interval: int = _key(int, 10, lambda v: v >= 1, "must be >= 1")
+    lam: float = _key(float, 1.0, _nonneg, "must be >= 0", name="lambda")
+    inference_cycles_per_sample: float = _key(float, 20.0, _pos, "must be > 0")
+    candidate_scope: str = _key(_choice("cloud", "edge"), "cloud")
+
+
+@dataclass(frozen=True)
+class NetworkConfig(_Section):
+    section = "network"
+    bandwidth_hz: float = _key(float, 10e6, _pos, "must be > 0")
+    subchannels: int | None = _key(_auto_int, None, lambda v: v is None or v >= 1,
+                                   "must be >= 1 or auto")
+    ref_gain_db: float = _key(float, -35.0)
+    ref_distance_m: float = _key(float, 2.0, _pos, "must be > 0")
+    noise_w: float = _key(float, 1e-6, _pos, "must be > 0")
+    cpu_min_hz: float = _key(float, 1e9, _pos, "must be > 0")
+    cpu_max_hz: float = _key(float, 9e9, _pos, "must be > 0")
+    power_min_dbm: float = _key(float, -10.0)
+    power_max_dbm: float = _key(float, 20.0)
+    distance_min_m: float = _key(float, 2.0, _pos, "must be > 0")
+    distance_max_m: float = _key(float, 50.0, _pos, "must be > 0")
+    cloud_rate_bps: float = _key(float, 1e8, _pos, "must be > 0")
+    cycles_per_sample: float = _key(float, 20.0, _pos, "must be > 0")
+    deadline_policy: str = _key(_choice("median", "fixed"), "median")
+    deadline_kappa: float = _key(float, 2.0, _pos, "must be > 0")
+    deadline_s: float | None = _key(_opt_float, None, lambda v: v is None or v > 0,
+                                    "must be > 0")
+    fading: str = _key(_choice("off", "rayleigh"), "off")
+    time_budget_s: float = _key(float, math.inf, _pos, "must be > 0")
+
+
+@dataclass(frozen=True)
+class RunConfig(_Section):
+    section = "run"
+    rounds: int = _key(int, REQUIRED, _nonneg, "must be >= 0")
+    seed: int = _key(int, 0)
+    out_dir: str = _key(str, "out")
+    baseline: str = _key(_choice(*BASELINES), "cfsl")
+    convergence_eps: float = _key(float, 1e-4, _pos, "must be > 0")
+    convergence_window: int = _key(int, 10, lambda v: v >= 1, "must be >= 1")
+
+
+SECTIONS = (TopologyConfig, DataConfig, ModelConfig, ClusteringConfig, SSLConfig,
+            NetworkConfig, RunConfig)
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    topology: SimpleNamespace
-    data: SimpleNamespace
-    model: SimpleNamespace
-    clustering: SimpleNamespace
-    ssl: SimpleNamespace
-    network: SimpleNamespace
-    run: SimpleNamespace
-    defaults_applied: list
+    """A parsed config: one frozen section per INI header."""
+
+    topology: TopologyConfig
+    data: DataConfig
+    model: ModelConfig
+    clustering: ClusteringConfig
+    ssl: SSLConfig
+    network: NetworkConfig
+    run: RunConfig
+    # "section.key" of every key the file left out.
+    defaults_applied: tuple = ()
 
     def resolved(self) -> dict:
-        """Every effective value, for the run-header echo. run.out_dir is
-        omitted so runs differing only in output location stay
-        byte-identical."""
-        out = {}
-        for section in SCHEMA:
-            ns = getattr(self, section)
-            out[section] = {
-                key: getattr(ns, "lam" if key == "lambda" else key)
-                for key in SCHEMA[section]
-                if not (section == "run" and key == "out_dir")
+        """Every configured value by section and key, for the run-header
+        echo. run.out_dir is omitted so runs differing only in output
+        location stay byte-identical."""
+        return {
+            cls.section: {
+                ini_key(f): getattr(getattr(self, cls.section), f.name)
+                for f in fields(cls)
+                if not (cls is RunConfig and f.name == "out_dir")
             }
-        return out
+            for cls in SECTIONS
+        }
+
+
+def baseline_variant(cfg: ExperimentConfig):
+    """(effective config, label with the shared global model) for the
+    configured baseline.
+
+    cfsl runs as configured. The two cfl variants disable self-labeling
+    (fully-labeled additionally lifts the labeled fraction to 1); the two
+    hfl variants disable cluster splitting, with hfl-ssl labeling from
+    the shared global model instead of specialized ones.
+    """
+    b = cfg.run.baseline
+    effective = replace(
+        cfg,
+        data=replace(cfg.data, labeled_fraction=(
+            1.0 if b == "cfl-fully-labeled" else cfg.data.labeled_fraction)),
+        clustering=replace(cfg.clustering,
+                           enabled=cfg.clustering.enabled and not b.startswith("hfl")),
+        ssl=replace(cfg.ssl, enabled=cfg.ssl.enabled and b in ("cfsl", "hfl-ssl")),
+    )
+    return effective, b == "hfl-ssl"
 
 
 def _cross_checks(cfg: ExperimentConfig):
@@ -179,25 +248,18 @@ def _cross_checks(cfg: ExperimentConfig):
     if topo.devices < topo.edges:
         raise ConfigError("topology.devices", "need at least one device per edge")
 
-    if model.family == "logistic":
-        if model.hidden is None:
-            model.hidden = 0
-        elif model.hidden != 0:
-            raise ConfigError("model.hidden", "must be 0 for the logistic family")
-    else:
-        if model.hidden is None:
-            model.hidden = 16
-        elif model.hidden < 1:
-            raise ConfigError("model.hidden", "must be >= 1 for the mlp family")
+    if model.family == "logistic" and model.hidden != 0:
+        raise ConfigError("model.hidden", "must be 0 for the logistic family")
+    if model.family == "mlp" and model.hidden < 1:
+        raise ConfigError("model.hidden", "must be >= 1 for the mlp family")
 
     if data.mode == "csv" and not data.csv_path:
         raise ConfigError("data.csv_path", "required when data.mode = csv")
     if data.mode != "csv":
-        # The cfl-fully-labeled baseline trains with every sample labeled.
-        fraction = 1.0 if cfg.run.baseline == "cfl-fully-labeled" else data.labeled_fraction
+        labeled_fraction = baseline_variant(cfg)[0].data.labeled_fraction
         width = min(data.max_classes_per_device, data.classes)
         n_labeled, n_hold = labeled_split(
-            fraction, data.samples_per_device, width, data.holdout_fraction
+            labeled_fraction, data.samples_per_device, width, data.holdout_fraction
         )
         if n_hold >= n_labeled:
             raise ConfigError(
@@ -229,37 +291,54 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError("config", f"unparsable config: {exc}") from None
 
+    known = {cls.section: {ini_key(f) for f in fields(cls)} for cls in SECTIONS}
     for section in parser.sections():
-        if section not in SCHEMA:
+        if section not in known:
             raise ConfigError(section, "unknown section")
         for key in parser[section]:
-            if key not in SCHEMA[section]:
+            if key not in known[section]:
                 raise ConfigError(f"{section}.{key}", "unknown key")
 
-    sections = {}
+    given = {}
     defaults_applied = []
-    for section, fields in SCHEMA.items():
-        ns = SimpleNamespace()
-        for key, field in fields.items():
-            attr = "lam" if key == "lambda" else key
-            present = parser.has_option(section, key)
-            if not present:
-                if field.default is REQUIRED:
-                    raise ConfigError(f"{section}.{key}", "required key is missing")
-                setattr(ns, attr, field.default)
-                defaults_applied.append(f"{section}.{key}")
+    for cls in SECTIONS:
+        values = given[cls.section] = {}
+        for f in fields(cls):
+            key = ini_key(f)
+            where = f"{cls.section}.{key}"
+            if not parser.has_option(cls.section, key):
+                if f.default is REQUIRED:
+                    raise ConfigError(where, "required key is missing")
+                defaults_applied.append(where)
                 continue
-            raw = parser.get(section, key)
+            raw = parser.get(cls.section, key)
             try:
-                value = field.parse(raw)
+                values[f.name] = f.metadata["parse"](raw)
             except ValueError as exc:
-                raise ConfigError(f"{section}.{key}", f"bad value {raw!r} ({exc})") from None
-            if field.check is not None and not field.check(value):
-                raise ConfigError(f"{section}.{key}", f"{field.message} (got {raw!r})")
-            setattr(ns, attr, value)
-        sections[section] = ns
+                raise ConfigError(where, f"bad value {raw!r} ({exc})") from None
 
-    cfg = ExperimentConfig(defaults_applied=defaults_applied, **sections)
+    model = given["model"]
+    if "hidden" not in model:
+        model["hidden"] = 0 if model.get("family", ModelConfig.family) == "logistic" else 16
+
+    cfg = ExperimentConfig(
+        **{cls.section: cls(**given[cls.section]) for cls in SECTIONS},
+        defaults_applied=tuple(defaults_applied),
+    )
+    _cross_checks(cfg)
+    return cfg
+
+
+def override(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
+    """`cfg` with `values` ({"section.attribute": value}) set, checked like
+    values read from a file: the changed sections run their field checks
+    and the result passes the cross-section checks. defaults_applied is
+    kept; the run header lists the keys the file left out."""
+    changes = defaultdict(dict)
+    for name, value in values.items():
+        section, attr = name.split(".")
+        changes[section][attr] = value
+    cfg = replace(cfg, **{s: replace(getattr(cfg, s), **c) for s, c in changes.items()})
     _cross_checks(cfg)
     return cfg
 

@@ -10,7 +10,6 @@ every artifact.
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import json
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, baseline_variant, override
 from .data import (
     DeviceDataset,
     LabeledBatch,
@@ -32,15 +31,7 @@ from .data import (
 )
 from .errors import ConfigError
 from .network import ChannelModel, EdgeConfig, db_to_linear, sample_radios
-from .orchestrator import (
-    ClusterSpec,
-    LabelSpec,
-    RunSpec,
-    Simulation,
-    TimingSpec,
-    TrainingSpec,
-    jsonable,
-)
+from .orchestrator import Simulation, jsonable
 from .seeding import DATA_STREAM, sweep_seed
 
 log = logging.getLogger(__name__)
@@ -65,7 +56,8 @@ METRIC_COLUMNS = (
     "mean_labeling_latency_s",
 )
 
-SWEEP_AXES = ("labeled_fraction", "phi", "seed")
+# Sweep axis: the config value it sets.
+SWEEP_AXES = {"labeled_fraction": "data.labeled_fraction", "phi": "ssl.phi", "seed": "run.seed"}
 
 
 @dataclass
@@ -78,33 +70,6 @@ class RunResult:
     rows: list
     reason: str
     sim: Simulation
-
-
-def _variant(cfg: ExperimentConfig):
-    """Effective knobs for the configured baseline.
-
-    cfsl runs as configured. The two cfl variants disable self-labeling
-    (fully-labeled additionally lifts the labeled fraction to 1); the two
-    hfl variants disable cluster splitting, with hfl-ssl labeling from
-    the shared global model instead of specialized ones.
-    """
-    b = cfg.run.baseline
-    labeled_fraction = cfg.data.labeled_fraction
-    clustering_on = cfg.clustering.enabled
-    ssl_on = cfg.ssl.enabled
-    use_global = False
-    if b == "cfl-fully-labeled":
-        labeled_fraction = 1.0
-        ssl_on = False
-    elif b == "cfl-labeled-only":
-        ssl_on = False
-    elif b == "hfl-ssl":
-        clustering_on = False
-        use_global = True
-    elif b == "hfl-labeled-only":
-        clustering_on = False
-        ssl_on = False
-    return labeled_fraction, clustering_on, ssl_on, use_global
 
 
 def _edge_assignment(n_devices: int, n_edges: int, scheme: str) -> list:
@@ -161,9 +126,9 @@ def _csv_devices(cfg: ExperimentConfig, data_seed_val: int) -> list:
 
 
 def build_simulation(cfg: ExperimentConfig) -> Simulation:
-    """Materialize the full population and specs for one run."""
-    labeled_fraction, clustering_on, ssl_on, use_global = _variant(cfg)
-    topo, d, m, net = cfg.topology, cfg.data, cfg.model, cfg.network
+    """Materialize the full population of one run of the configured baseline."""
+    cfg, use_global_model = baseline_variant(cfg)
+    topo, d, net = cfg.topology, cfg.data, cfg.network
     data_seed_val = d.seed if d.seed is not None else cfg.run.seed
 
     if d.mode == "csv":
@@ -182,7 +147,7 @@ def build_simulation(cfg: ExperimentConfig) -> Simulation:
             universe,
             topo.devices,
             d.samples_per_device,
-            labeled_fraction,
+            d.labeled_fraction,
             max_classes=d.max_classes_per_device,
             distribution_assignment=d.distribution_assignment,
             seed=data_seed_val,
@@ -219,49 +184,7 @@ def build_simulation(cfg: ExperimentConfig) -> Simulation:
         )
     channel = ChannelModel(db_to_linear(net.ref_gain_db), net.ref_distance_m, net.noise_w)
 
-    return Simulation(
-        devices=devices,
-        radios=radios,
-        edges=edges,
-        channel=channel,
-        training=TrainingSpec(
-            dim_in=d.features,
-            n_classes=d.classes,
-            hidden=m.hidden,
-            learning_rate=m.learning_rate,
-            epochs=m.epochs,
-            batch_size=m.batch_size,
-        ),
-        clustering=ClusterSpec(
-            enabled=clustering_on,
-            eps1=cfg.clustering.eps1,
-            eps2=cfg.clustering.eps2,
-            split_interval=cfg.clustering.split_interval,
-            gamma_merge=cfg.clustering.gamma_merge,
-            merge_log_only=cfg.clustering.merge_log_only,
-            use_weight_deltas=cfg.clustering.use_weight_deltas,
-        ),
-        labeling=LabelSpec(
-            enabled=ssl_on,
-            phi=cfg.ssl.phi,
-            label_interval=cfg.ssl.label_interval,
-            lam=cfg.ssl.lam,
-            inference_cycles_per_sample=cfg.ssl.inference_cycles_per_sample,
-            candidate_scope=cfg.ssl.candidate_scope,
-            use_global_model=use_global,
-        ),
-        timing=TimingSpec(
-            cycles_per_sample=net.cycles_per_sample,
-            fading=net.fading,
-            time_budget_s=net.time_budget_s,
-        ),
-        run_spec=RunSpec(
-            rounds=cfg.run.rounds,
-            seed=cfg.run.seed,
-            convergence_eps=cfg.run.convergence_eps,
-            convergence_window=cfg.run.convergence_window,
-        ),
-    )
+    return Simulation(devices, radios, edges, channel, cfg, use_global_model=use_global_model)
 
 
 def _fmt(value) -> str:
@@ -289,14 +212,15 @@ def _atomic_write(path: str, text: str):
 
 
 def metrics_rows(cfg: ExperimentConfig, sim: Simulation) -> list:
-    labeled_fraction, _, _, _ = _variant(cfg)
+    """One row per round. labeled_fraction is the run's effective one,
+    1.0 under cfl-fully-labeled."""
     rows = []
     for m in sim.metrics:
         rows.append(
             {
                 "baseline": cfg.run.baseline,
                 "seed": cfg.run.seed,
-                "labeled_fraction": float(labeled_fraction),
+                "labeled_fraction": float(sim.config.data.labeled_fraction),
                 "phi": float(cfg.ssl.phi),
                 "round": m.round_no,
                 "cumulative_time_s": m.cumulative_time_s,
@@ -363,10 +287,6 @@ def _parse_axis_value(axis: str, raw):
             value = float(str(raw))
     except ValueError:
         raise ConfigError("sweep.values", f"bad value {raw!r} for axis {axis}") from None
-    if axis == "labeled_fraction" and not 0 < value <= 1:
-        raise ConfigError("sweep.values", f"labeled_fraction {raw!r} outside (0, 1]")
-    if axis == "phi" and not 0 <= value <= 1:
-        raise ConfigError("sweep.values", f"phi {raw!r} outside [0, 1]")
     return value
 
 
@@ -375,7 +295,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> dict:
 
     Each run gets a seed derived from the base seed and "axis=value" (for
     the seed axis, the value itself), so runs stay decorrelated without
-    hiding the derivation. A failing run is recorded and the sweep
+    hiding the derivation. Every value is checked like a file value
+    before the first run starts. A failing run is recorded and the sweep
     continues; completed runs are concatenated into sweep_metrics.csv
     with an explicit axis column.
     """
@@ -386,19 +307,21 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> dict:
         raise ConfigError("sweep.values", "need at least one value")
 
     base_out = cfg.run.out_dir
-    combined = []
-    completed = []
-    failed = {}
+    runs = []
     for raw in values:
         value = _parse_axis_value(axis, raw)
         token = str(value)
-        sub = copy.deepcopy(cfg)
-        if axis == "labeled_fraction":
-            sub.data.labeled_fraction = value
-        elif axis == "phi":
-            sub.ssl.phi = value
-        sub.run.seed = sweep_seed(cfg.run.seed, axis, value)
-        sub.run.out_dir = os.path.join(base_out, f"{axis}={token}")
+        # On the seed axis both entries set run.seed, to the same value.
+        runs.append((token, override(cfg, {
+            SWEEP_AXES[axis]: value,
+            "run.seed": sweep_seed(cfg.run.seed, axis, value),
+            "run.out_dir": os.path.join(base_out, f"{axis}={token}"),
+        })))
+
+    combined = []
+    completed = []
+    failed = {}
+    for token, sub in runs:
         try:
             result = run_experiment(sub)
         except Exception as exc:  # keep sweeping; report at the end

@@ -28,6 +28,7 @@ from .clustering import (
     cosine_similarity,
     similarity_matrix,
 )
+from .config import ExperimentConfig
 from .errors import StateError
 from .labeling import (
     inject,
@@ -59,72 +60,6 @@ RELATIVE_EPS2_FACTOR = 1.6
 LABEL_DONE_FRACTION = 0.9
 
 GLOBAL_MODEL_ID = -1
-
-
-@dataclass(frozen=True)
-class TrainingSpec:
-    dim_in: int
-    n_classes: int
-    hidden: int = 0
-    learning_rate: float = 0.01
-    epochs: int = 5
-    batch_size: int = 32
-
-
-@dataclass(frozen=True)
-class ClusterSpec:
-    enabled: bool = True
-    eps1: float | None = None
-    eps2: float | None = None
-    split_interval: int = 5
-    gamma_merge: float = 0.9
-    merge_log_only: bool = False
-    use_weight_deltas: bool = False
-
-
-@dataclass(frozen=True)
-class LabelSpec:
-    enabled: bool = True
-    phi: float = 0.8
-    label_interval: int = 10
-    lam: float = 1.0
-    inference_cycles_per_sample: float = 20.0
-    candidate_scope: str = "cloud"
-    # Label with the shared global model instead of specialized ones
-    # (the non-clustered semi-supervised baseline).
-    use_global_model: bool = False
-
-
-@dataclass(frozen=True)
-class TimingSpec:
-    cycles_per_sample: float = 20.0
-    fading: str = "off"
-    time_budget_s: float = math.inf
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    rounds: int
-    seed: int
-    convergence_eps: float = 1e-4
-    convergence_window: int = 10
-
-
-@dataclass(frozen=True)
-class AggregationRecord:
-    """Provenance of one weighted average (weights already normalized)."""
-
-    round_no: int
-    scope: str
-    target: int | None
-    contributors: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("aggregation weights must be positive")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ValueError("aggregation weights must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -163,12 +98,6 @@ def edge_aggregate(models: list, weights: list) -> ModelParams:
     return first.with_weights(acc)
 
 
-def cloud_aggregate(models: list, weights: list) -> ModelParams:
-    """Same arithmetic as edge_aggregate, applied over edge or cluster
-    contributions at the cloud tier."""
-    return edge_aggregate(models, weights)
-
-
 def jsonable(obj):
     """Strict-JSON view of an event or config: numpy scalars and arrays
     become Python values, infinities the strings "inf" and "-inf"."""
@@ -203,12 +132,15 @@ class Simulation:
         radios: list,
         edges: list,
         channel,
-        training: TrainingSpec,
-        clustering: ClusterSpec,
-        labeling: LabelSpec,
-        timing: TimingSpec,
-        run_spec: RunSpec,
+        config: ExperimentConfig,
+        use_global_model: bool = False,
     ):
+        """`config` is the effective config of the run (see
+        `config.baseline_variant`); this reads its data dimensions, model,
+        clustering, ssl, network timing and run sections. With
+        `use_global_model`, devices label with the shared global model
+        instead of specialized ones (the non-clustered semi-supervised
+        baseline)."""
         if [d.device_id for d in devices] != list(range(len(devices))):
             raise ValueError("devices must be ordered by contiguous device_id from 0")
         if len(radios) != len(devices) or [r.device_id for r in radios] != [
@@ -231,15 +163,12 @@ class Simulation:
         self.radios = list(radios)
         self.edges = sorted(edges, key=lambda e: e.edge_id)
         self.channel = channel
-        self.training = training
-        self.clustering = clustering
-        self.labeling = labeling
-        self.timing = timing
-        self.run_spec = run_spec
+        self.config = config
+        self.use_global_model = use_global_model
 
         self.global_model = init_params(
-            training.dim_in, training.n_classes, training.hidden,
-            seed=init_seed(run_spec.seed),
+            config.data.features, config.data.classes, config.model.hidden,
+            seed=init_seed(config.run.seed),
         )
         self.payload_bits = self.global_model.size_bits
         self.tree = ClusterTree()
@@ -256,7 +185,6 @@ class Simulation:
         self.cumulative_time_s = 0.0
         self.metrics: list = []
         self.events: list = []
-        self.records: list = []
         self.loss_history = defaultdict(list)
         self.last_label_round: dict = {}
         self.last_selection: dict = {}
@@ -290,10 +218,10 @@ class Simulation:
         ).hexdigest()
 
     def _candidate_models(self, device_id: int, r: int) -> dict:
-        if self.labeling.use_global_model:
+        if self.use_global_model:
             return {GLOBAL_MODEL_ID: self.global_model}
         nodes = self.tree.specialized()
-        if self.labeling.candidate_scope == "edge":
+        if self.config.ssl.candidate_scope == "edge":
             # By members, not node.edge_id: a merge across edges has none.
             edge_devices = self.tree.root_of_edge(self.radios[device_id].edge_id).members
             nodes = [n for n in nodes if not n.members.isdisjoint(edge_devices)]
@@ -310,22 +238,34 @@ class Simulation:
         if dev.unlabeled_remaining == 0:
             return False
         last = self.last_label_round.get(device_id)
-        if last is not None and r - last < self.labeling.label_interval:
+        if last is not None and r - last < self.config.ssl.label_interval:
             return False
-        if r < self.labeling.label_interval:
+        if r < self.config.ssl.label_interval:
             return False
-        if self.labeling.use_global_model:
+        if self.use_global_model:
             return True
         root = self.tree.root_of_edge(self.radios[device_id].edge_id)
         return not root.is_leaf
 
+    def _aggregate(self, r: int, scope: str, cluster, members: list, trained: dict):
+        """Sample-weighted average of the members' trained models, logged
+        as an `aggregate` event with the normalized weights."""
+        weights = [self.devices[k].labeled_size for k in members]
+        model = edge_aggregate([trained[k] for k in members], weights)
+        wn = np.array(weights, dtype=float)
+        self._event({
+            "type": "aggregate", "round": r, "scope": scope, "cluster": cluster,
+            "contributors": list(members), "weights": wn / wn.sum(),
+        })
+        return model
+
     def _similarity_gradient(self, node, device_id: int, r: int) -> GradientUpdate:
         batch = self.devices[device_id].train_batch()
-        if self.clustering.use_weight_deltas:
-            tr = self.training
+        if self.config.clustering.use_weight_deltas:
+            tr = self.config.model
             after = sgd_train(
                 node.model, batch, tr.epochs, tr.batch_size, tr.learning_rate,
-                training_seed(self.run_spec.seed, r, device_id),
+                training_seed(self.config.run.seed, r, device_id),
             )
             return GradientUpdate(node.model.weights - after.weights, len(batch))
         return gradient(node.model, batch)
@@ -336,11 +276,12 @@ class Simulation:
         if self.termination_reason is not None:
             raise StateError("run already terminated")
         r = self.round_no + 1
-        tr = self.training
+        tr, cl = self.config.model, self.config.clustering
+        cadence = cl.enabled and r % cl.split_interval == 0
 
         fading = None
-        if self.timing.fading == "rayleigh":
-            rng = np.random.default_rng(fading_seed(self.run_spec.seed, r))
+        if self.config.network.fading == "rayleigh":
+            rng = np.random.default_rng(fading_seed(self.config.run.seed, r))
             fading = rayleigh_fading([d.device_id for d in self.devices], rng)
 
         leaf_at_training = {
@@ -360,7 +301,7 @@ class Simulation:
                          for radio in eligible}
             entry = schedule_round(
                 edge, eligible, workloads, self.channel, self.payload_bits,
-                tr.epochs, self.timing.cycles_per_sample, fading,
+                tr.epochs, self.config.network.cycles_per_sample, fading,
             )
             schedules[edge.edge_id] = entry
             self._event({
@@ -386,11 +327,11 @@ class Simulation:
             trained.update(zip(chunk, sgd_train(
                 starts[model_id], [self.devices[k].train_batch() for k in chunk],
                 tr.epochs, tr.batch_size, tr.learning_rate,
-                [training_seed(self.run_spec.seed, r, k) for k in chunk],
+                [training_seed(self.config.run.seed, r, k) for k in chunk],
             )))
 
         # (3) labeling phase
-        if self.labeling.enabled:
+        if self.config.ssl.enabled:
             self._labeling_phase(r)
 
         # (4) aggregation per cluster (for an unsplit root this is the edge
@@ -402,44 +343,24 @@ class Simulation:
 
         for cid in sorted(by_cluster):
             node = self.tree.node(cid)
-            members = by_cluster[cid]
-            weights = [self.devices[k].labeled_size for k in members]
-            node.model = edge_aggregate([trained[k] for k in members], weights)
-            wn = np.array(weights, dtype=float)
-            wn = wn / wn.sum()
             scope = "edge" if self._is_unsplit_root(node) else "cluster"
-            rec = AggregationRecord(r, scope, cid, tuple(members), tuple(float(x) for x in wn))
-            self.records.append(rec)
-            self._event({
-                "type": "aggregate", "round": r, "scope": scope, "cluster": cid,
-                "contributors": list(members), "weights": list(rec.weights),
-            })
+            node.model = self._aggregate(r, scope, cid, by_cluster[cid], trained)
         for node in self.tree.active_leaves():
             if node.members and node.cluster_id not in by_cluster:
                 log.warning("cluster %d: no device update arrived in round %d",
                             node.cluster_id, r)
 
         # (5) split checks on a cadence
-        if self.clustering.enabled and r % self.clustering.split_interval == 0:
+        if cadence:
             self._split_checks(r)
 
         # (6) cloud refresh of the shared model from unsplit-cluster devices
         if pre_split:
-            weights = [self.devices[k].labeled_size for k in pre_split]
-            self.global_model = cloud_aggregate([trained[k] for k in pre_split], weights)
-            wn = np.array(weights, dtype=float)
-            wn = wn / wn.sum()
-            rec = AggregationRecord(r, "global", None, tuple(pre_split),
-                                    tuple(float(x) for x in wn))
-            self.records.append(rec)
-            self._event({
-                "type": "aggregate", "round": r, "scope": "global", "cluster": None,
-                "contributors": list(pre_split), "weights": list(rec.weights),
-            })
+            self.global_model = self._aggregate(r, "global", None, pre_split, trained)
 
         # (7) cloud similarity check over specialized models, on the same
         # cadence as splits so fresh clusters train before being compared
-        if self.clustering.enabled and r % self.clustering.split_interval == 0:
+        if cadence:
             self._merge_check(r)
 
         # (8) latency accounting and metrics
@@ -481,8 +402,8 @@ class Simulation:
             if not candidates:
                 continue
             decision, scores = select_best_model(
-                dev, candidates, self.labeling.phi, self.radios[k].f_hz,
-                self.labeling.inference_cycles_per_sample,
+                dev, candidates, self.config.ssl.phi, self.radios[k].f_hz,
+                self.config.ssl.inference_cycles_per_sample,
             )
             self.last_label_round[k] = r
             self.last_selection[k] = decision
@@ -496,7 +417,7 @@ class Simulation:
             })
             idx, feats = dev.pending_features()
             batch = pseudo_label(
-                candidates[decision.chosen_model_id], feats, self.labeling.phi,
+                candidates[decision.chosen_model_id], feats, self.config.ssl.phi,
                 device_id=k, source_model_id=decision.chosen_model_id,
                 round_no=r, pool_indices=idx,
             )
@@ -517,7 +438,7 @@ class Simulation:
             grads = {k: self._similarity_gradient(node, k, r) for k in members}
             weights = {k: self.devices[k].labeled_size for k in members}
             norms = [g.norm for g in grads.values()]
-            eps1, eps2 = self.clustering.eps1, self.clustering.eps2
+            eps1, eps2 = self.config.clustering.eps1, self.config.clustering.eps2
             if eps1 is None:
                 eps1 = RELATIVE_EPS1_FACTOR * float(np.mean(norms))
             if eps2 is None:
@@ -583,7 +504,7 @@ class Simulation:
             for b in ids[i + 1:]:
                 s = cosine_similarity(centered[a], centered[b])
                 sims[(a, b)] = s
-                if s > self.clustering.gamma_merge:
+                if s > self.config.clustering.gamma_merge:
                     parent[find(b)] = find(a)
         groups = defaultdict(list)
         for c in ids:
@@ -597,7 +518,7 @@ class Simulation:
                 sum(self.devices[k].labeled_size for k in n.members) for n in nodes
             ]
             merged_model = edge_aggregate([n.model for n in nodes], weights)
-            acted = not self.clustering.merge_log_only
+            acted = not self.config.clustering.merge_log_only
             event = {
                 "type": "merge", "round": r, "clusters": group,
                 "similarities": [[a, b, sims[(a, b)]] for (a, b) in sims
@@ -610,11 +531,6 @@ class Simulation:
                 if all(n.status == STOPPED for n in nodes):
                     self.tree.node(new_id).status = STOPPED
                 event["merged_into"] = new_id
-                wn = np.array(weights, dtype=float)
-                wn = wn / wn.sum()
-                self.records.append(AggregationRecord(
-                    r, "merge", new_id, tuple(group), tuple(float(x) for x in wn)
-                ))
             self._event(event)
 
     def _emit_metrics(self, r: int, duration: float, drops: int) -> MetricsRow:
@@ -643,7 +559,7 @@ class Simulation:
         lab_mean = float(np.mean(present)) if present else None
         injected = float(np.mean([d.injected_fraction for d in self.devices]))
         objective = objective_value(
-            device_losses, self.last_selection, self.last_utilities, self.labeling.lam
+            device_losses, self.last_selection, self.last_utilities, self.config.ssl.lam
         )
         latency = float(np.mean([
             self.label_crossing.get(d.device_id, self.cumulative_time_s)
@@ -670,12 +586,12 @@ class Simulation:
 
     def check_termination(self):
         """Reason string when the run should stop after the current round."""
-        if self.cumulative_time_s >= self.timing.time_budget_s:
+        if self.cumulative_time_s >= self.config.network.time_budget_s:
             return "time budget"
         active = self.tree.active_leaves()
         if not active:
             return "convergence"
-        window = self.run_spec.convergence_window
+        window = self.config.run.convergence_window
         converged = True
         for node in active:
             hist = self.loss_history[node.cluster_id]
@@ -683,12 +599,12 @@ class Simulation:
                 converged = False
                 break
             base = hist[-(window + 1)]
-            if (base - hist[-1]) / max(abs(base), 1e-12) >= self.run_spec.convergence_eps:
+            if (base - hist[-1]) / max(abs(base), 1e-12) >= self.config.run.convergence_eps:
                 converged = False
                 break
         if converged:
             return "convergence"
-        if self.round_no >= self.run_spec.rounds:
+        if self.round_no >= self.config.run.rounds:
             return "round budget"
         return None
 
@@ -696,7 +612,7 @@ class Simulation:
         """Round loop until a budget or convergence fires; returns the reason."""
         if self.termination_reason is not None:
             raise StateError("run already terminated")
-        if self.run_spec.rounds == 0:
+        if self.config.run.rounds == 0:
             self.termination_reason = "round budget"
         while self.termination_reason is None:
             self.run_round()

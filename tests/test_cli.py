@@ -66,6 +66,23 @@ def test_run_overrides(tmp_path):
     assert header["baseline"] == "hfl-labeled-only"
 
 
+def test_run_override_checked_like_a_file_value(tmp_path, capsys):
+    # Fully labeled, 40 samples leave 4 after a 0.9 holdout; under cfsl 5%
+    # labels 2 and the holdout takes both, so --baseline cfsl must fail up
+    # front, as it does when the file says cfsl.
+    text = CONFIG.replace("samples_per_device = 30\nlabeled_fraction = 0.3",
+                          "samples_per_device = 40\nlabeled_fraction = 0.05\n"
+                          "holdout_fraction = 0.9")
+    cfg_path = write_config(tmp_path, text + "baseline = cfl-fully-labeled\n")
+    out = tmp_path / "out"
+    assert main(["run", cfg_path, "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["run", cfg_path, "--baseline", "cfsl", "--out-dir", str(tmp_path / "b")])
+    assert code == 1
+    assert "config error: data.holdout_fraction" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
 def test_run_missing_config_is_io_error(tmp_path, capsys):
     code = main(["run", str(tmp_path / "absent.ini")])
     assert code == 2

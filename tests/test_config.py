@@ -1,10 +1,11 @@
 """Config parsing, defaults, and validation errors."""
 
+import dataclasses
 import math
 
 import pytest
 
-from cfsl.config import SCHEMA, load_config, parse_config
+from cfsl.config import SECTIONS, ini_key, load_config, parse_config
 from cfsl.errors import ConfigError
 
 MINIMAL = """
@@ -37,7 +38,9 @@ def test_minimal_config_fills_defaults():
 def test_every_schema_key_defaulted_or_required():
     cfg = parse_config(MINIMAL)
     required = {"topology.edges", "topology.devices", "run.rounds"}
-    all_keys = {f"{s}.{k}" for s, fields in SCHEMA.items() for k in fields}
+    all_keys = {
+        f"{cls.section}.{ini_key(f)}" for cls in SECTIONS for f in dataclasses.fields(cls)
+    }
     assert set(cfg.defaults_applied) == all_keys - required
 
 
@@ -180,13 +183,21 @@ def test_lambda_key_maps_to_lam_attribute():
 def test_resolved_excludes_out_dir():
     resolved = parse_config(MINIMAL).resolved()
     assert "out_dir" not in resolved["run"]
-    assert set(resolved) == set(SCHEMA)
+    assert set(resolved) == {cls.section for cls in SECTIONS}
 
 
 def test_resolved_identical_across_out_dirs():
     a = parse_config(MINIMAL)
     b = parse_config(MINIMAL.replace("rounds = 10", "rounds = 10\nout_dir = elsewhere"))
     assert a.resolved() == b.resolved()
+
+
+def test_sections_are_frozen():
+    cfg = parse_config(MINIMAL)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.run.seed = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.run = cfg.topology
 
 
 def test_unparsable_text_rejected():

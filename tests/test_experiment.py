@@ -8,7 +8,7 @@ import os
 import pytest
 
 import cfsl.experiment as experiment
-from cfsl.config import parse_config
+from cfsl.config import override, parse_config
 from cfsl.errors import ConfigError
 from cfsl.experiment import (
     METRIC_COLUMNS,
@@ -46,11 +46,12 @@ seed = 9
 """
 
 
-def make_cfg(extra="", out_dir=None):
-    cfg = parse_config(BASE + extra)
+def make_cfg(extra="", out_dir=None, **run):
+    """The BASE config plus `extra` text, with `out_dir` and any other
+    [run] values set through `override`."""
     if out_dir is not None:
-        cfg.run.out_dir = str(out_dir)
-    return cfg
+        run["out_dir"] = str(out_dir)
+    return override(parse_config(BASE + extra), {f"run.{k}": v for k, v in run.items()})
 
 
 # ------------------------------------------------------------ schema freeze
@@ -87,9 +88,7 @@ def test_edge_assignment_schemes():
 
 
 def test_auto_subchannels_half_of_members():
-    cfg = make_cfg()
-    cfg.topology.edges = 2
-    cfg.topology.devices = 5
+    cfg = override(make_cfg(), {"topology.edges": 2, "topology.devices": 5})
     sim = build_simulation(cfg)
     assert [e.subchannels for e in sim.edges] == [2, 1]  # blocks of 3 and 2
 
@@ -102,32 +101,24 @@ def test_explicit_subchannels_respected():
 
 def test_baseline_variants():
     full = build_simulation(make_cfg())
-    assert full.clustering.enabled and full.labeling.enabled
+    assert full.config.clustering.enabled and full.config.ssl.enabled
 
-    cfg = make_cfg()
-    cfg.run.baseline = "cfl-fully-labeled"
-    sim = build_simulation(cfg)
-    assert not sim.labeling.enabled
-    assert sim.clustering.enabled
+    sim = build_simulation(make_cfg(baseline="cfl-fully-labeled"))
+    assert not sim.config.ssl.enabled
+    assert sim.config.clustering.enabled
     assert all(d.unlabeled_features.shape[0] == 0 for d in sim.devices)
 
-    cfg = make_cfg()
-    cfg.run.baseline = "cfl-labeled-only"
-    sim = build_simulation(cfg)
-    assert not sim.labeling.enabled
-    assert sim.clustering.enabled
+    sim = build_simulation(make_cfg(baseline="cfl-labeled-only"))
+    assert not sim.config.ssl.enabled
+    assert sim.config.clustering.enabled
     assert any(d.unlabeled_features.shape[0] > 0 for d in sim.devices)
 
-    cfg = make_cfg()
-    cfg.run.baseline = "hfl-ssl"
-    sim = build_simulation(cfg)
-    assert not sim.clustering.enabled
-    assert sim.labeling.enabled and sim.labeling.use_global_model
+    sim = build_simulation(make_cfg(baseline="hfl-ssl"))
+    assert not sim.config.clustering.enabled
+    assert sim.config.ssl.enabled and sim.use_global_model
 
-    cfg = make_cfg()
-    cfg.run.baseline = "hfl-labeled-only"
-    sim = build_simulation(cfg)
-    assert not sim.clustering.enabled and not sim.labeling.enabled
+    sim = build_simulation(make_cfg(baseline="hfl-labeled-only"))
+    assert not sim.config.clustering.enabled and not sim.config.ssl.enabled
 
 
 # ------------------------------------------------------------ run artifacts
@@ -176,30 +167,51 @@ def test_same_config_byte_identical_outputs(tmp_path):
     assert ea == eb
 
 
-# sha256 of the README quick-start run's artifacts. They are exact bytes of
-# floating-point results, so the pin assumes the numpy/BLAS build that recorded
-# it (numpy 2.4, OpenBLAS, x86-64); on another build a mismatch may mean a
-# different last digit rather than a changed algorithm.
+# sha256 of the README quick-start run's artifacts (metrics.csv, events.jsonl)
+# under each baseline. They are exact bytes of floating-point results, so the
+# pin assumes the numpy/BLAS build that recorded it (numpy 2.4, OpenBLAS,
+# x86-64); on another build a mismatch may mean a different last digit rather
+# than a changed algorithm.
 README_DEMO_DIGESTS = {
-    "metrics.csv": "741ce74c52f1d4b9ffc5913c38beecab5fe443745b42ed98c3447a879e393846",
-    "events.jsonl": "7094bacc1e27ba3ba34c5bbac1aa6814ce325857551b0e43a954233b8f817b22",
+    "cfsl": (
+        "741ce74c52f1d4b9ffc5913c38beecab5fe443745b42ed98c3447a879e393846",
+        "7094bacc1e27ba3ba34c5bbac1aa6814ce325857551b0e43a954233b8f817b22",
+    ),
+    "cfl-fully-labeled": (
+        "06e4cbe25237eb0056326b92832e63872e3157dfad8031755c1ea85d1b84bc5d",
+        "5d2d1a6767a924640a6ba8098527e922ecf7b0b0d4939ea6265c7faf3739994d",
+    ),
+    "cfl-labeled-only": (
+        "5b024b06e58cb0ac7509dcdcc8991957dc8446c46ee06fda102d0032a5a40bdf",
+        "0de588fca903ed07d67925ea50ff8c35901c500f7b38face19edc7b35edef4cb",
+    ),
+    "hfl-ssl": (
+        "7d940a4eba66b9342bb663110aaabde49d21558e0588732aefbc5cdedb3f7460",
+        "91d7bd28692b4a7931708469cf902dec0531d3ea6d81899059ed2d9a972824fe",
+    ),
+    "hfl-labeled-only": (
+        "03e1c23a4cc62f60f8c5ba1215d53e98ca76fec1f5cd27ef03e3526c21209b18",
+        "40a9ec0989d8d301dcaf92531f7a85afb64a3f69cbd847473a5ab21dd2046ff5",
+    ),
 }
 
 
-def test_readme_demo_digests_pinned(tmp_path):
+@pytest.mark.parametrize("baseline", sorted(README_DEMO_DIGESTS))
+def test_readme_demo_digests_pinned(tmp_path, baseline):
     """A speed-up must not change results: the README demo config (its
-    `ini` block) still writes byte-identical artifacts."""
+    `ini` block) still writes byte-identical artifacts under every
+    baseline."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
         text = fh.read()
     demo = text.split("```ini\n", 1)[1].split("```", 1)[0]
-    cfg = parse_config(demo)
-    cfg.run.out_dir = str(tmp_path)
+    cfg = override(parse_config(demo), {"run.out_dir": str(tmp_path), "run.baseline": baseline})
     res = run_experiment(cfg)
+    digests = []
     for path in (res.metrics_path, res.events_path):
         with open(path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        assert digest == README_DEMO_DIGESTS[os.path.basename(path)], path
+            digests.append(hashlib.sha256(fh.read()).hexdigest())
+    assert tuple(digests) == README_DEMO_DIGESTS[baseline]
 
 
 def test_infinite_estimate_is_written_as_string(tmp_path):
@@ -220,16 +232,12 @@ def test_infinite_estimate_is_written_as_string(tmp_path):
 
 def test_seed_changes_metrics(tmp_path):
     a = run_experiment(make_cfg(out_dir=tmp_path / "a"))
-    cfg = make_cfg(out_dir=tmp_path / "b")
-    cfg.run.seed = 10
-    b = run_experiment(cfg)
+    b = run_experiment(make_cfg(out_dir=tmp_path / "b", seed=10))
     assert [r["acc_mean"] for r in a.rows] != [r["acc_mean"] for r in b.rows]
 
 
 def test_fully_labeled_baseline_rows(tmp_path):
-    cfg = make_cfg(out_dir=tmp_path / "out")
-    cfg.run.baseline = "cfl-fully-labeled"
-    res = run_experiment(cfg)
+    res = run_experiment(make_cfg(out_dir=tmp_path / "out", baseline="cfl-fully-labeled"))
     for row in res.rows:
         assert row["labeled_fraction"] == 1.0
         assert row["injected_fraction"] == 1.0  # no pool left to label
@@ -237,9 +245,7 @@ def test_fully_labeled_baseline_rows(tmp_path):
 
 
 def test_none_metrics_serialize_as_empty_field(tmp_path):
-    cfg = make_cfg(out_dir=tmp_path / "out")
-    cfg.run.baseline = "hfl-labeled-only"
-    res = run_experiment(cfg)
+    res = run_experiment(make_cfg(out_dir=tmp_path / "out", baseline="hfl-labeled-only"))
     with open(res.metrics_path) as fh:
         lines = fh.read().splitlines()
     col = METRIC_COLUMNS.index("labeling_accuracy_mean")
@@ -278,8 +284,7 @@ seed = 3
 baseline = hfl-ssl
 """
     )
-    cfg.run.out_dir = str(tmp_path / "out")
-    res = run_experiment(cfg)
+    res = run_experiment(override(cfg, {"run.out_dir": str(tmp_path / "out")}))
     sim = res.sim
     assert [len(d.labeled) for d in sim.devices] == [4, 4]
     assert [d.unlabeled_features.shape[0] for d in sim.devices] == [2, 2]
@@ -316,8 +321,7 @@ rounds = 1
 
 
 def test_sweep_derives_seeds_and_concatenates(tmp_path):
-    cfg = make_cfg("\n[ssl]\nlabel_interval = 2\n", out_dir=tmp_path / "sw")
-    cfg.run.rounds = 3
+    cfg = make_cfg("\n[ssl]\nlabel_interval = 2\n", out_dir=tmp_path / "sw", rounds=3)
     summary = sweep(cfg, "phi", ["0.4", "0.8"])
     assert summary["completed"] == ["0.4", "0.8"]
     assert summary["failed"] == {}
@@ -342,8 +346,7 @@ def test_sweep_derives_seeds_and_concatenates(tmp_path):
 
 
 def test_sweep_seed_axis_uses_values_directly(tmp_path):
-    cfg = make_cfg(out_dir=tmp_path / "sw")
-    cfg.run.rounds = 2
+    cfg = make_cfg(out_dir=tmp_path / "sw", rounds=2)
     summary = sweep(cfg, "seed", [3, 4])
     for token in ("3", "4"):
         with open(tmp_path / "sw" / f"seed={token}" / "events.jsonl") as fh:
@@ -366,6 +369,19 @@ def test_sweep_validates_axis_and_values(tmp_path):
         sweep(cfg, "seed", ["3.5"])
 
 
+def test_sweep_value_checked_like_a_file_value(tmp_path):
+    # 5% of 40 samples is 2 labeled; a 0.9 holdout takes both. The file's
+    # 50% passes, so only the swept value can trip the check, and it must
+    # do so before any run starts.
+    cfg = override(make_cfg(out_dir=tmp_path / "sw", rounds=1), {
+        "data.samples_per_device": 40, "data.labeled_fraction": 0.5, "data.holdout_fraction": 0.9,
+    })
+    with pytest.raises(ConfigError) as exc:
+        sweep(cfg, "labeled_fraction", ["0.5", "0.05"])
+    assert "data.holdout_fraction" in str(exc.value)
+    assert not (tmp_path / "sw").exists()
+
+
 def test_sweep_continues_past_failing_run(tmp_path, monkeypatch):
     real = experiment.build_simulation
 
@@ -375,8 +391,7 @@ def test_sweep_continues_past_failing_run(tmp_path, monkeypatch):
         return real(cfg)
 
     monkeypatch.setattr(experiment, "build_simulation", flaky)
-    cfg = make_cfg(out_dir=tmp_path / "sw")
-    cfg.run.rounds = 2
+    cfg = make_cfg(out_dir=tmp_path / "sw", rounds=2)
     summary = sweep(cfg, "phi", ["0.4", "0.5", "0.8"])
     assert summary["completed"] == ["0.4", "0.8"]
     assert list(summary["failed"]) == ["0.5"]
@@ -388,9 +403,8 @@ def test_sweep_continues_past_failing_run(tmp_path, monkeypatch):
 
 
 def test_phi_sweep_low_threshold_labels_no_less(tmp_path):
-    cfg = make_cfg("\n[ssl]\nlabel_interval = 2\n", out_dir=tmp_path / "sw")
-    cfg.run.rounds = 4
-    cfg.run.baseline = "hfl-ssl"
+    cfg = make_cfg("\n[ssl]\nlabel_interval = 2\n", out_dir=tmp_path / "sw", rounds=4,
+                   baseline="hfl-ssl")
     summary = sweep(cfg, "phi", ["0.0", "0.999"])
     assert summary["failed"] == {}
     final = {}

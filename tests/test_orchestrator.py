@@ -7,21 +7,21 @@ import numpy as np
 import pytest
 
 from cfsl.clustering import STOPPED
+from cfsl.config import (
+    ClusteringConfig,
+    DataConfig,
+    ExperimentConfig,
+    ModelConfig,
+    NetworkConfig,
+    RunConfig,
+    SSLConfig,
+    TopologyConfig,
+)
 from cfsl.data import make_task_universe, partition_devices
 from cfsl.errors import StateError
 from cfsl.models import ModelParams, init_params, param_count, sgd_train, zero_params
 from cfsl.network import ChannelModel, EdgeConfig, db_to_linear, sample_radios
-from cfsl.orchestrator import (
-    ClusterSpec,
-    LabelSpec,
-    MetricsRow,
-    RunSpec,
-    Simulation,
-    TimingSpec,
-    TrainingSpec,
-    cloud_aggregate,
-    edge_aggregate,
-)
+from cfsl.orchestrator import MetricsRow, Simulation, edge_aggregate
 from cfsl.seeding import init_seed, training_seed
 
 CHANNEL = ChannelModel(db_to_linear(-35.0), 2.0, 1e-6)
@@ -46,12 +46,12 @@ def test_aggregate_hand_weighted_mean():
     out = edge_aggregate([flat(0.0), flat(1.0)], [1, 3])
     assert np.allclose(out.weights, 0.75)
     # Three contributors with weights 2:3:5 -> 0.2*0 + 0.3*1 + 0.5*2 = 1.3
-    out3 = cloud_aggregate([flat(0.0), flat(1.0), flat(2.0)], [2, 3, 5])
+    out3 = edge_aggregate([flat(0.0), flat(1.0), flat(2.0)], [2, 3, 5])
     assert np.allclose(out3.weights, 1.3)
 
 
 def test_aggregate_symmetric_two_edges_midpoint():
-    assert np.allclose(cloud_aggregate([flat(0.0), flat(2.0)], [5, 5]).weights, 1.0)
+    assert np.allclose(edge_aggregate([flat(0.0), flat(2.0)], [5, 5]).weights, 1.0)
 
 
 def test_aggregate_validates():
@@ -68,6 +68,19 @@ def test_aggregate_validates():
 # ---------------------------------------------------------------- harness
 
 
+def make_config(n_devices=8, n_edges=1, classes=4, dim=3, lr=0.1, clustering=None,
+                ssl=None, network=None, **run_kw):
+    return ExperimentConfig(
+        topology=TopologyConfig(edges=n_edges, devices=n_devices),
+        data=DataConfig(classes=classes, features=dim),
+        model=ModelConfig(hidden=0, learning_rate=lr, epochs=5, batch_size=32),
+        clustering=clustering or ClusteringConfig(enabled=False),
+        ssl=ssl or SSLConfig(enabled=False),
+        network=network or NetworkConfig(),
+        run=RunConfig(**run_kw),
+    )
+
+
 def make_sim(
     n_devices=8,
     n_edges=1,
@@ -80,8 +93,9 @@ def make_sim(
     rounds=30,
     subchannels=None,
     clustering=None,
-    labeling=None,
-    timing=None,
+    ssl=None,
+    network=None,
+    use_global_model=False,
     lr=0.1,
     run_overrides=None,
 ):
@@ -95,16 +109,11 @@ def make_sim(
                    cloud_rate_bps=1e8, deadline_policy="fixed", deadline_s=1e9)
         for e in range(n_edges)
     ]
-    run_kw = {"rounds": rounds, "seed": seed}
-    run_kw.update(run_overrides or {})
-    return Simulation(
-        devices, radios, edges, CHANNEL,
-        TrainingSpec(dim, classes, hidden=0, learning_rate=lr, epochs=5, batch_size=32),
-        clustering or ClusterSpec(enabled=False),
-        labeling or LabelSpec(enabled=False),
-        timing or TimingSpec(),
-        RunSpec(**run_kw),
+    config = make_config(
+        n_devices, n_edges, classes, dim, lr, clustering, ssl, network,
+        rounds=rounds, seed=seed, **(run_overrides or {}),
     )
+    return Simulation(devices, radios, edges, CHANNEL, config, use_global_model)
 
 
 def events_of(sim, kind):
@@ -117,7 +126,7 @@ def events_of(sim, kind):
 def test_split_recovers_label_permutation_groups():
     # Absolute thresholds chosen so the first cadence check fires once the
     # shared model has stalled between the two permuted distributions.
-    spec = ClusterSpec(enabled=True, eps1=0.5, eps2=1.5, split_interval=5)
+    spec = ClusteringConfig(enabled=True, eps1=0.5, eps2=1.5, split_interval=5)
     sim = make_sim(clustering=spec, rounds=15, seed=11)
     sim.run()
     splits = events_of(sim, "split")
@@ -132,7 +141,7 @@ def test_split_recovers_label_permutation_groups():
 
 
 def test_single_distribution_generous_eps2_never_splits():
-    spec = ClusterSpec(enabled=True, eps1=0.5, eps2=1e6, split_interval=5)
+    spec = ClusteringConfig(enabled=True, eps1=0.5, eps2=1e6, split_interval=5)
     sim = make_sim(dists=1, clustering=spec, rounds=12, seed=13)
     sim.run()
     assert events_of(sim, "split") == []
@@ -140,18 +149,21 @@ def test_single_distribution_generous_eps2_never_splits():
 
 
 def test_cluster_isolation_after_split():
-    spec = ClusterSpec(enabled=True, eps1=0.5, eps2=1.5, split_interval=5)
+    spec = ClusteringConfig(enabled=True, eps1=0.5, eps2=1.5, split_interval=5)
     sim = make_sim(clustering=spec, rounds=12, seed=11)
     sim.run()
     members = {n.cluster_id: n.members for n in sim.tree.nodes.values()}
-    for rec in sim.records:
-        assert math.isclose(sum(rec.weights), 1.0, abs_tol=1e-12)
-        if rec.scope == "cluster":
-            assert set(rec.contributors) <= members[rec.target]
+    aggregates = events_of(sim, "aggregate")
+    assert any(ev["scope"] == "cluster" for ev in aggregates)
+    for ev in aggregates:
+        assert all(w > 0 for w in ev["weights"])
+        assert abs(sum(ev["weights"]) - 1.0) <= 1e-12
+        if ev["scope"] == "cluster":
+            assert set(ev["contributors"]) <= members[ev["cluster"]]
 
 
 def test_stopped_cluster_is_never_scheduled_or_retrained():
-    spec = ClusterSpec(enabled=True, eps1=0.5, eps2=1.5, split_interval=5)
+    spec = ClusteringConfig(enabled=True, eps1=0.5, eps2=1.5, split_interval=5)
     sim = make_sim(clustering=spec, rounds=6, seed=11)
     for _ in range(6):
         sim.run_round()
@@ -188,8 +200,8 @@ def test_pre_split_trajectory_equals_flat_fedavg():
     # schedules and demand bit-identical global models every round.
     sim = make_sim(rounds=5, seed=31, subchannels=3)
     sim.run()
-    tr = sim.training
-    w = init_params(tr.dim_in, tr.n_classes, tr.hidden, seed=init_seed(31))
+    data, tr = sim.config.data, sim.config.model
+    w = init_params(data.features, data.classes, tr.hidden, seed=init_seed(31))
     hashes = [e["global_hash"] for e in events_of(sim, "round")]
     for r in range(1, sim.round_no + 1):
         participating = []
@@ -203,7 +215,7 @@ def test_pre_split_trajectory_equals_flat_fedavg():
             for k in participating
         ]
         weights = [sim.devices[k].labeled_size for k in participating]
-        w = cloud_aggregate(updates, weights)
+        w = edge_aggregate(updates, weights)
         import hashlib
 
         assert hashlib.sha256(w.weights.tobytes()).hexdigest() == hashes[r - 1]
@@ -213,9 +225,9 @@ def test_pre_split_trajectory_equals_flat_fedavg():
 
 
 def test_injections_start_only_after_split():
-    spec = ClusterSpec(enabled=True, eps1=0.5, eps2=1.5, split_interval=5)
-    lab = LabelSpec(enabled=True, phi=0.0, label_interval=1)
-    sim = make_sim(clustering=spec, labeling=lab, rounds=8, seed=11)
+    spec = ClusteringConfig(enabled=True, eps1=0.5, eps2=1.5, split_interval=5)
+    lab = SSLConfig(enabled=True, phi=0.0, label_interval=1)
+    sim = make_sim(clustering=spec, ssl=lab, rounds=8, seed=11)
     sim.run()
     split_round = events_of(sim, "split")[0]["round"]
     injections = events_of(sim, "injection")
@@ -229,9 +241,9 @@ def test_injections_start_only_after_split():
 
 
 def test_label_cadence_respected():
-    spec = ClusterSpec(enabled=True, eps1=0.5, eps2=1.5, split_interval=5)
-    lab = LabelSpec(enabled=True, phi=0.995, label_interval=4)
-    sim = make_sim(clustering=spec, labeling=lab, rounds=20, seed=11)
+    spec = ClusteringConfig(enabled=True, eps1=0.5, eps2=1.5, split_interval=5)
+    lab = SSLConfig(enabled=True, phi=0.995, label_interval=4)
+    sim = make_sim(clustering=spec, ssl=lab, rounds=20, seed=11)
     sim.run()
     by_device = {}
     for ev in events_of(sim, "selection"):
@@ -243,8 +255,8 @@ def test_label_cadence_respected():
 
 
 def test_global_model_labeling_mode():
-    lab = LabelSpec(enabled=True, phi=0.0, label_interval=3, use_global_model=True)
-    sim = make_sim(labeling=lab, rounds=4, seed=17)
+    lab = SSLConfig(enabled=True, phi=0.0, label_interval=3)
+    sim = make_sim(ssl=lab, use_global_model=True, rounds=4, seed=17)
     sim.run()
     selections = events_of(sim, "selection")
     assert selections
@@ -255,8 +267,8 @@ def test_global_model_labeling_mode():
 
 def test_edge_scope_candidates_include_cross_edge_merge():
     # A merge across edges has edge_id None; its members must still see it.
-    lab = LabelSpec(enabled=True, candidate_scope="edge")
-    sim = make_sim(n_edges=2, labeling=lab, rounds=3, seed=17)
+    lab = SSLConfig(enabled=True, candidate_scope="edge")
+    sim = make_sim(n_edges=2, ssl=lab, rounds=3, seed=17)
     a, b = sim.tree.split(sim.tree.root_of_edge(0).cluster_id, ((0, 1), (2, 3)))
     c, d = sim.tree.split(sim.tree.root_of_edge(1).cluster_id, ((4, 5), (6, 7)))
     merged = sim.tree.merge([a, c], sim.global_model)
@@ -277,7 +289,7 @@ def split_three_ways(sim):
 
 
 def test_merge_joins_near_identical_specialized_models():
-    sim = make_sim(clustering=ClusterSpec(enabled=True, gamma_merge=0.9), rounds=3, seed=19)
+    sim = make_sim(clustering=ClusteringConfig(enabled=True, gamma_merge=0.9), rounds=3, seed=19)
     a, b, c = split_three_ways(sim)
     base = sim.global_model.weights
     u = np.zeros_like(base)
@@ -302,7 +314,7 @@ def test_merge_joins_near_identical_specialized_models():
 
 def test_merge_log_only_leaves_tree_untouched():
     sim = make_sim(
-        clustering=ClusterSpec(enabled=True, gamma_merge=0.9, merge_log_only=True),
+        clustering=ClusteringConfig(enabled=True, gamma_merge=0.9, merge_log_only=True),
         rounds=3, seed=19,
     )
     a, b, c = split_three_ways(sim)
@@ -322,7 +334,7 @@ def test_merge_log_only_leaves_tree_untouched():
 
 
 def test_merge_requires_more_than_two_specialized():
-    sim = make_sim(clustering=ClusterSpec(enabled=True), rounds=3, seed=19)
+    sim = make_sim(clustering=ClusteringConfig(enabled=True), rounds=3, seed=19)
     root = sim.tree.root_of_edge(0)
     a, b = sim.tree.split(root.cluster_id, ((0, 1, 2, 3), (4, 5, 6, 7)))
     for cid in (a, b):
@@ -346,7 +358,7 @@ def test_zero_rounds_terminates_immediately():
 
 
 def test_time_budget_stops_after_first_crossing():
-    sim = make_sim(rounds=50, timing=TimingSpec(time_budget_s=1e-12))
+    sim = make_sim(rounds=50, network=NetworkConfig(time_budget_s=1e-12))
     reason = sim.run()
     assert reason == "time budget"
     assert sim.round_no == 1
@@ -379,9 +391,9 @@ def test_run_twice_is_an_error():
 
 
 def test_metrics_rows_are_consistent():
-    spec = ClusterSpec(enabled=True, eps1=0.5, eps2=1.5, split_interval=5)
-    lab = LabelSpec(enabled=True, phi=0.5, label_interval=2)
-    sim = make_sim(clustering=spec, labeling=lab, rounds=9, seed=11)
+    spec = ClusteringConfig(enabled=True, eps1=0.5, eps2=1.5, split_interval=5)
+    lab = SSLConfig(enabled=True, phi=0.5, label_interval=2)
+    sim = make_sim(clustering=spec, ssl=lab, rounds=9, seed=11)
     sim.run()
     cumulative = 0.0
     for row in sim.metrics:
@@ -403,11 +415,9 @@ def test_validation_rejects_misaligned_population():
     devices = partition_devices(universe, 4, 30, 0.3, seed=1)
     radios = sample_radios([0, 0, 0, 0], seed=1)
     edges = [EdgeConfig(0, 1e7, 4, 1e8, deadline_policy="fixed", deadline_s=1e9)]
-    training = TrainingSpec(3, 4)
+    config = make_config(n_devices=4, rounds=5, seed=1)
     with pytest.raises(ValueError):
-        Simulation(devices[:3], radios, edges, CHANNEL, training, ClusterSpec(),
-                   LabelSpec(), TimingSpec(), RunSpec(5, 1))
+        Simulation(devices[:3], radios, edges, CHANNEL, config)
     bad_edges = [EdgeConfig(7, 1e7, 4, 1e8, deadline_policy="fixed", deadline_s=1e9)]
     with pytest.raises(ValueError):
-        Simulation(devices, radios, bad_edges, CHANNEL, training, ClusterSpec(),
-                   LabelSpec(), TimingSpec(), RunSpec(5, 1))
+        Simulation(devices, radios, bad_edges, CHANNEL, config)
