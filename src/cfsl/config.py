@@ -116,7 +116,8 @@ class DataConfig(_Section):
     separation: float = _key(float, 4.0, _pos, "must be > 0")
     noise_scale: float = _key(float, 1.0, _pos, "must be > 0")
     holdout_fraction: float = _key(float, 0.2, lambda v: 0 <= v < 1, "must be in [0, 1)")
-    seed: int | None = _key(_auto_int, None)
+    seed: int | None = _key(_auto_int, None, lambda v: v is None or v >= 0,
+                            "must be >= 0 or auto")
     csv_path: str = _key(str, "")
 
 
@@ -183,7 +184,7 @@ class NetworkConfig(_Section):
 class RunConfig(_Section):
     section = "run"
     rounds: int = _key(int, REQUIRED, _nonneg, "must be >= 0")
-    seed: int = _key(int, 0)
+    seed: int = _key(int, 0, _nonneg, "must be >= 0")
     out_dir: str = _key(str, "out")
     baseline: str = _key(_choice(*BASELINES), "cfsl")
     convergence_eps: float = _key(float, 1e-4, _pos, "must be > 0")

@@ -5,6 +5,11 @@ on its own labeled holdout and unlabeled pool, picks exactly one, and
 injects the samples that model labels with confidence at or above the
 threshold. Injected labels are frozen; the device's training workload
 grows accordingly, which feeds back into scheduling.
+
+A selection reads the holdout and the pool once for all candidates,
+scores their holdout accuracy in one stacked pass, and hands the chosen
+model's pool predictions on to `pseudo_label`, which then does not run
+that model again.
 """
 
 from __future__ import annotations
@@ -94,17 +99,21 @@ def pseudo_label(
     source_model_id: int = -1,
     round_no: int = -1,
     pool_indices: np.ndarray | None = None,
+    predictions: tuple | None = None,
 ) -> PseudoLabelBatch:
     """Label every sample whose max class probability reaches phi.
 
     pool_indices maps feature rows back to positions in the device's
-    unlabeled pool; by default rows label themselves 0..n-1.
+    unlabeled pool; by default rows label themselves 0..n-1. predictions
+    is `confidences(model, features)` when the caller has it already
+    (select_best_model returns the chosen model's), which saves running
+    the model over the features a second time.
     """
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phi must be in [0, 1]")
     if pool_indices is None:
         pool_indices = np.arange(features.shape[0])
-    classes, conf = confidences(model, features)
+    classes, conf = confidences(model, features) if predictions is None else predictions
     accept = conf >= phi
     return PseudoLabelBatch(
         device_id=device_id,
@@ -115,6 +124,40 @@ def pseudo_label(
         round_no=round_no,
         phi=phi,
     )
+
+
+def _score_candidates(
+    device: DeviceDataset,
+    candidates: dict,
+    phi: float,
+    f_hz: float,
+    inference_cycles_per_sample: float,
+    pool: np.ndarray | None,
+):
+    """({model id: UtilityScore}, {model id: (classes, confidences) over
+    the pool}) for every candidate, from one read of the holdout and of
+    the pool. Holdout accuracy is one stacked pass over all candidates."""
+    holdout = device.holdout_batch()
+    if len(holdout) == 0:
+        log.warning(
+            "device %d: empty holdout, scoring val_accuracy on the full labeled set",
+            device.device_id,
+        )
+        holdout = device.labeled
+    accuracy = evaluate(list(candidates.values()), holdout)
+    if pool is None:
+        _, pool = device.pending_features()
+    n_pending = pool.shape[0]
+    latency = n_pending * inference_cycles_per_sample / f_hz
+    scores, predictions = {}, {}
+    for (model_id, model), val_acc in zip(candidates.items(), accuracy):
+        _, conf = predictions[model_id] = confidences(model, pool)
+        if n_pending == 0:
+            scores[model_id] = UtilityScore(model_id, val_acc, 0.0, 0.0, 0.0)
+            continue
+        coverage = float((conf >= phi).mean())
+        scores[model_id] = UtilityScore(model_id, val_acc, coverage, float(conf.mean()), latency)
+    return scores, predictions
 
 
 def utility(
@@ -131,24 +174,12 @@ def utility(
     Estimated labeling latency is the single inference pass over the
     remaining pool on this device's CPU; it depends on the device, not
     the model, so it only matters as a documented tie-break dimension.
+    An empty holdout falls back to the full labeled set, with a warning.
     """
-    holdout = device.holdout_batch()
-    if len(holdout) == 0:
-        log.warning(
-            "device %d: empty holdout, scoring val_accuracy on the full labeled set",
-            device.device_id,
-        )
-        holdout = device.labeled
-    val_acc = evaluate(model, holdout)
-
-    _, pending = device.pending_features()
-    n_pending = pending.shape[0]
-    if n_pending == 0:
-        return UtilityScore(model_id, val_acc, 0.0, 0.0, 0.0)
-    _, conf = confidences(model, pending)
-    coverage = float((conf >= phi).mean())
-    latency = n_pending * inference_cycles_per_sample / f_hz
-    return UtilityScore(model_id, val_acc, coverage, float(conf.mean()), latency)
+    scores, _ = _score_candidates(
+        device, {model_id: model}, phi, f_hz, inference_cycles_per_sample, None
+    )
+    return scores[model_id]
 
 
 def select_best_model(
@@ -157,26 +188,31 @@ def select_best_model(
     phi: float,
     f_hz: float,
     inference_cycles_per_sample: float,
+    pool: np.ndarray | None = None,
 ):
     """Rank candidate models and pick exactly one for this device.
 
-    Ranking is lexicographic: highest holdout accuracy, then highest
-    coverage, then lowest estimated labeling latency, then lowest model
-    id. Returns the one-hot decision plus every candidate's score.
+    Every candidate gets the `utility` score, all of them from one read of
+    the device's holdout and pool; `pool` is the device's pending
+    features (`device.pending_features()[1]`) when the caller has read
+    them already. Ranking is lexicographic: highest holdout accuracy,
+    then highest coverage, then lowest estimated labeling latency, then
+    lowest model id. Returns the one-hot decision, every candidate's
+    score, and the chosen model's (classes, confidences) over the pool
+    for `pseudo_label`.
     """
     if not candidates:
         raise StateError(f"device {device.device_id}: no candidate models to select from")
-    scores = {
-        mid: utility(mid, model, device, phi, f_hz, inference_cycles_per_sample)
-        for mid, model in candidates.items()
-    }
+    scores, predictions = _score_candidates(
+        device, candidates, phi, f_hz, inference_cycles_per_sample, pool
+    )
     ranked = sorted(
         scores.values(),
         key=lambda s: (-s.val_accuracy, -s.coverage, s.est_label_latency, s.model_id),
     )
     chosen = ranked[0].model_id
     z = {mid: (1 if mid == chosen else 0) for mid in sorted(candidates)}
-    return SelectionDecision(device.device_id, chosen, z), scores
+    return SelectionDecision(device.device_id, chosen, z), scores, predictions[chosen]
 
 
 def inject(device: DeviceDataset, batch: PseudoLabelBatch) -> int:

@@ -28,6 +28,30 @@ benchmark (fedavg-128), one stack of all 128 devices raised peak RSS from
 Training data is passed in, not cached: ``DeviceDataset.train_batch`` builds
 each batch on demand (only its non-holdout index is kept), because caching
 the batches copies every injected pseudo-label row for the life of the run.
+
+``evaluate`` also takes a list of K same-shape models and one batch: the
+batch's ``(b, d)`` features meet the models' ``(K, d, c)`` weights in one
+broadcast matmul, and by the same argument each model's accuracy is
+bit-equal to what it gets scored alone.
+
+Class-major confidences. ``confidences`` runs the pool through the model
+row-major, as ``forward`` does, then transposes the ``(n, c)`` logits to
+``(c, n)`` so that each softmax step is a few long vector operations
+instead of n reductions over c values. The bits match the row-wise
+softmax: the max, the subtraction, ``exp`` (the same contiguous kernel)
+and the division are exact or elementwise, which leaves the sum. numpy
+sums one contiguous row of c values pairwise: below 8 values from left to
+right; up to 128 into eight accumulators ``r[j] = a[j] + a[j+8] + ...``
+over the whole blocks of 8, combined as
+``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the leftover values from
+left to right; above 128 it splits at half the count, rounded down to a
+multiple of 8, and adds the two halves' sums. ``_pairwise_sum`` adds the
+class rows in that order, so every class count gets the row-wise bits (a
+plain ``sum(axis=0)`` matches only below 8 classes). The class is the
+first index of the highest probability, not of the highest logit, as
+``argmax`` of the row-wise probabilities picks it: logits that differ may
+round to equal probabilities. ``tests/test_labeling_oracle.py`` checks all
+of this against a verbatim copy of the row-wise code.
 """
 
 from __future__ import annotations
@@ -304,21 +328,65 @@ def sgd_train(
     return out[0] if single else out
 
 
-def evaluate(params: ModelParams, batch):
+def evaluate(params, batch):
     """Fraction of argmax predictions matching labels (ties -> lowest class id).
 
     `batch` is one LabeledBatch, giving a float, or a list of equal-length
-    batches, giving one float per batch."""
-    x, y = _stack(params, batch, "evaluate")
-    z, _ = _logits(params.hidden, _unpack(params), x)
+    batches, giving one float per batch. `params` is one model, or a list
+    of K same-shape models scored on one batch, giving one float per
+    model."""
+    if isinstance(params, ModelParams):
+        first, weights = params, None
+    else:
+        if not params:
+            raise ValueError("evaluate requires at least one model")
+        first = params[0]
+        if any((m.dim_in, m.dim_out, m.hidden) != (first.dim_in, first.dim_out, first.hidden)
+               for m in params):
+            raise ValueError("cannot evaluate models with different shapes together")
+        weights = np.stack([m.weights for m in params])
+    x, y = _stack(first, batch, "evaluate")
+    z, _ = _logits(first.hidden, _unpack(first, weights), x)
     preds = _softmax(z).argmax(axis=-1)
     return (preds == y).mean(axis=-1).tolist()
 
 
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """Sums of the columns of a (c, n) array, adding its c rows in the
+    order numpy sums a contiguous row of c values (see the module
+    docstring)."""
+    c = a.shape[0]
+    if c > 128:  # numpy's pairwise block size
+        half = c // 2 - (c // 2) % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    if c < 8:
+        total, rest = a[0].copy(), a[1:]
+    else:
+        blocks = c - c % 8
+        r = a[:8].copy()
+        for i in range(8, blocks, 8):
+            r += a[i : i + 8]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rest = a[blocks:]
+    for row in rest:
+        total += row
+    return total
+
+
 def confidences(params: ModelParams, features: np.ndarray):
-    """Per-sample (argmax class, max probability), ties to the lowest class id."""
-    probs = forward(params, features)
-    if probs.shape[0] == 0:
+    """Per-sample (argmax class, max probability), ties to the lowest class
+    id; the softmax runs class-major with the bits of `forward`."""
+    features = _check_features(params, features)
+    if features.shape[0] == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
-    classes = probs.argmax(axis=1)
-    return classes, probs.max(axis=1)
+    *hidden_layer, w, b = _unpack(params)
+    if hidden_layer:
+        w1, b1 = hidden_layer
+        features = np.tanh(features @ w1 + b1)
+    # Output logits class-major: each class row gets its bias added.
+    probs = np.ascontiguousarray((features @ w).T)
+    probs += b[:, None]
+    probs -= probs.max(axis=0)
+    np.exp(probs, out=probs)
+    probs /= _pairwise_sum(probs)
+    return probs.T.argmax(axis=1), probs.max(axis=0)

@@ -217,21 +217,26 @@ class Simulation:
             np.ascontiguousarray(self.global_model.weights).tobytes()
         ).hexdigest()
 
-    def _candidate_models(self, device_id: int, r: int) -> dict:
+    def _candidate_models(self, r: int) -> dict:
+        """{edge id: {model id: model}}: the models the devices of each edge
+        may label with in round r."""
         if self.use_global_model:
-            return {GLOBAL_MODEL_ID: self.global_model}
-        nodes = self.tree.specialized()
-        if self.config.ssl.candidate_scope == "edge":
-            # By members, not node.edge_id: a merge across edges has none.
-            edge_devices = self.tree.root_of_edge(self.radios[device_id].edge_id).members
-            nodes = [n for n in nodes if not n.members.isdisjoint(edge_devices)]
+            return {e.edge_id: {GLOBAL_MODEL_ID: self.global_model} for e in self.edges}
         # A cluster's model reflects its own members' training only from the
         # second round after creation; before that it is a copy of its parent.
-        return {
-            n.cluster_id: n.model
-            for n in nodes
+        nodes = [
+            n for n in self.tree.specialized()
             if r - self.node_birth.get(n.cluster_id, 0) >= 2
-        }
+        ]
+        by_edge = {}
+        for edge in self.edges:
+            scoped = nodes
+            if self.config.ssl.candidate_scope == "edge":
+                # By members, not node.edge_id: a merge across edges has none.
+                edge_devices = self.tree.root_of_edge(edge.edge_id).members
+                scoped = [n for n in nodes if not n.members.isdisjoint(edge_devices)]
+            by_edge[edge.edge_id] = {n.cluster_id: n.model for n in scoped}
+        return by_edge
 
     def _label_trigger(self, device_id: int, r: int) -> bool:
         dev = self.devices[device_id]
@@ -382,28 +387,32 @@ class Simulation:
             if k not in self.label_crossing and dev.injected_fraction >= LABEL_DONE_FRACTION:
                 self.label_crossing[k] = self.cumulative_time_s
 
-        row = self._emit_metrics(r, duration, drops)
+        specialized = len(self.tree.specialized())
+        row = self._emit_metrics(r, duration, drops, specialized)
         self._event({
             "type": "round", "round": r, "duration_s": duration,
             "cumulative_time_s": self.cumulative_time_s,
             "global_hash": self.global_hash(),
-            "specialized": len(self.tree.specialized()),
+            "specialized": specialized,
             "tree": self.tree.snapshot(),
         })
         self.round_no = r
         return row
 
     def _labeling_phase(self, r: int):
+        ssl = self.config.ssl
+        candidates_of_edge = self._candidate_models(r)
         for dev in self.devices:
             k = dev.device_id
             if not self._label_trigger(k, r):
                 continue
-            candidates = self._candidate_models(k, r)
+            candidates = candidates_of_edge[self.radios[k].edge_id]
             if not candidates:
                 continue
-            decision, scores = select_best_model(
-                dev, candidates, self.config.ssl.phi, self.radios[k].f_hz,
-                self.config.ssl.inference_cycles_per_sample,
+            idx, feats = dev.pending_features()
+            decision, scores, predictions = select_best_model(
+                dev, candidates, ssl.phi, self.radios[k].f_hz,
+                ssl.inference_cycles_per_sample, pool=feats,
             )
             self.last_label_round[k] = r
             self.last_selection[k] = decision
@@ -415,11 +424,10 @@ class Simulation:
                 "val_accuracy": chosen.val_accuracy, "coverage": chosen.coverage,
                 "est_label_latency_s": chosen.est_label_latency,
             })
-            idx, feats = dev.pending_features()
             batch = pseudo_label(
-                candidates[decision.chosen_model_id], feats, self.config.ssl.phi,
+                candidates[decision.chosen_model_id], feats, ssl.phi,
                 device_id=k, source_model_id=decision.chosen_model_id,
-                round_no=r, pool_indices=idx,
+                round_no=r, pool_indices=idx, predictions=predictions,
             )
             added = inject(dev, batch)
             if added:
@@ -533,7 +541,7 @@ class Simulation:
                 event["merged_into"] = new_id
             self._event(event)
 
-    def _emit_metrics(self, r: int, duration: float, drops: int) -> MetricsRow:
+    def _emit_metrics(self, r: int, duration: float, drops: int, clusters: int) -> MetricsRow:
         # One stacked pass per chunk of devices that share the model and
         # their batch lengths. The values go back into device order, so the
         # means below sum them in the same order as before.
@@ -574,7 +582,7 @@ class Simulation:
             acc_max=float(np.max(accs)),
             labeling_accuracy_mean=lab_mean,
             injected_fraction=injected,
-            clusters=len(self.tree.specialized()),
+            clusters=clusters,
             objective=float(objective),
             drops=drops,
             mean_labeling_latency_s=latency,

@@ -83,6 +83,14 @@ def test_run_override_checked_like_a_file_value(tmp_path, capsys):
     assert not (tmp_path / "b").exists()
 
 
+def test_run_negative_seed_names_the_key(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, CONFIG)
+    code = main(["run", cfg_path, "--seed", "-1", "--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    assert "config error: run.seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_missing_config_is_io_error(tmp_path, capsys):
     code = main(["run", str(tmp_path / "absent.ini")])
     assert code == 2

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from cfsl.config import SECTIONS, ini_key, load_config, parse_config
+from cfsl.config import SECTIONS, ini_key, load_config, override, parse_config
 from cfsl.errors import ConfigError
 
 MINIMAL = """
@@ -212,3 +212,18 @@ def test_load_config_reads_file(tmp_path):
     assert cfg.run.rounds == 10
     with pytest.raises(OSError):
         load_config(str(tmp_path / "absent.ini"))
+
+
+@pytest.mark.parametrize("section", ["run", "data"])
+def test_negative_seed_is_rejected_with_its_key(section):
+    # numpy's SeedSequence refuses negative entries with a message that names
+    # no key; the config check must fail first and name the key.
+    text = MINIMAL + "\n[data]\nseed = -1\n" if section == "data" else MINIMAL + "seed = -1\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert f"{section}.seed" in str(exc.value)
+    with pytest.raises(ConfigError) as exc:
+        override(parse_config(MINIMAL), {f"{section}.seed": -1})
+    assert f"{section}.seed" in str(exc.value)
+    assert getattr(override(parse_config(MINIMAL), {f"{section}.seed": 0}), section).seed == 0
+    assert parse_config(MINIMAL + "\n[data]\nseed = auto\n").data.seed is None

@@ -5,6 +5,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 import cfsl.experiment as experiment
@@ -295,6 +296,66 @@ baseline = hfl-ssl
     assert all(r["labeling_accuracy_mean"] is None for r in res.rows)
 
 
+def test_csv_mode_oracle(tmp_path):
+    # Known rows: labeled row j is (j, -j) with label j % 3, unlabeled row j
+    # is (100 + j, 0.5); the two kinds are interleaved in the file.
+    n_devices, labeled_rows, pool_rows = 3, 12, 7
+    lines = ["f0,f1,label"]
+    for j in range(max(labeled_rows, pool_rows)):
+        if j < labeled_rows:
+            lines.append(f"{j}.0,{-j}.0,{j % 3}")
+        if j < pool_rows:
+            lines.append(f"{100 + j}.0,0.5,")
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("\n".join(lines) + "\n")
+    text = f"""
+[topology]
+edges = 1
+devices = {n_devices}
+[data]
+mode = csv
+csv_path = {data_path}
+features = 2
+classes = 3
+holdout_fraction = 0.5
+[ssl]
+phi = 0.0
+label_interval = 1
+[run]
+rounds = 3
+seed = 4
+baseline = hfl-ssl
+"""
+    cfg = parse_config(text)
+    sim = build_simulation(cfg)
+    for k, dev in enumerate(sim.devices):
+        # Round-robin deal in file order, separately for the two kinds.
+        own = list(range(k, labeled_rows, n_devices))
+        assert dev.labeled.features.tolist() == [[float(j), float(-j)] for j in own]
+        assert dev.labeled.labels.tolist() == [j % 3 for j in own]
+        pool = list(range(k, pool_rows, n_devices))
+        assert dev.unlabeled_features.tolist() == [[100.0 + j, 0.5] for j in pool]
+        assert dev.hidden_truth.tolist() == [-1] * len(pool)
+        # The holdout doubles as the test set.
+        assert len(dev.holdout_indices) == 2
+        assert np.array_equal(dev.test.features, dev.holdout_batch().features)
+        assert np.array_equal(dev.test.labels, dev.holdout_batch().labels)
+    # Without a holdout the whole labeled set is the test set.
+    no_holdout = build_simulation(override(cfg, {"data.holdout_fraction": 0.0}))
+    assert all(np.array_equal(d.test.features, d.labeled.features) for d in no_holdout.devices)
+
+    runs = [run_experiment(override(cfg, {"run.out_dir": str(tmp_path / name)}))
+            for name in ("a", "b")]
+    assert runs[0].rows[-1]["injected_fraction"] == 1.0
+    with open(runs[0].metrics_path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    col = METRIC_COLUMNS.index("labeling_accuracy_mean")
+    assert len(lines) == 4 and all(line.split(",")[col] == "" for line in lines[1:])
+    for name in ("metrics.csv", "events.jsonl"):
+        with open(tmp_path / "a" / name, "rb") as a, open(tmp_path / "b" / name, "rb") as b:
+            assert a.read() == b.read()
+
+
 def test_csv_mode_needs_enough_labeled_rows(tmp_path):
     data_path = tmp_path / "data.csv"
     data_path.write_text("0.0,1.0,0\n")
@@ -379,6 +440,14 @@ def test_sweep_value_checked_like_a_file_value(tmp_path):
     with pytest.raises(ConfigError) as exc:
         sweep(cfg, "labeled_fraction", ["0.5", "0.05"])
     assert "data.holdout_fraction" in str(exc.value)
+    assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_negative_seed_rejected_before_any_run(tmp_path):
+    cfg = make_cfg(out_dir=tmp_path / "sw", rounds=1)
+    with pytest.raises(ConfigError) as exc:
+        sweep(cfg, "seed", ["1", "-1"])
+    assert "run.seed" in str(exc.value)
     assert not (tmp_path / "sw").exists()
 
 

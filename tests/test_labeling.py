@@ -19,7 +19,7 @@ from cfsl.labeling import (
     select_best_model,
     utility,
 )
-from cfsl.models import LabeledBatch, ModelParams, sgd_train, zero_params
+from cfsl.models import LabeledBatch, ModelParams, evaluate, sgd_train, zero_params
 from cfsl.network import compute_time
 
 
@@ -129,10 +129,20 @@ def test_utility_empty_holdout_falls_back(caplog):
     u, devices = device_with_pool(seed=6)
     dev = devices[0]
     dev.holdout_indices = np.array([], dtype=int)
+    model = trained_on(dev, u)
+
+    def warnings():
+        return sum("empty holdout" in r.getMessage() for r in caplog.records)
+
     with caplog.at_level("WARNING"):
-        score = utility(0, trained_on(dev, u), dev, 0.4, 1e9, 20)
-    assert "empty holdout" in caplog.text
+        score = utility(0, model, dev, 0.4, 1e9, 20)
+        assert warnings() == 1
+        # One warning per selection, however many candidates it scores.
+        for n_calls in (2, 3):
+            select_best_model(dev, {0: model, 1: zero_params(3, 4), 2: model}, 0.4, 1e9, 20)
+            assert warnings() == n_calls
     assert 0.0 <= score.val_accuracy <= 1.0
+    assert score.val_accuracy == evaluate(model, dev.labeled)
 
 
 def test_utility_score_range_validation():
@@ -161,7 +171,7 @@ def test_selection_prefers_accuracy_over_coverage():
     dev = devices[0]
     good = trained_on(dev, u)
     bad = zero_params(3, 4)
-    decision, scores = select_best_model(dev, {5: bad, 9: good}, 0.25, 1e9, 20)
+    decision, scores, _ = select_best_model(dev, {5: bad, 9: good}, 0.25, 1e9, 20)
     assert scores[9].val_accuracy > scores[5].val_accuracy
     # The uniform model covers everything at phi=0.25 but loses on accuracy.
     assert scores[5].coverage == 1.0
@@ -172,7 +182,7 @@ def test_selection_prefers_accuracy_over_coverage():
 def test_selection_single_candidate_and_empty_error():
     u, devices = device_with_pool(seed=8)
     dev = devices[0]
-    decision, _ = select_best_model(dev, {3: zero_params(3, 4)}, 0.4, 1e9, 20)
+    decision, _, _ = select_best_model(dev, {3: zero_params(3, 4)}, 0.4, 1e9, 20)
     assert decision.chosen_model_id == 3
     with pytest.raises(StateError):
         select_best_model(dev, {}, 0.4, 1e9, 20)
@@ -182,7 +192,7 @@ def test_selection_tie_breaks_to_lowest_model_id():
     u, devices = device_with_pool(seed=9)
     dev = devices[0]
     m = zero_params(3, 4)
-    decision, _ = select_best_model(dev, {8: m, 2: m, 5: m}, 0.4, 1e9, 20)
+    decision, _, _ = select_best_model(dev, {8: m, 2: m, 5: m}, 0.4, 1e9, 20)
     assert decision.chosen_model_id == 2
     assert decision.z == {2: 1, 5: 0, 8: 0}
 

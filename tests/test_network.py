@@ -301,3 +301,30 @@ def test_rayleigh_fading_unit_mean_and_determinism():
     a = rayleigh_fading([3, 1, 2], np.random.default_rng(5))
     b = rayleigh_fading([1, 2, 3], np.random.default_rng(5))
     assert a == b
+
+
+def ks_statistic(sample, cdf) -> float:
+    """Kolmogorov–Smirnov distance between a sample's empirical CDF and `cdf`."""
+    x = np.sort(np.asarray(sample, dtype=float))
+    n = x.size
+    f = cdf(x)
+    return float(max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(n) / n).max()))
+
+
+def test_rayleigh_fading_power_is_unit_exponential():
+    # Rayleigh amplitude fading makes the power gain Exp(1): F(x) = 1 - e^{-x}.
+    # Asymptotic one-sample critical value at level alpha:
+    # sqrt(-ln(alpha / 2) / 2) / sqrt(n).
+    n, alpha = 20000, 1e-3
+    critical = math.sqrt(-math.log(alpha / 2) / 2) / math.sqrt(n)
+
+    def unit_exponential(x):
+        return 1.0 - np.exp(-x)
+
+    for seed in (0, 1, 2):
+        draws = np.array(list(rayleigh_fading(range(n), np.random.default_rng(seed)).values()))
+        assert ks_statistic(draws, unit_exponential) < critical
+        # The test can tell the wrong law: the amplitude instead of the
+        # power, or a power of mean 2, is rejected.
+        assert ks_statistic(np.sqrt(draws), unit_exponential) > critical
+        assert ks_statistic(2.0 * draws, unit_exponential) > critical

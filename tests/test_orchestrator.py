@@ -273,9 +273,10 @@ def test_edge_scope_candidates_include_cross_edge_merge():
     c, d = sim.tree.split(sim.tree.root_of_edge(1).cluster_id, ((4, 5), (6, 7)))
     merged = sim.tree.merge([a, c], sim.global_model)
     assert sim.tree.node(merged).edge_id is None
-    assert set(sim._candidate_models(0, 5)) == {b, merged}
-    assert set(sim._candidate_models(2, 5)) == {b, merged}
-    assert set(sim._candidate_models(6, 5)) == {d, merged}
+    candidates = sim._candidate_models(5)
+    assert set(candidates[sim.radios[0].edge_id]) == {b, merged}
+    assert set(candidates[sim.radios[2].edge_id]) == {b, merged}
+    assert set(candidates[sim.radios[6].edge_id]) == {d, merged}
 
 
 # ---------------------------------------------------------------- merging
