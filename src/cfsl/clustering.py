@@ -32,6 +32,11 @@ def cosine_similarity(g1, g2) -> float:
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0 or nb == 0:
         raise ValueError("cosine similarity undefined for zero-norm gradient")
+    return _cosine(a, b, na, nb)
+
+
+def _cosine(a: np.ndarray, b: np.ndarray, na, nb) -> float:
+    """Cosine of two vectors whose nonzero norms are already known."""
     return float(np.dot(a, b) / (na * nb))
 
 
@@ -55,17 +60,19 @@ def similarity_matrix(gradients: dict) -> SimilarityMatrix:
     if len(gradients) < 2:
         raise ValueError("similarity matrix needs at least 2 devices")
     ids = tuple(sorted(gradients))
-    vecs = []
-    for dev in ids:
-        v = _as_vector(gradients[dev])
-        if np.linalg.norm(v) == 0:
+    vecs = [_as_vector(gradients[dev]) for dev in ids]
+    norms = [np.linalg.norm(v) for v in vecs]
+    for dev, norm in zip(ids, norms):
+        if norm == 0:
             raise ValueError(f"device {dev}: zero-norm gradient, similarity undefined")
-        vecs.append(v)
+    for v in vecs:
+        if v.shape != vecs[0].shape:
+            raise ValueError(f"gradient shapes differ: {vecs[0].shape} vs {v.shape}")
     n = len(ids)
     values = np.eye(n)
     for i in range(n):
         for j in range(i + 1, n):
-            s = cosine_similarity(vecs[i], vecs[j])
+            s = _cosine(vecs[i], vecs[j], norms[i], norms[j])
             values[i, j] = s
             values[j, i] = s
     return SimilarityMatrix(ids, values)

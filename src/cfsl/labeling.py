@@ -136,7 +136,8 @@ def _score_candidates(
 ):
     """({model id: UtilityScore}, {model id: (classes, confidences) over
     the pool}) for every candidate, from one read of the holdout and of
-    the pool. Holdout accuracy is one stacked pass over all candidates."""
+    the pool. Holdout accuracy and pool confidences are one stacked pass
+    each over all candidates."""
     holdout = device.holdout_batch()
     if len(holdout) == 0:
         log.warning(
@@ -144,19 +145,24 @@ def _score_candidates(
             device.device_id,
         )
         holdout = device.labeled
-    accuracy = evaluate(list(candidates.values()), holdout)
+    models = list(candidates.values())
+    accuracy = evaluate(models, holdout)
     if pool is None:
         _, pool = device.pending_features()
+    classes, conf = confidences(models, pool)
     n_pending = pool.shape[0]
-    latency = n_pending * inference_cycles_per_sample / f_hz
-    scores, predictions = {}, {}
-    for (model_id, model), val_acc in zip(candidates.items(), accuracy):
-        _, conf = predictions[model_id] = confidences(model, pool)
-        if n_pending == 0:
-            scores[model_id] = UtilityScore(model_id, val_acc, 0.0, 0.0, 0.0)
-            continue
-        coverage = float((conf >= phi).mean())
-        scores[model_id] = UtilityScore(model_id, val_acc, coverage, float(conf.mean()), latency)
+    if n_pending == 0:
+        coverage = mean_conf = [0.0] * len(models)
+        latency = 0.0
+    else:
+        coverage = (conf >= phi).mean(axis=1).tolist()
+        mean_conf = conf.mean(axis=1).tolist()
+        latency = n_pending * inference_cycles_per_sample / f_hz
+    scores = {
+        model_id: UtilityScore(model_id, *fields, latency)
+        for model_id, *fields in zip(candidates, accuracy, coverage, mean_conf)
+    }
+    predictions = dict(zip(candidates, zip(classes, conf)))
     return scores, predictions
 
 

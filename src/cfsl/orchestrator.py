@@ -24,8 +24,8 @@ from .clustering import (
     STOPPED,
     ClusterTree,
     bipartition,
+    _cosine,
     check_split_conditions,
-    cosine_similarity,
     similarity_matrix,
 )
 from .config import ExperimentConfig
@@ -486,18 +486,19 @@ class Simulation:
         spec_nodes = self.tree.specialized()
         if len(spec_nodes) <= 2:
             return
-        centered = {}
+        centered, norms = {}, {}
         for n in spec_nodes:
             # A cluster split off this round still carries its parent's
             # exact weights; comparing it now would always re-merge it.
             if self.node_birth.get(n.cluster_id, -1) == r:
                 continue
             v = n.model.weights - self.global_model.weights
-            if np.linalg.norm(v) == 0:
+            norm = np.linalg.norm(v)
+            if norm == 0:
                 log.warning("cluster %d: coincides with the global model, skipping merge check",
                             n.cluster_id)
                 continue
-            centered[n.cluster_id] = v
+            centered[n.cluster_id], norms[n.cluster_id] = v, norm
         ids = sorted(centered)
         parent = {c: c for c in ids}
 
@@ -510,7 +511,7 @@ class Simulation:
         sims = {}
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
-                s = cosine_similarity(centered[a], centered[b])
+                s = _cosine(centered[a], centered[b], norms[a], norms[b])
                 sims[(a, b)] = s
                 if s > self.config.clustering.gamma_merge:
                     parent[find(b)] = find(a)

@@ -70,6 +70,22 @@ def test_similarity_matrix_symmetric_unit_diagonal():
         assert np.all(sim.values >= -1 - 1e-12)
 
 
+def test_similarity_matrix_entries_equal_pairwise_cosine():
+    rng = np.random.default_rng(4)
+    for n, dim in ((2, 3), (7, 40), (16, 200)):
+        g = {int(d): grad(rng.normal(size=dim) * rng.uniform(0.01, 100))
+             for d in rng.permutation(50)[:n]}
+        sim = similarity_matrix(g)
+        for i, a in enumerate(sim.ids):
+            for j, b in enumerate(sim.ids):
+                if i != j:
+                    assert sim.values[i, j] == cosine_similarity(g[a], g[b])
+    with pytest.raises(ValueError, match="device 5"):
+        similarity_matrix({2: grad([1.0, 0.0]), 5: grad([0.0, 0.0]), 9: grad([0.0, 0.0])})
+    with pytest.raises(ValueError, match="shapes differ"):
+        similarity_matrix({0: grad([1.0, 0.0]), 1: grad([1.0, 0.0, 0.0])})
+
+
 def test_similarity_matrix_names_zero_norm_device():
     g = {3: grad([1.0, 0.0]), 7: grad([0.0, 0.0])}
     with pytest.raises(ValueError, match="device 7"):

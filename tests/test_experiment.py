@@ -20,6 +20,7 @@ from cfsl.experiment import (
     run_experiment,
     sweep,
 )
+from cfsl.network import dbm_to_watts, device_round_time
 from cfsl.seeding import sweep_seed
 
 BASE = """
@@ -98,6 +99,44 @@ def test_explicit_subchannels_respected():
     cfg = make_cfg("\n[network]\nsubchannels = 4\n")
     sim = build_simulation(cfg)
     assert sim.edges[0].subchannels == 4
+
+
+def upload_times(sim):
+    """Each device's estimated upload time on the whole band of its edge."""
+    return [
+        device_round_time(radio, 1.0, sim.edges[radio.edge_id].bandwidth_hz, sim.channel,
+                          sim.payload_bits, 1, 1, 1.0)[1]
+        for radio in sim.radios
+    ]
+
+
+def test_ref_gain_db_shortens_every_upload():
+    base = upload_times(build_simulation(make_cfg("\n[network]\nref_gain_db = -40\n")))
+    louder = upload_times(build_simulation(make_cfg("\n[network]\nref_gain_db = -30\n")))
+    assert len(base) == 4
+    assert all(b < a for a, b in zip(base, louder))
+
+
+def test_test_set_has_configured_rows():
+    for rows in (1, 7, 63):
+        sim = build_simulation(override(make_cfg(), {"data.test_samples_per_device": rows}))
+        assert [len(d.test) for d in sim.devices] == [rows] * 4
+
+
+def test_narrow_radio_ranges_bound_every_radio():
+    cfg = make_cfg(
+        "\n[network]\n"
+        "cpu_min_hz = 3e9\ncpu_max_hz = 3.2e9\n"
+        "power_min_dbm = 5\npower_max_dbm = 6\n"
+        "distance_min_m = 20\ndistance_max_m = 21\n"
+    )
+    cfg = override(cfg, {"topology.devices": 24})
+    radios = build_simulation(cfg).radios
+    assert len(radios) == 24
+    for r in radios:
+        assert 3e9 <= r.f_hz <= 3.2e9
+        assert dbm_to_watts(5) <= r.power_w <= dbm_to_watts(6)
+        assert 20 <= r.distance_m <= 21
 
 
 def test_baseline_variants():

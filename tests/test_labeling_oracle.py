@@ -7,10 +7,13 @@ reading the holdout and the pool again, a row-wise softmax, and a second
 forward pass of the chosen model in `pseudo_label`. The class-major,
 one-pass code must give the same bits: equal (classes, confidences), equal
 UtilityScore fields, equal SelectionDecisions and equal PseudoLabelBatch
-arrays, for every class count.
+arrays, for every class count. `confidences` on a list of K models must
+give each model the row-wise bits it gets alone, for pools inside one
+softmax block and across several.
 """
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from cfsl.labeling import (
     utility,
 )
 from cfsl.models import (
+    SOFTMAX_BLOCK,
     LabeledBatch,
     ModelParams,
     _pairwise_sum,
@@ -262,7 +266,16 @@ def make_device(rng, d, c, n_labeled=10, n_pool=60, n_holdout=4, rounded=False):
 def assert_same_predictions(got, want):
     assert got[0].dtype == want[0].dtype
     assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[1], want[1], equal_nan=True)
+
+
+def assert_stacked_matches(models, pool):
+    """Stacked confidences, row k bit-equal to model k scored alone by the
+    row-wise reference."""
+    classes, conf = confidences(models, pool)
+    assert classes.shape == conf.shape == (len(models), pool.shape[0])
+    for k, model in enumerate(models):
+        assert_same_predictions((classes[k], conf[k]), ref_confidences(model, pool))
 
 
 def assert_same_batch(got: PseudoLabelBatch, want: PseudoLabelBatch):
@@ -362,6 +375,80 @@ def test_pairwise_sum_follows_numpy_row_sum(c):
         assert np.array_equal(_pairwise_sum(a), want)
 
 
+# ---------------------------------------------------------------- stacked confidences
+
+
+def rows_per_block(k, c):
+    return max(1, SOFTMAX_BLOCK // (k * c))
+
+
+@pytest.mark.parametrize("k", [1, 2, 38])
+@pytest.mark.parametrize("c", CLASS_COUNTS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_stacked_confidences_bit_equal_model_by_model(family, c, k):
+    rng = np.random.default_rng(100 * c + 10 * k + FAMILIES[family])
+    d = 5
+    models = [random_model(rng, d, c, FAMILIES[family], rounded=i % 3 == 2) for i in range(k)]
+    if k > 2:
+        models[-1] = models[0]
+    block = rows_per_block(k, c)
+    for n in (0, 1, min(block, 37), 3 * block + 7):
+        pool = rng.normal(size=(n, d))
+        if n % 2:
+            pool = np.round(pool, 1)
+        assert_stacked_matches(models, pool)
+
+
+@pytest.mark.parametrize(
+    "d,c,hidden", [(32, 10, 0), (20, 10, 32), (32, 33, 0), (16, 6, 0), (8, 4, 0)]
+)
+def test_stacked_confidences_on_row_count_sensitive_shapes(d, c, hidden):
+    # BLAS results can depend on the row count for these shapes, so the
+    # matmuls must run over the whole pool, whatever the softmax blocks.
+    rng = np.random.default_rng(d + c + hidden)
+    for k in (1, 2, 12, 38):
+        models = [random_model(rng, d, c, hidden, scale=0.5) for _ in range(k)]
+        for n in (3, 76, rows_per_block(k, c) + 1, 980):
+            assert_stacked_matches(models, rng.normal(size=(n, d)))
+
+
+@pytest.mark.parametrize("c", [2, 5, 9, 33, 129])
+def test_stacked_confidences_keep_first_of_tied_probabilities(c):
+    # Identity and permuted-identity models see one-decimal logits, so
+    # exact ties land on different classes in different models.
+    rng = np.random.default_rng(c)
+    models = [identity_model(c)]
+    for _ in range(3):
+        perm = np.eye(c)[rng.permutation(c)]
+        models.append(ModelParams(np.concatenate([perm.ravel(), np.zeros(c)]), c, c))
+    logits = np.round(rng.normal(0.0, 0.5, size=(400, c)), 1)
+    logits[:5] = 0.0
+    assert_stacked_matches(models, logits)
+    classes, _ = confidences(models, logits[:5])
+    assert (classes == 0).all()
+
+
+def test_stacked_confidences_nan_model_matches_row_wise():
+    rng = np.random.default_rng(4)
+    models = [random_model(rng, 3, 5, hidden) for hidden in (0, 0, 0)]
+    models[1].weights[2] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_stacked_matches(models, rng.normal(size=(20, 3)))
+        classes, conf = confidences(models, rng.normal(size=(4, 3)))
+    assert (classes[1] == 0).all() and np.isnan(conf[1]).all()
+
+
+def test_one_model_gives_one_dimensional_arrays():
+    rng = np.random.default_rng(2)
+    model = random_model(rng, 4, 6, 7)
+    for n in (0, 1, 50):
+        classes, conf = confidences(model, rng.normal(size=(n, 4)))
+        assert classes.shape == conf.shape == (n,)
+        classes, conf = confidences([model], rng.normal(size=(n, 4)))
+        assert classes.shape == conf.shape == (1, n)
+
+
 # ---------------------------------------------------------------- stacked holdout
 
 
@@ -386,6 +473,11 @@ def test_stacked_evaluate_rejects_mixed_shapes_and_no_models():
         evaluate([random_model(rng, 3, 2, 0), random_model(rng, 3, 2, 4)], batch)
     with pytest.raises(ValueError, match="at least one model"):
         evaluate([], batch)
+    # confidences stacks its models the same way.
+    with pytest.raises(ValueError, match="different shapes"):
+        confidences([random_model(rng, 3, 2, 0), random_model(rng, 3, 3, 0)], batch.features)
+    with pytest.raises(ValueError, match="at least one model"):
+        confidences([], batch.features)
 
 
 # ---------------------------------------------------------------- selection
@@ -404,6 +496,44 @@ def test_selection_and_labels_match_reference(family, c):
         candidates = {7: models[0], 3: models[1], 11: models[0], 5: models[2],
                       2: ModelParams(models[1].weights.copy(), d, c, hidden), 9: models[3]}
         check_selection(device, candidates, phi=float(rng.choice([0.0, 0.3, 0.6, 0.95])))
+
+
+@pytest.mark.parametrize("k", [1, 2, 38])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_selection_over_many_candidates_matches_reference(family, k):
+    # About 38 candidates over a pool of about 76 rows, as on split-512.
+    rng = np.random.default_rng(40 + k + FAMILIES[family])
+    for c in (4, 6):
+        device = make_device(rng, 8, c, n_pool=76)
+        models = {3 * i + 1: random_model(rng, 8, c, FAMILIES[family], scale=0.6)
+                  for i in range(k)}
+        check_selection(device, models, phi=0.6)
+
+
+@pytest.mark.parametrize("n_pool", [0, 1])
+def test_selection_on_empty_and_one_row_pools_warns_nothing(n_pool):
+    rng = np.random.default_rng(21 + n_pool)
+    device = make_device(rng, 3, 4, n_pool=n_pool)
+    models = {k: random_model(rng, 3, 4, 0) for k in range(5)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, scores, (classes, conf) = select_best_model(device, models, 0.5, 2e9, 20.0)
+    assert classes.shape == conf.shape == (n_pool,)
+    if n_pool == 0:
+        assert all(s.coverage == s.mean_confidence == 0.0 for s in scores.values())
+
+
+def test_selection_counts_confidence_equal_to_phi():
+    # Tied logits give a confidence of exactly 1/2 and a 40-wide gap one
+    # of exactly 1.0; both reach a threshold equal to them.
+    rng = np.random.default_rng(14)
+    device = make_device(rng, 2, 2, n_pool=6)
+    device.unlabeled_features[:] = [[0, 0], [1, 1], [40, 0], [0, 40], [2, 0], [0.5, 0.5]]
+    models = {1: identity_model(2), 2: ModelParams(np.array([0, 1, 1, 0, 0, 0.0]), 2, 2)}
+    for phi in (0.5, 1.0):
+        check_selection(device, models, phi=phi)
+    _, scores, _ = select_best_model(device, models, 0.5, 2e9, 20.0)
+    assert scores[1].coverage == 1.0
 
 
 def test_selection_ties_on_identical_candidates():

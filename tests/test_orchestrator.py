@@ -265,6 +265,24 @@ def test_global_model_labeling_mode():
     assert all(d.unlabeled_remaining == 0 for d in sim.devices)
 
 
+def test_stopped_cluster_still_labels_and_stays_a_candidate():
+    # Pinned behaviour: a stop freezes a cluster's training, not its
+    # labeling. Its devices still select and inject, and its model stays
+    # a candidate labeler for every device.
+    lab = SSLConfig(enabled=True, phi=0.0, label_interval=1)
+    sim = make_sim(ssl=lab, rounds=3, seed=17)
+    stopped, live = sim.tree.split(sim.tree.root_of_edge(0).cluster_id,
+                                   ((0, 1, 2, 3), (4, 5, 6, 7)))
+    sim.tree.stop(stopped)
+    assert sim.tree.node(stopped).status == STOPPED
+    assert set(sim._candidate_models(5)[0]) == {stopped, live}
+    sim._labeling_phase(5)
+    assert {ev["device"] for ev in events_of(sim, "selection")} == set(range(8))
+    assert {ev["device"] for ev in events_of(sim, "injection")} == set(range(8))
+    assert all(set(sim.last_utilities[k]) == {stopped, live} for k in range(8))
+    assert all(d.unlabeled_remaining == 0 for d in sim.devices)
+
+
 def test_edge_scope_candidates_include_cross_edge_merge():
     # A merge across edges has edge_id None; its members must still see it.
     lab = SSLConfig(enabled=True, candidate_scope="edge")
