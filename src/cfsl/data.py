@@ -175,9 +175,12 @@ class DeviceDataset:
         if n_u and not set(np.unique(self.hidden_truth)) - {-1} <= wl:
             raise ValueError(f"device {self.device_id}: hidden truth outside whitelist")
 
+    # The three counts below use count_nonzero, which returns the exact
+    # integer; count / size is the same correctly rounded quotient as
+    # mask.mean().
     @property
     def n_injected(self) -> int:
-        return int(self.injected_mask.sum())
+        return int(np.count_nonzero(self.injected_mask))
 
     @property
     def labeled_size(self) -> int:
@@ -186,14 +189,14 @@ class DeviceDataset:
 
     @property
     def unlabeled_remaining(self) -> int:
-        return int((~self.injected_mask).sum())
+        return self.injected_mask.size - self.n_injected
 
     @property
     def injected_fraction(self) -> float:
         """Share of the original unlabeled pool already pseudo-labeled."""
         if self.injected_mask.size == 0:
             return 1.0
-        return float(self.injected_mask.mean())
+        return self.n_injected / self.injected_mask.size
 
     @cached_property
     def keep(self) -> np.ndarray:
@@ -209,13 +212,15 @@ class DeviceDataset:
 
     def train_batch(self) -> LabeledBatch:
         """Labeled samples outside the holdout, plus injected pseudo-labels."""
-        feats = [self.labeled.features[self.keep]]
-        labs = [self.labeled.labels[self.keep]]
-        if self.n_injected:
-            idx = np.flatnonzero(self.injected_mask)
-            feats.append(self.unlabeled_features[idx])
-            labs.append(self.injected_labels[idx])
-        return LabeledBatch(np.vstack(feats), np.concatenate(labs))
+        feats = self.labeled.features[self.keep]
+        labs = self.labeled.labels[self.keep]
+        if not self.n_injected:
+            return LabeledBatch(feats, labs)
+        idx = np.flatnonzero(self.injected_mask)
+        return LabeledBatch(
+            np.vstack([feats, self.unlabeled_features[idx]]),
+            np.concatenate([labs, self.injected_labels[idx]]),
+        )
 
     def holdout_batch(self) -> LabeledBatch:
         return self.labeled.subset(self.holdout_indices)

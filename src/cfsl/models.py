@@ -5,20 +5,23 @@ and a one-hidden-layer tanh network. Parameters travel as a single flat
 float64 vector so that averaging, cosine similarity, and upload-size
 accounting all operate on the same object.
 
-Stacked layout. ``sgd_train``, ``evaluate`` and ``loss`` take one batch or a
-list of K equal-length batches. K devices' features form one ``(K, b, d)``
-array and their weights one ``(K, P)`` array, which ``_unpack`` views as
-``(K, d, h)`` matrices and ``(K, 1, h)`` biases. Every step is written over
-the last two axes, so the same code runs a single device (trained as K = 1,
-scored on 2-D arrays) and a stack of them.
+Stacked layout. ``sgd_train``, ``gradient``, ``evaluate`` and ``loss``
+take one batch or a list of K equal-length batches. K devices' features
+form one ``(K, b, d)`` array and their weights one ``(K, P)`` array, which
+``_unpack`` views as ``(K, d, h)`` matrices and ``(K, 1, h)`` biases. Every
+step is written over the last two axes, so the same code runs a single
+device (trained as K = 1, scored on 2-D arrays) and a stack of them. A
+stacked ``gradient`` (the split checks take one per cluster member) is one
+``_grads`` pass over the ``(K, b, d)`` batch against the one model, as
+``evaluate`` and ``loss`` score a stack.
 
 Why the bits match. numpy's ``matmul`` runs each 2-D slice of a stacked
 operand through the same BLAS call, with the same inner strides, as it
 would a 2-D operand of that shape. Softmax, tanh and the updates are
 elementwise; the reductions run along the same axes in the same order. So
-every device's weights, accuracy and loss are bit-equal to what it gets
-alone; ``tests/test_models_stacked.py`` checks this against a verbatim copy
-of the per-device loop.
+every device's weights, gradient, accuracy and loss are bit-equal to what
+it gets alone; ``tests/test_models_stacked.py`` checks this against a
+verbatim copy of the per-device loop.
 
 Chunks. Callers stack at most ``STACK_CHUNK`` (16) devices at a time, because
 stacking copies each device's batches once more. On the 128-device MLP
@@ -294,13 +297,16 @@ def loss(params: ModelParams, batch):
     return (-picked.mean(axis=-1)).tolist()
 
 
-def gradient(params: ModelParams, batch: LabeledBatch) -> GradientUpdate:
-    """Exact analytic gradient of loss() at params."""
-    if len(batch) == 0:
-        raise ValueError("gradient requires a nonempty batch")
-    x = _check_features(params, batch.features)
-    grads = _grads(params.hidden, _unpack(params), x, _onehot(params, batch.labels))
-    return GradientUpdate(np.concatenate([g.ravel() for g in grads]), len(batch))
+def gradient(params: ModelParams, batch):
+    """Exact analytic gradient of loss() at params.
+
+    `batch` is one LabeledBatch, giving one GradientUpdate, or a list of
+    equal-length batches, giving one GradientUpdate per batch."""
+    x, y = _stack(params, batch, "gradient")
+    grads = _grads(params.hidden, _unpack(params), x, _onehot(params, y))
+    *lead, n = y.shape
+    flat = np.concatenate([g.reshape(*lead, -1) for g in grads], axis=-1)
+    return [GradientUpdate(g, n) for g in flat] if lead else GradientUpdate(flat, n)
 
 
 def sgd_train(

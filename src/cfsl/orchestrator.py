@@ -98,13 +98,30 @@ def edge_aggregate(models: list, weights: list) -> ModelParams:
     return first.with_weights(acc)
 
 
+# Types `jsonable` returns as they are.
+_PLAIN = frozenset({int, str, bool, type(None)})
+_INTS = frozenset({int})
+
+
 def jsonable(obj):
     """Strict-JSON view of an event or config: numpy scalars and arrays
-    become Python values, infinities the strings "inf" and "-inf"."""
+    become Python values, infinities the strings "inf" and "-inf".
+
+    Leaves dispatch on the exact type: plain values and finite floats come
+    back as they are, without a call per element of a container, and a
+    list of plain ints is copied whole."""
+    t = type(obj)
+    if t in _PLAIN or (t is float and -math.inf < obj < math.inf):
+        return obj
     if isinstance(obj, dict):
-        return {jsonable(k): jsonable(v) for k, v in obj.items()}
+        return {
+            k if type(k) in _PLAIN else jsonable(k): v if type(v) in _PLAIN else jsonable(v)
+            for k, v in obj.items()
+        }
     if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+        if set(map(type, obj)) <= _INTS:
+            return list(obj)
+        return [v if type(v) in _PLAIN else jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return jsonable(obj.tolist())
     if isinstance(obj, np.integer):
@@ -260,20 +277,35 @@ class Simulation:
         wn = np.array(weights, dtype=float)
         self._event({
             "type": "aggregate", "round": r, "scope": scope, "cluster": cluster,
-            "contributors": list(members), "weights": wn / wn.sum(),
+            "contributors": list(members), "weights": (wn / wn.sum()).tolist(),
         })
         return model
 
-    def _similarity_gradient(self, node, device_id: int, r: int) -> GradientUpdate:
-        batch = self.devices[device_id].train_batch()
+    def _split_signals(self, node, members: list, r: int) -> dict:
+        """{member: GradientUpdate} in the order of `members`: the gradient
+        of the cluster's model, stacked over chunks of members with equal
+        train sizes, or with `use_weight_deltas` each member's weight
+        change from local training."""
         if self.config.clustering.use_weight_deltas:
             tr = self.config.model
-            after = sgd_train(
-                node.model, batch, tr.epochs, tr.batch_size, tr.learning_rate,
-                training_seed(self.config.run.seed, r, device_id),
-            )
-            return GradientUpdate(node.model.weights - after.weights, len(batch))
-        return gradient(node.model, batch)
+            deltas = {}
+            for k in members:
+                batch = self.devices[k].train_batch()
+                after = sgd_train(
+                    node.model, batch, tr.epochs, tr.batch_size, tr.learning_rate,
+                    training_seed(self.config.run.seed, r, k),
+                )
+                deltas[k] = GradientUpdate(node.model.weights - after.weights, len(batch))
+            return deltas
+        groups = defaultdict(list)
+        for k in members:
+            groups[self.devices[k].train_size].append(k)
+        grads = {}
+        for _, chunk in _chunks(groups):
+            grads.update(zip(chunk, gradient(
+                node.model, [self.devices[k].train_batch() for k in chunk]
+            )))
+        return {k: grads[k] for k in members}
 
     # ------------------------------------------------------------ round
 
@@ -443,7 +475,7 @@ class Simulation:
             members = sorted(node.members)
             if not members:
                 continue
-            grads = {k: self._similarity_gradient(node, k, r) for k in members}
+            grads = self._split_signals(node, members, r)
             weights = {k: self.devices[k].labeled_size for k in members}
             norms = [g.norm for g in grads.values()]
             eps1, eps2 = self.config.clustering.eps1, self.config.clustering.eps2
@@ -543,19 +575,25 @@ class Simulation:
             self._event(event)
 
     def _emit_metrics(self, r: int, duration: float, drops: int, clusters: int) -> MetricsRow:
-        # One stacked pass per chunk of devices that share the model and
-        # their batch lengths. The values go back into device order, so the
-        # means below sum them in the same order as before.
-        groups, models = defaultdict(list), {}
+        # One stacked pass per chunk of devices that share the model and the
+        # batch length: the test set's for accuracy, the train set's for
+        # loss. The values go back into device order, so the means below
+        # sum them in the same order as before.
+        models, by_test, by_train = {}, defaultdict(list), defaultdict(list)
         for dev in self.devices:
             model_id, model = self._model_of(self.tree.cluster_of(dev.device_id))
             models[model_id] = model
-            groups[model_id, len(dev.test), dev.train_size].append(dev.device_id)
+            by_test[model_id, len(dev.test)].append(dev.device_id)
+            by_train[model_id, dev.train_size].append(dev.device_id)
         acc_of, loss_of = {}, {}
-        for (model_id, _, _), chunk in _chunks(groups):
-            model = models[model_id]
-            acc_of.update(zip(chunk, evaluate(model, [self.devices[k].test for k in chunk])))
-            loss_of.update(zip(chunk, loss(model, [self.devices[k].train_batch() for k in chunk])))
+        for (model_id, _), chunk in _chunks(by_test):
+            acc_of.update(zip(chunk, evaluate(
+                models[model_id], [self.devices[k].test for k in chunk]
+            )))
+        for (model_id, _), chunk in _chunks(by_train):
+            loss_of.update(zip(chunk, loss(
+                models[model_id], [self.devices[k].train_batch() for k in chunk]
+            )))
         accs = [acc_of[dev.device_id] for dev in self.devices]
         device_losses = {dev.device_id: loss_of[dev.device_id] for dev in self.devices}
 

@@ -123,6 +123,7 @@ def test_partition_fully_labeled_edge():
         assert dev.unlabeled_features.shape[0] == 0
         assert dev.injected_fraction == 1.0
         assert dev.unlabeled_remaining == 0
+        check_counts_match_mask(dev)
 
 
 def test_partition_round_robin_assignment():
@@ -178,6 +179,69 @@ def test_train_batch_includes_injections_in_pool_order():
     assert np.array_equal(train.features[-1], dev.unlabeled_features[7])
     assert train.labels[-2] == dev.class_whitelist[1]
     assert train.labels[-1] == dev.class_whitelist[0]
+
+
+def check_counts_match_mask(dev):
+    """The injection counts against their mask-reduction definitions."""
+    mask = dev.injected_mask
+    assert type(dev.n_injected) is int and dev.n_injected == int(mask.sum())
+    assert type(dev.unlabeled_remaining) is int
+    assert dev.unlabeled_remaining == int((~mask).sum())
+    want = float(mask.mean()) if mask.size else 1.0
+    assert type(dev.injected_fraction) is float and dev.injected_fraction == want
+    assert dev.train_size == len(dev.keep) + int(mask.sum()) == len(dev.train_batch())
+
+
+def reference_train_batch(dev):
+    idx = np.flatnonzero(dev.injected_mask)
+    return (
+        np.vstack([dev.labeled.features[dev.keep], dev.unlabeled_features[idx]]),
+        np.concatenate([dev.labeled.labels[dev.keep], dev.injected_labels[idx]]),
+    )
+
+
+def test_injection_counts_equal_mask_reductions_under_direct_writes():
+    u = small_universe(seed=16)
+    (dev,) = partition_devices(u, 1, 500, 0.03, seed=16)
+    rng = np.random.default_rng(16)
+    check_counts_match_mask(dev)
+    for _ in range(60):
+        idx = rng.integers(0, dev.injected_mask.size, size=int(rng.integers(1, 12)))
+        dev.injected_mask[idx] = rng.random() < 0.8
+        check_counts_match_mask(dev)
+    dev.injected_mask[:] = True
+    check_counts_match_mask(dev)
+    assert dev.injected_fraction == 1.0 and dev.unlabeled_remaining == 0
+
+
+def test_injected_fraction_is_the_rounded_mean_for_every_count():
+    for size in (1, 3, 7, 10, 49, 97, 192):
+        mask = np.zeros(size, dtype=bool)
+        dev = DeviceDataset(
+            0, LabeledBatch(np.zeros((2, 2)), np.array([0, 1])), np.zeros((size, 2)),
+            np.zeros(size, dtype=np.int64), 0, (0, 1), np.array([], dtype=np.int64),
+            LabeledBatch(np.zeros((1, 2)), np.array([0])), injected_mask=mask,
+        )
+        for count in range(size + 1):
+            mask[:count] = True
+            assert dev.injected_fraction == float(mask.mean())
+            assert dev.n_injected == count and dev.unlabeled_remaining == size - count
+
+
+def test_train_batch_equals_its_definition_with_and_without_injections():
+    u = small_universe(seed=17)
+    (dev,) = partition_devices(u, 1, 60, 0.3, seed=17, holdout_fraction=0.25)
+    for injected in ([], [5], [4, 0, 31], range(dev.injected_mask.size)):
+        dev.injected_mask[list(injected)] = True
+        dev.injected_labels[list(injected)] = dev.class_whitelist[0]
+        train = dev.train_batch()
+        feats, labels = reference_train_batch(dev)
+        assert train.features.dtype == feats.dtype and train.labels.dtype == labels.dtype
+        assert np.array_equal(train.features, feats) and np.array_equal(train.labels, labels)
+        # Callers own the batch: it shares no memory with the pools.
+        assert not np.shares_memory(train.features, dev.labeled.features)
+        assert not np.shares_memory(train.labels, dev.labeled.labels)
+        check_counts_match_mask(dev)
 
 
 def test_device_dataset_rejects_whitelist_violation():

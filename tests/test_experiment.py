@@ -20,8 +20,9 @@ from cfsl.experiment import (
     run_experiment,
     sweep,
 )
+from cfsl.models import gradient, sgd_train
 from cfsl.network import dbm_to_watts, device_round_time
-from cfsl.seeding import sweep_seed
+from cfsl.seeding import sweep_seed, training_seed
 
 BASE = """
 [topology]
@@ -137,6 +138,54 @@ def test_narrow_radio_ranges_bound_every_radio():
         assert 3e9 <= r.f_hz <= 3.2e9
         assert dbm_to_watts(5) <= r.power_w <= dbm_to_watts(6)
         assert 20 <= r.distance_m <= 21
+
+
+def test_use_weight_deltas_makes_the_split_signal_the_weight_delta():
+    deltas = build_simulation(parse_config(
+        BASE.replace("[clustering]\n", "[clustering]\nuse_weight_deltas = true\n")
+    ))
+    plain = build_simulation(parse_config(BASE))
+    tr, seed, r = deltas.config.model, deltas.config.run.seed, 3
+    for sim in (deltas, plain):
+        node = sim.tree.root_of_edge(0)
+        members = sorted(node.members)
+        signals = sim._split_signals(node, members, r)
+        assert list(signals) == members == [0, 1, 2, 3]
+        for k in members:
+            batch = sim.devices[k].train_batch()
+            if sim is deltas:
+                after = sgd_train(node.model, batch, tr.epochs, tr.batch_size,
+                                  tr.learning_rate, training_seed(seed, r, k))
+                want = node.model.weights - after.weights
+            else:
+                want = gradient(node.model, batch).grad
+            assert np.array_equal(signals[k].grad, want)
+            assert signals[k].sample_count == len(batch)
+
+
+def feature_spread(sim):
+    """Root-mean-square distance of every labeled and test feature row from
+    the mean of its (distribution, class) group over all devices."""
+    groups = {}
+    for dev in sim.devices:
+        for batch in (dev.labeled, dev.test):
+            for row, label in zip(batch.features, batch.labels):
+                groups.setdefault((dev.distribution_id, int(label)), []).append(row)
+    sq = [((np.array(rows) - np.mean(rows, axis=0)) ** 2).sum(axis=1) for rows in groups.values()]
+    return float(np.sqrt(np.concatenate(sq).mean()))
+
+
+def test_noise_scale_sets_the_feature_spread_around_class_means():
+    spreads = {}
+    for noise in (0.25, None):
+        text = BASE if noise is None else BASE.replace(
+            "[data]\n", f"[data]\nnoise_scale = {noise}\n"
+        )
+        cfg = override(parse_config(text), {"topology.devices": 16})
+        spreads[noise] = feature_spread(build_simulation(cfg))
+    # Spread is proportional to the noise scale; the default is 1.0.
+    assert spreads[0.25] < 0.5 * spreads[None]
+    assert 0.15 < spreads[0.25] / spreads[None] < 0.35
 
 
 def test_baseline_variants():

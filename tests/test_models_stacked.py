@@ -216,6 +216,22 @@ def test_stacked_evaluate_and_loss_match_per_device_bit_for_bit(hidden, k):
     assert losses == [ref_loss(params, b) for b in batches]
 
 
+# Logistic and MLP at the default case shape, the split-512 shape
+# (d = 16, c = 6), and two shapes whose BLAS results depend on the row
+# count when the rows are split.
+@pytest.mark.parametrize("hidden,d,c", [(0, 6, 5), (7, 6, 5), (0, 16, 6), (0, 32, 10),
+                                        (32, 20, 10)])
+@pytest.mark.parametrize("k", [1, 2, 16, 17])
+def test_stacked_gradient_matches_per_batch_bit_for_bit(hidden, d, c, k):
+    params, batches, _ = make_case(23 + k, hidden, k, 37, d=d, c=c)
+    got = gradient(params, batches)
+    assert isinstance(got, list) and len(got) == k
+    for batch, g in zip(batches, got):
+        want = ref_gradient(params, batch)
+        assert np.array_equal(g.grad, want.grad)
+        assert g.sample_count == want.sample_count == 37
+
+
 def test_results_do_not_depend_on_how_batches_are_stacked():
     params, batches, seeds = make_case(3, 7, 17, 29)
     whole = sgd_train(params, batches, 2, 8, 0.2, seeds)
@@ -237,6 +253,8 @@ def test_stacked_calls_reject_bad_input():
         lambda: sgd_train(params, batches, 1, 4, 0.1, seeds[:2]),
         lambda: sgd_train(params, [], 1, 4, 0.1, []),
         lambda: evaluate(params, []),
+        lambda: gradient(params, [batches[0], short]),
+        lambda: gradient(params, []),
     ):
         with pytest.raises(ValueError):
             call()
