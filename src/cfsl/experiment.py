@@ -205,10 +205,19 @@ def _csv_text(columns, rows) -> str:
 
 
 def _atomic_write(path: str, text: str):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Replace `path` with `text` through a temp file of this write's own in
+    the same directory, so runs that share a directory never share a temp
+    file. "x" creates it with the mode plain `open` gives; a failed write
+    removes it and leaves the old file."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def metrics_rows(cfg: ExperimentConfig, sim: Simulation) -> list:

@@ -1,15 +1,19 @@
 """Pseudo-labeling: confidence gating, model utility, selection, injection.
 
-Once specialized models exist, each device scores every candidate model
+Once specialized models exist, each device scores the candidate models
 on its own labeled holdout and unlabeled pool, picks exactly one, and
 injects the samples that model labels with confidence at or above the
 threshold. Injected labels are frozen; the device's training workload
 grows accordingly, which feeds back into scheduling.
 
-A selection reads the holdout and the pool once for all candidates,
-scores their holdout accuracy in one stacked pass, and hands the chosen
-model's pool predictions on to `pseudo_label`, which then does not run
-that model again.
+A selection reads the holdout and the pool once for all candidates and
+scores their holdout accuracy in one stacked pass. Accuracy ranks first,
+so only the contenders, the candidates tied at the best accuracy, can be
+chosen; only they run over the pool, in one stacked pass, to get their
+coverage. The estimated labeling latency is the same for every candidate
+of one selection, so it never breaks a tie there. The chosen model's pool
+predictions go on to `pseudo_label`, which then does not run that model
+again.
 """
 
 from __future__ import annotations
@@ -135,9 +139,12 @@ def _score_candidates(
     pool: np.ndarray | None,
 ):
     """({model id: UtilityScore}, {model id: (classes, confidences) over
-    the pool}) for every candidate, from one read of the holdout and of
-    the pool. Holdout accuracy and pool confidences are one stacked pass
-    each over all candidates."""
+    the pool}) for the contenders, the candidates whose holdout accuracy
+    equals the best, in candidate order, from one read of the holdout and
+    of the pool. Holdout accuracy is one stacked pass over all candidates,
+    pool confidences one stacked pass over the contenders: no other
+    candidate can win the selection, and row k of a stacked pass has the
+    bits model k gets alone, so each contender's score is its `utility`."""
     holdout = device.holdout_batch()
     if len(holdout) == 0:
         log.warning(
@@ -145,24 +152,25 @@ def _score_candidates(
             device.device_id,
         )
         holdout = device.labeled
-    models = list(candidates.values())
-    accuracy = evaluate(models, holdout)
+    accuracy = evaluate(list(candidates.values()), holdout)
+    best = max(accuracy)
+    contenders = [mid for mid, acc in zip(candidates, accuracy) if acc == best]
     if pool is None:
         _, pool = device.pending_features()
-    classes, conf = confidences(models, pool)
+    classes, conf = confidences([candidates[mid] for mid in contenders], pool)
     n_pending = pool.shape[0]
     if n_pending == 0:
-        coverage = mean_conf = [0.0] * len(models)
+        coverage = mean_conf = [0.0] * len(contenders)
         latency = 0.0
     else:
         coverage = (conf >= phi).mean(axis=1).tolist()
         mean_conf = conf.mean(axis=1).tolist()
         latency = n_pending * inference_cycles_per_sample / f_hz
     scores = {
-        model_id: UtilityScore(model_id, *fields, latency)
-        for model_id, *fields in zip(candidates, accuracy, coverage, mean_conf)
+        mid: UtilityScore(mid, best, *fields, latency)
+        for mid, *fields in zip(contenders, coverage, mean_conf)
     }
-    predictions = dict(zip(candidates, zip(classes, conf)))
+    predictions = dict(zip(contenders, zip(classes, conf)))
     return scores, predictions
 
 
@@ -179,7 +187,7 @@ def utility(
 
     Estimated labeling latency is the single inference pass over the
     remaining pool on this device's CPU; it depends on the device, not
-    the model, so it only matters as a documented tie-break dimension.
+    the model, so it is the same for every candidate of one selection.
     An empty holdout falls back to the full labeled set, with a warning.
     """
     scores, _ = _score_candidates(
@@ -198,14 +206,17 @@ def select_best_model(
 ):
     """Rank candidate models and pick exactly one for this device.
 
-    Every candidate gets the `utility` score, all of them from one read of
-    the device's holdout and pool; `pool` is the device's pending
-    features (`device.pending_features()[1]`) when the caller has read
-    them already. Ranking is lexicographic: highest holdout accuracy,
-    then highest coverage, then lowest estimated labeling latency, then
-    lowest model id. Returns the one-hot decision, every candidate's
-    score, and the chosen model's (classes, confidences) over the pool
-    for `pseudo_label`.
+    Ranking is lexicographic: highest holdout accuracy, then highest
+    coverage, then lowest estimated labeling latency, then lowest model
+    id. The latency is the same for every candidate of one selection, so
+    it never breaks a tie. Every candidate's holdout accuracy is scored;
+    only the contenders, the candidates tied at the best accuracy, run
+    over the pool, and each gets its `utility` score. All of it comes
+    from one read of the device's holdout and pool; `pool` is the
+    device's pending features (`device.pending_features()[1]`) when the
+    caller has read them already. Returns the one-hot decision over every
+    candidate, the contenders' scores in candidate order, and the chosen
+    model's (classes, confidences) over the pool for `pseudo_label`.
     """
     if not candidates:
         raise StateError(f"device {device.device_id}: no candidate models to select from")

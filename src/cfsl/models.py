@@ -58,7 +58,7 @@ of this against a verbatim copy of the row-wise code.
 
 Stacked candidates. ``confidences`` also takes a list of K same-shape
 models and one pool, giving (K, n) classes and confidences; a selection
-scores all its candidates in one call. Row k has the bits model k gets
+scores all its contenders in one call. Row k has the bits model k gets
 alone. The pool's ``(n, d)`` features meet the ``(K, d, c)`` weights (and
 the tanh network's ``(K, d, h)`` hidden weights) in one broadcast matmul
 over the whole pool, so each model's slice runs through the same BLAS call

@@ -241,6 +241,49 @@ def test_run_writes_expected_artifacts(tmp_path):
     assert leftovers == []
 
 
+def test_interleaved_atomic_writes_of_one_path_both_land(tmp_path, monkeypatch):
+    # A second write of the same path runs while the first is between its
+    # temp file and os.replace, as when two runs share an out_dir.
+    path = str(tmp_path / "metrics.csv")
+    first, second = "first\n" * 1000, "second\n" * 1000
+    real_replace = os.replace
+    calls = []
+
+    def replace(src, dst):
+        calls.append(src)
+        if len(calls) == 1:
+            experiment._atomic_write(path, second)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(experiment.os, "replace", replace)
+    experiment._atomic_write(path, first)
+    assert len(calls) == 2 and calls[0] != calls[1]
+    with open(path) as fh:
+        assert fh.read() in (first, second)
+    assert os.listdir(tmp_path) == ["metrics.csv"]
+
+
+def test_failed_atomic_write_keeps_old_file_and_no_temp(tmp_path):
+    path = str(tmp_path / "events.jsonl")
+    experiment._atomic_write(path, "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        experiment._atomic_write(path, "new \ud800\n")
+    with open(path) as fh:
+        assert fh.read() == "old\n"
+    assert os.listdir(tmp_path) == ["events.jsonl"]
+
+
+def test_atomic_write_mode_follows_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        experiment._atomic_write(str(tmp_path / "a.csv"), "x\n")
+        with open(tmp_path / "b.csv", "w") as fh:
+            fh.write("x\n")
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "a.csv").st_mode == os.stat(tmp_path / "b.csv").st_mode
+
+
 def test_same_config_byte_identical_outputs(tmp_path):
     a = run_experiment(make_cfg(out_dir=tmp_path / "a"))
     b = run_experiment(make_cfg(out_dir=tmp_path / "b"))
@@ -301,6 +344,81 @@ def test_readme_demo_digests_pinned(tmp_path, baseline):
         with open(path, "rb") as fh:
             digests.append(hashlib.sha256(fh.read()).hexdigest())
     assert tuple(digests) == README_DEMO_DIGESTS[baseline]
+
+
+# sha256 of (metrics.csv, events.jsonl) for two selection paths the README
+# demo does not take, recorded before selection stopped scoring the pool for
+# candidates that lose on holdout accuracy; same numpy/BLAS caveat as above.
+# Edge scope: the demo with each device choosing among its own edge's clusters.
+DEMO_EDGE_SCOPE_DIGESTS = (
+    "b45a9490ef0a0f7781f223707135864a9a816caad06c693a1d21597c9168da12",
+    "8e1dea5fa993e1ab17590d7ab44e93f2c64e906ab4b01cfe8ddf5e011de5074f",
+)
+# Self-labeling: 2% labels give every device a 2-row holdout, so candidates
+# often tie on holdout accuracy, and it labels every 2 rounds.
+SELFLABEL_PIN = """
+[topology]
+edges = 4
+devices = 32
+
+[data]
+seed = 0
+distributions = 4
+classes = 6
+features = 16
+samples_per_device = 400
+labeled_fraction = 0.02
+separation = 3.0
+
+[model]
+epochs = 2
+
+[clustering]
+split_interval = 5
+
+[ssl]
+phi = 0.9
+label_interval = 2
+
+[network]
+deadline_policy = fixed
+deadline_s = 12
+
+[run]
+rounds = 20
+convergence_window = 21
+seed = 0
+"""
+SELFLABEL_PIN_DIGESTS = (
+    "45b26e85457ddf70edefe123192a7c9dd1aaeb658bf1d427563c78a38c36bbbe",
+    "7e1d94baca49f7c8fbebab907f7a9fa366a3b1dceed876d92e062423329df364",
+)
+
+
+def artifact_digests(res):
+    digests = []
+    for path in (res.metrics_path, res.events_path):
+        with open(path, "rb") as fh:
+            digests.append(hashlib.sha256(fh.read()).hexdigest())
+    return tuple(digests)
+
+
+def test_demo_edge_scope_digests_pinned(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        demo = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = override(parse_config(demo),
+                   {"run.out_dir": str(tmp_path), "ssl.candidate_scope": "edge"})
+    assert artifact_digests(run_experiment(cfg)) == DEMO_EDGE_SCOPE_DIGESTS
+
+
+def test_selflabel_digests_pinned(tmp_path):
+    cfg = override(parse_config(SELFLABEL_PIN), {"run.out_dir": str(tmp_path)})
+    res = run_experiment(cfg)
+    with open(res.events_path) as fh:
+        selections = [e for e in map(json.loads, fh) if e["type"] == "selection"]
+    assert sum(len(e["z"]) >= 5 for e in selections) >= 50
+    assert artifact_digests(res) == SELFLABEL_PIN_DIGESTS
 
 
 def test_infinite_estimate_is_written_as_string(tmp_path):

@@ -172,9 +172,12 @@ def test_selection_prefers_accuracy_over_coverage():
     good = trained_on(dev, u)
     bad = zero_params(3, 4)
     decision, scores, _ = select_best_model(dev, {5: bad, 9: good}, 0.25, 1e9, 20)
-    assert scores[9].val_accuracy > scores[5].val_accuracy
-    # The uniform model covers everything at phi=0.25 but loses on accuracy.
-    assert scores[5].coverage == 1.0
+    loser = utility(5, bad, dev, 0.25, 1e9, 20)
+    assert scores[9].val_accuracy > loser.val_accuracy
+    # The uniform model covers everything at phi=0.25 but loses on accuracy,
+    # so selection never scores it over the pool.
+    assert loser.coverage == 1.0
+    assert 5 not in scores
     assert decision.chosen_model_id == 9
     assert decision.z == {5: 0, 9: 1}
 

@@ -294,9 +294,13 @@ def check_selection(device, candidates, phi=0.6, f_hz=2e9, cycles=20.0):
         device, candidates, phi, f_hz, cycles, pool=feats
     )
     assert decision == want_decision
-    assert list(scores) == list(want_scores)
+    # Only the candidates tied at the best holdout accuracy can win; they
+    # alone are scored over the pool, in candidate order.
+    best = max(s.val_accuracy for s in want_scores.values())
+    assert list(scores) == [mid for mid, s in want_scores.items() if s.val_accuracy == best]
     for mid, want in want_scores.items():
-        assert scores[mid] == want
+        if mid in scores:
+            assert scores[mid] == want
         assert utility(mid, candidates[mid], device, phi, f_hz, cycles) == want
     # Without the pool handed in, selection reads it itself.
     assert select_best_model(device, candidates, phi, f_hz, cycles)[:2] == (decision, scores)
@@ -534,6 +538,11 @@ def test_selection_counts_confidence_equal_to_phi():
         check_selection(device, models, phi=phi)
     _, scores, _ = select_best_model(device, models, 0.5, 2e9, 20.0)
     assert scores[1].coverage == 1.0
+    # The swapped model loses on holdout accuracy, so selection never scores
+    # it over the pool; alone it covers the pool too.
+    loser = utility(2, models[2], device, 0.5, 2e9, 20.0)
+    assert loser.val_accuracy < scores[1].val_accuracy and loser.coverage == 1.0
+    assert 2 not in scores
 
 
 def test_selection_ties_on_identical_candidates():
@@ -568,3 +577,73 @@ def test_selection_with_empty_holdout_matches_reference():
     rng = np.random.default_rng(13)
     device = make_device(rng, 4, 3, n_holdout=0)
     check_selection(device, {k: random_model(rng, 4, 3, 7) for k in range(5)})
+
+
+# ---------------------------------------------------------------- selection fuzz
+
+
+def permute_classes(model: ModelParams, perm) -> ModelParams:
+    """The model with its output classes reordered by `perm`."""
+    *hidden_layer, w, b = _unpack(model)
+    flat = [v.ravel() for v in hidden_layer] + [w[:, perm].ravel(), b[perm]]
+    return ModelParams(np.concatenate(flat), model.dim_in, model.dim_out, model.hidden)
+
+
+def fuzz_case(rng, family, k):
+    """A device with a 1-4 row holdout and a pool of 0, 1, about 80 or about
+    600 rows, and k candidates under shuffled ids, drawn with repeats from
+    fewer distinct models, equal copies and class-permuted copies among
+    them; phi is sometimes a confidence that a candidate reaches."""
+    d, c = int(rng.integers(2, 7)), int(rng.choice([2, 3, 4, 6]))
+    hidden = FAMILIES[family]
+    n_holdout = int(rng.integers(1, 5))
+    n_pool = int(rng.choice([0, 1, rng.integers(70, 91), rng.integers(550, 651)]))
+    rounded = bool(rng.integers(2))
+    device = make_device(rng, d, c, n_labeled=n_holdout + 4, n_pool=n_pool,
+                         n_holdout=n_holdout, rounded=rounded)
+    distinct = [random_model(rng, d, c, hidden, scale=float(rng.choice([0.3, 1.0, 3.0])),
+                             rounded=rounded) for _ in range(int(rng.integers(1, k + 1)))]
+    models = []
+    for _ in range(k):
+        m = distinct[int(rng.integers(len(distinct)))]
+        kind = int(rng.integers(4))
+        if kind == 1:
+            m = ModelParams(m.weights.copy(), d, c, hidden)
+        elif kind == 2:
+            m = permute_classes(m, rng.permutation(c))
+        models.append(m)
+    ids = rng.choice(1000, size=k, replace=False).tolist()
+    candidates = dict(zip(ids, models))
+    _, pool = device.pending_features()
+    if n_pool and rng.integers(3) == 0:
+        _, conf = ref_confidences(models[int(rng.integers(k))], pool)
+        phi = float(conf[int(rng.integers(n_pool))])
+    else:
+        phi = float(rng.choice([0.0, 0.3, 0.6, 0.95, 1.0]))
+    return device, candidates, phi
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_selection_fuzz_scores_pool_only_for_best_accuracy(family):
+    rng = np.random.default_rng(90 + FAMILIES[family])
+    pruned = tied = 0
+    for k in range(1, 41):
+        for _ in range(4):
+            device, candidates, phi = fuzz_case(rng, family, k)
+            want_decision, want_scores = ref_select_best_model(device, candidates, phi, 2e9, 20.0)
+            _, feats = device.pending_features()
+            decision, scores, predictions = select_best_model(
+                device, candidates, phi, 2e9, 20.0, pool=feats
+            )
+            assert decision == want_decision
+            best = max(s.val_accuracy for s in want_scores.values())
+            contenders = [mid for mid, s in want_scores.items() if s.val_accuracy == best]
+            assert list(scores) == contenders
+            assert all(scores[mid] == want_scores[mid] for mid in contenders)
+            chosen = decision.chosen_model_id
+            assert_same_predictions(predictions, ref_confidences(candidates[chosen], feats))
+            pruned += len(contenders) < k
+            tied += len(contenders) > 1
+    # The fuzz must reach both paths: candidates left out of the pool pass,
+    # and contenders that tie on accuracy and are ranked by coverage.
+    assert pruned >= 100 and tied >= 100

@@ -364,6 +364,102 @@ def test_merge_requires_more_than_two_specialized():
     assert events_of(sim, "merge") == []
 
 
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def components_above(vectors: dict, gamma: float) -> list:
+    """Connected components, as sorted id lists, of the graph joining two
+    ids whose centered vectors have cosine above gamma; plain BFS."""
+    seen, groups = set(), []
+    for start in sorted(vectors):
+        if start in seen:
+            continue
+        seen.add(start)
+        group, frontier = [start], [start]
+        while frontier:
+            a = frontier.pop()
+            for b in sorted(vectors):
+                if b not in seen and cosine(vectors[a], vectors[b]) > gamma:
+                    seen.add(b)
+                    group.append(b)
+                    frontier.append(b)
+        groups.append(sorted(group))
+    return groups
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_merge_groups_are_similarity_components_across_edges(seed):
+    gamma = 0.6
+    rng = np.random.default_rng(seed)
+    sim = make_sim(n_devices=16, n_edges=4, dim=8, rounds=3, seed=23,
+                   clustering=ClusteringConfig(enabled=True, gamma_merge=gamma))
+    for k in range(16):
+        # Unequal sample weights: device k carries k injected labels.
+        sim.devices[k].injected_mask[:k] = True
+    leaves = []
+    for e in range(4):
+        leaves += sim.tree.split(sim.tree.root_of_edge(e).cluster_id,
+                                 ((4 * e, 4 * e + 1), (4 * e + 2, 4 * e + 3)))
+    base = sim.global_model.weights
+    size = base.size
+
+    def unit():
+        v = rng.normal(size=size)
+        return v / np.linalg.norm(v)
+
+    # A chain on three edges: each end is near the middle, the ends are not.
+    # The middle has the highest id, so a union-find that links ids rather
+    # than roots splits the chain.
+    ends = [leaves[2 * e + int(rng.integers(2))] for e in (0, 1)]
+    middle = leaves[4 + int(rng.integers(2))]
+    u, w = unit(), unit()
+    w -= np.dot(w, u) * u
+    offsets = {ends[0]: u, ends[1]: w, middle: u + w}
+    # Random models for the rest, with a near-copy of one of them.
+    rest = [c for c in leaves if c not in offsets]
+    for c in rest:
+        offsets[c] = 2.0 * unit()
+    offsets[rest[1]] = offsets[rest[0]] + 0.1 * unit()
+    for c, v in offsets.items():
+        sim.tree.node(c).model = sim.global_model.with_weights(base + v)
+    # Left out: a cluster born this round with a copy of a chain end's model,
+    # and one that coincides with the global model.
+    r = 4
+    newborn, flat_leaf = rest[-2], rest[-1]
+    sim.node_birth[newborn] = r
+    sim.tree.node(newborn).model = sim.tree.node(ends[0]).model
+    sim.tree.node(flat_leaf).model = sim.global_model.with_weights(base.copy())
+
+    compared = {c: offsets[c] for c in leaves if c not in (newborn, flat_leaf)}
+    want = [g for g in components_above(compared, gamma) if len(g) > 1]
+
+    def cos(a, b):
+        return cosine(offsets[a], offsets[b])
+
+    assert cos(ends[0], ends[1]) <= gamma < min(cos(e, middle) for e in ends)
+    assert any({*ends, middle} <= set(g) for g in want)
+    nodes = {c: sim.tree.node(c) for c in leaves}
+
+    sim._merge_check(r)
+    merges = events_of(sim, "merge")
+    assert sorted(m["clusters"] for m in merges) == want
+    for m in merges:
+        group = m["clusters"]
+        assert m["acted"]
+        merged = sim.tree.node(m["merged_into"])
+        assert merged.members == frozenset().union(*(nodes[c].members for c in group))
+        weights = [sum(sim.devices[k].labeled_size for k in nodes[c].members) for c in group]
+        want_model = edge_aggregate([nodes[c].model for c in group], weights)
+        assert np.array_equal(merged.model.weights, want_model.weights)
+        pairs = [(a, b) for a, b, _ in m["similarities"]]
+        assert sorted(pairs) == [(a, b) for i, a in enumerate(group) for b in group[i + 1:]]
+        for a, b, s in m["similarities"]:
+            assert s == pytest.approx(cos(a, b), rel=1e-12)
+    for c in (newborn, flat_leaf):
+        assert sim.tree.node(c).merged_into is None
+
+
 # ---------------------------------------------------------------- termination
 
 
