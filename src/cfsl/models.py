@@ -5,8 +5,9 @@ and a one-hidden-layer tanh network. Parameters travel as a single flat
 float64 vector so that averaging, cosine similarity, and upload-size
 accounting all operate on the same object.
 
-Stacked layout. ``sgd_train``, ``gradient``, ``evaluate`` and ``loss``
-take one batch or a list of K equal-length batches. K devices' features
+Stacked layout. ``gradient``, ``evaluate`` and ``loss`` take one batch or
+a list of K equal-length batches; ``sgd_train`` takes one batch or a list
+of K batches of any lengths (see "Ragged training"). K devices' features
 form one ``(K, b, d)`` array and their weights one ``(K, P)`` array, which
 ``_unpack`` views as ``(K, d, h)`` matrices and ``(K, 1, h)`` biases. Every
 step is written over the last two axes, so the same code runs a single
@@ -23,10 +24,22 @@ every device's weights, gradient, accuracy and loss are bit-equal to what
 it gets alone; ``tests/test_models_stacked.py`` checks this against a
 verbatim copy of the per-device loop.
 
+Ragged training. ``sgd_train`` also takes batches of unequal lengths and
+one start model per batch. It stacks the devices longest first, with all
+their rows in one table, and each device draws its epoch permutations from
+its own generator, as alone. At each step position, each run of adjacent
+devices whose minibatch has the same size (``batch_size`` or the device's
+remainder) takes one ``_grads`` step through ``_unpack`` views of its slice
+of the weight stack, so every matmul slice has the ``(m, d)`` shape it has
+alone and the argument above holds. ``gradient``, ``evaluate`` and ``loss``
+keep equal lengths: they multiply whole batches, and stacking unequal ones
+would pad or split rows, which can change the BLAS bits.
+
 Chunks. Callers stack at most ``STACK_CHUNK`` (16) devices at a time, because
 stacking copies each device's batches once more. On the 128-device MLP
 benchmark (fedavg-128), one stack of all 128 devices raised peak RSS from
-45 to 55 MiB; chunks of 16 keep it at 46.5 MiB for 8% less speed.
+45 to 55 MiB; chunks of 16 keep it at 46.5 MiB for 8% less speed. Training
+chunks devices in order of train size, so a chunk's lengths are close.
 
 Training data is passed in, not cached: ``DeviceDataset.train_batch`` builds
 each batch on demand (only its non-holdout index is kept), because caching
@@ -83,6 +96,7 @@ as ``argmax`` gives it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -310,7 +324,7 @@ def gradient(params: ModelParams, batch):
 
 
 def sgd_train(
-    params: ModelParams,
+    params,
     data,
     epochs: int,
     batch_size: int,
@@ -324,40 +338,59 @@ def sgd_train(
     Deterministic for a fixed seed.
 
     `data` is one LabeledBatch with one `seed`, giving one ModelParams, or
-    a list of K equal-length batches with a list of K seeds, giving K
-    models: each trained from `params` on its own batch and seed, with the
-    same bits as if it were trained alone.
+    a list of K nonempty batches of any lengths with a list of K seeds,
+    giving K models in input order. `params` is one start model for every
+    batch, or a list of K same-shape ones. Each model has the bits it gets
+    trained alone (see "Ragged training" in the module docstring).
     """
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
     if lr <= 0:
         raise ValueError("learning rate must be > 0")
-    x, y = _stack(params, data, "sgd_train")
-    single = y.ndim == 1
-    seeds = [seed] if single else list(seed)
-    n = y.shape[-1]
-    k = y.size // n
-    if len(seeds) != k:
-        raise ValueError(f"sgd_train got {k} batches but {len(seeds)} seeds")
+    single = isinstance(data, LabeledBatch)
+    batches, seeds = ([data], [seed]) if single else (list(data), list(seed))
+    first, starts = _models(params, "sgd_train")
+    k = len(batches)
+    # Longest first: the devices still training at a step are a prefix.
+    order = sorted(range(k), key=lambda i: -len(batches[i]))
+    lengths = [len(batches[i]) for i in order]
+    if not lengths or lengths[-1] == 0:
+        raise ValueError("sgd_train requires a nonempty batch")
+    if len(seeds) != k or (starts is not None and len(starts) != k):
+        raise ValueError(f"sgd_train got {k} batches, {len(seeds)} seeds and "
+                         f"{1 if starts is None else len(starts)} start models")
+    # Every batch's rows in one table, device by device.
+    x = np.concatenate([_check_features(first, batches[i].features) for i in order])
+    onehot = _onehot(first, np.concatenate([batches[i].labels for i in order]))
+    weights = np.tile(first.weights, (k, 1)) if starts is None else starts[order]
+    # (run of devices, minibatch columns, weight views) of every step.
+    steps = []
+    for start in range(0, lengths[0], batch_size):
+        lo = 0
+        for m, run in groupby(min(n - start, batch_size) for n in lengths if n > start):
+            hi = lo + len(list(run))
+            steps.append((lo, hi, start, start + m, _unpack(first, weights[lo:hi])))
+            lo = hi
     rngs = [_rng(s) for s in seeds]
-    # Every batch's rows in one table: row j of batch i is row i * n + j.
-    x = x.reshape(k * n, -1)
-    onehot = _onehot(params, y).reshape(k * n, -1)
-    offsets = np.arange(0, k * n, n)[:, None]
-    weights = np.tile(params.weights, (k, 1))
-    views = _unpack(params, weights)
+    # Each epoch, row j of `table_rows` holds device j's shuffled table rows
+    # in its first lengths[j] columns; `base` repeats each device's first
+    # table row once per sample.
+    table_rows = np.zeros((k, lengths[0]), dtype=np.intp)
+    filled = np.arange(lengths[0]) < np.array(lengths)[:, None]
+    base = np.repeat(np.cumsum([0, *lengths[:-1]]), lengths)
     for _ in range(epochs):
-        order = np.stack([rng.permutation(n) for rng in rngs]) + offsets
-        for start in range(0, n, batch_size):
-            rows = order[:, start : start + batch_size]
-            grads = _grads(params.hidden, views, x.take(rows, axis=0), onehot.take(rows, axis=0))
+        drawn = [rng.permutation(len(b)) for rng, b in zip(rngs, batches)]
+        table_rows[filled] = np.concatenate([drawn[i] for i in order]) + base
+        for lo, hi, start, stop, views in steps:
+            rows = table_rows[lo:hi, start:stop]
+            grads = _grads(first.hidden, views, x.take(rows, axis=0), onehot.take(rows, axis=0))
             for view, g in zip(views, grads):
                 view -= lr * g
     # A non-finite gradient makes the weights non-finite for good, so one
     # check at the end stands in for a check at every step.
     if not np.all(np.isfinite(weights)):
         raise ValueError("sgd_train produced non-finite weights")
-    out = [params.with_weights(w) for w in weights]
+    out = [first.with_weights(w) for w in weights[np.argsort(order)]]
     return out[0] if single else out
 
 

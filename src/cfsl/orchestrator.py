@@ -281,22 +281,31 @@ class Simulation:
         })
         return model
 
+    def _train(self, starts: dict, r: int) -> dict:
+        """{device: model}: each device of `starts` trained locally in round
+        r from its start model, stacked over chunks of devices in order of
+        train size, longest first (`sgd_train` takes ragged stacks)."""
+        tr = self.config.model
+        ids = sorted(starts, key=lambda k: -self.devices[k].train_size)
+        trained = {}
+        for i in range(0, len(ids), STACK_CHUNK):
+            chunk = ids[i : i + STACK_CHUNK]
+            trained.update(zip(chunk, sgd_train(
+                [starts[k] for k in chunk], [self.devices[k].train_batch() for k in chunk],
+                tr.epochs, tr.batch_size, tr.learning_rate,
+                [training_seed(self.config.run.seed, r, k) for k in chunk],
+            )))
+        return trained
+
     def _split_signals(self, node, members: list, r: int) -> dict:
         """{member: GradientUpdate} in the order of `members`: the gradient
         of the cluster's model, stacked over chunks of members with equal
         train sizes, or with `use_weight_deltas` each member's weight
         change from local training."""
         if self.config.clustering.use_weight_deltas:
-            tr = self.config.model
-            deltas = {}
-            for k in members:
-                batch = self.devices[k].train_batch()
-                after = sgd_train(
-                    node.model, batch, tr.epochs, tr.batch_size, tr.learning_rate,
-                    training_seed(self.config.run.seed, r, k),
-                )
-                deltas[k] = GradientUpdate(node.model.weights - after.weights, len(batch))
-            return deltas
+            after = self._train(dict.fromkeys(members, node.model), r)
+            return {k: GradientUpdate(node.model.weights - after[k].weights,
+                                      self.devices[k].train_size) for k in members}
         groups = defaultdict(list)
         for k in members:
             groups[self.devices[k].train_size].append(k)
@@ -351,21 +360,11 @@ class Simulation:
                 log.warning("edge %d: every scheduled device missed the deadline in round %d",
                             edge.edge_id, r)
 
-        # (2) local training from the cluster's current model, stacked over
-        # devices that share the start model and the train-set size
-        groups, starts = defaultdict(list), {}
-        for edge in self.edges:
-            for k in schedules[edge.edge_id].participating:
-                model_id, model = self._model_of(leaf_at_training[k])
-                starts[model_id] = model
-                groups[model_id, self.devices[k].train_size].append(k)
-        trained = {}
-        for (model_id, _), chunk in _chunks(groups):
-            trained.update(zip(chunk, sgd_train(
-                starts[model_id], [self.devices[k].train_batch() for k in chunk],
-                tr.epochs, tr.batch_size, tr.learning_rate,
-                [training_seed(self.config.run.seed, r, k) for k in chunk],
-            )))
+        # (2) local training from each device's cluster model
+        trained = self._train({
+            k: self._model_of(leaf_at_training[k])[1]
+            for edge in self.edges for k in schedules[edge.edge_id].participating
+        }, r)
 
         # (3) labeling phase
         if self.config.ssl.enabled:

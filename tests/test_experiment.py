@@ -20,6 +20,7 @@ from cfsl.experiment import (
     run_experiment,
     sweep,
 )
+from cfsl.labeling import inject, pseudo_label
 from cfsl.models import gradient, sgd_train
 from cfsl.network import dbm_to_watts, device_round_time
 from cfsl.seeding import sweep_seed, training_seed
@@ -141,14 +142,22 @@ def test_narrow_radio_ranges_bound_every_radio():
 
 
 def test_use_weight_deltas_makes_the_split_signal_the_weight_delta():
+    # Small minibatches, so that local training takes several steps.
+    text = BASE.replace("[model]\n", "[model]\nbatch_size = 4\n")
     deltas = build_simulation(parse_config(
-        BASE.replace("[clustering]\n", "[clustering]\nuse_weight_deltas = true\n")
+        text.replace("[clustering]\n", "[clustering]\nuse_weight_deltas = true\n")
     ))
-    plain = build_simulation(parse_config(BASE))
+    plain = build_simulation(parse_config(text))
     tr, seed, r = deltas.config.model, deltas.config.run.seed, 3
     for sim in (deltas, plain):
         node = sim.tree.root_of_edge(0)
         members = sorted(node.members)
+        # Pseudo-labels give the members different train sizes.
+        for k, count in zip(members, (0, 5, 2, 5)):
+            idx, feats = sim.devices[k].pending_features()
+            inject(sim.devices[k], pseudo_label(node.model, feats[:count], 0.0, device_id=k,
+                                                pool_indices=idx[:count]))
+        assert len({sim.devices[k].train_size for k in members}) == 3
         signals = sim._split_signals(node, members, r)
         assert list(signals) == members == [0, 1, 2, 3]
         for k in members:

@@ -232,6 +232,62 @@ def test_stacked_gradient_matches_per_batch_bit_for_bit(hidden, d, c, k):
         assert g.sample_count == want.sample_count == 37
 
 
+# (hidden, d, c): logistic and MLP at the default case shape, and the two
+# shapes whose BLAS results depend on the row count when the rows are split.
+SHAPES = [(0, 6, 5), (7, 6, 5), (0, 32, 10), (32, 20, 10)]
+LENGTH_SETS = ["equal", "distinct", "mixed"]
+
+
+def ragged_lengths(rng, k, kind, bs):
+    """k batch lengths drawn from 1, bs - 1, bs, bs + 1, 2 bs and random
+    lengths up to 5 bs: all equal, all distinct, or mixed."""
+    special = [1, bs - 1, bs, bs + 1, 2 * bs]
+    randoms = rng.permutation(np.arange(1, 5 * bs + 1)).tolist()
+    if kind == "equal":
+        return [(special + randoms[:1])[rng.integers(6)]] * k
+    if kind == "distinct":
+        pool = rng.permutation(special).tolist() + [n for n in randoms if n not in special]
+        return rng.permutation(pool[:k]).tolist()
+    return rng.choice(special + randoms[:2], size=k).tolist()
+
+
+def start_models(rng, k, d, c, hidden):
+    """k start models, some of them shared: k - k // 3 distinct ones."""
+    distinct = [ModelParams(rng.uniform(-0.5, 0.5, size=param_count(d, c, hidden)), d, c, hidden)
+                for _ in range(k - k // 3)]
+    return [distinct[i % len(distinct)] for i in rng.permutation(k)]
+
+
+@pytest.mark.parametrize("kind", LENGTH_SETS)
+@pytest.mark.parametrize("k", [1, 2, 5, 16, 17])
+@pytest.mark.parametrize("hidden,d,c", SHAPES)
+def test_ragged_sgd_matches_each_device_alone_bit_for_bit(hidden, d, c, k, kind):
+    bs = 8
+    for case in range(2):
+        rng = np.random.default_rng([case, hidden, d, k, LENGTH_SETS.index(kind)])
+        lengths = ragged_lengths(rng, k, kind, bs)
+        if kind != "mixed":
+            assert len(set(lengths)) == (1 if kind == "equal" else k)
+        starts = start_models(rng, k, d, c, hidden)
+        batches = [LabeledBatch(rng.normal(size=(n, d)), rng.integers(0, c, size=n))
+                   for n in lengths]
+        seeds = [np.random.SeedSequence([case, i]) for i in range(k)]
+        want = [ref_sgd_train(p, b, 2, bs, 0.3, s).weights
+                for p, b, s in zip(starts, batches, seeds)]
+        got = sgd_train(starts, batches, 2, bs, 0.3, seeds)
+        assert len(got) == k
+        assert all(np.array_equal(g.weights, w) for g, w in zip(got, want))
+        # Shuffling the input order changes no device's result.
+        perm = rng.permutation(k)
+        shuffled = sgd_train([starts[i] for i in perm], [batches[i] for i in perm], 2, bs, 0.3,
+                             [seeds[i] for i in perm])
+        assert all(np.array_equal(g.weights, want[i]) for i, g in zip(perm, shuffled))
+        # One start model shared by every batch.
+        shared = sgd_train(starts[0], batches, 2, bs, 0.3, seeds)
+        for batch, s, g in zip(batches, seeds, shared):
+            assert np.array_equal(g.weights, ref_sgd_train(starts[0], batch, 2, bs, 0.3, s).weights)
+
+
 def test_results_do_not_depend_on_how_batches_are_stacked():
     params, batches, seeds = make_case(3, 7, 17, 29)
     whole = sgd_train(params, batches, 2, 8, 0.2, seeds)
@@ -246,11 +302,16 @@ def test_results_do_not_depend_on_how_batches_are_stacked():
 def test_stacked_calls_reject_bad_input():
     params, batches, seeds = make_case(8, 0, 3, 12)
     short = LabeledBatch(batches[0].features[:11], batches[0].labels[:11])
+    empty = LabeledBatch(batches[0].features[:0], batches[0].labels[:0])
+    wide = ModelParams(np.zeros(param_count(7, 5)), 7, 5)
+    # Unequal lengths are valid for sgd_train only (see the ragged test).
     for call in (
-        lambda: sgd_train(params, [*batches[:2], short], 1, 4, 0.1, seeds),
         lambda: evaluate(params, [batches[0], short]),
         lambda: loss(params, [short, batches[1]]),
         lambda: sgd_train(params, batches, 1, 4, 0.1, seeds[:2]),
+        lambda: sgd_train([params, wide, params], batches, 1, 4, 0.1, seeds),
+        lambda: sgd_train([params, params], batches, 1, 4, 0.1, seeds),
+        lambda: sgd_train(params, [batches[0], empty, batches[2]], 1, 4, 0.1, seeds),
         lambda: sgd_train(params, [], 1, 4, 0.1, []),
         lambda: evaluate(params, []),
         lambda: gradient(params, [batches[0], short]),
@@ -310,13 +371,25 @@ seed = 4
 
 def test_simulation_does_not_depend_on_stack_chunk(monkeypatch):
     """Chunks of 1 (every device alone), 3 and the default give the same
-    run, through splits and injections that change the groups."""
-    runs = []
+    run, through splits and injections that give the devices different
+    start models and train sizes."""
+    runs, mixed = [], []
+    real_sgd_train = orchestrator.sgd_train
+
+    def recording_sgd_train(params, data, *args):
+        starts = {m.weights.tobytes() for m in params}
+        mixed.append(len(starts) > 1 and len({len(b) for b in data}) > 1)
+        return real_sgd_train(params, data, *args)
+
+    monkeypatch.setattr(orchestrator, "sgd_train", recording_sgd_train)
     for chunk in (1, 3, STACK_CHUNK):
         monkeypatch.setattr(orchestrator, "STACK_CHUNK", chunk)
+        mixed.clear()
         sim = build_simulation(parse_config(GROUPED))
         sim.run()
         runs.append(sim)
+        # At least one chunk mixes start models and train sizes.
+        assert any(mixed) == (chunk > 1)
     kinds = {e["type"] for e in runs[0].events}
     assert {"split", "injection"} <= kinds
     for sim in runs[1:]:
