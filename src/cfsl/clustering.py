@@ -24,17 +24,6 @@ def _as_vector(g) -> np.ndarray:
     return np.asarray(g, dtype=np.float64)
 
 
-def cosine_similarity(g1, g2) -> float:
-    """Cosine of the angle between two gradients (arrays or updates)."""
-    a, b = _as_vector(g1), _as_vector(g2)
-    if a.shape != b.shape:
-        raise ValueError(f"gradient shapes differ: {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        raise ValueError("cosine similarity undefined for zero-norm gradient")
-    return _cosine(a, b, na, nb)
-
-
 def _cosine(a: np.ndarray, b: np.ndarray, na, nb) -> float:
     """Cosine of two vectors whose nonzero norms are already known."""
     return float(np.dot(a, b) / (na * nb))

@@ -14,6 +14,7 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -142,10 +143,11 @@ def make_task_universe(
 class DeviceDataset:
     """One device's local data and pseudo-labeling state.
 
-    The labeled pool is immutable; pseudo-labeling only flips entries of
-    injected_mask and fills injected_labels, so the original pools stay
-    intact for accounting. hidden_truth and test exist for metrics only
-    and are never shown to training code.
+    The labeled pool is immutable. Pseudo-labeling only flips entries of
+    injected_mask and fills injected_labels, both read-only outside
+    `inject`, which keeps the injected positions in pool order and the
+    counts of injected labels with a known truth (`n_known`) and of those
+    matching it (`n_correct`). hidden_truth and test are for metrics only.
     """
 
     device_id: int
@@ -161,10 +163,6 @@ class DeviceDataset:
 
     def __post_init__(self):
         n_u = self.unlabeled_features.shape[0]
-        if self.injected_mask is None:
-            self.injected_mask = np.zeros(n_u, dtype=bool)
-        if self.injected_labels is None:
-            self.injected_labels = np.full(n_u, -1, dtype=np.int64)
         if self.hidden_truth.shape[0] != n_u:
             raise ValueError("hidden_truth must cover the unlabeled pool")
         wl = set(self.class_whitelist)
@@ -174,13 +172,38 @@ class DeviceDataset:
         # whitelisted.
         if n_u and not set(np.unique(self.hidden_truth)) - {-1} <= wl:
             raise ValueError(f"device {self.device_id}: hidden truth outside whitelist")
+        # A given mask (and its labels) is copied in through `inject`.
+        mask, labels = self.injected_mask, self.injected_labels
+        self.injected_mask = np.zeros(n_u, dtype=bool)
+        self.injected_labels = np.empty(n_u, dtype=np.int64)
+        self.injected_labels.fill(-1)  # faster than np.full for small pools
+        self.injected_mask.setflags(write=False)
+        self.injected_labels.setflags(write=False)
+        self._injected = np.empty(0, np.intp)
+        self.n_known = self.n_correct = 0
+        if mask is not None:
+            idx = np.flatnonzero(mask)
+            self.inject(idx, -1 if labels is None else np.asarray(labels)[idx])
 
-    # The three counts below use count_nonzero, which returns the exact
-    # integer; count / size is the same correctly rounded quotient as
-    # mask.mean().
+    def inject(self, indices, labels):
+        """Pseudo-label pool positions `indices` with `labels`. The positions must
+        be in range, unique and new; `labeling.inject` checks them."""
+        indices = np.asarray(indices, dtype=np.intp)
+        for array, values in ((self.injected_mask, True), (self.injected_labels, labels)):
+            array.setflags(write=True)
+            array[indices] = values
+            array.setflags(write=False)
+        self._injected = np.flatnonzero(self.injected_mask)
+        truth = self.hidden_truth[indices]
+        known = truth >= 0
+        self.n_known += int(np.count_nonzero(known))
+        self.n_correct += int(np.count_nonzero(known & (self.injected_labels[indices] == truth)))
+
+    # Exact integer counts: count / size is the same correctly rounded
+    # quotient as mask.mean().
     @property
     def n_injected(self) -> int:
-        return int(np.count_nonzero(self.injected_mask))
+        return self._injected.size
 
     @property
     def labeled_size(self) -> int:
@@ -211,16 +234,8 @@ class DeviceDataset:
         return len(self.keep) + self.n_injected
 
     def train_batch(self) -> LabeledBatch:
-        """Labeled samples outside the holdout, plus injected pseudo-labels."""
-        feats = self.labeled.features[self.keep]
-        labs = self.labeled.labels[self.keep]
-        if not self.n_injected:
-            return LabeledBatch(feats, labs)
-        idx = np.flatnonzero(self.injected_mask)
-        return LabeledBatch(
-            np.vstack([feats, self.unlabeled_features[idx]]),
-            np.concatenate([labs, self.injected_labels[idx]]),
-        )
+        """Labeled samples outside the holdout, then injected ones in pool order."""
+        return train_batches([self])[0]
 
     def holdout_batch(self) -> LabeledBatch:
         return self.labeled.subset(self.holdout_indices)
@@ -229,6 +244,21 @@ class DeviceDataset:
         """(pool indices, features) of unlabeled samples not yet injected."""
         idx = np.flatnonzero(~self.injected_mask)
         return idx, self.unlabeled_features[idx]
+
+
+def train_batches(devices: list) -> list:
+    """Each device's `train_batch`, in order, as row slices of one table."""
+    rows = [0, *accumulate(d.train_size for d in devices)]
+    features = np.empty((rows[-1], devices[0].labeled.features.shape[1]))
+    labels = np.empty(rows[-1], dtype=np.int64)
+    for dev, lo, hi in zip(devices, rows, rows[1:]):
+        mid = lo + len(dev.keep)
+        # Every index is in range, so "clip" only skips take's buffering.
+        dev.labeled.features.take(dev.keep, axis=0, out=features[lo:mid], mode="clip")
+        dev.unlabeled_features.take(dev._injected, axis=0, out=features[mid:hi], mode="clip")
+        dev.labeled.labels.take(dev.keep, out=labels[lo:mid], mode="clip")
+        dev.injected_labels.take(dev._injected, out=labels[mid:hi], mode="clip")
+    return [LabeledBatch(features[lo:hi], labels[lo:hi]) for lo, hi in zip(rows, rows[1:])]
 
 
 def labeled_split(

@@ -182,14 +182,8 @@ def utility(
     f_hz: float,
     inference_cycles_per_sample: float,
 ) -> UtilityScore:
-    """Score a candidate on never-trained holdout accuracy plus how much
-    of the remaining unlabeled pool it would label at threshold phi.
-
-    Estimated labeling latency is the single inference pass over the
-    remaining pool on this device's CPU; it depends on the device, not
-    the model, so it is the same for every candidate of one selection.
-    An empty holdout falls back to the full labeled set, with a warning.
-    """
+    """One candidate's score as `select_best_model` computes it: holdout
+    accuracy, and coverage of the remaining pool at threshold phi."""
     scores, _ = _score_candidates(
         device, {model_id: model}, phi, f_hz, inference_cycles_per_sample, None
     )
@@ -252,8 +246,7 @@ def inject(device: DeviceDataset, batch: PseudoLabelBatch) -> int:
         raise StateError(
             f"device {device.device_id}: samples {sorted(already.tolist())} already injected"
         )
-    device.injected_mask[idx] = True
-    device.injected_labels[idx] = batch.labels
+    device.inject(idx, batch.labels)
     return len(batch)
 
 
@@ -261,13 +254,10 @@ def labeling_accuracy(device: DeviceDataset):
     """Fraction of injected labels matching hidden truth; None before any
     injection or when the truth is unknown (the metric is undefined, not
     zero)."""
-    if device.n_injected == 0:
+    if device.n_known == 0:
         return None
-    idx = np.flatnonzero(device.injected_mask)
-    idx = idx[device.hidden_truth[idx] >= 0]
-    if idx.size == 0:
-        return None
-    return float((device.injected_labels[idx] == device.hidden_truth[idx]).mean())
+    # Exact counts: the correctly rounded quotient, as the bool mean gives.
+    return device.n_correct / device.n_known
 
 
 def objective_value(device_losses: dict, selections: dict, utilities: dict, lam: float) -> float:

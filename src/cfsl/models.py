@@ -5,98 +5,66 @@ and a one-hidden-layer tanh network. Parameters travel as a single flat
 float64 vector so that averaging, cosine similarity, and upload-size
 accounting all operate on the same object.
 
-Stacked layout. ``gradient``, ``evaluate`` and ``loss`` take one batch or
-a list of K equal-length batches; ``sgd_train`` takes one batch or a list
-of K batches of any lengths (see "Ragged training"). K devices' features
-form one ``(K, b, d)`` array and their weights one ``(K, P)`` array, which
-``_unpack`` views as ``(K, d, h)`` matrices and ``(K, 1, h)`` biases. Every
-step is written over the last two axes, so the same code runs a single
-device (trained as K = 1, scored on 2-D arrays) and a stack of them. A
-stacked ``gradient`` (the split checks take one per cluster member) is one
-``_grads`` pass over the ``(K, b, d)`` batch against the one model, as
-``evaluate`` and ``loss`` score a stack.
+Ragged stacks. ``sgd_train``, ``gradient``, ``evaluate`` and ``loss`` take
+one model or a list of K same-shape models, and one batch or a list of K
+nonempty batches of any lengths. Each (model, batch) pair gets the bits it
+gets alone; ``tests/test_models_stacked.py`` checks this against a verbatim
+copy of the per-device code. A matmul's BLAS result can depend on its row
+count (splitting the rows changed bits for d=32, c=10 and for d=20, h=32,
+c=10), so every matmul runs on one batch's own ``(n, d)`` rows, alone or as
+a slice of a stacked operand, which numpy runs through the same BLAS call
+with the same strides. The rest works within one sample (softmax, log, the
+pick) or one batch (means, ``x.T @ delta``, column sums), so it may run
+over all pairs at once. Scoring writes every pair's logits into one
+class-major ``(c, N)`` table for one softmax (see "Class-major softmax")
+and takes each pair's loss, accuracy or gradient from its own columns.
+``evaluate`` of K models on one batch (a selection's holdout) is one
+broadcast matmul with the row-wise softmax, faster on so few rows.
+Training keeps the row-wise softmax too, faster on small minibatches (one
+core, a one-row batch, d=32, c=4: 33 against 47 us class-major per
+gradient). Each device draws its epoch permutations from its own
+generator, as alone; at each step position, each run of devices whose
+minibatch has the same size takes one ``_grads`` step through views of its
+slice of the ``(K, P)`` weights.
 
-Why the bits match. numpy's ``matmul`` runs each 2-D slice of a stacked
-operand through the same BLAS call, with the same inner strides, as it
-would a 2-D operand of that shape. Softmax, tanh and the updates are
-elementwise; the reductions run along the same axes in the same order. So
-every device's weights, gradient, accuracy and loss are bit-equal to what
-it gets alone; ``tests/test_models_stacked.py`` checks this against a
-verbatim copy of the per-device loop.
+Callers stack at most ``STACK_CHUNK`` (16) devices at a time, because
+stacking copies each device's rows once more: on fedavg-128 (128 MLP
+devices), one stack of all of them raised peak RSS from 45 to 55 MiB, and
+chunks of 16 keep it at 46.5 MiB for 8% less speed. Train batches are
+gathered per chunk (``data.train_batches``), not cached: caching copies
+every injected row for the life of the run.
 
-Ragged training. ``sgd_train`` also takes batches of unequal lengths and
-one start model per batch. It stacks the devices longest first, with all
-their rows in one table, and each device draws its epoch permutations from
-its own generator, as alone. At each step position, each run of adjacent
-devices whose minibatch has the same size (``batch_size`` or the device's
-remainder) takes one ``_grads`` step through ``_unpack`` views of its slice
-of the weight stack, so every matmul slice has the ``(m, d)`` shape it has
-alone and the argument above holds. ``gradient``, ``evaluate`` and ``loss``
-keep equal lengths: they multiply whole batches, and stacking unequal ones
-would pad or split rows, which can change the BLAS bits.
+Class-major softmax. The ``(n, c)`` logits are transposed to ``(c, n)``, so
+that each softmax step is a few long vector operations instead of n
+reductions over c values. The max, the subtraction, ``exp``, ``log`` (the
+same contiguous kernels) and the division are exact or elementwise, which
+leaves the sum. numpy sums a contiguous row of c values pairwise: below 8
+values from left to right; up to 128 into eight accumulators
+``r[j] = a[j] + a[j+8] + ...`` over the whole blocks of 8, combined as
+``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the leftover values from left
+to right; above 128 it splits at half the count, rounded down to a multiple
+of 8, and adds the two halves' sums. ``_pairwise_sum`` adds the class rows
+in that order, so every class count gets the row-wise bits. The predicted
+class is the first index of the highest probability (logits that differ may
+round to equal probabilities), found without ``argmax`` along the class
+axis, which copies the table transposed (9 ms against 1 ms at K=38, c=6,
+n=5,000): the first class whose probability is not below the sample's
+highest. A NaN sample (from NaN weights) has every class "not below" its
+NaN maximum, so it gets class 0, as ``argmax`` gives it.
+``tests/test_labeling_oracle.py`` checks this against the row-wise code.
 
-Chunks. Callers stack at most ``STACK_CHUNK`` (16) devices at a time, because
-stacking copies each device's batches once more. On the 128-device MLP
-benchmark (fedavg-128), one stack of all 128 devices raised peak RSS from
-45 to 55 MiB; chunks of 16 keep it at 46.5 MiB for 8% less speed. Training
-chunks devices in order of train size, so a chunk's lengths are close.
-
-Training data is passed in, not cached: ``DeviceDataset.train_batch`` builds
-each batch on demand (only its non-holdout index is kept), because caching
-the batches copies every injected pseudo-label row for the life of the run.
-
-``evaluate`` also takes a list of K same-shape models and one batch: the
-batch's ``(b, d)`` features meet the models' ``(K, d, c)`` weights in one
-broadcast matmul, and by the same argument each model's accuracy is
-bit-equal to what it gets scored alone.
-
-Class-major confidences. ``confidences`` runs the pool through the model
-row-major, as ``forward`` does, then transposes the ``(n, c)`` logits to
-``(c, n)`` so that each softmax step is a few long vector operations
-instead of n reductions over c values. The bits match the row-wise
-softmax: the max, the subtraction, ``exp`` (the same contiguous kernel)
-and the division are exact or elementwise, which leaves the sum. numpy
-sums one contiguous row of c values pairwise: below 8 values from left to
-right; up to 128 into eight accumulators ``r[j] = a[j] + a[j+8] + ...``
-over the whole blocks of 8, combined as
-``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the leftover values from
-left to right; above 128 it splits at half the count, rounded down to a
-multiple of 8, and adds the two halves' sums. ``_pairwise_sum`` adds the
-class rows in that order, so every class count gets the row-wise bits (a
-plain ``sum(axis=0)`` matches only below 8 classes). The class is the
-first index of the highest probability, not of the highest logit, as
-``argmax`` of the row-wise probabilities picks it: logits that differ may
-round to equal probabilities. ``tests/test_labeling_oracle.py`` checks all
-of this against a verbatim copy of the row-wise code.
-
-Stacked candidates. ``confidences`` also takes a list of K same-shape
-models and one pool, giving (K, n) classes and confidences; a selection
-scores all its contenders in one call. Row k has the bits model k gets
-alone. The pool's ``(n, d)`` features meet the ``(K, d, c)`` weights (and
-the tanh network's ``(K, d, h)`` hidden weights) in one broadcast matmul
-over the whole pool, so each model's slice runs through the same BLAS call
-as one model does. The matmuls are never split by rows: the BLAS result
-can depend on the row count (splitting the rows changed bits for d=32,
-c=10 and for d=20, h=32, c=10). Only the softmax after them is blocked,
-over samples: a block is ``(c, K, b)``, class-major across all models, in
-even blocks of at most ``SOFTMAX_BLOCK`` values. Each step in a block is
-elementwise or works on one sample's c values, so blocks change no bit.
-The block size was measured on one core (numpy 2.4.6, OpenBLAS, logistic,
-d=16): unblocked, K=12, c=6, n=5,000 took 6.8 ms against 4.7 ms for one
-call per model, and blocks of 32,768 values (256 KiB) took 3.0 ms; blocks
-of 8,192 values were 1.6-1.7x slower than 32,768 at K=38, c=33; 131,072
-was no faster. The tie rule is the one-model rule, found without
-``argmax`` along the class axis (which copies the block transposed, 9 ms
-against 1 ms at K=38, c=6, n=5,000): among the classes whose probability
-is not below the sample's highest, the first one. A NaN sample (from NaN
-weights) has every class "not below" its NaN maximum, so it gets class 0,
-as ``argmax`` gives it.
+``confidences`` of K models on one pool is one broadcast matmul, then the
+softmax in blocks of ``(c, K, b)`` samples of at most ``SOFTMAX_BLOCK``
+values. On one core (numpy 2.4.6, OpenBLAS, logistic, d=16), unblocked,
+K=12, c=6, n=5,000 took 6.8 ms against 4.7 ms for one call per model, and
+3.0 ms in blocks of 32,768 values (256 KiB); blocks of 8,192 values were
+1.6-1.7x slower at K=38, c=33, and 131,072 were no faster.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import groupby
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -190,10 +158,6 @@ def init_params(
     return ModelParams(w, dim_in, dim_out, hidden)
 
 
-def zero_params(dim_in: int, dim_out: int, hidden: int = 0) -> ModelParams:
-    return ModelParams(np.zeros(param_count(dim_in, dim_out, hidden)), dim_in, dim_out, hidden)
-
-
 def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -237,25 +201,37 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _onehot(p: ModelParams, labels: np.ndarray) -> np.ndarray:
-    """(..., n, dim_out) float one-hot rows of integer class labels."""
+def _check_labels(p: ModelParams, labels: np.ndarray) -> np.ndarray:
     if labels.min() < 0 or labels.max() >= p.dim_out:
         raise ValueError(f"class labels must lie in [0, {p.dim_out})")
+    return labels
+
+
+def _onehot(p: ModelParams, labels: np.ndarray) -> np.ndarray:
+    """(..., n, dim_out) float one-hot rows of integer class labels."""
+    _check_labels(p, labels)
     return (labels[..., None] == np.arange(p.dim_out)).astype(np.float64)
 
 
 def _grads(hidden: int, views, x: np.ndarray, onehot: np.ndarray) -> tuple:
     """Per-view gradients of the mean cross-entropy, shaped like `views`,
-    for a (b, d) batch or a (K, b, d) stack of batches. Subtracting the
-    0.0/1.0 one-hot rows gives the bits of subtracting 1.0 at each label."""
+    for a (K, b, d) stack of minibatches, with the row-wise softmax.
+    Subtracting the 0.0/1.0 one-hot rows gives the bits of subtracting 1.0
+    at each label."""
     z, h = _logits(hidden, views, x)
     delta = _softmax(z) - onehot
     delta /= onehot.shape[-2]
+    return _backward(hidden, views, x, h, delta)
+
+
+def _backward(hidden: int, views, x: np.ndarray, h, delta: np.ndarray) -> tuple:
+    """Per-view gradients, shaped like `views`, of a (K, b, d) stack from
+    `delta`, the gradient of the mean cross-entropy with respect to the
+    logits, and the hidden activations `h`."""
     xt = x.swapaxes(-1, -2)
     if hidden == 0:
         return xt @ delta, delta.sum(axis=-2, keepdims=True)
-    w2 = views[2]
-    dh = (delta @ w2.swapaxes(-1, -2)) * (1.0 - h * h)
+    dh = (delta @ views[2].swapaxes(-1, -2)) * (1.0 - h * h)
     return (
         xt @ dh,
         dh.sum(axis=-2, keepdims=True),
@@ -273,20 +249,59 @@ def _check_features(p: ModelParams, features: np.ndarray):
     return features
 
 
-def _stack(p: ModelParams, batches, caller: str):
-    """Features and labels of one nonempty batch, (n, d) and (n,), or of a
-    list of K equal-length nonempty batches, (K, n, d) and (K, n)."""
-    if isinstance(batches, LabeledBatch):
-        if len(batches) == 0:
-            raise ValueError(f"{caller} requires a nonempty batch")
-        return _check_features(p, batches.features), batches.labels
-    lengths = sorted({len(b) for b in batches})
-    if not lengths or lengths[0] == 0:
+def _logit_table(params, batch, caller: str):
+    """Every (model, batch) pair's logits in one class-major (c, N) table;
+    one model or one batch meets every item of the other list. Adjacent
+    pairs with one model and one batch length share a stacked matmul.
+    Returns (first model, table, labels (N,), rows, runs, single): pair i
+    has columns rows[i]:rows[i + 1], a run is (weight views, features
+    (r, n, d), hidden activations, its first pair), and `single` is true
+    when one model met one batch."""
+    first, weights = _models(params, caller)
+    models = [first] if weights is None else list(params)
+    batches = [batch] if isinstance(batch, LabeledBatch) else list(batch)
+    if not batches or min(map(len, batches)) == 0:
         raise ValueError(f"{caller} requires a nonempty batch")
-    if len(lengths) > 1:
-        raise ValueError(f"{caller} requires equal-length batches, got lengths {lengths}")
-    x = np.stack([_check_features(p, b.features) for b in batches])
-    return x, np.stack([b.labels for b in batches])
+    k = max(len(models), len(batches))
+    if {len(models), len(batches)} - {1, k}:
+        raise ValueError(f"{caller} got {len(models)} models for {len(batches)} batches")
+    models *= k // len(models)
+    batches *= k // len(batches)
+    rows = [0, *accumulate(map(len, batches))]
+    table = np.empty((first.dim_out, rows[-1]))
+    runs = []
+    for _, run in groupby(range(k), key=lambda i: (id(models[i]), len(batches[i]))):
+        i, *rest = run
+        x = [_check_features(first, batches[j].features) for j in (i, *rest)]
+        x = np.stack(x) if rest else x[0][None]
+        views = _unpack(models[i])
+        z, h = _logits(first.hidden, views, x)
+        table[:, rows[i] : rows[i + len(x)]] = z.reshape(-1, first.dim_out).T
+        runs.append((views, x, h, i))
+    labels = _check_labels(first, np.concatenate([b.labels for b in batches]))
+    single = isinstance(params, ModelParams) and isinstance(batch, LabeledBatch)
+    return first, table, labels, rows, runs, single
+
+
+def _softmax_columns(table: np.ndarray) -> np.ndarray:
+    """The softmax of every column of class-major (c, ...) logits, in place,
+    with the row-wise softmax's bits (see "Class-major softmax")."""
+    table -= table.max(axis=0)
+    np.exp(table, out=table)
+    table /= _pairwise_sum(table)
+    return table
+
+
+def _top_class(probs: np.ndarray):
+    """(class, probability) of the first highest probability in each column
+    of class-major (c, ...) probabilities, NaN to class 0, as `argmax`."""
+    c = probs.shape[0]
+    top = probs.max(axis=0)
+    at_top = np.less(probs, top)
+    np.logical_not(at_top, out=at_top)
+    # The first class not below the highest: the largest rank c - j.
+    rank = np.arange(c, 0, -1, dtype=np.min_scalar_type(c)).reshape(c, *[1] * (probs.ndim - 1))
+    return c - (at_top.view(np.uint8) * rank).max(axis=0), top
 
 
 def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -298,29 +313,38 @@ def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return _softmax(z)
 
 
-def loss(params: ModelParams, batch):
+def loss(params, batch):
     """Mean cross-entropy over the batch (log-softmax form for accuracy).
 
-    `batch` is one LabeledBatch, giving a float, or a list of equal-length
-    batches, giving one float per batch."""
-    x, y = _stack(params, batch, "loss")
-    z, _ = _logits(params.hidden, _unpack(params), x)
-    z = z - z.max(axis=-1, keepdims=True)
-    log_probs = (z - np.log(np.exp(z).sum(axis=-1, keepdims=True))).reshape(-1, z.shape[-1])
-    picked = log_probs[np.arange(log_probs.shape[0]), y.ravel()].reshape(y.shape)
-    return (-picked.mean(axis=-1)).tolist()
+    One model and one LabeledBatch give a float; a list of either gives one
+    float per (model, batch) pair (see "Ragged stacks")."""
+    _, z, y, rows, _, single = _logit_table(params, batch, "loss")
+    z -= z.max(axis=0)
+    picked = z[y, np.arange(y.size)] - np.log(_pairwise_sum(np.exp(z)))
+    # Each pair's mean as `mean` takes it: its slice's pairwise sum over n.
+    out = [float(-(np.add.reduce(picked[lo:hi]) / (hi - lo))) for lo, hi in zip(rows, rows[1:])]
+    return out[0] if single else out
 
 
-def gradient(params: ModelParams, batch):
+def gradient(params, batch):
     """Exact analytic gradient of loss() at params.
 
-    `batch` is one LabeledBatch, giving one GradientUpdate, or a list of
-    equal-length batches, giving one GradientUpdate per batch."""
-    x, y = _stack(params, batch, "gradient")
-    grads = _grads(params.hidden, _unpack(params), x, _onehot(params, y))
-    *lead, n = y.shape
-    flat = np.concatenate([g.reshape(*lead, -1) for g in grads], axis=-1)
-    return [GradientUpdate(g, n) for g in flat] if lead else GradientUpdate(flat, n)
+    One model and one LabeledBatch give one GradientUpdate; a list of
+    either gives one per (model, batch) pair (see "Ragged stacks")."""
+    first, z, y, rows, runs, single = _logit_table(params, batch, "gradient")
+    delta = _softmax_columns(z)
+    delta[y, np.arange(y.size)] -= 1.0
+    # Row-major again, as each batch's backward matmuls take it alone.
+    delta = delta.T.copy()
+    out = []
+    for views, x, h, i in runs:
+        r, n = x.shape[:2]
+        d = delta[rows[i] : rows[i + r]].reshape(r, n, -1)
+        d /= n
+        grads = _backward(first.hidden, views, x, h, d)
+        flat = np.concatenate([g.reshape(r, -1) for g in grads], axis=-1)
+        out += [GradientUpdate(f, n) for f in flat]
+    return out[0] if single else out
 
 
 def sgd_train(
@@ -341,7 +365,7 @@ def sgd_train(
     a list of K nonempty batches of any lengths with a list of K seeds,
     giving K models in input order. `params` is one start model for every
     batch, or a list of K same-shape ones. Each model has the bits it gets
-    trained alone (see "Ragged training" in the module docstring).
+    trained alone (see "Ragged stacks" in the module docstring).
     """
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
@@ -411,15 +435,21 @@ def _models(params, caller: str):
 def evaluate(params, batch):
     """Fraction of argmax predictions matching labels (ties -> lowest class id).
 
-    `batch` is one LabeledBatch, giving a float, or a list of equal-length
-    batches, giving one float per batch. `params` is one model, or a list
-    of K same-shape models scored on one batch, giving one float per
-    model."""
-    first, weights = _models(params, "evaluate")
-    x, y = _stack(first, batch, "evaluate")
-    z, _ = _logits(first.hidden, _unpack(first, weights), x)
-    preds = _softmax(z).argmax(axis=-1)
-    return (preds == y).mean(axis=-1).tolist()
+    One model and one LabeledBatch give a float; a list of either gives one
+    float per (model, batch) pair (see "Ragged stacks")."""
+    if isinstance(batch, LabeledBatch) and not isinstance(params, ModelParams):
+        # A selection's K candidates on one holdout (see "Ragged stacks").
+        first, weights = _models(params, "evaluate")
+        if len(batch) == 0:
+            raise ValueError("evaluate requires a nonempty batch")
+        x = _check_features(first, batch.features)
+        z, _ = _logits(first.hidden, _unpack(first, weights), x)
+        return (_softmax(z).argmax(axis=-1) == batch.labels).mean(axis=-1).tolist()
+    _, z, y, rows, _, single = _logit_table(params, batch, "evaluate")
+    hits = _top_class(_softmax_columns(z))[0] == y
+    # Exact counts: count / n is rounded once, as the mean of the bools is.
+    out = (np.add.reduceat(hits, rows[:-1], dtype=np.intp) / np.diff(rows)).tolist()
+    return out[0] if single else out
 
 
 def _pairwise_sum(a: np.ndarray) -> np.ndarray:
@@ -455,8 +485,6 @@ def confidences(params, features: np.ndarray):
     conf = np.empty(lead + (n,))
     if n == 0:
         return classes, conf
-    # The matmuls run over the whole pool: BLAS bits can depend on the
-    # row count.
     if hidden_layer:
         w1, b1 = hidden_layer
         features = features @ w1
@@ -465,20 +493,12 @@ def confidences(params, features: np.ndarray):
     logits = features @ w
     class_major = (len(lead) + 1, *range(len(lead) + 1))
     bias = b.reshape(*lead, 1, c).transpose(class_major)
-    # A sample's class is the first one whose probability is not below its
-    # highest: the largest rank c - j over those classes j.
-    rank = np.arange(c, 0, -1, dtype=np.min_scalar_type(c)).reshape(c, *[1] * len(lead), 1)
     # Class-major softmax, (c, n) or (c, K, n), in even blocks of samples.
     blocks = -(-logits.size // SOFTMAX_BLOCK)
     step = -(-n // blocks)
     for lo in range(0, n, step):
         probs = logits[..., lo : lo + step, :].transpose(class_major).copy()
         probs += bias
-        probs -= probs.max(axis=0)
-        np.exp(probs, out=probs)
-        probs /= _pairwise_sum(probs)
-        top = conf[..., lo : lo + step] = probs.max(axis=0)
-        at_top = np.less(probs, top)
-        np.logical_not(at_top, out=at_top)
-        classes[..., lo : lo + step] = c - (at_top.view(np.uint8) * rank).max(axis=0)
+        classes[..., lo : lo + step], conf[..., lo : lo + step] = _top_class(
+            _softmax_columns(probs))
     return classes, conf

@@ -29,6 +29,7 @@ from .clustering import (
     similarity_matrix,
 )
 from .config import ExperimentConfig
+from .data import train_batches
 from .errors import StateError
 from .labeling import (
     inject,
@@ -131,13 +132,6 @@ def jsonable(obj):
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
     return obj
-
-
-def _chunks(groups: dict):
-    """(group key, up to STACK_CHUNK of its device ids) for every group."""
-    for key, ids in groups.items():
-        for i in range(0, len(ids), STACK_CHUNK):
-            yield key, ids[i : i + STACK_CHUNK]
 
 
 class Simulation:
@@ -291,7 +285,7 @@ class Simulation:
         for i in range(0, len(ids), STACK_CHUNK):
             chunk = ids[i : i + STACK_CHUNK]
             trained.update(zip(chunk, sgd_train(
-                [starts[k] for k in chunk], [self.devices[k].train_batch() for k in chunk],
+                [starts[k] for k in chunk], train_batches([self.devices[k] for k in chunk]),
                 tr.epochs, tr.batch_size, tr.learning_rate,
                 [training_seed(self.config.run.seed, r, k) for k in chunk],
             )))
@@ -299,22 +293,19 @@ class Simulation:
 
     def _split_signals(self, node, members: list, r: int) -> dict:
         """{member: GradientUpdate} in the order of `members`: the gradient
-        of the cluster's model, stacked over chunks of members with equal
-        train sizes, or with `use_weight_deltas` each member's weight
-        change from local training."""
+        of the cluster's model, one stacked call per chunk of members, or
+        with `use_weight_deltas` each member's weight change from local
+        training."""
         if self.config.clustering.use_weight_deltas:
             after = self._train(dict.fromkeys(members, node.model), r)
             return {k: GradientUpdate(node.model.weights - after[k].weights,
                                       self.devices[k].train_size) for k in members}
-        groups = defaultdict(list)
-        for k in members:
-            groups[self.devices[k].train_size].append(k)
         grads = {}
-        for _, chunk in _chunks(groups):
-            grads.update(zip(chunk, gradient(
-                node.model, [self.devices[k].train_batch() for k in chunk]
-            )))
-        return {k: grads[k] for k in members}
+        for i in range(0, len(members), STACK_CHUNK):
+            chunk = members[i : i + STACK_CHUNK]
+            batches = train_batches([self.devices[k] for k in chunk])
+            grads.update(zip(chunk, gradient(node.model, batches)))
+        return grads
 
     # ------------------------------------------------------------ round
 
@@ -574,27 +565,15 @@ class Simulation:
             self._event(event)
 
     def _emit_metrics(self, r: int, duration: float, drops: int, clusters: int) -> MetricsRow:
-        # One stacked pass per chunk of devices that share the model and the
-        # batch length: the test set's for accuracy, the train set's for
-        # loss. The values go back into device order, so the means below
-        # sum them in the same order as before.
-        models, by_test, by_train = {}, defaultdict(list), defaultdict(list)
-        for dev in self.devices:
-            model_id, model = self._model_of(self.tree.cluster_of(dev.device_id))
-            models[model_id] = model
-            by_test[model_id, len(dev.test)].append(dev.device_id)
-            by_train[model_id, dev.train_size].append(dev.device_id)
-        acc_of, loss_of = {}, {}
-        for (model_id, _), chunk in _chunks(by_test):
-            acc_of.update(zip(chunk, evaluate(
-                models[model_id], [self.devices[k].test for k in chunk]
-            )))
-        for (model_id, _), chunk in _chunks(by_train):
-            loss_of.update(zip(chunk, loss(
-                models[model_id], [self.devices[k].train_batch() for k in chunk]
-            )))
-        accs = [acc_of[dev.device_id] for dev in self.devices]
-        device_losses = {dev.device_id: loss_of[dev.device_id] for dev in self.devices}
+        # Test accuracy and train loss, one stacked call each per chunk of
+        # devices in device order, each device under its own model.
+        accs, losses = [], []
+        for i in range(0, len(self.devices), STACK_CHUNK):
+            chunk = self.devices[i : i + STACK_CHUNK]
+            models = [self._model_of(self.tree.cluster_of(d.device_id))[1] for d in chunk]
+            accs += evaluate(models, [d.test for d in chunk])
+            losses += loss(models, train_batches(chunk))
+        device_losses = dict(zip((d.device_id for d in self.devices), losses))
 
         for node in self.tree.active_leaves():
             vals = [device_losses[k] for k in node.members]

@@ -19,14 +19,6 @@ TRAIN_STREAM = 4
 FADING_STREAM = 5
 
 
-def data_seed(seed: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([seed, DATA_STREAM])
-
-
-def radio_seed(seed: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([seed, RADIO_STREAM])
-
-
 def init_seed(seed: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([seed, INIT_STREAM])
 

@@ -11,11 +11,11 @@ from cfsl.clustering import (
     SimilarityMatrix,
     bipartition,
     check_split_conditions,
-    cosine_similarity,
     similarity_matrix,
 )
 from cfsl.errors import StateError
-from cfsl.models import GradientUpdate, zero_params
+from cfsl.models import GradientUpdate
+from references import cosine_similarity, zero_params
 
 
 def grad(vec):

@@ -8,6 +8,7 @@ from cfsl.data import (
     load_csv_dataset,
     make_task_universe,
     partition_devices,
+    train_batches,
 )
 from cfsl.models import LabeledBatch
 
@@ -169,9 +170,7 @@ def test_holdout_and_train_batch_partition_labeled_pool():
 def test_train_batch_includes_injections_in_pool_order():
     u = small_universe(seed=15)
     (dev,) = partition_devices(u, 1, 40, 0.25, seed=15, holdout_fraction=0.0)
-    dev.injected_mask[[7, 2]] = True
-    dev.injected_labels[7] = dev.class_whitelist[0]
-    dev.injected_labels[2] = dev.class_whitelist[1]
+    dev.inject([7, 2], [dev.class_whitelist[0], dev.class_whitelist[1]])
     train = dev.train_batch()
     assert len(train) == 12
     assert dev.labeled_size == 12
@@ -190,6 +189,10 @@ def check_counts_match_mask(dev):
     want = float(mask.mean()) if mask.size else 1.0
     assert type(dev.injected_fraction) is float and dev.injected_fraction == want
     assert dev.train_size == len(dev.keep) + int(mask.sum()) == len(dev.train_batch())
+    truth = dev.hidden_truth[mask]
+    known = truth >= 0
+    assert dev.n_known == int(known.sum())
+    assert dev.n_correct == int((dev.injected_labels[mask][known] == truth[known]).sum())
 
 
 def reference_train_batch(dev):
@@ -200,40 +203,62 @@ def reference_train_batch(dev):
     )
 
 
-def test_injection_counts_equal_mask_reductions_under_direct_writes():
+def test_injection_counts_equal_mask_reductions_under_inject():
     u = small_universe(seed=16)
     (dev,) = partition_devices(u, 1, 500, 0.03, seed=16)
     rng = np.random.default_rng(16)
     check_counts_match_mask(dev)
-    for _ in range(60):
-        idx = rng.integers(0, dev.injected_mask.size, size=int(rng.integers(1, 12)))
-        dev.injected_mask[idx] = rng.random() < 0.8
+    for _ in range(40):
+        pending = np.flatnonzero(~dev.injected_mask)
+        idx = rng.choice(pending, size=int(rng.integers(1, 12)), replace=False)
+        dev.inject(idx, rng.choice(dev.class_whitelist, size=idx.size))
         check_counts_match_mask(dev)
-    dev.injected_mask[:] = True
+    rest = np.flatnonzero(~dev.injected_mask)[::-1]
+    dev.inject(rest, dev.hidden_truth[rest])
     check_counts_match_mask(dev)
     assert dev.injected_fraction == 1.0 and dev.unlabeled_remaining == 0
 
 
+def test_injection_state_is_read_only_outside_inject():
+    u = small_universe(seed=18)
+    (dev,) = partition_devices(u, 1, 40, 0.25, seed=18)
+    for write in (lambda: dev.injected_mask.__setitem__(0, True),
+                  lambda: dev.injected_labels.__setitem__(0, dev.class_whitelist[0])):
+        with pytest.raises(ValueError, match="read-only"):
+            write()
+    dev.inject([3], [dev.class_whitelist[0]])
+    assert dev.injected_mask[3] and not dev.injected_mask.flags.writeable
+    assert not dev.injected_labels.flags.writeable
+
+
 def test_injected_fraction_is_the_rounded_mean_for_every_count():
-    for size in (1, 3, 7, 10, 49, 97, 192):
-        mask = np.zeros(size, dtype=bool)
-        dev = DeviceDataset(
+    def device(size, **injected):
+        return DeviceDataset(
             0, LabeledBatch(np.zeros((2, 2)), np.array([0, 1])), np.zeros((size, 2)),
             np.zeros(size, dtype=np.int64), 0, (0, 1), np.array([], dtype=np.int64),
-            LabeledBatch(np.zeros((1, 2)), np.array([0])), injected_mask=mask,
+            LabeledBatch(np.zeros((1, 2)), np.array([0])), **injected,
         )
+
+    for size in (1, 3, 7, 10, 49, 97, 192):
+        dev = device(size)
         for count in range(size + 1):
-            mask[:count] = True
-            assert dev.injected_fraction == float(mask.mean())
-            assert dev.n_injected == count and dev.unlabeled_remaining == size - count
+            if count:
+                dev.inject([count - 1], [0])
+            mask = np.arange(size) < count
+            # A device built with a mask sets its counts up from it.
+            built = device(size, injected_mask=mask, injected_labels=np.where(mask, 0, -1))
+            for d in (dev, built):
+                assert d.injected_fraction == float(mask.mean())
+                assert d.n_injected == count and d.unlabeled_remaining == size - count
+                assert d.n_known == d.n_correct == count
 
 
 def test_train_batch_equals_its_definition_with_and_without_injections():
     u = small_universe(seed=17)
     (dev,) = partition_devices(u, 1, 60, 0.3, seed=17, holdout_fraction=0.25)
     for injected in ([], [5], [4, 0, 31], range(dev.injected_mask.size)):
-        dev.injected_mask[list(injected)] = True
-        dev.injected_labels[list(injected)] = dev.class_whitelist[0]
+        new = [i for i in injected if not dev.injected_mask[i]]
+        dev.inject(new, [dev.class_whitelist[0]] * len(new))
         train = dev.train_batch()
         feats, labels = reference_train_batch(dev)
         assert train.features.dtype == feats.dtype and train.labels.dtype == labels.dtype
@@ -242,6 +267,23 @@ def test_train_batch_equals_its_definition_with_and_without_injections():
         assert not np.shares_memory(train.features, dev.labeled.features)
         assert not np.shares_memory(train.labels, dev.labeled.labels)
         check_counts_match_mask(dev)
+
+
+def test_train_batches_are_slices_of_one_table():
+    u = small_universe(seed=19)
+    devices = partition_devices(u, 4, 60, 0.3, seed=19, holdout_fraction=0.25)
+    rng = np.random.default_rng(19)
+    for dev in devices[1:]:
+        idx = rng.choice(dev.injected_mask.size, size=int(rng.integers(1, 20)), replace=False)
+        dev.inject(idx, rng.choice(dev.class_whitelist, size=idx.size))
+    batches = train_batches(devices)
+    for dev, batch in zip(devices, batches):
+        want = dev.train_batch()
+        assert np.array_equal(batch.features, want.features)
+        assert np.array_equal(batch.labels, want.labels)
+    assert len({len(b) for b in batches}) > 1
+    assert all(b.features.base is batches[0].features.base for b in batches)
+    assert all(b.labels.base is batches[0].labels.base for b in batches)
 
 
 def test_device_dataset_rejects_whitelist_violation():

@@ -19,7 +19,8 @@ from cfsl.labeling import (
     select_best_model,
     utility,
 )
-from cfsl.models import LabeledBatch, ModelParams, evaluate, sgd_train, zero_params
+from cfsl.models import LabeledBatch, ModelParams, evaluate, sgd_train
+from references import zero_params
 from cfsl.network import compute_time
 
 

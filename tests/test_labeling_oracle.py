@@ -567,8 +567,7 @@ def test_selection_on_empty_and_one_row_pools(family, n_pool):
 def test_selection_after_injection_shrinks_pool_to_one_row():
     rng = np.random.default_rng(12)
     device = make_device(rng, 3, 4, n_pool=5)
-    device.injected_mask[[0, 1, 3, 4]] = True
-    device.injected_labels[[0, 1, 3, 4]] = 0
+    device.inject([0, 1, 3, 4], [0] * 4)
     models = {k: random_model(rng, 3, 4, 0) for k in range(4)}
     check_selection(device, models, phi=0.2)
 

@@ -19,8 +19,8 @@ from cfsl.models import (
     loss,
     param_count,
     sgd_train,
-    zero_params,
 )
+from references import zero_params
 
 
 def make_batch(rng, n, d, c):

@@ -1,9 +1,10 @@
 """Oracle checks for the stacked training and scoring path.
 
 The reference below is a verbatim copy of the per-device functions that
-`sgd_train`, `evaluate` and `loss` replaced: one `gradient()` call per SGD
-step, one model at a time. Every device trained or scored in a stack must
-get the same bits as this loop gives it alone.
+`sgd_train`, `gradient`, `evaluate` and `loss` replaced: one `gradient()`
+call per SGD step, one model and one batch at a time, with the row-wise
+softmax. Every device trained or scored in a ragged stack must get the
+same bits as this loop gives it alone.
 """
 
 import numpy as np
@@ -288,6 +289,90 @@ def test_ragged_sgd_matches_each_device_alone_bit_for_bit(hidden, d, c, k, kind)
             assert np.array_equal(g.weights, ref_sgd_train(starts[0], batch, 2, bs, 0.3, s).weights)
 
 
+def assert_scores_match_alone(models, batches):
+    """Every pair's ragged loss, accuracy and gradient are bit-equal to what
+    the reference gives that model and batch alone. `models` is one model
+    for every batch, or one per batch."""
+    each = [models] * len(batches) if isinstance(models, ModelParams) else models
+    losses, accs = loss(models, batches), evaluate(models, batches)
+    assert len(losses) == len(accs) == len(batches)
+    for m, b, got_loss, got_acc in zip(each, batches, losses, accs):
+        assert np.array_equal(got_loss, ref_loss(m, b), equal_nan=True)
+        assert np.array_equal(got_acc, ref_evaluate(m, b))
+    if all(np.isfinite(m.weights).all() for m in each):
+        for m, b, got in zip(each, batches, gradient(models, batches)):
+            want = ref_gradient(m, b)
+            assert np.array_equal(got.grad, want.grad)
+            assert got.sample_count == want.sample_count == len(b)
+
+
+def random_batches(rng, lengths, d, c):
+    return [LabeledBatch(rng.normal(size=(n, d)), rng.integers(0, c, size=n)) for n in lengths]
+
+
+@pytest.mark.parametrize("kind", LENGTH_SETS)
+@pytest.mark.parametrize("k", [1, 2, 5, 16, 17])
+@pytest.mark.parametrize("hidden,d,c", SHAPES)
+def test_ragged_scoring_matches_each_pair_alone_bit_for_bit(hidden, d, c, k, kind):
+    for case in range(2):
+        rng = np.random.default_rng([case, hidden, d, k, LENGTH_SETS.index(kind), 1])
+        batches = random_batches(rng, ragged_lengths(rng, k, kind, 8), d, c)
+        models = start_models(rng, k, d, c, hidden)
+        assert_scores_match_alone(models, batches)
+        # One model shared by every batch, as in the split checks.
+        assert_scores_match_alone(models[0], batches)
+        # K models meeting one batch.
+        one = batches[0]
+        assert loss(models, one) == [ref_loss(m, one) for m in models]
+        for m, got in zip(models, gradient(models, one)):
+            assert np.array_equal(got.grad, ref_gradient(m, one).grad)
+
+
+@pytest.mark.parametrize("c", [2, 3, 4, 5, 6, 7, 8, 9, 12, 17, 33, 129])
+@pytest.mark.parametrize("hidden", [0, 7])
+def test_ragged_scoring_for_every_pairwise_sum_branch(hidden, c):
+    rng = np.random.default_rng([c, hidden])
+    batches = random_batches(rng, [1, 7, 8, 33, 20], 6, c)
+    assert_scores_match_alone(start_models(rng, 5, 6, c, hidden), batches)
+
+
+def permutation_model(perm) -> ModelParams:
+    """Logistic model whose logits are its input features in `perm` order."""
+    c = len(perm)
+    return ModelParams(np.concatenate([np.eye(c)[perm].ravel(), np.zeros(c)]), c, c)
+
+
+@pytest.mark.parametrize("c", [2, 5, 9, 33, 129])
+def test_ragged_evaluate_keeps_first_of_tied_probabilities(c):
+    # One-decimal logits, so exact ties land on different classes in
+    # different models; the first row of every batch ties every class.
+    rng = np.random.default_rng(c)
+    identity = permutation_model(np.arange(c))
+    models = [identity] + [permutation_model(rng.permutation(c)) for _ in range(3)]
+    batches = []
+    for n in (1, 6, 40, 13):
+        x = np.round(rng.normal(0.0, 0.5, size=(n, c)), 1)
+        x[0] = 0.0
+        batches.append(LabeledBatch(x, rng.integers(0, c, size=n)))
+    assert_scores_match_alone(models, batches)
+    # Every class tied: class 0 wins, so only the first label is a hit.
+    tied = LabeledBatch(np.zeros((3, c)), np.array([0, 1, c - 1]))
+    assert evaluate([identity], [tied]) == [1 / 3]
+
+
+def test_ragged_scoring_with_nan_weights_matches_row_wise():
+    rng = np.random.default_rng(4)
+    models = [ModelParams(rng.uniform(-0.5, 0.5, size=param_count(3, 5)), 3, 5) for _ in range(3)]
+    models[1].weights[2] = np.nan
+    batches = random_batches(rng, [4, 9, 2], 3, 5)
+    assert_scores_match_alone(models, batches)
+    # Every sample of the NaN model gets class 0, as argmax gives it.
+    assert evaluate(models, batches)[1] == float(np.mean(batches[1].labels == 0))
+    assert np.isnan(loss(models, batches)[1])
+    with pytest.raises(ValueError, match="non-finite"):
+        gradient(models, batches)
+
+
 def test_results_do_not_depend_on_how_batches_are_stacked():
     params, batches, seeds = make_case(3, 7, 17, 29)
     whole = sgd_train(params, batches, 2, 8, 0.2, seeds)
@@ -304,18 +389,28 @@ def test_stacked_calls_reject_bad_input():
     short = LabeledBatch(batches[0].features[:11], batches[0].labels[:11])
     empty = LabeledBatch(batches[0].features[:0], batches[0].labels[:0])
     wide = ModelParams(np.zeros(param_count(7, 5)), 7, 5)
-    # Unequal lengths are valid for sgd_train only (see the ragged test).
+    # Unequal lengths are valid everywhere (see the ragged tests).
+    assert evaluate(params, [batches[0], short]) == [ref_evaluate(params, b)
+                                                     for b in (batches[0], short)]
+    assert loss(params, [short, batches[1]]) == [ref_loss(params, b)
+                                                 for b in (short, batches[1])]
+    assert gradient(params, [batches[0], short])[1].sample_count == 11
     for call in (
-        lambda: evaluate(params, [batches[0], short]),
-        lambda: loss(params, [short, batches[1]]),
         lambda: sgd_train(params, batches, 1, 4, 0.1, seeds[:2]),
         lambda: sgd_train([params, wide, params], batches, 1, 4, 0.1, seeds),
         lambda: sgd_train([params, params], batches, 1, 4, 0.1, seeds),
         lambda: sgd_train(params, [batches[0], empty, batches[2]], 1, 4, 0.1, seeds),
         lambda: sgd_train(params, [], 1, 4, 0.1, []),
         lambda: evaluate(params, []),
-        lambda: gradient(params, [batches[0], short]),
         lambda: gradient(params, []),
+        lambda: loss(params, [batches[0], empty]),
+        lambda: evaluate([params, params], [empty]),
+        lambda: gradient(params, empty),
+        lambda: loss([params, params], batches),
+        lambda: gradient([params, params, params], batches[:2]),
+        lambda: evaluate([params, wide], batches[:2]),
+        lambda: loss([], batches),
+        lambda: gradient(params, [LabeledBatch(short.features, short.labels + 5)]),
     ):
         with pytest.raises(ValueError):
             call()
@@ -372,24 +467,34 @@ seed = 4
 def test_simulation_does_not_depend_on_stack_chunk(monkeypatch):
     """Chunks of 1 (every device alone), 3 and the default give the same
     run, through splits and injections that give the devices different
-    start models and train sizes."""
-    runs, mixed = [], []
-    real_sgd_train = orchestrator.sgd_train
+    models and train sizes."""
+    runs = []
+    mixed = {"sgd_train": [], "loss": [], "gradient": []}
 
-    def recording_sgd_train(params, data, *args):
-        starts = {m.weights.tobytes() for m in params}
-        mixed.append(len(starts) > 1 and len({len(b) for b in data}) > 1)
-        return real_sgd_train(params, data, *args)
+    def recording(name):
+        real = getattr(orchestrator, name)
 
-    monkeypatch.setattr(orchestrator, "sgd_train", recording_sgd_train)
+        def call(params, data, *args):
+            models = [params] if isinstance(params, ModelParams) else params
+            # The split checks score one cluster model per call.
+            many_models = name == "gradient" or len({m.weights.tobytes() for m in models}) > 1
+            mixed[name].append(many_models and len({len(b) for b in data}) > 1)
+            return real(params, data, *args)
+        return call
+
+    for name in mixed:
+        monkeypatch.setattr(orchestrator, name, recording(name))
     for chunk in (1, 3, STACK_CHUNK):
         monkeypatch.setattr(orchestrator, "STACK_CHUNK", chunk)
-        mixed.clear()
+        for calls in mixed.values():
+            calls.clear()
         sim = build_simulation(parse_config(GROUPED))
         sim.run()
         runs.append(sim)
-        # At least one chunk mixes start models and train sizes.
-        assert any(mixed) == (chunk > 1)
+        # At least one chunk mixes models (for training and the loss) and
+        # train sizes.
+        for name, calls in mixed.items():
+            assert any(calls) == (chunk > 1), name
     kinds = {e["type"] for e in runs[0].events}
     assert {"split", "injection"} <= kinds
     for sim in runs[1:]:

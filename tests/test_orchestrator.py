@@ -19,7 +19,8 @@ from cfsl.config import (
 )
 from cfsl.data import make_task_universe, partition_devices
 from cfsl.errors import StateError
-from cfsl.models import ModelParams, init_params, param_count, sgd_train, zero_params
+from cfsl.models import ModelParams, init_params, param_count, sgd_train
+from references import zero_params
 from cfsl.network import ChannelModel, EdgeConfig, db_to_linear, sample_radios
 from cfsl.orchestrator import MetricsRow, Simulation, edge_aggregate
 from cfsl.seeding import init_seed, training_seed
@@ -396,7 +397,7 @@ def test_merge_groups_are_similarity_components_across_edges(seed):
                    clustering=ClusteringConfig(enabled=True, gamma_merge=gamma))
     for k in range(16):
         # Unequal sample weights: device k carries k injected labels.
-        sim.devices[k].injected_mask[:k] = True
+        sim.devices[k].inject(np.arange(k), sim.devices[k].hidden_truth[:k])
     leaves = []
     for e in range(4):
         leaves += sim.tree.split(sim.tree.root_of_edge(e).cluster_id,
