@@ -205,17 +205,16 @@ class ClusterTree:
     """Forest of cluster nodes, one root per edge, mutated by the
     orchestrator as splits, stops, and cloud merges happen.
 
-    Two indexes answer the per-device lookups without scanning the nodes:
-    a device -> current-leaf map, which add_root, split and merge point at
-    the leaf each device lands in, and the set of merge-product ids, which
-    merge fills.
+    Two indexes answer the lookups without scanning the nodes: a device ->
+    current-leaf map, which add_root, split and merge point at the leaf
+    each device lands in, and an edge -> root map, which add_root fills.
     """
 
     def __init__(self):
         self.nodes: dict[int, ClusterNode] = {}
         self._next_id = 0
         self._leaf_of: dict = {}
-        self._merge_products: set = set()
+        self._root_of: dict = {}
 
     def _new_id(self) -> int:
         cid = self._next_id
@@ -224,11 +223,14 @@ class ClusterTree:
 
     def add_root(self, edge_id: int, members, model: ModelParams) -> int:
         members = frozenset(members)
+        if edge_id in self._root_of:
+            raise ValueError(f"edge {edge_id} already has root {self._root_of[edge_id]}")
         for d in members:
             if d in self._leaf_of:
                 raise ValueError(f"device {d} already belongs to cluster {self._leaf_of[d]}")
         cid = self._new_id()
         self.nodes[cid] = ClusterNode(cid, edge_id, members, model)
+        self._root_of[edge_id] = cid
         self._own(cid)
         return cid
 
@@ -298,7 +300,6 @@ class ClusterTree:
         self.nodes[cid] = ClusterNode(cid, edge_id, members, model)
         for n in nodes:
             n.merged_into = cid
-        self._merge_products.add(cid)
         self._own(cid)
         return cid
 
@@ -320,7 +321,8 @@ class ClusterTree:
         ]
 
     def is_merge_product(self, node: ClusterNode) -> bool:
-        return node.cluster_id in self._merge_products
+        """A parentless node that is not its edge's root: a merge made it."""
+        return node.parent is None and self._root_of.get(node.edge_id) != node.cluster_id
 
     def cluster_of(self, device_id: int) -> ClusterNode:
         """The current leaf that owns a device."""
@@ -329,15 +331,14 @@ class ClusterTree:
         return self.nodes[self._leaf_of[device_id]]
 
     def root_of_edge(self, edge_id: int) -> ClusterNode:
-        roots = [
-            n
-            for n in self.nodes.values()
-            if n.edge_id == edge_id and n.parent is None and n.merged_into is None
-            and not self.is_merge_product(n)
-        ]
-        if len(roots) != 1:
-            raise KeyError(f"edge {edge_id} has {len(roots)} roots")
-        return roots[0]
+        """The edge's root; KeyError for an unknown edge or a root that a
+        merge absorbed."""
+        if edge_id not in self._root_of:
+            raise KeyError(f"edge {edge_id} has no root")
+        root = self.nodes[self._root_of[edge_id]]
+        if root.merged_into is not None:
+            raise KeyError(f"edge {edge_id}: root {root.cluster_id} was merged away")
+        return root
 
     def snapshot(self) -> list:
         """JSON-ready state of every node, ordered by cluster id."""

@@ -179,6 +179,17 @@ class NetworkConfig(_Section):
     fading: str = _key(_choice("off", "rayleigh"), "off")
     time_budget_s: float = _key(float, math.inf, _pos, "must be > 0")
 
+    def __post_init__(self):
+        # Here, not in _cross_checks, so that a section built in code is
+        # checked too: the latency functions and sample_radios trust it.
+        super().__post_init__()
+        for low, high in (("cpu_min_hz", "cpu_max_hz"), ("power_min_dbm", "power_max_dbm"),
+                          ("distance_min_m", "distance_max_m")):
+            if getattr(self, low) > getattr(self, high):
+                raise ConfigError(f"network.{low}", f"exceeds {high}")
+        if self.deadline_policy == "fixed" and self.deadline_s is None:
+            raise ConfigError("network.deadline_s", "required when deadline_policy = fixed")
+
 
 @dataclass(frozen=True)
 class RunConfig(_Section):
@@ -245,7 +256,7 @@ def baseline_variant(cfg: ExperimentConfig):
 
 
 def _cross_checks(cfg: ExperimentConfig):
-    topo, data, model, net = cfg.topology, cfg.data, cfg.model, cfg.network
+    topo, data, model = cfg.topology, cfg.data, cfg.model
     if topo.devices < topo.edges:
         raise ConfigError("topology.devices", "need at least one device per edge")
 
@@ -271,15 +282,6 @@ def _cross_checks(cfg: ExperimentConfig):
     if data.mode == "label-permutation" and data.distributions > 2 and data.classes < 3:
         raise ConfigError("data.distributions",
                           "label-permutation with 2 classes supports at most 2 distributions")
-
-    if net.cpu_min_hz > net.cpu_max_hz:
-        raise ConfigError("network.cpu_min_hz", "exceeds cpu_max_hz")
-    if net.power_min_dbm > net.power_max_dbm:
-        raise ConfigError("network.power_min_dbm", "exceeds power_max_dbm")
-    if net.distance_min_m > net.distance_max_m:
-        raise ConfigError("network.distance_min_m", "exceeds distance_max_m")
-    if net.deadline_policy == "fixed" and net.deadline_s is None:
-        raise ConfigError("network.deadline_s", "required when deadline_policy = fixed")
 
 
 def parse_config(text: str) -> ExperimentConfig:

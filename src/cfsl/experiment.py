@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import logging
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from .data import (
     partition_devices,
 )
 from .errors import ConfigError
-from .network import ChannelModel, EdgeConfig, db_to_linear, sample_radios
+from .network import sample_radios
 from .orchestrator import Simulation, jsonable
 from .seeding import DATA_STREAM, sweep_seed
 
@@ -128,7 +127,7 @@ def _csv_devices(cfg: ExperimentConfig, data_seed_val: int) -> list:
 def build_simulation(cfg: ExperimentConfig) -> Simulation:
     """Materialize the full population of one run of the configured baseline."""
     cfg, use_global_model = baseline_variant(cfg)
-    topo, d, net = cfg.topology, cfg.data, cfg.network
+    topo, d = cfg.topology, cfg.data
     data_seed_val = d.seed if d.seed is not None else cfg.run.seed
 
     if d.mode == "csv":
@@ -156,35 +155,8 @@ def build_simulation(cfg: ExperimentConfig) -> Simulation:
         )
 
     edge_of = _edge_assignment(topo.devices, topo.edges, topo.edge_assignment)
-    radios = sample_radios(
-        edge_of,
-        cfg.run.seed,
-        cpu_min_hz=net.cpu_min_hz,
-        cpu_max_hz=net.cpu_max_hz,
-        power_min_dbm=net.power_min_dbm,
-        power_max_dbm=net.power_max_dbm,
-        distance_min_m=net.distance_min_m,
-        distance_max_m=net.distance_max_m,
-    )
-    edges = []
-    for n in range(topo.edges):
-        members = edge_of.count(n)
-        # auto subchannels: half the edge's devices, rounded up
-        q = net.subchannels if net.subchannels is not None else math.ceil(members / 2)
-        edges.append(
-            EdgeConfig(
-                edge_id=n,
-                bandwidth_hz=net.bandwidth_hz,
-                subchannels=q,
-                cloud_rate_bps=net.cloud_rate_bps,
-                deadline_policy=net.deadline_policy,
-                deadline_kappa=net.deadline_kappa,
-                deadline_s=net.deadline_s,
-            )
-        )
-    channel = ChannelModel(db_to_linear(net.ref_gain_db), net.ref_distance_m, net.noise_w)
-
-    return Simulation(devices, radios, edges, channel, cfg, use_global_model=use_global_model)
+    radios = sample_radios(edge_of, cfg.run.seed, cfg.network)
+    return Simulation(devices, radios, cfg, use_global_model=use_global_model)
 
 
 def _fmt(value) -> str:

@@ -5,6 +5,10 @@ Closed-form timing only. A device's round cost is local compute time
 (model bits / achieved rate) on its OFDMA sub-channel; an edge's round
 time is the slowest surviving device; a global round is the slowest edge
 including its backhaul to the cloud. Broadcast time is treated as zero.
+
+Every setting of the model (band, channel, CPU cycles, deadline rule,
+radio ranges) is read from the validated `[network]` section,
+`config.NetworkConfig`; only a round's sub-channel count is per edge.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import NetworkConfig
 from .seeding import RADIO_STREAM
 
 
@@ -80,38 +85,6 @@ class DeviceRadio:
 
 
 @dataclass(frozen=True)
-class ChannelModel:
-    """Shared channel constants (reference gain is linear, not dB)."""
-
-    ref_gain_linear: float
-    ref_distance_m: float
-    noise_w: float
-
-
-@dataclass(frozen=True)
-class EdgeConfig:
-    edge_id: int
-    bandwidth_hz: float
-    subchannels: int
-    cloud_rate_bps: float
-    deadline_policy: str = "median"
-    deadline_kappa: float = 2.0
-    deadline_s: float | None = None
-
-    def __post_init__(self):
-        if self.bandwidth_hz <= 0 or self.cloud_rate_bps <= 0:
-            raise ValueError(f"edge {self.edge_id}: bandwidth and cloud rate must be > 0")
-        if self.subchannels < 1:
-            raise ValueError(f"edge {self.edge_id}: needs at least one sub-channel")
-        if self.deadline_policy not in ("median", "fixed"):
-            raise ValueError(f"edge {self.edge_id}: unknown deadline policy {self.deadline_policy!r}")
-        if self.deadline_policy == "median" and self.deadline_kappa <= 0:
-            raise ValueError(f"edge {self.edge_id}: deadline_kappa must be > 0")
-        if self.deadline_policy == "fixed" and (self.deadline_s is None or self.deadline_s <= 0):
-            raise ValueError(f"edge {self.edge_id}: fixed policy needs deadline_s > 0")
-
-
-@dataclass(frozen=True)
 class ScheduleEntry:
     """One edge's selection for one round.
 
@@ -138,60 +111,58 @@ class ScheduleEntry:
 def device_round_time(
     radio: DeviceRadio,
     beta: float,
-    bandwidth_hz: float,
-    channel: ChannelModel,
+    net: NetworkConfig,
     payload_bits: float,
     epochs: int,
     workload: int,
-    cycles_per_sample: float,
     fading: float = 1.0,
 ):
     """(compute seconds, upload seconds) for one device this round."""
     if fading < 0:
         raise ValueError("fading multiplier must be >= 0")
-    gain = channel_gain(radio.distance_m, channel.ref_gain_linear, channel.ref_distance_m)
-    rate = data_rate(beta, bandwidth_hz, gain * fading, radio.power_w, channel.noise_w)
-    t_cmp = compute_time(epochs, workload, cycles_per_sample, radio.f_hz)
+    gain = channel_gain(radio.distance_m, db_to_linear(net.ref_gain_db), net.ref_distance_m)
+    rate = data_rate(beta, net.bandwidth_hz, gain * fading, radio.power_w, net.noise_w)
+    t_cmp = compute_time(epochs, workload, net.cycles_per_sample, radio.f_hz)
     if rate == 0:
         return t_cmp, math.inf
     return t_cmp, upload_time(payload_bits, rate)
 
 
 def schedule_round(
-    edge: EdgeConfig,
+    net: NetworkConfig,
+    edge_id: int,
+    subchannels: int,
     radios: list,
     workloads: dict,
-    channel: ChannelModel,
     payload_bits: float,
     epochs: int,
-    cycles_per_sample: float,
     fading: dict | None = None,
 ) -> ScheduleEntry:
-    """Pick up to Q devices, fastest estimated round time first.
+    """Pick up to `subchannels` (Q) of the edge's eligible `radios`,
+    fastest estimated round time first.
 
     Every scheduled device gets one sub-channel (beta = 1/Q). The
     deadline is kappa times the median selected estimate, or a fixed
     configured value; estimates above it are dropped before training.
     """
-    beta = 1.0 / edge.subchannels
+    beta = 1.0 / subchannels
     est = {}
     for radio in radios:
         mult = 1.0 if fading is None else fading[radio.device_id]
         t_cmp, t_com = device_round_time(
-            radio, beta, edge.bandwidth_hz, channel, payload_bits,
-            epochs, workloads[radio.device_id], cycles_per_sample, mult,
+            radio, beta, net, payload_bits, epochs, workloads[radio.device_id], mult,
         )
         est[radio.device_id] = t_cmp + t_com
     order = sorted(est, key=lambda d: (est[d], d))
-    selected = tuple(sorted(order[: edge.subchannels]))
+    selected = tuple(sorted(order[:subchannels]))
     if not selected:
-        return ScheduleEntry(edge.edge_id, (), beta, 0.0, (), est)
-    if edge.deadline_policy == "fixed":
-        deadline = float(edge.deadline_s)
+        return ScheduleEntry(edge_id, (), beta, 0.0, (), est)
+    if net.deadline_policy == "fixed":
+        deadline = float(net.deadline_s)
     else:
-        deadline = edge.deadline_kappa * float(np.median([est[d] for d in selected]))
+        deadline = net.deadline_kappa * float(np.median([est[d] for d in selected]))
     dropped = tuple(d for d in selected if est[d] > deadline)
-    return ScheduleEntry(edge.edge_id, selected, beta, deadline, dropped, est)
+    return ScheduleEntry(edge_id, selected, beta, deadline, dropped, est)
 
 
 def edge_round_time(entry: ScheduleEntry, actual_times: dict):
@@ -219,29 +190,18 @@ def global_round_time(edge_times: dict, cloud_times: dict, idle_edges=()) -> flo
     return max(totals)
 
 
-def sample_radios(
-    edge_ids: list,
-    seed,
-    cpu_min_hz: float = 1e9,
-    cpu_max_hz: float = 9e9,
-    power_min_dbm: float = -10.0,
-    power_max_dbm: float = 20.0,
-    distance_min_m: float = 2.0,
-    distance_max_m: float = 50.0,
-) -> list:
+def sample_radios(edge_ids: list, seed, net: NetworkConfig) -> list:
     """Draw per-device radio attributes, uniform in the configured ranges
     (transmit power uniform in dBm, then converted to watts)."""
-    if cpu_min_hz > cpu_max_hz or power_min_dbm > power_max_dbm or distance_min_m > distance_max_m:
-        raise ValueError("range minima must not exceed maxima")
     radios = []
     for k, edge_id in enumerate(edge_ids):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), RADIO_STREAM, k]))
         radios.append(
             DeviceRadio(
                 device_id=k,
-                f_hz=float(rng.uniform(cpu_min_hz, cpu_max_hz)),
-                power_w=dbm_to_watts(float(rng.uniform(power_min_dbm, power_max_dbm))),
-                distance_m=float(rng.uniform(distance_min_m, distance_max_m)),
+                f_hz=float(rng.uniform(net.cpu_min_hz, net.cpu_max_hz)),
+                power_w=dbm_to_watts(float(rng.uniform(net.power_min_dbm, net.power_max_dbm))),
+                distance_m=float(rng.uniform(net.distance_min_m, net.distance_max_m)),
                 edge_id=edge_id,
             )
         )

@@ -141,39 +141,39 @@ class Simulation:
         self,
         devices: list,
         radios: list,
-        edges: list,
-        channel,
         config: ExperimentConfig,
         use_global_model: bool = False,
     ):
         """`config` is the effective config of the run (see
         `config.baseline_variant`); this reads its data dimensions, model,
-        clustering, ssl, network timing and run sections. With
-        `use_global_model`, devices label with the shared global model
-        instead of specialized ones (the non-clustered semi-supervised
-        baseline)."""
+        clustering, ssl, network and run sections. Every network setting
+        comes from `config.network`; the edges are 0 .. topology.edges - 1
+        and each radio names its own. With `use_global_model`, devices
+        label with the shared global model instead of specialized ones (the
+        non-clustered semi-supervised baseline)."""
         if [d.device_id for d in devices] != list(range(len(devices))):
             raise ValueError("devices must be ordered by contiguous device_id from 0")
         if len(radios) != len(devices) or [r.device_id for r in radios] != [
             d.device_id for d in devices
         ]:
             raise ValueError("radios must align one-to-one with devices")
-        if not edges:
-            raise ValueError("at least one edge is required")
-        edge_ids = [e.edge_id for e in edges]
-        if len(set(edge_ids)) != len(edge_ids):
-            raise ValueError("edge ids must be unique")
-        unknown = {r.edge_id for r in radios} - set(edge_ids)
+        n_edges = config.topology.edges
+        unknown = {r.edge_id for r in radios} - set(range(n_edges))
         if unknown:
             raise ValueError(f"radios reference unknown edges {sorted(unknown)}")
-        for eid in edge_ids:
-            if not any(r.edge_id == eid for r in radios):
-                raise ValueError(f"edge {eid} has no devices")
+        # Each edge's device ids, ascending, indexed by edge id.
+        self.edge_members = [[r.device_id for r in radios if r.edge_id == e]
+                             for e in range(n_edges)]
+        for e, members in enumerate(self.edge_members):
+            if not members:
+                raise ValueError(f"edge {e} has no devices")
+        # Sub-channels per edge; auto is half the edge's devices, rounded up.
+        q = config.network.subchannels
+        self.subchannels = [q if q is not None else math.ceil(len(m) / 2)
+                            for m in self.edge_members]
 
         self.devices = list(devices)
         self.radios = list(radios)
-        self.edges = sorted(edges, key=lambda e: e.edge_id)
-        self.channel = channel
         self.config = config
         self.use_global_model = use_global_model
 
@@ -184,10 +184,9 @@ class Simulation:
         self.payload_bits = self.global_model.size_bits
         self.tree = ClusterTree()
         self.node_birth: dict = {}
-        for edge in self.edges:
-            members = [r.device_id for r in self.radios if r.edge_id == edge.edge_id]
+        for e, members in enumerate(self.edge_members):
             root_id = self.tree.add_root(
-                edge.edge_id, members,
+                e, members,
                 self.global_model.with_weights(self.global_model.weights.copy()),
             )
             self.node_birth[root_id] = 0
@@ -232,7 +231,8 @@ class Simulation:
         """{edge id: {model id: model}}: the models the devices of each edge
         may label with in round r."""
         if self.use_global_model:
-            return {e.edge_id: {GLOBAL_MODEL_ID: self.global_model} for e in self.edges}
+            return {e: {GLOBAL_MODEL_ID: self.global_model}
+                    for e in range(len(self.edge_members))}
         # A cluster's model reflects its own members' training only from the
         # second round after creation; before that it is a copy of its parent.
         nodes = [
@@ -240,13 +240,12 @@ class Simulation:
             if r - self.node_birth.get(n.cluster_id, 0) >= 2
         ]
         by_edge = {}
-        for edge in self.edges:
+        for e, members in enumerate(self.edge_members):
             scoped = nodes
             if self.config.ssl.candidate_scope == "edge":
                 # By members, not node.edge_id: a merge across edges has none.
-                edge_devices = self.tree.root_of_edge(edge.edge_id).members
-                scoped = [n for n in nodes if not n.members.isdisjoint(edge_devices)]
-            by_edge[edge.edge_id] = {n.cluster_id: n.model for n in scoped}
+                scoped = [n for n in nodes if not n.members.isdisjoint(members)]
+            by_edge[e] = {n.cluster_id: n.model for n in scoped}
         return by_edge
 
     def _label_trigger(self, device_id: int, r: int) -> bool:
@@ -313,11 +312,11 @@ class Simulation:
         if self.termination_reason is not None:
             raise StateError("run already terminated")
         r = self.round_no + 1
-        tr, cl = self.config.model, self.config.clustering
+        tr, cl, net = self.config.model, self.config.clustering, self.config.network
         cadence = cl.enabled and r % cl.split_interval == 0
 
         fading = None
-        if self.config.network.fading == "rayleigh":
+        if net.fading == "rayleigh":
             rng = np.random.default_rng(fading_seed(self.config.run.seed, r))
             fading = rayleigh_fading([d.device_id for d in self.devices], rng)
 
@@ -326,35 +325,29 @@ class Simulation:
         }
 
         # (1) scheduling per edge
-        schedules = {}
-        for edge in self.edges:
-            eligible = [
-                radio
-                for radio in self.radios
-                if radio.edge_id == edge.edge_id
-                and leaf_at_training[radio.device_id].status == ACTIVE
-            ]
-            workloads = {radio.device_id: self.devices[radio.device_id].labeled_size
-                         for radio in eligible}
+        schedules = []
+        for e, members in enumerate(self.edge_members):
+            eligible = [k for k in members if leaf_at_training[k].status == ACTIVE]
             entry = schedule_round(
-                edge, eligible, workloads, self.channel, self.payload_bits,
-                tr.epochs, self.config.network.cycles_per_sample, fading,
+                net, e, self.subchannels[e], [self.radios[k] for k in eligible],
+                {k: self.devices[k].labeled_size for k in eligible},
+                self.payload_bits, tr.epochs, fading,
             )
-            schedules[edge.edge_id] = entry
+            schedules.append(entry)
             self._event({
-                "type": "schedule", "round": r, "edge": edge.edge_id,
+                "type": "schedule", "round": r, "edge": e,
                 "selected": list(entry.selected), "dropped": list(entry.dropped),
                 "deadline_s": entry.deadline_s, "beta": entry.beta,
                 "est_times": {d: entry.est_times[d] for d in sorted(entry.est_times)},
             })
             if entry.selected and entry.idle:
                 log.warning("edge %d: every scheduled device missed the deadline in round %d",
-                            edge.edge_id, r)
+                            e, r)
 
         # (2) local training from each device's cluster model
         trained = self._train({
             k: self._model_of(leaf_at_training[k])[1]
-            for edge in self.edges for k in schedules[edge.edge_id].participating
+            for entry in schedules for k in entry.participating
         }, r)
 
         # (3) labeling phase
@@ -393,13 +386,12 @@ class Simulation:
         # (8) latency accounting and metrics
         edge_times, cloud_times, idle = {}, {}, set()
         drops = 0
-        for edge in self.edges:
-            entry = schedules[edge.edge_id]
+        for e, entry in enumerate(schedules):
             t, is_idle = edge_round_time(entry, entry.est_times)
-            edge_times[edge.edge_id] = t
-            cloud_times[edge.edge_id] = self.payload_bits / edge.cloud_rate_bps
+            edge_times[e] = t
+            cloud_times[e] = self.payload_bits / net.cloud_rate_bps
             if is_idle:
-                idle.add(edge.edge_id)
+                idle.add(e)
             drops += len(entry.dropped)
         duration = global_round_time(edge_times, cloud_times, idle)
         self.cumulative_time_s += duration

@@ -342,9 +342,9 @@ def test_tree_root_lookup_and_snapshot():
 
 
 def test_tree_indexes_match_brute_force_scan():
-    """cluster_of, is_merge_product and specialized() answer from indexes;
-    after every step of a random split/stop/merge sequence they must agree
-    with a scan over tree.nodes."""
+    """cluster_of, is_merge_product, specialized() and root_of_edge answer
+    from indexes; after every step of a random split/stop/merge sequence
+    they must agree with a scan over tree.nodes."""
 
     def scan_leaves(tree):
         return sorted((n for n in tree.nodes.values() if n.is_current),
@@ -365,39 +365,53 @@ def test_tree_indexes_match_brute_force_scan():
             n for n in leaves if n.parent is not None or scan_merge_product(tree, n)]
         with pytest.raises(KeyError):
             tree.cluster_of(max(devices) + 1)
+        for edge in range(4):
+            roots = [n for n in tree.nodes.values()
+                     if n.edge_id == edge and n.parent is None and n.merged_into is None
+                     and not scan_merge_product(tree, n)]
+            if roots:
+                assert len(roots) == 1 and tree.root_of_edge(edge) is roots[0]
+            else:
+                with pytest.raises(KeyError):
+                    tree.root_of_edge(edge)
 
-    rng = np.random.default_rng(7)
     model = zero_params(3, 2)
-    tree = ClusterTree()
     devices = list(range(24))
-    for edge in range(3):
-        tree.add_root(edge, devices[8 * edge:8 * edge + 8], model)
-    check(tree, devices)
-    merges = cross_edge = 0
-    for _ in range(60):
-        leaves = scan_leaves(tree)
-        live = [n for n in leaves if n.status == "active" and len(n.members) > 1]
-        op = rng.choice(["split", "stop", "merge"], p=[0.6, 0.15, 0.25])
-        if op == "merge" and len(leaves) >= 2:
-            size = 2 if len(leaves) == 2 else int(rng.integers(2, 4))
-            picked = rng.choice(len(leaves), size=size, replace=False)
-            group = sorted(leaves[i].cluster_id for i in picked)
-            new = tree.merge(group, model)
-            merges += 1
-            cross_edge += tree.node(new).edge_id is None
-        elif op == "stop" and live:
-            tree.stop(live[int(rng.integers(len(live)))].cluster_id)
-        elif live:
-            node = live[int(rng.integers(len(live)))]
-            members = sorted(node.members)
-            cut = int(rng.integers(1, len(members)))
-            order = rng.permutation(members).tolist()
-            tree.split(node.cluster_id, (order[:cut], order[cut:]))
+    # Seed 7 merges all three roots in its first step; seed 0 splits roots
+    # and merges only some of them away.
+    for seed in (7, 0):
+        rng = np.random.default_rng(seed)
+        tree = ClusterTree()
+        for edge in range(3):
+            tree.add_root(edge, devices[8 * edge:8 * edge + 8], model)
         check(tree, devices)
-    assert merges and cross_edge
+        merges = cross_edge = 0
+        for _ in range(60):
+            leaves = scan_leaves(tree)
+            live = [n for n in leaves if n.status == "active" and len(n.members) > 1]
+            op = rng.choice(["split", "stop", "merge"], p=[0.6, 0.15, 0.25])
+            if op == "merge" and len(leaves) >= 2:
+                size = 2 if len(leaves) == 2 else int(rng.integers(2, 4))
+                picked = rng.choice(len(leaves), size=size, replace=False)
+                group = sorted(leaves[i].cluster_id for i in picked)
+                new = tree.merge(group, model)
+                merges += 1
+                cross_edge += tree.node(new).edge_id is None
+            elif op == "stop" and live:
+                tree.stop(live[int(rng.integers(len(live)))].cluster_id)
+            elif live:
+                node = live[int(rng.integers(len(live)))]
+                members = sorted(node.members)
+                cut = int(rng.integers(1, len(members)))
+                order = rng.permutation(members).tolist()
+                tree.split(node.cluster_id, (order[:cut], order[cut:]))
+            check(tree, devices)
+        assert merges and cross_edge
 
 
 def test_tree_add_root_rejects_owned_device():
     tree, _ = make_tree()
     with pytest.raises(ValueError):
         tree.add_root(1, [3, 4], zero_params(3, 2))
+    with pytest.raises(ValueError, match="already has root"):
+        tree.add_root(0, [8, 9], zero_params(3, 2))

@@ -5,7 +5,14 @@ import math
 
 import pytest
 
-from cfsl.config import SECTIONS, ini_key, load_config, override, parse_config
+from cfsl.config import (
+    SECTIONS,
+    NetworkConfig,
+    ini_key,
+    load_config,
+    override,
+    parse_config,
+)
 from cfsl.errors import ConfigError
 
 MINIMAL = """
@@ -96,6 +103,9 @@ def test_domain_checks():
         ("[ssl]\nlabel_interval = 0\n", "ssl.label_interval"),
         ("[network]\nnoise_w = 0\n", "network.noise_w"),
         ("[network]\nsubchannels = 0\n", "network.subchannels"),
+        ("[network]\ndeadline_kappa = 0\n", "network.deadline_kappa"),
+        ("[network]\nbandwidth_hz = 0\n", "network.bandwidth_hz"),
+        ("[network]\ncloud_rate_bps = 0\n", "network.cloud_rate_bps"),
         ("[run]\nrounds = -1\n", "run.rounds"),
         ("[run]\nrounds = 1\nbaseline = fedavg\n", "run.baseline"),
     ]
@@ -144,6 +154,21 @@ def test_cross_checks():
     with pytest.raises(ConfigError) as exc:
         parse_config(MINIMAL + "\n[data]\nclasses = 2\ndistributions = 3\n")
     assert "data.distributions" in str(exc.value)
+
+    # Inverted radio ranges: the only guard, as sample_radios draws unchecked.
+    for low, high, key in (("cpu_min_hz = 5e9", "cpu_max_hz = 2e9", "network.cpu_min_hz"),
+                           ("power_min_dbm = 10", "power_max_dbm = 0", "network.power_min_dbm"),
+                           ("distance_min_m = 30", "distance_max_m = 3",
+                            "network.distance_min_m")):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + f"\n[network]\n{low}\n{high}\n")
+        assert key in str(exc.value)
+
+    # The network section checks itself however it is built.
+    with pytest.raises(ConfigError, match="network.deadline_s"):
+        NetworkConfig(deadline_policy="fixed")
+    with pytest.raises(ConfigError, match="network.cpu_min_hz"):
+        dataclasses.replace(NetworkConfig(), cpu_min_hz=1e10)
 
 
 def test_holdout_that_takes_every_labeled_sample_is_rejected():

@@ -91,23 +91,46 @@ def test_edge_assignment_schemes():
     assert _edge_assignment(4, 4, "blocks") == [0, 1, 2, 3]
 
 
+def schedule_events(cfg, rounds=2):
+    """The `schedule` events of the first `rounds` rounds of `cfg`."""
+    sim = build_simulation(cfg)
+    for _ in range(rounds):
+        sim.run_round()
+    return [e for e in sim.events if e["type"] == "schedule"]
+
+
 def test_auto_subchannels_half_of_members():
     cfg = override(make_cfg(), {"topology.edges": 2, "topology.devices": 5})
-    sim = build_simulation(cfg)
-    assert [e.subchannels for e in sim.edges] == [2, 1]  # blocks of 3 and 2
+    events = schedule_events(cfg)
+    assert len(events) == 4
+    for e in events:
+        q = (2, 1)[e["edge"]]  # blocks of 3 and 2 devices
+        assert e["beta"] == 1 / q
+        assert len(e["selected"]) == q
 
 
 def test_explicit_subchannels_respected():
-    cfg = make_cfg("\n[network]\nsubchannels = 4\n")
-    sim = build_simulation(cfg)
-    assert sim.edges[0].subchannels == 4
+    events = schedule_events(make_cfg("\n[network]\nsubchannels = 4\n"))
+    assert len(events) == 2
+    for e in events:
+        assert e["beta"] == 1 / 4
+        assert e["selected"] == [0, 1, 2, 3]
+
+
+def test_schedule_deadline_follows_the_policy():
+    fixed = make_cfg("\n[network]\ndeadline_policy = fixed\ndeadline_s = 0.25\n")
+    assert [e["deadline_s"] for e in schedule_events(fixed)] == [0.25, 0.25]
+    median = schedule_events(make_cfg("\n[network]\ndeadline_kappa = 1.3\n"))
+    assert len(median) == 2
+    for e in median:
+        est = [e["est_times"][d] for d in e["selected"]]
+        assert e["deadline_s"] == 1.3 * float(np.median(est))
 
 
 def upload_times(sim):
     """Each device's estimated upload time on the whole band of its edge."""
     return [
-        device_round_time(radio, 1.0, sim.edges[radio.edge_id].bandwidth_hz, sim.channel,
-                          sim.payload_bits, 1, 1, 1.0)[1]
+        device_round_time(radio, 1.0, sim.config.network, sim.payload_bits, 1, 1)[1]
         for radio in sim.radios
     ]
 

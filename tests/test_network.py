@@ -1,15 +1,15 @@
 """Latency-model checks against hand-computed and high-precision oracles."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
+from cfsl.config import NetworkConfig
 from cfsl.network import (
-    ChannelModel,
     DeviceRadio,
-    EdgeConfig,
     channel_gain,
     compute_time,
     data_rate,
@@ -25,7 +25,9 @@ from cfsl.network import (
 )
 
 G0 = db_to_linear(-35.0)
-CHANNEL = ChannelModel(ref_gain_linear=G0, ref_distance_m=2.0, noise_w=1e-6)
+# Band 1e7 Hz, reference gain -35 dB at 2 m, noise 1e-6 W, 20 cycles per sample.
+NET = NetworkConfig(bandwidth_hz=1e7, ref_gain_db=-35.0, ref_distance_m=2.0, noise_w=1e-6,
+                    cycles_per_sample=20.0)
 
 
 # ---------------------------------------------------------------- conversions
@@ -137,8 +139,7 @@ def test_upload_time_hand_values():
 def test_device_round_time_composition():
     radio = DeviceRadio(0, f_hz=2e9, power_w=0.01, distance_m=4.0, edge_id=0)
     t_cmp, t_com = device_round_time(
-        radio, beta=0.25, bandwidth_hz=1e7, channel=CHANNEL,
-        payload_bits=3.2e5, epochs=5, workload=100, cycles_per_sample=20,
+        radio, beta=0.25, net=NET, payload_bits=3.2e5, epochs=5, workload=100,
     )
     assert math.isclose(t_cmp, 5 * 100 * 20 / 2e9, rel_tol=1e-12)
     rate = data_rate(0.25, 1e7, channel_gain(4.0, G0, 2.0), 0.01, 1e-6)
@@ -147,9 +148,7 @@ def test_device_round_time_composition():
 
 def test_device_round_time_zero_rate_is_infinite_upload():
     radio = DeviceRadio(0, f_hz=2e9, power_w=0.0, distance_m=4.0, edge_id=0)
-    _, t_com = device_round_time(
-        radio, 0.5, 1e7, CHANNEL, 3.2e5, 5, 100, 20
-    )
+    _, t_com = device_round_time(radio, 0.5, NET, 3.2e5, 5, 100)
     assert math.isinf(t_com)
 
 
@@ -160,16 +159,14 @@ def radio(k, f=1e9, p_dbm=10.0, d=4.0, edge=0):
     return DeviceRadio(k, f_hz=f, power_w=dbm_to_watts(p_dbm), distance_m=d, edge_id=edge)
 
 
-def edge_cfg(q, policy="median", kappa=2.0, fixed=None):
-    return EdgeConfig(0, bandwidth_hz=1e7, subchannels=q,
-                      cloud_rate_bps=1e8, deadline_policy=policy,
-                      deadline_kappa=kappa, deadline_s=fixed)
+def schedule(q, radios, workloads, payload_bits, net=NET):
+    """schedule_round for edge 0 with q sub-channels and 5 epochs."""
+    return schedule_round(net, 0, q, radios, workloads, payload_bits, 5)
 
 
 def test_schedule_selects_all_when_capacity_allows():
     radios = [radio(k) for k in range(3)]
-    entry = schedule_round(edge_cfg(4), radios, {k: 50 for k in range(3)},
-                           CHANNEL, 1e5, 5, 20)
+    entry = schedule(4, radios, {k: 50 for k in range(3)}, 1e5)
     assert entry.selected == (0, 1, 2)
     assert entry.dropped == ()
     assert not entry.idle
@@ -180,23 +177,21 @@ def test_schedule_selects_all_when_capacity_allows():
 def test_schedule_picks_fastest_two_of_four():
     # Distance drives upload time; nearer devices are strictly faster.
     radios = [radio(0, d=40.0), radio(1, d=4.0), radio(2, d=30.0), radio(3, d=6.0)]
-    entry = schedule_round(edge_cfg(2), radios, {k: 50 for k in range(4)},
-                           CHANNEL, 1e6, 5, 20)
+    entry = schedule(2, radios, {k: 50 for k in range(4)}, 1e6)
     assert entry.selected == (1, 3)
     assert entry.est_times[1] < entry.est_times[3] < entry.est_times[2] < entry.est_times[0]
 
 
 def test_schedule_breaks_ties_by_device_id():
     radios = [radio(k) for k in range(4)]
-    entry = schedule_round(edge_cfg(2), radios, {k: 50 for k in range(4)},
-                           CHANNEL, 1e5, 5, 20)
+    entry = schedule(2, radios, {k: 50 for k in range(4)}, 1e5)
     assert entry.selected == (0, 1)
 
 
 def test_schedule_fixed_deadline_drops_everyone():
     radios = [radio(k) for k in range(3)]
-    entry = schedule_round(edge_cfg(3, policy="fixed", fixed=1e-9), radios,
-                           {k: 50 for k in range(3)}, CHANNEL, 1e6, 5, 20)
+    fixed = replace(NET, deadline_policy="fixed", deadline_s=1e-9)
+    entry = schedule(3, radios, {k: 50 for k in range(3)}, 1e6, fixed)
     assert entry.dropped == entry.selected
     assert entry.idle
     assert entry.participating == ()
@@ -204,22 +199,22 @@ def test_schedule_fixed_deadline_drops_everyone():
 
 def test_schedule_median_deadline_value():
     radios = [radio(0, d=4.0), radio(1, d=8.0), radio(2, d=12.0)]
-    entry = schedule_round(edge_cfg(3, kappa=2.0), radios,
-                           {k: 50 for k in range(3)}, CHANNEL, 1e6, 5, 20)
+    entry = schedule(3, radios, {k: 50 for k in range(3)}, 1e6,
+                     replace(NET, deadline_kappa=2.0))
     assert math.isclose(entry.deadline_s, 2.0 * entry.est_times[1], rel_tol=1e-12)
 
 
 def test_schedule_empty_eligible_set_is_idle():
-    entry = schedule_round(edge_cfg(2), [], {}, CHANNEL, 1e5, 5, 20)
+    entry = schedule(2, [], {}, 1e5)
     assert entry.idle
     assert entry.selected == ()
 
 
 def test_schedule_estimates_match_device_round_time():
     radios = [radio(0, f=3e9, d=10.0), radio(1, f=2e9, d=20.0)]
-    entry = schedule_round(edge_cfg(2), radios, {0: 80, 1: 120}, CHANNEL, 2e5, 5, 20)
+    entry = schedule(2, radios, {0: 80, 1: 120}, 2e5)
     for r, load in zip(radios, (80, 120)):
-        t_cmp, t_com = device_round_time(r, 0.5, 1e7, CHANNEL, 2e5, 5, load, 20)
+        t_cmp, t_com = device_round_time(r, 0.5, NET, 2e5, 5, load)
         assert math.isclose(entry.est_times[r.device_id], t_cmp + t_com, rel_tol=1e-12)
 
 
@@ -261,9 +256,9 @@ def test_global_round_time_cases():
 
 def test_sample_radios_ranges_and_determinism():
     edge_ids = [0, 0, 1, 1, 2]
-    a = sample_radios(edge_ids, seed=9)
-    b = sample_radios(edge_ids, seed=9)
-    c = sample_radios(edge_ids, seed=10)
+    a = sample_radios(edge_ids, 9, NET)
+    b = sample_radios(edge_ids, 9, NET)
+    c = sample_radios(edge_ids, 10, NET)
     assert [r.edge_id for r in a] == edge_ids
     for x, y in zip(a, b):
         assert x == y
@@ -275,8 +270,8 @@ def test_sample_radios_ranges_and_determinism():
 
 
 def test_sample_radios_prefix_stable():
-    short = sample_radios([0, 0], seed=4)
-    longer = sample_radios([0, 0, 1, 1], seed=4)
+    short = sample_radios([0, 0], 4, NET)
+    longer = sample_radios([0, 0, 1, 1], 4, NET)
     assert short == longer[:2]
 
 
@@ -287,11 +282,6 @@ def test_radio_validation():
         DeviceRadio(0, f_hz=1e9, power_w=-0.1, distance_m=2.0, edge_id=0)
     with pytest.raises(ValueError):
         DeviceRadio(0, f_hz=1e9, power_w=0.1, distance_m=0.0, edge_id=0)
-    with pytest.raises(ValueError):
-        EdgeConfig(0, bandwidth_hz=1e7, subchannels=0, cloud_rate_bps=1e8)
-    with pytest.raises(ValueError):
-        EdgeConfig(0, bandwidth_hz=1e7, subchannels=2, cloud_rate_bps=1e8,
-                   deadline_policy="fixed")
 
 
 def test_rayleigh_fading_unit_mean_and_determinism():

@@ -2,6 +2,7 @@
 labeling triggers, termination, and bit-level determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,11 +22,9 @@ from cfsl.data import make_task_universe, partition_devices
 from cfsl.errors import StateError
 from cfsl.models import ModelParams, init_params, param_count, sgd_train
 from references import zero_params
-from cfsl.network import ChannelModel, EdgeConfig, db_to_linear, sample_radios
+from cfsl.network import sample_radios
 from cfsl.orchestrator import MetricsRow, Simulation, edge_aggregate
 from cfsl.seeding import init_seed, training_seed
-
-CHANNEL = ChannelModel(db_to_linear(-35.0), 2.0, 1e-6)
 
 
 def flat(c, n=4):
@@ -104,17 +103,16 @@ def make_sim(
     devices = partition_devices(universe, n_devices, samples, labeled_fraction, seed=seed)
     per_edge = n_devices // n_edges
     edge_ids = [min(k // per_edge, n_edges - 1) for k in range(n_devices)]
-    radios = sample_radios(edge_ids, seed=seed)
-    edges = [
-        EdgeConfig(e, bandwidth_hz=1e7, subchannels=subchannels or per_edge,
-                   cloud_rate_bps=1e8, deadline_policy="fixed", deadline_s=1e9)
-        for e in range(n_edges)
-    ]
+    # A deadline no device misses and, unless set, one sub-channel per device
+    # of an even share.
+    network = replace(network or NetworkConfig(), deadline_policy="fixed", deadline_s=1e9,
+                      subchannels=subchannels or per_edge)
     config = make_config(
         n_devices, n_edges, classes, dim, lr, clustering, ssl, network,
         rounds=rounds, seed=seed, **(run_overrides or {}),
     )
-    return Simulation(devices, radios, edges, CHANNEL, config, use_global_model)
+    radios = sample_radios(edge_ids, seed, config.network)
+    return Simulation(devices, radios, config, use_global_model)
 
 
 def events_of(sim, kind):
@@ -526,14 +524,13 @@ def test_metrics_rows_are_consistent():
 
 
 def test_validation_rejects_misaligned_population():
-    sim_kwargs = make_sim.__defaults__
     universe = make_task_universe(2, 4, 3, seed=1)
     devices = partition_devices(universe, 4, 30, 0.3, seed=1)
-    radios = sample_radios([0, 0, 0, 0], seed=1)
-    edges = [EdgeConfig(0, 1e7, 4, 1e8, deadline_policy="fixed", deadline_s=1e9)]
     config = make_config(n_devices=4, rounds=5, seed=1)
-    with pytest.raises(ValueError):
-        Simulation(devices[:3], radios, edges, CHANNEL, config)
-    bad_edges = [EdgeConfig(7, 1e7, 4, 1e8, deadline_policy="fixed", deadline_s=1e9)]
-    with pytest.raises(ValueError):
-        Simulation(devices, radios, bad_edges, CHANNEL, config)
+    radios = sample_radios([0, 0, 0, 0], 1, config.network)
+    with pytest.raises(ValueError, match="align"):
+        Simulation(devices[:3], radios, config)
+    with pytest.raises(ValueError, match=r"unknown edges \[7\]"):
+        Simulation(devices, sample_radios([0, 0, 0, 7], 1, config.network), config)
+    with pytest.raises(ValueError, match="edge 1 has no devices"):
+        Simulation(devices, radios, make_config(n_devices=4, n_edges=2, rounds=5, seed=1))
