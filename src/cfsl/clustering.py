@@ -180,7 +180,8 @@ STOPPED = "stopped"
 
 @dataclass
 class ClusterNode:
-    """One node of the specialization tree."""
+    """One node of the specialization tree; `born` is the round that made
+    it (0 for the roots)."""
 
     cluster_id: int
     edge_id: int | None
@@ -190,6 +191,7 @@ class ClusterNode:
     parent: int | None = None
     children: tuple = ()
     merged_into: int | None = None
+    born: int = 0
 
     @property
     def is_leaf(self) -> bool:
@@ -241,10 +243,11 @@ class ClusterTree:
     def node(self, cluster_id: int) -> ClusterNode:
         return self.nodes[cluster_id]
 
-    def split(self, cluster_id: int, parts) -> tuple:
+    def split(self, cluster_id: int, parts, born: int = 0) -> tuple:
         """Replace a leaf with two children partitioning its members.
 
-        Children start from a copy of the parent's model.
+        Children start from a copy of the parent's model and are born in
+        round `born`.
         """
         node = self.nodes[cluster_id]
         if node.status == STOPPED:
@@ -269,6 +272,7 @@ class ClusterTree:
                 part,
                 node.model.with_weights(node.model.weights.copy()),
                 parent=cluster_id,
+                born=born,
             )
             self._own(cid)
             ids.append(cid)
@@ -281,8 +285,9 @@ class ClusterTree:
             raise StateError(f"cluster {cluster_id} is internal and cannot stop")
         node.status = STOPPED
 
-    def merge(self, cluster_ids, model: ModelParams) -> int:
-        """Fuse current leaves into one new parentless cluster (cloud-level).
+    def merge(self, cluster_ids, model: ModelParams, born: int = 0) -> int:
+        """Fuse current leaves into one new parentless cluster (cloud-level),
+        born in round `born`; a merge of stopped leaves is stopped.
 
         The old leaves stay in the tree but point at the merged node and
         never train or split again.
@@ -296,8 +301,9 @@ class ClusterTree:
         members = frozenset().union(*(n.members for n in nodes))
         edge_ids = {n.edge_id for n in nodes}
         edge_id = edge_ids.pop() if len(edge_ids) == 1 else None
+        status = STOPPED if all(n.status == STOPPED for n in nodes) else ACTIVE
         cid = self._new_id()
-        self.nodes[cid] = ClusterNode(cid, edge_id, members, model)
+        self.nodes[cid] = ClusterNode(cid, edge_id, members, model, status, born=born)
         for n in nodes:
             n.merged_into = cid
         self._own(cid)

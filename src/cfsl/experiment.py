@@ -107,6 +107,12 @@ def _csv_devices(cfg: ExperimentConfig, data_seed_val: int) -> list:
             np.random.SeedSequence([int(data_seed_val), DATA_STREAM, 2, k])
         )
         n_hold = int(round(d.holdout_fraction * len(lab)))
+        if n_hold >= len(lab):
+            raise ConfigError(
+                "data.holdout_fraction",
+                f"holds out all {len(lab)} labeled rows of device {k}, "
+                "leaving none to train on",
+            )
         holdout = np.sort(rng.choice(len(lab), size=n_hold, replace=False))
         test = lab.subset(holdout) if n_hold else lab
         devices.append(
@@ -193,30 +199,16 @@ def _atomic_write(path: str, text: str):
 
 
 def metrics_rows(cfg: ExperimentConfig, sim: Simulation) -> list:
-    """One row per round. labeled_fraction is the run's effective one,
-    1.0 under cfl-fully-labeled."""
-    rows = []
-    for m in sim.metrics:
-        rows.append(
-            {
-                "baseline": cfg.run.baseline,
-                "seed": cfg.run.seed,
-                "labeled_fraction": float(sim.config.data.labeled_fraction),
-                "phi": float(cfg.ssl.phi),
-                "round": m.round_no,
-                "cumulative_time_s": m.cumulative_time_s,
-                "acc_min": m.acc_min,
-                "acc_mean": m.acc_mean,
-                "acc_max": m.acc_max,
-                "labeling_accuracy_mean": m.labeling_accuracy_mean,
-                "injected_fraction": m.injected_fraction,
-                "clusters": m.clusters,
-                "objective": m.objective,
-                "drops": m.drops,
-                "mean_labeling_latency_s": m.mean_labeling_latency_s,
-            }
-        )
-    return rows
+    """One row per round: the run's columns and every `MetricsRow` field,
+    with `round_no` also as the `round` column. labeled_fraction is the
+    run's effective one, 1.0 under cfl-fully-labeled."""
+    run = {
+        "baseline": cfg.run.baseline,
+        "seed": cfg.run.seed,
+        "labeled_fraction": float(sim.config.data.labeled_fraction),
+        "phi": float(cfg.ssl.phi),
+    }
+    return [{**run, **vars(m), "round": m.round_no} for m in sim.metrics]
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:

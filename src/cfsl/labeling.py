@@ -11,9 +11,10 @@ scores their holdout accuracy in one stacked pass. Accuracy ranks first,
 so only the contenders, the candidates tied at the best accuracy, can be
 chosen; only they run over the pool, in one stacked pass, to get their
 coverage. The estimated labeling latency is the same for every candidate
-of one selection, so it never breaks a tie there. The chosen model's pool
-predictions go on to `pseudo_label`, which then does not run that model
-again.
+of one selection, so the contenders rank by coverage, then model id. The
+selection hands back the chosen model's score, whose scalar enters the
+reported objective, and its pool predictions, which go on to
+`pseudo_label` so that it does not run that model again.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ class PseudoLabelBatch:
     indices: np.ndarray
     labels: np.ndarray
     confidences: np.ndarray
-    source_model_id: int
-    round_no: int
     phi: float
 
     def __post_init__(self):
@@ -61,11 +60,10 @@ class UtilityScore:
     model_id: int
     val_accuracy: float
     coverage: float
-    mean_confidence: float
     est_label_latency: float
 
     def __post_init__(self):
-        for name in ("val_accuracy", "coverage", "mean_confidence"):
+        for name in ("val_accuracy", "coverage"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
@@ -78,30 +76,11 @@ class UtilityScore:
         return self.val_accuracy * self.coverage
 
 
-@dataclass(frozen=True)
-class SelectionDecision:
-    """One-hot choice of labeling model for a device."""
-
-    device_id: int
-    chosen_model_id: int
-    z: dict
-
-    def __post_init__(self):
-        if any(v not in (0, 1) for v in self.z.values()):
-            raise ValueError("z entries must be binary")
-        if sum(self.z.values()) != 1:
-            raise ValueError("z must have exactly one entry equal to 1")
-        if self.z.get(self.chosen_model_id) != 1:
-            raise ValueError("chosen model must carry the 1 entry")
-
-
 def pseudo_label(
     model: ModelParams,
     features: np.ndarray,
     phi: float,
     device_id: int = -1,
-    source_model_id: int = -1,
-    round_no: int = -1,
     pool_indices: np.ndarray | None = None,
     predictions: tuple | None = None,
 ) -> PseudoLabelBatch:
@@ -124,8 +103,6 @@ def pseudo_label(
         indices=np.asarray(pool_indices)[accept],
         labels=classes[accept],
         confidences=conf[accept],
-        source_model_id=source_model_id,
-        round_no=round_no,
         phi=phi,
     )
 
@@ -160,15 +137,13 @@ def _score_candidates(
     classes, conf = confidences([candidates[mid] for mid in contenders], pool)
     n_pending = pool.shape[0]
     if n_pending == 0:
-        coverage = mean_conf = [0.0] * len(contenders)
+        coverage = [0.0] * len(contenders)
         latency = 0.0
     else:
         coverage = (conf >= phi).mean(axis=1).tolist()
-        mean_conf = conf.mean(axis=1).tolist()
         latency = n_pending * inference_cycles_per_sample / f_hz
     scores = {
-        mid: UtilityScore(mid, best, *fields, latency)
-        for mid, *fields in zip(contenders, coverage, mean_conf)
+        mid: UtilityScore(mid, best, cov, latency) for mid, cov in zip(contenders, coverage)
     }
     predictions = dict(zip(contenders, zip(classes, conf)))
     return scores, predictions
@@ -198,32 +173,25 @@ def select_best_model(
     inference_cycles_per_sample: float,
     pool: np.ndarray | None = None,
 ):
-    """Rank candidate models and pick exactly one for this device.
+    """Pick exactly one candidate model for this device.
 
-    Ranking is lexicographic: highest holdout accuracy, then highest
-    coverage, then lowest estimated labeling latency, then lowest model
-    id. The latency is the same for every candidate of one selection, so
-    it never breaks a tie. Every candidate's holdout accuracy is scored;
-    only the contenders, the candidates tied at the best accuracy, run
-    over the pool, and each gets its `utility` score. All of it comes
-    from one read of the device's holdout and pool; `pool` is the
+    Every candidate's holdout accuracy is scored, and only the contenders,
+    the candidates tied at the best accuracy, run over the pool. The
+    contenders share that accuracy and one estimated labeling latency, so
+    they rank by coverage descending, then by model id ascending. All of it
+    comes from one read of the device's holdout and pool; `pool` is the
     device's pending features (`device.pending_features()[1]`) when the
-    caller has read them already. Returns the one-hot decision over every
-    candidate, the contenders' scores in candidate order, and the chosen
-    model's (classes, confidences) over the pool for `pseudo_label`.
+    caller has read them already. Returns the chosen model's
+    `UtilityScore`, as `utility` gives it, and its (classes, confidences)
+    over the pool for `pseudo_label`.
     """
     if not candidates:
         raise StateError(f"device {device.device_id}: no candidate models to select from")
     scores, predictions = _score_candidates(
         device, candidates, phi, f_hz, inference_cycles_per_sample, pool
     )
-    ranked = sorted(
-        scores.values(),
-        key=lambda s: (-s.val_accuracy, -s.coverage, s.est_label_latency, s.model_id),
-    )
-    chosen = ranked[0].model_id
-    z = {mid: (1 if mid == chosen else 0) for mid in sorted(candidates)}
-    return SelectionDecision(device.device_id, chosen, z), scores, predictions[chosen]
+    chosen = min(scores.values(), key=lambda s: (-s.coverage, s.model_id))
+    return chosen, predictions[chosen.model_id]
 
 
 def inject(device: DeviceDataset, batch: PseudoLabelBatch) -> int:
@@ -260,22 +228,16 @@ def labeling_accuracy(device: DeviceDataset):
     return device.n_correct / device.n_known
 
 
-def objective_value(device_losses: dict, selections: dict, utilities: dict, lam: float) -> float:
+def objective_value(device_losses: dict, utilities: dict, lam: float) -> float:
     """Training losses minus lam times each device's realized utility.
 
-    selections maps device -> SelectionDecision for devices that have
-    chosen a labeling model; others contribute loss only. The utility
-    scalar is holdout accuracy times coverage.
+    utilities maps device -> the scalar utility (holdout accuracy times
+    coverage) of its last chosen labeling model; devices that never chose
+    one contribute loss only.
     """
     total = 0.0
     for dev in sorted(device_losses):
         total += float(device_losses[dev])
-        decision = selections.get(dev)
-        if decision is None:
-            continue
-        scores = utilities[dev]
-        one_hot = sum(decision.z.values())
-        if one_hot != 1:
-            raise ValueError(f"device {dev}: z sums to {one_hot}, expected 1")
-        total -= lam * scores[decision.chosen_model_id].scalar
+        if dev in utilities:
+            total -= lam * utilities[dev]
     return total

@@ -304,15 +304,6 @@ def _top_class(probs: np.ndarray):
     return c - (at_top.view(np.uint8) * rank).max(axis=0), top
 
 
-def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Class-probability matrix: row-wise softmax over the model's logits."""
-    features = _check_features(params, features)
-    if features.shape[0] == 0:
-        return np.zeros((0, params.dim_out))
-    z, _ = _logits(params.hidden, _unpack(params), features)
-    return _softmax(z)
-
-
 def loss(params, batch):
     """Mean cross-entropy over the batch (log-softmax form for accuracy).
 
@@ -472,7 +463,8 @@ def _pairwise_sum(a: np.ndarray) -> np.ndarray:
 
 def confidences(params, features: np.ndarray):
     """Per-sample (argmax class, max probability), ties to the lowest class
-    id; the softmax runs class-major with the bits of `forward`.
+    id; the softmax runs class-major with the bits of the row-wise
+    `_softmax` (see "Class-major softmax").
 
     `params` is one model, giving (n,) arrays, or a list of K same-shape
     models scored on one pool, giving (K, n) arrays whose row k is what

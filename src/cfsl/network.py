@@ -2,9 +2,11 @@
 
 Closed-form timing only. A device's round cost is local compute time
 (epochs * samples * cycles-per-sample / CPU frequency) plus upload time
-(model bits / achieved rate) on its OFDMA sub-channel; an edge's round
-time is the slowest surviving device; a global round is the slowest edge
-including its backhaul to the cloud. Broadcast time is treated as zero.
+(model bits / achieved rate) on its OFDMA sub-channel. An edge's round
+time, `ScheduleEntry.round_s`, is the slowest participating device's
+estimate; a global round, `round_time`, is the slowest edge that shipped
+anything plus the one cloud hop every edge shares. Broadcast time is
+treated as zero.
 
 Every setting of the model (band, channel, CPU cycles, deadline rule,
 radio ranges) is read from the validated `[network]` section,
@@ -92,7 +94,6 @@ class ScheduleEntry:
     covers every eligible device (the basis for selection and deadline).
     """
 
-    edge_id: int
     selected: tuple
     beta: float
     deadline_s: float
@@ -106,6 +107,11 @@ class ScheduleEntry:
     @property
     def idle(self) -> bool:
         return not self.participating
+
+    @property
+    def round_s(self) -> float:
+        """The slowest participating device's estimate; 0.0 when idle."""
+        return max((self.est_times[d] for d in self.participating), default=0.0)
 
 
 def device_round_time(
@@ -130,7 +136,6 @@ def device_round_time(
 
 def schedule_round(
     net: NetworkConfig,
-    edge_id: int,
     subchannels: int,
     radios: list,
     workloads: dict,
@@ -156,38 +161,19 @@ def schedule_round(
     order = sorted(est, key=lambda d: (est[d], d))
     selected = tuple(sorted(order[:subchannels]))
     if not selected:
-        return ScheduleEntry(edge_id, (), beta, 0.0, (), est)
+        return ScheduleEntry((), beta, 0.0, (), est)
     if net.deadline_policy == "fixed":
         deadline = float(net.deadline_s)
     else:
         deadline = net.deadline_kappa * float(np.median([est[d] for d in selected]))
     dropped = tuple(d for d in selected if est[d] > deadline)
-    return ScheduleEntry(edge_id, selected, beta, deadline, dropped, est)
+    return ScheduleEntry(selected, beta, deadline, dropped, est)
 
 
-def edge_round_time(entry: ScheduleEntry, actual_times: dict):
-    """(slowest surviving device's seconds, idle flag) for one edge."""
-    participating = entry.participating
-    if not participating:
-        return 0.0, True
-    missing = [d for d in participating if d not in actual_times]
-    if missing:
-        raise ValueError(f"missing actual times for devices {missing}")
-    return max(actual_times[d] for d in participating), False
-
-
-def global_round_time(edge_times: dict, cloud_times: dict, idle_edges=()) -> float:
-    """Slowest edge's round time plus its cloud upload; idle edges are
-    skipped (they shipped nothing). All edges idle gives a zero-length round."""
-    if not edge_times:
-        raise ValueError("global_round_time needs at least one edge")
-    idle = set(idle_edges)
-    totals = [
-        edge_times[e] + cloud_times[e] for e in sorted(edge_times) if e not in idle
-    ]
-    if not totals:
-        return 0.0
-    return max(totals)
+def round_time(schedules, cloud_s: float) -> float:
+    """Slowest edge's round time plus the cloud hop; idle edges are skipped
+    (they shipped nothing). All edges idle gives a zero-length round."""
+    return max((s.round_s + cloud_s for s in schedules if not s.idle), default=0.0)
 
 
 def sample_radios(edge_ids: list, seed, net: NetworkConfig) -> list:

@@ -21,7 +21,6 @@ import numpy as np
 
 from .clustering import (
     ACTIVE,
-    STOPPED,
     ClusterTree,
     bipartition,
     _cosine,
@@ -48,7 +47,7 @@ from .models import (
     loss,
     sgd_train,
 )
-from .network import edge_round_time, global_round_time, rayleigh_fading, schedule_round
+from .network import rayleigh_fading, round_time, schedule_round
 from .seeding import fading_seed, init_seed, training_seed
 
 log = logging.getLogger(__name__)
@@ -183,13 +182,11 @@ class Simulation:
         )
         self.payload_bits = self.global_model.size_bits
         self.tree = ClusterTree()
-        self.node_birth: dict = {}
         for e, members in enumerate(self.edge_members):
-            root_id = self.tree.add_root(
+            self.tree.add_root(
                 e, members,
                 self.global_model.with_weights(self.global_model.weights.copy()),
             )
-            self.node_birth[root_id] = 0
 
         self.round_no = 0
         self.cumulative_time_s = 0.0
@@ -197,8 +194,8 @@ class Simulation:
         self.events: list = []
         self.loss_history = defaultdict(list)
         self.last_label_round: dict = {}
-        self.last_selection: dict = {}
-        self.last_utilities: dict = {}
+        # Each device's last chosen labeling model's scalar utility.
+        self.utilities: dict = {}
         self.label_crossing = {
             d.device_id: 0.0
             for d in self.devices
@@ -235,10 +232,7 @@ class Simulation:
                     for e in range(len(self.edge_members))}
         # A cluster's model reflects its own members' training only from the
         # second round after creation; before that it is a copy of its parent.
-        nodes = [
-            n for n in self.tree.specialized()
-            if r - self.node_birth.get(n.cluster_id, 0) >= 2
-        ]
+        nodes = [n for n in self.tree.specialized() if r - n.born >= 2]
         by_edge = {}
         for e, members in enumerate(self.edge_members):
             scoped = nodes
@@ -329,7 +323,7 @@ class Simulation:
         for e, members in enumerate(self.edge_members):
             eligible = [k for k in members if leaf_at_training[k].status == ACTIVE]
             entry = schedule_round(
-                net, e, self.subchannels[e], [self.radios[k] for k in eligible],
+                net, self.subchannels[e], [self.radios[k] for k in eligible],
                 {k: self.devices[k].labeled_size for k in eligible},
                 self.payload_bits, tr.epochs, fading,
             )
@@ -384,16 +378,8 @@ class Simulation:
             self._merge_check(r)
 
         # (8) latency accounting and metrics
-        edge_times, cloud_times, idle = {}, {}, set()
-        drops = 0
-        for e, entry in enumerate(schedules):
-            t, is_idle = edge_round_time(entry, entry.est_times)
-            edge_times[e] = t
-            cloud_times[e] = self.payload_bits / net.cloud_rate_bps
-            if is_idle:
-                idle.add(e)
-            drops += len(entry.dropped)
-        duration = global_round_time(edge_times, cloud_times, idle)
+        duration = round_time(schedules, self.payload_bits / net.cloud_rate_bps)
+        drops = sum(len(entry.dropped) for entry in schedules)
         self.cumulative_time_s += duration
 
         for dev in self.devices:
@@ -424,30 +410,28 @@ class Simulation:
             if not candidates:
                 continue
             idx, feats = dev.pending_features()
-            decision, scores, predictions = select_best_model(
+            chosen, predictions = select_best_model(
                 dev, candidates, ssl.phi, self.radios[k].f_hz,
                 ssl.inference_cycles_per_sample, pool=feats,
             )
+            mid = chosen.model_id
             self.last_label_round[k] = r
-            self.last_selection[k] = decision
-            self.last_utilities[k] = scores
-            chosen = scores[decision.chosen_model_id]
+            self.utilities[k] = chosen.scalar
             self._event({
-                "type": "selection", "round": r, "device": k,
-                "chosen_model": decision.chosen_model_id, "z": decision.z,
+                "type": "selection", "round": r, "device": k, "chosen_model": mid,
+                "z": {c: int(c == mid) for c in sorted(candidates)},
                 "val_accuracy": chosen.val_accuracy, "coverage": chosen.coverage,
                 "est_label_latency_s": chosen.est_label_latency,
             })
             batch = pseudo_label(
-                candidates[decision.chosen_model_id], feats, ssl.phi,
-                device_id=k, source_model_id=decision.chosen_model_id,
-                round_no=r, pool_indices=idx, predictions=predictions,
+                candidates[mid], feats, ssl.phi,
+                device_id=k, pool_indices=idx, predictions=predictions,
             )
             added = inject(dev, batch)
             if added:
                 self._event({
                     "type": "injection", "round": r, "device": k, "count": added,
-                    "source_model": decision.chosen_model_id,
+                    "source_model": mid,
                     "mean_confidence": float(batch.confidences.mean()),
                     "pool_remaining": dev.unlabeled_remaining,
                 })
@@ -482,9 +466,7 @@ class Simulation:
                                 node.cluster_id, r)
                     continue
                 c1, c2 = bipartition(similarity_matrix(grads))
-                children = self.tree.split(node.cluster_id, (c1, c2))
-                for child in children:
-                    self.node_birth[child] = r
+                children = self.tree.split(node.cluster_id, (c1, c2), born=r)
                 self._event({
                     "type": "split", "round": r, "cluster": node.cluster_id,
                     "children": list(children), "parts": [list(c1), list(c2)],
@@ -504,7 +486,7 @@ class Simulation:
         for n in spec_nodes:
             # A cluster split off this round still carries its parent's
             # exact weights; comparing it now would always re-merge it.
-            if self.node_birth.get(n.cluster_id, -1) == r:
+            if n.born == r:
                 continue
             v = n.model.weights - self.global_model.weights
             norm = np.linalg.norm(v)
@@ -549,11 +531,7 @@ class Simulation:
                 "acted": acted,
             }
             if acted:
-                new_id = self.tree.merge(group, merged_model)
-                self.node_birth[new_id] = r
-                if all(n.status == STOPPED for n in nodes):
-                    self.tree.node(new_id).status = STOPPED
-                event["merged_into"] = new_id
+                event["merged_into"] = self.tree.merge(group, merged_model, born=r)
             self._event(event)
 
     def _emit_metrics(self, r: int, duration: float, drops: int, clusters: int) -> MetricsRow:
@@ -575,9 +553,7 @@ class Simulation:
         present = [v for v in lab if v is not None]
         lab_mean = float(np.mean(present)) if present else None
         injected = float(np.mean([d.injected_fraction for d in self.devices]))
-        objective = objective_value(
-            device_losses, self.last_selection, self.last_utilities, self.config.ssl.lam
-        )
+        objective = objective_value(device_losses, self.utilities, self.config.ssl.lam)
         latency = float(np.mean([
             self.label_crossing.get(d.device_id, self.cumulative_time_s)
             for d in self.devices

@@ -20,6 +20,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from cfsl import orchestrator
 from cfsl.clustering import SimilarityMatrix, bipartition
 from cfsl.config import parse_config
 from cfsl.experiment import build_simulation, run_experiment
@@ -32,8 +33,7 @@ from cfsl.network import (
     data_rate,
     db_to_linear,
     dbm_to_watts,
-    edge_round_time,
-    global_round_time,
+    round_time,
     upload_time,
 )
 from cfsl.orchestrator import edge_aggregate
@@ -129,23 +129,22 @@ def test_criterion_01_latency_formula_exactness():
                 totals.append((got_cmp + got_up, t_cmp + t_up))
 
             # Edge round time: slowest surviving device; the dropped one
-            # must not count. Device ids index into the first three cases.
-            est = {k: totals[k][0] for k in range(3)}
-            entry = ScheduleEntry(edge_id=0, selected=(0, 1, 2), beta=0.25,
-                                  deadline_s=float("inf"), dropped=(2,),
-                                  est_times=est)
-            got_edge, idle = edge_round_time(entry, est)
-            assert not idle
-            oracle_edge = max(totals[0][1], totals[1][1])
-            assert _mp_rel(got_edge, oracle_edge) <= tol
+            # must not count. Device ids index into the cases.
+            def entry(selected, dropped=()):
+                return ScheduleEntry(selected=selected, beta=0.25,
+                                     deadline_s=float("inf"), dropped=dropped,
+                                     est_times={k: totals[k][0] for k in selected})
 
-            # Global round time: slowest edge including its cloud hop,
+            edge = entry((0, 1, 2), dropped=(2,))
+            assert not edge.idle
+            oracle_edge = max(totals[0][1], totals[1][1])
+            assert _mp_rel(edge.round_s, oracle_edge) <= tol
+
+            # Global round time: slowest edge plus the shared cloud hop,
             # idle edges excluded.
-            cloud = {0: totals[3][0], 1: totals[4][0], 2: totals[5][0]}
-            edge_times = {0: got_edge, 1: totals[6][0], 2: 0.0}
-            got_global = global_round_time(edge_times, cloud, idle_edges={2})
-            oracle_global = max(oracle_edge + totals[3][1],
-                                totals[6][1] + totals[4][1])
+            edges = [edge, entry((6,)), entry((4, 5), dropped=(4, 5))]
+            got_global = round_time(edges, totals[3][0])
+            oracle_global = max(oracle_edge, totals[6][1]) + totals[3][1]
             assert _mp_rel(got_global, oracle_global) <= tol
 
         assert time.perf_counter() - start < 1.0
@@ -598,13 +597,22 @@ baseline = cfsl
 """
 
 
-def test_criterion_10_scheduling_and_selection_constraints():
+def test_criterion_10_scheduling_and_selection_constraints(monkeypatch):
     """Over a 50-round run with a tight deadline: bandwidth shares sum
     to at most 1 per edge-round, dropped devices never contribute to an
-    aggregate, every selection is one-hot, and a time budget stops the
+    aggregate, every selection is one-hot over exactly the candidates it
+    chose from with its 1 on the chosen model, and a time budget stops the
     run within one round of being crossed."""
     with criterion(10, "bandwidth, drop, one-hot, and time-budget constraints hold"):
         start = time.perf_counter()
+        offered = []  # each selection's candidate ids, ascending
+        select = orchestrator.select_best_model
+
+        def recording_select(device, candidates, *args, **kwargs):
+            offered.append(sorted(candidates))
+            return select(device, candidates, *args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "select_best_model", recording_select)
         sim = build_simulation(parse_config(AUDIT_CONFIG.format(budget="")))
         reason = sim.run()
         assert reason == "round budget"
@@ -628,10 +636,14 @@ def test_criterion_10_scheduling_and_selection_constraints():
 
         selections = [e for e in sim.events if e["type"] == "selection"]
         assert selections, "audit needs at least one labeling selection"
-        for e in selections:
+        assert len(selections) == len(offered)
+        assert any(len(ids) > 1 for ids in offered), "audit needs a choice among models"
+        for e, ids in zip(selections, offered):
             z = list(e["z"].values())
             assert all(v in (0, 1) for v in z)
             assert sum(z) == 1
+            assert list(e["z"]) == ids
+            assert e["z"][e["chosen_model"]] == 1
 
         budget = 0.55 * sim.cumulative_time_s
         capped = build_simulation(parse_config(

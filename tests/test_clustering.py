@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from cfsl.clustering import (
+    ACTIVE,
+    STOPPED,
     ClusterTree,
     SimilarityMatrix,
     bipartition,
@@ -324,6 +326,22 @@ def test_tree_merge_across_edges():
     assert tree.cluster_of(0).cluster_id == merged
     with pytest.raises(StateError):
         tree.merge([a, merged], model)
+
+
+def test_tree_records_birth_rounds_and_stopped_merges():
+    tree = ClusterTree()
+    model = zero_params(3, 2)
+    root = tree.add_root(0, [0, 1, 2, 3], model)
+    a, b = tree.split(root, ((0, 1), (2, 3)), born=5)
+    a1, a2 = tree.split(a, ((0,), (1,)), born=10)
+    assert [tree.node(c).born for c in (root, a, b, a1, a2)] == [0, 5, 5, 10, 10]
+    # A merge of stopped leaves is stopped; one live leaf keeps it active.
+    tree.stop(a1)
+    tree.stop(a2)
+    stopped = tree.merge([a1, a2], model, born=15)
+    assert tree.node(stopped).status == STOPPED and tree.node(stopped).born == 15
+    live = tree.merge([stopped, b], model, born=20)
+    assert tree.node(live).status == ACTIVE and tree.node(live).born == 20
 
 
 def test_tree_root_lookup_and_snapshot():

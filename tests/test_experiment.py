@@ -616,6 +616,31 @@ rounds = 1
     assert "data.csv_path" in str(exc.value)
 
 
+def test_csv_mode_holdout_must_leave_training_rows(tmp_path):
+    # Two labeled rows per device; holding out round(0.9 * 2) = 2 of them
+    # leaves none to train on, as the synthetic rule forbids.
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("".join(f"{k}.0,1.0,{k % 2}\n" for k in range(4)) + "0.5,0.5,\n")
+    text = f"""
+[topology]
+edges = 1
+devices = 2
+[data]
+mode = csv
+csv_path = {data_path}
+features = 2
+classes = 2
+holdout_fraction = {{holdout}}
+[run]
+rounds = 1
+out_dir = {tmp_path / "out"}
+"""
+    with pytest.raises(ConfigError) as exc:
+        build_simulation(parse_config(text.format(holdout=0.9)))
+    assert "data.holdout_fraction" in str(exc.value)
+    assert run_experiment(parse_config(text.format(holdout=0.4))).rows
+
+
 # ------------------------------------------------------------ sweep
 
 

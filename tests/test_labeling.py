@@ -10,8 +10,8 @@ from cfsl.data import make_task_universe, partition_devices
 from cfsl.errors import StateError
 from cfsl.labeling import (
     PseudoLabelBatch,
-    SelectionDecision,
     UtilityScore,
+    _score_candidates,
     inject,
     labeling_accuracy,
     objective_value,
@@ -72,21 +72,20 @@ def test_pseudo_label_pool_indices_and_metadata():
     p = zero_params(2, 2)
     feats = np.array([[1.0, 0.0], [0.0, 1.0]])
     batch = pseudo_label(
-        p, feats, phi=0.5, device_id=7, source_model_id=3, round_no=12,
-        pool_indices=np.array([4, 9]),
+        p, feats, phi=0.5, device_id=7, pool_indices=np.array([4, 9]),
     )
     assert np.array_equal(batch.indices, [4, 9])
-    assert batch.device_id == 7 and batch.source_model_id == 3 and batch.round_no == 12
+    assert batch.device_id == 7 and batch.phi == 0.5
     assert np.all(batch.confidences >= 0.5)
 
 
 def test_pseudo_label_batch_validation():
     with pytest.raises(ValueError):
         PseudoLabelBatch(0, np.array([1, 1]), np.array([0, 0]),
-                         np.array([0.9, 0.9]), 0, 0, 0.5)
+                         np.array([0.9, 0.9]), 0.5)
     with pytest.raises(ValueError):
         PseudoLabelBatch(0, np.array([1, 2]), np.array([0, 0]),
-                         np.array([0.9, 0.3]), 0, 0, 0.5)
+                         np.array([0.9, 0.3]), 0.5)
     with pytest.raises(ValueError):
         pseudo_label(zero_params(2, 2), np.zeros((1, 2)), phi=1.5)
 
@@ -111,7 +110,6 @@ def test_utility_empty_pool():
     score = utility(0, zero_params(3, 4), dev, 0.4, 1e9, 20)
     assert score.coverage == 0.0
     assert score.est_label_latency == 0.0
-    assert score.mean_confidence == 0.0
 
 
 def test_utility_deterministic_and_latency_formula():
@@ -148,16 +146,18 @@ def test_utility_empty_holdout_falls_back(caplog):
 
 def test_utility_score_range_validation():
     with pytest.raises(ValueError):
-        UtilityScore(0, 1.2, 0.5, 0.5, 0.0)
+        UtilityScore(0, 1.2, 0.5, 0.0)
     with pytest.raises(ValueError):
-        UtilityScore(0, 0.5, 0.5, 0.5, -1.0)
+        UtilityScore(0, 0.5, -0.1, 0.0)
+    with pytest.raises(ValueError):
+        UtilityScore(0, 0.5, 0.5, -1.0)
 
 
 # ---------------------------------------------------------------- selection
 
 
 def score(mid, acc, cov, lat=1.0):
-    return UtilityScore(mid, acc, cov, cov, lat)
+    return UtilityScore(mid, acc, cov, lat)
 
 
 def rank_oracle(scores):
@@ -172,22 +172,22 @@ def test_selection_prefers_accuracy_over_coverage():
     dev = devices[0]
     good = trained_on(dev, u)
     bad = zero_params(3, 4)
-    decision, scores, _ = select_best_model(dev, {5: bad, 9: good}, 0.25, 1e9, 20)
+    chosen, _ = select_best_model(dev, {5: bad, 9: good}, 0.25, 1e9, 20)
     loser = utility(5, bad, dev, 0.25, 1e9, 20)
-    assert scores[9].val_accuracy > loser.val_accuracy
+    assert chosen == utility(9, good, dev, 0.25, 1e9, 20)
+    assert chosen.val_accuracy > loser.val_accuracy
     # The uniform model covers everything at phi=0.25 but loses on accuracy,
     # so selection never scores it over the pool.
     assert loser.coverage == 1.0
-    assert 5 not in scores
-    assert decision.chosen_model_id == 9
-    assert decision.z == {5: 0, 9: 1}
+    scores, _ = _score_candidates(dev, {5: bad, 9: good}, 0.25, 1e9, 20, None)
+    assert list(scores) == [9]
 
 
 def test_selection_single_candidate_and_empty_error():
     u, devices = device_with_pool(seed=8)
     dev = devices[0]
-    decision, _, _ = select_best_model(dev, {3: zero_params(3, 4)}, 0.4, 1e9, 20)
-    assert decision.chosen_model_id == 3
+    chosen, _ = select_best_model(dev, {3: zero_params(3, 4)}, 0.4, 1e9, 20)
+    assert chosen.model_id == 3
     with pytest.raises(StateError):
         select_best_model(dev, {}, 0.4, 1e9, 20)
 
@@ -196,9 +196,8 @@ def test_selection_tie_breaks_to_lowest_model_id():
     u, devices = device_with_pool(seed=9)
     dev = devices[0]
     m = zero_params(3, 4)
-    decision, _, _ = select_best_model(dev, {8: m, 2: m, 5: m}, 0.4, 1e9, 20)
-    assert decision.chosen_model_id == 2
-    assert decision.z == {2: 1, 5: 0, 8: 0}
+    chosen, _ = select_best_model(dev, {8: m, 2: m, 5: m}, 0.4, 1e9, 20)
+    assert chosen.model_id == 2
 
 
 def test_selection_matches_full_sort_oracle():
@@ -225,17 +224,6 @@ def test_selection_invariant_to_latency_rescaling():
     assert rank_oracle(base) == rank_oracle(scaled)
 
 
-def test_selection_decision_validation():
-    with pytest.raises(ValueError):
-        SelectionDecision(0, 1, {1: 1, 2: 1})
-    with pytest.raises(ValueError):
-        SelectionDecision(0, 1, {1: 0, 2: 0})
-    with pytest.raises(ValueError):
-        SelectionDecision(0, 1, {1: 0, 2: 1})
-    with pytest.raises(ValueError):
-        SelectionDecision(0, 1, {1: 2, 2: -1})
-
-
 # ---------------------------------------------------------------- injection
 
 
@@ -245,7 +233,7 @@ def test_inject_moves_counts_per_sum_rule():
     pool_before = dev.unlabeled_remaining
     batch = PseudoLabelBatch(
         dev.device_id, np.arange(5), np.array([dev.class_whitelist[0]] * 5),
-        np.full(5, 0.99), source_model_id=1, round_no=3, phi=0.8,
+        np.full(5, 0.99), phi=0.8,
     )
     added = inject(dev, batch)
     assert added == 5
@@ -269,20 +257,20 @@ def test_inject_rejects_reinjection_and_bad_indices():
     dev = devices[0]
     wl = dev.class_whitelist[0]
     first = PseudoLabelBatch(dev.device_id, np.array([2]), np.array([wl]),
-                             np.array([0.9]), 0, 0, 0.5)
+                             np.array([0.9]), 0.5)
     inject(dev, first)
     again = PseudoLabelBatch(dev.device_id, np.array([2]), np.array([wl]),
-                             np.array([0.9]), 0, 1, 0.5)
+                             np.array([0.9]), 0.5)
     with pytest.raises(StateError):
         inject(dev, again)
     # Frozen label survives the failed attempt.
     assert dev.injected_labels[2] == wl
     out_of_range = PseudoLabelBatch(dev.device_id, np.array([10**6]), np.array([wl]),
-                                    np.array([0.9]), 0, 0, 0.5)
+                                    np.array([0.9]), 0.5)
     with pytest.raises(ValueError):
         inject(dev, out_of_range)
     wrong_dev = PseudoLabelBatch(dev.device_id + 1, np.array([3]), np.array([wl]),
-                                 np.array([0.9]), 0, 0, 0.5)
+                                 np.array([0.9]), 0.5)
     with pytest.raises(ValueError):
         inject(dev, wrong_dev)
 
@@ -293,7 +281,7 @@ def test_inject_increases_compute_time():
     before = compute_time(5, dev.labeled_size, 20, 1e9)
     batch = PseudoLabelBatch(dev.device_id, np.array([0, 1]),
                              np.array([dev.class_whitelist[0]] * 2),
-                             np.array([0.9, 0.9]), 0, 0, 0.5)
+                             np.array([0.9, 0.9]), 0.5)
     inject(dev, batch)
     assert compute_time(5, dev.labeled_size, 20, 1e9) > before
 
@@ -309,7 +297,7 @@ def test_labeling_accuracy_undefined_then_counts():
     labels = truth.copy()
     labels[3] = [c for c in dev.class_whitelist if c != truth[3]][0]
     batch = PseudoLabelBatch(dev.device_id, np.arange(4), labels,
-                             np.full(4, 0.9), 0, 0, 0.5)
+                             np.full(4, 0.9), 0.5)
     inject(dev, batch)
     assert labeling_accuracy(dev) == 0.75
 
@@ -345,20 +333,17 @@ def test_labeling_accuracy_perfect_and_adversarial():
 
 def test_objective_lambda_zero_is_loss_sum():
     losses = {0: 0.5, 1: 1.25}
-    assert objective_value(losses, {}, {}, lam=0.0) == 1.75
+    assert objective_value(losses, {}, lam=0.0) == 1.75
 
 
 def test_objective_hand_case():
     losses = {0: 0.5, 1: 1.0}
-    decision = SelectionDecision(0, 2, {2: 1, 3: 0})
-    utilities = {0: {2: score(2, 0.9, 0.5), 3: score(3, 0.1, 1.0)}}
-    # 0.5 + 1.0 - 2 * (0.9 * 0.5) = 0.6
-    got = objective_value(losses, {0: decision}, utilities, lam=2.0)
+    # Device 1 never chose a model: 0.5 + 1.0 - 2 * (0.9 * 0.5) = 0.6
+    got = objective_value(losses, {0: score(2, 0.9, 0.5).scalar}, lam=2.0)
     assert math.isclose(got, 0.6, rel_tol=1e-12)
 
 
 def test_objective_all_utilities_one():
     losses = {k: 0.0 for k in range(4)}
-    selections = {k: SelectionDecision(k, 1, {1: 1}) for k in range(4)}
-    utilities = {k: {1: score(1, 1.0, 1.0)} for k in range(4)}
-    assert objective_value(losses, selections, utilities, lam=1.0) == -4.0
+    utilities = {k: score(1, 1.0, 1.0).scalar for k in range(4)}
+    assert objective_value(losses, utilities, lam=1.0) == -4.0

@@ -1,15 +1,17 @@
 """Oracle checks for candidate scoring in one pass per device.
 
-The reference below is a verbatim copy of the row-wise code that
+The reference below is a copy of the row-wise code that
 `models.confidences`, `labeling.utility`, `labeling.select_best_model` and
-`labeling.pseudo_label` replaced: one `utility` call per candidate, each
-reading the holdout and the pool again, a row-wise softmax, and a second
-forward pass of the chosen model in `pseudo_label`. The class-major,
-one-pass code must give the same bits: equal (classes, confidences), equal
-UtilityScore fields, equal SelectionDecisions and equal PseudoLabelBatch
-arrays, for every class count. `confidences` on a list of K models must
-give each model the row-wise bits it gets alone, for pools inside one
-softmax block and across several.
+`labeling.pseudo_label` replaced, trimmed to the record fields they still
+fill: one `utility` call per candidate, each reading the holdout and the
+pool again, a row-wise softmax, a full lexicographic sort of every
+candidate's score, and a second forward pass of the chosen model in
+`pseudo_label`. The class-major, one-pass code must give the same bits:
+equal (classes, confidences), equal UtilityScore fields for the chosen
+model and every contender, and equal PseudoLabelBatch arrays, for every
+class count. `confidences` on a list of K models must give each model the
+row-wise bits it gets alone, for pools inside one softmax block and across
+several.
 """
 
 import logging
@@ -22,8 +24,8 @@ from cfsl.data import DeviceDataset
 from cfsl.errors import StateError
 from cfsl.labeling import (
     PseudoLabelBatch,
-    SelectionDecision,
     UtilityScore,
+    _score_candidates,
     pseudo_label,
     select_best_model,
     utility,
@@ -139,8 +141,6 @@ def ref_pseudo_label(
     features: np.ndarray,
     phi: float,
     device_id: int = -1,
-    source_model_id: int = -1,
-    round_no: int = -1,
     pool_indices: np.ndarray | None = None,
 ) -> PseudoLabelBatch:
     """Label every sample whose max class probability reaches phi.
@@ -159,8 +159,6 @@ def ref_pseudo_label(
         indices=np.asarray(pool_indices)[accept],
         labels=classes[accept],
         confidences=conf[accept],
-        source_model_id=source_model_id,
-        round_no=round_no,
         phi=phi,
     )
 
@@ -192,11 +190,11 @@ def ref_utility(
     _, pending = device.pending_features()
     n_pending = pending.shape[0]
     if n_pending == 0:
-        return UtilityScore(model_id, val_acc, 0.0, 0.0, 0.0)
+        return UtilityScore(model_id, val_acc, 0.0, 0.0)
     _, conf = ref_confidences(model, pending)
     coverage = float((conf >= phi).mean())
     latency = n_pending * inference_cycles_per_sample / f_hz
-    return UtilityScore(model_id, val_acc, coverage, float(conf.mean()), latency)
+    return UtilityScore(model_id, val_acc, coverage, latency)
 
 
 def ref_select_best_model(
@@ -210,7 +208,7 @@ def ref_select_best_model(
 
     Ranking is lexicographic: highest holdout accuracy, then highest
     coverage, then lowest estimated labeling latency, then lowest model
-    id. Returns the one-hot decision plus every candidate's score.
+    id. Returns the chosen candidate's score plus every candidate's score.
     """
     if not candidates:
         raise StateError(f"device {device.device_id}: no candidate models to select from")
@@ -222,9 +220,7 @@ def ref_select_best_model(
         scores.values(),
         key=lambda s: (-s.val_accuracy, -s.coverage, s.est_label_latency, s.model_id),
     )
-    chosen = ranked[0].model_id
-    z = {mid: (1 if mid == chosen else 0) for mid in sorted(candidates)}
-    return SelectionDecision(device.device_id, chosen, z), scores
+    return ranked[0], scores
 
 
 # ---------------------------------------------------------------- fixtures
@@ -279,8 +275,7 @@ def assert_stacked_matches(models, pool):
 
 
 def assert_same_batch(got: PseudoLabelBatch, want: PseudoLabelBatch):
-    assert (got.device_id, got.source_model_id, got.round_no, got.phi) == (
-        want.device_id, want.source_model_id, want.round_no, want.phi)
+    assert (got.device_id, got.phi) == (want.device_id, want.phi)
     for name in ("indices", "labels", "confidences"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -288,14 +283,13 @@ def assert_same_batch(got: PseudoLabelBatch, want: PseudoLabelBatch):
 
 def check_selection(device, candidates, phi=0.6, f_hz=2e9, cycles=20.0):
     """One-pass selection and labeling against the reference, field by field."""
-    want_decision, want_scores = ref_select_best_model(device, candidates, phi, f_hz, cycles)
+    want_chosen, want_scores = ref_select_best_model(device, candidates, phi, f_hz, cycles)
     idx, feats = device.pending_features()
-    decision, scores, predictions = select_best_model(
-        device, candidates, phi, f_hz, cycles, pool=feats
-    )
-    assert decision == want_decision
+    chosen, predictions = select_best_model(device, candidates, phi, f_hz, cycles, pool=feats)
+    assert chosen == want_chosen
     # Only the candidates tied at the best holdout accuracy can win; they
     # alone are scored over the pool, in candidate order.
+    scores, _ = _score_candidates(device, candidates, phi, f_hz, cycles, feats)
     best = max(s.val_accuracy for s in want_scores.values())
     assert list(scores) == [mid for mid, s in want_scores.items() if s.val_accuracy == best]
     for mid, want in want_scores.items():
@@ -303,21 +297,17 @@ def check_selection(device, candidates, phi=0.6, f_hz=2e9, cycles=20.0):
             assert scores[mid] == want
         assert utility(mid, candidates[mid], device, phi, f_hz, cycles) == want
     # Without the pool handed in, selection reads it itself.
-    assert select_best_model(device, candidates, phi, f_hz, cycles)[:2] == (decision, scores)
+    assert select_best_model(device, candidates, phi, f_hz, cycles)[0] == chosen
 
-    chosen = decision.chosen_model_id
-    assert_same_predictions(predictions, ref_confidences(candidates[chosen], feats))
-    want_batch = ref_pseudo_label(candidates[chosen], feats, phi, device.device_id, chosen, 3, idx)
+    model = candidates[chosen.model_id]
+    assert_same_predictions(predictions, ref_confidences(model, feats))
+    want_batch = ref_pseudo_label(model, feats, phi, device.device_id, idx)
     assert_same_batch(
-        pseudo_label(candidates[chosen], feats, phi, device.device_id, chosen, 3, idx,
-                     predictions=predictions),
+        pseudo_label(model, feats, phi, device.device_id, idx, predictions=predictions),
         want_batch,
     )
-    assert_same_batch(
-        pseudo_label(candidates[chosen], feats, phi, device.device_id, chosen, 3, idx),
-        want_batch,
-    )
-    return decision
+    assert_same_batch(pseudo_label(model, feats, phi, device.device_id, idx), want_batch)
+    return chosen
 
 
 # ---------------------------------------------------------------- confidences
@@ -521,10 +511,11 @@ def test_selection_on_empty_and_one_row_pools_warns_nothing(n_pool):
     models = {k: random_model(rng, 3, 4, 0) for k in range(5)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, scores, (classes, conf) = select_best_model(device, models, 0.5, 2e9, 20.0)
+        _, (classes, conf) = select_best_model(device, models, 0.5, 2e9, 20.0)
     assert classes.shape == conf.shape == (n_pool,)
     if n_pool == 0:
-        assert all(s.coverage == s.mean_confidence == 0.0 for s in scores.values())
+        scores, _ = _score_candidates(device, models, 0.5, 2e9, 20.0, None)
+        assert all(s.coverage == s.est_label_latency == 0.0 for s in scores.values())
 
 
 def test_selection_counts_confidence_equal_to_phi():
@@ -536,7 +527,7 @@ def test_selection_counts_confidence_equal_to_phi():
     models = {1: identity_model(2), 2: ModelParams(np.array([0, 1, 1, 0, 0, 0.0]), 2, 2)}
     for phi in (0.5, 1.0):
         check_selection(device, models, phi=phi)
-    _, scores, _ = select_best_model(device, models, 0.5, 2e9, 20.0)
+    scores, _ = _score_candidates(device, models, 0.5, 2e9, 20.0, None)
     assert scores[1].coverage == 1.0
     # The swapped model loses on holdout accuracy, so selection never scores
     # it over the pool; alone it covers the pool too.
@@ -549,8 +540,7 @@ def test_selection_ties_on_identical_candidates():
     rng = np.random.default_rng(3)
     device = make_device(rng, 4, 5)
     model = random_model(rng, 4, 5, 0)
-    decision = check_selection(device, {8: model, 4: model, 6: model})
-    assert decision.chosen_model_id == 4
+    assert check_selection(device, {8: model, 4: model, 6: model}).model_id == 4
 
 
 @pytest.mark.parametrize("n_pool", [0, 1])
@@ -629,18 +619,17 @@ def test_selection_fuzz_scores_pool_only_for_best_accuracy(family):
     for k in range(1, 41):
         for _ in range(4):
             device, candidates, phi = fuzz_case(rng, family, k)
-            want_decision, want_scores = ref_select_best_model(device, candidates, phi, 2e9, 20.0)
+            want_chosen, want_scores = ref_select_best_model(device, candidates, phi, 2e9, 20.0)
             _, feats = device.pending_features()
-            decision, scores, predictions = select_best_model(
-                device, candidates, phi, 2e9, 20.0, pool=feats
-            )
-            assert decision == want_decision
+            chosen, predictions = select_best_model(device, candidates, phi, 2e9, 20.0, pool=feats)
+            assert chosen == want_chosen
+            scores, _ = _score_candidates(device, candidates, phi, 2e9, 20.0, feats)
             best = max(s.val_accuracy for s in want_scores.values())
             contenders = [mid for mid, s in want_scores.items() if s.val_accuracy == best]
             assert list(scores) == contenders
             assert all(scores[mid] == want_scores[mid] for mid in contenders)
-            chosen = decision.chosen_model_id
-            assert_same_predictions(predictions, ref_confidences(candidates[chosen], feats))
+            model = candidates[chosen.model_id]
+            assert_same_predictions(predictions, ref_confidences(model, feats))
             pruned += len(contenders) < k
             tied += len(contenders) > 1
     # The fuzz must reach both paths: candidates left out of the pool pass,

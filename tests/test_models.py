@@ -13,14 +13,13 @@ from cfsl.models import (
     ModelParams,
     confidences,
     evaluate,
-    forward,
     gradient,
     init_params,
     loss,
     param_count,
     sgd_train,
 )
-from references import zero_params
+from references import forward, zero_params
 
 
 def make_batch(rng, n, d, c):

@@ -10,15 +10,15 @@ import pytest
 from cfsl.config import NetworkConfig
 from cfsl.network import (
     DeviceRadio,
+    ScheduleEntry,
     channel_gain,
     compute_time,
     data_rate,
     db_to_linear,
     dbm_to_watts,
     device_round_time,
-    edge_round_time,
-    global_round_time,
     rayleigh_fading,
+    round_time,
     sample_radios,
     schedule_round,
     upload_time,
@@ -160,8 +160,8 @@ def radio(k, f=1e9, p_dbm=10.0, d=4.0, edge=0):
 
 
 def schedule(q, radios, workloads, payload_bits, net=NET):
-    """schedule_round for edge 0 with q sub-channels and 5 epochs."""
-    return schedule_round(net, 0, q, radios, workloads, payload_bits, 5)
+    """schedule_round with q sub-channels and 5 epochs."""
+    return schedule_round(net, q, radios, workloads, payload_bits, 5)
 
 
 def test_schedule_selects_all_when_capacity_allows():
@@ -221,34 +221,33 @@ def test_schedule_estimates_match_device_round_time():
 # ---------------------------------------------------------------- aggregation
 
 
-def entry_with(selected, dropped=()):
-    return type("E", (), {"participating": tuple(d for d in selected if d not in dropped)})()
+def entry_with(est, dropped=()):
+    """An entry that selected every device of `est`, dropping `dropped`."""
+    return ScheduleEntry(tuple(sorted(est)), 0.25, math.inf, tuple(dropped), est)
 
 
-def test_edge_round_time_max_and_idle():
-    t, idle = edge_round_time(entry_with((0, 1)), {0: 3.0, 1: 5.0})
-    assert t == 5.0 and not idle
-    t, idle = edge_round_time(entry_with((2,)), {2: 1.25})
-    assert t == 1.25 and not idle
-    t, idle = edge_round_time(entry_with((0, 1), dropped=(0, 1)), {})
-    assert t == 0.0 and idle
-    t, idle = edge_round_time(entry_with((0, 1, 2)), {0: 2.0, 1: 7.5, 2: 4.0})
-    assert t == 7.5
-    with pytest.raises(ValueError):
-        edge_round_time(entry_with((0, 1)), {0: 1.0})
+def test_round_s_max_and_idle():
+    assert entry_with({0: 3.0, 1: 5.0}).round_s == 5.0
+    assert entry_with({2: 1.25}).round_s == 1.25
+    assert entry_with({0: 2.0, 1: 7.5, 2: 4.0}).round_s == 7.5
+    # A dropped device's estimate never counts; all dropped is an idle edge.
+    assert entry_with({0: 2.0, 1: 7.5, 2: 4.0}, dropped=(1,)).round_s == 4.0
+    idle = entry_with({0: 3.0, 1: 5.0}, dropped=(0, 1))
+    assert idle.idle and idle.round_s == 0.0
+    assert entry_with({}).round_s == 0.0
 
 
-def test_global_round_time_cases():
-    assert global_round_time({0: 4.0}, {0: 1.0}) == 5.0
-    assert global_round_time({0: 1.0, 1: 2.0}, {0: 4.0, 1: 2.0}) == 5.0
-    # Three-edge hand case: totals 0.532, 0.86, 0.772 -> max 0.86.
-    edge_times = {0: 0.5, 1: 0.84, 2: 0.74}
-    cloud = {0: 0.032, 1: 0.02, 2: 0.032}
-    assert math.isclose(global_round_time(edge_times, cloud), 0.86, rel_tol=1e-12)
-    assert global_round_time(edge_times, cloud, idle_edges={1}) == 0.772
-    assert global_round_time({0: 1.0}, {0: 1.0}, idle_edges={0}) == 0.0
-    with pytest.raises(ValueError):
-        global_round_time({}, {})
+def test_round_time_cases():
+    assert round_time([entry_with({0: 4.0})], 1.0) == 5.0
+    assert round_time([entry_with({0: 1.0}), entry_with({1: 2.0})], 3.0) == 5.0
+    # Three-edge hand case: edges 0.5, 0.84 and 0.74 plus 0.02 -> 0.86.
+    edges = [entry_with({0: 0.5}), entry_with({1: 0.84}), entry_with({2: 0.74})]
+    assert math.isclose(round_time(edges, 0.02), 0.86, rel_tol=1e-12)
+    # An idle edge shipped nothing, so its estimates never count.
+    edges[1] = entry_with({1: 0.84}, dropped=(1,))
+    assert round_time(edges, 0.032) == 0.772
+    assert round_time([entry_with({0: 1.0}, dropped=(0,))], 1.0) == 0.0
+    assert round_time([], 1.0) == 0.0
 
 
 # ---------------------------------------------------------------- sampling

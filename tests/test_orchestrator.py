@@ -276,9 +276,10 @@ def test_stopped_cluster_still_labels_and_stays_a_candidate():
     assert sim.tree.node(stopped).status == STOPPED
     assert set(sim._candidate_models(5)[0]) == {stopped, live}
     sim._labeling_phase(5)
-    assert {ev["device"] for ev in events_of(sim, "selection")} == set(range(8))
+    selections = events_of(sim, "selection")
+    assert {ev["device"] for ev in selections} == set(range(8))
     assert {ev["device"] for ev in events_of(sim, "injection")} == set(range(8))
-    assert all(set(sim.last_utilities[k]) == {stopped, live} for k in range(8))
+    assert all(set(ev["z"]) == {stopped, live} for ev in selections)
     assert all(d.unlabeled_remaining == 0 for d in sim.devices)
 
 
@@ -426,7 +427,7 @@ def test_merge_groups_are_similarity_components_across_edges(seed):
     # and one that coincides with the global model.
     r = 4
     newborn, flat_leaf = rest[-2], rest[-1]
-    sim.node_birth[newborn] = r
+    sim.tree.node(newborn).born = r
     sim.tree.node(newborn).model = sim.tree.node(ends[0]).model
     sim.tree.node(flat_leaf).model = sim.global_model.with_weights(base.copy())
 
