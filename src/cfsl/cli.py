@@ -13,7 +13,7 @@ import sys
 
 from .config import BASELINES, load_config, override
 from .errors import ConfigError
-from .experiment import FIGURE_COLUMNS, SWEEP_AXES, emit_plot_data, run_experiment, sweep
+from .experiment import FIGURES, SWEEP_AXES, emit_plot_data, run_experiment, sweep
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     plot_p = sub.add_parser("plot", help="reduce a metrics file to a plot table")
     plot_p.add_argument("metrics", help="path to a metrics.csv")
-    plot_p.add_argument("--figure", required=True, choices=sorted(FIGURE_COLUMNS))
+    plot_p.add_argument("--figure", required=True, choices=sorted(FIGURES))
     plot_p.add_argument("--out", default=None, help="output CSV path")
 
     return parser

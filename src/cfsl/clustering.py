@@ -318,17 +318,13 @@ class ClusterTree:
         return [n for n in self.leaves() if n.status == ACTIVE]
 
     def specialized(self) -> list:
-        """Current leaves that exist because of a split or merge; an
-        unsplit root is the shared model, not a specialized one."""
-        return [
-            n
-            for n in self.leaves()
-            if n.parent is not None or self.is_merge_product(n)
-        ]
+        """Current leaves that `is_specialized`: an unsplit root runs the
+        shared model, not a specialized one."""
+        return [n for n in self.leaves() if self.is_specialized(n)]
 
-    def is_merge_product(self, node: ClusterNode) -> bool:
-        """A parentless node that is not its edge's root: a merge made it."""
-        return node.parent is None and self._root_of.get(node.edge_id) != node.cluster_id
+    def is_specialized(self, node: ClusterNode) -> bool:
+        """Not its edge's root: a split or a merge made it."""
+        return self._root_of.get(node.edge_id) != node.cluster_id
 
     def cluster_of(self, device_id: int) -> ClusterNode:
         """The current leaf that owns a device."""

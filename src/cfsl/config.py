@@ -8,8 +8,8 @@ fail loudly; every error names the offending `section.key`.
 Each section is one frozen dataclass whose field metadata holds the
 parser of the key's text and the check every value must pass, so the
 schema, the defaults and the typed object come from one declaration. A
-section runs its checks whenever it is built, from a file or by
-`dataclasses.replace`.
+section runs its checks, choice keys' options included, whenever it is
+built: from a file, by `override`, by `dataclasses.replace` or in code.
 """
 
 from __future__ import annotations
@@ -48,22 +48,18 @@ def _auto_int(s: str):
     return int(s)
 
 
-def _choice(*options):
-    def parse(s: str) -> str:
-        v = s.strip()
-        if v not in options:
-            raise ValueError(f"must be one of {', '.join(options)}")
-        return v
-
-    return parse
-
-
 def _key(parse, default=REQUIRED, check=None, message="", name=None):
     """A config key: the parser of its text, its default (REQUIRED: none),
     the check every value must pass and, when it differs from the
     attribute's, its name in the file."""
     return field(default=default,
                  metadata={"parse": parse, "check": check, "message": message, "key": name})
+
+
+def _choice(*options):
+    """A key that takes one of `options`; the first is the default."""
+    return _key(str.strip, options[0], lambda v: v in options,
+                f"must be one of {', '.join(options)}")
 
 
 def ini_key(f) -> str:
@@ -97,14 +93,13 @@ class TopologyConfig(_Section):
     section = "topology"
     edges: int = _key(int, REQUIRED, lambda v: v >= 1, "must be >= 1")
     devices: int = _key(int, REQUIRED, lambda v: v >= 1, "must be >= 1")
-    edge_assignment: str = _key(_choice("blocks", "round-robin"), "blocks")
+    edge_assignment: str = _choice("blocks", "round-robin")
 
 
 @dataclass(frozen=True)
 class DataConfig(_Section):
     section = "data"
-    mode: str = _key(_choice("label-permutation", "gaussian-clusters", "csv"),
-                     "label-permutation")
+    mode: str = _choice("label-permutation", "gaussian-clusters", "csv")
     distributions: int = _key(int, 2, lambda v: v >= 1, "must be >= 1")
     classes: int = _key(int, 4, lambda v: v >= 2, "must be >= 2")
     features: int = _key(int, 8, lambda v: v >= 2, "must be >= 2")
@@ -112,7 +107,7 @@ class DataConfig(_Section):
     test_samples_per_device: int = _key(int, 40, lambda v: v >= 1, "must be >= 1")
     labeled_fraction: float = _key(float, 0.05, lambda v: 0 < v <= 1, "must be in (0, 1]")
     max_classes_per_device: int = _key(int, 2, lambda v: v >= 1, "must be >= 1")
-    distribution_assignment: str = _key(_choice("round-robin", "random"), "round-robin")
+    distribution_assignment: str = _choice("round-robin", "random")
     separation: float = _key(float, 4.0, _pos, "must be > 0")
     noise_scale: float = _key(float, 1.0, _pos, "must be > 0")
     holdout_fraction: float = _key(float, 0.2, lambda v: 0 <= v < 1, "must be in [0, 1)")
@@ -120,11 +115,29 @@ class DataConfig(_Section):
                             "must be >= 0 or auto")
     csv_path: str = _key(str, "")
 
+    def __post_init__(self):
+        # Here, not in _cross_checks, so that a section built in code is
+        # checked too: make_task_universe and partition_devices trust it.
+        super().__post_init__()
+        if self.mode == "csv":
+            if not self.csv_path:
+                raise ConfigError("data.csv_path", "required when data.mode = csv")
+            return
+        if self.samples_per_device < self.max_classes_per_device:
+            raise ConfigError("data.samples_per_device",
+                              f"must be >= max_classes_per_device (got {self.samples_per_device} "
+                              f"< {self.max_classes_per_device})")
+        if self.mode == "label-permutation" and self.distributions > 2 and self.classes < 3:
+            # A 2-class derangement is the swap; a third distribution would
+            # repeat one of the first two.
+            raise ConfigError("data.distributions",
+                              "label-permutation with 2 classes supports at most 2 distributions")
+
 
 @dataclass(frozen=True)
 class ModelConfig(_Section):
     section = "model"
-    family: str = _key(_choice("logistic", "mlp"), "logistic")
+    family: str = _choice("logistic", "mlp")
     # parse_config defaults this by family: 0 for logistic, 16 for mlp.
     hidden: int = _key(int, 0, _nonneg, "must be >= 0")
     learning_rate: float = _key(float, 0.01, _pos, "must be > 0")
@@ -152,7 +165,7 @@ class SSLConfig(_Section):
     label_interval: int = _key(int, 10, lambda v: v >= 1, "must be >= 1")
     lam: float = _key(float, 1.0, _nonneg, "must be >= 0", name="lambda")
     inference_cycles_per_sample: float = _key(float, 20.0, _pos, "must be > 0")
-    candidate_scope: str = _key(_choice("cloud", "edge"), "cloud")
+    candidate_scope: str = _choice("cloud", "edge")
 
 
 @dataclass(frozen=True)
@@ -172,11 +185,11 @@ class NetworkConfig(_Section):
     distance_max_m: float = _key(float, 50.0, _pos, "must be > 0")
     cloud_rate_bps: float = _key(float, 1e8, _pos, "must be > 0")
     cycles_per_sample: float = _key(float, 20.0, _pos, "must be > 0")
-    deadline_policy: str = _key(_choice("median", "fixed"), "median")
+    deadline_policy: str = _choice("median", "fixed")
     deadline_kappa: float = _key(float, 2.0, _pos, "must be > 0")
     deadline_s: float | None = _key(_opt_float, None, lambda v: v is None or v > 0,
                                     "must be > 0")
-    fading: str = _key(_choice("off", "rayleigh"), "off")
+    fading: str = _choice("off", "rayleigh")
     time_budget_s: float = _key(float, math.inf, _pos, "must be > 0")
 
     def __post_init__(self):
@@ -197,7 +210,7 @@ class RunConfig(_Section):
     rounds: int = _key(int, REQUIRED, _nonneg, "must be >= 0")
     seed: int = _key(int, 0, _nonneg, "must be >= 0")
     out_dir: str = _key(str, "out")
-    baseline: str = _key(_choice(*BASELINES), "cfsl")
+    baseline: str = _choice(*BASELINES)
     convergence_eps: float = _key(float, 1e-4, _pos, "must be > 0")
     convergence_window: int = _key(int, 10, lambda v: v >= 1, "must be >= 1")
 
@@ -234,17 +247,17 @@ class ExperimentConfig:
         }
 
 
-def baseline_variant(cfg: ExperimentConfig):
-    """(effective config, label with the shared global model) for the
-    configured baseline.
+def baseline_variant(cfg: ExperimentConfig) -> ExperimentConfig:
+    """The effective config of the configured baseline.
 
     cfsl runs as configured. The two cfl variants disable self-labeling
     (fully-labeled additionally lifts the labeled fraction to 1); the two
-    hfl variants disable cluster splitting, with hfl-ssl labeling from
-    the shared global model instead of specialized ones.
+    hfl variants disable cluster splitting. hfl-ssl's devices label with
+    the shared global model instead of specialized ones, which
+    `Simulation` reads from `run.baseline`.
     """
     b = cfg.run.baseline
-    effective = replace(
+    return replace(
         cfg,
         data=replace(cfg.data, labeled_fraction=(
             1.0 if b == "cfl-fully-labeled" else cfg.data.labeled_fraction)),
@@ -252,7 +265,6 @@ def baseline_variant(cfg: ExperimentConfig):
                            enabled=cfg.clustering.enabled and not b.startswith("hfl")),
         ssl=replace(cfg.ssl, enabled=cfg.ssl.enabled and b in ("cfsl", "hfl-ssl")),
     )
-    return effective, b == "hfl-ssl"
 
 
 def _cross_checks(cfg: ExperimentConfig):
@@ -265,10 +277,8 @@ def _cross_checks(cfg: ExperimentConfig):
     if model.family == "mlp" and model.hidden < 1:
         raise ConfigError("model.hidden", "must be >= 1 for the mlp family")
 
-    if data.mode == "csv" and not data.csv_path:
-        raise ConfigError("data.csv_path", "required when data.mode = csv")
     if data.mode != "csv":
-        labeled_fraction = baseline_variant(cfg)[0].data.labeled_fraction
+        labeled_fraction = baseline_variant(cfg).data.labeled_fraction
         width = min(data.max_classes_per_device, data.classes)
         n_labeled, n_hold = labeled_split(
             labeled_fraction, data.samples_per_device, width, data.holdout_fraction
@@ -279,9 +289,6 @@ def _cross_checks(cfg: ExperimentConfig):
                 f"holds out all {n_labeled} labeled samples of each device, "
                 "leaving none to train on",
             )
-    if data.mode == "label-permutation" and data.distributions > 2 and data.classes < 3:
-        raise ConfigError("data.distributions",
-                          "label-permutation with 2 classes supports at most 2 distributions")
 
 
 def parse_config(text: str) -> ExperimentConfig:

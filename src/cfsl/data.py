@@ -78,42 +78,26 @@ def _probe_disagreement(universe: TaskUniverse, i: int, j: int, rng) -> float:
     return float((pred_i != pred_j).mean())
 
 
-def make_task_universe(
-    n_distributions: int,
-    n_classes: int,
-    dim: int,
-    mode: str = "label-permutation",
-    seed=0,
-    separation: float = 4.0,
-    noise_scale: float = 1.0,
-) -> TaskUniverse:
-    """Build a universe whose distributions are pairwise distinguishable.
+def make_task_universe(data, seed) -> TaskUniverse:
+    """Build the universe of `data`, a `[data]` section (`config.DataConfig`,
+    which has checked its values): `distributions` distributions of `classes`
+    classes in `features` dimensions, drawn by `mode` with `separation` and
+    `noise_scale`.
 
     Candidate parameter draws are rejected until every pair of
     distributions disagrees on at least 30% of a probe set; after 100
     failed draws generation gives up.
     """
-    if n_distributions < 1:
-        raise ValueError("n_distributions must be >= 1")
-    if n_classes < 2:
-        raise ValueError("n_classes must be >= 2")
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    if mode not in ("gaussian-clusters", "label-permutation"):
-        raise ValueError(f"unknown task mode {mode!r}")
-    if mode == "label-permutation" and n_distributions > 1 and n_classes < 3:
-        # A 2-class derangement is the swap; three or more distributions
-        # would be forced to collide.
-        if n_distributions > 2:
-            raise ValueError("label-permutation with n_classes=2 supports at most 2 distributions")
-
+    mode, n_distributions, n_classes, dim = (
+        data.mode, data.distributions, data.classes, data.features)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), DATA_STREAM, 0]))
     for _ in range(GENERATION_RETRIES):
         if mode == "gaussian-clusters":
-            means = rng.normal(0.0, separation / 2.0, size=(n_distributions, n_classes, dim))
+            means = rng.normal(0.0, data.separation / 2.0,
+                               size=(n_distributions, n_classes, dim))
             perms = None
         else:
-            base = rng.normal(0.0, separation / 2.0, size=(n_classes, dim))
+            base = rng.normal(0.0, data.separation / 2.0, size=(n_classes, dim))
             perm_list = [np.arange(n_classes)]
             for _ in range(n_distributions - 1):
                 perm_list.append(_derangement(n_classes, rng))
@@ -125,7 +109,7 @@ def make_task_universe(
                 means[j] = base[inverse]
             perms = tuple(tuple(int(v) for v in p) for p in perm_list)
         universe = TaskUniverse(
-            mode, n_distributions, n_classes, dim, means, noise_scale, perms
+            mode, n_distributions, n_classes, dim, means, data.noise_scale, perms
         )
         if all(
             _probe_disagreement(universe, i, j, rng) >= DISTINGUISH_MIN
@@ -274,49 +258,31 @@ def labeled_split(
     return n_labeled, int(round(holdout_fraction * n_labeled))
 
 
-def partition_devices(
-    universe: TaskUniverse,
-    n_devices: int,
-    samples_per_device: int,
-    labeled_fraction: float,
-    max_classes: int = 2,
-    distribution_assignment: str = "round-robin",
-    seed=0,
-    holdout_fraction: float = 0.2,
-    test_samples: int = 40,
-) -> list:
-    """Draw every device's pools from its assigned distribution.
+def partition_devices(universe: TaskUniverse, data, n_devices: int, seed) -> list:
+    """Draw `n_devices` devices' pools from their assigned distributions,
+    with the sizes, whitelist width and assignment of `data`, the `[data]`
+    section (`config.DataConfig`) `universe` was made from.
 
     Exactly round(labeled_fraction * samples_per_device) samples are
     labeled, raised to one per whitelisted class (with a warning) when
     the fraction is too small; the rest form the unlabeled pool with
     their true labels retained for scoring only.
     """
-    if n_devices < 1:
-        raise ValueError("n_devices must be >= 1")
-    if not 0 < labeled_fraction <= 1:
-        raise ValueError("labeled_fraction must be in (0, 1]")
-    if samples_per_device < max(2, max_classes):
-        raise ValueError("samples_per_device too small for the class whitelist")
-    if not 0 <= holdout_fraction < 1:
-        raise ValueError("holdout_fraction must be in [0, 1)")
-    if distribution_assignment not in ("round-robin", "random"):
-        raise ValueError(f"unknown distribution_assignment {distribution_assignment!r}")
-
+    samples_per_device, labeled_fraction = data.samples_per_device, data.labeled_fraction
     assign_rng = np.random.default_rng(np.random.SeedSequence([int(seed), DATA_STREAM, 1]))
     devices = []
     for k in range(n_devices):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), DATA_STREAM, 2, k]))
-        if distribution_assignment == "round-robin":
+        if data.distribution_assignment == "round-robin":
             dist_id = k % universe.n_distributions
         else:
             dist_id = int(assign_rng.integers(0, universe.n_distributions))
 
-        width = min(max_classes, universe.n_classes)
+        width = min(data.max_classes_per_device, universe.n_classes)
         whitelist = np.sort(rng.choice(universe.n_classes, size=width, replace=False))
 
         n_labeled, n_hold = labeled_split(
-            labeled_fraction, samples_per_device, width, holdout_fraction
+            labeled_fraction, samples_per_device, width, data.holdout_fraction
         )
         asked = round(labeled_fraction * samples_per_device)
         if n_labeled > asked:
@@ -338,7 +304,8 @@ def partition_devices(
 
         holdout = np.sort(rng.choice(n_labeled, size=n_hold, replace=False))
 
-        test_labels = rng.choice(whitelist, size=test_samples, replace=True).astype(np.int64)
+        test_labels = rng.choice(whitelist, size=data.test_samples_per_device,
+                                 replace=True).astype(np.int64)
         test = LabeledBatch(
             universe.sample_features(dist_id, test_labels, rng), test_labels
         )

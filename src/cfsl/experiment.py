@@ -132,37 +132,19 @@ def _csv_devices(cfg: ExperimentConfig, data_seed_val: int) -> list:
 
 def build_simulation(cfg: ExperimentConfig) -> Simulation:
     """Materialize the full population of one run of the configured baseline."""
-    cfg, use_global_model = baseline_variant(cfg)
+    cfg = baseline_variant(cfg)
     topo, d = cfg.topology, cfg.data
     data_seed_val = d.seed if d.seed is not None else cfg.run.seed
 
     if d.mode == "csv":
         devices = _csv_devices(cfg, data_seed_val)
     else:
-        universe = make_task_universe(
-            d.distributions,
-            d.classes,
-            d.features,
-            mode=d.mode,
-            seed=data_seed_val,
-            separation=d.separation,
-            noise_scale=d.noise_scale,
-        )
-        devices = partition_devices(
-            universe,
-            topo.devices,
-            d.samples_per_device,
-            d.labeled_fraction,
-            max_classes=d.max_classes_per_device,
-            distribution_assignment=d.distribution_assignment,
-            seed=data_seed_val,
-            holdout_fraction=d.holdout_fraction,
-            test_samples=d.test_samples_per_device,
-        )
+        universe = make_task_universe(d, data_seed_val)
+        devices = partition_devices(universe, d, topo.devices, data_seed_val)
 
     edge_of = _edge_assignment(topo.devices, topo.edges, topo.edge_assignment)
     radios = sample_radios(edge_of, cfg.run.seed, cfg.network)
-    return Simulation(devices, radios, cfg, use_global_model=use_global_model)
+    return Simulation(devices, radios, cfg)
 
 
 def _fmt(value) -> str:
@@ -321,12 +303,11 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> dict:
     return summary
 
 
-FIGURE_COLUMNS = {
-    "accuracy": ("baseline", "labeled_fraction", "acc_min", "acc_mean", "acc_max", "n_runs"),
-    "labeling-accuracy": ("baseline", "labeled_fraction", "phi",
-                          "labeling_accuracy_mean", "n_runs"),
-    "labeling-latency": ("baseline", "labeled_fraction", "phi",
-                         "mean_labeling_latency_s", "n_runs"),
+# Plot figure: (grouping columns, averaged value columns).
+FIGURES = {
+    "accuracy": (("baseline", "labeled_fraction"), ("acc_min", "acc_mean", "acc_max")),
+    "labeling-accuracy": (("baseline", "labeled_fraction", "phi"), ("labeling_accuracy_mean",)),
+    "labeling-latency": (("baseline", "labeled_fraction", "phi"), ("mean_labeling_latency_s",)),
 }
 
 
@@ -361,19 +342,10 @@ def emit_plot_data(metrics_path: str, figure: str, out_path: str | None = None):
     labeling figures). n_runs counts the runs that contributed a value.
     Returns (path, rows).
     """
-    if figure not in FIGURE_COLUMNS:
-        raise ConfigError("plot.figure", f"must be one of {', '.join(FIGURE_COLUMNS)}")
+    if figure not in FIGURES:
+        raise ConfigError("plot.figure", f"must be one of {', '.join(FIGURES)}")
+    group_keys, value_cols = FIGURES[figure]
     finals = _final_rows(metrics_path)
-
-    if figure == "accuracy":
-        group_keys = ("baseline", "labeled_fraction")
-        value_cols = ("acc_min", "acc_mean", "acc_max")
-    elif figure == "labeling-accuracy":
-        group_keys = ("baseline", "labeled_fraction", "phi")
-        value_cols = ("labeling_accuracy_mean",)
-    else:
-        group_keys = ("baseline", "labeled_fraction", "phi")
-        value_cols = ("mean_labeling_latency_s",)
 
     groups = {}
     for row in finals:
@@ -394,5 +366,5 @@ def emit_plot_data(metrics_path: str, figure: str, out_path: str | None = None):
     if out_path is None:
         stem = figure.replace("-", "_") + ".csv"
         out_path = os.path.join(os.path.dirname(metrics_path) or ".", stem)
-    _atomic_write(out_path, _csv_text(FIGURE_COLUMNS[figure], out_rows))
+    _atomic_write(out_path, _csv_text(group_keys + value_cols + ("n_runs",), out_rows))
     return out_path, out_rows

@@ -23,7 +23,6 @@ from .clustering import (
     ACTIVE,
     ClusterTree,
     bipartition,
-    _cosine,
     check_split_conditions,
     similarity_matrix,
 )
@@ -141,15 +140,14 @@ class Simulation:
         devices: list,
         radios: list,
         config: ExperimentConfig,
-        use_global_model: bool = False,
     ):
         """`config` is the effective config of the run (see
         `config.baseline_variant`); this reads its data dimensions, model,
         clustering, ssl, network and run sections. Every network setting
         comes from `config.network`; the edges are 0 .. topology.edges - 1
-        and each radio names its own. With `use_global_model`, devices
-        label with the shared global model instead of specialized ones (the
-        non-clustered semi-supervised baseline)."""
+        and each radio names its own. Under `run.baseline = hfl-ssl`,
+        devices label with the shared global model instead of specialized
+        ones (the non-clustered semi-supervised baseline)."""
         if [d.device_id for d in devices] != list(range(len(devices))):
             raise ValueError("devices must be ordered by contiguous device_id from 0")
         if len(radios) != len(devices) or [r.device_id for r in radios] != [
@@ -174,7 +172,7 @@ class Simulation:
         self.devices = list(devices)
         self.radios = list(radios)
         self.config = config
-        self.use_global_model = use_global_model
+        self.use_global_model = config.run.baseline == "hfl-ssl"
 
         self.global_model = init_params(
             config.data.features, config.data.classes, config.model.hidden,
@@ -208,16 +206,11 @@ class Simulation:
     def _event(self, payload: dict):
         self.events.append(jsonable(payload))
 
-    def _is_unsplit_root(self, node) -> bool:
-        return node.parent is None and node.is_leaf and not self.tree.is_merge_product(node)
-
     def _model_of(self, node):
-        """(model id, model) the members of `node` run: the shared global
-        model (GLOBAL_MODEL_ID) before their cluster ever split, else the
-        cluster's own specialized model."""
-        if self._is_unsplit_root(node):
-            return GLOBAL_MODEL_ID, self.global_model
-        return node.cluster_id, node.model
+        """The model the members of current leaf `node` run: the shared
+        global model before their cluster ever split, else the cluster's
+        own specialized model."""
+        return node.model if self.tree.is_specialized(node) else self.global_model
 
     def global_hash(self) -> str:
         return hashlib.sha256(
@@ -340,7 +333,7 @@ class Simulation:
 
         # (2) local training from each device's cluster model
         trained = self._train({
-            k: self._model_of(leaf_at_training[k])[1]
+            k: self._model_of(leaf_at_training[k])
             for entry in schedules for k in entry.participating
         }, r)
 
@@ -353,11 +346,12 @@ class Simulation:
         by_cluster = defaultdict(list)
         for k in sorted(trained):
             by_cluster[leaf_at_training[k].cluster_id].append(k)
-        pre_split = [k for k in sorted(trained) if self._is_unsplit_root(leaf_at_training[k])]
+        pre_split = [k for k in sorted(trained)
+                     if not self.tree.is_specialized(leaf_at_training[k])]
 
         for cid in sorted(by_cluster):
             node = self.tree.node(cid)
-            scope = "edge" if self._is_unsplit_root(node) else "cluster"
+            scope = "cluster" if self.tree.is_specialized(node) else "edge"
             node.model = self._aggregate(r, scope, cid, by_cluster[cid], trained)
         for node in self.tree.active_leaves():
             if node.members and node.cluster_id not in by_cluster:
@@ -482,20 +476,22 @@ class Simulation:
         spec_nodes = self.tree.specialized()
         if len(spec_nodes) <= 2:
             return
-        centered, norms = {}, {}
+        centered = {}
         for n in spec_nodes:
             # A cluster split off this round still carries its parent's
             # exact weights; comparing it now would always re-merge it.
             if n.born == r:
                 continue
             v = n.model.weights - self.global_model.weights
-            norm = np.linalg.norm(v)
-            if norm == 0:
+            if np.linalg.norm(v) == 0:
                 log.warning("cluster %d: coincides with the global model, skipping merge check",
                             n.cluster_id)
                 continue
-            centered[n.cluster_id], norms[n.cluster_id] = v, norm
-        ids = sorted(centered)
+            centered[n.cluster_id] = v
+        if len(centered) < 2:
+            return
+        sim = similarity_matrix(centered)
+        ids = sim.ids
         parent = {c: c for c in ids}
 
         def find(x):
@@ -506,9 +502,8 @@ class Simulation:
 
         sims = {}
         for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                s = _cosine(centered[a], centered[b], norms[a], norms[b])
-                sims[(a, b)] = s
+            for j, b in enumerate(ids[i + 1:], i + 1):
+                s = sims[(a, b)] = float(sim.values[i, j])
                 if s > self.config.clustering.gamma_merge:
                     parent[find(b)] = find(a)
         groups = defaultdict(list)
@@ -540,7 +535,7 @@ class Simulation:
         accs, losses = [], []
         for i in range(0, len(self.devices), STACK_CHUNK):
             chunk = self.devices[i : i + STACK_CHUNK]
-            models = [self._model_of(self.tree.cluster_of(d.device_id))[1] for d in chunk]
+            models = [self._model_of(self.tree.cluster_of(d.device_id)) for d in chunk]
             accs += evaluate(models, [d.test for d in chunk])
             losses += loss(models, train_batches(chunk))
         device_losses = dict(zip((d.device_id for d in self.devices), losses))

@@ -360,7 +360,7 @@ def test_tree_root_lookup_and_snapshot():
 
 
 def test_tree_indexes_match_brute_force_scan():
-    """cluster_of, is_merge_product, specialized() and root_of_edge answer
+    """cluster_of, is_specialized, specialized() and root_of_edge answer
     from indexes; after every step of a random split/stop/merge sequence
     they must agree with a scan over tree.nodes."""
 
@@ -377,10 +377,12 @@ def test_tree_indexes_match_brute_force_scan():
         for d in devices:
             owner = [n for n in leaves if d in n.members]
             assert tree.cluster_of(d) is owner[0]
+        def scan_specialized(node):
+            return node.parent is not None or scan_merge_product(tree, node)
+
         for node in tree.nodes.values():
-            assert tree.is_merge_product(node) == scan_merge_product(tree, node)
-        assert tree.specialized() == [
-            n for n in leaves if n.parent is not None or scan_merge_product(tree, n)]
+            assert tree.is_specialized(node) == scan_specialized(node)
+        assert tree.specialized() == [n for n in leaves if scan_specialized(n)]
         with pytest.raises(KeyError):
             tree.cluster_of(max(devices) + 1)
         for edge in range(4):

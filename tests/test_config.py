@@ -7,6 +7,7 @@ import pytest
 
 from cfsl.config import (
     SECTIONS,
+    DataConfig,
     NetworkConfig,
     ini_key,
     load_config,
@@ -97,6 +98,10 @@ def test_domain_checks():
         ("[data]\nlabeled_fraction = 0\n", "data.labeled_fraction"),
         ("[data]\nlabeled_fraction = 1.2\n", "data.labeled_fraction"),
         ("[data]\nclasses = 1\n", "data.classes"),
+        ("[data]\ndistributions = 0\n", "data.distributions"),
+        ("[data]\nfeatures = 1\n", "data.features"),
+        ("[data]\nholdout_fraction = 1.0\n", "data.holdout_fraction"),
+        ("[data]\ndistribution_assignment = alphabetical\n", "data.distribution_assignment"),
         ("[model]\nlearning_rate = -0.1\n", "model.learning_rate"),
         ("[clustering]\neps1 = 0\n", "clustering.eps1"),
         ("[clustering]\ngamma_merge = -1\n", "clustering.gamma_merge"),
@@ -114,6 +119,38 @@ def test_domain_checks():
         with pytest.raises(ConfigError) as exc:
             parse_config(base + "\n" + snippet)
         assert key in str(exc.value), snippet
+    with pytest.raises(ConfigError, match="topology.devices"):
+        parse_config("[topology]\nedges = 1\ndevices = 0\n[run]\nrounds = 1\n")
+    # The data section checks itself however it is built.
+    with pytest.raises(ConfigError, match="data.distributions"):
+        DataConfig(classes=2, distributions=3)
+    assert DataConfig(mode="gaussian-clusters", classes=2, distributions=3).distributions == 3
+
+
+def test_choice_keys_reject_unknown_values_however_set():
+    required = {"topology": {"edges": 1, "devices": 1}, "run": {"rounds": 1}}
+    choices = [(cls, f) for cls in SECTIONS for f in dataclasses.fields(cls)
+               if isinstance(f.default, str) and f.metadata["check"] is not None]
+    assert len(choices) == 8
+    for cls, f in choices:
+        with pytest.raises(ConfigError, match=f"{cls.section}.{ini_key(f)}"):
+            cls(**required.get(cls.section, {}), **{f.name: "mystery"})
+    # An override is checked like a file value: no baseline runs under a
+    # name the metrics would misreport.
+    with pytest.raises(ConfigError, match="run.baseline"):
+        override(parse_config(MINIMAL), {"run.baseline": "cfsl2"})
+    with pytest.raises(ConfigError, match="network.fading"):
+        override(parse_config(MINIMAL), {"network.fading": "nakagami"})
+
+
+def test_class_whitelist_needs_enough_samples():
+    data = "\n[data]\nclasses = 6\nmax_classes_per_device = 5\nsamples_per_device = {}\n"
+    with pytest.raises(ConfigError, match="data.samples_per_device"):
+        parse_config(MINIMAL + data.format(4))
+    assert parse_config(MINIMAL + data.format(5)).data.samples_per_device == 5
+    # A csv file's rows are dealt, not drawn per class: no such floor.
+    assert DataConfig(mode="csv", csv_path="rows.csv", classes=6, max_classes_per_device=5,
+                      samples_per_device=4).samples_per_device == 4
 
 
 def test_optional_keys_parse_none_and_auto():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cfsl.config import DataConfig
 from cfsl.data import make_task_universe, partition_devices
 from cfsl.errors import StateError
 from cfsl.labeling import (
@@ -25,8 +26,10 @@ from cfsl.network import compute_time
 
 
 def device_with_pool(seed=0, labeled_fraction=0.25, samples=40, classes=4, dists=2):
-    u = make_task_universe(dists, classes, 3, mode="label-permutation", seed=seed)
-    return u, partition_devices(u, 2, samples, labeled_fraction, seed=seed)
+    data = DataConfig(distributions=dists, classes=classes, features=3,
+                      samples_per_device=samples, labeled_fraction=labeled_fraction)
+    u = make_task_universe(data, seed)
+    return u, partition_devices(u, data, 2, seed)
 
 
 def trained_on(device, universe, steps=60, seed=0):

@@ -95,12 +95,12 @@ def make_sim(
     clustering=None,
     ssl=None,
     network=None,
-    use_global_model=False,
     lr=0.1,
     run_overrides=None,
 ):
-    universe = make_task_universe(dists, classes, dim, mode="label-permutation", seed=seed)
-    devices = partition_devices(universe, n_devices, samples, labeled_fraction, seed=seed)
+    data = DataConfig(distributions=dists, classes=classes, features=dim,
+                      samples_per_device=samples, labeled_fraction=labeled_fraction)
+    devices = partition_devices(make_task_universe(data, seed), data, n_devices, seed)
     per_edge = n_devices // n_edges
     edge_ids = [min(k // per_edge, n_edges - 1) for k in range(n_devices)]
     # A deadline no device misses and, unless set, one sub-channel per device
@@ -112,7 +112,7 @@ def make_sim(
         rounds=rounds, seed=seed, **(run_overrides or {}),
     )
     radios = sample_radios(edge_ids, seed, config.network)
-    return Simulation(devices, radios, config, use_global_model)
+    return Simulation(devices, radios, config)
 
 
 def events_of(sim, kind):
@@ -255,7 +255,8 @@ def test_label_cadence_respected():
 
 def test_global_model_labeling_mode():
     lab = SSLConfig(enabled=True, phi=0.0, label_interval=3)
-    sim = make_sim(ssl=lab, use_global_model=True, rounds=4, seed=17)
+    # Only the labeler changes: the config keeps clustering as make_sim sets it.
+    sim = make_sim(ssl=lab, rounds=4, seed=17, run_overrides={"baseline": "hfl-ssl"})
     sim.run()
     selections = events_of(sim, "selection")
     assert selections
@@ -525,8 +526,8 @@ def test_metrics_rows_are_consistent():
 
 
 def test_validation_rejects_misaligned_population():
-    universe = make_task_universe(2, 4, 3, seed=1)
-    devices = partition_devices(universe, 4, 30, 0.3, seed=1)
+    data = DataConfig(features=3, samples_per_device=30, labeled_fraction=0.3)
+    devices = partition_devices(make_task_universe(data, 1), data, 4, 1)
     config = make_config(n_devices=4, rounds=5, seed=1)
     radios = sample_radios([0, 0, 0, 0], 1, config.network)
     with pytest.raises(ValueError, match="align"):
