@@ -13,15 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StateError
-from .models import GradientUpdate, ModelParams
+from .models import ModelParams
 
 EXHAUSTIVE_LIMIT = 15
-
-
-def _as_vector(g) -> np.ndarray:
-    if isinstance(g, GradientUpdate):
-        return g.grad
-    return np.asarray(g, dtype=np.float64)
 
 
 def _cosine(a: np.ndarray, b: np.ndarray, na, nb) -> float:
@@ -49,7 +43,7 @@ def similarity_matrix(gradients: dict) -> SimilarityMatrix:
     if len(gradients) < 2:
         raise ValueError("similarity matrix needs at least 2 devices")
     ids = tuple(sorted(gradients))
-    vecs = [_as_vector(gradients[dev]) for dev in ids]
+    vecs = [np.asarray(gradients[dev], dtype=np.float64) for dev in ids]
     norms = [np.linalg.norm(v) for v in vecs]
     for dev, norm in zip(ids, norms):
         if norm == 0:
@@ -90,7 +84,7 @@ def check_split_conditions(gradients: dict, sample_weights: dict, eps1: float, e
     if np.any(weights <= 0):
         raise ValueError("sample weights must be positive")
     weights = weights / weights.sum()
-    stacked = np.stack([_as_vector(gradients[d]) for d in ids])
+    stacked = np.stack([gradients[d] for d in ids])
     agg_norm = float(np.linalg.norm(weights @ stacked))
     max_norm = float(np.max(np.linalg.norm(stacked, axis=1)))
     return SplitCheck(agg_norm < eps1 and max_norm > eps2, agg_norm, max_norm)

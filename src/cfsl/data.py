@@ -127,11 +127,12 @@ def make_task_universe(data, seed) -> TaskUniverse:
 class DeviceDataset:
     """One device's local data and pseudo-labeling state.
 
-    The labeled pool is immutable. Pseudo-labeling only flips entries of
-    injected_mask and fills injected_labels, both read-only outside
-    `inject`, which keeps the injected positions in pool order and the
-    counts of injected labels with a known truth (`n_known`) and of those
-    matching it (`n_correct`). hidden_truth and test are for metrics only.
+    The labeled pool is immutable. Every device starts with nothing
+    injected; pseudo-labeling only flips entries of injected_mask and fills
+    injected_labels, both made here and read-only outside `inject`, which
+    keeps the injected positions in pool order and the counts of injected
+    labels with a known truth (`n_known`) and of those matching it
+    (`n_correct`). hidden_truth and test are for metrics only.
     """
 
     device_id: int
@@ -142,8 +143,8 @@ class DeviceDataset:
     class_whitelist: tuple
     holdout_indices: np.ndarray
     test: LabeledBatch
-    injected_mask: np.ndarray = field(default=None)
-    injected_labels: np.ndarray = field(default=None)
+    injected_mask: np.ndarray = field(init=False)
+    injected_labels: np.ndarray = field(init=False)
 
     def __post_init__(self):
         n_u = self.unlabeled_features.shape[0]
@@ -156,8 +157,6 @@ class DeviceDataset:
         # whitelisted.
         if n_u and not set(np.unique(self.hidden_truth)) - {-1} <= wl:
             raise ValueError(f"device {self.device_id}: hidden truth outside whitelist")
-        # A given mask (and its labels) is copied in through `inject`.
-        mask, labels = self.injected_mask, self.injected_labels
         self.injected_mask = np.zeros(n_u, dtype=bool)
         self.injected_labels = np.empty(n_u, dtype=np.int64)
         self.injected_labels.fill(-1)  # faster than np.full for small pools
@@ -165,9 +164,6 @@ class DeviceDataset:
         self.injected_labels.setflags(write=False)
         self._injected = np.empty(0, np.intp)
         self.n_known = self.n_correct = 0
-        if mask is not None:
-            idx = np.flatnonzero(mask)
-            self.inject(idx, -1 if labels is None else np.asarray(labels)[idx])
 
     def inject(self, indices, labels):
         """Pseudo-label pool positions `indices` with `labels`. The positions must
@@ -333,7 +329,7 @@ def load_csv_dataset(path: str, n_features: int, n_classes: int):
     treated as a header. Returns (LabeledBatch, unlabeled feature matrix).
     """
     labeled_feats, labeled_labels, unlabeled_feats = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for row_no, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):

@@ -250,8 +250,9 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> dict:
 
     Each run gets a seed derived from the base seed and "axis=value" (for
     the seed axis, the value itself), so runs stay decorrelated without
-    hiding the derivation. Every value is checked like a file value
-    before the first run starts. A failing run is recorded and the sweep
+    hiding the derivation. Every value is checked like a file value,
+    and a value that parses to one already given is rejected, before the
+    first run starts. A failing run is recorded and the sweep
     continues; completed runs are concatenated into sweep_metrics.csv
     with an explicit axis column.
     """
@@ -266,6 +267,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> dict:
     for raw in values:
         value = _parse_axis_value(axis, raw)
         token = str(value)
+        if any(token == t for t, _ in runs):
+            raise ConfigError("sweep.values", f"{raw!r} repeats {axis}={token}")
         # On the seed axis both entries set run.seed, to the same value.
         runs.append((token, override(cfg, {
             SWEEP_AXES[axis]: value,

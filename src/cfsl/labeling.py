@@ -88,15 +88,18 @@ def pseudo_label(
 
     pool_indices maps feature rows back to positions in the device's
     unlabeled pool; by default rows label themselves 0..n-1. predictions
-    is `confidences(model, features)` when the caller has it already
-    (select_best_model returns the chosen model's), which saves running
-    the model over the features a second time.
+    is the model's (classes, confidences) over the features when the
+    caller has them already (select_best_model returns the chosen
+    model's), which saves running the model over the features a second
+    time.
     """
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phi must be in [0, 1]")
     if pool_indices is None:
         pool_indices = np.arange(features.shape[0])
-    classes, conf = confidences(model, features) if predictions is None else predictions
+    if predictions is None:
+        predictions = [rows[0] for rows in confidences([model], features)]
+    classes, conf = predictions
     accept = conf >= phi
     return PseudoLabelBatch(
         device_id=device_id,
@@ -113,15 +116,16 @@ def _score_candidates(
     phi: float,
     f_hz: float,
     inference_cycles_per_sample: float,
-    pool: np.ndarray | None,
+    pool: np.ndarray,
 ):
     """({model id: UtilityScore}, {model id: (classes, confidences) over
-    the pool}) for the contenders, the candidates whose holdout accuracy
-    equals the best, in candidate order, from one read of the holdout and
-    of the pool. Holdout accuracy is one stacked pass over all candidates,
-    pool confidences one stacked pass over the contenders: no other
-    candidate can win the selection, and row k of a stacked pass has the
-    bits model k gets alone, so each contender's score is its `utility`."""
+    `pool`, the device's pending features}) for the contenders, the
+    candidates whose holdout accuracy equals the best, in candidate order,
+    from one read of the holdout. Holdout accuracy is one stacked pass over
+    all candidates, pool confidences one stacked pass over the contenders:
+    no other candidate can win the selection, and row k of a stacked pass
+    has the bits model k gets alone, so each contender's score is its
+    `utility`."""
     holdout = device.holdout_batch()
     if len(holdout) == 0:
         log.warning(
@@ -132,8 +136,6 @@ def _score_candidates(
     accuracy = evaluate(list(candidates.values()), holdout)
     best = max(accuracy)
     contenders = [mid for mid, acc in zip(candidates, accuracy) if acc == best]
-    if pool is None:
-        _, pool = device.pending_features()
     classes, conf = confidences([candidates[mid] for mid in contenders], pool)
     n_pending = pool.shape[0]
     if n_pending == 0:
@@ -160,7 +162,8 @@ def utility(
     """One candidate's score as `select_best_model` computes it: holdout
     accuracy, and coverage of the remaining pool at threshold phi."""
     scores, _ = _score_candidates(
-        device, {model_id: model}, phi, f_hz, inference_cycles_per_sample, None
+        device, {model_id: model}, phi, f_hz, inference_cycles_per_sample,
+        device.pending_features()[1],
     )
     return scores[model_id]
 
@@ -171,19 +174,18 @@ def select_best_model(
     phi: float,
     f_hz: float,
     inference_cycles_per_sample: float,
-    pool: np.ndarray | None = None,
+    pool: np.ndarray,
 ):
     """Pick exactly one candidate model for this device.
 
     Every candidate's holdout accuracy is scored, and only the contenders,
-    the candidates tied at the best accuracy, run over the pool. The
-    contenders share that accuracy and one estimated labeling latency, so
-    they rank by coverage descending, then by model id ascending. All of it
-    comes from one read of the device's holdout and pool; `pool` is the
-    device's pending features (`device.pending_features()[1]`) when the
-    caller has read them already. Returns the chosen model's
-    `UtilityScore`, as `utility` gives it, and its (classes, confidences)
-    over the pool for `pseudo_label`.
+    the candidates tied at the best accuracy, run over `pool`, the device's
+    pending features (`device.pending_features()[1]`). The contenders share
+    that accuracy and one estimated labeling latency, so they rank by
+    coverage descending, then by model id ascending. All of it comes from
+    one read of the device's holdout and of `pool`. Returns the chosen
+    model's `UtilityScore`, as `utility` gives it, and its (classes,
+    confidences) over the pool for `pseudo_label`.
     """
     if not candidates:
         raise StateError(f"device {device.device_id}: no candidate models to select from")

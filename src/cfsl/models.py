@@ -6,10 +6,11 @@ float64 vector so that averaging, cosine similarity, and upload-size
 accounting all operate on the same object.
 
 Ragged stacks. ``sgd_train``, ``gradient``, ``evaluate`` and ``loss`` take
-one model or a list of K same-shape models, and one batch or a list of K
-nonempty batches of any lengths. Each (model, batch) pair gets the bits it
-gets alone; ``tests/test_models_stacked.py`` checks this against a verbatim
-copy of the per-device code. A matmul's BLAS result can depend on its row
+a list of K same-shape models and a list of K nonempty batches of any
+lengths, and return a list of K results, one per (model, batch) pair; a
+gradient is a flat float64 vector. Each pair gets the bits it gets alone;
+``tests/test_models_stacked.py`` checks this against a verbatim copy of
+the per-device code. A matmul's BLAS result can depend on its row
 count (splitting the rows changed bits for d=32, c=10 and for d=20, h=32,
 c=10), so every matmul runs on one batch's own ``(n, d)`` rows, alone or as
 a slice of a stacked operand, which numpy runs through the same BLAS call
@@ -18,8 +19,12 @@ pick) or one batch (means, ``x.T @ delta``, column sums), so it may run
 over all pairs at once. Scoring writes every pair's logits into one
 class-major ``(c, N)`` table for one softmax (see "Class-major softmax")
 and takes each pair's loss, accuracy or gradient from its own columns.
-``evaluate`` of K models on one batch (a selection's holdout) is one
-broadcast matmul with the row-wise softmax, faster on so few rows.
+``evaluate`` has one second form, K models on one LabeledBatch (a
+selection's holdout): one broadcast matmul with the row-wise softmax. On so
+few rows it is the faster way to score them: on one core (numpy 2.4.6,
+d=16, c=6, both families, holdouts of 1-4 rows), taking the accuracy from
+``confidences`` instead was 1.1-1.7x slower for K <= 12 candidates and
+1.0-1.2x slower at K = 30.
 Training keeps the row-wise softmax too, faster on small minibatches (one
 core, a one-row batch, d=32, c=4: 33 against 47 us class-major per
 gradient). Each device draws its epoch permutations from its own
@@ -132,22 +137,6 @@ class LabeledBatch:
         return LabeledBatch(self.features[idx], self.labels[idx])
 
 
-@dataclass(frozen=True)
-class GradientUpdate:
-    """Flat gradient of the mean cross-entropy plus the sample count used."""
-
-    grad: np.ndarray
-    sample_count: int
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.grad)):
-            raise ValueError("gradient contains non-finite entries")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.grad))
-
-
 def init_params(
     dim_in: int, dim_out: int, hidden: int = 0, seed=0, scale: float = 0.05
 ) -> ModelParams:
@@ -249,28 +238,22 @@ def _check_features(p: ModelParams, features: np.ndarray):
     return features
 
 
-def _logit_table(params, batch, caller: str):
-    """Every (model, batch) pair's logits in one class-major (c, N) table;
-    one model or one batch meets every item of the other list. Adjacent
-    pairs with one model and one batch length share a stacked matmul.
-    Returns (first model, table, labels (N,), rows, runs, single): pair i
-    has columns rows[i]:rows[i + 1], a run is (weight views, features
-    (r, n, d), hidden activations, its first pair), and `single` is true
-    when one model met one batch."""
-    first, weights = _models(params, caller)
-    models = [first] if weights is None else list(params)
-    batches = [batch] if isinstance(batch, LabeledBatch) else list(batch)
+def _logit_table(models, batches, caller: str):
+    """Every (model, batch) pair's logits, for K models and K nonempty
+    batches, in one class-major (c, N) table. Adjacent pairs with one model
+    object and one batch length share a stacked matmul. Returns (first
+    model, table, labels (N,), rows, runs): pair i has columns
+    rows[i]:rows[i + 1], and a run is (weight views, features (r, n, d),
+    hidden activations, its first pair)."""
+    first = _first_model(models, caller)
     if not batches or min(map(len, batches)) == 0:
         raise ValueError(f"{caller} requires a nonempty batch")
-    k = max(len(models), len(batches))
-    if {len(models), len(batches)} - {1, k}:
+    if len(models) != len(batches):
         raise ValueError(f"{caller} got {len(models)} models for {len(batches)} batches")
-    models *= k // len(models)
-    batches *= k // len(batches)
     rows = [0, *accumulate(map(len, batches))]
     table = np.empty((first.dim_out, rows[-1]))
     runs = []
-    for _, run in groupby(range(k), key=lambda i: (id(models[i]), len(batches[i]))):
+    for _, run in groupby(range(len(batches)), key=lambda i: (id(models[i]), len(batches[i]))):
         i, *rest = run
         x = [_check_features(first, batches[j].features) for j in (i, *rest)]
         x = np.stack(x) if rest else x[0][None]
@@ -279,8 +262,7 @@ def _logit_table(params, batch, caller: str):
         table[:, rows[i] : rows[i + len(x)]] = z.reshape(-1, first.dim_out).T
         runs.append((views, x, h, i))
     labels = _check_labels(first, np.concatenate([b.labels for b in batches]))
-    single = isinstance(params, ModelParams) and isinstance(batch, LabeledBatch)
-    return first, table, labels, rows, runs, single
+    return first, table, labels, rows, runs
 
 
 def _softmax_columns(table: np.ndarray) -> np.ndarray:
@@ -304,80 +286,66 @@ def _top_class(probs: np.ndarray):
     return c - (at_top.view(np.uint8) * rank).max(axis=0), top
 
 
-def loss(params, batch):
-    """Mean cross-entropy over the batch (log-softmax form for accuracy).
-
-    One model and one LabeledBatch give a float; a list of either gives one
-    float per (model, batch) pair (see "Ragged stacks")."""
-    _, z, y, rows, _, single = _logit_table(params, batch, "loss")
+def loss(models, batches) -> list:
+    """Mean cross-entropy of each (model, batch) pair, as a float
+    (log-softmax form for accuracy; see "Ragged stacks")."""
+    _, z, y, rows, _ = _logit_table(models, batches, "loss")
     z -= z.max(axis=0)
     picked = z[y, np.arange(y.size)] - np.log(_pairwise_sum(np.exp(z)))
     # Each pair's mean as `mean` takes it: its slice's pairwise sum over n.
-    out = [float(-(np.add.reduce(picked[lo:hi]) / (hi - lo))) for lo, hi in zip(rows, rows[1:])]
-    return out[0] if single else out
+    return [float(-(np.add.reduce(picked[lo:hi]) / (hi - lo))) for lo, hi in zip(rows, rows[1:])]
 
 
-def gradient(params, batch):
-    """Exact analytic gradient of loss() at params.
-
-    One model and one LabeledBatch give one GradientUpdate; a list of
-    either gives one per (model, batch) pair (see "Ragged stacks")."""
-    first, z, y, rows, runs, single = _logit_table(params, batch, "gradient")
+def gradient(models, batches) -> list:
+    """Exact analytic gradient of `loss` for each (model, batch) pair, as a
+    flat float64 vector laid out like the model's weights (see "Ragged
+    stacks"). Raises ValueError if any entry is not finite."""
+    first, z, y, rows, runs = _logit_table(models, batches, "gradient")
     delta = _softmax_columns(z)
     delta[y, np.arange(y.size)] -= 1.0
     # Row-major again, as each batch's backward matmuls take it alone.
     delta = delta.T.copy()
-    out = []
+    out = np.empty((len(batches), first.weights.size))
     for views, x, h, i in runs:
         r, n = x.shape[:2]
         d = delta[rows[i] : rows[i + r]].reshape(r, n, -1)
         d /= n
         grads = _backward(first.hidden, views, x, h, d)
-        flat = np.concatenate([g.reshape(r, -1) for g in grads], axis=-1)
-        out += [GradientUpdate(f, n) for f in flat]
-    return out[0] if single else out
+        np.concatenate([g.reshape(r, -1) for g in grads], axis=-1, out=out[i : i + r])
+    if not np.all(np.isfinite(out)):
+        raise ValueError("gradient contains non-finite entries")
+    return list(out)
 
 
-def sgd_train(
-    params,
-    data,
-    epochs: int,
-    batch_size: int,
-    lr: float,
-    seed,
-):
-    """Mini-batch SGD: exactly epochs * ceil(D / batch_size) update steps.
+def sgd_train(models, batches, epochs: int, batch_size: int, lr: float, seeds) -> list:
+    """Mini-batch SGD of each of K same-shape start models on its own
+    nonempty batch with its own seed, giving the K trained models in input
+    order: exactly epochs * ceil(D / batch_size) update steps for a batch
+    of D samples.
 
     Batch order is a fresh seeded shuffle per epoch; a batch_size larger
     than the dataset degenerates to one full-batch step per epoch.
-    Deterministic for a fixed seed.
-
-    `data` is one LabeledBatch with one `seed`, giving one ModelParams, or
-    a list of K nonempty batches of any lengths with a list of K seeds,
-    giving K models in input order. `params` is one start model for every
-    batch, or a list of K same-shape ones. Each model has the bits it gets
-    trained alone (see "Ragged stacks" in the module docstring).
+    Deterministic for fixed seeds. Each model has the bits it gets trained
+    alone (see "Ragged stacks" in the module docstring).
     """
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
     if lr <= 0:
         raise ValueError("learning rate must be > 0")
-    single = isinstance(data, LabeledBatch)
-    batches, seeds = ([data], [seed]) if single else (list(data), list(seed))
-    first, starts = _models(params, "sgd_train")
+    first = _first_model(models, "sgd_train")
     k = len(batches)
     # Longest first: the devices still training at a step are a prefix.
     order = sorted(range(k), key=lambda i: -len(batches[i]))
     lengths = [len(batches[i]) for i in order]
     if not lengths or lengths[-1] == 0:
         raise ValueError("sgd_train requires a nonempty batch")
-    if len(seeds) != k or (starts is not None and len(starts) != k):
+    if len(seeds) != k or len(models) != k:
         raise ValueError(f"sgd_train got {k} batches, {len(seeds)} seeds and "
-                         f"{1 if starts is None else len(starts)} start models")
+                         f"{len(models)} start models")
     # Every batch's rows in one table, device by device.
     x = np.concatenate([_check_features(first, batches[i].features) for i in order])
     onehot = _onehot(first, np.concatenate([batches[i].labels for i in order]))
-    weights = np.tile(first.weights, (k, 1)) if starts is None else starts[order]
+    weights = np.stack([models[i].weights for i in order])
     # (run of devices, minibatch columns, weight views) of every step.
     steps = []
     for start in range(0, lengths[0], batch_size):
@@ -405,42 +373,39 @@ def sgd_train(
     # check at the end stands in for a check at every step.
     if not np.all(np.isfinite(weights)):
         raise ValueError("sgd_train produced non-finite weights")
-    out = [first.with_weights(w) for w in weights[np.argsort(order)]]
-    return out[0] if single else out
+    return [first.with_weights(w) for w in weights[np.argsort(order)]]
 
 
-def _models(params, caller: str):
-    """(first model, None) for one model, or (first model, (K, P) stacked
-    weights) for a list of K same-shape models."""
-    if isinstance(params, ModelParams):
-        return params, None
-    if not params:
+def _first_model(models, caller: str) -> ModelParams:
+    """The first of a nonempty list of same-shape models."""
+    if not models:
         raise ValueError(f"{caller} requires at least one model")
-    first = params[0]
+    first = models[0]
     if any((m.dim_in, m.dim_out, m.hidden) != (first.dim_in, first.dim_out, first.hidden)
-           for m in params):
+           for m in models):
         raise ValueError(f"{caller}: models with different shapes cannot be stacked")
-    return first, np.stack([m.weights for m in params])
+    return first
 
 
-def evaluate(params, batch):
-    """Fraction of argmax predictions matching labels (ties -> lowest class id).
+def evaluate(models, batches) -> list:
+    """Accuracy of each (model, batch) pair: the fraction of argmax
+    predictions matching the labels, ties to the lowest class id (see
+    "Ragged stacks").
 
-    One model and one LabeledBatch give a float; a list of either gives one
-    float per (model, batch) pair (see "Ragged stacks")."""
-    if isinstance(batch, LabeledBatch) and not isinstance(params, ModelParams):
-        # A selection's K candidates on one holdout (see "Ragged stacks").
-        first, weights = _models(params, "evaluate")
-        if len(batch) == 0:
+    `batches` may also be one LabeledBatch, a selection's holdout, which
+    every model is scored on; that form is the faster one on so few rows
+    (see the module docstring)."""
+    if isinstance(batches, LabeledBatch):
+        first = _first_model(models, "evaluate")
+        if len(batches) == 0:
             raise ValueError("evaluate requires a nonempty batch")
-        x = _check_features(first, batch.features)
-        z, _ = _logits(first.hidden, _unpack(first, weights), x)
-        return (_softmax(z).argmax(axis=-1) == batch.labels).mean(axis=-1).tolist()
-    _, z, y, rows, _, single = _logit_table(params, batch, "evaluate")
+        x = _check_features(first, batches.features)
+        z, _ = _logits(first.hidden, _unpack(first, np.stack([m.weights for m in models])), x)
+        return (_softmax(z).argmax(axis=-1) == batches.labels).mean(axis=-1).tolist()
+    _, z, y, rows, _ = _logit_table(models, batches, "evaluate")
     hits = _top_class(_softmax_columns(z))[0] == y
     # Exact counts: count / n is rounded once, as the mean of the bools is.
-    out = (np.add.reduceat(hits, rows[:-1], dtype=np.intp) / np.diff(rows)).tolist()
-    return out[0] if single else out
+    return (np.add.reduceat(hits, rows[:-1], dtype=np.intp) / np.diff(rows)).tolist()
 
 
 def _pairwise_sum(a: np.ndarray) -> np.ndarray:
@@ -461,20 +426,18 @@ def _pairwise_sum(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def confidences(params, features: np.ndarray):
-    """Per-sample (argmax class, max probability), ties to the lowest class
-    id; the softmax runs class-major with the bits of the row-wise
-    `_softmax` (see "Class-major softmax").
-
-    `params` is one model, giving (n,) arrays, or a list of K same-shape
-    models scored on one pool, giving (K, n) arrays whose row k is what
-    model k gets alone."""
-    first, weights = _models(params, "confidences")
+def confidences(models, features: np.ndarray):
+    """(argmax class, max probability) of each of K same-shape models on
+    each of the n rows of one pool, as (K, n) arrays whose row k is what
+    model k gets alone; ties go to the lowest class id. The softmax runs
+    class-major with the bits of the row-wise `_softmax` (see "Class-major
+    softmax")."""
+    first = _first_model(models, "confidences")
     features = _check_features(first, features)
-    *hidden_layer, w, b = _unpack(first, weights)
-    lead, n, c = w.shape[:-2], features.shape[0], first.dim_out
-    classes = np.empty(lead + (n,), dtype=np.int64)
-    conf = np.empty(lead + (n,))
+    *hidden_layer, w, b = _unpack(first, np.stack([m.weights for m in models]))
+    n = features.shape[0]
+    classes = np.empty((len(models), n), dtype=np.int64)
+    conf = np.empty((len(models), n))
     if n == 0:
         return classes, conf
     if hidden_layer:
@@ -483,14 +446,13 @@ def confidences(params, features: np.ndarray):
         features += b1
         np.tanh(features, out=features)
     logits = features @ w
-    class_major = (len(lead) + 1, *range(len(lead) + 1))
-    bias = b.reshape(*lead, 1, c).transpose(class_major)
-    # Class-major softmax, (c, n) or (c, K, n), in even blocks of samples.
+    bias = b.transpose(2, 0, 1)
+    # Class-major softmax, (c, K, n), in even blocks of samples.
     blocks = -(-logits.size // SOFTMAX_BLOCK)
     step = -(-n // blocks)
     for lo in range(0, n, step):
-        probs = logits[..., lo : lo + step, :].transpose(class_major).copy()
+        probs = logits[:, lo : lo + step].transpose(2, 0, 1).copy()
         probs += bias
-        classes[..., lo : lo + step], conf[..., lo : lo + step] = _top_class(
+        classes[:, lo : lo + step], conf[:, lo : lo + step] = _top_class(
             _softmax_columns(probs))
     return classes, conf

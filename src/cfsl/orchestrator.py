@@ -38,7 +38,6 @@ from .labeling import (
 )
 from .models import (
     STACK_CHUNK,
-    GradientUpdate,
     ModelParams,
     evaluate,
     gradient,
@@ -278,19 +277,18 @@ class Simulation:
         return trained
 
     def _split_signals(self, node, members: list, r: int) -> dict:
-        """{member: GradientUpdate} in the order of `members`: the gradient
-        of the cluster's model, one stacked call per chunk of members, or
-        with `use_weight_deltas` each member's weight change from local
-        training."""
+        """{member: flat vector} in the order of `members`: the gradient of
+        the cluster's model on each member's train batch, one stacked call
+        per chunk of members, or with `use_weight_deltas` each member's
+        weight change from local training."""
         if self.config.clustering.use_weight_deltas:
             after = self._train(dict.fromkeys(members, node.model), r)
-            return {k: GradientUpdate(node.model.weights - after[k].weights,
-                                      self.devices[k].train_size) for k in members}
+            return {k: node.model.weights - after[k].weights for k in members}
         grads = {}
         for i in range(0, len(members), STACK_CHUNK):
             chunk = members[i : i + STACK_CHUNK]
             batches = train_batches([self.devices[k] for k in chunk])
-            grads.update(zip(chunk, gradient(node.model, batches)))
+            grads.update(zip(chunk, gradient([node.model] * len(chunk), batches)))
         return grads
 
     # ------------------------------------------------------------ round
@@ -437,7 +435,7 @@ class Simulation:
                 continue
             grads = self._split_signals(node, members, r)
             weights = {k: self.devices[k].labeled_size for k in members}
-            norms = [g.norm for g in grads.values()]
+            norms = [float(np.linalg.norm(g)) for g in grads.values()]
             eps1, eps2 = self.config.clustering.eps1, self.config.clustering.eps2
             if eps1 is None:
                 eps1 = RELATIVE_EPS1_FACTOR * float(np.mean(norms))

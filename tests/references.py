@@ -7,7 +7,7 @@ the row-wise softmax whose bits `models.confidences` reproduces class-major.
 
 import numpy as np
 
-from cfsl.clustering import _as_vector, _cosine
+from cfsl.clustering import _cosine
 from cfsl.models import (
     ModelParams,
     _check_features,
@@ -23,8 +23,8 @@ def zero_params(dim_in: int, dim_out: int, hidden: int = 0) -> ModelParams:
 
 
 def cosine_similarity(g1, g2) -> float:
-    """Cosine of the angle between two gradients (arrays or updates)."""
-    a, b = _as_vector(g1), _as_vector(g2)
+    """Cosine of the angle between two gradient vectors."""
+    a, b = np.asarray(g1, dtype=np.float64), np.asarray(g2, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"gradient shapes differ: {a.shape} vs {b.shape}")
     na, nb = np.linalg.norm(a), np.linalg.norm(b)

@@ -161,8 +161,8 @@ def _central_differences(params, batch, h=1e-5):
         wp, wm = w.copy(), w.copy()
         wp[i] += step
         wm[i] -= step
-        out[i] = (loss(params.with_weights(wp), batch)
-                  - loss(params.with_weights(wm), batch)) / (2 * step)
+        out[i] = (loss([params.with_weights(wp)], [batch])[0]
+                  - loss([params.with_weights(wm)], [batch])[0]) / (2 * step)
     return out
 
 
@@ -182,7 +182,7 @@ def test_criterion_02_analytic_gradients_match_finite_differences():
                                      seed=int(rng.integers(1 << 30)), scale=0.5)
                 batch = LabeledBatch(rng.normal(size=(n, dim)),
                                      rng.integers(0, classes, size=n))
-                analytic = gradient(params, batch).grad
+                (analytic,) = gradient([params], [batch])
                 fd = _central_differences(params, batch)
                 denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-5)
                 worst = float(np.max(np.abs(analytic - fd) / denom))
@@ -541,9 +541,9 @@ def test_criterion_09_pre_split_matches_flat_averaging():
             ks = sorted(participating.get(r, ()))
             if ks:
                 updates = [
-                    sgd_train(model, ref.devices[k].train_batch(), mdl.epochs,
+                    sgd_train([model], [ref.devices[k].train_batch()], mdl.epochs,
                               mdl.batch_size, mdl.learning_rate,
-                              training_seed(cfg.run.seed, r, k))
+                              [training_seed(cfg.run.seed, r, k)])[0]
                     for k in ks
                 ]
                 sizes = [ref.devices[k].labeled_size for k in ks]

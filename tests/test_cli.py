@@ -137,6 +137,16 @@ def test_sweep_bad_value_exit_1(tmp_path, capsys):
     assert "sweep.values" in capsys.readouterr().err
 
 
+def test_sweep_repeated_value_exit_1(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "sw"
+    code = main(["sweep", cfg_path, "--axis", "labeled_fraction",
+                 "--values", "0.5,0.50,5e-1", "--out-dir", str(out)])
+    assert code == 1
+    assert "sweep.values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plot_command(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     out = tmp_path / "out"

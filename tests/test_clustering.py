@@ -16,12 +16,11 @@ from cfsl.clustering import (
     similarity_matrix,
 )
 from cfsl.errors import StateError
-from cfsl.models import GradientUpdate
 from references import cosine_similarity, zero_params
 
 
 def grad(vec):
-    return GradientUpdate(np.asarray(vec, dtype=float), 1)
+    return np.asarray(vec, dtype=float)
 
 
 # ---------------------------------------------------------------- cosine

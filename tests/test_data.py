@@ -232,11 +232,11 @@ def test_injection_state_is_read_only_outside_inject():
 
 
 def test_injected_fraction_is_the_rounded_mean_for_every_count():
-    def device(size, **injected):
+    def device(size):
         return DeviceDataset(
             0, LabeledBatch(np.zeros((2, 2)), np.array([0, 1])), np.zeros((size, 2)),
             np.zeros(size, dtype=np.int64), 0, (0, 1), np.array([], dtype=np.int64),
-            LabeledBatch(np.zeros((1, 2)), np.array([0])), **injected,
+            LabeledBatch(np.zeros((1, 2)), np.array([0])),
         )
 
     for size in (1, 3, 7, 10, 49, 97, 192):
@@ -245,8 +245,9 @@ def test_injected_fraction_is_the_rounded_mean_for_every_count():
             if count:
                 dev.inject([count - 1], [0])
             mask = np.arange(size) < count
-            # A device built with a mask sets its counts up from it.
-            built = device(size, injected_mask=mask, injected_labels=np.where(mask, 0, -1))
+            # A device given every injection at once sets its counts up alike.
+            built = device(size)
+            built.inject(np.flatnonzero(mask), 0)
             for d in (dev, built):
                 assert d.injected_fraction == float(mask.mean())
                 assert d.n_injected == count and d.unlabeled_remaining == size - count
@@ -323,6 +324,15 @@ def test_csv_all_labeled(tmp_path):
     labeled, unlabeled = load_csv_dataset(path, n_features=2, n_classes=2)
     assert len(labeled) == 2
     assert unlabeled.shape == (0, 2)
+
+
+def test_csv_byte_order_mark_is_not_a_header(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbf1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,\n")
+    labeled, unlabeled = load_csv_dataset(str(p), n_features=2, n_classes=2)
+    assert np.array_equal(labeled.features, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert np.array_equal(labeled.labels, np.array([0, 1]))
+    assert np.array_equal(unlabeled, np.array([[5.0, 6.0]]))
 
 
 def test_csv_header_only(tmp_path):

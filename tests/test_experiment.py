@@ -186,13 +186,12 @@ def test_use_weight_deltas_makes_the_split_signal_the_weight_delta():
         for k in members:
             batch = sim.devices[k].train_batch()
             if sim is deltas:
-                after = sgd_train(node.model, batch, tr.epochs, tr.batch_size,
-                                  tr.learning_rate, training_seed(seed, r, k))
+                (after,) = sgd_train([node.model], [batch], tr.epochs, tr.batch_size,
+                                     tr.learning_rate, [training_seed(seed, r, k)])
                 want = node.model.weights - after.weights
             else:
-                want = gradient(node.model, batch).grad
-            assert np.array_equal(signals[k].grad, want)
-            assert signals[k].sample_count == len(batch)
+                (want,) = gradient([node.model], [batch])
+            assert np.array_equal(signals[k], want)
 
 
 def feature_spread(sim):
@@ -712,6 +711,18 @@ def test_sweep_negative_seed_rejected_before_any_run(tmp_path):
         sweep(cfg, "seed", ["1", "-1"])
     assert "run.seed" in str(exc.value)
     assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_repeated_value_rejected_before_any_run(tmp_path):
+    # Three spellings of one value would run one experiment three times
+    # into the same directory.
+    cfg = make_cfg(out_dir=tmp_path / "sw", rounds=1)
+    with pytest.raises(ConfigError) as exc:
+        sweep(cfg, "labeled_fraction", ["0.5", "0.50", "5e-1"])
+    assert exc.value.key == "sweep.values"
+    assert not (tmp_path / "sw").exists()
+    with pytest.raises(ConfigError):
+        sweep(cfg, "seed", ["3", "03"])
 
 
 def test_sweep_continues_past_failing_run(tmp_path, monkeypatch):

@@ -38,7 +38,7 @@ def trained_on(device, universe, steps=60, seed=0):
     labs = np.concatenate([device.labeled.labels, device.hidden_truth])
     batch = LabeledBatch(feats, labs)
     p = zero_params(universe.dim, universe.n_classes)
-    return sgd_train(p, batch, epochs=steps, batch_size=64, lr=0.5, seed=seed)
+    return sgd_train([p], [batch], epochs=steps, batch_size=64, lr=0.5, seeds=[seed])[0]
 
 
 # ---------------------------------------------------------------- pseudo_label
@@ -141,10 +141,11 @@ def test_utility_empty_holdout_falls_back(caplog):
         assert warnings() == 1
         # One warning per selection, however many candidates it scores.
         for n_calls in (2, 3):
-            select_best_model(dev, {0: model, 1: zero_params(3, 4), 2: model}, 0.4, 1e9, 20)
+            select_best_model(dev, {0: model, 1: zero_params(3, 4), 2: model}, 0.4, 1e9, 20,
+                              dev.pending_features()[1])
             assert warnings() == n_calls
     assert 0.0 <= score.val_accuracy <= 1.0
-    assert score.val_accuracy == evaluate(model, dev.labeled)
+    assert score.val_accuracy == evaluate([model], [dev.labeled])[0]
 
 
 def test_utility_score_range_validation():
@@ -175,31 +176,34 @@ def test_selection_prefers_accuracy_over_coverage():
     dev = devices[0]
     good = trained_on(dev, u)
     bad = zero_params(3, 4)
-    chosen, _ = select_best_model(dev, {5: bad, 9: good}, 0.25, 1e9, 20)
+    pool = dev.pending_features()[1]
+    chosen, _ = select_best_model(dev, {5: bad, 9: good}, 0.25, 1e9, 20, pool)
     loser = utility(5, bad, dev, 0.25, 1e9, 20)
     assert chosen == utility(9, good, dev, 0.25, 1e9, 20)
     assert chosen.val_accuracy > loser.val_accuracy
     # The uniform model covers everything at phi=0.25 but loses on accuracy,
     # so selection never scores it over the pool.
     assert loser.coverage == 1.0
-    scores, _ = _score_candidates(dev, {5: bad, 9: good}, 0.25, 1e9, 20, None)
+    scores, _ = _score_candidates(dev, {5: bad, 9: good}, 0.25, 1e9, 20, pool)
     assert list(scores) == [9]
 
 
 def test_selection_single_candidate_and_empty_error():
     u, devices = device_with_pool(seed=8)
     dev = devices[0]
-    chosen, _ = select_best_model(dev, {3: zero_params(3, 4)}, 0.4, 1e9, 20)
+    pool = dev.pending_features()[1]
+    chosen, _ = select_best_model(dev, {3: zero_params(3, 4)}, 0.4, 1e9, 20, pool)
     assert chosen.model_id == 3
     with pytest.raises(StateError):
-        select_best_model(dev, {}, 0.4, 1e9, 20)
+        select_best_model(dev, {}, 0.4, 1e9, 20, pool)
 
 
 def test_selection_tie_breaks_to_lowest_model_id():
     u, devices = device_with_pool(seed=9)
     dev = devices[0]
     m = zero_params(3, 4)
-    chosen, _ = select_best_model(dev, {8: m, 2: m, 5: m}, 0.4, 1e9, 20)
+    chosen, _ = select_best_model(dev, {8: m, 2: m, 5: m}, 0.4, 1e9, 20,
+                                  dev.pending_features()[1])
     assert chosen.model_id == 2
 
 

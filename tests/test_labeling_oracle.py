@@ -296,8 +296,9 @@ def check_selection(device, candidates, phi=0.6, f_hz=2e9, cycles=20.0):
         if mid in scores:
             assert scores[mid] == want
         assert utility(mid, candidates[mid], device, phi, f_hz, cycles) == want
-    # Without the pool handed in, selection reads it itself.
-    assert select_best_model(device, candidates, phi, f_hz, cycles)[0] == chosen
+    # A second read of the pool selects the same model.
+    again = select_best_model(device, candidates, phi, f_hz, cycles, device.pending_features()[1])
+    assert again[0] == chosen
 
     model = candidates[chosen.model_id]
     assert_same_predictions(predictions, ref_confidences(model, feats))
@@ -325,10 +326,9 @@ def test_confidences_bit_equal_to_row_wise(family, c):
         pool = rng.normal(size=(n, d))
         if rounded:
             pool = np.round(pool, 1)
-        assert_same_predictions(confidences(model, pool), ref_confidences(model, pool))
+        assert_stacked_matches([model], pool)
     for n in (0, 1):
-        pool = rng.normal(size=(n, d))
-        assert_same_predictions(confidences(model, pool), ref_confidences(model, pool))
+        assert_stacked_matches([model], rng.normal(size=(n, d)))
 
 
 @pytest.mark.parametrize("c", CLASS_COUNTS)
@@ -338,14 +338,12 @@ def test_confidences_on_logits_rounded_to_one_decimal(c):
     rng = np.random.default_rng(c)
     model = identity_model(c)
     for spread in (0.3, 1.0, 4.0):
-        logits = np.round(rng.normal(0.0, spread, size=(300, c)), 1)
-        classes, conf = confidences(model, logits)
-        assert_same_predictions((classes, conf), ref_confidences(model, logits))
+        assert_stacked_matches([model], np.round(rng.normal(0.0, spread, size=(300, c)), 1))
     ties = np.zeros((3, c))
     ties[1, c // 2 :] = 2.5
     ties[2, -1] = ties[2, 0] = -1.0
-    classes, _ = confidences(model, ties)
-    assert classes.tolist() == [0, c // 2, 1 if c > 2 else 0]
+    classes, _ = confidences([model], ties)
+    assert classes.tolist() == [[0, c // 2, 1 if c > 2 else 0]]
 
 
 def test_class_is_first_highest_probability_not_logit():
@@ -353,7 +351,7 @@ def test_class_is_first_highest_probability_not_logit():
     # second logit is larger.
     model = identity_model(2)
     logits = np.array([[-1e-17, 0.0], [0.0, -1e-17], [0.0, 1.0]])
-    classes, conf = confidences(model, logits)
+    (classes,), (conf,) = confidences([model], logits)
     assert classes.tolist() == [0, 0, 1]
     assert conf[0] == conf[1] == 0.5
     assert_same_predictions((classes, conf), ref_confidences(model, logits))
@@ -433,12 +431,10 @@ def test_stacked_confidences_nan_model_matches_row_wise():
     assert (classes[1] == 0).all() and np.isnan(conf[1]).all()
 
 
-def test_one_model_gives_one_dimensional_arrays():
+def test_one_model_gives_one_row():
     rng = np.random.default_rng(2)
     model = random_model(rng, 4, 6, 7)
     for n in (0, 1, 50):
-        classes, conf = confidences(model, rng.normal(size=(n, 4)))
-        assert classes.shape == conf.shape == (n,)
         classes, conf = confidences([model], rng.normal(size=(n, 4)))
         assert classes.shape == conf.shape == (1, n)
 
@@ -457,7 +453,7 @@ def test_stacked_evaluate_matches_one_model_at_a_time(family):
             batch = LabeledBatch(rng.normal(size=(n, 4)), rng.integers(0, c, size=n))
             want = [ref_evaluate(m, batch) for m in models]
             assert evaluate(models, batch) == want
-            assert [evaluate(m, batch) for m in models] == want
+            assert [evaluate([m], [batch])[0] for m in models] == want
 
 
 def test_stacked_evaluate_rejects_mixed_shapes_and_no_models():
@@ -511,10 +507,11 @@ def test_selection_on_empty_and_one_row_pools_warns_nothing(n_pool):
     models = {k: random_model(rng, 3, 4, 0) for k in range(5)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, (classes, conf) = select_best_model(device, models, 0.5, 2e9, 20.0)
+        pool = device.pending_features()[1]
+        _, (classes, conf) = select_best_model(device, models, 0.5, 2e9, 20.0, pool)
     assert classes.shape == conf.shape == (n_pool,)
     if n_pool == 0:
-        scores, _ = _score_candidates(device, models, 0.5, 2e9, 20.0, None)
+        scores, _ = _score_candidates(device, models, 0.5, 2e9, 20.0, pool)
         assert all(s.coverage == s.est_label_latency == 0.0 for s in scores.values())
 
 
@@ -527,7 +524,7 @@ def test_selection_counts_confidence_equal_to_phi():
     models = {1: identity_model(2), 2: ModelParams(np.array([0, 1, 1, 0, 0, 0.0]), 2, 2)}
     for phi in (0.5, 1.0):
         check_selection(device, models, phi=phi)
-    scores, _ = _score_candidates(device, models, 0.5, 2e9, 20.0, None)
+    scores, _ = _score_candidates(device, models, 0.5, 2e9, 20.0, device.pending_features()[1])
     assert scores[1].coverage == 1.0
     # The swapped model loses on holdout accuracy, so selection never scores
     # it over the pool; alone it covers the pool too.

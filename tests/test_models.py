@@ -8,7 +8,6 @@ import pytest
 
 from cfsl import models
 from cfsl.models import (
-    GradientUpdate,
     LabeledBatch,
     ModelParams,
     confidences,
@@ -54,9 +53,11 @@ def test_batch_rejects_mismatched_rows():
         LabeledBatch(np.zeros((3, 2)), np.zeros(2, dtype=int))
 
 
-def test_gradient_update_rejects_nan():
-    with pytest.raises(ValueError):
-        GradientUpdate(np.array([1.0, np.nan]), 3)
+def test_gradient_rejects_nan():
+    p = ModelParams(np.array([1.0, np.nan, 0.0, 0.0]), 1, 2)
+    batch = LabeledBatch(np.array([[1.0], [2.0], [-1.0]]), np.array([0, 1, 1]))
+    with pytest.raises(ValueError, match="gradient contains non-finite entries"):
+        gradient([p], [batch])
 
 
 # ---------------------------------------------------------------- forward / loss
@@ -74,7 +75,7 @@ def test_zero_weight_loss_is_log_c():
         p = zero_params(3, c)
         rng = np.random.default_rng(c)
         batch = make_batch(rng, 10, 3, c)
-        assert math.isclose(loss(p, batch), math.log(c), rel_tol=1e-12)
+        assert math.isclose(loss([p], [batch])[0], math.log(c), rel_tol=1e-12)
 
 
 def test_forward_matches_high_precision_softmax():
@@ -98,7 +99,7 @@ def test_forward_matches_high_precision_softmax():
 
     lab = LabeledBatch(x, np.array([2]))
     expected_loss = float(-mpmath.log(exps[2] / total))
-    assert math.isclose(loss(p, lab), expected_loss, rel_tol=1e-13)
+    assert math.isclose(loss([p], [lab])[0], expected_loss, rel_tol=1e-13)
 
 
 def test_forward_is_overflow_safe():
@@ -142,7 +143,8 @@ def finite_difference(p, batch, eps=1e-6):
         up[i] += eps
         down = base.copy()
         down[i] -= eps
-        out[i] = (loss(p.with_weights(up), batch) - loss(p.with_weights(down), batch)) / (2 * eps)
+        out[i] = (loss([p.with_weights(up)], [batch])[0]
+                  - loss([p.with_weights(down)], [batch])[0]) / (2 * eps)
     return out
 
 
@@ -152,19 +154,18 @@ def test_gradient_matches_central_differences(hidden):
     for _ in range(8):
         p = random_params(rng, 4, 3, hidden)
         batch = make_batch(rng, 6, 4, 3)
-        g = gradient(p, batch)
-        assert g.sample_count == 6
+        (g,) = gradient([p], [batch])
         fd = finite_difference(p, batch)
         denom = max(np.linalg.norm(fd), 1e-12)
-        assert np.linalg.norm(g.grad - fd) / denom < 1e-6
+        assert np.linalg.norm(g - fd) / denom < 1e-6
 
 
 def test_gradient_zero_at_perfect_separation_limit():
     # Saturated correct predictions push the gradient toward zero.
     p = ModelParams(np.array([50.0, -50.0, 0.0, 0.0]), 1, 2)
     batch = LabeledBatch(np.array([[1.0], [-1.0]]), np.array([0, 1]))
-    g = gradient(p, batch)
-    assert g.norm < 1e-12
+    (g,) = gradient([p], [batch])
+    assert np.linalg.norm(g) < 1e-12
 
 
 def test_gradient_mean_scaling():
@@ -176,7 +177,7 @@ def test_gradient_mean_scaling():
         np.vstack([batch.features, batch.features]),
         np.concatenate([batch.labels, batch.labels]),
     )
-    assert np.allclose(gradient(p, batch).grad, gradient(p, doubled).grad, rtol=1e-12)
+    assert np.allclose(*gradient([p, p], [batch, doubled]), rtol=1e-12)
 
 
 def test_empty_batch_rejected():
@@ -184,7 +185,7 @@ def test_empty_batch_rejected():
     empty = LabeledBatch(np.zeros((0, 2)), np.zeros(0, dtype=int))
     for fn in (loss, gradient, evaluate):
         with pytest.raises(ValueError):
-            fn(p, empty)
+            fn([p], [empty])
 
 
 # ---------------------------------------------------------------- sgd
@@ -195,10 +196,10 @@ def test_one_step_sgd_is_one_gradient_step():
     p = random_params(rng, 3, 2)
     batch = make_batch(rng, 4, 3, 2)
     lr = 0.1
-    g = gradient(p, batch)
+    (g,) = gradient([p], [batch])
     # batch_size >= D and one epoch: a single full-batch step.
-    trained = sgd_train(p, batch, epochs=1, batch_size=10, lr=lr, seed=0)
-    assert np.allclose(trained.weights, p.weights - lr * g.grad, rtol=1e-12)
+    (trained,) = sgd_train([p], [batch], epochs=1, batch_size=10, lr=lr, seeds=[0])
+    assert np.allclose(trained.weights, p.weights - lr * g, rtol=1e-12)
 
 
 def test_sgd_step_count_via_tiny_lr():
@@ -207,10 +208,10 @@ def test_sgd_step_count_via_tiny_lr():
     rng = np.random.default_rng(9)
     p = random_params(rng, 3, 3)
     batch = make_batch(rng, 7, 3, 3)
-    a = sgd_train(p, batch, epochs=2, batch_size=3, lr=1e-9, seed=1)
+    (a,) = sgd_train([p], [batch], epochs=2, batch_size=3, lr=1e-9, seeds=[1])
     steps = 2 * math.ceil(7 / 3)
     moved = np.linalg.norm(a.weights - p.weights)
-    per_step = np.linalg.norm(gradient(p, batch).grad) * 1e-9
+    per_step = np.linalg.norm(gradient([p], [batch])[0]) * 1e-9
     # Mini-batch gradients vary but stay within a loose factor of the mean.
     assert moved > 0
     assert moved < steps * per_step * 50
@@ -220,9 +221,8 @@ def test_sgd_deterministic_for_fixed_seed():
     rng = np.random.default_rng(13)
     p = random_params(rng, 4, 3, hidden=5)
     batch = make_batch(rng, 12, 4, 3)
-    a = sgd_train(p, batch, epochs=3, batch_size=4, lr=0.05, seed=42)
-    b = sgd_train(p, batch, epochs=3, batch_size=4, lr=0.05, seed=42)
-    c = sgd_train(p, batch, epochs=3, batch_size=4, lr=0.05, seed=43)
+    a, b, c = (sgd_train([p], [batch], epochs=3, batch_size=4, lr=0.05, seeds=[s])[0]
+               for s in (42, 42, 43))
     assert np.array_equal(a.weights, b.weights)
     assert not np.array_equal(a.weights, c.weights)
 
@@ -232,10 +232,9 @@ def test_sgd_accepts_seedsequence():
     p = random_params(rng, 3, 2)
     batch = make_batch(rng, 8, 3, 2)
     ss = np.random.SeedSequence([7, 4, 0, 3])
-    a = sgd_train(p, batch, epochs=2, batch_size=3, lr=0.05, seed=ss)
-    b = sgd_train(
-        p, batch, epochs=2, batch_size=3, lr=0.05, seed=np.random.SeedSequence([7, 4, 0, 3])
-    )
+    (a,) = sgd_train([p], [batch], epochs=2, batch_size=3, lr=0.05, seeds=[ss])
+    (b,) = sgd_train([p], [batch], epochs=2, batch_size=3, lr=0.05,
+                     seeds=[np.random.SeedSequence([7, 4, 0, 3])])
     assert np.array_equal(a.weights, b.weights)
 
 
@@ -247,10 +246,10 @@ def test_sgd_reduces_loss_on_separable_data():
     batch = LabeledBatch(x, y)
     for hidden in (0, 4):
         p = init_params(2, 2, hidden, seed=0)
-        before = loss(p, batch)
-        trained = sgd_train(p, batch, epochs=5, batch_size=16, lr=0.1, seed=1)
-        assert loss(trained, batch) < before
-        assert evaluate(trained, batch) > 0.95
+        (before,) = loss([p], [batch])
+        (trained,) = sgd_train([p], [batch], epochs=5, batch_size=16, lr=0.1, seeds=[1])
+        assert loss([trained], [batch])[0] < before
+        assert evaluate([trained], [batch])[0] > 0.95
 
 
 def test_sgd_validates_arguments():
@@ -258,11 +257,11 @@ def test_sgd_validates_arguments():
     p = random_params(rng, 2, 2)
     batch = make_batch(rng, 4, 2, 2)
     with pytest.raises(ValueError):
-        sgd_train(p, batch, epochs=0, batch_size=2, lr=0.1, seed=0)
+        sgd_train([p], [batch], epochs=0, batch_size=2, lr=0.1, seeds=[0])
     with pytest.raises(ValueError):
-        sgd_train(p, batch, epochs=1, batch_size=0, lr=0.1, seed=0)
+        sgd_train([p], [batch], epochs=1, batch_size=0, lr=0.1, seeds=[0])
     with pytest.raises(ValueError):
-        sgd_train(p, batch, epochs=1, batch_size=2, lr=0.0, seed=0)
+        sgd_train([p], [batch], epochs=1, batch_size=2, lr=0.0, seeds=[0])
 
 
 # ---------------------------------------------------------------- init / predict
@@ -280,20 +279,20 @@ def test_init_bounds_and_determinism():
 def test_argmax_tie_breaks_to_lowest_class():
     p = zero_params(2, 3)
     batch = LabeledBatch(np.array([[1.0, 1.0]]), np.array([0]))
-    assert evaluate(p, batch) == 1.0
-    classes, conf = confidences(p, np.array([[1.0, 1.0]]))
-    assert classes[0] == 0
-    assert math.isclose(conf[0], 1 / 3, rel_tol=1e-12)
+    assert evaluate([p], [batch]) == [1.0]
+    classes, conf = confidences([p], np.array([[1.0, 1.0]]))
+    assert classes[0, 0] == 0
+    assert math.isclose(conf[0, 0], 1 / 3, rel_tol=1e-12)
 
 
 def test_confidences_empty_input():
     p = zero_params(2, 3)
-    classes, conf = confidences(p, np.zeros((0, 2)))
-    assert classes.size == 0 and conf.size == 0
+    classes, conf = confidences([p], np.zeros((0, 2)))
+    assert classes.shape == conf.shape == (1, 0)
 
 
 def test_evaluate_counts_correct_fraction():
     w = np.array([1.0, -1.0, 0.0, 0.0])
     p = ModelParams(w, 1, 2)
     batch = LabeledBatch(np.array([[1.0], [1.0], [-1.0], [-1.0]]), np.array([0, 1, 1, 0]))
-    assert evaluate(p, batch) == 0.5
+    assert evaluate([p], [batch]) == [0.5]

@@ -3,7 +3,7 @@
 The reference below is a verbatim copy of the per-device functions that
 `sgd_train`, `gradient`, `evaluate` and `loss` replaced: one `gradient()`
 call per SGD step, one model and one batch at a time, with the row-wise
-softmax. Every device trained or scored in a ragged stack must get the
+softmax; a gradient is a flat vector. Every device trained or scored in a ragged stack must get the
 same bits as this loop gives it alone.
 """
 
@@ -15,7 +15,6 @@ from cfsl.config import parse_config
 from cfsl.experiment import build_simulation
 from cfsl.models import (
     STACK_CHUNK,
-    GradientUpdate,
     LabeledBatch,
     ModelParams,
     evaluate,
@@ -93,7 +92,7 @@ def ref_loss(params: ModelParams, batch: LabeledBatch) -> float:
     return float(-picked.mean())
 
 
-def ref_gradient(params: ModelParams, batch: LabeledBatch) -> GradientUpdate:
+def ref_gradient(params: ModelParams, batch: LabeledBatch) -> np.ndarray:
     """Exact analytic gradient of loss() at params."""
     if len(batch) == 0:
         raise ValueError("gradient requires a nonempty batch")
@@ -118,7 +117,9 @@ def ref_gradient(params: ModelParams, batch: LabeledBatch) -> GradientUpdate:
         gw1 = x.T @ dhidden
         gb1 = dhidden.sum(axis=0)
         flat = np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
-    return GradientUpdate(flat, n)
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("gradient contains non-finite entries")
+    return flat
 
 
 def ref_sgd_train(
@@ -150,7 +151,7 @@ def ref_sgd_train(
         for i in range(n_batches):
             idx = order[i * batch_size : (i + 1) * batch_size]
             g = ref_gradient(current, data.subset(idx))
-            current = current.with_weights(current.weights - lr * g.grad)
+            current = current.with_weights(current.weights - lr * g)
     return current
 
 
@@ -190,7 +191,7 @@ CASES = [
 def test_stacked_sgd_matches_per_device_loop_bit_for_bit(hidden, k, n, batch_size):
     for seed in range(3):
         params, batches, seeds = make_case(100 * seed + k, hidden, k, n)
-        stacked = sgd_train(params, batches, 3, batch_size, 0.3, seeds)
+        stacked = sgd_train([params] * k, batches, 3, batch_size, 0.3, seeds)
         assert len(stacked) == k
         for batch, s, got in zip(batches, seeds, stacked):
             want = ref_sgd_train(params, batch, 3, batch_size, 0.3, s)
@@ -200,19 +201,19 @@ def test_stacked_sgd_matches_per_device_loop_bit_for_bit(hidden, k, n, batch_siz
 @pytest.mark.parametrize("hidden", [0, 7])
 def test_single_batch_is_one_model_and_matches_reference(hidden):
     params, (batch,), (seed,) = make_case(5, hidden, 1, 37)
-    got = sgd_train(params, batch, 2, 16, 0.1, seed)
+    (got,) = sgd_train([params], [batch], 2, 16, 0.1, [seed])
     assert isinstance(got, ModelParams)
     assert np.array_equal(got.weights, ref_sgd_train(params, batch, 2, 16, 0.1, seed).weights)
-    assert np.array_equal(gradient(params, batch).grad, ref_gradient(params, batch).grad)
-    assert evaluate(params, batch) == ref_evaluate(params, batch)
-    assert loss(params, batch) == ref_loss(params, batch)
+    assert np.array_equal(gradient([params], [batch])[0], ref_gradient(params, batch))
+    assert evaluate([params], [batch]) == [ref_evaluate(params, batch)]
+    assert loss([params], [batch]) == [ref_loss(params, batch)]
 
 
 @pytest.mark.parametrize("hidden", [0, 7])
 @pytest.mark.parametrize("k", [1, 2, 16, 17])
 def test_stacked_evaluate_and_loss_match_per_device_bit_for_bit(hidden, k):
     params, batches, _ = make_case(11 + k, hidden, k, 41)
-    accs, losses = evaluate(params, batches), loss(params, batches)
+    accs, losses = evaluate([params] * k, batches), loss([params] * k, batches)
     assert accs == [ref_evaluate(params, b) for b in batches]
     assert losses == [ref_loss(params, b) for b in batches]
 
@@ -225,12 +226,10 @@ def test_stacked_evaluate_and_loss_match_per_device_bit_for_bit(hidden, k):
 @pytest.mark.parametrize("k", [1, 2, 16, 17])
 def test_stacked_gradient_matches_per_batch_bit_for_bit(hidden, d, c, k):
     params, batches, _ = make_case(23 + k, hidden, k, 37, d=d, c=c)
-    got = gradient(params, batches)
+    got = gradient([params] * k, batches)
     assert isinstance(got, list) and len(got) == k
     for batch, g in zip(batches, got):
-        want = ref_gradient(params, batch)
-        assert np.array_equal(g.grad, want.grad)
-        assert g.sample_count == want.sample_count == 37
+        assert np.array_equal(g, ref_gradient(params, batch))
 
 
 # (hidden, d, c): logistic and MLP at the default case shape, and the two
@@ -284,26 +283,22 @@ def test_ragged_sgd_matches_each_device_alone_bit_for_bit(hidden, d, c, k, kind)
                              [seeds[i] for i in perm])
         assert all(np.array_equal(g.weights, want[i]) for i, g in zip(perm, shuffled))
         # One start model shared by every batch.
-        shared = sgd_train(starts[0], batches, 2, bs, 0.3, seeds)
+        shared = sgd_train([starts[0]] * k, batches, 2, bs, 0.3, seeds)
         for batch, s, g in zip(batches, seeds, shared):
             assert np.array_equal(g.weights, ref_sgd_train(starts[0], batch, 2, bs, 0.3, s).weights)
 
 
 def assert_scores_match_alone(models, batches):
     """Every pair's ragged loss, accuracy and gradient are bit-equal to what
-    the reference gives that model and batch alone. `models` is one model
-    for every batch, or one per batch."""
-    each = [models] * len(batches) if isinstance(models, ModelParams) else models
+    the reference gives that model and batch alone."""
     losses, accs = loss(models, batches), evaluate(models, batches)
     assert len(losses) == len(accs) == len(batches)
-    for m, b, got_loss, got_acc in zip(each, batches, losses, accs):
+    for m, b, got_loss, got_acc in zip(models, batches, losses, accs):
         assert np.array_equal(got_loss, ref_loss(m, b), equal_nan=True)
         assert np.array_equal(got_acc, ref_evaluate(m, b))
-    if all(np.isfinite(m.weights).all() for m in each):
-        for m, b, got in zip(each, batches, gradient(models, batches)):
-            want = ref_gradient(m, b)
-            assert np.array_equal(got.grad, want.grad)
-            assert got.sample_count == want.sample_count == len(b)
+    if all(np.isfinite(m.weights).all() for m in models):
+        for m, b, got in zip(models, batches, gradient(models, batches)):
+            assert np.array_equal(got, ref_gradient(m, b))
 
 
 def random_batches(rng, lengths, d, c):
@@ -320,12 +315,12 @@ def test_ragged_scoring_matches_each_pair_alone_bit_for_bit(hidden, d, c, k, kin
         models = start_models(rng, k, d, c, hidden)
         assert_scores_match_alone(models, batches)
         # One model shared by every batch, as in the split checks.
-        assert_scores_match_alone(models[0], batches)
+        assert_scores_match_alone([models[0]] * k, batches)
         # K models meeting one batch.
         one = batches[0]
-        assert loss(models, one) == [ref_loss(m, one) for m in models]
-        for m, got in zip(models, gradient(models, one)):
-            assert np.array_equal(got.grad, ref_gradient(m, one).grad)
+        assert loss(models, [one] * k) == [ref_loss(m, one) for m in models]
+        for m, got in zip(models, gradient(models, [one] * k)):
+            assert np.array_equal(got, ref_gradient(m, one))
 
 
 @pytest.mark.parametrize("c", [2, 3, 4, 5, 6, 7, 8, 9, 12, 17, 33, 129])
@@ -375,13 +370,14 @@ def test_ragged_scoring_with_nan_weights_matches_row_wise():
 
 def test_results_do_not_depend_on_how_batches_are_stacked():
     params, batches, seeds = make_case(3, 7, 17, 29)
-    whole = sgd_train(params, batches, 2, 8, 0.2, seeds)
+    starts = [params] * len(batches)
+    whole = sgd_train(starts, batches, 2, 8, 0.2, seeds)
     for cut in (1, 5, STACK_CHUNK):
-        parts = (sgd_train(params, batches[:cut], 2, 8, 0.2, seeds[:cut])
-                 + sgd_train(params, batches[cut:], 2, 8, 0.2, seeds[cut:]))
+        parts = (sgd_train(starts[:cut], batches[:cut], 2, 8, 0.2, seeds[:cut])
+                 + sgd_train(starts[cut:], batches[cut:], 2, 8, 0.2, seeds[cut:]))
         assert all(np.array_equal(a.weights, b.weights) for a, b in zip(whole, parts))
-    assert loss(params, batches) == loss(params, batches[:5]) + loss(params, batches[5:])
-    assert evaluate(params, batches) == [evaluate(params, b) for b in batches]
+    assert loss(starts, batches) == loss(starts[:5], batches[:5]) + loss(starts[5:], batches[5:])
+    assert evaluate(starts, batches) == [evaluate([params], [b])[0] for b in batches]
 
 
 def test_stacked_calls_reject_bad_input():
@@ -389,28 +385,31 @@ def test_stacked_calls_reject_bad_input():
     short = LabeledBatch(batches[0].features[:11], batches[0].labels[:11])
     empty = LabeledBatch(batches[0].features[:0], batches[0].labels[:0])
     wide = ModelParams(np.zeros(param_count(7, 5)), 7, 5)
+    pair = [params, params]
     # Unequal lengths are valid everywhere (see the ragged tests).
-    assert evaluate(params, [batches[0], short]) == [ref_evaluate(params, b)
-                                                     for b in (batches[0], short)]
-    assert loss(params, [short, batches[1]]) == [ref_loss(params, b)
-                                                 for b in (short, batches[1])]
-    assert gradient(params, [batches[0], short])[1].sample_count == 11
+    assert evaluate(pair, [batches[0], short]) == [ref_evaluate(params, b)
+                                                   for b in (batches[0], short)]
+    assert loss(pair, [short, batches[1]]) == [ref_loss(params, b)
+                                               for b in (short, batches[1])]
+    assert np.array_equal(gradient(pair, [batches[0], short])[1], ref_gradient(params, short))
     for call in (
-        lambda: sgd_train(params, batches, 1, 4, 0.1, seeds[:2]),
+        lambda: sgd_train([params] * 3, batches, 1, 4, 0.1, seeds[:2]),
         lambda: sgd_train([params, wide, params], batches, 1, 4, 0.1, seeds),
-        lambda: sgd_train([params, params], batches, 1, 4, 0.1, seeds),
-        lambda: sgd_train(params, [batches[0], empty, batches[2]], 1, 4, 0.1, seeds),
-        lambda: sgd_train(params, [], 1, 4, 0.1, []),
-        lambda: evaluate(params, []),
-        lambda: gradient(params, []),
-        lambda: loss(params, [batches[0], empty]),
-        lambda: evaluate([params, params], [empty]),
-        lambda: gradient(params, empty),
-        lambda: loss([params, params], batches),
+        lambda: sgd_train(pair, batches, 1, 4, 0.1, seeds),
+        lambda: sgd_train([params] * 3, [batches[0], empty, batches[2]], 1, 4, 0.1, seeds),
+        lambda: sgd_train([params], [], 1, 4, 0.1, []),
+        lambda: evaluate([params], []),
+        lambda: gradient([params], []),
+        lambda: loss(pair, [batches[0], empty]),
+        lambda: evaluate(pair, [batches[0]]),
+        lambda: gradient([params], [empty]),
+        lambda: gradient([params], batches),
+        lambda: loss(pair, batches),
         lambda: gradient([params, params, params], batches[:2]),
         lambda: evaluate([params, wide], batches[:2]),
+        lambda: evaluate([params], empty),
         lambda: loss([], batches),
-        lambda: gradient(params, [LabeledBatch(short.features, short.labels + 5)]),
+        lambda: gradient([params], [LabeledBatch(short.features, short.labels + 5)]),
     ):
         with pytest.raises(ValueError):
             call()
@@ -422,12 +421,12 @@ def test_non_finite_weights_raise():
                                           params.weights))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError):
-            sgd_train(broken, batches, 1, 4, 0.1, seeds)
+            sgd_train([broken] * 2, batches, 1, 4, 0.1, seeds)
         with pytest.raises(ValueError):
-            sgd_train(broken, batches[0], 1, 4, 0.1, seeds[0])
+            sgd_train([broken], batches[:1], 1, 4, 0.1, seeds[:1])
         # Finite start, but a step size that overflows the weights.
         with pytest.raises(ValueError):
-            sgd_train(params, batches, 2, 4, 1e308, seeds)
+            sgd_train([params] * 2, batches, 2, 4, 1e308, seeds)
 
 
 # ---------------------------------------------------------------- orchestrator
@@ -474,12 +473,11 @@ def test_simulation_does_not_depend_on_stack_chunk(monkeypatch):
     def recording(name):
         real = getattr(orchestrator, name)
 
-        def call(params, data, *args):
-            models = [params] if isinstance(params, ModelParams) else params
+        def call(models, batches, *args):
             # The split checks score one cluster model per call.
             many_models = name == "gradient" or len({m.weights.tobytes() for m in models}) > 1
-            mixed[name].append(many_models and len({len(b) for b in data}) > 1)
-            return real(params, data, *args)
+            mixed[name].append(many_models and len({len(b) for b in batches}) > 1)
+            return real(models, batches, *args)
         return call
 
     for name in mixed:

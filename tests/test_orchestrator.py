@@ -209,8 +209,8 @@ def test_pre_split_trajectory_equals_flat_fedavg():
                 participating += [k for k in ev["selected"] if k not in ev["dropped"]]
         participating.sort()
         updates = [
-            sgd_train(w, sim.devices[k].train_batch(), tr.epochs, tr.batch_size,
-                      tr.learning_rate, training_seed(31, r, k))
+            sgd_train([w], [sim.devices[k].train_batch()], tr.epochs, tr.batch_size,
+                      tr.learning_rate, [training_seed(31, r, k)])[0]
             for k in participating
         ]
         weights = [sim.devices[k].labeled_size for k in participating]
