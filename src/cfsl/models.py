@@ -25,12 +25,15 @@ few rows it is the faster way to score them: on one core (numpy 2.4.6,
 d=16, c=6, both families, holdouts of 1-4 rows), taking the accuracy from
 ``confidences`` instead was 1.1-1.7x slower for K <= 12 candidates and
 1.0-1.2x slower at K = 30.
-Training keeps the row-wise softmax too, faster on small minibatches (one
-core, a one-row batch, d=32, c=4: 33 against 47 us class-major per
-gradient). Each device draws its epoch permutations from its own
-generator, as alone; at each step position, each run of devices whose
-minibatch has the same size takes one ``_grads`` step through views of its
-slice of the ``(K, P)`` weights.
+Training takes the class-major softmax too, on a contiguous copy of each
+step's logits. With the in-place forward and backward passes, on one core,
+a fedavg-128 round of ``sgd_train`` (64 MLP devices of 160 rows, d=8, h=16,
+c=4) ran 1.17-1.23x faster than row-wise; a step of a few rows pays for the
+copy (one one-row device, or two MLP devices of 3 and 5 rows: 1-6% slower).
+Each device draws its epoch permutations from its own generator, as alone;
+at each step position, each run of devices whose minibatch has the same
+size takes one ``_grads`` step through views of its slice of the ``(K, P)``
+weights.
 
 Callers stack at most ``STACK_CHUNK`` (16) devices at a time, because
 stacking copies each device's rows once more: on fedavg-128 (128 MLP
@@ -175,13 +178,20 @@ def _unpack(p: ModelParams, weights: np.ndarray | None = None):
 
 
 def _logits(hidden: int, views, x: np.ndarray):
-    """Raw class scores; for the tanh network also returns the hidden activations."""
+    """Raw class scores; for the tanh network also returns the hidden
+    activations. Biases and ``tanh`` are applied in place."""
     if hidden == 0:
         w, b = views
-        return x @ w + b, None
+        z = x @ w
+        z += b
+        return z, None
     w1, b1, w2, b2 = views
-    h = np.tanh(x @ w1 + b1)
-    return h @ w2 + b2, h
+    h = x @ w1
+    h += b1
+    np.tanh(h, out=h)
+    z = h @ w2
+    z += b2
+    return z, h
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -204,11 +214,12 @@ def _onehot(p: ModelParams, labels: np.ndarray) -> np.ndarray:
 
 def _grads(hidden: int, views, x: np.ndarray, onehot: np.ndarray) -> tuple:
     """Per-view gradients of the mean cross-entropy, shaped like `views`,
-    for a (K, b, d) stack of minibatches, with the row-wise softmax.
-    Subtracting the 0.0/1.0 one-hot rows gives the bits of subtracting 1.0
-    at each label."""
+    for a (K, b, d) stack of minibatches, with the class-major softmax on a
+    (c, K * b) copy; `delta` overwrites the C-contiguous logits. Subtracting
+    the 0.0/1.0 one-hot rows gives the bits of subtracting 1.0 at each label."""
     z, h = _logits(hidden, views, x)
-    delta = _softmax(z) - onehot
+    probs = _softmax_columns(z.reshape(-1, z.shape[-1]).T.copy())
+    delta = np.subtract(probs.T.reshape(z.shape), onehot, out=z)
     delta /= onehot.shape[-2]
     return _backward(hidden, views, x, h, delta)
 
@@ -216,11 +227,14 @@ def _grads(hidden: int, views, x: np.ndarray, onehot: np.ndarray) -> tuple:
 def _backward(hidden: int, views, x: np.ndarray, h, delta: np.ndarray) -> tuple:
     """Per-view gradients, shaped like `views`, of a (K, b, d) stack from
     `delta`, the gradient of the mean cross-entropy with respect to the
-    logits, and the hidden activations `h`."""
+    logits, and the hidden activations `h`; tanh's derivative is in place."""
     xt = x.swapaxes(-1, -2)
     if hidden == 0:
         return xt @ delta, delta.sum(axis=-2, keepdims=True)
-    dh = (delta @ views[2].swapaxes(-1, -2)) * (1.0 - h * h)
+    dh = delta @ views[2].swapaxes(-1, -2)
+    g = h * h
+    np.subtract(1.0, g, out=g)
+    dh *= g
     return (
         xt @ dh,
         dh.sum(axis=-2, keepdims=True),
@@ -400,6 +414,7 @@ def evaluate(models, batches) -> list:
         if len(batches) == 0:
             raise ValueError("evaluate requires a nonempty batch")
         x = _check_features(first, batches.features)
+        _check_labels(first, batches.labels)
         z, _ = _logits(first.hidden, _unpack(first, np.stack([m.weights for m in models])), x)
         return (_softmax(z).argmax(axis=-1) == batches.labels).mean(axis=-1).tolist()
     _, z, y, rows, _ = _logit_table(models, batches, "evaluate")

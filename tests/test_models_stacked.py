@@ -1,15 +1,17 @@
 """Oracle checks for the stacked training and scoring path.
 
-The reference below is a verbatim copy of the per-device functions that
-`sgd_train`, `gradient`, `evaluate` and `loss` replaced: one `gradient()`
-call per SGD step, one model and one batch at a time, with the row-wise
-softmax; a gradient is a flat vector. Every device trained or scored in a ragged stack must get the
+The reference below, with the row-wise forward pass of `references.py`, is
+a verbatim copy of the per-device functions that `sgd_train`, `gradient`,
+`evaluate` and `loss` replaced: one `gradient()` call per SGD step, one
+model and one batch at a time, with the row-wise softmax; a gradient is a
+flat vector. Every device trained or scored in a ragged stack must get the
 same bits as this loop gives it alone.
 """
 
 import numpy as np
 import pytest
 
+import cfsl.models as models
 import cfsl.orchestrator as orchestrator
 from cfsl.config import parse_config
 from cfsl.experiment import build_simulation
@@ -23,6 +25,7 @@ from cfsl.models import (
     param_count,
     sgd_train,
 )
+from references import _check_features, _logits, _unpack, forward
 
 # ---------------------------------------------------------------- reference
 
@@ -31,53 +34,6 @@ def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def _unpack(p: ModelParams):
-    """Views into the flat vector: (W, b) or (W1, b1, W2, b2)."""
-    d, c, h = p.dim_in, p.dim_out, p.hidden
-    w = p.weights
-    if h == 0:
-        return w[: d * c].reshape(d, c), w[d * c :]
-    o1 = d * h
-    o2 = o1 + h
-    o3 = o2 + h * c
-    return (
-        w[:o1].reshape(d, h),
-        w[o1:o2],
-        w[o2:o3].reshape(h, c),
-        w[o3:],
-    )
-
-
-def _logits(p: ModelParams, x: np.ndarray):
-    """Raw class scores; for the tanh network also returns the hidden activations."""
-    if p.hidden == 0:
-        w, b = _unpack(p)
-        return x @ w + b, None
-    w1, b1, w2, b2 = _unpack(p)
-    hidden = np.tanh(x @ w1 + b1)
-    return hidden @ w2 + b2, hidden
-
-
-def _check_features(p: ModelParams, features: np.ndarray):
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != p.dim_in:
-        raise ValueError(
-            f"feature matrix must be 2-D with {p.dim_in} columns, got shape {features.shape}"
-        )
-    return features
-
-
-def ref_forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Class-probability matrix: row-wise softmax over the model's logits."""
-    features = _check_features(params, features)
-    if features.shape[0] == 0:
-        return np.zeros((0, params.dim_out))
-    z, _ = _logits(params, features)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def ref_loss(params: ModelParams, batch: LabeledBatch) -> float:
@@ -159,7 +115,7 @@ def ref_evaluate(params: ModelParams, batch: LabeledBatch) -> float:
     """Fraction of argmax predictions matching labels (ties -> lowest class id)."""
     if len(batch) == 0:
         raise ValueError("evaluate requires a nonempty batch")
-    probs = ref_forward(params, batch.features)
+    probs = forward(params, batch.features)
     preds = probs.argmax(axis=1)
     return float((preds == batch.labels).mean())
 
@@ -331,6 +287,63 @@ def test_ragged_scoring_for_every_pairwise_sum_branch(hidden, c):
     assert_scores_match_alone(start_models(rng, 5, 6, c, hidden), batches)
 
 
+def assert_sgd_matches_alone(starts, batches, batch_size):
+    """Every device's stacked SGD result is bit-equal to the reference
+    trained alone."""
+    seeds = [np.random.SeedSequence([len(batches), i]) for i in range(len(batches))]
+    got = sgd_train(starts, batches, 2, batch_size, 0.3, seeds)
+    assert len(got) == len(batches)
+    for p, b, s, g in zip(starts, batches, seeds, got):
+        assert np.array_equal(g.weights, ref_sgd_train(p, b, 2, batch_size, 0.3, s).weights)
+
+
+@pytest.mark.parametrize("c", [2, 3, 4, 5, 6, 7, 8, 9, 12, 17, 33, 129])
+@pytest.mark.parametrize("hidden", [0, 7])
+def test_ragged_sgd_for_every_pairwise_sum_branch(hidden, c):
+    # One-row batches, and lengths that end on a shorter remainder step.
+    rng = np.random.default_rng([c, hidden, 2])
+    lengths = [1, 7, 8, 9, 20, 1, 33]
+    starts = start_models(rng, len(lengths), 6, c, hidden)
+    assert_sgd_matches_alone(starts, random_batches(rng, lengths, 6, c), 8)
+
+
+# The workloads' training shapes at their batch size: the fedavg-128 MLP,
+# and the logistic models of selflabel-64 and split-512.
+@pytest.mark.parametrize("hidden,d,c", [(16, 8, 4), (0, 16, 6), (0, 8, 4)])
+def test_ragged_sgd_at_the_workload_shapes(hidden, d, c):
+    rng = np.random.default_rng([hidden, d, c])
+    lengths = [160, 1, 31, 160, 33, 64, 80, 45]
+    starts = start_models(rng, len(lengths), d, c, hidden)
+    assert_sgd_matches_alone(starts, random_batches(rng, lengths, d, c), 32)
+
+
+@pytest.mark.parametrize("hidden", [0, 7])
+def test_training_steps_run_on_contiguous_operands(monkeypatch, hidden):
+    """A step's class-major softmax runs on a C-contiguous copy of the
+    logits, and its backward matmuls get a C-contiguous delta, as the
+    row-wise code gave them. A strided table gives the same bits, only
+    slower, so the bit-equality oracles cannot see it."""
+    layouts = []
+
+    def recording(name, at):
+        real = getattr(models, name)
+
+        def call(*args):
+            layouts.append((name, args[at].flags.c_contiguous))
+            return real(*args)
+        return call
+
+    # The softmax's table is its first argument, the delta _backward's last.
+    for name, at in (("_softmax_columns", 0), ("_backward", -1)):
+        monkeypatch.setattr(models, name, recording(name, at))
+    rng = np.random.default_rng([hidden, 3])
+    lengths = [1, 9, 20, 20]
+    starts = start_models(rng, len(lengths), 6, 5, hidden)
+    sgd_train(starts, random_batches(rng, lengths, 6, 5), 2, 8, 0.3, range(len(lengths)))
+    assert {name for name, _ in layouts} == {"_softmax_columns", "_backward"}
+    assert all(contiguous for _, contiguous in layouts)
+
+
 def permutation_model(perm) -> ModelParams:
     """Logistic model whose logits are its input features in `perm` order."""
     c = len(perm)
@@ -408,6 +421,8 @@ def test_stacked_calls_reject_bad_input():
         lambda: gradient([params, params, params], batches[:2]),
         lambda: evaluate([params, wide], batches[:2]),
         lambda: evaluate([params], empty),
+        lambda: evaluate([params], LabeledBatch(short.features[:2], np.array([5, 0]))),
+        lambda: evaluate([params], LabeledBatch(short.features[:2], np.array([0, -1]))),
         lambda: loss([], batches),
         lambda: gradient([params], [LabeledBatch(short.features, short.labels + 5)]),
     ):
