@@ -325,16 +325,19 @@ def load_csv_dataset(path: str, n_features: int, n_classes: int):
     """Parse a feature/label CSV into a labeled batch plus unlabeled matrix.
 
     Rows carry n_features floats then one optional label column; an empty
-    label field marks the row unlabeled. A single non-numeric first row is
-    treated as a header. Returns (LabeledBatch, unlabeled feature matrix).
+    label field marks the row unlabeled. A single non-numeric first
+    non-blank row is treated as a header. Returns (LabeledBatch, unlabeled
+    feature matrix).
     """
     labeled_feats, labeled_labels, unlabeled_feats = [], [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
+        header_candidate = True
         for row_no, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if row_no == 1:
+            if header_candidate:
+                header_candidate = False
                 try:
                     float(row[0])
                 except ValueError:

@@ -10,11 +10,11 @@ A selection reads the holdout and the pool once for all candidates and
 scores their holdout accuracy in one stacked pass. Accuracy ranks first,
 so only the contenders, the candidates tied at the best accuracy, can be
 chosen; only they run over the pool, in one stacked pass, to get their
-coverage. The estimated labeling latency is the same for every candidate
-of one selection, so the contenders rank by coverage, then model id. The
-selection hands back the chosen model's score, whose scalar enters the
-reported objective, and its pool predictions, which go on to
-`pseudo_label` so that it does not run that model again.
+coverage. The contenders rank by coverage, then by the lowest model id.
+The selection hands back the chosen model's id, holdout accuracy and
+coverage, whose product enters the reported objective, and its pool
+predictions, which go on to `pseudo_label` so that it does not run that
+model again.
 """
 
 from __future__ import annotations
@@ -53,29 +53,6 @@ class PseudoLabelBatch:
         return int(self.indices.size)
 
 
-@dataclass(frozen=True)
-class UtilityScore:
-    """How useful one candidate model looks to one device."""
-
-    model_id: int
-    val_accuracy: float
-    coverage: float
-    est_label_latency: float
-
-    def __post_init__(self):
-        for name in ("val_accuracy", "coverage"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.est_label_latency < 0:
-            raise ValueError("est_label_latency must be >= 0")
-
-    @property
-    def scalar(self) -> float:
-        """Single-number utility used by the reported objective."""
-        return self.val_accuracy * self.coverage
-
-
 def pseudo_label(
     model: ModelParams,
     features: np.ndarray,
@@ -89,9 +66,9 @@ def pseudo_label(
     pool_indices maps feature rows back to positions in the device's
     unlabeled pool; by default rows label themselves 0..n-1. predictions
     is the model's (classes, confidences) over the features when the
-    caller has them already (select_best_model returns the chosen
-    model's), which saves running the model over the features a second
-    time.
+    caller has them already, as the last item `select_best_model` returns
+    for the chosen model; that saves running the model over the features
+    a second time.
     """
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phi must be in [0, 1]")
@@ -110,22 +87,20 @@ def pseudo_label(
     )
 
 
-def _score_candidates(
-    device: DeviceDataset,
-    candidates: dict,
-    phi: float,
-    f_hz: float,
-    inference_cycles_per_sample: float,
-    pool: np.ndarray,
-):
-    """({model id: UtilityScore}, {model id: (classes, confidences) over
-    `pool`, the device's pending features}) for the contenders, the
-    candidates whose holdout accuracy equals the best, in candidate order,
-    from one read of the holdout. Holdout accuracy is one stacked pass over
-    all candidates, pool confidences one stacked pass over the contenders:
-    no other candidate can win the selection, and row k of a stacked pass
-    has the bits model k gets alone, so each contender's score is its
-    `utility`."""
+def select_best_model(device: DeviceDataset, candidates: dict, phi: float, pool: np.ndarray):
+    """Pick exactly one candidate model for this device.
+
+    Every candidate's holdout accuracy is scored in one stacked pass. Only
+    the contenders, the candidates tied at the best accuracy, can win, so
+    only they run over `pool`, the device's pending features
+    (`device.pending_features()[1]`), in one stacked pass in candidate
+    order; row k of a stacked pass has the bits model k gets alone. The
+    contenders rank by coverage descending, then by model id ascending.
+    Returns (model id, holdout accuracy, coverage, (classes, confidences)
+    over the pool) of the chosen model; `pseudo_label` takes the last.
+    """
+    if not candidates:
+        raise StateError(f"device {device.device_id}: no candidate models to select from")
     holdout = device.holdout_batch()
     if len(holdout) == 0:
         log.warning(
@@ -137,63 +112,20 @@ def _score_candidates(
     best = max(accuracy)
     contenders = [mid for mid, acc in zip(candidates, accuracy) if acc == best]
     classes, conf = confidences([candidates[mid] for mid in contenders], pool)
-    n_pending = pool.shape[0]
-    if n_pending == 0:
+    if pool.shape[0] == 0:
         coverage = [0.0] * len(contenders)
-        latency = 0.0
     else:
         coverage = (conf >= phi).mean(axis=1).tolist()
-        latency = n_pending * inference_cycles_per_sample / f_hz
-    scores = {
-        mid: UtilityScore(mid, best, cov, latency) for mid, cov in zip(contenders, coverage)
-    }
-    predictions = dict(zip(contenders, zip(classes, conf)))
-    return scores, predictions
+    k = min(range(len(contenders)), key=lambda j: (-coverage[j], contenders[j]))
+    return contenders[k], best, coverage[k], (classes[k], conf[k])
 
 
-def utility(
-    model_id: int,
-    model: ModelParams,
-    device: DeviceDataset,
-    phi: float,
-    f_hz: float,
-    inference_cycles_per_sample: float,
-) -> UtilityScore:
-    """One candidate's score as `select_best_model` computes it: holdout
-    accuracy, and coverage of the remaining pool at threshold phi."""
-    scores, _ = _score_candidates(
-        device, {model_id: model}, phi, f_hz, inference_cycles_per_sample,
-        device.pending_features()[1],
-    )
-    return scores[model_id]
-
-
-def select_best_model(
-    device: DeviceDataset,
-    candidates: dict,
-    phi: float,
-    f_hz: float,
-    inference_cycles_per_sample: float,
-    pool: np.ndarray,
-):
-    """Pick exactly one candidate model for this device.
-
-    Every candidate's holdout accuracy is scored, and only the contenders,
-    the candidates tied at the best accuracy, run over `pool`, the device's
-    pending features (`device.pending_features()[1]`). The contenders share
-    that accuracy and one estimated labeling latency, so they rank by
-    coverage descending, then by model id ascending. All of it comes from
-    one read of the device's holdout and of `pool`. Returns the chosen
-    model's `UtilityScore`, as `utility` gives it, and its (classes,
-    confidences) over the pool for `pseudo_label`.
-    """
-    if not candidates:
-        raise StateError(f"device {device.device_id}: no candidate models to select from")
-    scores, predictions = _score_candidates(
-        device, candidates, phi, f_hz, inference_cycles_per_sample, pool
-    )
-    chosen = min(scores.values(), key=lambda s: (-s.coverage, s.model_id))
-    return chosen, predictions[chosen.model_id]
+def utility(model_id: int, model: ModelParams, device: DeviceDataset, phi: float) -> tuple:
+    """One candidate's (holdout accuracy, coverage of the remaining pool at
+    threshold phi), as `select_best_model` scores it."""
+    pool = device.pending_features()[1]
+    _, val_accuracy, coverage, _ = select_best_model(device, {model_id: model}, phi, pool)
+    return val_accuracy, coverage
 
 
 def inject(device: DeviceDataset, batch: PseudoLabelBatch) -> int:

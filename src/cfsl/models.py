@@ -382,7 +382,8 @@ def sgd_train(models, batches, epochs: int, batch_size: int, lr: float, seeds) -
             rows = table_rows[lo:hi, start:stop]
             grads = _grads(first.hidden, views, x.take(rows, axis=0), onehot.take(rows, axis=0))
             for view, g in zip(views, grads):
-                view -= lr * g
+                g *= lr
+                view -= g
     # A non-finite gradient makes the weights non-finite for good, so one
     # check at the end stands in for a check at every step.
     if not np.all(np.isfinite(weights)):
@@ -449,25 +450,18 @@ def confidences(models, features: np.ndarray):
     softmax")."""
     first = _first_model(models, "confidences")
     features = _check_features(first, features)
-    *hidden_layer, w, b = _unpack(first, np.stack([m.weights for m in models]))
     n = features.shape[0]
     classes = np.empty((len(models), n), dtype=np.int64)
     conf = np.empty((len(models), n))
     if n == 0:
         return classes, conf
-    if hidden_layer:
-        w1, b1 = hidden_layer
-        features = features @ w1
-        features += b1
-        np.tanh(features, out=features)
-    logits = features @ w
-    bias = b.transpose(2, 0, 1)
+    logits, _ = _logits(first.hidden, _unpack(first, np.stack([m.weights for m in models])),
+                        features)
     # Class-major softmax, (c, K, n), in even blocks of samples.
     blocks = -(-logits.size // SOFTMAX_BLOCK)
     step = -(-n // blocks)
     for lo in range(0, n, step):
         probs = logits[:, lo : lo + step].transpose(2, 0, 1).copy()
-        probs += bias
         classes[:, lo : lo + step], conf[:, lo : lo + step] = _top_class(
             _softmax_columns(probs))
     return classes, conf

@@ -191,7 +191,7 @@ class Simulation:
         self.events: list = []
         self.loss_history = defaultdict(list)
         self.last_label_round: dict = {}
-        # Each device's last chosen labeling model's scalar utility.
+        # Holdout accuracy times coverage of each device's last chosen labeler.
         self.utilities: dict = {}
         self.label_crossing = {
             d.device_id: 0.0
@@ -402,18 +402,17 @@ class Simulation:
             if not candidates:
                 continue
             idx, feats = dev.pending_features()
-            chosen, predictions = select_best_model(
-                dev, candidates, ssl.phi, self.radios[k].f_hz,
-                ssl.inference_cycles_per_sample, pool=feats,
-            )
-            mid = chosen.model_id
+            mid, acc, cov, predictions = select_best_model(dev, candidates, ssl.phi, feats)
             self.last_label_round[k] = r
-            self.utilities[k] = chosen.scalar
+            self.utilities[k] = acc * cov
             self._event({
                 "type": "selection", "round": r, "device": k, "chosen_model": mid,
                 "z": {c: int(c == mid) for c in sorted(candidates)},
-                "val_accuracy": chosen.val_accuracy, "coverage": chosen.coverage,
-                "est_label_latency_s": chosen.est_label_latency,
+                "val_accuracy": acc, "coverage": cov,
+                # One inference pass over the pool on the device's CPU: logged
+                # only, it ranks no candidate and adds no simulated time.
+                "est_label_latency_s":
+                    feats.shape[0] * ssl.inference_cycles_per_sample / self.radios[k].f_hz,
             })
             batch = pseudo_label(
                 candidates[mid], feats, ssl.phi,

@@ -1,5 +1,6 @@
 """Helpers that only the tests call, kept out of the package.
 
+`record_pool_passes` spies on the models that selection runs over a pool.
 `cosine_similarity` is the pairwise definition that
 `clustering.similarity_matrix` computes for all pairs at once; `forward` is
 the row-wise softmax whose bits `models.confidences` reproduces class-major.
@@ -11,12 +12,28 @@ against.
 
 import numpy as np
 
+from cfsl import labeling
 from cfsl.clustering import _cosine
 from cfsl.models import ModelParams, param_count
 
 
 def zero_params(dim_in: int, dim_out: int, hidden: int = 0) -> ModelParams:
     return ModelParams(np.zeros(param_count(dim_in, dim_out, hidden)), dim_in, dim_out, hidden)
+
+
+def record_pool_passes(monkeypatch) -> list:
+    """Wrap `cfsl.labeling.confidences`, the pass that selection runs over a
+    device's pool, so that each call appends the `id` of each model it runs,
+    in order, to the returned list."""
+    passes = []
+    real = labeling.confidences
+
+    def spy(models, features):
+        passes.append([id(m) for m in models])
+        return real(models, features)
+
+    monkeypatch.setattr(labeling, "confidences", spy)
+    return passes
 
 
 def cosine_similarity(g1, g2) -> float:

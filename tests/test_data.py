@@ -342,6 +342,18 @@ def test_csv_header_only(tmp_path):
     assert unlabeled.shape == (0, 2)
 
 
+def test_csv_header_after_blank_lines(tmp_path):
+    path = write_csv(tmp_path, "\n,\nf0,f1,label\n1.0,2.0,0\n")
+    labeled, unlabeled = load_csv_dataset(path, n_features=2, n_classes=2)
+    assert np.array_equal(labeled.features, np.array([[1.0, 2.0]]))
+    assert np.array_equal(labeled.labels, np.array([0]))
+    assert unlabeled.shape == (0, 2)
+    # Only the first non-blank row can be a header.
+    second = write_csv(tmp_path, "\nf0,f1,label\nx0,x1,label\n")
+    with pytest.raises(ValueError, match=":3: bad feature value"):
+        load_csv_dataset(second, n_features=2, n_classes=2)
+
+
 def test_csv_missing_label_column_is_unlabeled(tmp_path):
     path = write_csv(tmp_path, "1.0,2.0\n")
     labeled, unlabeled = load_csv_dataset(path, n_features=2, n_classes=2)

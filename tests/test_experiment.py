@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cfsl.experiment as experiment
+import cfsl.orchestrator as orchestrator
 from cfsl.config import override, parse_config
 from cfsl.errors import ConfigError
 from cfsl.experiment import (
@@ -450,6 +451,49 @@ def test_selflabel_digests_pinned(tmp_path):
         selections = [e for e in map(json.loads, fh) if e["type"] == "selection"]
     assert sum(len(e["z"]) >= 5 for e in selections) >= 50
     assert artifact_digests(res) == SELFLABEL_PIN_DIGESTS
+
+
+def test_label_latency_is_the_pool_inference_time_and_only_logged(tmp_path, monkeypatch):
+    # est_label_latency_s prices one pass over the device's pending rows on
+    # its CPU. No selection, simulated time or metric depends on it, so
+    # doubling the cycles doubles that field and changes nothing else.
+    pending = []
+    select = orchestrator.select_best_model
+
+    def recording_select(device, *args):
+        pending.append(device.unlabeled_remaining)
+        return select(device, *args)
+
+    monkeypatch.setattr(orchestrator, "select_best_model", recording_select)
+    artifacts = []
+    for cycles in (20.0, 40.0):
+        pending.clear()
+        cfg = override(parse_config(SELFLABEL_PIN), {
+            "run.out_dir": str(tmp_path / str(cycles)), "run.rounds": 12,
+            "ssl.inference_cycles_per_sample": cycles,
+        })
+        res = run_experiment(cfg)
+        selections = [e for e in res.sim.events if e["type"] == "selection"]
+        assert len(selections) == len(pending) >= 50
+        for ev, n in zip(selections, pending):
+            assert ev["est_label_latency_s"] == n * cycles / res.sim.radios[ev["device"]].f_hz
+        with open(res.metrics_path, "rb") as fh, open(res.events_path) as gh:
+            artifacts.append((fh.read(), [json.loads(line) for line in gh]))
+
+    (metrics, events), (metrics2, events2) = artifacts
+    assert metrics == metrics2
+    assert len(events) == len(events2)
+    header, header2 = events[0], events2[0]
+    assert header2["config"]["ssl"].pop("inference_cycles_per_sample") == 40.0
+    header["config"]["ssl"].pop("inference_cycles_per_sample")
+    assert header == header2
+    doubled = 0
+    for ev, ev2 in zip(events[1:], events2[1:]):
+        if ev["type"] == "selection":
+            assert ev2.pop("est_label_latency_s") == 2 * ev.pop("est_label_latency_s") > 0
+            doubled += 1
+        assert ev == ev2
+    assert doubled == len(pending)
 
 
 def test_infinite_estimate_is_written_as_string(tmp_path):

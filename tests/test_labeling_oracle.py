@@ -5,13 +5,16 @@ The reference below is a copy of the row-wise code that
 `labeling.pseudo_label` replaced, trimmed to the record fields they still
 fill: one `utility` call per candidate, each reading the holdout and the
 pool again, a row-wise softmax, a full lexicographic sort of every
-candidate's score, and a second forward pass of the chosen model in
-`pseudo_label`. The class-major, one-pass code must give the same bits:
-equal (classes, confidences), equal UtilityScore fields for the chosen
-model and every contender, and equal PseudoLabelBatch arrays, for every
-class count. `confidences` on a list of K models must give each model the
-row-wise bits it gets alone, for pools inside one softmax block and across
-several.
+candidate's (model id, holdout accuracy, coverage, estimated labeling
+latency; the latency is the same for every candidate, so it never
+decides), and a second forward pass of the chosen model in `pseudo_label`.
+The class-major, one-pass code must give the same bits: equal (classes,
+confidences), the chosen model's equal id, accuracy and coverage, every
+candidate's equal accuracy and coverage from `utility`, and equal
+PseudoLabelBatch arrays, for every class count; only the contenders, the
+candidates tied at the best accuracy, may run over the pool. `confidences`
+on a list of K models must give each model the row-wise bits it gets
+alone, for pools inside one softmax block and across several.
 """
 
 import logging
@@ -24,8 +27,6 @@ from cfsl.data import DeviceDataset
 from cfsl.errors import StateError
 from cfsl.labeling import (
     PseudoLabelBatch,
-    UtilityScore,
-    _score_candidates,
     pseudo_label,
     select_best_model,
     utility,
@@ -39,6 +40,7 @@ from cfsl.models import (
     evaluate,
     param_count,
 )
+from references import record_pool_passes
 
 log = logging.getLogger(__name__)
 
@@ -170,8 +172,9 @@ def ref_utility(
     phi: float,
     f_hz: float,
     inference_cycles_per_sample: float,
-) -> UtilityScore:
-    """Score a candidate on never-trained holdout accuracy plus how much
+) -> tuple:
+    """(model id, holdout accuracy, coverage, estimated labeling latency):
+    score a candidate on never-trained holdout accuracy plus how much
     of the remaining unlabeled pool it would label at threshold phi.
 
     Estimated labeling latency is the single inference pass over the
@@ -190,11 +193,11 @@ def ref_utility(
     _, pending = device.pending_features()
     n_pending = pending.shape[0]
     if n_pending == 0:
-        return UtilityScore(model_id, val_acc, 0.0, 0.0)
+        return model_id, val_acc, 0.0, 0.0
     _, conf = ref_confidences(model, pending)
     coverage = float((conf >= phi).mean())
     latency = n_pending * inference_cycles_per_sample / f_hz
-    return UtilityScore(model_id, val_acc, coverage, latency)
+    return model_id, val_acc, coverage, latency
 
 
 def ref_select_best_model(
@@ -218,7 +221,7 @@ def ref_select_best_model(
     }
     ranked = sorted(
         scores.values(),
-        key=lambda s: (-s.val_accuracy, -s.coverage, s.est_label_latency, s.model_id),
+        key=lambda s: (-s[1], -s[2], s[3], s[0]),
     )
     return ranked[0], scores
 
@@ -281,26 +284,31 @@ def assert_same_batch(got: PseudoLabelBatch, want: PseudoLabelBatch):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
-def check_selection(device, candidates, phi=0.6, f_hz=2e9, cycles=20.0):
-    """One-pass selection and labeling against the reference, field by field."""
-    want_chosen, want_scores = ref_select_best_model(device, candidates, phi, f_hz, cycles)
-    idx, feats = device.pending_features()
-    chosen, predictions = select_best_model(device, candidates, phi, f_hz, cycles, pool=feats)
-    assert chosen == want_chosen
-    # Only the candidates tied at the best holdout accuracy can win; they
-    # alone are scored over the pool, in candidate order.
-    scores, _ = _score_candidates(device, candidates, phi, f_hz, cycles, feats)
-    best = max(s.val_accuracy for s in want_scores.values())
-    assert list(scores) == [mid for mid, s in want_scores.items() if s.val_accuracy == best]
-    for mid, want in want_scores.items():
-        if mid in scores:
-            assert scores[mid] == want
-        assert utility(mid, candidates[mid], device, phi, f_hz, cycles) == want
-    # A second read of the pool selects the same model.
-    again = select_best_model(device, candidates, phi, f_hz, cycles, device.pending_features()[1])
-    assert again[0] == chosen
+def contenders(candidates, scores) -> list:
+    """`id` of each candidate model tied at the best reference holdout
+    accuracy, in candidate order: the models selection may run over the
+    pool."""
+    best = max(s[1] for s in scores.values())
+    return [id(candidates[mid]) for mid, s in scores.items() if s[1] == best]
 
-    model = candidates[chosen.model_id]
+
+def check_selection(device, candidates, phi=0.6):
+    """One-pass selection and labeling against the reference, field by field."""
+    want_chosen, want_scores = ref_select_best_model(device, candidates, phi, 2e9, 20.0)
+    idx, feats = device.pending_features()
+    with pytest.MonkeyPatch.context() as mp:
+        passes = record_pool_passes(mp)
+        mid, acc, cov, predictions = select_best_model(device, candidates, phi, feats)
+    assert (mid, acc, cov) == want_chosen[:3]
+    # Only the candidates tied at the best holdout accuracy can win; they
+    # alone run over the pool, in candidate order, in one pass.
+    assert passes == [contenders(candidates, want_scores)]
+    for m, want in want_scores.items():
+        assert utility(m, candidates[m], device, phi) == want[1:3]
+    # A second read of the pool selects the same model.
+    assert select_best_model(device, candidates, phi, device.pending_features()[1])[0] == mid
+
+    model = candidates[mid]
     assert_same_predictions(predictions, ref_confidences(model, feats))
     want_batch = ref_pseudo_label(model, feats, phi, device.device_id, idx)
     assert_same_batch(
@@ -308,7 +316,7 @@ def check_selection(device, candidates, phi=0.6, f_hz=2e9, cycles=20.0):
         want_batch,
     )
     assert_same_batch(pseudo_label(model, feats, phi, device.device_id, idx), want_batch)
-    return chosen
+    return mid
 
 
 # ---------------------------------------------------------------- confidences
@@ -508,14 +516,14 @@ def test_selection_on_empty_and_one_row_pools_warns_nothing(n_pool):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pool = device.pending_features()[1]
-        _, (classes, conf) = select_best_model(device, models, 0.5, 2e9, 20.0, pool)
+        _, _, coverage, (classes, conf) = select_best_model(device, models, 0.5, pool)
+        if n_pool == 0:
+            assert coverage == 0.0
+            assert all(utility(k, m, device, 0.5)[1] == 0.0 for k, m in models.items())
     assert classes.shape == conf.shape == (n_pool,)
-    if n_pool == 0:
-        scores, _ = _score_candidates(device, models, 0.5, 2e9, 20.0, pool)
-        assert all(s.coverage == s.est_label_latency == 0.0 for s in scores.values())
 
 
-def test_selection_counts_confidence_equal_to_phi():
+def test_selection_counts_confidence_equal_to_phi(monkeypatch):
     # Tied logits give a confidence of exactly 1/2 and a 40-wide gap one
     # of exactly 1.0; both reach a threshold equal to them.
     rng = np.random.default_rng(14)
@@ -524,20 +532,21 @@ def test_selection_counts_confidence_equal_to_phi():
     models = {1: identity_model(2), 2: ModelParams(np.array([0, 1, 1, 0, 0, 0.0]), 2, 2)}
     for phi in (0.5, 1.0):
         check_selection(device, models, phi=phi)
-    scores, _ = _score_candidates(device, models, 0.5, 2e9, 20.0, device.pending_features()[1])
-    assert scores[1].coverage == 1.0
-    # The swapped model loses on holdout accuracy, so selection never scores
+    passes = record_pool_passes(monkeypatch)
+    mid, acc, cov, _ = select_best_model(device, models, 0.5, device.pending_features()[1])
+    assert (mid, cov) == (1, 1.0)
+    # The swapped model loses on holdout accuracy, so selection never runs
     # it over the pool; alone it covers the pool too.
-    loser = utility(2, models[2], device, 0.5, 2e9, 20.0)
-    assert loser.val_accuracy < scores[1].val_accuracy and loser.coverage == 1.0
-    assert 2 not in scores
+    assert passes == [[id(models[1])]]
+    loser_acc, loser_cov = utility(2, models[2], device, 0.5)
+    assert loser_acc < acc and loser_cov == 1.0
 
 
 def test_selection_ties_on_identical_candidates():
     rng = np.random.default_rng(3)
     device = make_device(rng, 4, 5)
     model = random_model(rng, 4, 5, 0)
-    assert check_selection(device, {8: model, 4: model, 6: model}).model_id == 4
+    assert check_selection(device, {8: model, 4: model, 6: model}) == 4
 
 
 @pytest.mark.parametrize("n_pool", [0, 1])
@@ -610,25 +619,23 @@ def fuzz_case(rng, family, k):
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_selection_fuzz_scores_pool_only_for_best_accuracy(family):
+def test_selection_fuzz_scores_pool_only_for_best_accuracy(family, monkeypatch):
     rng = np.random.default_rng(90 + FAMILIES[family])
+    passes = record_pool_passes(monkeypatch)
     pruned = tied = 0
     for k in range(1, 41):
         for _ in range(4):
             device, candidates, phi = fuzz_case(rng, family, k)
             want_chosen, want_scores = ref_select_best_model(device, candidates, phi, 2e9, 20.0)
             _, feats = device.pending_features()
-            chosen, predictions = select_best_model(device, candidates, phi, 2e9, 20.0, pool=feats)
-            assert chosen == want_chosen
-            scores, _ = _score_candidates(device, candidates, phi, 2e9, 20.0, feats)
-            best = max(s.val_accuracy for s in want_scores.values())
-            contenders = [mid for mid, s in want_scores.items() if s.val_accuracy == best]
-            assert list(scores) == contenders
-            assert all(scores[mid] == want_scores[mid] for mid in contenders)
-            model = candidates[chosen.model_id]
-            assert_same_predictions(predictions, ref_confidences(model, feats))
-            pruned += len(contenders) < k
-            tied += len(contenders) > 1
+            passes.clear()
+            mid, acc, cov, predictions = select_best_model(device, candidates, phi, feats)
+            assert (mid, acc, cov) == want_chosen[:3]
+            ran = contenders(candidates, want_scores)
+            assert passes == [ran]
+            assert_same_predictions(predictions, ref_confidences(candidates[mid], feats))
+            pruned += len(ran) < k
+            tied += len(ran) > 1
     # The fuzz must reach both paths: candidates left out of the pool pass,
     # and contenders that tie on accuracy and are ranked by coverage.
     assert pruned >= 100 and tied >= 100

@@ -49,8 +49,8 @@ def test_counted_arguments_stay_positional(fn, second):
 
 
 # Probes of code that src/ no longer calls: they read 0 in every traced run.
-# Selection scores candidates in labeling._score_candidates, and train rows
-# are gathered only through data.train_batches.
+# Selection scores every candidate in labeling.select_best_model itself, and
+# train rows are gathered only through data.train_batches.
 KNOWN_DEAD = {"labeling.utility", "data.train_batch"}
 
 
