@@ -8,7 +8,7 @@ cosine similarity, and tracks the resulting tree of specialized models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,21 +201,17 @@ class ClusterTree:
     """Forest of cluster nodes, one root per edge, mutated by the
     orchestrator as splits, stops, and cloud merges happen.
 
-    Two indexes answer the lookups without scanning the nodes: a device ->
-    current-leaf map, which add_root, split and merge point at the leaf
-    each device lands in, and an edge -> root map, which add_root fills.
+    `nodes` maps cluster id to node in id order: a new cluster's id is the
+    number of nodes before it. Two indexes answer the lookups without
+    scanning the nodes: a device -> current-leaf map, which add_root, split
+    and merge point at the leaf each device lands in, and an edge -> root
+    map, which add_root fills.
     """
 
     def __init__(self):
         self.nodes: dict[int, ClusterNode] = {}
-        self._next_id = 0
         self._leaf_of: dict = {}
         self._root_of: dict = {}
-
-    def _new_id(self) -> int:
-        cid = self._next_id
-        self._next_id += 1
-        return cid
 
     def add_root(self, edge_id: int, members, model: ModelParams) -> int:
         members = frozenset(members)
@@ -224,7 +220,7 @@ class ClusterTree:
         for d in members:
             if d in self._leaf_of:
                 raise ValueError(f"device {d} already belongs to cluster {self._leaf_of[d]}")
-        cid = self._new_id()
+        cid = len(self.nodes)
         self.nodes[cid] = ClusterNode(cid, edge_id, members, model)
         self._root_of[edge_id] = cid
         self._own(cid)
@@ -259,7 +255,7 @@ class ClusterTree:
             raise ValueError("split parts must both be nonempty")
         ids = []
         for part in (c1, c2):
-            cid = self._new_id()
+            cid = len(self.nodes)
             self.nodes[cid] = ClusterNode(
                 cid,
                 node.edge_id,
@@ -296,7 +292,7 @@ class ClusterTree:
         edge_ids = {n.edge_id for n in nodes}
         edge_id = edge_ids.pop() if len(edge_ids) == 1 else None
         status = STOPPED if all(n.status == STOPPED for n in nodes) else ACTIVE
-        cid = self._new_id()
+        cid = len(self.nodes)
         self.nodes[cid] = ClusterNode(cid, edge_id, members, model, status, born=born)
         for n in nodes:
             n.merged_into = cid
@@ -304,9 +300,8 @@ class ClusterTree:
         return cid
 
     def leaves(self) -> list:
-        return sorted(
-            (n for n in self.nodes.values() if n.is_current), key=lambda n: n.cluster_id
-        )
+        """Current leaves, in cluster id order."""
+        return [n for n in self.nodes.values() if n.is_current]
 
     def active_leaves(self) -> list:
         return [n for n in self.leaves() if n.status == ACTIVE]
@@ -348,5 +343,5 @@ class ClusterTree:
                 "children": list(n.children),
                 "merged_into": n.merged_into,
             }
-            for n in sorted(self.nodes.values(), key=lambda x: x.cluster_id)
+            for n in self.nodes.values()
         ]

@@ -344,9 +344,12 @@ def override(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
     values read from a file: the changed sections run their field checks
     and the result passes the cross-section checks. defaults_applied is
     kept; the run header lists the keys the file left out."""
+    attrs = {cls.section: {f.name for f in fields(cls)} for cls in SECTIONS}
     changes = defaultdict(dict)
     for name, value in values.items():
-        section, attr = name.split(".")
+        section, _, attr = name.partition(".")
+        if attr not in attrs.get(section, ()):
+            raise ConfigError(name, "not a section.attribute of the config")
         changes[section][attr] = value
     cfg = replace(cfg, **{s: replace(getattr(cfg, s), **c) for s, c in changes.items()})
     _cross_checks(cfg)

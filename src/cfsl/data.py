@@ -18,6 +18,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .errors import ConfigError
 from .models import LabeledBatch
 from .seeding import DATA_STREAM
 
@@ -34,17 +35,15 @@ class TaskUniverse:
 
     means[j, c] is the feature-space center of class c under distribution j.
     In label-permutation mode all distributions share one set of centers and
-    differ only in which label each center carries; permutations[j] maps
-    center index -> label under distribution j.
+    differ only in which label each center carries: means[j] reorders the
+    rows of means[0], whose center m carries label m.
     """
 
-    mode: str
     n_distributions: int
     n_classes: int
     dim: int
     means: np.ndarray
     noise_scale: float
-    permutations: tuple | None = None
 
     def sample_features(self, dist_id: int, labels: np.ndarray, rng: np.random.Generator):
         """Feature rows for the given labels under one distribution."""
@@ -88,29 +87,20 @@ def make_task_universe(data, seed) -> TaskUniverse:
     distributions disagrees on at least 30% of a probe set; after 100
     failed draws generation gives up.
     """
-    mode, n_distributions, n_classes, dim = (
-        data.mode, data.distributions, data.classes, data.features)
+    n_distributions, n_classes, dim = data.distributions, data.classes, data.features
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), DATA_STREAM, 0]))
     for _ in range(GENERATION_RETRIES):
-        if mode == "gaussian-clusters":
+        if data.mode == "gaussian-clusters":
             means = rng.normal(0.0, data.separation / 2.0,
                                size=(n_distributions, n_classes, dim))
-            perms = None
         else:
             base = rng.normal(0.0, data.separation / 2.0, size=(n_classes, dim))
-            perm_list = [np.arange(n_classes)]
-            for _ in range(n_distributions - 1):
-                perm_list.append(_derangement(n_classes, rng))
-            means = np.empty((n_distributions, n_classes, dim))
-            for j, perm in enumerate(perm_list):
-                # Center m carries label perm[m], so the center of class c
-                # is base[m] with perm[m] == c.
-                inverse = np.argsort(perm)
-                means[j] = base[inverse]
-            perms = tuple(tuple(int(v) for v in p) for p in perm_list)
-        universe = TaskUniverse(
-            mode, n_distributions, n_classes, dim, means, data.noise_scale, perms
-        )
+            perms = [np.arange(n_classes)]
+            perms += [_derangement(n_classes, rng) for _ in range(n_distributions - 1)]
+            # Center m carries label perm[m], so the center of class c is
+            # base[m] with perm[m] == c.
+            means = np.stack([base[np.argsort(perm)] for perm in perms])
+        universe = TaskUniverse(n_distributions, n_classes, dim, means, data.noise_scale)
         if all(
             _probe_disagreement(universe, i, j, rng) >= DISTINGUISH_MIN
             for i in range(n_distributions)
@@ -127,12 +117,13 @@ def make_task_universe(data, seed) -> TaskUniverse:
 class DeviceDataset:
     """One device's local data and pseudo-labeling state.
 
-    The labeled pool is immutable. Every device starts with nothing
-    injected; pseudo-labeling only flips entries of injected_mask and fills
-    injected_labels, both made here and read-only outside `inject`, which
-    keeps the injected positions in pool order and the counts of injected
-    labels with a known truth (`n_known`) and of those matching it
-    (`n_correct`). hidden_truth and test are for metrics only.
+    The labeled pool is immutable. injected_labels is the one record of
+    pseudo-labeling: the label of each unlabeled-pool position, -1 while it
+    is pending. Every device starts with all positions pending; the array is
+    made here and read-only outside `inject`, which keeps the injected
+    positions in pool order and the counts of injected labels with a known
+    truth (`n_known`) and of those matching it (`n_correct`). hidden_truth
+    and test are for metrics only.
     """
 
     device_id: int
@@ -143,7 +134,6 @@ class DeviceDataset:
     class_whitelist: tuple
     holdout_indices: np.ndarray
     test: LabeledBatch
-    injected_mask: np.ndarray = field(init=False)
     injected_labels: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -157,30 +147,31 @@ class DeviceDataset:
         # whitelisted.
         if n_u and not set(np.unique(self.hidden_truth)) - {-1} <= wl:
             raise ValueError(f"device {self.device_id}: hidden truth outside whitelist")
-        self.injected_mask = np.zeros(n_u, dtype=bool)
         self.injected_labels = np.empty(n_u, dtype=np.int64)
         self.injected_labels.fill(-1)  # faster than np.full for small pools
-        self.injected_mask.setflags(write=False)
         self.injected_labels.setflags(write=False)
         self._injected = np.empty(0, np.intp)
         self.n_known = self.n_correct = 0
 
     def inject(self, indices, labels):
         """Pseudo-label pool positions `indices` with `labels`. The positions must
-        be in range, unique and new; `labeling.inject` checks them."""
+        be in range, unique and new, which `labeling.inject` checks; a label
+        must be >= 0, as -1 marks a pending position."""
         indices = np.asarray(indices, dtype=np.intp)
-        for array, values in ((self.injected_mask, True), (self.injected_labels, labels)):
-            array.setflags(write=True)
-            array[indices] = values
-            array.setflags(write=False)
-        self._injected = np.flatnonzero(self.injected_mask)
+        labels = np.asarray(labels)
+        if labels.size and labels.min() < 0:
+            raise ValueError(f"device {self.device_id}: pseudo-label {labels.min()} is negative")
+        self.injected_labels.setflags(write=True)
+        self.injected_labels[indices] = labels
+        self.injected_labels.setflags(write=False)
+        self._injected = np.flatnonzero(self.injected_labels >= 0)
         truth = self.hidden_truth[indices]
         known = truth >= 0
         self.n_known += int(np.count_nonzero(known))
         self.n_correct += int(np.count_nonzero(known & (self.injected_labels[indices] == truth)))
 
     # Exact integer counts: count / size is the same correctly rounded
-    # quotient as mask.mean().
+    # quotient as the mean of a bool mask.
     @property
     def n_injected(self) -> int:
         return self._injected.size
@@ -192,14 +183,14 @@ class DeviceDataset:
 
     @property
     def unlabeled_remaining(self) -> int:
-        return self.injected_mask.size - self.n_injected
+        return self.injected_labels.size - self.n_injected
 
     @property
     def injected_fraction(self) -> float:
         """Share of the original unlabeled pool already pseudo-labeled."""
-        if self.injected_mask.size == 0:
+        if self.injected_labels.size == 0:
             return 1.0
-        return self.n_injected / self.injected_mask.size
+        return self.n_injected / self.injected_labels.size
 
     @cached_property
     def keep(self) -> np.ndarray:
@@ -222,7 +213,7 @@ class DeviceDataset:
 
     def pending_features(self):
         """(pool indices, features) of unlabeled samples not yet injected."""
-        idx = np.flatnonzero(~self.injected_mask)
+        idx = np.flatnonzero(self.injected_labels < 0)
         return idx, self.unlabeled_features[idx]
 
 
@@ -314,6 +305,51 @@ def partition_devices(universe: TaskUniverse, data, n_devices: int, seed) -> lis
                 hidden_truth=truth,
                 distribution_id=dist_id,
                 class_whitelist=tuple(int(c) for c in whitelist),
+                holdout_indices=holdout,
+                test=test,
+            )
+        )
+    return devices
+
+
+def csv_devices(data, n_devices: int, seed) -> list:
+    """Deal the rows of `data.csv_path` round-robin across `n_devices`
+    devices, under `data`, the `[data]` section (`config.DataConfig`).
+
+    External data has no per-device draw to replicate, so labeled and
+    unlabeled rows are dealt in file order. Ground truth of unlabeled
+    rows is unknown (-1), which makes labeling accuracy undefined, and
+    each device's holdout doubles as its test set.
+    """
+    labeled, unlabeled = load_csv_dataset(data.csv_path, data.features, data.classes)
+    if len(labeled) < n_devices:
+        raise ConfigError(
+            "data.csv_path",
+            f"{len(labeled)} labeled rows cannot cover {n_devices} devices",
+        )
+    whitelist = tuple(range(data.classes))
+    devices = []
+    for k in range(n_devices):
+        lab = LabeledBatch(labeled.features[k::n_devices], labeled.labels[k::n_devices])
+        pool = unlabeled[k::n_devices]
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), DATA_STREAM, 2, k]))
+        n_hold = int(round(data.holdout_fraction * len(lab)))
+        if n_hold >= len(lab):
+            raise ConfigError(
+                "data.holdout_fraction",
+                f"holds out all {len(lab)} labeled rows of device {k}, "
+                "leaving none to train on",
+            )
+        holdout = np.sort(rng.choice(len(lab), size=n_hold, replace=False))
+        test = lab.subset(holdout) if n_hold else lab
+        devices.append(
+            DeviceDataset(
+                device_id=k,
+                labeled=lab,
+                unlabeled_features=pool,
+                hidden_truth=np.full(pool.shape[0], -1, dtype=np.int64),
+                distribution_id=-1,
+                class_whitelist=whitelist,
                 holdout_indices=holdout,
                 test=test,
             )

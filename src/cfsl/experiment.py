@@ -18,20 +18,12 @@ import os
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import ExperimentConfig, baseline_variant, override
-from .data import (
-    DeviceDataset,
-    LabeledBatch,
-    load_csv_dataset,
-    make_task_universe,
-    partition_devices,
-)
+from .data import csv_devices, make_task_universe, partition_devices
 from .errors import ConfigError
 from .network import sample_radios
 from .orchestrator import Simulation, jsonable
-from .seeding import DATA_STREAM, sweep_seed
+from .seeding import sweep_seed
 
 log = logging.getLogger(__name__)
 
@@ -82,54 +74,6 @@ def _edge_assignment(n_devices: int, n_edges: int, scheme: str) -> list:
     return out
 
 
-def _csv_devices(cfg: ExperimentConfig, data_seed_val: int) -> list:
-    """Deal CSV rows round-robin across devices.
-
-    External data has no per-device draw to replicate, so labeled and
-    unlabeled rows are dealt in file order. Ground truth of unlabeled
-    rows is unknown (-1), which makes labeling accuracy undefined, and
-    each device's holdout doubles as its test set.
-    """
-    d = cfg.data
-    labeled, unlabeled = load_csv_dataset(d.csv_path, d.features, d.classes)
-    n_devices = cfg.topology.devices
-    if len(labeled) < n_devices:
-        raise ConfigError(
-            "data.csv_path",
-            f"{len(labeled)} labeled rows cannot cover {n_devices} devices",
-        )
-    whitelist = tuple(range(d.classes))
-    devices = []
-    for k in range(n_devices):
-        lab = LabeledBatch(labeled.features[k::n_devices], labeled.labels[k::n_devices])
-        pool = unlabeled[k::n_devices]
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(data_seed_val), DATA_STREAM, 2, k])
-        )
-        n_hold = int(round(d.holdout_fraction * len(lab)))
-        if n_hold >= len(lab):
-            raise ConfigError(
-                "data.holdout_fraction",
-                f"holds out all {len(lab)} labeled rows of device {k}, "
-                "leaving none to train on",
-            )
-        holdout = np.sort(rng.choice(len(lab), size=n_hold, replace=False))
-        test = lab.subset(holdout) if n_hold else lab
-        devices.append(
-            DeviceDataset(
-                device_id=k,
-                labeled=lab,
-                unlabeled_features=pool,
-                hidden_truth=np.full(pool.shape[0], -1, dtype=np.int64),
-                distribution_id=-1,
-                class_whitelist=whitelist,
-                holdout_indices=holdout,
-                test=test,
-            )
-        )
-    return devices
-
-
 def build_simulation(cfg: ExperimentConfig) -> Simulation:
     """Materialize the full population of one run of the configured baseline."""
     cfg = baseline_variant(cfg)
@@ -137,7 +81,7 @@ def build_simulation(cfg: ExperimentConfig) -> Simulation:
     data_seed_val = d.seed if d.seed is not None else cfg.run.seed
 
     if d.mode == "csv":
-        devices = _csv_devices(cfg, data_seed_val)
+        devices = csv_devices(d, topo.devices, data_seed_val)
     else:
         universe = make_task_universe(d, data_seed_val)
         devices = partition_devices(universe, d, topo.devices, data_seed_val)

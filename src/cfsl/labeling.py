@@ -141,9 +141,9 @@ def inject(device: DeviceDataset, batch: PseudoLabelBatch) -> int:
     if len(batch) == 0:
         return 0
     idx = batch.indices
-    if idx.min() < 0 or idx.max() >= device.injected_mask.size:
+    if idx.min() < 0 or idx.max() >= device.injected_labels.size:
         raise ValueError(f"device {device.device_id}: pseudo-label index out of range")
-    already = idx[device.injected_mask[idx]]
+    already = idx[device.injected_labels[idx] >= 0]
     if already.size:
         raise StateError(
             f"device {device.device_id}: samples {sorted(already.tolist())} already injected"

@@ -402,6 +402,14 @@ def _first_model(models, caller: str) -> ModelParams:
     return first
 
 
+def _stacked_logits(models, features: np.ndarray, caller: str) -> np.ndarray:
+    """(K, n, c) logits of K same-shape models on one (n, d) feature matrix,
+    in one broadcast matmul."""
+    first = _first_model(models, caller)
+    x = _check_features(first, features)
+    return _logits(first.hidden, _unpack(first, np.stack([m.weights for m in models])), x)[0]
+
+
 def evaluate(models, batches) -> list:
     """Accuracy of each (model, batch) pair: the fraction of argmax
     predictions matching the labels, ties to the lowest class id (see
@@ -411,12 +419,10 @@ def evaluate(models, batches) -> list:
     every model is scored on; that form is the faster one on so few rows
     (see the module docstring)."""
     if isinstance(batches, LabeledBatch):
-        first = _first_model(models, "evaluate")
         if len(batches) == 0:
             raise ValueError("evaluate requires a nonempty batch")
-        x = _check_features(first, batches.features)
-        _check_labels(first, batches.labels)
-        z, _ = _logits(first.hidden, _unpack(first, np.stack([m.weights for m in models])), x)
+        z = _stacked_logits(models, batches.features, "evaluate")
+        _check_labels(models[0], batches.labels)
         return (_softmax(z).argmax(axis=-1) == batches.labels).mean(axis=-1).tolist()
     _, z, y, rows, _ = _logit_table(models, batches, "evaluate")
     hits = _top_class(_softmax_columns(z))[0] == y
@@ -448,15 +454,12 @@ def confidences(models, features: np.ndarray):
     model k gets alone; ties go to the lowest class id. The softmax runs
     class-major with the bits of the row-wise `_softmax` (see "Class-major
     softmax")."""
-    first = _first_model(models, "confidences")
-    features = _check_features(first, features)
-    n = features.shape[0]
+    logits = _stacked_logits(models, features, "confidences")
+    n = logits.shape[1]
     classes = np.empty((len(models), n), dtype=np.int64)
     conf = np.empty((len(models), n))
     if n == 0:
         return classes, conf
-    logits, _ = _logits(first.hidden, _unpack(first, np.stack([m.weights for m in models])),
-                        features)
     # Class-major softmax, (c, K, n), in even blocks of samples.
     blocks = -(-logits.size // SOFTMAX_BLOCK)
     step = -(-n // blocks)

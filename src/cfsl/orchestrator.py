@@ -16,6 +16,7 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -63,7 +64,6 @@ GLOBAL_MODEL_ID = -1
 @dataclass(frozen=True)
 class MetricsRow:
     round_no: int
-    duration_s: float
     cumulative_time_s: float
     acc_min: float
     acc_mean: float
@@ -351,10 +351,10 @@ class Simulation:
             node = self.tree.node(cid)
             scope = "cluster" if self.tree.is_specialized(node) else "edge"
             node.model = self._aggregate(r, scope, cid, by_cluster[cid], trained)
-        for node in self.tree.active_leaves():
-            if node.members and node.cluster_id not in by_cluster:
-                log.warning("cluster %d: no device update arrived in round %d",
-                            node.cluster_id, r)
+        idle = [n.cluster_id for n in self.tree.active_leaves()
+                if n.members and n.cluster_id not in by_cluster]
+        if idle:
+            log.warning("round %d: no device update arrived for clusters %s", r, idle)
 
         # (5) split checks on a cadence
         if cadence:
@@ -380,7 +380,7 @@ class Simulation:
                 self.label_crossing[k] = self.cumulative_time_s
 
         specialized = len(self.tree.specialized())
-        row = self._emit_metrics(r, duration, drops, specialized)
+        row = self._emit_metrics(r, drops, specialized)
         self._event({
             "type": "round", "round": r, "duration_s": duration,
             "cumulative_time_s": self.cumulative_time_s,
@@ -488,8 +488,9 @@ class Simulation:
         if len(centered) < 2:
             return
         sim = similarity_matrix(centered)
-        ids = sim.ids
-        parent = {c: c for c in ids}
+        # Union-find over matrix positions, which ascend with cluster id; the
+        # roots, in order, set the order of the merges and so their new ids.
+        parent = list(range(len(sim.ids)))
 
         def find(x):
             while parent[x] != x:
@@ -497,19 +498,16 @@ class Simulation:
                 x = parent[x]
             return x
 
-        sims = {}
-        for i, a in enumerate(ids):
-            for j, b in enumerate(ids[i + 1:], i + 1):
-                s = sims[(a, b)] = float(sim.values[i, j])
-                if s > self.config.clustering.gamma_merge:
-                    parent[find(b)] = find(a)
+        for i, j in combinations(range(len(sim.ids)), 2):
+            if sim.values[i, j] > self.config.clustering.gamma_merge:
+                parent[find(j)] = find(i)
         groups = defaultdict(list)
-        for c in ids:
-            groups[find(c)].append(c)
-        for gid in sorted(groups):
-            group = sorted(groups[gid])
-            if len(group) < 2:
+        for i in range(len(sim.ids)):
+            groups[find(i)].append(i)
+        for root in sorted(groups):
+            if len(groups[root]) < 2:
                 continue
+            group = [sim.ids[i] for i in groups[root]]
             nodes = [self.tree.node(c) for c in group]
             weights = [
                 sum(self.devices[k].labeled_size for k in n.members) for n in nodes
@@ -518,15 +516,15 @@ class Simulation:
             acted = not self.config.clustering.merge_log_only
             event = {
                 "type": "merge", "round": r, "clusters": group,
-                "similarities": [[a, b, sims[(a, b)]] for (a, b) in sims
-                                 if a in group and b in group],
+                "similarities": [[sim.ids[i], sim.ids[j], float(sim.values[i, j])]
+                                 for i, j in combinations(groups[root], 2)],
                 "acted": acted,
             }
             if acted:
                 event["merged_into"] = self.tree.merge(group, merged_model, born=r)
             self._event(event)
 
-    def _emit_metrics(self, r: int, duration: float, drops: int, clusters: int) -> MetricsRow:
+    def _emit_metrics(self, r: int, drops: int, clusters: int) -> MetricsRow:
         # Test accuracy and train loss, one stacked call each per chunk of
         # devices in device order, each device under its own model.
         accs, losses = [], []
@@ -552,7 +550,6 @@ class Simulation:
         ]))
         row = MetricsRow(
             round_no=r,
-            duration_s=duration,
             cumulative_time_s=self.cumulative_time_s,
             acc_min=float(np.min(accs)),
             acc_mean=float(np.mean(accs)),

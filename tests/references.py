@@ -1,14 +1,23 @@
-"""Helpers that only the tests call, kept out of the package.
+"""Helpers that only the tests call, kept out of the package, and the one
+home of every oracle that more than one test file checks against.
 
 `record_pool_passes` spies on the models that selection runs over a pool.
 `cosine_similarity` is the pairwise definition that
-`clustering.similarity_matrix` computes for all pairs at once; `forward` is
-the row-wise softmax whose bits `models.confidences` reproduces class-major.
-`forward` and its helpers, which `test_models_stacked.py`'s reference also
-uses, are a verbatim copy of the per-model code, so that a change to the
-package's kernels cannot also change the reference they are checked
-against.
+`clustering.similarity_matrix` computes for all pairs at once.
+
+The row-wise model reference: `forward` is the row-wise softmax whose bits
+`models.confidences` reproduces class-major, `ref_confidences` and
+`ref_evaluate` read the prediction and accuracy off it, and
+`test_models_stacked.py` builds its training reference on the same
+helpers. They are a verbatim copy of the per-model code and call none of
+the package's kernels, so that a change to those kernels cannot also
+change the reference they are checked against.
+
+`exhaustive_bipartition` is the original pure-Python search over every
+bipartition, which `clustering.bipartition` must match.
 """
+
+import itertools
 
 import numpy as np
 
@@ -92,3 +101,43 @@ def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def ref_confidences(params: ModelParams, features: np.ndarray):
+    """Per-sample (argmax class, max probability), ties to the lowest class id."""
+    probs = forward(params, features)
+    if probs.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    classes = probs.argmax(axis=1)
+    return classes, probs.max(axis=1)
+
+
+def ref_evaluate(params: ModelParams, batch) -> float:
+    """Fraction of argmax predictions matching labels (ties -> lowest class id)."""
+    if len(batch) == 0:
+        raise ValueError("evaluate requires a nonempty batch")
+    probs = forward(params, batch.features)
+    preds = probs.argmax(axis=1)
+    return float((preds == batch.labels).mean())
+
+
+def max_cross(values: np.ndarray, c1, c2) -> float:
+    """The largest similarity from a member of c1 (rows) to one of c2."""
+    return float(values[np.ix_(c1, c2)].max())
+
+
+def exhaustive_bipartition(values: np.ndarray, n: int):
+    """(c1, c2) of indices: the bipartition with the smallest key (largest
+    cross similarity from c1 to c2, size imbalance, c1 as a sorted tuple),
+    found by trying every one."""
+    best = None
+    rest = range(1, n)
+    # Index 0 stays in c1, so each unordered bipartition appears once.
+    for r in range(0, n - 1):
+        for extra in itertools.combinations(rest, r):
+            c1 = (0,) + extra
+            c2 = tuple(i for i in rest if i not in extra)
+            key = (max_cross(values, c1, c2), abs(len(c1) - len(c2)), c1)
+            if best is None or key < best[0]:
+                best = (key, c1, c2)
+    return best[1], best[2]

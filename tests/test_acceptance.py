@@ -38,6 +38,7 @@ from cfsl.network import (
 )
 from cfsl.orchestrator import edge_aggregate
 from cfsl.seeding import training_seed
+from references import exhaustive_bipartition, max_cross
 
 logging.disable(logging.WARNING)
 
@@ -274,20 +275,6 @@ def test_criterion_03_planted_partition_recovery():
 # ------------------------------------------- 4: bipartition optimality
 
 
-def _exhaustive_min_max_cross(values):
-    """Minimum over all bipartitions of the largest cross-pair entry.
-    The last index stays on one side, so each split is counted once."""
-    n = values.shape[0]
-    best = None
-    for mask in range(1, 1 << (n - 1)):
-        c1 = [i for i in range(n - 1) if mask >> i & 1]
-        c2 = [i for i in range(n - 1) if not mask >> i & 1] + [n - 1]
-        cross = float(values[np.ix_(c1, c2)].max())
-        if best is None or cross < best:
-            best = cross
-    return best
-
-
 def test_criterion_04_bipartition_matches_exhaustive_search():
     """bipartition() attains the exhaustive min-max-cross-similarity
     objective on 200 random symmetric matrices, n <= 8."""
@@ -303,7 +290,7 @@ def test_criterion_04_bipartition_matches_exhaustive_search():
             assert sorted(c1 + c2) == list(range(n))
             assert not set(c1) & set(c2)
             achieved = float(values[np.ix_(c1, c2)].max())
-            assert achieved == _exhaustive_min_max_cross(values)
+            assert achieved == max_cross(values, *exhaustive_bipartition(values, n))
         assert time.perf_counter() - start < 10.0
 
 

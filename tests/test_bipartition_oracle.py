@@ -1,10 +1,11 @@
 """Both bipartition paths against reference copies of the loop
 implementations they replaced.
 
-`_exhaustive_bipartition` and `_complete_linkage_bipartition` below are the
-original pure-Python versions, kept verbatim as oracles. The vectorized
-paths must return the same partitions, not only the same objective: a
-different partition at an exact tie would change a run's artifacts.
+`references.exhaustive_bipartition` and `_complete_linkage_bipartition`
+below are the original pure-Python versions, kept verbatim as oracles. The
+vectorized paths must return the same partitions, not only the same
+objective: a different partition at an exact tie would change a run's
+artifacts.
 """
 
 import itertools
@@ -14,27 +15,10 @@ import pytest
 
 from cfsl import clustering
 from cfsl.clustering import EXHAUSTIVE_LIMIT, SimilarityMatrix, bipartition
+from references import exhaustive_bipartition
 
 
 # ------------------------------------------------- reference implementations
-
-
-def _max_cross(values: np.ndarray, c1: tuple, c2: tuple) -> float:
-    return float(values[np.ix_(c1, c2)].max())
-
-
-def _exhaustive_bipartition(values: np.ndarray, n: int):
-    best = None
-    rest = range(1, n)
-    # Index 0 stays in c1, so each unordered bipartition appears once.
-    for r in range(0, n - 1):
-        for extra in itertools.combinations(rest, r):
-            c1 = (0,) + extra
-            c2 = tuple(i for i in rest if i not in extra)
-            key = (_max_cross(values, c1, c2), abs(len(c1) - len(c2)), c1)
-            if best is None or key < best[0]:
-                best = (key, c1, c2)
-    return best[1], best[2]
 
 
 def _complete_linkage_bipartition(values: np.ndarray, n: int):
@@ -89,7 +73,7 @@ def make_values(kind: str, n: int) -> np.ndarray:
 @pytest.mark.parametrize("n", range(2, EXHAUSTIVE_LIMIT + 1))
 def test_exhaustive_path_matches_reference(n, kind):
     values = make_values(kind, n)
-    expected = _exhaustive_bipartition(values, n)
+    expected = exhaustive_bipartition(values, n)
     assert clustering._exhaustive_bipartition(values, n) == expected
 
 
@@ -113,7 +97,7 @@ def test_bipartition_dispatches_on_size_and_maps_ids():
     for n in (EXHAUSTIVE_LIMIT, EXHAUSTIVE_LIMIT + 1):
         values = make_values("rounded", n)
         ids = tuple(range(100, 100 + 3 * n, 3))
-        ref = _exhaustive_bipartition if n <= EXHAUSTIVE_LIMIT else _complete_linkage_bipartition
+        ref = exhaustive_bipartition if n <= EXHAUSTIVE_LIMIT else _complete_linkage_bipartition
         i1, i2 = ref(values, n)
         assert bipartition(SimilarityMatrix(ids, values)) == (
             tuple(ids[i] for i in i1), tuple(ids[i] for i in i2)

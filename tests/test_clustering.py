@@ -16,7 +16,7 @@ from cfsl.clustering import (
     similarity_matrix,
 )
 from cfsl.errors import StateError
-from references import cosine_similarity, zero_params
+from references import cosine_similarity, exhaustive_bipartition, max_cross, zero_params
 
 
 def grad(vec):
@@ -162,18 +162,6 @@ def block_matrix(ids, block_a):
     return SimilarityMatrix(tuple(ids), values)
 
 
-def brute_force_objective(values, n):
-    """Independent exhaustive minimizer over bitmask-encoded bipartitions."""
-    best = None
-    for mask in range(1, 2**n - 1):
-        c1 = [i for i in range(n) if mask & (1 << i)]
-        c2 = [i for i in range(n) if not mask & (1 << i)]
-        obj = max(values[i][j] for i in c1 for j in c2)
-        if best is None or obj < best:
-            best = obj
-    return best
-
-
 def test_bipartition_perfect_blocks():
     sim = block_matrix([1, 2, 3, 4], {1, 2})
     assert bipartition(sim) == ((1, 2), (3, 4))
@@ -191,7 +179,8 @@ def test_bipartition_matches_brute_force_objective():
         sim = SimilarityMatrix(tuple(range(n)), values)
         c1, c2 = bipartition(sim)
         achieved = max(values[i][j] for i in c1 for j in c2)
-        assert math.isclose(achieved, brute_force_objective(values, n), rel_tol=1e-12)
+        best = max_cross(values, *exhaustive_bipartition(values, n))
+        assert math.isclose(achieved, best, rel_tol=1e-12)
 
 
 def test_bipartition_deterministic_and_lowest_id_first():

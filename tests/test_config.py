@@ -289,3 +289,14 @@ def test_negative_seed_is_rejected_with_its_key(section):
     assert f"{section}.seed" in str(exc.value)
     assert getattr(override(parse_config(MINIMAL), {f"{section}.seed": 0}), section).seed == 0
     assert parse_config(MINIMAL + "\n[data]\nseed = auto\n").data.seed is None
+
+
+def test_override_rejects_a_name_that_is_not_section_attribute():
+    # A misspelt key or section, a key's INI name where the attribute differs
+    # (ssl.lambda is the attribute lam) and a name without a section.
+    cfg = parse_config(MINIMAL)
+    for name in ("run.sead", "rn.seed", "ssl.lambda", "seed"):
+        with pytest.raises(ConfigError) as exc:
+            override(cfg, {name: 1})
+        assert exc.value.key == name
+    assert override(cfg, {"ssl.lam": 0.5}).ssl.lam == 0.5

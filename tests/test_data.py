@@ -20,9 +20,10 @@ def small_universe(seed=0, mode="label-permutation", dists=2, classes=4):
 
 
 def partition(universe, n_devices, samples_per_device, labeled_fraction, seed, **data):
-    """`partition_devices` under the [data] section of `universe`, with the
-    defaults and `data` for the other keys."""
-    section = DataConfig(mode=universe.mode, distributions=universe.n_distributions,
+    """`partition_devices` under the [data] section of `universe`, a
+    label-permutation universe, with the defaults and `data` for the other
+    keys."""
+    section = DataConfig(distributions=universe.n_distributions,
                          classes=universe.n_classes, features=universe.dim,
                          samples_per_device=samples_per_device,
                          labeled_fraction=labeled_fraction, **data)
@@ -36,7 +37,6 @@ def test_universe_deterministic():
     a = small_universe(seed=5)
     b = small_universe(seed=5)
     assert np.array_equal(a.means, b.means)
-    assert a.permutations == b.permutations
 
 
 def test_single_distribution_allowed():
@@ -45,11 +45,21 @@ def test_single_distribution_allowed():
     assert u.means.shape == (1, 3, 4)
 
 
+def permutation(u, j):
+    """perm[m]: the label distribution j gives center m of distribution 0,
+    read from where that center sits in means[j]."""
+    perm = []
+    for center in u.means[0]:
+        (c,) = np.flatnonzero((u.means[j] == center).all(axis=1))
+        perm.append(int(c))
+    return tuple(perm)
+
+
 def test_permutation_mode_uses_derangements():
     u = small_universe(seed=2, dists=3, classes=5)
     identity = tuple(range(5))
-    assert u.permutations[0] == identity
-    for perm in u.permutations[1:]:
+    assert permutation(u, 0) == identity
+    for perm in (permutation(u, j) for j in range(1, u.n_distributions)):
         assert sorted(perm) == list(range(5))
         assert all(p != i for i, p in enumerate(perm))
 
@@ -61,7 +71,7 @@ def test_permutation_mode_shares_centers():
     b = u.means[1][np.lexsort(u.means[1].T)]
     assert np.allclose(a, b)
     # Center of class c under distribution j is base center m with perm[m]=c.
-    perm = np.array(u.permutations[1])
+    perm = np.array(permutation(u, 1))
     for m in range(4):
         assert np.allclose(u.means[1][perm[m]], u.means[0][m])
 
@@ -182,7 +192,7 @@ def test_train_batch_includes_injections_in_pool_order():
 
 def check_counts_match_mask(dev):
     """The injection counts against their mask-reduction definitions."""
-    mask = dev.injected_mask
+    mask = dev.injected_labels >= 0
     assert type(dev.n_injected) is int and dev.n_injected == int(mask.sum())
     assert type(dev.unlabeled_remaining) is int
     assert dev.unlabeled_remaining == int((~mask).sum())
@@ -196,7 +206,7 @@ def check_counts_match_mask(dev):
 
 
 def reference_train_batch(dev):
-    idx = np.flatnonzero(dev.injected_mask)
+    idx = np.flatnonzero(dev.injected_labels >= 0)
     return (
         np.vstack([dev.labeled.features[dev.keep], dev.unlabeled_features[idx]]),
         np.concatenate([dev.labeled.labels[dev.keep], dev.injected_labels[idx]]),
@@ -209,11 +219,11 @@ def test_injection_counts_equal_mask_reductions_under_inject():
     rng = np.random.default_rng(16)
     check_counts_match_mask(dev)
     for _ in range(40):
-        pending = np.flatnonzero(~dev.injected_mask)
+        pending = np.flatnonzero(dev.injected_labels < 0)
         idx = rng.choice(pending, size=int(rng.integers(1, 12)), replace=False)
         dev.inject(idx, rng.choice(dev.class_whitelist, size=idx.size))
         check_counts_match_mask(dev)
-    rest = np.flatnonzero(~dev.injected_mask)[::-1]
+    rest = np.flatnonzero(dev.injected_labels < 0)[::-1]
     dev.inject(rest, dev.hidden_truth[rest])
     check_counts_match_mask(dev)
     assert dev.injected_fraction == 1.0 and dev.unlabeled_remaining == 0
@@ -222,13 +232,20 @@ def test_injection_counts_equal_mask_reductions_under_inject():
 def test_injection_state_is_read_only_outside_inject():
     u = small_universe(seed=18)
     (dev,) = partition(u, 1, 40, 0.25, seed=18)
-    for write in (lambda: dev.injected_mask.__setitem__(0, True),
-                  lambda: dev.injected_labels.__setitem__(0, dev.class_whitelist[0])):
-        with pytest.raises(ValueError, match="read-only"):
-            write()
+    with pytest.raises(ValueError, match="read-only"):
+        dev.injected_labels[0] = dev.class_whitelist[0]
     dev.inject([3], [dev.class_whitelist[0]])
-    assert dev.injected_mask[3] and not dev.injected_mask.flags.writeable
+    assert dev.injected_labels[3] == dev.class_whitelist[0]
     assert not dev.injected_labels.flags.writeable
+
+
+def test_inject_rejects_a_negative_label():
+    u = small_universe(seed=18)
+    (dev,) = partition(u, 1, 40, 0.25, seed=18)
+    for labels in ([-1], [dev.class_whitelist[0], -2]):
+        with pytest.raises(ValueError, match="negative"):
+            dev.inject([3, 4][:len(labels)], labels)
+        assert dev.n_injected == 0 and np.all(dev.injected_labels == -1)
 
 
 def test_injected_fraction_is_the_rounded_mean_for_every_count():
@@ -257,8 +274,8 @@ def test_injected_fraction_is_the_rounded_mean_for_every_count():
 def test_train_batch_equals_its_definition_with_and_without_injections():
     u = small_universe(seed=17)
     (dev,) = partition(u, 1, 60, 0.3, seed=17, holdout_fraction=0.25)
-    for injected in ([], [5], [4, 0, 31], range(dev.injected_mask.size)):
-        new = [i for i in injected if not dev.injected_mask[i]]
+    for injected in ([], [5], [4, 0, 31], range(dev.injected_labels.size)):
+        new = [i for i in injected if dev.injected_labels[i] < 0]
         dev.inject(new, [dev.class_whitelist[0]] * len(new))
         train = dev.train_batch()
         feats, labels = reference_train_batch(dev)
@@ -275,7 +292,7 @@ def test_train_batches_are_slices_of_one_table():
     devices = partition(u, 4, 60, 0.3, seed=19, holdout_fraction=0.25)
     rng = np.random.default_rng(19)
     for dev in devices[1:]:
-        idx = rng.choice(dev.injected_mask.size, size=int(rng.integers(1, 20)), replace=False)
+        idx = rng.choice(dev.injected_labels.size, size=int(rng.integers(1, 20)), replace=False)
         dev.inject(idx, rng.choice(dev.class_whitelist, size=idx.size))
     batches = train_batches(devices)
     for dev, batch in zip(devices, batches):

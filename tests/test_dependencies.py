@@ -8,6 +8,7 @@ without a word.
 
 import ast
 import os
+import warnings
 
 import pytest
 
@@ -66,3 +67,14 @@ def test_scanner_finds_each_form_of_import():
 def test_no_undeclared_imports(path):
     with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
         assert undeclared_imports(fh.read()) == []
+
+
+def test_a_deprecation_warning_from_cfsl_code_is_an_error():
+    # pyproject.toml turns a DeprecationWarning attributed to a cfsl module
+    # into an error; one from elsewhere stays a warning.
+    with pytest.raises(DeprecationWarning):
+        warnings.warn_explicit("old call", DeprecationWarning, "models.py", 1,
+                               module="cfsl.models")
+    with pytest.warns(DeprecationWarning):
+        warnings.warn_explicit("old call", DeprecationWarning, "other.py", 1,
+                               module="other")

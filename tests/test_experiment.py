@@ -453,6 +453,16 @@ def test_selflabel_digests_pinned(tmp_path):
     assert artifact_digests(res) == SELFLABEL_PIN_DIGESTS
 
 
+def test_clusters_without_an_update_log_one_warning_per_round(tmp_path, caplog):
+    # In the pin, the lone members of clusters 5 and 9 are never scheduled
+    # after the round-5 split, and cluster 7 gets no update until round 11.
+    cfg = override(parse_config(SELFLABEL_PIN), {"run.out_dir": str(tmp_path)})
+    with caplog.at_level("WARNING", logger="cfsl.orchestrator"):
+        run_experiment(cfg)
+    idle = [rec.args for rec in caplog.records if "no device update" in rec.getMessage()]
+    assert idle == [(r, [5, 7, 9]) for r in range(6, 11)] + [(r, [5, 9]) for r in range(11, 21)]
+
+
 def test_label_latency_is_the_pool_inference_time_and_only_logged(tmp_path, monkeypatch):
     # est_label_latency_s prices one pass over the device's pending rows on
     # its CPU. No selection, simulated time or metric depends on it, so

@@ -209,7 +209,7 @@ def test_inject_moves_counts_per_sum_rule():
     assert dev.labeled_size == 10 + 5
     assert dev.unlabeled_remaining == pool_before - 5
     # Conservation: originals plus pool size never change.
-    assert len(dev.labeled) + dev.injected_mask.size == 40
+    assert len(dev.labeled) + dev.injected_labels.size == 40
 
 
 def test_inject_empty_batch_is_noop():

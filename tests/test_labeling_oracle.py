@@ -1,9 +1,9 @@
 """Oracle checks for candidate scoring in one pass per device.
 
-The reference below is a copy of the row-wise code that
-`models.confidences`, `labeling.utility`, `labeling.select_best_model` and
-`labeling.pseudo_label` replaced, trimmed to the record fields they still
-fill: one `utility` call per candidate, each reading the holdout and the
+The reference below, on the row-wise model reference of `references.py`,
+is a copy of the row-wise code that `models.confidences`,
+`labeling.utility`, `labeling.select_best_model` and `labeling.pseudo_label`
+replaced, trimmed to the record fields they still fill: one `utility` call per candidate, each reading the holdout and the
 pool again, a row-wise softmax, a full lexicographic sort of every
 candidate's (model id, holdout accuracy, coverage, estimated labeling
 latency; the latency is the same for every candidate, so it never
@@ -40,102 +40,11 @@ from cfsl.models import (
     evaluate,
     param_count,
 )
-from references import record_pool_passes
+from references import _unpack, record_pool_passes, ref_confidences, ref_evaluate
 
 log = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------- reference
-
-
-def _unpack(p: ModelParams, weights: np.ndarray | None = None):
-    """Views into flat weights of shape (P,) or stacked (K, P): (W, b) or
-    (W1, b1, W2, b2). Stacked biases get a singleton row axis, (K, 1, n),
-    so that they broadcast over a (K, b, n) batch."""
-    d, c, h = p.dim_in, p.dim_out, p.hidden
-    w = p.weights if weights is None else weights
-    lead = w.shape[:-1]
-    row = lead + (1,) if lead else ()
-    if h == 0:
-        return w[..., : d * c].reshape(*lead, d, c), w[..., d * c :].reshape(*row, c)
-    o1 = d * h
-    o2 = o1 + h
-    o3 = o2 + h * c
-    return (
-        w[..., :o1].reshape(*lead, d, h),
-        w[..., o1:o2].reshape(*row, h),
-        w[..., o2:o3].reshape(*lead, h, c),
-        w[..., o3:].reshape(*row, c),
-    )
-
-
-def _logits(hidden: int, views, x: np.ndarray):
-    """Raw class scores; for the tanh network also returns the hidden activations."""
-    if hidden == 0:
-        w, b = views
-        return x @ w + b, None
-    w1, b1, w2, b2 = views
-    h = np.tanh(x @ w1 + b1)
-    return h @ w2 + b2, h
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _check_features(p: ModelParams, features: np.ndarray):
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != p.dim_in:
-        raise ValueError(
-            f"feature matrix must be 2-D with {p.dim_in} columns, got shape {features.shape}"
-        )
-    return features
-
-
-def _stack(p: ModelParams, batches, caller: str):
-    """Features and labels of one nonempty batch, (n, d) and (n,), or of a
-    list of K equal-length nonempty batches, (K, n, d) and (K, n)."""
-    if isinstance(batches, LabeledBatch):
-        if len(batches) == 0:
-            raise ValueError(f"{caller} requires a nonempty batch")
-        return _check_features(p, batches.features), batches.labels
-    lengths = sorted({len(b) for b in batches})
-    if not lengths or lengths[0] == 0:
-        raise ValueError(f"{caller} requires a nonempty batch")
-    if len(lengths) > 1:
-        raise ValueError(f"{caller} requires equal-length batches, got lengths {lengths}")
-    x = np.stack([_check_features(p, b.features) for b in batches])
-    return x, np.stack([b.labels for b in batches])
-
-
-def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Class-probability matrix: row-wise softmax over the model's logits."""
-    features = _check_features(params, features)
-    if features.shape[0] == 0:
-        return np.zeros((0, params.dim_out))
-    z, _ = _logits(params.hidden, _unpack(params), features)
-    return _softmax(z)
-
-
-def ref_evaluate(params: ModelParams, batch):
-    """Fraction of argmax predictions matching labels (ties -> lowest class id).
-
-    `batch` is one LabeledBatch, giving a float, or a list of equal-length
-    batches, giving one float per batch."""
-    x, y = _stack(params, batch, "evaluate")
-    z, _ = _logits(params.hidden, _unpack(params), x)
-    preds = _softmax(z).argmax(axis=-1)
-    return (preds == y).mean(axis=-1).tolist()
-
-
-def ref_confidences(params: ModelParams, features: np.ndarray):
-    """Per-sample (argmax class, max probability), ties to the lowest class id."""
-    probs = forward(params, features)
-    if probs.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0)
-    classes = probs.argmax(axis=1)
-    return classes, probs.max(axis=1)
 
 
 def ref_pseudo_label(

@@ -1,7 +1,7 @@
 """Oracle checks for the stacked training and scoring path.
 
-The reference below, with the row-wise forward pass of `references.py`, is
-a verbatim copy of the per-device functions that `sgd_train`, `gradient`,
+The reference below, with the row-wise model reference of `references.py`
+(`ref_evaluate` among it), is a verbatim copy of the per-device functions that `sgd_train`, `gradient`,
 `evaluate` and `loss` replaced: one `gradient()` call per SGD step, one
 model and one batch at a time, with the row-wise softmax; a gradient is a
 flat vector. Every device trained or scored in a ragged stack must get the
@@ -25,7 +25,7 @@ from cfsl.models import (
     param_count,
     sgd_train,
 )
-from references import _check_features, _logits, _unpack, forward
+from references import _check_features, _logits, _unpack, ref_evaluate
 
 # ---------------------------------------------------------------- reference
 
@@ -109,15 +109,6 @@ def ref_sgd_train(
             g = ref_gradient(current, data.subset(idx))
             current = current.with_weights(current.weights - lr * g)
     return current
-
-
-def ref_evaluate(params: ModelParams, batch: LabeledBatch) -> float:
-    """Fraction of argmax predictions matching labels (ties -> lowest class id)."""
-    if len(batch) == 0:
-        raise ValueError("evaluate requires a nonempty batch")
-    probs = forward(params, batch.features)
-    preds = probs.argmax(axis=1)
-    return float((preds == batch.labels).mean())
 
 
 # ---------------------------------------------------------------- cases

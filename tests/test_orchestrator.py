@@ -479,7 +479,7 @@ def test_time_budget_stops_after_first_crossing():
     assert reason == "time budget"
     assert sim.round_no == 1
     # Every earlier round stayed under budget.
-    assert sum(m.duration_s for m in sim.metrics[:-1]) < 1e-12
+    assert sum(ev["duration_s"] for ev in events_of(sim, "round")[:-1]) < 1e-12
 
 
 def test_convergence_plateau_terminates():
@@ -512,9 +512,9 @@ def test_metrics_rows_are_consistent():
     sim = make_sim(clustering=spec, ssl=lab, rounds=9, seed=11)
     sim.run()
     cumulative = 0.0
-    for row in sim.metrics:
+    for row, ev in zip(sim.metrics, events_of(sim, "round"), strict=True):
         assert isinstance(row, MetricsRow)
-        cumulative += row.duration_s
+        cumulative += ev["duration_s"]
         assert math.isclose(row.cumulative_time_s, cumulative, rel_tol=1e-12)
         assert 0.0 <= row.acc_min <= row.acc_mean <= row.acc_max <= 1.0
         assert 0.0 <= row.injected_fraction <= 1.0
