@@ -95,6 +95,11 @@ class TopologyConfig(_Section):
     devices: int = _key(int, REQUIRED, lambda v: v >= 1, "must be >= 1")
     edge_assignment: str = _choice("blocks", "round-robin")
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.devices < self.edges:
+            raise ConfigError("topology.devices", "need at least one device per edge")
+
 
 @dataclass(frozen=True)
 class DataConfig(_Section):
@@ -116,8 +121,7 @@ class DataConfig(_Section):
     csv_path: str = _key(str, "")
 
     def __post_init__(self):
-        # Here, not in _cross_checks, so that a section built in code is
-        # checked too: make_task_universe and partition_devices trust it.
+        # make_task_universe and partition_devices trust a built section.
         super().__post_init__()
         if self.mode == "csv":
             if not self.csv_path:
@@ -143,6 +147,13 @@ class ModelConfig(_Section):
     learning_rate: float = _key(float, 0.01, _pos, "must be > 0")
     epochs: int = _key(int, 5, lambda v: v >= 1, "must be >= 1")
     batch_size: int = _key(int, 32, lambda v: v >= 1, "must be >= 1")
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.family == "logistic" and self.hidden != 0:
+            raise ConfigError("model.hidden", "must be 0 for the logistic family")
+        if self.family == "mlp" and self.hidden < 1:
+            raise ConfigError("model.hidden", "must be >= 1 for the mlp family")
 
 
 @dataclass(frozen=True)
@@ -193,8 +204,7 @@ class NetworkConfig(_Section):
     time_budget_s: float = _key(float, math.inf, _pos, "must be > 0")
 
     def __post_init__(self):
-        # Here, not in _cross_checks, so that a section built in code is
-        # checked too: the latency functions and sample_radios trust it.
+        # The latency functions and sample_radios trust a built section.
         super().__post_init__()
         for low, high in (("cpu_min_hz", "cpu_max_hz"), ("power_min_dbm", "power_max_dbm"),
                           ("distance_min_m", "distance_max_m")):
@@ -268,15 +278,7 @@ def baseline_variant(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def _cross_checks(cfg: ExperimentConfig):
-    topo, data, model = cfg.topology, cfg.data, cfg.model
-    if topo.devices < topo.edges:
-        raise ConfigError("topology.devices", "need at least one device per edge")
-
-    if model.family == "logistic" and model.hidden != 0:
-        raise ConfigError("model.hidden", "must be 0 for the logistic family")
-    if model.family == "mlp" and model.hidden < 1:
-        raise ConfigError("model.hidden", "must be >= 1 for the mlp family")
-
+    data = cfg.data
     if data.mode != "csv":
         labeled_fraction = baseline_variant(cfg).data.labeled_fraction
         width = min(data.max_classes_per_device, data.classes)

@@ -3,9 +3,10 @@
 A task universe holds several class-conditional Gaussian distributions.
 Devices draw from exactly one distribution and see at most a small
 whitelist of classes, which is what makes the population non-IID. Each
-device keeps a labeled pool, an unlabeled pool whose true labels are
-retained only for scoring, a small validation holdout carved from the
-labeled pool, and a fresh test draw used for reporting.
+device keeps its labeled rows split once into `train` and a small
+validation `holdout`, an unlabeled pool whose true labels are retained
+only for scoring, the pseudo-labels injected into that pool, and a fresh
+test draw used for reporting.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, StateError
 from .models import LabeledBatch
 from .seeding import DATA_STREAM
 
@@ -117,22 +117,23 @@ def make_task_universe(data, seed) -> TaskUniverse:
 class DeviceDataset:
     """One device's local data and pseudo-labeling state.
 
-    The labeled pool is immutable. injected_labels is the one record of
-    pseudo-labeling: the label of each unlabeled-pool position, -1 while it
-    is pending. Every device starts with all positions pending; the array is
-    made here and read-only outside `inject`, which keeps the injected
-    positions in pool order and the counts of injected labels with a known
-    truth (`n_known`) and of those matching it (`n_correct`). hidden_truth
-    and test are for metrics only.
+    The labeled rows are immutable, split once when the device is built
+    into `train`, where local training starts, and `holdout`, on which
+    selection scores candidates. injected_labels is the one record of
+    pseudo-labeling: each pool position's label, -1 while it is pending. It
+    is made here and read-only outside `inject`, which checks every rule on
+    it and keeps the injected positions in pool order and the counts of
+    injected labels with a known truth (`n_known`) and of those matching it
+    (`n_correct`). hidden_truth and test are for metrics only.
     """
 
     device_id: int
-    labeled: LabeledBatch
+    train: LabeledBatch
+    holdout: LabeledBatch
     unlabeled_features: np.ndarray
     hidden_truth: np.ndarray
     distribution_id: int
     class_whitelist: tuple
-    holdout_indices: np.ndarray
     test: LabeledBatch
     injected_labels: np.ndarray = field(init=False)
 
@@ -141,7 +142,7 @@ class DeviceDataset:
         if self.hidden_truth.shape[0] != n_u:
             raise ValueError("hidden_truth must cover the unlabeled pool")
         wl = set(self.class_whitelist)
-        if len(self.labeled) and not set(np.unique(self.labeled.labels)) <= wl:
+        if not set(np.unique(np.concatenate([self.train.labels, self.holdout.labels]))) <= wl:
             raise ValueError(f"device {self.device_id}: labeled class outside whitelist")
         # -1 marks unknown truth (external data); anything else must be
         # whitelisted.
@@ -154,12 +155,21 @@ class DeviceDataset:
         self.n_known = self.n_correct = 0
 
     def inject(self, indices, labels):
-        """Pseudo-label pool positions `indices` with `labels`. The positions must
-        be in range, unique and new, which `labeling.inject` checks; a label
-        must be >= 0, as -1 marks a pending position."""
-        indices = np.asarray(indices, dtype=np.intp)
-        labels = np.asarray(labels)
-        if labels.size and labels.min() < 0:
+        """Pseudo-label pool positions `indices` with `labels` (one each, or one
+        for all). Positions must be in range, unique and pending (StateError:
+        injected labels are frozen) and labels >= 0, or nothing changes."""
+        indices, labels = np.asarray(indices, dtype=np.intp), np.asarray(labels)
+        if not indices.size:
+            return
+        if not 0 <= indices.min() <= indices.max() < self.injected_labels.size:
+            raise ValueError(f"device {self.device_id}: pseudo-label index out of range")
+        if np.unique(indices).size < indices.size:
+            raise ValueError(f"device {self.device_id}: pseudo-label indices repeat")
+        already = indices[self.injected_labels[indices] >= 0]
+        if already.size:
+            raise StateError(f"device {self.device_id}: samples "
+                             f"{sorted(already.tolist())} already injected")
+        if labels.min() < 0:
             raise ValueError(f"device {self.device_id}: pseudo-label {labels.min()} is negative")
         self.injected_labels.setflags(write=True)
         self.injected_labels[indices] = labels
@@ -178,8 +188,8 @@ class DeviceDataset:
 
     @property
     def labeled_size(self) -> int:
-        """Current training-set size: original labels plus injected ones."""
-        return len(self.labeled) + self.n_injected
+        """Original labels, holdout included, plus injected ones."""
+        return len(self.train) + len(self.holdout) + self.n_injected
 
     @property
     def unlabeled_remaining(self) -> int:
@@ -192,24 +202,14 @@ class DeviceDataset:
             return 1.0
         return self.n_injected / self.injected_labels.size
 
-    @cached_property
-    def keep(self) -> np.ndarray:
-        """Labeled-pool rows outside the holdout, computed on first use."""
-        mask = np.ones(len(self.labeled), dtype=bool)
-        mask[self.holdout_indices] = False
-        return np.flatnonzero(mask)
-
     @property
     def train_size(self) -> int:
         """len(self.train_batch()), without building the batch."""
-        return len(self.keep) + self.n_injected
+        return len(self.train) + self.n_injected
 
     def train_batch(self) -> LabeledBatch:
-        """Labeled samples outside the holdout, then injected ones in pool order."""
+        """`train`, then the injected samples in pool order."""
         return train_batches([self])[0]
-
-    def holdout_batch(self) -> LabeledBatch:
-        return self.labeled.subset(self.holdout_indices)
 
     def pending_features(self):
         """(pool indices, features) of unlabeled samples not yet injected."""
@@ -220,14 +220,14 @@ class DeviceDataset:
 def train_batches(devices: list) -> list:
     """Each device's `train_batch`, in order, as row slices of one table."""
     rows = [0, *accumulate(d.train_size for d in devices)]
-    features = np.empty((rows[-1], devices[0].labeled.features.shape[1]))
+    features = np.empty((rows[-1], devices[0].train.features.shape[1]))
     labels = np.empty(rows[-1], dtype=np.int64)
     for dev, lo, hi in zip(devices, rows, rows[1:]):
-        mid = lo + len(dev.keep)
+        mid = lo + len(dev.train)
+        features[lo:mid] = dev.train.features
+        labels[lo:mid] = dev.train.labels
         # Every index is in range, so "clip" only skips take's buffering.
-        dev.labeled.features.take(dev.keep, axis=0, out=features[lo:mid], mode="clip")
         dev.unlabeled_features.take(dev._injected, axis=0, out=features[mid:hi], mode="clip")
-        dev.labeled.labels.take(dev.keep, out=labels[lo:mid], mode="clip")
         dev.injected_labels.take(dev._injected, out=labels[mid:hi], mode="clip")
     return [LabeledBatch(features[lo:hi], labels[lo:hi]) for lo, hi in zip(rows, rows[1:])]
 
@@ -285,11 +285,13 @@ def partition_devices(universe: TaskUniverse, data, n_devices: int, seed) -> lis
         labels = np.concatenate([whitelist, tail]).astype(np.int64)
         features = universe.sample_features(dist_id, labels, rng)
 
-        labeled = LabeledBatch(features[:n_labeled], labels[:n_labeled])
-        unlabeled = features[n_labeled:]
-        truth = labels[n_labeled:]
-
-        holdout = np.sort(rng.choice(n_labeled, size=n_hold, replace=False))
+        held = np.zeros(n_labeled, dtype=bool)
+        held[rng.choice(n_labeled, size=n_hold, replace=False)] = True
+        # Reordered in place to train | holdout | pool, each part in draw
+        # order: the three are views of one array, so no row is stored twice.
+        order = np.argsort(held, kind="stable")
+        features[:n_labeled], labels[:n_labeled] = features[order], labels[order]
+        cut = n_labeled - n_hold
 
         test_labels = rng.choice(whitelist, size=data.test_samples_per_device,
                                  replace=True).astype(np.int64)
@@ -300,12 +302,12 @@ def partition_devices(universe: TaskUniverse, data, n_devices: int, seed) -> lis
         devices.append(
             DeviceDataset(
                 device_id=k,
-                labeled=labeled,
-                unlabeled_features=unlabeled,
-                hidden_truth=truth,
+                train=LabeledBatch(features[:cut], labels[:cut]),
+                holdout=LabeledBatch(features[cut:n_labeled], labels[cut:n_labeled]),
+                unlabeled_features=features[n_labeled:],
+                hidden_truth=labels[n_labeled:],
                 distribution_id=dist_id,
                 class_whitelist=tuple(int(c) for c in whitelist),
-                holdout_indices=holdout,
                 test=test,
             )
         )
@@ -340,18 +342,19 @@ def csv_devices(data, n_devices: int, seed) -> list:
                 f"holds out all {len(lab)} labeled rows of device {k}, "
                 "leaving none to train on",
             )
-        holdout = np.sort(rng.choice(len(lab), size=n_hold, replace=False))
-        test = lab.subset(holdout) if n_hold else lab
+        held = np.zeros(len(lab), dtype=bool)
+        held[rng.choice(len(lab), size=n_hold, replace=False)] = True
+        train, holdout = lab.subset(~held), lab.subset(held)
         devices.append(
             DeviceDataset(
                 device_id=k,
-                labeled=lab,
+                train=train,
+                holdout=holdout,
                 unlabeled_features=pool,
                 hidden_truth=np.full(pool.shape[0], -1, dtype=np.int64),
                 distribution_id=-1,
                 class_whitelist=whitelist,
-                holdout_indices=holdout,
-                test=test,
+                test=holdout if n_hold else train,
             )
         )
     return devices

@@ -101,13 +101,13 @@ def select_best_model(device: DeviceDataset, candidates: dict, phi: float, pool:
     """
     if not candidates:
         raise StateError(f"device {device.device_id}: no candidate models to select from")
-    holdout = device.holdout_batch()
+    holdout = device.holdout
     if len(holdout) == 0:
         log.warning(
             "device %d: empty holdout, scoring val_accuracy on the full labeled set",
             device.device_id,
         )
-        holdout = device.labeled
+        holdout = device.train
     accuracy = evaluate(list(candidates.values()), holdout)
     best = max(accuracy)
     contenders = [mid for mid, acc in zip(candidates, accuracy) if acc == best]
@@ -131,24 +131,15 @@ def utility(model_id: int, model: ModelParams, device: DeviceDataset, phi: float
 def inject(device: DeviceDataset, batch: PseudoLabelBatch) -> int:
     """Move accepted pseudo-labels into the device's training data.
 
-    Labels are frozen once injected; re-injecting an index is a state
-    error. Returns the number of samples added.
+    `DeviceDataset.inject` checks the positions and labels: injected labels
+    are frozen, so re-injecting a position is a state error. Returns the
+    number of samples added.
     """
     if batch.device_id != device.device_id:
         raise ValueError(
             f"batch for device {batch.device_id} applied to device {device.device_id}"
         )
-    if len(batch) == 0:
-        return 0
-    idx = batch.indices
-    if idx.min() < 0 or idx.max() >= device.injected_labels.size:
-        raise ValueError(f"device {device.device_id}: pseudo-label index out of range")
-    already = idx[device.injected_labels[idx] >= 0]
-    if already.size:
-        raise StateError(
-            f"device {device.device_id}: samples {sorted(already.tolist())} already injected"
-        )
-    device.inject(idx, batch.labels)
+    device.inject(batch.indices, batch.labels)
     return len(batch)
 
 

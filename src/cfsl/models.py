@@ -144,16 +144,10 @@ def init_params(
     dim_in: int, dim_out: int, hidden: int = 0, seed=0, scale: float = 0.05
 ) -> ModelParams:
     """Seeded uniform initialization in [-scale, scale]."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     n = param_count(dim_in, dim_out, hidden)
     w = rng.uniform(-scale, scale, size=n)
     return ModelParams(w, dim_in, dim_out, hidden)
-
-
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _unpack(p: ModelParams, weights: np.ndarray | None = None):
@@ -368,7 +362,7 @@ def sgd_train(models, batches, epochs: int, batch_size: int, lr: float, seeds) -
             hi = lo + len(list(run))
             steps.append((lo, hi, start, start + m, _unpack(first, weights[lo:hi])))
             lo = hi
-    rngs = [_rng(s) for s in seeds]
+    rngs = [np.random.default_rng(s) for s in seeds]
     # Each epoch, row j of `table_rows` holds device j's shuffled table rows
     # in its first lengths[j] columns; `base` repeats each device's first
     # table row once per sample.

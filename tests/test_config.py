@@ -8,7 +8,9 @@ import pytest
 from cfsl.config import (
     SECTIONS,
     DataConfig,
+    ModelConfig,
     NetworkConfig,
+    TopologyConfig,
     ini_key,
     load_config,
     override,
@@ -206,6 +208,18 @@ def test_cross_checks():
         NetworkConfig(deadline_policy="fixed")
     with pytest.raises(ConfigError, match="network.cpu_min_hz"):
         dataclasses.replace(NetworkConfig(), cpu_min_hz=1e10)
+
+
+def test_topology_and_model_sections_check_their_rules_when_built_in_code():
+    for build, key in ((lambda: TopologyConfig(edges=4, devices=2), "topology.devices"),
+                       (lambda: ModelConfig(family="logistic", hidden=3), "model.hidden"),
+                       (lambda: ModelConfig(family="mlp", hidden=0), "model.hidden"),
+                       (lambda: dataclasses.replace(ModelConfig(), family="mlp"),
+                        "model.hidden")):
+        with pytest.raises(ConfigError, match=key):
+            build()
+    assert TopologyConfig(edges=2, devices=2).devices == 2
+    assert ModelConfig(family="mlp", hidden=1).hidden == 1
 
 
 def test_holdout_that_takes_every_labeled_sample_is_rejected():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cfsl.config import DataConfig
+from cfsl.errors import StateError
 from cfsl.data import (
     DeviceDataset,
     load_csv_dataset,
@@ -28,6 +29,11 @@ def partition(universe, n_devices, samples_per_device, labeled_fraction, seed, *
                          samples_per_device=samples_per_device,
                          labeled_fraction=labeled_fraction, **data)
     return partition_devices(universe, section, n_devices, seed)
+
+
+def labeled_labels(dev):
+    """Labels of the device's labeled rows, train then holdout."""
+    return np.concatenate([dev.train.labels, dev.holdout.labels])
 
 
 # ---------------------------------------------------------------- universe
@@ -97,9 +103,9 @@ def test_partition_counts_and_conservation():
     devices = partition(u, 6, samples_per_device=50, labeled_fraction=0.1, seed=7)
     assert len(devices) == 6
     for dev in devices:
-        assert len(dev.labeled) == 5
+        assert (len(dev.train), len(dev.holdout)) == (4, 1)
         assert dev.unlabeled_features.shape[0] == 45
-        assert len(dev.labeled) + dev.unlabeled_features.shape[0] == 50
+        assert len(dev.train) + len(dev.holdout) + dev.unlabeled_features.shape[0] == 50
         assert dev.hidden_truth.shape[0] == 45
 
 
@@ -108,11 +114,11 @@ def test_partition_whitelist_closure_and_cap():
     devices = partition(u, 10, samples_per_device=60, labeled_fraction=0.2, seed=8)
     for dev in devices:
         assert len(dev.class_whitelist) <= 2
-        assert set(dev.labeled.labels) <= set(dev.class_whitelist)
+        assert set(labeled_labels(dev)) <= set(dev.class_whitelist)
         assert set(dev.hidden_truth) <= set(dev.class_whitelist)
         assert set(dev.test.labels) <= set(dev.class_whitelist)
         hist = np.bincount(
-            np.concatenate([dev.labeled.labels, dev.hidden_truth]), minlength=6
+            np.concatenate([labeled_labels(dev), dev.hidden_truth]), minlength=6
         )
         assert (hist > 0).sum() <= 2
 
@@ -122,15 +128,15 @@ def test_partition_one_label_per_class_floor():
     # 1% of 50 rounds to 0 labeled; floor lifts it to one per whitelisted class.
     devices = partition(u, 3, samples_per_device=50, labeled_fraction=0.01, seed=9)
     for dev in devices:
-        assert len(dev.labeled) == len(dev.class_whitelist)
-        assert set(dev.labeled.labels) == set(dev.class_whitelist)
+        assert len(labeled_labels(dev)) == len(dev.class_whitelist)
+        assert set(labeled_labels(dev)) == set(dev.class_whitelist)
 
 
 def test_partition_fully_labeled_edge():
     u = small_universe(seed=10)
     devices = partition(u, 4, samples_per_device=30, labeled_fraction=1.0, seed=10)
     for dev in devices:
-        assert len(dev.labeled) == 30
+        assert len(dev.train) + len(dev.holdout) == 30
         assert dev.unlabeled_features.shape[0] == 0
         assert dev.injected_fraction == 1.0
         assert dev.unlabeled_remaining == 0
@@ -149,11 +155,12 @@ def test_partition_deterministic_and_seed_sensitive():
     b = partition(u, 5, 40, 0.1, seed=3)
     c = partition(u, 5, 40, 0.1, seed=4)
     for x, y in zip(a, b):
-        assert np.array_equal(x.labeled.features, y.labeled.features)
+        for part in ("train", "holdout"):
+            assert np.array_equal(getattr(x, part).features, getattr(y, part).features)
+            assert np.array_equal(getattr(x, part).labels, getattr(y, part).labels)
         assert np.array_equal(x.unlabeled_features, y.unlabeled_features)
-        assert np.array_equal(x.holdout_indices, y.holdout_indices)
         assert np.array_equal(x.test.features, y.test.features)
-    assert not np.array_equal(a[0].labeled.features, c[0].labeled.features)
+    assert not np.array_equal(a[0].train.features, c[0].train.features)
 
 
 def test_partition_prefix_stable_in_device_count():
@@ -162,19 +169,41 @@ def test_partition_prefix_stable_in_device_count():
     short = partition(u, 3, 40, 0.1, seed=5)
     longer = partition(u, 7, 40, 0.1, seed=5)
     for x, y in zip(short, longer):
-        assert np.array_equal(x.labeled.features, y.labeled.features)
+        assert np.array_equal(x.train.features, y.train.features)
+        assert np.array_equal(x.holdout.features, y.holdout.features)
         assert np.array_equal(x.unlabeled_features, y.unlabeled_features)
 
 
 def test_holdout_and_train_batch_partition_labeled_pool():
     u = small_universe(seed=14)
     devices = partition(u, 2, 100, 0.2, seed=14, holdout_fraction=0.2)
-    for dev in devices:
-        assert len(dev.holdout_batch()) == 4
+    # The labeled rows are drawn before the holdout, so without one the
+    # train batch is the whole labeled pool in draw order.
+    whole = partition(u, 2, 100, 0.2, seed=14, holdout_fraction=0.0)
+    for dev, pool in zip(devices, whole):
+        assert len(dev.holdout) == 4 and len(pool.holdout) == 0
         train = dev.train_batch()
         assert len(train) == 16
-        both = np.vstack([train.features, dev.holdout_batch().features])
-        assert sorted(map(tuple, both)) == sorted(map(tuple, dev.labeled.features))
+        assert np.array_equal(train.features, dev.train.features)
+        rows = [tuple(r) for r in pool.train.features]
+        held = [rows.index(tuple(r)) for r in dev.holdout.features]
+        assert held == sorted(set(held))
+        for got, part in ((train, "features"), (dev.train, "labels")):
+            want = np.delete(getattr(pool.train, part), held, axis=0)
+            assert np.array_equal(getattr(got, part), want)
+        assert np.array_equal(dev.holdout.labels, pool.train.labels[held])
+
+
+def test_labeled_rows_and_pool_are_views_of_one_array():
+    u = small_universe(seed=14)
+    for dev in partition(u, 3, 100, 0.2, seed=14, holdout_fraction=0.2):
+        rows = dev.train.features.base
+        parts = (dev.train.features, dev.holdout.features, dev.unlabeled_features)
+        assert all(len(p) for p in parts)
+        assert all(np.shares_memory(rows, p) for p in parts)
+        # Each row is stored once: the parts tile the array in order.
+        assert rows.shape[0] == sum(len(p) for p in parts)
+        assert np.array_equal(rows, np.vstack(parts))
 
 
 def test_train_batch_includes_injections_in_pool_order():
@@ -198,7 +227,7 @@ def check_counts_match_mask(dev):
     assert dev.unlabeled_remaining == int((~mask).sum())
     want = float(mask.mean()) if mask.size else 1.0
     assert type(dev.injected_fraction) is float and dev.injected_fraction == want
-    assert dev.train_size == len(dev.keep) + int(mask.sum()) == len(dev.train_batch())
+    assert dev.train_size == len(dev.train) + int(mask.sum()) == len(dev.train_batch())
     truth = dev.hidden_truth[mask]
     known = truth >= 0
     assert dev.n_known == int(known.sum())
@@ -208,8 +237,8 @@ def check_counts_match_mask(dev):
 def reference_train_batch(dev):
     idx = np.flatnonzero(dev.injected_labels >= 0)
     return (
-        np.vstack([dev.labeled.features[dev.keep], dev.unlabeled_features[idx]]),
-        np.concatenate([dev.labeled.labels[dev.keep], dev.injected_labels[idx]]),
+        np.vstack([dev.train.features, dev.unlabeled_features[idx]]),
+        np.concatenate([dev.train.labels, dev.injected_labels[idx]]),
     )
 
 
@@ -248,11 +277,33 @@ def test_inject_rejects_a_negative_label():
         assert dev.n_injected == 0 and np.all(dev.injected_labels == -1)
 
 
+def test_inject_rejects_a_repeated_or_injected_position_and_changes_nothing():
+    train = LabeledBatch(np.zeros((2, 2)), np.array([0, 1]))
+    dev = DeviceDataset(0, train, train.subset(np.array([], dtype=int)), np.zeros((4, 2)),
+                        np.array([0, 1, 0, 1]), 0, (0, 1), train)
+
+    def state():
+        return dev.n_injected, dev.n_known, dev.n_correct, dev.injected_labels.tolist()
+
+    dev.inject([3], [1])
+    before = state()
+    assert before == (1, 1, 1, [-1, -1, -1, 1])
+    for indices, labels, error in (([3], [0], StateError), ([2, 2], [0, 0], ValueError),
+                                   ([4], [0], ValueError), ([-1], [0], ValueError),
+                                   ([2, 3], [0, 0], StateError)):
+        with pytest.raises(error):
+            dev.inject(indices, labels)
+        assert state() == before
+    dev.inject([2, 0], [0, 1])
+    assert state() == (3, 3, 2, [1, -1, 0, 1])
+
+
 def test_injected_fraction_is_the_rounded_mean_for_every_count():
     def device(size):
         return DeviceDataset(
-            0, LabeledBatch(np.zeros((2, 2)), np.array([0, 1])), np.zeros((size, 2)),
-            np.zeros(size, dtype=np.int64), 0, (0, 1), np.array([], dtype=np.int64),
+            0, LabeledBatch(np.zeros((2, 2)), np.array([0, 1])),
+            LabeledBatch(np.zeros((0, 2)), np.array([], dtype=np.int64)), np.zeros((size, 2)),
+            np.zeros(size, dtype=np.int64), 0, (0, 1),
             LabeledBatch(np.zeros((1, 2)), np.array([0])),
         )
 
@@ -282,8 +333,8 @@ def test_train_batch_equals_its_definition_with_and_without_injections():
         assert train.features.dtype == feats.dtype and train.labels.dtype == labels.dtype
         assert np.array_equal(train.features, feats) and np.array_equal(train.labels, labels)
         # Callers own the batch: it shares no memory with the pools.
-        assert not np.shares_memory(train.features, dev.labeled.features)
-        assert not np.shares_memory(train.labels, dev.labeled.labels)
+        assert not np.shares_memory(train.features, dev.train.features)
+        assert not np.shares_memory(train.labels, dev.train.labels)
         check_counts_match_mask(dev)
 
 
@@ -306,17 +357,19 @@ def test_train_batches_are_slices_of_one_table():
 
 def test_device_dataset_rejects_whitelist_violation():
     bad = LabeledBatch(np.zeros((1, 2)), np.array([3]))
-    with pytest.raises(ValueError):
-        DeviceDataset(
-            device_id=0,
-            labeled=bad,
-            unlabeled_features=np.zeros((0, 2)),
-            hidden_truth=np.zeros(0, dtype=int),
-            distribution_id=0,
-            class_whitelist=(0, 1),
-            holdout_indices=np.zeros(0, dtype=int),
-            test=bad.subset(np.array([], dtype=int)),
-        )
+    good = LabeledBatch(np.zeros((1, 2)), np.array([1]))
+    for train, holdout in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="outside whitelist"):
+            DeviceDataset(
+                device_id=0,
+                train=train,
+                holdout=holdout,
+                unlabeled_features=np.zeros((0, 2)),
+                hidden_truth=np.zeros(0, dtype=int),
+                distribution_id=0,
+                class_whitelist=(0, 1),
+                test=good,
+            )
 
 
 # ---------------------------------------------------------------- csv

@@ -200,7 +200,7 @@ def feature_spread(sim):
     the mean of its (distribution, class) group over all devices."""
     groups = {}
     for dev in sim.devices:
-        for batch in (dev.labeled, dev.test):
+        for batch in (dev.train, dev.holdout, dev.test):
             for row, label in zip(batch.features, batch.labels):
                 groups.setdefault((dev.distribution_id, int(label)), []).append(row)
     sq = [((np.array(rows) - np.mean(rows, axis=0)) ** 2).sum(axis=1) for rows in groups.values()]
@@ -578,7 +578,7 @@ baseline = hfl-ssl
     )
     res = run_experiment(override(cfg, {"run.out_dir": str(tmp_path / "out")}))
     sim = res.sim
-    assert [len(d.labeled) for d in sim.devices] == [4, 4]
+    assert [len(d.train) + len(d.holdout) for d in sim.devices] == [4, 4]
     assert [d.unlabeled_features.shape[0] for d in sim.devices] == [2, 2]
     assert all(d.distribution_id == -1 for d in sim.devices)
     # phi=0 labels the whole pool at round 1, but truth is unknown so
@@ -622,18 +622,30 @@ baseline = hfl-ssl
     for k, dev in enumerate(sim.devices):
         # Round-robin deal in file order, separately for the two kinds.
         own = list(range(k, labeled_rows, n_devices))
-        assert dev.labeled.features.tolist() == [[float(j), float(-j)] for j in own]
-        assert dev.labeled.labels.tolist() == [j % 3 for j in own]
+        # Train and holdout each keep file order and together hold the
+        # device's labeled rows.
+        dealt = [int(x) for x in np.r_[dev.train.features[:, 0], dev.holdout.features[:, 0]]]
+        assert sorted(dealt) == own
+        for part in (dev.train, dev.holdout):
+            rows = [int(x) for x in part.features[:, 0]]
+            assert rows == sorted(rows)
+            assert part.features.tolist() == [[float(j), float(-j)] for j in rows]
+            assert part.labels.tolist() == [j % 3 for j in rows]
         pool = list(range(k, pool_rows, n_devices))
         assert dev.unlabeled_features.tolist() == [[100.0 + j, 0.5] for j in pool]
         assert dev.hidden_truth.tolist() == [-1] * len(pool)
         # The holdout doubles as the test set.
-        assert len(dev.holdout_indices) == 2
-        assert np.array_equal(dev.test.features, dev.holdout_batch().features)
-        assert np.array_equal(dev.test.labels, dev.holdout_batch().labels)
-    # Without a holdout the whole labeled set is the test set.
+        assert len(dev.holdout) == 2
+        assert np.array_equal(dev.test.features, dev.holdout.features)
+        assert np.array_equal(dev.test.labels, dev.holdout.labels)
+    # Without a holdout the whole labeled set, in file order, trains and
+    # is the test set.
     no_holdout = build_simulation(override(cfg, {"data.holdout_fraction": 0.0}))
-    assert all(np.array_equal(d.test.features, d.labeled.features) for d in no_holdout.devices)
+    for k, d in enumerate(no_holdout.devices):
+        own = range(k, labeled_rows, n_devices)
+        assert len(d.holdout) == 0
+        assert d.train.features.tolist() == [[float(j), float(-j)] for j in own]
+        assert np.array_equal(d.test.features, d.train.features)
 
     runs = [run_experiment(override(cfg, {"run.out_dir": str(tmp_path / name)}))
             for name in ("a", "b")]

@@ -23,17 +23,20 @@ from references import record_pool_passes, zero_params
 from cfsl.network import compute_time
 
 
-def device_with_pool(seed=0, labeled_fraction=0.25, samples=40, classes=4, dists=2):
+def device_with_pool(seed=0, labeled_fraction=0.25, samples=40, classes=4, dists=2,
+                     holdout_fraction=0.2):
     data = DataConfig(distributions=dists, classes=classes, features=3,
-                      samples_per_device=samples, labeled_fraction=labeled_fraction)
+                      samples_per_device=samples, labeled_fraction=labeled_fraction,
+                      holdout_fraction=holdout_fraction)
     u = make_task_universe(data, seed)
     return u, partition_devices(u, data, 2, seed)
 
 
 def trained_on(device, universe, steps=60, seed=0):
     """A model fitted to the device's own distribution via its full truth."""
-    feats = np.vstack([device.labeled.features, device.unlabeled_features])
-    labs = np.concatenate([device.labeled.labels, device.hidden_truth])
+    feats = np.vstack([device.train.features, device.holdout.features,
+                       device.unlabeled_features])
+    labs = np.concatenate([device.train.labels, device.holdout.labels, device.hidden_truth])
     batch = LabeledBatch(feats, labs)
     p = zero_params(universe.dim, universe.n_classes)
     return sgd_train([p], [batch], epochs=steps, batch_size=64, lr=0.5, seeds=[seed])[0]
@@ -120,9 +123,9 @@ def test_utility_deterministic():
 
 
 def test_utility_empty_holdout_falls_back(caplog):
-    u, devices = device_with_pool(seed=6)
+    u, devices = device_with_pool(seed=6, holdout_fraction=0.0)
     dev = devices[0]
-    dev.holdout_indices = np.array([], dtype=int)
+    assert len(dev.holdout) == 0 and len(dev.train) == 10
     model = trained_on(dev, u)
 
     def warnings():
@@ -137,7 +140,7 @@ def test_utility_empty_holdout_falls_back(caplog):
                               dev.pending_features()[1])
             assert warnings() == n_calls
     assert 0.0 <= val_accuracy <= 1.0
-    assert val_accuracy == evaluate([model], [dev.labeled])[0]
+    assert val_accuracy == evaluate([model], [dev.train])[0]
 
 
 # ---------------------------------------------------------------- selection
@@ -209,7 +212,7 @@ def test_inject_moves_counts_per_sum_rule():
     assert dev.labeled_size == 10 + 5
     assert dev.unlabeled_remaining == pool_before - 5
     # Conservation: originals plus pool size never change.
-    assert len(dev.labeled) + dev.injected_labels.size == 40
+    assert len(dev.train) + len(dev.holdout) + dev.injected_labels.size == 40
 
 
 def test_inject_empty_batch_is_noop():

@@ -90,13 +90,13 @@ def ref_utility(
     remaining pool on this device's CPU; it depends on the device, not
     the model, so it only matters as a documented tie-break dimension.
     """
-    holdout = device.holdout_batch()
+    holdout = device.holdout
     if len(holdout) == 0:
         log.warning(
             "device %d: empty holdout, scoring val_accuracy on the full labeled set",
             device.device_id,
         )
-        holdout = device.labeled
+        holdout = device.train
     val_acc = ref_evaluate(model, holdout)
 
     _, pending = device.pending_features()
@@ -159,15 +159,19 @@ def make_device(rng, d, c, n_labeled=10, n_pool=60, n_holdout=4, rounded=False):
     pool = rng.normal(size=(n_pool, d))
     if rounded:
         feats, pool = np.round(feats, 1), np.round(pool, 1)
+    device_id = int(rng.integers(0, 100))
+    hidden_truth = rng.integers(0, c, size=n_pool)
+    held = np.sort(rng.choice(n_labeled, size=n_holdout, replace=False))
+    labeled = LabeledBatch(feats, labels)
     return DeviceDataset(
-        device_id=int(rng.integers(0, 100)),
-        labeled=LabeledBatch(feats, labels),
+        device_id=device_id,
+        train=labeled.subset(np.setdiff1d(np.arange(n_labeled), held)),
+        holdout=labeled.subset(held),
         unlabeled_features=pool,
-        hidden_truth=rng.integers(0, c, size=n_pool),
+        hidden_truth=hidden_truth,
         distribution_id=0,
         class_whitelist=tuple(range(c)),
-        holdout_indices=np.sort(rng.choice(n_labeled, size=n_holdout, replace=False)),
-        test=LabeledBatch(feats, labels),
+        test=labeled,
     )
 
 
