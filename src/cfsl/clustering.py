@@ -8,6 +8,7 @@ cosine similarity, and tracks the resulting tree of specialized models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import StateError
 from .models import ModelParams
 
-EXHAUSTIVE_LIMIT = 15
+EXACT_LIMIT = 15
 
 
 def _cosine(a: np.ndarray, b: np.ndarray, na, nb) -> float:
@@ -90,27 +91,61 @@ def check_split_conditions(gradients: dict, sample_weights: dict, eps1: float, e
     return SplitCheck(agg_norm < eps1 and max_norm > eps2, agg_norm, max_norm)
 
 
-def _exhaustive_bipartition(values: np.ndarray, n: int):
-    # Index 0 stays in c1, so each unordered bipartition appears once: mask
-    # bit k puts index k + 1 in c1, and the all-ones mask (empty c2) is out.
-    masks = np.arange((1 << (n - 1)) - 1)
-    bits = np.arange(n - 1)
-    cross = np.empty(masks.size)
-    size = np.empty(masks.size, dtype=np.int64)
-    # Chunked so the (chunk, n, n) temporary stays near 1 MiB.
-    step = max(1, (1 << 17) // (n * n))
-    for lo in range(0, masks.size, step):
-        c1 = np.ones((min(step, masks.size - lo), n), dtype=bool)
-        c1[:, 1:] = (masks[lo:lo + step, None] >> bits) & 1
-        to_c2 = np.where(~c1[:, None, :], values, -np.inf).max(axis=2)
-        cross[lo:lo + step] = np.where(c1, to_c2, -np.inf).max(axis=1)
-        size[lo:lo + step] = c1.sum(axis=1)
-    tied = np.flatnonzero(cross == cross.min())
-    imbalance = np.abs(2 * size[tied] - n)
-    tied = tied[imbalance == imbalance.min()]
-    c1 = min((0,) + tuple(k + 1 for k in range(n - 1) if m >> k & 1) for m in tied.tolist())
-    c2 = tuple(i for i in range(n) if i not in c1)
-    return c1, c2
+def _exact_bipartition(values: np.ndarray, n: int):
+    # The smallest cross similarity t any split reaches: a Prim-style greedy
+    # grows c1 from index 0 along its strongest out-edge. Each set it grows
+    # through has that edge as its cross similarity, and it leaves any other
+    # c1 first along an edge no stronger than that c1's cross similarity.
+    reach, grown, t = values[0].copy(), np.zeros(n, dtype=bool), math.inf
+    grown[0] = True
+    for _ in range(n - 1):
+        reach[grown] = -math.inf
+        j = int(np.argmax(reach))
+        t = min(t, float(reach[j]))
+        grown[j] = True
+        np.maximum(reach, values[j], out=reach)
+    # A c1 reaches t exactly when no edge stronger than t leaves it: down[i]
+    # is what c1 must hold if it holds i, up[i] what it must lack if it
+    # lacks i, as bit masks of the transitive closure (squaring doubles the
+    # path lengths it covers).
+    closure = values > t
+    np.fill_diagonal(closure, True)
+    for _ in range(n.bit_length()):
+        closure = closure @ closure
+    bits = 1 << np.arange(n)
+    down, up = (closure @ bits).tolist(), (bits @ closure).tolist()
+    memo = {0: 1}
+
+    def sizes(free):
+        # Bit s is set when a closed part of the undecided set `free` has s
+        # members: with its lowest member i (and down[i]) or without it
+        # (and without up[i]).
+        if free not in memo:
+            i = (free & -free).bit_length() - 1
+            with_i = sizes(free & ~down[i]) << (free & down[i]).bit_count()
+            memo[free] = with_i | sizes(free & ~up[i])
+        return memo[free]
+
+    c1 = down[0]
+    free = (1 << n) - 1 & ~c1
+    fits = sizes(free) << c1.bit_count() & (1 << n) - 2
+    imbalance = min(abs(2 * s - n) for s in range(n) if fits >> s & 1)
+    allowed = sum(1 << s for s in range(1, n) if abs(2 * s - n) == imbalance)
+    # Decide indices in order, taking each one when a tied c1 still holds
+    # it; a c1 of an allowed size that lies below i is the prefix of every
+    # other one, so it wins.
+    for i in range(1, n):
+        if not free >> i & 1:
+            continue
+        if c1 >> i == 0 and allowed >> c1.bit_count() & 1:
+            break
+        take = c1 | down[i]
+        if sizes(free & ~down[i]) << take.bit_count() & allowed:
+            c1, free = take, free & ~down[i]
+        else:
+            free &= ~up[i]
+    return (tuple(i for i in range(n) if c1 >> i & 1),
+            tuple(i for i in range(n) if not c1 >> i & 1))
 
 
 def _complete_linkage_bipartition(values: np.ndarray, n: int):
@@ -143,10 +178,17 @@ def bipartition(sim: SimilarityMatrix):
     """Split the device set in two, minimizing the largest cross-pair
     similarity; c1 holds the lowest device id.
 
-    Up to 15 devices the search is exact: every bipartition is scored by
-    (largest similarity from c1 to c2, size imbalance, c1 as a sorted index
-    tuple) and the smallest key wins. The masks are scored with numpy in
-    chunks, O(2^n * n^2) work. Beyond 15 devices, complete-linkage
+    Up to 15 devices the split is exact: of all bipartitions it has the
+    smallest key (largest similarity from a c1 row to a c2 column, size
+    imbalance, c1 as a sorted index tuple), found without trying them. Its
+    cross similarity t is the weakest edge that a Prim-style pass from
+    index 0 picks: a maximum-spacing cut (Kleinberg & Tardos, Algorithm
+    Design, 2005, 4.7). The splits that reach t are the sets holding index
+    0 that no similarity above t leaves, unions of strongly connected
+    components of {v > t}; a subset sum over them picks the key's winner.
+    For a symmetric matrix that is O(n^2) steps plus floor(log2 n) + 1
+    Boolean matrix products for the closure; asymmetric input may branch,
+    at worst as often as a full search. Beyond 15 devices, complete-linkage
     agglomeration on distance 1 - similarity runs until two clusters remain,
     with a Lance-Williams distance-matrix update: O(n^2) work per merge step.
     Linkage ties merge the pair whose smallest members are smallest, which
@@ -157,8 +199,8 @@ def bipartition(sim: SimilarityMatrix):
         raise ValueError("bipartition needs at least 2 devices")
     if not np.all(np.isfinite(sim.values)):
         raise ValueError("bipartition needs finite similarities")
-    if n <= EXHAUSTIVE_LIMIT:
-        i1, i2 = _exhaustive_bipartition(sim.values, n)
+    if n <= EXACT_LIMIT:
+        i1, i2 = _exact_bipartition(sim.values, n)
     else:
         i1, i2 = _complete_linkage_bipartition(sim.values, n)
     c1 = tuple(sim.ids[i] for i in i1)

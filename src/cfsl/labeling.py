@@ -7,9 +7,10 @@ threshold. Injected labels are frozen; the device's training workload
 grows accordingly, which feeds back into scheduling.
 
 A selection reads the holdout and the pool once for all candidates and
-scores their holdout accuracy in one stacked pass. Accuracy ranks first,
-so only the contenders, the candidates tied at the best accuracy, can be
-chosen; only they run over the pool, in one stacked pass, to get their
+scores their holdout accuracy in one stacked pass (`holdout_accuracies`
+scores the devices that share a candidate set together). Accuracy ranks
+first, so only the contenders, the candidates tied at the best accuracy,
+can be chosen; only they run over the pool, in one stacked pass, to get their
 coverage. The contenders rank by coverage, then by the lowest model id.
 The selection hands back the chosen model's id, holdout accuracy and
 coverage, whose product enters the reported objective, and its pool
@@ -20,13 +21,21 @@ model again.
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DeviceDataset
 from .errors import StateError
-from .models import ModelParams, confidences, evaluate
+from .models import (
+    STACK_CHUNK,
+    LabeledBatch,
+    ModelParams,
+    accuracy_grid,
+    confidences,
+    evaluate,
+)
 
 log = logging.getLogger(__name__)
 
@@ -87,28 +96,55 @@ def pseudo_label(
     )
 
 
-def select_best_model(device: DeviceDataset, candidates: dict, phi: float, pool: np.ndarray):
+def _scored_holdout(device: DeviceDataset) -> LabeledBatch:
+    """The rows a selection scores holdout accuracy on: the holdout, or the
+    train rows, with a warning, when the holdout is empty."""
+    if len(device.holdout):
+        return device.holdout
+    log.warning(
+        "device %d: empty holdout, scoring val_accuracy on the full labeled set",
+        device.device_id,
+    )
+    return device.train
+
+
+def holdout_accuracies(devices: list, candidates: dict) -> list:
+    """Each device's holdout accuracy of every candidate, in candidate
+    order, as `select_best_model` scores it alone: one `accuracy_grid` pass
+    per holdout length and chunk of STACK_CHUNK devices."""
+    holdouts = [_scored_holdout(dev) for dev in devices]
+    by_length = defaultdict(list)
+    for j, batch in enumerate(holdouts):
+        by_length[len(batch)].append(j)
+    out = [None] * len(devices)
+    for group in by_length.values():
+        for lo in range(0, len(group), STACK_CHUNK):
+            chunk = group[lo : lo + STACK_CHUNK]
+            grid = accuracy_grid(list(candidates.values()), [holdouts[j] for j in chunk])
+            for j, column in zip(chunk, grid.T.tolist()):
+                out[j] = column
+    return out
+
+
+def select_best_model(device: DeviceDataset, candidates: dict, phi: float, pool: np.ndarray,
+                      accuracy: list | None = None):
     """Pick exactly one candidate model for this device.
 
-    Every candidate's holdout accuracy is scored in one stacked pass. Only
-    the contenders, the candidates tied at the best accuracy, can win, so
-    only they run over `pool`, the device's pending features
-    (`device.pending_features()[1]`), in one stacked pass in candidate
-    order; row k of a stacked pass has the bits model k gets alone. The
-    contenders rank by coverage descending, then by model id ascending.
-    Returns (model id, holdout accuracy, coverage, (classes, confidences)
-    over the pool) of the chosen model; `pseudo_label` takes the last.
+    Every candidate's holdout accuracy is scored in one stacked pass, unless
+    `accuracy` gives them, in candidate order, as `holdout_accuracies`
+    returns them. Only the contenders, the candidates tied at the best
+    accuracy, can win, so only they run over `pool`, the device's pending
+    features (`device.pending_features()[1]`), in one stacked pass in
+    candidate order; row k of a stacked pass has the bits model k gets
+    alone. The contenders rank by coverage descending, then by model id
+    ascending. Returns (model id, holdout accuracy, coverage, (classes,
+    confidences) over the pool) of the chosen model; `pseudo_label` takes
+    the last.
     """
     if not candidates:
         raise StateError(f"device {device.device_id}: no candidate models to select from")
-    holdout = device.holdout
-    if len(holdout) == 0:
-        log.warning(
-            "device %d: empty holdout, scoring val_accuracy on the full labeled set",
-            device.device_id,
-        )
-        holdout = device.train
-    accuracy = evaluate(list(candidates.values()), holdout)
+    if accuracy is None:
+        accuracy = evaluate(list(candidates.values()), _scored_holdout(device))
     best = max(accuracy)
     contenders = [mid for mid, acc in zip(candidates, accuracy) if acc == best]
     classes, conf = confidences([candidates[mid] for mid in contenders], pool)

@@ -35,12 +35,17 @@ at each step position, each run of devices whose minibatch has the same
 size takes one ``_grads`` step through views of its slice of the ``(K, P)``
 weights.
 
-Callers stack at most ``STACK_CHUNK`` (16) devices at a time, because
-stacking copies each device's rows once more: on fedavg-128 (128 MLP
-devices), one stack of all of them raised peak RSS from 45 to 55 MiB, and
-chunks of 16 keep it at 46.5 MiB for 8% less speed. Train batches are
-gathered per chunk (``data.train_batches``), not cached: caching copies
-every injected row for the life of the run.
+Training takes one stack per round: every participating device goes into
+one ``sgd_train`` call, which copies each device's rows once more. Against
+chunks of 16, the benchmark's peak RSS (seed 0, two runs each, one core)
+went from 46.4 to 48.7 MiB on fedavg-128 (64 MLP devices train per round),
+74.9 to 75.3 MiB on selflabel-64 and 65.4 to 66.5 MiB on split-512.
+Scoring callers stack at most ``STACK_CHUNK`` (16) devices at a time: they
+score up to every device of the run, and one ``accuracy_grid`` pass over
+all 512 devices of split-512 against 61 candidates raised one replica's
+peak RSS from 55 to 65.5 MiB. Train batches are gathered per call
+(``data.train_batches``), not cached: caching copies every injected row
+for the life of the run.
 
 Class-major softmax. The ``(n, c)`` logits are transposed to ``(c, n)``, so
 that each softmax step is a few long vector operations instead of n
@@ -78,7 +83,7 @@ import numpy as np
 
 BITS_PER_PARAMETER = 32
 
-# Devices per stacked pass (see the module docstring).
+# Devices per stacked scoring pass (see the module docstring).
 STACK_CHUNK = 16
 
 # Values per block of the class-major softmax in `confidences` (see the
@@ -404,20 +409,35 @@ def _stacked_logits(models, features: np.ndarray, caller: str) -> np.ndarray:
     return _logits(first.hidden, _unpack(first, np.stack([m.weights for m in models])), x)[0]
 
 
+def accuracy_grid(models, batches) -> np.ndarray:
+    """(K, D) accuracies of K same-shape models on each of D nonempty
+    batches of one length (the holdouts of the devices that share a
+    candidate set), in one broadcast matmul of (K, 1, d, c) weights against
+    (1, D, n, d) rows: entry (k, j) has the bits `evaluate([models[k]],
+    batches[j])` gets, since every (model, batch) pair keeps its own
+    (n, d) @ (d, c) BLAS call and the softmax works row by row."""
+    first = _first_model(models, "evaluate")
+    if not batches or len(batches[0]) == 0:
+        raise ValueError("evaluate requires a nonempty batch")
+    if any(len(b) != len(batches[0]) for b in batches):
+        raise ValueError("accuracy_grid needs batches of one length")
+    x = np.stack([_check_features(first, b.features) for b in batches])
+    labels = _check_labels(first, np.stack([b.labels for b in batches]))
+    weights = np.stack([m.weights for m in models])[:, None]
+    z = _logits(first.hidden, _unpack(first, weights), x)[0]
+    return (_softmax(z).argmax(axis=-1) == labels).mean(axis=-1)
+
+
 def evaluate(models, batches) -> list:
     """Accuracy of each (model, batch) pair: the fraction of argmax
     predictions matching the labels, ties to the lowest class id (see
     "Ragged stacks").
 
     `batches` may also be one LabeledBatch, a selection's holdout, which
-    every model is scored on; that form is the faster one on so few rows
-    (see the module docstring)."""
+    every model is scored on (`accuracy_grid` with one batch); that form
+    is the faster one on so few rows (see the module docstring)."""
     if isinstance(batches, LabeledBatch):
-        if len(batches) == 0:
-            raise ValueError("evaluate requires a nonempty batch")
-        z = _stacked_logits(models, batches.features, "evaluate")
-        _check_labels(models[0], batches.labels)
-        return (_softmax(z).argmax(axis=-1) == batches.labels).mean(axis=-1).tolist()
+        return accuracy_grid(models, [batches])[:, 0].tolist()
     _, z, y, rows, _ = _logit_table(models, batches, "evaluate")
     hits = _top_class(_softmax_columns(z))[0] == y
     # Exact counts: count / n is rounded once, as the mean of the bools is.

@@ -31,6 +31,7 @@ from .config import ExperimentConfig
 from .data import train_batches
 from .errors import StateError
 from .labeling import (
+    holdout_accuracies,
     inject,
     labeling_accuracy,
     objective_value,
@@ -92,8 +93,20 @@ def edge_aggregate(models: list, weights: list) -> ModelParams:
     wn = w / w.sum()
     acc = np.zeros_like(first.weights)
     for wi, m in zip(wn, models):
-        acc = acc + wi * m.weights
+        acc += wi * m.weights
     return first.with_weights(acc)
+
+
+def _in_sorted_chunks(score, n: int, key) -> list:
+    """score(indices) of the indices 0 .. n - 1, taken in chunks of
+    STACK_CHUNK in order of key, as one list in index order."""
+    order = sorted(range(n), key=key)
+    out = [None] * n
+    for i in range(0, n, STACK_CHUNK):
+        chunk = order[i : i + STACK_CHUNK]
+        for k, value in zip(chunk, score(chunk)):
+            out[k] = value
+    return out
 
 
 # Types `jsonable` returns as they are.
@@ -262,34 +275,32 @@ class Simulation:
 
     def _train(self, starts: dict, r: int) -> dict:
         """{device: model}: each device of `starts` trained locally in round
-        r from its start model, stacked over chunks of devices in order of
-        train size, longest first (`sgd_train` takes ragged stacks)."""
+        r from its start model, all in one ragged stack (`sgd_train` runs
+        them longest first)."""
         tr = self.config.model
-        ids = sorted(starts, key=lambda k: -self.devices[k].train_size)
-        trained = {}
-        for i in range(0, len(ids), STACK_CHUNK):
-            chunk = ids[i : i + STACK_CHUNK]
-            trained.update(zip(chunk, sgd_train(
-                [starts[k] for k in chunk], train_batches([self.devices[k] for k in chunk]),
-                tr.epochs, tr.batch_size, tr.learning_rate,
-                [training_seed(self.config.run.seed, r, k) for k in chunk],
-            )))
-        return trained
+        ids = list(starts)
+        if not ids:
+            return {}
+        return dict(zip(ids, sgd_train(
+            [starts[k] for k in ids], train_batches([self.devices[k] for k in ids]),
+            tr.epochs, tr.batch_size, tr.learning_rate,
+            [training_seed(self.config.run.seed, r, k) for k in ids],
+        )))
 
     def _split_signals(self, node, members: list, r: int) -> dict:
         """{member: flat vector} in the order of `members`: the gradient of
         the cluster's model on each member's train batch, one stacked call
-        per chunk of members, or with `use_weight_deltas` each member's
+        per chunk of members taken in order of train size (so that equal
+        lengths share a matmul), or with `use_weight_deltas` each member's
         weight change from local training."""
         if self.config.clustering.use_weight_deltas:
             after = self._train(dict.fromkeys(members, node.model), r)
             return {k: node.model.weights - after[k].weights for k in members}
-        grads = {}
-        for i in range(0, len(members), STACK_CHUNK):
-            chunk = members[i : i + STACK_CHUNK]
-            batches = train_batches([self.devices[k] for k in chunk])
-            grads.update(zip(chunk, gradient([node.model] * len(chunk), batches)))
-        return grads
+        devices = [self.devices[k] for k in members]
+        grads = _in_sorted_chunks(
+            lambda js: gradient([node.model] * len(js), train_batches([devices[j] for j in js])),
+            len(devices), key=lambda j: devices[j].train_size)
+        return dict(zip(members, grads))
 
     # ------------------------------------------------------------ round
 
@@ -394,15 +405,25 @@ class Simulation:
     def _labeling_phase(self, r: int):
         ssl = self.config.ssl
         candidates_of_edge = self._candidate_models(r)
-        for dev in self.devices:
-            k = dev.device_id
-            if not self._label_trigger(k, r):
-                continue
-            candidates = candidates_of_edge[self.radios[k].edge_id]
-            if not candidates:
-                continue
+        # The triggered devices with candidates, in device order.
+        candidates_of = {}
+        for k, radio in enumerate(self.radios):
+            if candidates_of_edge[radio.edge_id] and self._label_trigger(k, r):
+                candidates_of[k] = candidates_of_edge[radio.edge_id]
+        # Holdout accuracies first, no injection changes them: one pass per
+        # set of candidate ids over every device that has it.
+        sharing = defaultdict(list)
+        for k, candidates in candidates_of.items():
+            sharing[tuple(candidates)].append(k)
+        accuracy = {}
+        for ids in sharing.values():
+            accuracy.update(zip(ids, holdout_accuracies(
+                [self.devices[k] for k in ids], candidates_of[ids[0]])))
+        for k, candidates in candidates_of.items():
+            dev = self.devices[k]
             idx, feats = dev.pending_features()
-            mid, acc, cov, predictions = select_best_model(dev, candidates, ssl.phi, feats)
+            mid, acc, cov, predictions = select_best_model(
+                dev, candidates, ssl.phi, feats, accuracy[k])
             self.last_label_round[k] = r
             self.utilities[k] = acc * cov
             self._event({
@@ -525,14 +546,19 @@ class Simulation:
             self._event(event)
 
     def _emit_metrics(self, r: int, drops: int, clusters: int) -> MetricsRow:
-        # Test accuracy and train loss, one stacked call each per chunk of
-        # devices in device order, each device under its own model.
-        accs, losses = [], []
-        for i in range(0, len(self.devices), STACK_CHUNK):
-            chunk = self.devices[i : i + STACK_CHUNK]
-            models = [self._model_of(self.tree.cluster_of(d.device_id)) for d in chunk]
-            accs += evaluate(models, [d.test for d in chunk])
-            losses += loss(models, train_batches(chunk))
+        # Test accuracy and train loss of each device under its own model,
+        # the devices sorted by (model, batch length) so that the pairs of
+        # one model and one length share a matmul.
+        devices = self.devices
+        nodes = [self.tree.cluster_of(d.device_id) for d in devices]
+        models = [self._model_of(n) for n in nodes]
+        group = [n.cluster_id if self.tree.is_specialized(n) else GLOBAL_MODEL_ID for n in nodes]
+        accs = _in_sorted_chunks(
+            lambda ks: evaluate([models[k] for k in ks], [devices[k].test for k in ks]),
+            len(devices), key=lambda k: (group[k], len(devices[k].test)))
+        losses = _in_sorted_chunks(
+            lambda ks: loss([models[k] for k in ks], train_batches([devices[k] for k in ks])),
+            len(devices), key=lambda k: (group[k], devices[k].train_size))
         device_losses = dict(zip((d.device_id for d in self.devices), losses))
 
         for node in self.tree.active_leaves():

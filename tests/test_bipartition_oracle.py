@@ -1,9 +1,10 @@
-"""Both bipartition paths against reference copies of the loop
-implementations they replaced.
+"""Both bipartition paths against reference copies of the implementations
+they replaced.
 
-`references.exhaustive_bipartition` and `_complete_linkage_bipartition`
-below are the original pure-Python versions, kept verbatim as oracles. The
-vectorized paths must return the same partitions, not only the same
+`references.exhaustive_bipartition` (a search over every bipartition) and
+`_complete_linkage_bipartition` below are the original pure-Python
+versions, kept verbatim as oracles. The exact O(n^2) path and the
+vectorized linkage must return the same partitions, not only the same
 objective: a different partition at an exact tie would change a run's
 artifacts.
 """
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from cfsl import clustering
-from cfsl.clustering import EXHAUSTIVE_LIMIT, SimilarityMatrix, bipartition
+from cfsl.clustering import EXACT_LIMIT, SimilarityMatrix, bipartition
 from references import exhaustive_bipartition
 
 
@@ -70,11 +71,26 @@ def make_values(kind: str, n: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("n", range(2, EXHAUSTIVE_LIMIT + 1))
+@pytest.mark.parametrize("n", range(2, EXACT_LIMIT + 1))
 def test_exhaustive_path_matches_reference(n, kind):
     values = make_values(kind, n)
     expected = exhaustive_bipartition(values, n)
-    assert clustering._exhaustive_bipartition(values, n) == expected
+    assert clustering._exact_bipartition(values, n) == expected
+
+
+def test_exact_path_matches_reference_on_tie_heavy_integers():
+    """Small integer similarities tie at the minimum cross similarity, at
+    the size imbalance and between strongly connected groups; half the
+    matrices are symmetric, half not (c1 rows against c2 columns)."""
+    rng = np.random.default_rng(20)
+    for trial in range(600):
+        n = int(rng.integers(2, 13))
+        top = int(rng.integers(1, 4))
+        values = rng.integers(-top, top + 1, size=(n, n)).astype(float)
+        if trial % 2:
+            values = np.triu(values) + np.triu(values, 1).T
+        np.fill_diagonal(values, top)
+        assert clustering._exact_bipartition(values, n) == exhaustive_bipartition(values, n)
 
 
 # n runs 16..96 in uneven steps; the O(n^3) reference makes every size slow.
@@ -94,10 +110,10 @@ def test_linkage_path_matches_reference_at_128():
 
 
 def test_bipartition_dispatches_on_size_and_maps_ids():
-    for n in (EXHAUSTIVE_LIMIT, EXHAUSTIVE_LIMIT + 1):
+    for n in (EXACT_LIMIT, EXACT_LIMIT + 1):
         values = make_values("rounded", n)
         ids = tuple(range(100, 100 + 3 * n, 3))
-        ref = exhaustive_bipartition if n <= EXHAUSTIVE_LIMIT else _complete_linkage_bipartition
+        ref = exhaustive_bipartition if n <= EXACT_LIMIT else _complete_linkage_bipartition
         i1, i2 = ref(values, n)
         assert bipartition(SimilarityMatrix(ids, values)) == (
             tuple(ids[i] for i in i1), tuple(ids[i] for i in i2)

@@ -23,19 +23,24 @@ import warnings
 import numpy as np
 import pytest
 
-from cfsl.data import DeviceDataset
+from cfsl import labeling
+from cfsl.config import DataConfig
+from cfsl.data import DeviceDataset, csv_devices
 from cfsl.errors import StateError
 from cfsl.labeling import (
     PseudoLabelBatch,
+    holdout_accuracies,
     pseudo_label,
     select_best_model,
     utility,
 )
 from cfsl.models import (
     SOFTMAX_BLOCK,
+    STACK_CHUNK,
     LabeledBatch,
     ModelParams,
     _pairwise_sum,
+    accuracy_grid,
     confidences,
     evaluate,
     param_count,
@@ -389,6 +394,70 @@ def test_stacked_evaluate_rejects_mixed_shapes_and_no_models():
         confidences([random_model(rng, 3, 2, 0), random_model(rng, 3, 3, 0)], batch.features)
     with pytest.raises(ValueError, match="at least one model"):
         confidences([], batch.features)
+
+
+def csv_case(tmp_path, rng, d, c):
+    """20 csv devices, 18 with holdouts of 4 rows (more than one chunk of
+    STACK_CHUNK) and 2 of 3 rows (138 labeled rows dealt round-robin, half
+    held out), features on a one-decimal grid so that logits tie, then two
+    devices with empty holdouts."""
+    rows = [",".join(f"{v:.1f}" for v in rng.normal(size=d)) + f",{rng.integers(c)}"
+            for _ in range(138)]
+    rows += [",".join(f"{v:.1f}" for v in rng.normal(size=d)) + "," for _ in range(12)]
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(rows) + "\n")
+    data = DataConfig(mode="csv", csv_path=str(path), features=d, classes=c,
+                      holdout_fraction=0.5)
+    devices = csv_devices(data, 20, seed=0)
+    for device_id in (20, 21):
+        device = make_device(rng, d, c, n_holdout=0, rounded=True)
+        device.device_id = device_id
+        devices.append(device)
+    return devices
+
+
+@pytest.mark.parametrize("k", (1, 7, 30))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_holdout_accuracies_equal_evaluate_device_by_device(family, k, tmp_path, caplog):
+    rng = np.random.default_rng([k, FAMILIES[family]])
+    d, c = 5, 4
+    devices = csv_case(tmp_path, rng, d, c)
+    assert [len(dev.holdout) for dev in devices].count(4) > STACK_CHUNK
+    assert sorted({len(dev.holdout) for dev in devices}) == [0, 3, 4]
+    candidates = {10 + j: random_model(rng, d, c, FAMILIES[family], rounded=j % 2 == 1)
+                  for j in range(k)}
+    models = list(candidates.values())
+    with caplog.at_level(logging.WARNING, logger="cfsl.labeling"):
+        got = holdout_accuracies(devices, candidates)
+    # The empty holdouts fall back to the train rows, with one warning each.
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == ["device 20", "device 21"]
+    for dev, row in zip(devices, got):
+        scored = dev.holdout if len(dev.holdout) else dev.train
+        assert row == evaluate(models, scored)
+        assert row == [ref_evaluate(m, scored) for m in models]
+        assert all(type(v) is float for v in row)
+        # Given the accuracies, selection neither scores nor warns again.
+        pool = dev.pending_features()[1]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cfsl.labeling"), \
+                pytest.MonkeyPatch.context() as mp:
+            mp.setattr(labeling, "evaluate", None)
+            picked = select_best_model(dev, candidates, 0.6, pool, row)
+        assert not caplog.records
+        assert picked[:3] == select_best_model(dev, candidates, 0.6, pool)[:3]
+
+
+def test_accuracy_grid_rejects_ragged_and_empty_batches():
+    rng = np.random.default_rng(3)
+    model = random_model(rng, 3, 2, 0)
+    batches = [LabeledBatch(rng.normal(size=(n, 3)), np.zeros(n, dtype=np.int64))
+               for n in (2, 3, 0)]
+    assert accuracy_grid([model], batches[:1]).shape == (1, 1)
+    with pytest.raises(ValueError, match="one length"):
+        accuracy_grid([model], batches[:2])
+    for empty in ([], batches[2:]):
+        with pytest.raises(ValueError, match="nonempty"):
+            accuracy_grid([model], empty)
 
 
 # ---------------------------------------------------------------- selection

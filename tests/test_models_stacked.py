@@ -8,6 +8,8 @@ flat vector. Every device trained or scored in a ragged stack must get the
 same bits as this loop gives it alone.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -469,12 +471,34 @@ seed = 4
 """
 
 
-def test_simulation_does_not_depend_on_stack_chunk(monkeypatch):
-    """Chunks of 1 (every device alone), 3 and the default give the same
-    run, through splits and injections that give the devices different
-    models and train sizes."""
-    runs = []
+def one_device_per_call(monkeypatch):
+    """Run the orchestrator's stacked calls one device per call: chunks of
+    one device for `evaluate`, `loss` and `gradient`, `sgd_train` patched
+    to train one device at a time, and each selection scoring its own
+    device's holdout instead of taking the grouped accuracies."""
+    def trained_alone(models, batches, epochs, batch_size, lr, seeds):
+        return [sgd_train([m], [b], epochs, batch_size, lr, [s])[0]
+                for m, b, s in zip(models, batches, seeds)]
+
+    def selected_alone(device, candidates, phi, pool, accuracy):
+        return select(device, candidates, phi, pool)
+
+    select = orchestrator.select_best_model
+    monkeypatch.setattr(orchestrator, "STACK_CHUNK", 1)
+    monkeypatch.setattr(orchestrator, "sgd_train", trained_alone)
+    monkeypatch.setattr(orchestrator, "select_best_model", selected_alone)
+
+
+@pytest.mark.parametrize("scope", ["cloud", "edge"])
+def test_simulation_does_not_depend_on_how_devices_are_grouped(monkeypatch, scope):
+    """The round as shipped (one training stack, metrics grouped by model
+    and length, one holdout pass per candidate set and length) and one
+    device per call give byte-identical events and metrics, through splits
+    and injections that give the devices different models and train sizes,
+    and with candidate sets shared by every edge or each edge's own."""
+    config = parse_config(GROUPED.replace("[ssl]\n", f"[ssl]\ncandidate_scope = {scope}\n"))
     mixed = {"sgd_train": [], "loss": [], "gradient": []}
+    shared = []
 
     def recording(name):
         real = getattr(orchestrator, name)
@@ -486,21 +510,30 @@ def test_simulation_does_not_depend_on_stack_chunk(monkeypatch):
             return real(models, batches, *args)
         return call
 
-    for name in mixed:
-        monkeypatch.setattr(orchestrator, name, recording(name))
-    for chunk in (1, 3, STACK_CHUNK):
-        monkeypatch.setattr(orchestrator, "STACK_CHUNK", chunk)
-        for calls in mixed.values():
-            calls.clear()
-        sim = build_simulation(parse_config(GROUPED))
-        sim.run()
-        runs.append(sim)
-        # At least one chunk mixes models (for training and the loss) and
-        # train sizes.
-        for name, calls in mixed.items():
-            assert any(calls) == (chunk > 1), name
-    kinds = {e["type"] for e in runs[0].events}
-    assert {"split", "injection"} <= kinds
-    for sim in runs[1:]:
-        assert sim.metrics == runs[0].metrics
-        assert sim.events == runs[0].events
+    with monkeypatch.context() as patch:
+        for name in mixed:
+            patch.setattr(orchestrator, name, recording(name))
+        real_holdouts = orchestrator.holdout_accuracies
+
+        def holdouts(devices, candidates):
+            shared.append(len(devices))
+            return real_holdouts(devices, candidates)
+        patch.setattr(orchestrator, "holdout_accuracies", holdouts)
+        grouped = build_simulation(config)
+        grouped.run()
+    # Some call mixes models (for training and the loss) and train sizes,
+    # and some holdout pass scores several devices.
+    for name, calls in mixed.items():
+        assert any(calls), name
+    assert max(shared) > 1
+    kinds = {e["type"] for e in grouped.events}
+    assert {"split", "injection", "selection"} <= kinds
+    # Each round's selections (and with them the injections) in device order.
+    selections = [(e["round"], e["device"]) for e in grouped.events if e["type"] == "selection"]
+    assert selections == sorted(selections)
+
+    one_device_per_call(monkeypatch)
+    alone = build_simulation(config)
+    alone.run()
+    assert json.dumps(alone.events) == json.dumps(grouped.events)
+    assert repr(alone.metrics) == repr(grouped.metrics)
