@@ -92,60 +92,44 @@ def check_split_conditions(gradients: dict, sample_weights: dict, eps1: float, e
 
 
 def _exact_bipartition(values: np.ndarray, n: int):
-    # The smallest cross similarity t any split reaches: a Prim-style greedy
-    # grows c1 from index 0 along its strongest out-edge. Each set it grows
-    # through has that edge as its cross similarity, and it leaves any other
-    # c1 first along an edge no stronger than that c1's cross similarity.
-    reach, grown, t = values[0].copy(), np.zeros(n, dtype=bool), math.inf
+    # A Prim pass from index 0 grows a maximum spanning tree, each index
+    # arriving by the strongest edge from the grown set; t, the weakest of
+    # those edges, is the smallest cross similarity any split reaches.
+    reach, grown = values[0].copy(), np.zeros(n, dtype=bool)
+    order, edge = [0], []
     grown[0] = True
     for _ in range(n - 1):
         reach[grown] = -math.inf
         j = int(np.argmax(reach))
-        t = min(t, float(reach[j]))
+        order.append(j)
+        edge.append(float(reach[j]))
         grown[j] = True
         np.maximum(reach, values[j], out=reach)
-    # A c1 reaches t exactly when no edge stronger than t leaves it: down[i]
-    # is what c1 must hold if it holds i, up[i] what it must lack if it
-    # lacks i, as bit masks of the transitive closure (squaring doubles the
-    # path lengths it covers).
-    closure = values > t
-    np.fill_diagonal(closure, True)
-    for _ in range(n.bit_length()):
-        closure = closure @ closure
-    bits = 1 << np.arange(n)
-    down, up = (closure @ bits).tolist(), (bits @ closure).tolist()
-    memo = {0: 1}
-
-    def sizes(free):
-        # Bit s is set when a closed part of the undecided set `free` has s
-        # members: with its lowest member i (and down[i]) or without it
-        # (and without up[i]).
-        if free not in memo:
-            i = (free & -free).bit_length() - 1
-            with_i = sizes(free & ~down[i]) << (free & down[i]).bit_count()
-            memo[free] = with_i | sizes(free & ~up[i])
-        return memo[free]
-
-    c1 = down[0]
-    free = (1 << n) - 1 & ~c1
-    fits = sizes(free) << c1.bit_count() & (1 << n) - 2
+    t = min(edge)
+    # The splits that reach t are the unions of the components of {v > t}.
+    # The pass grows one component after another: it arrives by an edge of
+    # t only when no stronger edge leaves the grown set, and each such
+    # arrival starts the next component.
+    starts = [0] + [k for k, e in enumerate(edge, 1) if e <= t] + [n]
+    parts = sorted(sorted(order[a:b]) for a, b in zip(starts, starts[1:]))
+    # Bit s of sums[k] is set when some of parts[k:] hold s members in all.
+    sums = [1] * (len(parts) + 1)
+    for k in range(len(parts) - 1, -1, -1):
+        sums[k] = sums[k + 1] | sums[k + 1] << len(parts[k])
+    c1 = parts[0]
+    fits = sums[1] << len(c1) & (1 << n) - 2
     imbalance = min(abs(2 * s - n) for s in range(n) if fits >> s & 1)
     allowed = sum(1 << s for s in range(1, n) if abs(2 * s - n) == imbalance)
-    # Decide indices in order, taking each one when a tied c1 still holds
-    # it; a c1 of an allowed size that lies below i is the prefix of every
-    # other one, so it wins.
-    for i in range(1, n):
-        if not free >> i & 1:
-            continue
-        if c1 >> i == 0 and allowed >> c1.bit_count() & 1:
+    # Decide the parts in order of their lowest index, taking each one when a
+    # tied c1 still holds it; a c1 of an allowed size that lies below the
+    # part is the prefix of every other one, so it wins.
+    for k, part in enumerate(parts[1:], 1):
+        if max(c1) < part[0] and allowed >> len(c1) & 1:
             break
-        take = c1 | down[i]
-        if sizes(free & ~down[i]) << take.bit_count() & allowed:
-            c1, free = take, free & ~down[i]
-        else:
-            free &= ~up[i]
-    return (tuple(i for i in range(n) if c1 >> i & 1),
-            tuple(i for i in range(n) if not c1 >> i & 1))
+        if sums[k + 1] << len(c1) + len(part) & allowed:
+            c1 = c1 + part
+    taken = set(c1)
+    return tuple(sorted(taken)), tuple(i for i in range(n) if i not in taken)
 
 
 def _complete_linkage_bipartition(values: np.ndarray, n: int):
@@ -176,29 +160,29 @@ def _complete_linkage_bipartition(values: np.ndarray, n: int):
 
 def bipartition(sim: SimilarityMatrix):
     """Split the device set in two, minimizing the largest cross-pair
-    similarity; c1 holds the lowest device id.
+    similarity; c1 holds the lowest device id. The matrix must be finite
+    and exactly symmetric, as `similarity_matrix` builds it.
 
     Up to 15 devices the split is exact: of all bipartitions it has the
-    smallest key (largest similarity from a c1 row to a c2 column, size
-    imbalance, c1 as a sorted index tuple), found without trying them. Its
-    cross similarity t is the weakest edge that a Prim-style pass from
-    index 0 picks: a maximum-spacing cut (Kleinberg & Tardos, Algorithm
-    Design, 2005, 4.7). The splits that reach t are the sets holding index
-    0 that no similarity above t leaves, unions of strongly connected
-    components of {v > t}; a subset sum over them picks the key's winner.
-    For a symmetric matrix that is O(n^2) steps plus floor(log2 n) + 1
-    Boolean matrix products for the closure; asymmetric input may branch,
-    at worst as often as a full search. Beyond 15 devices, complete-linkage
-    agglomeration on distance 1 - similarity runs until two clusters remain,
-    with a Lance-Williams distance-matrix update: O(n^2) work per merge step.
-    Linkage ties merge the pair whose smallest members are smallest, which
-    is the lexicographically smallest pair of clusters.
+    smallest key (largest cross similarity, size imbalance, c1 as a sorted
+    index tuple), found without trying them. Its cross similarity t is the
+    weakest edge of a maximum spanning tree, which a Prim pass from index 0
+    grows: a maximum-spacing cut (Kleinberg & Tardos, Algorithm Design,
+    2005, 4.7). The splits that reach t are the unions of the components of
+    {v > t}, which the pass grows one after another; a subset sum over
+    their sizes picks the key's winner, in O(n^2) steps. Beyond 15 devices,
+    complete-linkage agglomeration on distance 1 - similarity runs until
+    two clusters remain, with a Lance-Williams distance-matrix update: O(n^2)
+    work per merge step. Linkage ties merge the pair whose smallest members
+    are smallest, which is the lexicographically smallest pair of clusters.
     """
     n = len(sim.ids)
     if n < 2:
         raise ValueError("bipartition needs at least 2 devices")
     if not np.all(np.isfinite(sim.values)):
         raise ValueError("bipartition needs finite similarities")
+    if not np.array_equal(sim.values, sim.values.T):
+        raise ValueError("bipartition needs a symmetric similarity matrix")
     if n <= EXACT_LIMIT:
         i1, i2 = _exact_bipartition(sim.values, n)
     else:

@@ -131,11 +131,14 @@ class DataConfig(_Section):
             raise ConfigError("data.samples_per_device",
                               f"must be >= max_classes_per_device (got {self.samples_per_device} "
                               f"< {self.max_classes_per_device})")
-        if self.mode == "label-permutation" and self.distributions > 2 and self.classes < 3:
-            # A 2-class derangement is the swap; a third distribution would
-            # repeat one of the first two.
+        if (self.mode == "label-permutation" and self.classes <= 3
+                and self.distributions > self.classes):
+            # Each distribution past the first is a derangement of the
+            # classes: 2 classes have one (the swap), 3 classes two (the
+            # rotations), so a further distribution would repeat one.
             raise ConfigError("data.distributions",
-                              "label-permutation with 2 classes supports at most 2 distributions")
+                              f"label-permutation with {self.classes} classes supports at most "
+                              f"{self.classes} distributions")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from .models import (
     ModelParams,
     accuracy_grid,
     confidences,
-    evaluate,
 )
 
 log = logging.getLogger(__name__)
@@ -53,8 +52,6 @@ class PseudoLabelBatch:
     def __post_init__(self):
         if not (self.indices.size == self.labels.size == self.confidences.size):
             raise ValueError("indices, labels, and confidences must align")
-        if self.indices.size and np.unique(self.indices).size != self.indices.size:
-            raise ValueError("pseudo-label indices must be unique")
         if self.indices.size and self.confidences.min() < self.phi:
             raise ValueError("confidence below threshold in accepted batch")
 
@@ -144,7 +141,8 @@ def select_best_model(device: DeviceDataset, candidates: dict, phi: float, pool:
     if not candidates:
         raise StateError(f"device {device.device_id}: no candidate models to select from")
     if accuracy is None:
-        accuracy = evaluate(list(candidates.values()), _scored_holdout(device))
+        models = list(candidates.values())
+        accuracy = accuracy_grid(models, [_scored_holdout(device)])[:, 0].tolist()
     best = max(accuracy)
     contenders = [mid for mid, acc in zip(candidates, accuracy) if acc == best]
     classes, conf = confidences([candidates[mid] for mid in contenders], pool)

@@ -19,12 +19,12 @@ pick) or one batch (means, ``x.T @ delta``, column sums), so it may run
 over all pairs at once. Scoring writes every pair's logits into one
 class-major ``(c, N)`` table for one softmax (see "Class-major softmax")
 and takes each pair's loss, accuracy or gradient from its own columns.
-``evaluate`` has one second form, K models on one LabeledBatch (a
-selection's holdout): one broadcast matmul with the row-wise softmax. On so
-few rows it is the faster way to score them: on one core (numpy 2.4.6,
-d=16, c=6, both families, holdouts of 1-4 rows), taking the accuracy from
-``confidences`` instead was 1.1-1.7x slower for K <= 12 candidates and
-1.0-1.2x slower at K = 30.
+K models on one LabeledBatch (a selection's holdout) are scored by
+``accuracy_grid`` with one batch: one broadcast matmul with the row-wise
+softmax. On so few rows it is the faster way to score them: on one core
+(numpy 2.4.6, d=16, c=6, both families, holdouts of 1-4 rows), taking the
+accuracy from ``confidences`` instead was 1.1-1.7x slower for K <= 12
+candidates and 1.0-1.2x slower at K = 30.
 Training takes the class-major softmax too, on a contiguous copy of each
 step's logits. With the in-place forward and backward passes, on one core,
 a fedavg-128 round of ``sgd_train`` (64 MLP devices of 160 rows, d=8, h=16,
@@ -431,13 +431,7 @@ def accuracy_grid(models, batches) -> np.ndarray:
 def evaluate(models, batches) -> list:
     """Accuracy of each (model, batch) pair: the fraction of argmax
     predictions matching the labels, ties to the lowest class id (see
-    "Ragged stacks").
-
-    `batches` may also be one LabeledBatch, a selection's holdout, which
-    every model is scored on (`accuracy_grid` with one batch); that form
-    is the faster one on so few rows (see the module docstring)."""
-    if isinstance(batches, LabeledBatch):
-        return accuracy_grid(models, [batches])[:, 0].tolist()
+    "Ragged stacks")."""
     _, z, y, rows, _ = _logit_table(models, batches, "evaluate")
     hits = _top_class(_softmax_columns(z))[0] == y
     # Exact counts: count / n is rounded once, as the mean of the bools is.

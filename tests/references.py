@@ -15,9 +15,12 @@ change the reference they are checked against.
 
 `exhaustive_bipartition` is the original pure-Python search over every
 bipartition, which `clustering.bipartition` must match.
+`kruskal_bipartition` reaches the same split for any size of symmetric
+matrix by another road: Kruskal's algorithm with a union-find.
 """
 
 import itertools
+from collections import defaultdict
 
 import numpy as np
 
@@ -141,3 +144,49 @@ def exhaustive_bipartition(values: np.ndarray, n: int):
             if best is None or key < best[0]:
                 best = (key, c1, c2)
     return best[1], best[2]
+
+
+def kruskal_bipartition(values: np.ndarray, n: int):
+    """(t, c1, c2) for a symmetric matrix, t the largest cross similarity of
+    the split `exhaustive_bipartition` picks. Kruskal's algorithm joins
+    pairs from the most similar down, and the last pair that joins two
+    trees has similarity t: the maximum spacing (Kleinberg & Tardos,
+    Algorithm Design, 2005, 4.7). The splits that reach t are the unions
+    of the components of {v > t} that hold index 0 and not every index;
+    the one with the smallest (size imbalance, c1 as a sorted tuple) is
+    found by trying every subset of components."""
+    root = list(range(n))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    pairs = sorted(((values[i, j], i, j) for i, j in itertools.combinations(range(n), 2)),
+                   reverse=True)
+    trees = n
+    for t, i, j in pairs:
+        a, b = find(i), find(j)
+        if a != b:
+            root[a] = b
+            trees -= 1
+            if trees == 1:
+                break
+    root = list(range(n))
+    for v, i, j in pairs:
+        if v > t:
+            root[find(i)] = find(j)
+    groups = defaultdict(list)
+    for i in range(n):
+        groups[find(i)].append(i)
+    first, *rest = sorted(groups.values())
+    best = None
+    for r in range(len(rest)):
+        for extra in itertools.combinations(rest, r):
+            c1 = tuple(sorted(itertools.chain(first, *extra)))
+            key = (abs(2 * len(c1) - n), c1)
+            if best is None or key < best:
+                best = key
+    c1 = best[1]
+    return float(t), c1, tuple(i for i in range(n) if i not in c1)

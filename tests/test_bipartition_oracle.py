@@ -1,12 +1,14 @@
-"""Both bipartition paths against reference copies of the implementations
-they replaced.
+"""Both bipartition paths against reference implementations.
 
 `references.exhaustive_bipartition` (a search over every bipartition) and
 `_complete_linkage_bipartition` below are the original pure-Python
-versions, kept verbatim as oracles. The exact O(n^2) path and the
-vectorized linkage must return the same partitions, not only the same
-objective: a different partition at an exact tie would change a run's
-artifacts.
+versions, kept verbatim as oracles. `references.kruskal_bipartition`
+reaches the exact split by Kruskal's algorithm and a union-find, which
+serves every size. The exact O(n^2) path and the vectorized linkage must
+return the same partitions, not only the same objective: a different
+partition at an exact tie would change a run's artifacts. The exact path
+reads symmetric matrices only, as `bipartition` accepts them; the linkage
+still orients c1 rows against c2 columns and keeps its asymmetric cases.
 """
 
 import itertools
@@ -15,8 +17,8 @@ import numpy as np
 import pytest
 
 from cfsl import clustering
-from cfsl.clustering import EXACT_LIMIT, SimilarityMatrix, bipartition
-from references import exhaustive_bipartition
+from cfsl.clustering import EXACT_LIMIT, SimilarityMatrix, bipartition, similarity_matrix
+from references import exhaustive_bipartition, kruskal_bipartition, max_cross
 
 
 # ------------------------------------------------- reference implementations
@@ -46,7 +48,8 @@ def _complete_linkage_bipartition(values: np.ndarray, n: int):
 
 # ------------------------------------------------------------------ inputs
 
-KINDS = ("random", "rounded", "constant", "asymmetric")
+SYMMETRIC = ("random", "rounded", "constant")
+KINDS = SYMMETRIC + ("asymmetric",)
 
 
 def make_values(kind: str, n: int) -> np.ndarray:
@@ -70,7 +73,7 @@ def make_values(kind: str, n: int) -> np.ndarray:
 # ------------------------------------------------------------------- tests
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", SYMMETRIC)
 @pytest.mark.parametrize("n", range(2, EXACT_LIMIT + 1))
 def test_exhaustive_path_matches_reference(n, kind):
     values = make_values(kind, n)
@@ -80,17 +83,46 @@ def test_exhaustive_path_matches_reference(n, kind):
 
 def test_exact_path_matches_reference_on_tie_heavy_integers():
     """Small integer similarities tie at the minimum cross similarity, at
-    the size imbalance and between strongly connected groups; half the
-    matrices are symmetric, half not (c1 rows against c2 columns)."""
+    the size imbalance and between the components of {v > t}."""
     rng = np.random.default_rng(20)
-    for trial in range(600):
+    for _ in range(600):
         n = int(rng.integers(2, 13))
         top = int(rng.integers(1, 4))
-        values = rng.integers(-top, top + 1, size=(n, n)).astype(float)
-        if trial % 2:
-            values = np.triu(values) + np.triu(values, 1).T
+        values = np.triu(rng.integers(-top, top + 1, size=(n, n)).astype(float))
+        values += np.triu(values, 1).T
         np.fill_diagonal(values, top)
         assert clustering._exact_bipartition(values, n) == exhaustive_bipartition(values, n)
+
+
+def planted_values(n: int) -> np.ndarray:
+    """Cosine similarities of n gradients drawn around 2 to 6 seeded
+    centers, as `similarity_matrix` computes them."""
+    rng = np.random.default_rng(n)
+    centers = rng.normal(size=(int(rng.integers(2, 7)), 8))
+    grads = centers[rng.integers(0, len(centers), n)] + 0.6 * rng.normal(size=(n, 8))
+    return similarity_matrix(dict(enumerate(grads))).values
+
+
+# n = 60..70 straddles 64 members, the width of a machine word.
+@pytest.mark.parametrize("n", [16, 17, 23, 32, 41, 50, *range(60, 71), 96, 128, 160, 200])
+def test_exact_path_matches_kruskal_reference(n):
+    """Exact cosines have one weakest tree edge. Rounded to one decimal,
+    up to 6 components of {v > t} tie at it, and up to 19 for the random
+    `rounded` kind."""
+    for values in (planted_values(n), np.round(planted_values(n), 1), make_values("rounded", n)):
+        t, c1, c2 = kruskal_bipartition(values, n)
+        assert clustering._exact_bipartition(values, n) == (c1, c2)
+        assert max_cross(values, c1, c2) == t
+
+
+def test_bipartition_rejects_asymmetric_similarity():
+    values = make_values("asymmetric", 5)
+    with pytest.raises(ValueError, match="symmetric"):
+        bipartition(SimilarityMatrix(tuple(range(5)), values))
+    values = make_values("rounded", EXACT_LIMIT + 1)
+    values[0, 1] += 0.05
+    with pytest.raises(ValueError, match="symmetric"):
+        bipartition(SimilarityMatrix(tuple(range(EXACT_LIMIT + 1)), values))
 
 
 # n runs 16..96 in uneven steps; the O(n^3) reference makes every size slow.

@@ -17,6 +17,7 @@ from cfsl.config import (
     parse_config,
 )
 from cfsl.errors import ConfigError
+from cfsl.experiment import build_simulation
 
 MINIMAL = """
 [topology]
@@ -127,6 +128,21 @@ def test_domain_checks():
     with pytest.raises(ConfigError, match="data.distributions"):
         DataConfig(classes=2, distributions=3)
     assert DataConfig(mode="gaussian-clusters", classes=2, distributions=3).distributions == 3
+
+
+def test_label_permutation_distributions_stay_within_the_derangements():
+    """Every distribution past the first deranges the classes, and 3 classes
+    have only two derangements: a fourth distribution would repeat one, so
+    the data section names the key instead of the universe builder failing
+    with no key."""
+    with pytest.raises(ConfigError, match="data.distributions"):
+        parse_config(MINIMAL + "\n[data]\nclasses = 3\ndistributions = 4\n")
+    with pytest.raises(ConfigError, match="data.distributions"):
+        DataConfig(classes=3, distributions=4)
+    for classes, distributions in ((3, 3), (4, 8)):
+        cfg = parse_config(MINIMAL + f"\n[data]\nclasses = {classes}\n"
+                           f"distributions = {distributions}\n")
+        assert len(build_simulation(cfg).devices) == 6
 
 
 def test_choice_keys_reject_unknown_values_however_set():

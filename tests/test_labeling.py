@@ -85,9 +85,6 @@ def test_pseudo_label_pool_indices_and_metadata():
 
 def test_pseudo_label_batch_validation():
     with pytest.raises(ValueError):
-        PseudoLabelBatch(0, np.array([1, 1]), np.array([0, 0]),
-                         np.array([0.9, 0.9]), 0.5)
-    with pytest.raises(ValueError):
         PseudoLabelBatch(0, np.array([1, 2]), np.array([0, 0]),
                          np.array([0.9, 0.3]), 0.5)
     with pytest.raises(ValueError):

@@ -378,7 +378,7 @@ def test_stacked_evaluate_matches_one_model_at_a_time(family):
         for n in (1, 4, 13):
             batch = LabeledBatch(rng.normal(size=(n, 4)), rng.integers(0, c, size=n))
             want = [ref_evaluate(m, batch) for m in models]
-            assert evaluate(models, batch) == want
+            assert accuracy_grid(models, [batch])[:, 0].tolist() == want
             assert [evaluate([m], [batch])[0] for m in models] == want
 
 
@@ -386,9 +386,9 @@ def test_stacked_evaluate_rejects_mixed_shapes_and_no_models():
     batch = LabeledBatch(np.zeros((2, 3)), np.array([0, 1]))
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="different shapes"):
-        evaluate([random_model(rng, 3, 2, 0), random_model(rng, 3, 2, 4)], batch)
+        evaluate([random_model(rng, 3, 2, 0), random_model(rng, 3, 2, 4)], [batch, batch])
     with pytest.raises(ValueError, match="at least one model"):
-        evaluate([], batch)
+        evaluate([], [batch])
     # confidences stacks its models the same way.
     with pytest.raises(ValueError, match="different shapes"):
         confidences([random_model(rng, 3, 2, 0), random_model(rng, 3, 3, 0)], batch.features)
@@ -433,7 +433,6 @@ def test_holdout_accuracies_equal_evaluate_device_by_device(family, k, tmp_path,
     assert [r.getMessage().split(":")[0] for r in caplog.records] == ["device 20", "device 21"]
     for dev, row in zip(devices, got):
         scored = dev.holdout if len(dev.holdout) else dev.train
-        assert row == evaluate(models, scored)
         assert row == [ref_evaluate(m, scored) for m in models]
         assert all(type(v) is float for v in row)
         # Given the accuracies, selection neither scores nor warns again.
@@ -441,7 +440,7 @@ def test_holdout_accuracies_equal_evaluate_device_by_device(family, k, tmp_path,
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="cfsl.labeling"), \
                 pytest.MonkeyPatch.context() as mp:
-            mp.setattr(labeling, "evaluate", None)
+            mp.setattr(labeling, "accuracy_grid", None)
             picked = select_best_model(dev, candidates, 0.6, pool, row)
         assert not caplog.records
         assert picked[:3] == select_best_model(dev, candidates, 0.6, pool)[:3]

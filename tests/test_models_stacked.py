@@ -413,9 +413,9 @@ def test_stacked_calls_reject_bad_input():
         lambda: loss(pair, batches),
         lambda: gradient([params, params, params], batches[:2]),
         lambda: evaluate([params, wide], batches[:2]),
-        lambda: evaluate([params], empty),
-        lambda: evaluate([params], LabeledBatch(short.features[:2], np.array([5, 0]))),
-        lambda: evaluate([params], LabeledBatch(short.features[:2], np.array([0, -1]))),
+        lambda: evaluate([params], [empty]),
+        lambda: evaluate([params], [LabeledBatch(short.features[:2], np.array([5, 0]))]),
+        lambda: evaluate([params], [LabeledBatch(short.features[:2], np.array([0, -1]))]),
         lambda: loss([], batches),
         lambda: gradient([params], [LabeledBatch(short.features, short.labels + 5)]),
     ):
