@@ -7,6 +7,10 @@ device keeps its labeled rows split once into `train` and a small
 validation `holdout`, an unlabeled pool whose true labels are retained
 only for scoring, the pseudo-labels injected into that pool, and a fresh
 test draw used for reporting.
+
+Rows are stored once, where and in the order a round reads them, so that
+no round gathers rows: a device's rows are one array (see `DeviceDataset`),
+and the population's test draws are one table.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -117,42 +120,62 @@ def make_task_universe(data, seed) -> TaskUniverse:
 class DeviceDataset:
     """One device's local data and pseudo-labeling state.
 
-    The labeled rows are immutable, split once when the device is built
-    into `train`, where local training starts, and `holdout`, on which
-    selection scores candidates. injected_labels is the one record of
-    pseudo-labeling: each pool position's label, -1 while it is pending. It
-    is made here and read-only outside `inject`, which checks every rule on
-    it and keeps the injected positions in pool order and the counts of
-    injected labels with a known truth (`n_known`) and of those matching it
-    (`n_correct`). hidden_truth and test are for metrics only.
+    The device takes over one features and one labels array laid out as
+    holdout | train | pool, the pool labeled with its truth (-1 where it is
+    unknown), and keeps each row there: the pool becomes pseudo-labeled |
+    pending, each part in pool order, and its truth moves to hidden_truth.
+    `holdout`, `train`, `train_batch()` (train and pseudo-labeled) and
+    `pending_features()` are views. injected_labels is the one record of
+    pseudo-labeling: each pool position's label, -1 while it is pending.
+    It and the rows are read-only outside `inject`, which checks every rule
+    on the record, moves the accepted rows into the pseudo-labeled part and
+    keeps the counts of injected labels, of those with a known truth
+    (`n_known`) and of those matching it (`n_correct`). Pool positions
+    index the record and hidden_truth wherever their row is;
+    `pool_features()` reads the pool in their order. hidden_truth and test
+    are for metrics only; `test` defaults to the holdout, or the train rows
+    when there is none.
     """
 
     device_id: int
-    train: LabeledBatch
-    holdout: LabeledBatch
-    unlabeled_features: np.ndarray
-    hidden_truth: np.ndarray
+    features: np.ndarray
+    labels: np.ndarray
+    n_holdout: int
+    n_train: int
     distribution_id: int
     class_whitelist: tuple
-    test: LabeledBatch
+    test: LabeledBatch | None = None
+    holdout: LabeledBatch = field(init=False)
+    train: LabeledBatch = field(init=False)
+    hidden_truth: np.ndarray = field(init=False)
     injected_labels: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        n_u = self.unlabeled_features.shape[0]
-        if self.hidden_truth.shape[0] != n_u:
-            raise ValueError("hidden_truth must cover the unlabeled pool")
+        h, lo = self.n_holdout, self.n_holdout + self.n_train
+        # First row of the pool: pseudo-labeled, then pending.
+        self._pool_row = lo
+        self.hidden_truth = self.labels[lo:].copy()
         wl = set(self.class_whitelist)
-        if not set(np.unique(np.concatenate([self.train.labels, self.holdout.labels]))) <= wl:
+        if not set(self.labels[:lo].tolist()) <= wl:
             raise ValueError(f"device {self.device_id}: labeled class outside whitelist")
         # -1 marks unknown truth (external data); anything else must be
         # whitelisted.
-        if n_u and not set(np.unique(self.hidden_truth)) - {-1} <= wl:
+        if not set(self.hidden_truth.tolist()) - {-1} <= wl:
             raise ValueError(f"device {self.device_id}: hidden truth outside whitelist")
+        self.labels[lo:] = -1
+        self.features.setflags(write=False)
+        self.labels.setflags(write=False)
+        self.holdout = LabeledBatch(self.features[:h], self.labels[:h])
+        self.train = self._train_batch = LabeledBatch(self.features[h:lo], self.labels[h:lo])
+        if self.test is None:
+            self.test = self.holdout if h else self.train
+        n_u = self.hidden_truth.size
         self.injected_labels = np.empty(n_u, dtype=np.int64)
         self.injected_labels.fill(-1)  # faster than np.full for small pools
         self.injected_labels.setflags(write=False)
-        self._injected = np.empty(0, np.intp)
-        self.n_known = self.n_correct = 0
+        # The pool position of each pool row, in row order.
+        self._positions = np.arange(n_u)
+        self.n_injected = self.n_known = self.n_correct = 0
 
     def inject(self, indices, labels):
         """Pseudo-label pool positions `indices` with `labels` (one each, or one
@@ -161,9 +184,10 @@ class DeviceDataset:
         indices, labels = np.asarray(indices, dtype=np.intp), np.asarray(labels)
         if not indices.size:
             return
-        if not 0 <= indices.min() <= indices.max() < self.injected_labels.size:
+        ordered = np.sort(indices)
+        if not 0 <= ordered[0] <= ordered[-1] < self.injected_labels.size:
             raise ValueError(f"device {self.device_id}: pseudo-label index out of range")
-        if np.unique(indices).size < indices.size:
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError(f"device {self.device_id}: pseudo-label indices repeat")
         already = indices[self.injected_labels[indices] >= 0]
         if already.size:
@@ -171,30 +195,41 @@ class DeviceDataset:
                              f"{sorted(already.tolist())} already injected")
         if labels.min() < 0:
             raise ValueError(f"device {self.device_id}: pseudo-label {labels.min()} is negative")
-        self.injected_labels.setflags(write=True)
-        self.injected_labels[indices] = labels
-        self.injected_labels.setflags(write=False)
-        self._injected = np.flatnonzero(self.injected_labels >= 0)
+        record = self.injected_labels
+        record.setflags(write=True)
+        record[indices] = labels
+        record.setflags(write=False)
         truth = self.hidden_truth[indices]
         known = truth >= 0
         self.n_known += int(np.count_nonzero(known))
-        self.n_correct += int(np.count_nonzero(known & (self.injected_labels[indices] == truth)))
-
-    # Exact integer counts: count / size is the same correctly rounded
-    # quotient as the mean of a bool mask.
-    @property
-    def n_injected(self) -> int:
-        return self._injected.size
+        self.n_correct += int(np.count_nonzero(known & (record[indices] == truth)))
+        self.n_injected = n = self.n_injected + indices.size
+        # The pool rows again, pseudo-labeled then pending, each in pool order.
+        positions = np.argsort(record < 0, kind="stable")
+        row_of = np.empty_like(positions)
+        row_of[self._positions] = np.arange(positions.size)
+        lo = self._pool_row
+        for rows in (self.features, self.labels):
+            rows.setflags(write=True)
+        self.features[lo:] = self.features[lo:].take(row_of[positions], axis=0)
+        self.labels[lo : lo + n] = record[positions[:n]]
+        for rows in (self.features, self.labels):
+            rows.setflags(write=False)
+        self._positions = positions
+        h = self.n_holdout
+        self._train_batch = LabeledBatch(self.features[h : lo + n], self.labels[h : lo + n])
 
     @property
     def labeled_size(self) -> int:
         """Original labels, holdout included, plus injected ones."""
-        return len(self.train) + len(self.holdout) + self.n_injected
+        return self._pool_row + self.n_injected
 
     @property
     def unlabeled_remaining(self) -> int:
         return self.injected_labels.size - self.n_injected
 
+    # Exact integer counts: count / size is the same correctly rounded
+    # quotient as the mean of a bool mask.
     @property
     def injected_fraction(self) -> float:
         """Share of the original unlabeled pool already pseudo-labeled."""
@@ -204,32 +239,23 @@ class DeviceDataset:
 
     @property
     def train_size(self) -> int:
-        """len(self.train_batch()), without building the batch."""
-        return len(self.train) + self.n_injected
+        """len(self.train_batch())."""
+        return len(self._train_batch)
 
     def train_batch(self) -> LabeledBatch:
-        """`train`, then the injected samples in pool order."""
-        return train_batches([self])[0]
+        """`train`, then the injected samples in pool order: read-only views
+        of the device's rows, valid until the next `inject`."""
+        return self._train_batch
 
     def pending_features(self):
-        """(pool indices, features) of unlabeled samples not yet injected."""
-        idx = np.flatnonzero(self.injected_labels < 0)
-        return idx, self.unlabeled_features[idx]
+        """(pool positions, features) of the samples not yet injected, in pool
+        order: read-only views, valid until the next `inject`."""
+        n = self.n_injected
+        return self._positions[n:], self.features[self._pool_row + n :]
 
-
-def train_batches(devices: list) -> list:
-    """Each device's `train_batch`, in order, as row slices of one table."""
-    rows = [0, *accumulate(d.train_size for d in devices)]
-    features = np.empty((rows[-1], devices[0].train.features.shape[1]))
-    labels = np.empty(rows[-1], dtype=np.int64)
-    for dev, lo, hi in zip(devices, rows, rows[1:]):
-        mid = lo + len(dev.train)
-        features[lo:mid] = dev.train.features
-        labels[lo:mid] = dev.train.labels
-        # Every index is in range, so "clip" only skips take's buffering.
-        dev.unlabeled_features.take(dev._injected, axis=0, out=features[mid:hi], mode="clip")
-        dev.injected_labels.take(dev._injected, out=labels[mid:hi], mode="clip")
-    return [LabeledBatch(features[lo:hi], labels[lo:hi]) for lo, hi in zip(rows, rows[1:])]
+    def pool_features(self) -> np.ndarray:
+        """Every pool row's features in pool order, pending or injected (a copy)."""
+        return self.features[self._pool_row :][np.argsort(self._positions)]
 
 
 def labeled_split(
@@ -253,10 +279,15 @@ def partition_devices(universe: TaskUniverse, data, n_devices: int, seed) -> lis
     Exactly round(labeled_fraction * samples_per_device) samples are
     labeled, raised to one per whitelisted class (with a warning) when
     the fraction is too small; the rest form the unlabeled pool with
-    their true labels retained for scoring only.
+    their true labels retained for scoring only. The population's test
+    draws are one (n_devices, test_samples_per_device, features) table,
+    of which each device's `test` is a view.
     """
     samples_per_device, labeled_fraction = data.samples_per_device, data.labeled_fraction
     assign_rng = np.random.default_rng(np.random.SeedSequence([int(seed), DATA_STREAM, 1]))
+    n_test = data.test_samples_per_device
+    test_features = np.empty((n_devices, n_test, universe.dim))
+    test_labels = np.empty((n_devices, n_test), dtype=np.int64)
     devices = []
     for k in range(n_devices):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), DATA_STREAM, 2, k]))
@@ -287,28 +318,24 @@ def partition_devices(universe: TaskUniverse, data, n_devices: int, seed) -> lis
 
         held = np.zeros(n_labeled, dtype=bool)
         held[rng.choice(n_labeled, size=n_hold, replace=False)] = True
-        # Reordered in place to train | holdout | pool, each part in draw
-        # order: the three are views of one array, so no row is stored twice.
-        order = np.argsort(held, kind="stable")
+        # Reordered in place to holdout | train | pool, each part in draw
+        # order, the layout the device keeps.
+        order = np.argsort(~held, kind="stable")
         features[:n_labeled], labels[:n_labeled] = features[order], labels[order]
-        cut = n_labeled - n_hold
 
-        test_labels = rng.choice(whitelist, size=data.test_samples_per_device,
-                                 replace=True).astype(np.int64)
-        test = LabeledBatch(
-            universe.sample_features(dist_id, test_labels, rng), test_labels
-        )
+        test_labels[k] = rng.choice(whitelist, size=n_test, replace=True)
+        test_features[k] = universe.sample_features(dist_id, test_labels[k], rng)
 
         devices.append(
             DeviceDataset(
                 device_id=k,
-                train=LabeledBatch(features[:cut], labels[:cut]),
-                holdout=LabeledBatch(features[cut:n_labeled], labels[cut:n_labeled]),
-                unlabeled_features=features[n_labeled:],
-                hidden_truth=labels[n_labeled:],
+                features=features,
+                labels=labels,
+                n_holdout=n_hold,
+                n_train=n_labeled - n_hold,
                 distribution_id=dist_id,
                 class_whitelist=tuple(int(c) for c in whitelist),
-                test=test,
+                test=LabeledBatch(test_features[k], test_labels[k]),
             )
         )
     return devices
@@ -321,7 +348,8 @@ def csv_devices(data, n_devices: int, seed) -> list:
     External data has no per-device draw to replicate, so labeled and
     unlabeled rows are dealt in file order. Ground truth of unlabeled
     rows is unknown (-1), which makes labeling accuracy undefined, and
-    each device's holdout doubles as its test set.
+    each device's holdout (its train rows when it holds none out) doubles
+    as its test set, stored once with the device's rows.
     """
     labeled, unlabeled = load_csv_dataset(data.csv_path, data.features, data.classes)
     if len(labeled) < n_devices:
@@ -344,17 +372,16 @@ def csv_devices(data, n_devices: int, seed) -> list:
             )
         held = np.zeros(len(lab), dtype=bool)
         held[rng.choice(len(lab), size=n_hold, replace=False)] = True
-        train, holdout = lab.subset(~held), lab.subset(held)
         devices.append(
             DeviceDataset(
                 device_id=k,
-                train=train,
-                holdout=holdout,
-                unlabeled_features=pool,
-                hidden_truth=np.full(pool.shape[0], -1, dtype=np.int64),
+                features=np.concatenate([lab.features[held], lab.features[~held], pool]),
+                labels=np.concatenate([lab.labels[held], lab.labels[~held],
+                                       np.full(pool.shape[0], -1, dtype=np.int64)]),
+                n_holdout=n_hold,
+                n_train=len(lab) - n_hold,
                 distribution_id=-1,
                 class_whitelist=whitelist,
-                test=holdout if n_hold else train,
             )
         )
     return devices

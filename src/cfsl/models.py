@@ -36,16 +36,19 @@ size takes one ``_grads`` step through views of its slice of the ``(K, P)``
 weights.
 
 Training takes one stack per round: every participating device goes into
-one ``sgd_train`` call, which copies each device's rows once more. Against
-chunks of 16, the benchmark's peak RSS (seed 0, two runs each, one core)
-went from 46.4 to 48.7 MiB on fedavg-128 (64 MLP devices train per round),
-74.9 to 75.3 MiB on selflabel-64 and 65.4 to 66.5 MiB on split-512.
-Scoring callers stack at most ``STACK_CHUNK`` (16) devices at a time: they
-score up to every device of the run, and one ``accuracy_grid`` pass over
-all 512 devices of split-512 against 61 candidates raised one replica's
-peak RSS from 55 to 65.5 MiB. Train batches are gathered per call
-(``data.train_batches``), not cached: caching copies every injected row
-for the life of the run.
+one ``sgd_train`` call, which copies each device's rows into one table.
+Against chunks of 16, the benchmark's peak RSS (seed 0, two runs each, one
+core) went from 46.4 to 48.7 MiB on fedavg-128 (64 MLP devices train per
+round), 74.9 to 75.3 MiB on selflabel-64 and 65.4 to 66.5 MiB on split-512.
+The batches themselves are views of each device's rows
+(``DeviceDataset.train_batch``): no caller gathers or caches them, so no
+injected row is stored twice. Scoring callers stack at most
+``STACK_CHUNK`` (16) devices at a time, since a train batch can hold a
+device's whole pool and one ``accuracy_grid`` pass over all 512 devices of
+split-512 against 61 candidates raised one replica's peak RSS from 55 to
+65.5 MiB. The one exception is the metrics' test accuracy, one
+``evaluate`` call over every device: test sets are short (40 rows by
+default, 1.3 MB for split-512's 512 devices).
 
 Class-major softmax. The ``(n, c)`` logits are transposed to ``(c, n)``, so
 that each softmax step is a few long vector operations instead of n
@@ -140,9 +143,6 @@ class LabeledBatch:
 
     def __len__(self) -> int:
         return self.labels.shape[0]
-
-    def subset(self, idx: np.ndarray) -> "LabeledBatch":
-        return LabeledBatch(self.features[idx], self.labels[idx])
 
 
 def init_params(
@@ -259,14 +259,16 @@ def _logit_table(models, batches, caller: str):
     rows[i]:rows[i + 1], and a run is (weight views, features (r, n, d),
     hidden activations, its first pair)."""
     first = _first_model(models, caller)
-    if not batches or min(map(len, batches)) == 0:
+    lengths = [len(b) for b in batches]
+    if not lengths or min(lengths) == 0:
         raise ValueError(f"{caller} requires a nonempty batch")
     if len(models) != len(batches):
         raise ValueError(f"{caller} got {len(models)} models for {len(batches)} batches")
-    rows = [0, *accumulate(map(len, batches))]
+    rows = [0, *accumulate(lengths)]
     table = np.empty((first.dim_out, rows[-1]))
     runs = []
-    for _, run in groupby(range(len(batches)), key=lambda i: (id(models[i]), len(batches[i]))):
+    keys = list(zip(map(id, models), lengths))
+    for _, run in groupby(range(len(batches)), key=keys.__getitem__):
         i, *rest = run
         x = [_check_features(first, batches[j].features) for j in (i, *rest)]
         x = np.stack(x) if rest else x[0][None]

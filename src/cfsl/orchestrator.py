@@ -28,7 +28,6 @@ from .clustering import (
     similarity_matrix,
 )
 from .config import ExperimentConfig
-from .data import train_batches
 from .errors import StateError
 from .labeling import (
     holdout_accuracies,
@@ -282,7 +281,7 @@ class Simulation:
         if not ids:
             return {}
         return dict(zip(ids, sgd_train(
-            [starts[k] for k in ids], train_batches([self.devices[k] for k in ids]),
+            [starts[k] for k in ids], [self.devices[k].train_batch() for k in ids],
             tr.epochs, tr.batch_size, tr.learning_rate,
             [training_seed(self.config.run.seed, r, k) for k in ids],
         )))
@@ -298,7 +297,7 @@ class Simulation:
             return {k: node.model.weights - after[k].weights for k in members}
         devices = [self.devices[k] for k in members]
         grads = _in_sorted_chunks(
-            lambda js: gradient([node.model] * len(js), train_batches([devices[j] for j in js])),
+            lambda js: gradient([node.model] * len(js), [devices[j].train_batch() for j in js]),
             len(devices), key=lambda j: devices[j].train_size)
         return dict(zip(members, grads))
 
@@ -545,20 +544,28 @@ class Simulation:
                 event["merged_into"] = self.tree.merge(group, merged_model, born=r)
             self._event(event)
 
-    def _emit_metrics(self, r: int, drops: int, clusters: int) -> MetricsRow:
-        # Test accuracy and train loss of each device under its own model,
-        # the devices sorted by (model, batch length) so that the pairs of
-        # one model and one length share a matmul.
+    def _device_scores(self) -> tuple:
+        """(test accuracies, train losses) of the devices, in device order,
+        each under its own model. The devices are sorted by (model, batch
+        length) so that the pairs of one model and one length share a
+        matmul: accuracy in one `evaluate` pass over every test set, the
+        loss, whose train batches can be long, in chunks."""
         devices = self.devices
         nodes = [self.tree.cluster_of(d.device_id) for d in devices]
         models = [self._model_of(n) for n in nodes]
         group = [n.cluster_id if self.tree.is_specialized(n) else GLOBAL_MODEL_ID for n in nodes]
-        accs = _in_sorted_chunks(
-            lambda ks: evaluate([models[k] for k in ks], [devices[k].test for k in ks]),
-            len(devices), key=lambda k: (group[k], len(devices[k].test)))
+        order = sorted(range(len(devices)), key=lambda k: (group[k], len(devices[k].test)))
+        accs = [0.0] * len(devices)
+        for k, acc in zip(order, evaluate([models[k] for k in order],
+                                          [devices[k].test for k in order])):
+            accs[k] = acc
         losses = _in_sorted_chunks(
-            lambda ks: loss([models[k] for k in ks], train_batches([devices[k] for k in ks])),
+            lambda ks: loss([models[k] for k in ks], [devices[k].train_batch() for k in ks]),
             len(devices), key=lambda k: (group[k], devices[k].train_size))
+        return accs, losses
+
+    def _emit_metrics(self, r: int, drops: int, clusters: int) -> MetricsRow:
+        accs, losses = self._device_scores()
         device_losses = dict(zip((d.device_id for d in self.devices), losses))
 
         for node in self.tree.active_leaves():

@@ -7,11 +7,11 @@ home of every oracle that more than one test file checks against.
 
 The row-wise model reference: `forward` is the row-wise softmax whose bits
 `models.confidences` reproduces class-major, `ref_confidences` and
-`ref_evaluate` read the prediction and accuracy off it, and
-`test_models_stacked.py` builds its training reference on the same
-helpers. They are a verbatim copy of the per-model code and call none of
-the package's kernels, so that a change to those kernels cannot also
-change the reference they are checked against.
+`ref_evaluate` read the prediction and accuracy off it, `ref_loss` is the
+mean cross-entropy, and `test_models_stacked.py` builds its training
+reference on the same helpers. They are a verbatim copy of the per-model
+code and call none of the package's kernels, so that a change to those
+kernels cannot also change the reference they are checked against.
 
 `exhaustive_bipartition` is the original pure-Python search over every
 bipartition, which `clustering.bipartition` must match.
@@ -26,7 +26,7 @@ import numpy as np
 
 from cfsl import labeling
 from cfsl.clustering import _cosine
-from cfsl.models import ModelParams, param_count
+from cfsl.models import LabeledBatch, ModelParams, param_count
 
 
 def zero_params(dim_in: int, dim_out: int, hidden: int = 0) -> ModelParams:
@@ -122,6 +122,18 @@ def ref_evaluate(params: ModelParams, batch) -> float:
     probs = forward(params, batch.features)
     preds = probs.argmax(axis=1)
     return float((preds == batch.labels).mean())
+
+
+def ref_loss(params: ModelParams, batch: LabeledBatch) -> float:
+    """Mean cross-entropy over the batch (log-softmax form for accuracy)."""
+    if len(batch) == 0:
+        raise ValueError("loss requires a nonempty batch")
+    x = _check_features(params, batch.features)
+    z, _ = _logits(params, x)
+    z = z - z.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    picked = log_probs[np.arange(len(batch)), batch.labels]
+    return float(-picked.mean())
 
 
 def max_cross(values: np.ndarray, c1, c2) -> float:

@@ -7,10 +7,10 @@ from cfsl.config import DataConfig
 from cfsl.errors import StateError
 from cfsl.data import (
     DeviceDataset,
+    csv_devices,
     load_csv_dataset,
     make_task_universe,
     partition_devices,
-    train_batches,
 )
 from cfsl.models import LabeledBatch
 
@@ -104,8 +104,8 @@ def test_partition_counts_and_conservation():
     assert len(devices) == 6
     for dev in devices:
         assert (len(dev.train), len(dev.holdout)) == (4, 1)
-        assert dev.unlabeled_features.shape[0] == 45
-        assert len(dev.train) + len(dev.holdout) + dev.unlabeled_features.shape[0] == 50
+        assert dev.pool_features().shape[0] == 45
+        assert len(dev.train) + len(dev.holdout) + dev.pool_features().shape[0] == 50
         assert dev.hidden_truth.shape[0] == 45
 
 
@@ -137,7 +137,7 @@ def test_partition_fully_labeled_edge():
     devices = partition(u, 4, samples_per_device=30, labeled_fraction=1.0, seed=10)
     for dev in devices:
         assert len(dev.train) + len(dev.holdout) == 30
-        assert dev.unlabeled_features.shape[0] == 0
+        assert dev.pool_features().shape[0] == 0
         assert dev.injected_fraction == 1.0
         assert dev.unlabeled_remaining == 0
         check_counts_match_mask(dev)
@@ -158,7 +158,7 @@ def test_partition_deterministic_and_seed_sensitive():
         for part in ("train", "holdout"):
             assert np.array_equal(getattr(x, part).features, getattr(y, part).features)
             assert np.array_equal(getattr(x, part).labels, getattr(y, part).labels)
-        assert np.array_equal(x.unlabeled_features, y.unlabeled_features)
+        assert np.array_equal(x.pool_features(), y.pool_features())
         assert np.array_equal(x.test.features, y.test.features)
     assert not np.array_equal(a[0].train.features, c[0].train.features)
 
@@ -171,7 +171,7 @@ def test_partition_prefix_stable_in_device_count():
     for x, y in zip(short, longer):
         assert np.array_equal(x.train.features, y.train.features)
         assert np.array_equal(x.holdout.features, y.holdout.features)
-        assert np.array_equal(x.unlabeled_features, y.unlabeled_features)
+        assert np.array_equal(x.pool_features(), y.pool_features())
 
 
 def test_holdout_and_train_batch_partition_labeled_pool():
@@ -197,13 +197,21 @@ def test_holdout_and_train_batch_partition_labeled_pool():
 def test_labeled_rows_and_pool_are_views_of_one_array():
     u = small_universe(seed=14)
     for dev in partition(u, 3, 100, 0.2, seed=14, holdout_fraction=0.2):
-        rows = dev.train.features.base
-        parts = (dev.train.features, dev.holdout.features, dev.unlabeled_features)
+        dev.inject([4, 1], [dev.class_whitelist[0]] * 2)
+        rows, labels = dev.features, dev.labels
+        train = dev.train_batch()
+        pending = dev.pending_features()[1]
+        # holdout | train | pseudo-labeled | pending
+        parts = (dev.holdout.features, dev.train.features, train.features[len(dev.train):],
+                 pending)
         assert all(len(p) for p in parts)
-        assert all(np.shares_memory(rows, p) for p in parts)
+        assert all(p.base is rows for p in (*parts, train.features))
+        assert all(b.labels.base is labels for b in (dev.holdout, dev.train, train))
         # Each row is stored once: the parts tile the array in order.
-        assert rows.shape[0] == sum(len(p) for p in parts)
+        assert rows.shape[0] == sum(len(p) for p in parts) == labels.shape[0]
         assert np.array_equal(rows, np.vstack(parts))
+        assert np.array_equal(labels[: rows.shape[0] - len(pending)], np.concatenate(
+            [dev.holdout.labels, train.labels]))
 
 
 def test_train_batch_includes_injections_in_pool_order():
@@ -213,8 +221,8 @@ def test_train_batch_includes_injections_in_pool_order():
     train = dev.train_batch()
     assert len(train) == 12
     assert dev.labeled_size == 12
-    assert np.array_equal(train.features[-2], dev.unlabeled_features[2])
-    assert np.array_equal(train.features[-1], dev.unlabeled_features[7])
+    assert np.array_equal(train.features[-2], dev.pool_features()[2])
+    assert np.array_equal(train.features[-1], dev.pool_features()[7])
     assert train.labels[-2] == dev.class_whitelist[1]
     assert train.labels[-1] == dev.class_whitelist[0]
 
@@ -237,7 +245,7 @@ def check_counts_match_mask(dev):
 def reference_train_batch(dev):
     idx = np.flatnonzero(dev.injected_labels >= 0)
     return (
-        np.vstack([dev.train.features, dev.unlabeled_features[idx]]),
+        np.vstack([dev.train.features, dev.pool_features()[idx]]),
         np.concatenate([dev.train.labels, dev.injected_labels[idx]]),
     )
 
@@ -278,9 +286,8 @@ def test_inject_rejects_a_negative_label():
 
 
 def test_inject_rejects_a_repeated_or_injected_position_and_changes_nothing():
-    train = LabeledBatch(np.zeros((2, 2)), np.array([0, 1]))
-    dev = DeviceDataset(0, train, train.subset(np.array([], dtype=int)), np.zeros((4, 2)),
-                        np.array([0, 1, 0, 1]), 0, (0, 1), train)
+    # Two train rows, labeled 0 and 1, then a pool of four with truth 0, 1, 0, 1.
+    dev = DeviceDataset(0, np.zeros((6, 2)), np.array([0, 1, 0, 1, 0, 1]), 0, 2, 0, (0, 1))
 
     def state():
         return dev.n_injected, dev.n_known, dev.n_correct, dev.injected_labels.tolist()
@@ -301,10 +308,8 @@ def test_inject_rejects_a_repeated_or_injected_position_and_changes_nothing():
 def test_injected_fraction_is_the_rounded_mean_for_every_count():
     def device(size):
         return DeviceDataset(
-            0, LabeledBatch(np.zeros((2, 2)), np.array([0, 1])),
-            LabeledBatch(np.zeros((0, 2)), np.array([], dtype=np.int64)), np.zeros((size, 2)),
-            np.zeros(size, dtype=np.int64), 0, (0, 1),
-            LabeledBatch(np.zeros((1, 2)), np.array([0])),
+            0, np.zeros((2 + size, 2)), np.r_[0, 1, np.zeros(size, dtype=np.int64)], 0, 2,
+            0, (0, 1), LabeledBatch(np.zeros((1, 2)), np.array([0])),
         )
 
     for size in (1, 3, 7, 10, 49, 97, 192):
@@ -332,43 +337,169 @@ def test_train_batch_equals_its_definition_with_and_without_injections():
         feats, labels = reference_train_batch(dev)
         assert train.features.dtype == feats.dtype and train.labels.dtype == labels.dtype
         assert np.array_equal(train.features, feats) and np.array_equal(train.labels, labels)
-        # Callers own the batch: it shares no memory with the pools.
-        assert not np.shares_memory(train.features, dev.train.features)
-        assert not np.shares_memory(train.labels, dev.train.labels)
+        # The batch is a read-only view of the device's rows: no copy.
+        assert train.features.base is dev.features and train.labels.base is dev.labels
+        assert not train.features.flags.writeable and not train.labels.flags.writeable
         check_counts_match_mask(dev)
 
 
-def test_train_batches_are_slices_of_one_table():
+def test_test_sets_are_views_of_one_population_table():
     u = small_universe(seed=19)
-    devices = partition(u, 4, 60, 0.3, seed=19, holdout_fraction=0.25)
-    rng = np.random.default_rng(19)
-    for dev in devices[1:]:
-        idx = rng.choice(dev.injected_labels.size, size=int(rng.integers(1, 20)), replace=False)
-        dev.inject(idx, rng.choice(dev.class_whitelist, size=idx.size))
-    batches = train_batches(devices)
-    for dev, batch in zip(devices, batches):
-        want = dev.train_batch()
-        assert np.array_equal(batch.features, want.features)
-        assert np.array_equal(batch.labels, want.labels)
-    assert len({len(b) for b in batches}) > 1
-    assert all(b.features.base is batches[0].features.base for b in batches)
-    assert all(b.labels.base is batches[0].labels.base for b in batches)
+    devices = partition(u, 4, 60, 0.3, seed=19, test_samples_per_device=7)
+    table, labels = devices[0].test.features.base, devices[0].test.labels.base
+    assert table.shape == (4, 7, u.dim) and labels.shape == (4, 7)
+    for k, dev in enumerate(devices):
+        assert dev.test.features.base is table and dev.test.labels.base is labels
+        assert np.array_equal(dev.test.features, table[k])
+        assert np.array_equal(dev.test.labels, labels[k])
+    # The draws are those of a smaller population's devices.
+    for x, y in zip(devices, partition(u, 2, 60, 0.3, seed=19, test_samples_per_device=7)):
+        assert np.array_equal(x.test.features, y.test.features)
+        assert np.array_equal(x.test.labels, y.test.labels)
+
+
+# ---------------------------------------------------------------- layout oracle
+
+
+class Reference:
+    """What a device's round reads, kept apart from the device: its train
+    batch and its pool rows in pool order, copied when it was built, and
+    the pseudo-label of each injected position."""
+
+    def __init__(self, dev):
+        self.train = LabeledBatch(dev.train.features.copy(), dev.train.labels.copy())
+        self.pool = dev.pool_features()
+        self.record = {}
+
+    def inject(self, dev, indices, labels):
+        dev.inject(indices, labels)
+        self.record.update(zip(np.asarray(indices).tolist(),
+                               np.broadcast_to(labels, np.shape(indices)).tolist()))
+
+    def check(self, dev):
+        injected = sorted(self.record)
+        pending = sorted(set(range(len(self.pool))) - set(self.record))
+        batch = dev.train_batch()
+        want = (np.concatenate([self.train.features, self.pool[injected]]),
+                np.concatenate([self.train.labels,
+                                np.array([self.record[p] for p in injected], dtype=np.int64)]))
+        for got, ref in zip((batch.features, batch.labels), want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        idx, feats = dev.pending_features()
+        assert idx.tolist() == pending
+        assert feats.dtype == self.pool.dtype
+        assert np.array_equal(feats, self.pool[pending].reshape(-1, self.pool.shape[1]))
+        assert np.array_equal(dev.pool_features(), self.pool)
+        assert dev.injected_labels.tolist() == [self.record.get(p, -1)
+                                                for p in range(len(self.pool))]
+        assert dev.train_size == len(batch) == len(self.train) + len(injected)
+        # Views of the one array, and no part of it writable from outside.
+        for a in (batch.features, feats, dev.train.features, dev.holdout.features):
+            assert a.base is dev.features and not a.flags.writeable
+        check_counts_match_mask(dev)
+
+
+def layout(dev):
+    return dev.features.tobytes(), dev.labels.tobytes(), dev.injected_labels.tobytes()
+
+
+def rejected_injects(rng, dev, ref):
+    """Injects that must fail: each named by its arguments."""
+    size = len(ref.pool)
+    label = dev.class_whitelist[0]
+    cases = [([size], [label]), ([-1], [label])]
+    pending = np.flatnonzero(dev.injected_labels < 0)
+    if pending.size:
+        p = int(rng.choice(pending))
+        cases += [([p, p], [label, label]), ([p], [-1])]
+    if ref.record:
+        p = int(rng.choice(sorted(ref.record)))
+        cases.append(([p], [label]))
+        if pending.size:
+            cases.append(([int(pending[0]), p], [label, label]))
+    return cases
+
+
+def run_inject_sequence(dev, seed, ref=None):
+    """Random injects, each of a random subset of the pending positions in
+    random order, and rejected injects between them, checked against `ref`
+    (by default one taken now) after every step, until the pool is fully
+    injected."""
+    rng = np.random.default_rng(seed)
+    ref = ref or Reference(dev)
+    ref.check(dev)
+    while True:
+        for indices, labels in rejected_injects(rng, dev, ref):
+            before = layout(dev)
+            with pytest.raises((ValueError, StateError)):
+                dev.inject(indices, labels)
+            assert layout(dev) == before
+            ref.check(dev)
+        pending = np.flatnonzero(dev.injected_labels < 0)
+        if not pending.size:
+            break
+        count = int(rng.integers(1, min(pending.size, 9) + 1))
+        idx = rng.permutation(pending)[:count]
+        if rng.random() < 0.3:
+            ref.inject(dev, idx, int(rng.choice(dev.class_whitelist)))
+        else:
+            ref.inject(dev, idx, rng.choice(dev.class_whitelist, size=count))
+        ref.check(dev)
+    # An empty inject changes nothing either.
+    before = layout(dev)
+    dev.inject([], [])
+    assert layout(dev) == before
+    assert dev.injected_fraction == 1.0 and dev.unlabeled_remaining == 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_layout_matches_a_reference_gather_on_synthetic_devices(seed):
+    u = small_universe(seed=20 + seed, classes=5)
+    for dev in partition(u, 3, 40 + 7 * seed, 0.2, seed=seed, holdout_fraction=0.25):
+        run_inject_sequence(dev, [seed, dev.device_id])
+
+
+def test_layout_matches_a_reference_gather_on_csv_devices(tmp_path):
+    rng = np.random.default_rng(21)
+    lines = []
+    for j in range(40):
+        lines.append(",".join(f"{x:.3f}" for x in rng.normal(size=3)) + f",{j % 3}")
+        lines.append(",".join(f"{x:.3f}" for x in rng.normal(size=3)) + ",")
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    for holdout_fraction in (0.25, 0.0):
+        data = DataConfig(mode="csv", csv_path=path, features=3, classes=3,
+                          holdout_fraction=holdout_fraction)
+        for dev in csv_devices(data, 3, seed=2):
+            # The test set is the holdout, or the train rows, in place.
+            assert dev.test is (dev.holdout if holdout_fraction else dev.train)
+            run_inject_sequence(dev, [22, dev.device_id])
+
+
+def test_layout_on_an_empty_and_a_fully_injected_pool():
+    u = small_universe(seed=23)
+    (empty,) = partition(u, 1, 30, 1.0, seed=23)
+    assert len(empty.pool_features()) == 0
+    run_inject_sequence(empty, 23)
+    (full,) = partition(u, 1, 30, 0.3, seed=24)
+    ref = Reference(full)
+    ref.inject(full, np.arange(len(ref.pool))[::-1], full.class_whitelist[-1])
+    ref.check(full)
+    assert full.pending_features()[1].shape == (0, u.dim)
+    run_inject_sequence(full, 24, ref)
 
 
 def test_device_dataset_rejects_whitelist_violation():
-    bad = LabeledBatch(np.zeros((1, 2)), np.array([3]))
-    good = LabeledBatch(np.zeros((1, 2)), np.array([1]))
-    for train, holdout in ((bad, good), (good, bad)):
+    bad, good = 3, 1
+    for holdout, train in ((bad, good), (good, bad)):
         with pytest.raises(ValueError, match="outside whitelist"):
             DeviceDataset(
                 device_id=0,
-                train=train,
-                holdout=holdout,
-                unlabeled_features=np.zeros((0, 2)),
-                hidden_truth=np.zeros(0, dtype=int),
+                features=np.zeros((2, 2)),
+                labels=np.array([holdout, train]),
+                n_holdout=1,
+                n_train=1,
                 distribution_id=0,
                 class_whitelist=(0, 1),
-                test=good,
             )
 
 

@@ -227,12 +227,12 @@ def test_baseline_variants():
     sim = build_simulation(make_cfg(baseline="cfl-fully-labeled"))
     assert not sim.config.ssl.enabled
     assert sim.config.clustering.enabled
-    assert all(d.unlabeled_features.shape[0] == 0 for d in sim.devices)
+    assert all(d.pool_features().shape[0] == 0 for d in sim.devices)
 
     sim = build_simulation(make_cfg(baseline="cfl-labeled-only"))
     assert not sim.config.ssl.enabled
     assert sim.config.clustering.enabled
-    assert any(d.unlabeled_features.shape[0] > 0 for d in sim.devices)
+    assert any(d.pool_features().shape[0] > 0 for d in sim.devices)
 
     sim = build_simulation(make_cfg(baseline="hfl-ssl"))
     assert not sim.config.clustering.enabled
@@ -579,7 +579,7 @@ baseline = hfl-ssl
     res = run_experiment(override(cfg, {"run.out_dir": str(tmp_path / "out")}))
     sim = res.sim
     assert [len(d.train) + len(d.holdout) for d in sim.devices] == [4, 4]
-    assert [d.unlabeled_features.shape[0] for d in sim.devices] == [2, 2]
+    assert [d.pool_features().shape[0] for d in sim.devices] == [2, 2]
     assert all(d.distribution_id == -1 for d in sim.devices)
     # phi=0 labels the whole pool at round 1, but truth is unknown so
     # labeling accuracy stays undefined.
@@ -632,7 +632,7 @@ baseline = hfl-ssl
             assert part.features.tolist() == [[float(j), float(-j)] for j in rows]
             assert part.labels.tolist() == [j % 3 for j in rows]
         pool = list(range(k, pool_rows, n_devices))
-        assert dev.unlabeled_features.tolist() == [[100.0 + j, 0.5] for j in pool]
+        assert dev.pool_features().tolist() == [[100.0 + j, 0.5] for j in pool]
         assert dev.hidden_truth.tolist() == [-1] * len(pool)
         # The holdout doubles as the test set.
         assert len(dev.holdout) == 2

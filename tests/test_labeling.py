@@ -35,7 +35,7 @@ def device_with_pool(seed=0, labeled_fraction=0.25, samples=40, classes=4, dists
 def trained_on(device, universe, steps=60, seed=0):
     """A model fitted to the device's own distribution via its full truth."""
     feats = np.vstack([device.train.features, device.holdout.features,
-                       device.unlabeled_features])
+                       device.pool_features()])
     labs = np.concatenate([device.train.labels, device.holdout.labels, device.hidden_truth])
     batch = LabeledBatch(feats, labs)
     p = zero_params(universe.dim, universe.n_classes)

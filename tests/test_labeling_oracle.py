@@ -158,25 +158,28 @@ def identity_model(c):
     return ModelParams(np.concatenate([np.eye(c).ravel(), np.zeros(c)]), c, c)
 
 
-def make_device(rng, d, c, n_labeled=10, n_pool=60, n_holdout=4, rounded=False):
+def make_device(rng, d, c, n_labeled=10, n_pool=60, n_holdout=4, rounded=False, pool=None):
+    """A device of seeded random rows; `pool`, if given, replaces the drawn
+    pool features after every draw."""
     labels = rng.integers(0, c, size=n_labeled)
     feats = rng.normal(size=(n_labeled, d))
-    pool = rng.normal(size=(n_pool, d))
+    drawn = rng.normal(size=(n_pool, d))
+    pool = drawn if pool is None else np.array(pool, dtype=np.float64)
     if rounded:
         feats, pool = np.round(feats, 1), np.round(pool, 1)
     device_id = int(rng.integers(0, 100))
     hidden_truth = rng.integers(0, c, size=n_pool)
     held = np.sort(rng.choice(n_labeled, size=n_holdout, replace=False))
-    labeled = LabeledBatch(feats, labels)
+    train = np.setdiff1d(np.arange(n_labeled), held)
     return DeviceDataset(
         device_id=device_id,
-        train=labeled.subset(np.setdiff1d(np.arange(n_labeled), held)),
-        holdout=labeled.subset(held),
-        unlabeled_features=pool,
-        hidden_truth=hidden_truth,
+        features=np.concatenate([feats[held], feats[train], pool]),
+        labels=np.concatenate([labels[held], labels[train], hidden_truth]),
+        n_holdout=n_holdout,
+        n_train=train.size,
         distribution_id=0,
         class_whitelist=tuple(range(c)),
-        test=labeled,
+        test=LabeledBatch(feats, labels),
     )
 
 
@@ -508,8 +511,8 @@ def test_selection_counts_confidence_equal_to_phi(monkeypatch):
     # Tied logits give a confidence of exactly 1/2 and a 40-wide gap one
     # of exactly 1.0; both reach a threshold equal to them.
     rng = np.random.default_rng(14)
-    device = make_device(rng, 2, 2, n_pool=6)
-    device.unlabeled_features[:] = [[0, 0], [1, 1], [40, 0], [0, 40], [2, 0], [0.5, 0.5]]
+    device = make_device(rng, 2, 2, n_pool=6,
+                         pool=[[0, 0], [1, 1], [40, 0], [0, 40], [2, 0], [0.5, 0.5]])
     models = {1: identity_model(2), 2: ModelParams(np.array([0, 1, 1, 0, 0, 0.0]), 2, 2)}
     for phi in (0.5, 1.0):
         check_selection(device, models, phi=phi)

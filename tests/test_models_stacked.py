@@ -1,11 +1,12 @@
 """Oracle checks for the stacked training and scoring path.
 
 The reference below, with the row-wise model reference of `references.py`
-(`ref_evaluate` among it), is a verbatim copy of the per-device functions that `sgd_train`, `gradient`,
-`evaluate` and `loss` replaced: one `gradient()` call per SGD step, one
-model and one batch at a time, with the row-wise softmax; a gradient is a
-flat vector. Every device trained or scored in a ragged stack must get the
-same bits as this loop gives it alone.
+(`ref_evaluate` and `ref_loss` among it), is a verbatim copy of the
+per-device functions that `sgd_train`, `gradient`, `evaluate` and `loss`
+replaced: one `gradient()` call per SGD step, one model and one batch at a
+time, with the row-wise softmax; a gradient is a flat vector. Every device
+trained or scored in a ragged stack must get the same bits as this loop
+gives it alone.
 """
 
 import json
@@ -27,7 +28,7 @@ from cfsl.models import (
     param_count,
     sgd_train,
 )
-from references import _check_features, _logits, _unpack, ref_evaluate
+from references import _check_features, _logits, _unpack, ref_evaluate, ref_loss
 
 # ---------------------------------------------------------------- reference
 
@@ -36,18 +37,6 @@ def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def ref_loss(params: ModelParams, batch: LabeledBatch) -> float:
-    """Mean cross-entropy over the batch (log-softmax form for accuracy)."""
-    if len(batch) == 0:
-        raise ValueError("loss requires a nonempty batch")
-    x = _check_features(params, batch.features)
-    z, _ = _logits(params, x)
-    z = z - z.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    picked = log_probs[np.arange(len(batch)), batch.labels]
-    return float(-picked.mean())
 
 
 def ref_gradient(params: ModelParams, batch: LabeledBatch) -> np.ndarray:
@@ -108,7 +97,7 @@ def ref_sgd_train(
         order = rng.permutation(n)
         for i in range(n_batches):
             idx = order[i * batch_size : (i + 1) * batch_size]
-            g = ref_gradient(current, data.subset(idx))
+            g = ref_gradient(current, LabeledBatch(data.features[idx], data.labels[idx]))
             current = current.with_weights(current.weights - lr * g)
     return current
 
@@ -473,12 +462,16 @@ seed = 4
 
 def one_device_per_call(monkeypatch):
     """Run the orchestrator's stacked calls one device per call: chunks of
-    one device for `evaluate`, `loss` and `gradient`, `sgd_train` patched
-    to train one device at a time, and each selection scoring its own
-    device's holdout instead of taking the grouped accuracies."""
+    one device for `loss` and `gradient`, `evaluate` and `sgd_train`
+    patched to score or train one device at a time, and each selection
+    scoring its own device's holdout instead of taking the grouped
+    accuracies."""
     def trained_alone(models, batches, epochs, batch_size, lr, seeds):
         return [sgd_train([m], [b], epochs, batch_size, lr, [s])[0]
                 for m, b, s in zip(models, batches, seeds)]
+
+    def scored_alone(models, batches):
+        return [evaluate([m], [b])[0] for m, b in zip(models, batches)]
 
     def selected_alone(device, candidates, phi, pool, accuracy):
         return select(device, candidates, phi, pool)
@@ -486,6 +479,7 @@ def one_device_per_call(monkeypatch):
     select = orchestrator.select_best_model
     monkeypatch.setattr(orchestrator, "STACK_CHUNK", 1)
     monkeypatch.setattr(orchestrator, "sgd_train", trained_alone)
+    monkeypatch.setattr(orchestrator, "evaluate", scored_alone)
     monkeypatch.setattr(orchestrator, "select_best_model", selected_alone)
 
 
@@ -498,7 +492,7 @@ def test_simulation_does_not_depend_on_how_devices_are_grouped(monkeypatch, scop
     and with candidate sets shared by every edge or each edge's own."""
     config = parse_config(GROUPED.replace("[ssl]\n", f"[ssl]\ncandidate_scope = {scope}\n"))
     mixed = {"sgd_train": [], "loss": [], "gradient": []}
-    shared = []
+    shared, scored = [], []
 
     def recording(name):
         real = getattr(orchestrator, name)
@@ -519,6 +513,12 @@ def test_simulation_does_not_depend_on_how_devices_are_grouped(monkeypatch, scop
             shared.append(len(devices))
             return real_holdouts(devices, candidates)
         patch.setattr(orchestrator, "holdout_accuracies", holdouts)
+        real_evaluate = orchestrator.evaluate
+
+        def evaluated(models, batches):
+            scored.append((len(batches), len({id(m) for m in models})))
+            return real_evaluate(models, batches)
+        patch.setattr(orchestrator, "evaluate", evaluated)
         grouped = build_simulation(config)
         grouped.run()
     # Some call mixes models (for training and the loss) and train sizes,
@@ -526,6 +526,8 @@ def test_simulation_does_not_depend_on_how_devices_are_grouped(monkeypatch, scop
     for name, calls in mixed.items():
         assert any(calls), name
     assert max(shared) > 1
+    # Accuracy is one pass over every device, some of them on several models.
+    assert all(n == 24 for n, _ in scored) and max(m for _, m in scored) > 1
     kinds = {e["type"] for e in grouped.events}
     assert {"split", "injection", "selection"} <= kinds
     # Each round's selections (and with them the injections) in device order.

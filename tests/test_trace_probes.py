@@ -49,9 +49,9 @@ def test_counted_arguments_stay_positional(fn, second):
 
 
 # Probes of code that src/ no longer calls: they read 0 in every traced run.
-# Selection scores every candidate in labeling.select_best_model itself, and
-# train rows are gathered only through data.train_batches.
-KNOWN_DEAD = {"labeling.utility", "data.train_batch"}
+# Selection scores every candidate in labeling.select_best_model itself.
+# Every read of train rows in src/ goes through DeviceDataset.train_batch.
+KNOWN_DEAD = {"labeling.utility"}
 
 
 def _called_names() -> set:
