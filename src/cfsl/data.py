@@ -182,6 +182,9 @@ class DeviceDataset:
         for all). Positions must be in range, unique and pending (StateError:
         injected labels are frozen) and labels >= 0, or nothing changes."""
         indices, labels = np.asarray(indices, dtype=np.intp), np.asarray(labels)
+        if labels.ndim and labels.shape != indices.shape:
+            raise ValueError(f"device {self.device_id}: {labels.size} pseudo-labels "
+                             f"for {indices.size} positions")
         if not indices.size:
             return
         ordered = np.sort(indices)

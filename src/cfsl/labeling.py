@@ -8,7 +8,8 @@ grows accordingly, which feeds back into scheduling.
 
 A selection reads the holdout and the pool once for all candidates and
 scores their holdout accuracy in one stacked pass (`holdout_accuracies`
-scores the devices that share a candidate set together). Accuracy ranks
+scores the devices that share a candidate set in one `accuracy_grid`
+call, which orders and blocks their holdouts itself). Accuracy ranks
 first, so only the contenders, the candidates tied at the best accuracy,
 can be chosen; only they run over the pool, in one stacked pass, to get their
 coverage. The contenders rank by coverage, then by the lowest model id.
@@ -21,20 +22,13 @@ model again.
 from __future__ import annotations
 
 import logging
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DeviceDataset
 from .errors import StateError
-from .models import (
-    STACK_CHUNK,
-    LabeledBatch,
-    ModelParams,
-    accuracy_grid,
-    confidences,
-)
+from .models import LabeledBatch, ModelParams, accuracy_grid, confidences
 
 log = logging.getLogger(__name__)
 
@@ -107,20 +101,10 @@ def _scored_holdout(device: DeviceDataset) -> LabeledBatch:
 
 def holdout_accuracies(devices: list, candidates: dict) -> list:
     """Each device's holdout accuracy of every candidate, in candidate
-    order, as `select_best_model` scores it alone: one `accuracy_grid` pass
-    per holdout length and chunk of STACK_CHUNK devices."""
+    order, as `select_best_model` scores it alone: one `accuracy_grid`
+    call over every device's holdout."""
     holdouts = [_scored_holdout(dev) for dev in devices]
-    by_length = defaultdict(list)
-    for j, batch in enumerate(holdouts):
-        by_length[len(batch)].append(j)
-    out = [None] * len(devices)
-    for group in by_length.values():
-        for lo in range(0, len(group), STACK_CHUNK):
-            chunk = group[lo : lo + STACK_CHUNK]
-            grid = accuracy_grid(list(candidates.values()), [holdouts[j] for j in chunk])
-            for j, column in zip(chunk, grid.T.tolist()):
-                out[j] = column
-    return out
+    return accuracy_grid(list(candidates.values()), holdouts).T.tolist()
 
 
 def select_best_model(device: DeviceDataset, candidates: dict, phi: float, pool: np.ndarray,

@@ -16,15 +16,20 @@ c=10), so every matmul runs on one batch's own ``(n, d)`` rows, alone or as
 a slice of a stacked operand, which numpy runs through the same BLAS call
 with the same strides. The rest works within one sample (softmax, log, the
 pick) or one batch (means, ``x.T @ delta``, column sums), so it may run
-over all pairs at once. Scoring writes every pair's logits into one
-class-major ``(c, N)`` table for one softmax (see "Class-major softmax")
-and takes each pair's loss, accuracy or gradient from its own columns.
-K models on one LabeledBatch (a selection's holdout) are scored by
-``accuracy_grid`` with one batch: one broadcast matmul with the row-wise
-softmax. On so few rows it is the faster way to score them: on one core
-(numpy 2.4.6, d=16, c=6, both families, holdouts of 1-4 rows), taking the
-accuracy from ``confidences`` instead was 1.1-1.7x slower for K <= 12
-candidates and 1.0-1.2x slower at K = 30.
+over all pairs at once. The pairs come in any order: scoring orders them
+stably by (first appearance of the model object, batch length), so that
+pairs of one model and one length share a stacked matmul, cuts them into
+blocks of whole pairs of at most ``SOFTMAX_BLOCK`` activations (a row's
+logits and hidden units; a larger pair alone), gives each block one
+class-major ``(c, N)`` table for one softmax (see "Class-major softmax"),
+takes each pair's loss, accuracy or gradient from its own columns and
+answers in input order. ``accuracy_grid`` scores K models on the D
+holdouts of the devices that share a candidate set, blocked the same way,
+with one broadcast matmul per holdout length and the row-wise softmax. On
+so few rows it is the faster way to score them: on one core (numpy 2.4.6,
+d=16, c=6, both families, holdouts of 1-4 rows), taking the accuracy from
+``confidences`` instead was 1.1-1.7x slower for K <= 12 candidates and
+1.0-1.2x slower at K = 30.
 Training takes the class-major softmax too, on a contiguous copy of each
 step's logits. With the in-place forward and backward passes, on one core,
 a fedavg-128 round of ``sgd_train`` (64 MLP devices of 160 rows, d=8, h=16,
@@ -42,13 +47,15 @@ core) went from 46.4 to 48.7 MiB on fedavg-128 (64 MLP devices train per
 round), 74.9 to 75.3 MiB on selflabel-64 and 65.4 to 66.5 MiB on split-512.
 The batches themselves are views of each device's rows
 (``DeviceDataset.train_batch``): no caller gathers or caches them, so no
-injected row is stored twice. Scoring callers stack at most
-``STACK_CHUNK`` (16) devices at a time, since a train batch can hold a
-device's whole pool and one ``accuracy_grid`` pass over all 512 devices of
-split-512 against 61 candidates raised one replica's peak RSS from 55 to
-65.5 MiB. The one exception is the metrics' test accuracy, one
-``evaluate`` call over every device: test sets are short (40 rows by
-default, 1.3 MB for split-512's 512 devices).
+injected row is stored twice. Scoring callers pass every pair in one call,
+and the blocks bound what a call holds at once, since a train batch can
+hold a device's whole pool: one unblocked ``accuracy_grid`` pass over all
+512 devices of split-512 against 61 candidates raised one replica's peak
+RSS from 55 to 65.5 MiB. The hidden units count because the blocks' size
+is also their speed: on one core, fedavg-128's metrics (one MLP, h=16,
+c=4, over 128 devices) took a median 6.7 ms in blocks of 32,768 logits,
+against 5.3 ms in chunks of 16 devices and 5.2 ms in blocks of 32,768
+activations.
 
 Class-major softmax. The ``(n, c)`` logits are transposed to ``(c, n)``, so
 that each softmax step is a few long vector operations instead of n
@@ -86,11 +93,8 @@ import numpy as np
 
 BITS_PER_PARAMETER = 32
 
-# Devices per stacked scoring pass (see the module docstring).
-STACK_CHUNK = 16
-
-# Values per block of the class-major softmax in `confidences` (see the
-# module docstring).
+# Values per block of scoring and of the class-major softmax in
+# `confidences` (see the module docstring).
 SOFTMAX_BLOCK = 32768
 
 
@@ -251,19 +255,49 @@ def _check_features(p: ModelParams, features: np.ndarray):
     return features
 
 
-def _logit_table(models, batches, caller: str):
-    """Every (model, batch) pair's logits, for K models and K nonempty
-    batches, in one class-major (c, N) table. Adjacent pairs with one model
-    object and one batch length share a stacked matmul. Returns (first
-    model, table, labels (N,), rows, runs): pair i has columns
-    rows[i]:rows[i + 1], and a run is (weight views, features (r, n, d),
-    hidden activations, its first pair)."""
+def _scored_in_blocks(models, batches, caller: str, score) -> list:
+    """One result per pair of K models and K nonempty batches, in input
+    order: score(first model, *`_logit_table` of a block) gives one per
+    pair of the block, ordered and blocked as "Ragged stacks" says."""
     first = _first_model(models, caller)
-    lengths = [len(b) for b in batches]
+    lengths = list(map(len, batches))
     if not lengths or min(lengths) == 0:
         raise ValueError(f"{caller} requires a nonempty batch")
     if len(models) != len(batches):
         raise ValueError(f"{caller} got {len(models)} models for {len(batches)} batches")
+    # A model object's rank is its first appearance.
+    rank = {key: r for r, key in enumerate(dict.fromkeys(map(id, models)))}
+    keys = list(zip(map(rank.__getitem__, map(id, models)), lengths))
+    out = [None] * len(batches)
+    for block in _blocks(sorted(range(len(keys)), key=keys.__getitem__),
+                         [n * (first.dim_out + first.hidden) for n in lengths]):
+        table = _logit_table(first, [models[i] for i in block], [batches[i] for i in block],
+                             [lengths[i] for i in block])
+        for i, result in zip(block, score(first, *table)):
+            out[i] = result
+    return out
+
+
+def _blocks(order, sizes):
+    """The indices of `order`, in that order, cut into lists of at most
+    SOFTMAX_BLOCK total size, an index of a larger size alone."""
+    block, total = [], 0
+    for i in order:
+        if block and total + sizes[i] > SOFTMAX_BLOCK:
+            yield block
+            block, total = [], 0
+        block.append(i)
+        total += sizes[i]
+    if block:
+        yield block
+
+
+def _logit_table(first: ModelParams, models, batches, lengths):
+    """Every (model, batch) pair's logits in one class-major (c, N) table.
+    Adjacent pairs with one model object and one batch length share a
+    stacked matmul. Returns (table, labels (N,), rows, runs): pair i has
+    columns rows[i]:rows[i + 1], and a run is (weight views, features
+    (r, n, d), hidden activations, its first pair)."""
     rows = [0, *accumulate(lengths)]
     table = np.empty((first.dim_out, rows[-1]))
     runs = []
@@ -277,7 +311,7 @@ def _logit_table(models, batches, caller: str):
         table[:, rows[i] : rows[i + len(x)]] = z.reshape(-1, first.dim_out).T
         runs.append((views, x, h, i))
     labels = _check_labels(first, np.concatenate([b.labels for b in batches]))
-    return first, table, labels, rows, runs
+    return table, labels, rows, runs
 
 
 def _softmax_columns(table: np.ndarray) -> np.ndarray:
@@ -304,32 +338,35 @@ def _top_class(probs: np.ndarray):
 def loss(models, batches) -> list:
     """Mean cross-entropy of each (model, batch) pair, as a float
     (log-softmax form for accuracy; see "Ragged stacks")."""
-    _, z, y, rows, _ = _logit_table(models, batches, "loss")
-    z -= z.max(axis=0)
-    picked = z[y, np.arange(y.size)] - np.log(_pairwise_sum(np.exp(z)))
-    # Each pair's mean as `mean` takes it: its slice's pairwise sum over n.
-    return [float(-(np.add.reduce(picked[lo:hi]) / (hi - lo))) for lo, hi in zip(rows, rows[1:])]
+    def score(first, z, y, rows, runs):
+        z -= z.max(axis=0)
+        picked = z[y, np.arange(y.size)] - np.log(_pairwise_sum(np.exp(z)))
+        # Each pair's mean as `mean` takes it: its slice's pairwise sum over n.
+        return [float(-(np.add.reduce(picked[lo:hi]) / (hi - lo)))
+                for lo, hi in zip(rows, rows[1:])]
+    return _scored_in_blocks(models, batches, "loss", score)
 
 
 def gradient(models, batches) -> list:
     """Exact analytic gradient of `loss` for each (model, batch) pair, as a
     flat float64 vector laid out like the model's weights (see "Ragged
     stacks"). Raises ValueError if any entry is not finite."""
-    first, z, y, rows, runs = _logit_table(models, batches, "gradient")
-    delta = _softmax_columns(z)
-    delta[y, np.arange(y.size)] -= 1.0
-    # Row-major again, as each batch's backward matmuls take it alone.
-    delta = delta.T.copy()
-    out = np.empty((len(batches), first.weights.size))
-    for views, x, h, i in runs:
-        r, n = x.shape[:2]
-        d = delta[rows[i] : rows[i + r]].reshape(r, n, -1)
-        d /= n
-        grads = _backward(first.hidden, views, x, h, d)
-        np.concatenate([g.reshape(r, -1) for g in grads], axis=-1, out=out[i : i + r])
-    if not np.all(np.isfinite(out)):
-        raise ValueError("gradient contains non-finite entries")
-    return list(out)
+    def score(first, z, y, rows, runs):
+        delta = _softmax_columns(z)
+        delta[y, np.arange(y.size)] -= 1.0
+        # Row-major again, as each batch's backward matmuls take it alone.
+        delta = delta.T.copy()
+        out = np.empty((len(rows) - 1, first.weights.size))
+        for views, x, h, i in runs:
+            r, n = x.shape[:2]
+            d = delta[rows[i] : rows[i + r]].reshape(r, n, -1)
+            d /= n
+            grads = _backward(first.hidden, views, x, h, d)
+            np.concatenate([g.reshape(r, -1) for g in grads], axis=-1, out=out[i : i + r])
+        if not np.all(np.isfinite(out)):
+            raise ValueError("gradient contains non-finite entries")
+        return out
+    return _scored_in_blocks(models, batches, "gradient", score)
 
 
 def sgd_train(models, batches, epochs: int, batch_size: int, lr: float, seeds) -> list:
@@ -403,41 +440,43 @@ def _first_model(models, caller: str) -> ModelParams:
     return first
 
 
-def _stacked_logits(models, features: np.ndarray, caller: str) -> np.ndarray:
-    """(K, n, c) logits of K same-shape models on one (n, d) feature matrix,
-    in one broadcast matmul."""
-    first = _first_model(models, caller)
-    x = _check_features(first, features)
-    return _logits(first.hidden, _unpack(first, np.stack([m.weights for m in models])), x)[0]
-
-
 def accuracy_grid(models, batches) -> np.ndarray:
     """(K, D) accuracies of K same-shape models on each of D nonempty
-    batches of one length (the holdouts of the devices that share a
-    candidate set), in one broadcast matmul of (K, 1, d, c) weights against
-    (1, D, n, d) rows: entry (k, j) has the bits `evaluate([models[k]],
-    batches[j])` gets, since every (model, batch) pair keeps its own
-    (n, d) @ (d, c) BLAS call and the softmax works row by row."""
-    first = _first_model(models, "evaluate")
-    if not batches or len(batches[0]) == 0:
-        raise ValueError("evaluate requires a nonempty batch")
-    if any(len(b) != len(batches[0]) for b in batches):
-        raise ValueError("accuracy_grid needs batches of one length")
-    x = np.stack([_check_features(first, b.features) for b in batches])
-    labels = _check_labels(first, np.stack([b.labels for b in batches]))
-    weights = np.stack([m.weights for m in models])[:, None]
-    z = _logits(first.hidden, _unpack(first, weights), x)[0]
-    return (_softmax(z).argmax(axis=-1) == labels).mean(axis=-1)
+    batches of any lengths (the holdouts of the devices that share a
+    candidate set): entry (k, j) has the bits `evaluate([models[k]],
+    [batches[j]])` gets. The batches are ordered by length and blocked as
+    "Ragged stacks" says, a batch of n rows counting K n (c + hidden); the
+    batches of one length in a block take one broadcast matmul of
+    (K, 1, d, c) weights against (1, D', n, d) rows, in which every pair
+    keeps its own (n, d) @ (d, c) BLAS call, and the softmax works row by
+    row."""
+    first = _first_model(models, "accuracy_grid")
+    lengths = [len(b) for b in batches]
+    if not lengths or min(lengths) == 0:
+        raise ValueError("accuracy_grid requires a nonempty batch")
+    views = _unpack(first, np.stack([m.weights for m in models])[:, None])
+    out = np.empty((len(models), len(batches)))
+    size = len(models) * (first.dim_out + first.hidden)
+    for block in _blocks(sorted(range(len(batches)), key=lengths.__getitem__),
+                         [n * size for n in lengths]):
+        for _, run in groupby(block, key=lengths.__getitem__):
+            run = list(run)
+            x = np.stack([_check_features(first, batches[j].features) for j in run])
+            labels = _check_labels(first, np.stack([batches[j].labels for j in run]))
+            z = _logits(first.hidden, views, x)[0]
+            out[:, run] = (_softmax(z).argmax(axis=-1) == labels).mean(axis=-1)
+    return out
 
 
 def evaluate(models, batches) -> list:
     """Accuracy of each (model, batch) pair: the fraction of argmax
     predictions matching the labels, ties to the lowest class id (see
     "Ragged stacks")."""
-    _, z, y, rows, _ = _logit_table(models, batches, "evaluate")
-    hits = _top_class(_softmax_columns(z))[0] == y
-    # Exact counts: count / n is rounded once, as the mean of the bools is.
-    return (np.add.reduceat(hits, rows[:-1], dtype=np.intp) / np.diff(rows)).tolist()
+    def score(first, z, y, rows, runs):
+        hits = _top_class(_softmax_columns(z))[0] == y
+        # Exact counts: count / n is rounded once, as the mean of the bools is.
+        return (np.add.reduceat(hits, rows[:-1], dtype=np.intp) / np.diff(rows)).tolist()
+    return _scored_in_blocks(models, batches, "evaluate", score)
 
 
 def _pairwise_sum(a: np.ndarray) -> np.ndarray:
@@ -464,7 +503,9 @@ def confidences(models, features: np.ndarray):
     model k gets alone; ties go to the lowest class id. The softmax runs
     class-major with the bits of the row-wise `_softmax` (see "Class-major
     softmax")."""
-    logits = _stacked_logits(models, features, "confidences")
+    first = _first_model(models, "confidences")
+    x = _check_features(first, features)
+    logits = _logits(first.hidden, _unpack(first, np.stack([m.weights for m in models])), x)[0]
     n = logits.shape[1]
     classes = np.empty((len(models), n), dtype=np.int64)
     conf = np.empty((len(models), n))

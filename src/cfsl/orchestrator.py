@@ -38,7 +38,6 @@ from .labeling import (
     select_best_model,
 )
 from .models import (
-    STACK_CHUNK,
     ModelParams,
     evaluate,
     gradient,
@@ -94,18 +93,6 @@ def edge_aggregate(models: list, weights: list) -> ModelParams:
     for wi, m in zip(wn, models):
         acc += wi * m.weights
     return first.with_weights(acc)
-
-
-def _in_sorted_chunks(score, n: int, key) -> list:
-    """score(indices) of the indices 0 .. n - 1, taken in chunks of
-    STACK_CHUNK in order of key, as one list in index order."""
-    order = sorted(range(n), key=key)
-    out = [None] * n
-    for i in range(0, n, STACK_CHUNK):
-        chunk = order[i : i + STACK_CHUNK]
-        for k, value in zip(chunk, score(chunk)):
-            out[k] = value
-    return out
 
 
 # Types `jsonable` returns as they are.
@@ -288,18 +275,14 @@ class Simulation:
 
     def _split_signals(self, node, members: list, r: int) -> dict:
         """{member: flat vector} in the order of `members`: the gradient of
-        the cluster's model on each member's train batch, one stacked call
-        per chunk of members taken in order of train size (so that equal
-        lengths share a matmul), or with `use_weight_deltas` each member's
-        weight change from local training."""
+        the cluster's model on each member's train batch, in one `gradient`
+        call, or with `use_weight_deltas` each member's weight change from
+        local training."""
         if self.config.clustering.use_weight_deltas:
             after = self._train(dict.fromkeys(members, node.model), r)
             return {k: node.model.weights - after[k].weights for k in members}
-        devices = [self.devices[k] for k in members]
-        grads = _in_sorted_chunks(
-            lambda js: gradient([node.model] * len(js), [devices[j].train_batch() for j in js]),
-            len(devices), key=lambda j: devices[j].train_size)
-        return dict(zip(members, grads))
+        return dict(zip(members, gradient(
+            [node.model] * len(members), [self.devices[k].train_batch() for k in members])))
 
     # ------------------------------------------------------------ round
 
@@ -546,23 +529,11 @@ class Simulation:
 
     def _device_scores(self) -> tuple:
         """(test accuracies, train losses) of the devices, in device order,
-        each under its own model. The devices are sorted by (model, batch
-        length) so that the pairs of one model and one length share a
-        matmul: accuracy in one `evaluate` pass over every test set, the
-        loss, whose train batches can be long, in chunks."""
-        devices = self.devices
-        nodes = [self.tree.cluster_of(d.device_id) for d in devices]
-        models = [self._model_of(n) for n in nodes]
-        group = [n.cluster_id if self.tree.is_specialized(n) else GLOBAL_MODEL_ID for n in nodes]
-        order = sorted(range(len(devices)), key=lambda k: (group[k], len(devices[k].test)))
-        accs = [0.0] * len(devices)
-        for k, acc in zip(order, evaluate([models[k] for k in order],
-                                          [devices[k].test for k in order])):
-            accs[k] = acc
-        losses = _in_sorted_chunks(
-            lambda ks: loss([models[k] for k in ks], [devices[k].train_batch() for k in ks]),
-            len(devices), key=lambda k: (group[k], devices[k].train_size))
-        return accs, losses
+        each under its own model: one `evaluate` call over every test set
+        and one `loss` call over every train batch."""
+        models = [self._model_of(self.tree.cluster_of(d.device_id)) for d in self.devices]
+        return (evaluate(models, [d.test for d in self.devices]),
+                loss(models, [d.train_batch() for d in self.devices]))
 
     def _emit_metrics(self, r: int, drops: int, clusters: int) -> MetricsRow:
         accs, losses = self._device_scores()

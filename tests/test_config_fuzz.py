@@ -1,0 +1,137 @@
+"""A seeded config fuzz: every config that validates runs to the end, and
+every one that does not fails with a `ConfigError` that names a key,
+before any round.
+
+The draws come from the config sections' own field metadata, so a new key
+is fuzzed without editing this file. A choice key takes one of its
+options (the list its check's message names), a Boolean either value,
+and any other key with a default half or twice it or one more, or its
+default where that value fails the key's check; in half the configs, one
+checked key gets a boundary value (0, 1, 0.5 or -1) instead, which may
+fail its check. Keys are left out half the time, so that defaults apply.
+Only the keys without a default are sized here, to keep each run small:
+at most 24 devices and 6 rounds. After a run, the current leaves
+partition the devices and `events.jsonl` is strict JSON.
+"""
+
+import json
+import random
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from cfsl.config import REQUIRED, SECTIONS, ini_key, parse_config
+from cfsl.errors import ConfigError
+from cfsl.experiment import build_simulation, run_experiment
+
+CONFIGS = 40
+# The keys without a default.
+SIZES = {"topology.edges": range(1, 5), "topology.devices": range(3, 25), "run.rounds": range(7)}
+BOUNDARY = (0, 1, 0.5, -1)
+CHOICE = "must be one of "
+KEYS = [(f"{cls.section}.{ini_key(f)}", f) for cls in SECTIONS for f in fields(cls)]
+
+
+def is_int(f) -> bool:
+    return "int" in str(f.type)
+
+
+def draw_value(rng, where, f, csv_path):
+    """A value of field `f` drawn from its metadata."""
+    if where in SIZES:
+        return rng.choice(SIZES[where])
+    message, default = f.metadata["message"], f.default
+    if message.startswith(CHOICE):
+        return rng.choice(message[len(CHOICE):].split(", "))
+    if isinstance(default, bool):
+        return rng.random() < 0.5
+    if isinstance(default, str):
+        # The one free-text key the fuzz fills in is the csv path.
+        return csv_path if where == "data.csv_path" else default
+    if default is None:
+        return rng.choice([None, 1, 2, 7] if is_int(f) else [None, 0.5, 2.0, 50.0])
+    value = rng.choice([default // 2 if is_int(f) else default * 0.5, default * 2, default + 1])
+    check = f.metadata["check"]
+    return value if check is None or check(value) else default
+
+
+def text_of(value, f) -> str:
+    if value is None:
+        return "auto" if is_int(f) else "none"
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def draw_config(seed, csv_path, out_dir):
+    """(INI text, {section.key: (field, value)} of the keys it gives) of
+    config `seed`."""
+    rng = random.Random(seed)
+    checked = [where for where, f in KEYS if f.metadata["check"] is not None
+               and not f.metadata["message"].startswith(CHOICE)
+               and not isinstance(f.default, bool)]
+    edge = rng.choice(checked) if rng.random() < 0.5 else None
+    drawn = {}
+    for where, f in KEYS:
+        if where == "run.out_dir":
+            drawn[where] = (f, out_dir)
+        elif where == edge:
+            value = rng.choice(BOUNDARY)
+            drawn[where] = (f, int(value) if is_int(f) else value)
+        elif f.default is REQUIRED or rng.random() < 0.5:
+            drawn[where] = (f, draw_value(rng, where, f, csv_path))
+    lines = []
+    for cls in SECTIONS:
+        lines.append(f"[{cls.section}]")
+        lines += [f"{where.split('.')[1]} = {text_of(value, f)}"
+                  for where, (f, value) in drawn.items() if where.startswith(f"{cls.section}.")]
+    return "\n".join(lines) + "\n", drawn
+
+
+def write_csv(path, data, devices, seed):
+    """A csv of `data.features` columns and a label in [0, data.classes):
+    four labeled rows per device, then one unlabeled row per device."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for k in range(5 * devices):
+        label = str(rng.integers(data.classes)) if k < 4 * devices else ""
+        rows.append(",".join(f"{v:.3f}" for v in rng.normal(size=data.features)) + f",{label}")
+    path.write_text("\n".join(rows) + "\n")
+
+
+def read_strict_json(path) -> list:
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line, parse_constant=reject) for line in fh]
+
+
+@pytest.mark.parametrize("seed", range(CONFIGS))
+def test_a_drawn_config_is_rejected_by_key_or_runs_to_the_end(seed, tmp_path):
+    csv_path = tmp_path / "data.csv"
+    text, drawn = draw_config(seed, str(csv_path), str(tmp_path / "out"))
+    names = {where for where, _ in KEYS}
+    try:
+        config = parse_config(text)
+    except ConfigError as exc:
+        assert exc.key in names, exc
+        return
+    # No value that fails its own check is accepted.
+    assert all(f.metadata["check"] is None or f.metadata["check"](value)
+               for f, value in drawn.values()), text
+    if config.data.mode == "csv":
+        write_csv(csv_path, config.data, config.topology.devices, seed)
+    # Building the population reads the csv: the last place to reject.
+    try:
+        build_simulation(config)
+    except ConfigError as exc:
+        assert exc.key in names, exc
+        return
+    result = run_experiment(config)
+    sim = result.sim
+    assert len(sim.metrics) <= config.run.rounds
+    members = sorted(k for leaf in sim.tree.leaves() for k in leaf.members)
+    assert members == list(range(config.topology.devices))
+    events = read_strict_json(result.events_path)
+    assert events[0]["type"] == "run_header" and len(events) == 1 + len(sim.events)

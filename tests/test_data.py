@@ -297,10 +297,13 @@ def test_inject_rejects_a_repeated_or_injected_position_and_changes_nothing():
     assert before == (1, 1, 1, [-1, -1, -1, 1])
     for indices, labels, error in (([3], [0], StateError), ([2, 2], [0, 0], ValueError),
                                    ([4], [0], ValueError), ([-1], [0], ValueError),
-                                   ([2, 3], [0, 0], StateError)):
-        with pytest.raises(error):
+                                   ([2, 3], [0, 0], StateError), ([0, 1, 2], [1, 0], ValueError),
+                                   ([0, 1], [], ValueError)):
+        with pytest.raises(error, match="device 0"):
             dev.inject(indices, labels)
         assert state() == before
+        assert not any(a.flags.writeable
+                       for a in (dev.injected_labels, dev.features, dev.labels))
     dev.inject([2, 0], [0, 1])
     assert state() == (3, 3, 2, [1, -1, 0, 1])
 

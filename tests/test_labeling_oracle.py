@@ -36,7 +36,6 @@ from cfsl.labeling import (
 )
 from cfsl.models import (
     SOFTMAX_BLOCK,
-    STACK_CHUNK,
     LabeledBatch,
     ModelParams,
     _pairwise_sum,
@@ -400,10 +399,11 @@ def test_stacked_evaluate_rejects_mixed_shapes_and_no_models():
 
 
 def csv_case(tmp_path, rng, d, c):
-    """20 csv devices, 18 with holdouts of 4 rows (more than one chunk of
-    STACK_CHUNK) and 2 of 3 rows (138 labeled rows dealt round-robin, half
-    held out), features on a one-decimal grid so that logits tie, then two
-    devices with empty holdouts."""
+    """20 csv devices, 18 with holdouts of 4 rows (more than one block of
+    16 holdouts, under a patched `SOFTMAX_BLOCK`) and 2 of 3 rows (138
+    labeled rows dealt round-robin, half held out), features on a
+    one-decimal grid so that logits tie, then two devices with empty
+    holdouts."""
     rows = [",".join(f"{v:.1f}" for v in rng.normal(size=d)) + f",{rng.integers(c)}"
             for _ in range(138)]
     rows += [",".join(f"{v:.1f}" for v in rng.normal(size=d)) + "," for _ in range(12)]
@@ -421,11 +421,12 @@ def csv_case(tmp_path, rng, d, c):
 
 @pytest.mark.parametrize("k", (1, 7, 30))
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_holdout_accuracies_equal_evaluate_device_by_device(family, k, tmp_path, caplog):
+def test_holdout_accuracies_equal_evaluate_device_by_device(family, k, tmp_path, caplog,
+                                                           monkeypatch):
     rng = np.random.default_rng([k, FAMILIES[family]])
     d, c = 5, 4
     devices = csv_case(tmp_path, rng, d, c)
-    assert [len(dev.holdout) for dev in devices].count(4) > STACK_CHUNK
+    assert [len(dev.holdout) for dev in devices].count(4) > 16
     assert sorted({len(dev.holdout) for dev in devices}) == [0, 3, 4]
     candidates = {10 + j: random_model(rng, d, c, FAMILIES[family], rounded=j % 2 == 1)
                   for j in range(k)}
@@ -434,6 +435,11 @@ def test_holdout_accuracies_equal_evaluate_device_by_device(family, k, tmp_path,
         got = holdout_accuracies(devices, candidates)
     # The empty holdouts fall back to the train rows, with one warning each.
     assert [r.getMessage().split(":")[0] for r in caplog.records] == ["device 20", "device 21"]
+    # Blocks of 16 holdouts of 4 rows, or of one holdout, change no bit.
+    for budget in (16 * 4 * k * c, 1):
+        with monkeypatch.context() as mp:
+            mp.setattr("cfsl.models.SOFTMAX_BLOCK", budget)
+            assert holdout_accuracies(devices, candidates) == got
     for dev, row in zip(devices, got):
         scored = dev.holdout if len(dev.holdout) else dev.train
         assert row == [ref_evaluate(m, scored) for m in models]
@@ -449,17 +455,20 @@ def test_holdout_accuracies_equal_evaluate_device_by_device(family, k, tmp_path,
         assert picked[:3] == select_best_model(dev, candidates, 0.6, pool)[:3]
 
 
-def test_accuracy_grid_rejects_ragged_and_empty_batches():
+def test_accuracy_grid_scores_ragged_and_rejects_empty_batches():
     rng = np.random.default_rng(3)
     model = random_model(rng, 3, 2, 0)
-    batches = [LabeledBatch(rng.normal(size=(n, 3)), np.zeros(n, dtype=np.int64))
+    batches = [LabeledBatch(rng.normal(size=(n, 3)), rng.integers(0, 2, size=n))
                for n in (2, 3, 0)]
     assert accuracy_grid([model], batches[:1]).shape == (1, 1)
-    with pytest.raises(ValueError, match="one length"):
-        accuracy_grid([model], batches[:2])
-    for empty in ([], batches[2:]):
-        with pytest.raises(ValueError, match="nonempty"):
+    # Batches of different lengths, in either order.
+    for pair in (batches[:2], batches[1::-1]):
+        assert accuracy_grid([model], pair).tolist() == [[ref_evaluate(model, b) for b in pair]]
+    for empty in ([], batches[2:], batches):
+        with pytest.raises(ValueError, match="accuracy_grid requires a nonempty batch"):
             accuracy_grid([model], empty)
+    with pytest.raises(ValueError, match="accuracy_grid requires at least one model"):
+        accuracy_grid([], batches[:1])
 
 
 # ---------------------------------------------------------------- selection

@@ -19,9 +19,9 @@ import cfsl.orchestrator as orchestrator
 from cfsl.config import parse_config
 from cfsl.experiment import build_simulation
 from cfsl.models import (
-    STACK_CHUNK,
     LabeledBatch,
     ModelParams,
+    accuracy_grid,
     evaluate,
     gradient,
     loss,
@@ -363,16 +363,38 @@ def test_ragged_scoring_with_nan_weights_matches_row_wise():
         gradient(models, batches)
 
 
-def test_results_do_not_depend_on_how_batches_are_stacked():
+def test_results_do_not_depend_on_how_batches_are_stacked(monkeypatch):
     params, batches, seeds = make_case(3, 7, 17, 29)
     starts = [params] * len(batches)
     whole = sgd_train(starts, batches, 2, 8, 0.2, seeds)
-    for cut in (1, 5, STACK_CHUNK):
+    for cut in (1, 5, 16):
         parts = (sgd_train(starts[:cut], batches[:cut], 2, 8, 0.2, seeds[:cut])
                  + sgd_train(starts[cut:], batches[cut:], 2, 8, 0.2, seeds[cut:]))
         assert all(np.array_equal(a.weights, b.weights) for a, b in zip(whole, parts))
-    assert loss(starts, batches) == loss(starts[:5], batches[:5]) + loss(starts[5:], batches[5:])
-    assert evaluate(starts, batches) == [evaluate([params], [b])[0] for b in batches]
+    # Scoring: shared models, repeated and distinct lengths, pairs in
+    # shuffled order, in blocks of one pair, of a few pairs and of the
+    # default budget; `blocks` has the pairs of each block of a `loss` call.
+    blocks = []
+    real_table = models._logit_table
+
+    def table(first, block_models, block_batches, lengths):
+        blocks.append(len(block_batches))
+        return real_table(first, block_models, block_batches, lengths)
+    monkeypatch.setattr(models, "_logit_table", table)
+    c = 5
+    for hidden in (0, 7):
+        rng = np.random.default_rng([hidden, 17])
+        starts = start_models(rng, 17, 6, c, hidden)
+        batches = random_batches(rng, rng.choice([1, 8, 9, 30, 41], size=17), 6, c)
+        for budget, fewest, most in ((1, 17, 17), (60 * c, 2, 16), (models.SOFTMAX_BLOCK, 1, 1)):
+            with monkeypatch.context() as patch:
+                patch.setattr(models, "SOFTMAX_BLOCK", budget)
+                assert_scores_match_alone(starts, batches)
+                grid = accuracy_grid(starts[:4], batches)
+                blocks.clear()
+                loss(starts, batches)
+            assert grid.tolist() == [[ref_evaluate(m, b) for b in batches] for m in starts[:4]]
+            assert fewest <= len(blocks) <= most and sum(blocks) == 17
 
 
 def test_stacked_calls_reject_bad_input():
@@ -461,35 +483,32 @@ seed = 4
 
 
 def one_device_per_call(monkeypatch):
-    """Run the orchestrator's stacked calls one device per call: chunks of
-    one device for `loss` and `gradient`, `evaluate` and `sgd_train`
-    patched to score or train one device at a time, and each selection
-    scoring its own device's holdout instead of taking the grouped
-    accuracies."""
+    """Run the orchestrator's stacked calls one device per call: scoring
+    blocks of one pair for `loss`, `gradient`, `evaluate` and the holdout
+    grid, `sgd_train` patched to train one device at a time, and each
+    selection scoring its own device's holdout instead of taking the
+    grouped accuracies."""
     def trained_alone(models, batches, epochs, batch_size, lr, seeds):
         return [sgd_train([m], [b], epochs, batch_size, lr, [s])[0]
                 for m, b, s in zip(models, batches, seeds)]
-
-    def scored_alone(models, batches):
-        return [evaluate([m], [b])[0] for m, b in zip(models, batches)]
 
     def selected_alone(device, candidates, phi, pool, accuracy):
         return select(device, candidates, phi, pool)
 
     select = orchestrator.select_best_model
-    monkeypatch.setattr(orchestrator, "STACK_CHUNK", 1)
+    monkeypatch.setattr(models, "SOFTMAX_BLOCK", 1)
     monkeypatch.setattr(orchestrator, "sgd_train", trained_alone)
-    monkeypatch.setattr(orchestrator, "evaluate", scored_alone)
     monkeypatch.setattr(orchestrator, "select_best_model", selected_alone)
 
 
 @pytest.mark.parametrize("scope", ["cloud", "edge"])
 def test_simulation_does_not_depend_on_how_devices_are_grouped(monkeypatch, scope):
-    """The round as shipped (one training stack, metrics grouped by model
-    and length, one holdout pass per candidate set and length) and one
-    device per call give byte-identical events and metrics, through splits
-    and injections that give the devices different models and train sizes,
-    and with candidate sets shared by every edge or each edge's own."""
+    """The round as shipped (one training stack, one `evaluate` and one
+    `loss` call over every device for the metrics, one `gradient` call per
+    split check, one holdout grid per candidate set) and one device per
+    call give byte-identical events and metrics, through splits and
+    injections that give the devices different models and train sizes, and
+    with candidate sets shared by every edge or each edge's own."""
     config = parse_config(GROUPED.replace("[ssl]\n", f"[ssl]\ncandidate_scope = {scope}\n"))
     mixed = {"sgd_train": [], "loss": [], "gradient": []}
     shared, scored = [], []
@@ -500,7 +519,7 @@ def test_simulation_does_not_depend_on_how_devices_are_grouped(monkeypatch, scop
         def call(models, batches, *args):
             # The split checks score one cluster model per call.
             many_models = name == "gradient" or len({m.weights.tobytes() for m in models}) > 1
-            mixed[name].append(many_models and len({len(b) for b in batches}) > 1)
+            mixed[name].append((len(batches), many_models and len({len(b) for b in batches}) > 1))
             return real(models, batches, *args)
         return call
 
@@ -524,10 +543,12 @@ def test_simulation_does_not_depend_on_how_devices_are_grouped(monkeypatch, scop
     # Some call mixes models (for training and the loss) and train sizes,
     # and some holdout pass scores several devices.
     for name, calls in mixed.items():
-        assert any(calls), name
+        assert any(flag for _, flag in calls), name
     assert max(shared) > 1
-    # Accuracy is one pass over every device, some of them on several models.
-    assert all(n == 24 for n, _ in scored) and max(m for _, m in scored) > 1
+    # Accuracy and the loss are one call each over every device, some of
+    # them on several models.
+    assert all(n == 24 for n, _ in scored + mixed["loss"]) and max(m for _, m in scored) > 1
+    assert len(mixed["loss"]) == len(scored) == len(grouped.metrics)
     kinds = {e["type"] for e in grouped.events}
     assert {"split", "injection", "selection"} <= kinds
     # Each round's selections (and with them the injections) in device order.
