@@ -71,6 +71,20 @@ def _pos(v):
     return v > 0
 
 
+def _linear_fits(db):
+    """Whether 10^(db / 10), a dB value's linear form, is a finite float."""
+    try:
+        return math.isfinite(10.0 ** (db / 10.0))
+    except OverflowError:
+        return False
+
+
+def _db(default):
+    """A key in dB or dBm, whose linear form the latency model takes."""
+    return _key(float, default, _linear_fits, "must be a number below about 3082: its "
+                "linear form 10^(value / 10) must be a finite float")
+
+
 def _nonneg(v):
     return v >= 0
 
@@ -188,13 +202,13 @@ class NetworkConfig(_Section):
     bandwidth_hz: float = _key(float, 10e6, _pos, "must be > 0")
     subchannels: int | None = _key(_auto_int, None, lambda v: v is None or v >= 1,
                                    "must be >= 1 or auto")
-    ref_gain_db: float = _key(float, -35.0)
+    ref_gain_db: float = _db(-35.0)
     ref_distance_m: float = _key(float, 2.0, _pos, "must be > 0")
     noise_w: float = _key(float, 1e-6, _pos, "must be > 0")
     cpu_min_hz: float = _key(float, 1e9, _pos, "must be > 0")
     cpu_max_hz: float = _key(float, 9e9, _pos, "must be > 0")
-    power_min_dbm: float = _key(float, -10.0)
-    power_max_dbm: float = _key(float, 20.0)
+    power_min_dbm: float = _db(-10.0)
+    power_max_dbm: float = _db(20.0)
     distance_min_m: float = _key(float, 2.0, _pos, "must be > 0")
     distance_max_m: float = _key(float, 50.0, _pos, "must be > 0")
     cloud_rate_bps: float = _key(float, 1e8, _pos, "must be > 0")
@@ -213,6 +227,14 @@ class NetworkConfig(_Section):
                           ("distance_min_m", "distance_max_m")):
             if getattr(self, low) > getattr(self, high):
                 raise ConfigError(f"network.{low}", f"exceeds {high}")
+            # sample_radios draws uniformly from the range.
+            if not math.isfinite(getattr(self, high) - getattr(self, low)):
+                raise ConfigError(f"network.{high}", f"the range from {low} must be finite")
+        try:  # the path-loss factor (d0 / d)^4 at the nearest device
+            (self.ref_distance_m / self.distance_min_m) ** 4
+        except OverflowError:
+            raise ConfigError("network.distance_min_m", "ref_distance_m / distance_min_m to "
+                              "the fourth power overflows a float") from None
         if self.deadline_policy == "fixed" and self.deadline_s is None:
             raise ConfigError("network.deadline_s", "required when deadline_policy = fixed")
 

@@ -17,28 +17,33 @@ a slice of a stacked operand, which numpy runs through the same BLAS call
 with the same strides. The rest works within one sample (softmax, log, the
 pick) or one batch (means, ``x.T @ delta``, column sums), so it may run
 over all pairs at once. The pairs come in any order: scoring orders them
-stably by (first appearance of the model object, batch length), so that
-pairs of one model and one length share a stacked matmul, cuts them into
-blocks of whole pairs of at most ``SOFTMAX_BLOCK`` activations (a row's
-logits and hidden units; a larger pair alone), gives each block one
-class-major ``(c, N)`` table for one softmax (see "Class-major softmax"),
-takes each pair's loss, accuracy or gradient from its own columns and
-answers in input order. ``accuracy_grid`` scores K models on the D
-holdouts of the devices that share a candidate set, blocked the same way,
-with one broadcast matmul per holdout length and the row-wise softmax. On
-so few rows it is the faster way to score them: on one core (numpy 2.4.6,
-d=16, c=6, both families, holdouts of 1-4 rows), taking the accuracy from
-``confidences`` instead was 1.1-1.7x slower for K <= 12 candidates and
-1.0-1.2x slower at K = 30.
+stably by batch length alone, cuts them into blocks of whole pairs of at
+most ``SOFTMAX_BLOCK`` activations (a row's logits and hidden units; a
+larger pair alone), and gives each block one class-major ``(c, N)`` table
+for one softmax (see "Class-major softmax"). In a block, the r pairs of
+one length n are one run: one matmul of their stacked ``(r, n, d)`` rows
+against their own stacked weights, in which every pair keeps its own
+``(n, d) @ (d, c)`` BLAS call, whatever model it has. Each pair's loss,
+accuracy or gradient comes from its own columns (a run's loss means from
+one row-wise sum of its ``(r, n)`` values, which adds each row as a sum of
+that row alone does), and the answers come in input order.
+``accuracy_grid`` scores K models on the D holdouts of the devices that
+share a candidate set, blocked the same way, with one broadcast matmul per
+holdout length and the row-wise softmax. On so few rows it is the faster
+way to score them: on one core (numpy 2.4.6, d=16, c=6, both families,
+holdouts of 1-4 rows), taking the accuracy from ``confidences`` instead
+was 1.1-1.7x slower for K <= 12 candidates and 1.0-1.2x slower at K = 30.
 Training takes the class-major softmax too, on a contiguous copy of each
 step's logits. With the in-place forward and backward passes, on one core,
 a fedavg-128 round of ``sgd_train`` (64 MLP devices of 160 rows, d=8, h=16,
 c=4) ran 1.17-1.23x faster than row-wise; a step of a few rows pays for the
 copy (one one-row device, or two MLP devices of 3 and 5 rows: 1-6% slower).
-Each device draws its epoch permutations from its own generator, as alone;
-at each step position, each run of devices whose minibatch has the same
-size takes one ``_grads`` step through views of its slice of the ``(K, P)``
-weights.
+Each device draws all its epochs' row orders with one ``permuted`` call on
+its own generator, into its columns of one ``(epochs, rows)`` table; it
+shuffles the ``(epochs, n)`` rows in turn, with the draws of one
+``permutation(n)`` call per epoch. At each step position, each run of
+devices whose minibatch has the same size takes one ``_grads`` step
+through views of its slice of the ``(K, P)`` weights.
 
 Training takes one stack per round: every participating device goes into
 one ``sgd_train`` call, which copies each device's rows into one table.
@@ -86,7 +91,7 @@ K=12, c=6, n=5,000 took 6.8 ms against 4.7 ms for one call per model, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, groupby
 
 import numpy as np
@@ -129,7 +134,7 @@ class ModelParams:
         return self.weights.size * BITS_PER_PARAMETER
 
     def with_weights(self, weights: np.ndarray) -> "ModelParams":
-        return replace(self, weights=weights)
+        return ModelParams(weights, self.dim_in, self.dim_out, self.hidden)
 
 
 @dataclass(frozen=True)
@@ -265,11 +270,8 @@ def _scored_in_blocks(models, batches, caller: str, score) -> list:
         raise ValueError(f"{caller} requires a nonempty batch")
     if len(models) != len(batches):
         raise ValueError(f"{caller} got {len(models)} models for {len(batches)} batches")
-    # A model object's rank is its first appearance.
-    rank = {key: r for r, key in enumerate(dict.fromkeys(map(id, models)))}
-    keys = list(zip(map(rank.__getitem__, map(id, models)), lengths))
     out = [None] * len(batches)
-    for block in _blocks(sorted(range(len(keys)), key=keys.__getitem__),
+    for block in _blocks(sorted(range(len(lengths)), key=lengths.__getitem__),
                          [n * (first.dim_out + first.hidden) for n in lengths]):
         table = _logit_table(first, [models[i] for i in block], [batches[i] for i in block],
                              [lengths[i] for i in block])
@@ -294,19 +296,21 @@ def _blocks(order, sizes):
 
 def _logit_table(first: ModelParams, models, batches, lengths):
     """Every (model, batch) pair's logits in one class-major (c, N) table.
-    Adjacent pairs with one model object and one batch length share a
-    stacked matmul. Returns (table, labels (N,), rows, runs): pair i has
-    columns rows[i]:rows[i + 1], and a run is (weight views, features
-    (r, n, d), hidden activations, its first pair)."""
+    Adjacent pairs with one batch length share a stacked matmul of their
+    rows against their own stacked weights. Returns (table, labels (N,),
+    rows, runs): pair i has columns rows[i]:rows[i + 1], and a run is
+    (weight views, features (r, n, d), hidden activations, its first pair)."""
     rows = [0, *accumulate(lengths)]
     table = np.empty((first.dim_out, rows[-1]))
     runs = []
-    keys = list(zip(map(id, models), lengths))
-    for _, run in groupby(range(len(batches)), key=keys.__getitem__):
+    for _, run in groupby(range(len(batches)), key=lengths.__getitem__):
         i, *rest = run
-        x = [_check_features(first, batches[j].features) for j in (i, *rest)]
-        x = np.stack(x) if rest else x[0][None]
-        views = _unpack(models[i])
+        if rest:
+            x = np.stack([_check_features(first, batches[j].features) for j in (i, *rest)])
+            views = _unpack(first, np.stack([models[j].weights for j in (i, *rest)]))
+        else:
+            x = _check_features(first, batches[i].features)[None]
+            views = _unpack(models[i])
         z, h = _logits(first.hidden, views, x)
         table[:, rows[i] : rows[i + len(x)]] = z.reshape(-1, first.dim_out).T
         runs.append((views, x, h, i))
@@ -341,9 +345,14 @@ def loss(models, batches) -> list:
     def score(first, z, y, rows, runs):
         z -= z.max(axis=0)
         picked = z[y, np.arange(y.size)] - np.log(_pairwise_sum(np.exp(z)))
-        # Each pair's mean as `mean` takes it: its slice's pairwise sum over n.
-        return [float(-(np.add.reduce(picked[lo:hi]) / (hi - lo)))
-                for lo, hi in zip(rows, rows[1:])]
+        # Each pair's mean as `mean` takes it: the pairwise sum of its n
+        # values, one contiguous row of its run's (r, n) view.
+        out = np.empty(len(rows) - 1)
+        for _, x, _, i in runs:
+            r, n = x.shape[:2]
+            np.add.reduce(picked[rows[i] : rows[i + r]].reshape(r, n), axis=1, out=out[i : i + r])
+            out[i : i + r] /= n
+        return (-out).tolist()
     return _scored_in_blocks(models, batches, "loss", score)
 
 
@@ -406,16 +415,22 @@ def sgd_train(models, batches, epochs: int, batch_size: int, lr: float, seeds) -
             hi = lo + len(list(run))
             steps.append((lo, hi, start, start + m, _unpack(first, weights[lo:hi])))
             lo = hi
-    rngs = [np.random.default_rng(s) for s in seeds]
+    # Row e of `shuffles` holds every device's epoch-e order of its table
+    # rows, device by device: one `permuted` call per device draws its
+    # epochs' permutations in turn, as one `permutation` call per epoch would.
+    offsets = [0, *accumulate(lengths)]
+    shuffles = np.empty((epochs, offsets[-1]), dtype=np.intp)
+    count = np.arange(lengths[0])
+    for i, lo, n in zip(order, offsets, lengths):
+        np.random.default_rng(seeds[i]).permuted(
+            np.broadcast_to(count[:n], (epochs, n)), axis=1, out=shuffles[:, lo : lo + n])
+    shuffles += np.repeat(offsets[:-1], lengths)
     # Each epoch, row j of `table_rows` holds device j's shuffled table rows
-    # in its first lengths[j] columns; `base` repeats each device's first
-    # table row once per sample.
+    # in its first lengths[j] columns.
     table_rows = np.zeros((k, lengths[0]), dtype=np.intp)
-    filled = np.arange(lengths[0]) < np.array(lengths)[:, None]
-    base = np.repeat(np.cumsum([0, *lengths[:-1]]), lengths)
-    for _ in range(epochs):
-        drawn = [rng.permutation(len(b)) for rng, b in zip(rngs, batches)]
-        table_rows[filled] = np.concatenate([drawn[i] for i in order]) + base
+    filled = count < np.array(lengths)[:, None]
+    for shuffled in shuffles:
+        table_rows[filled] = shuffled
         for lo, hi, start, stop, views in steps:
             rows = table_rows[lo:hi, start:stop]
             grads = _grads(first.hidden, views, x.take(rows, axis=0), onehot.take(rows, axis=0))

@@ -13,6 +13,13 @@ reference on the same helpers. They are a verbatim copy of the per-model
 code and call none of the package's kernels, so that a change to those
 kernels cannot also change the reference they are checked against.
 
+`check_run_invariants` asserts what every finished run keeps, round by
+round, from its simulation and its strict-JSON events: the config fuzz
+runs it after every drawn config that runs.
+
+`NON_FINITE_NETWORK` lists `[network]` values whose latency or radio terms
+are not finite floats, each with the key the config must reject it under.
+
 `exhaustive_bipartition` is the original pure-Python search over every
 bipartition, which `clustering.bipartition` must match.
 `kruskal_bipartition` reaches the same split for any size of symmetric
@@ -20,13 +27,61 @@ matrix by another road: Kruskal's algorithm with a union-find.
 """
 
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 
 from cfsl import labeling
 from cfsl.clustering import _cosine
 from cfsl.models import LabeledBatch, ModelParams, param_count
+
+
+# [network] values that validated once but then overflowed a float, or
+# gave a NaN, in the latency model or the radio draw; the key each must be
+# rejected under.
+NON_FINITE_NETWORK = [
+    ("ref_gain_db = 1e6", "network.ref_gain_db"),
+    ("ref_gain_db = nan", "network.ref_gain_db"),
+    ("power_min_dbm = 3200\npower_max_dbm = 3200", "network.power_min_dbm"),
+    ("power_max_dbm = 3100", "network.power_max_dbm"),
+    ("power_max_dbm = inf", "network.power_max_dbm"),
+    ("distance_min_m = 1e-80\ndistance_max_m = 1e-80", "network.distance_min_m"),
+    ("ref_distance_m = 1e80\ndistance_max_m = 1e81", "network.distance_min_m"),
+    ("distance_max_m = inf", "network.distance_max_m"),
+    ("cpu_max_hz = inf", "network.cpu_max_hz"),
+]
+
+
+# The metrics that are fractions; labeling accuracy is None before any label.
+FRACTION_METRICS = ("acc_min", "acc_mean", "acc_max", "labeling_accuracy_mean",
+                    "injected_fraction")
+
+
+def check_run_invariants(sim, events: list):
+    """Assert that after every round of a finished run the current leaves
+    partition the devices, that cumulative time never decreases and that
+    every metric fraction is in [0, 1]; and that each device's injected
+    count is the sum of its `injection` events. `events` are the run's
+    events as read back from events.jsonl."""
+    devices = list(range(len(sim.devices)))
+    rounds = [e for e in events if e["type"] == "round"]
+    assert [e["round"] for e in rounds] == [row.round_no for row in sim.metrics]
+    for e in rounds:
+        members = sorted(k for node in e["tree"] if not node["children"]
+                         and node["merged_into"] is None for k in node["members"])
+        assert members == devices, f"round {e['round']}: leaves hold {members}"
+    times = [0.0] + [e["cumulative_time_s"] for e in rounds]
+    assert times[1:] == [row.cumulative_time_s for row in sim.metrics]
+    assert all(a <= b for a, b in zip(times, times[1:])), times
+    for row in sim.metrics:
+        for name in FRACTION_METRICS:
+            value = getattr(row, name)
+            assert value is None or 0 <= value <= 1, (row.round_no, name, value)
+    injected = Counter()
+    for e in events:
+        if e["type"] == "injection":
+            injected[e["device"]] += e["count"]
+    assert [d.n_injected for d in sim.devices] == [injected[k] for k in devices]
 
 
 def zero_params(dim_in: int, dim_out: int, hidden: int = 0) -> ModelParams:

@@ -4,7 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from cfsl.cli import main
+from references import NON_FINITE_NETWORK
 
 CONFIG = """
 [topology]
@@ -104,6 +107,15 @@ def test_run_bad_config_value_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "ssl.phi" in err
+
+
+@pytest.mark.parametrize("snippet, key", NON_FINITE_NETWORK)
+def test_run_with_a_non_finite_network_term_names_the_key(tmp_path, capsys, snippet, key):
+    cfg_path = write_config(tmp_path, CONFIG + f"\n[network]\n{snippet}\n")
+    code = main(["run", cfg_path, "--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

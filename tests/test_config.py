@@ -18,6 +18,7 @@ from cfsl.config import (
 )
 from cfsl.errors import ConfigError
 from cfsl.experiment import build_simulation
+from references import NON_FINITE_NETWORK
 
 MINIMAL = """
 [topology]
@@ -224,6 +225,26 @@ def test_cross_checks():
         NetworkConfig(deadline_policy="fixed")
     with pytest.raises(ConfigError, match="network.cpu_min_hz"):
         dataclasses.replace(NetworkConfig(), cpu_min_hz=1e10)
+
+
+@pytest.mark.parametrize("snippet, key", NON_FINITE_NETWORK)
+def test_network_values_with_non_finite_latency_terms_are_rejected_by_key(snippet, key):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(MINIMAL + f"\n[network]\n{snippet}\n")
+    assert exc.value.key == key
+
+
+def test_network_values_just_inside_the_float_range_run(tmp_path):
+    # The largest accepted dB values and distance ratio: the gain and rate
+    # may be infinite, but the run ends with finite simulated time.
+    cfg = parse_config(
+        "[topology]\nedges = 1\ndevices = 3\n[data]\nsamples_per_device = 20\n"
+        "[network]\nref_gain_db = 3082\npower_min_dbm = 3082\npower_max_dbm = 3082\n"
+        "ref_distance_m = 1e76\ndistance_min_m = 1\ndistance_max_m = 2\n"
+        f"[run]\nrounds = 2\nout_dir = {tmp_path}\n")
+    sim = build_simulation(cfg)
+    sim.run()
+    assert math.isfinite(sim.cumulative_time_s) and len(sim.metrics) == 2
 
 
 def test_topology_and_model_sections_check_their_rules_when_built_in_code():

@@ -10,22 +10,29 @@ default where that value fails the key's check; in half the configs, one
 checked key gets a boundary value (0, 1, 0.5 or -1) instead, which may
 fail its check. Keys are left out half the time, so that defaults apply.
 Only the keys without a default are sized here, to keep each run small:
-at most 24 devices and 6 rounds. After a run, the current leaves
-partition the devices and `events.jsonl` is strict JSON.
+at most 24 devices and 6 rounds. The csv path is always given, so that a
+csv draw reads a file. After a run, `events.jsonl` is strict JSON and
+`references.check_run_invariants` holds; every fourth config runs twice and
+must write the same bytes. The draw reaches the paths no oracle covers: csv
+data, split signals from local training (`use_weight_deltas`), Rayleigh
+fading and edge-scoped candidates. `CFSL_FUZZ_CONFIGS` sets the number of
+configs (40 by default) for a longer sweep.
 """
 
 import json
+import os
 import random
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from cfsl.config import REQUIRED, SECTIONS, ini_key, parse_config
+from cfsl.config import REQUIRED, SECTIONS, ini_key, override, parse_config
 from cfsl.errors import ConfigError
 from cfsl.experiment import build_simulation, run_experiment
+from references import check_run_invariants
 
-CONFIGS = 40
+CONFIGS = int(os.environ.get("CFSL_FUZZ_CONFIGS", "40"))
 # The keys without a default.
 SIZES = {"topology.edges": range(1, 5), "topology.devices": range(3, 25), "run.rounds": range(7)}
 BOUNDARY = (0, 1, 0.5, -1)
@@ -37,7 +44,7 @@ def is_int(f) -> bool:
     return "int" in str(f.type)
 
 
-def draw_value(rng, where, f, csv_path):
+def draw_value(rng, where, f):
     """A value of field `f` drawn from its metadata."""
     if where in SIZES:
         return rng.choice(SIZES[where])
@@ -47,8 +54,7 @@ def draw_value(rng, where, f, csv_path):
     if isinstance(default, bool):
         return rng.random() < 0.5
     if isinstance(default, str):
-        # The one free-text key the fuzz fills in is the csv path.
-        return csv_path if where == "data.csv_path" else default
+        return default
     if default is None:
         return rng.choice([None, 1, 2, 7] if is_int(f) else [None, 0.5, 2.0, 50.0])
     value = rng.choice([default // 2 if is_int(f) else default * 0.5, default * 2, default + 1])
@@ -76,11 +82,14 @@ def draw_config(seed, csv_path, out_dir):
     for where, f in KEYS:
         if where == "run.out_dir":
             drawn[where] = (f, out_dir)
+        elif where == "data.csv_path":
+            # Given always, so that every csv draw reads a file.
+            drawn[where] = (f, csv_path)
         elif where == edge:
             value = rng.choice(BOUNDARY)
             drawn[where] = (f, int(value) if is_int(f) else value)
         elif f.default is REQUIRED or rng.random() < 0.5:
-            drawn[where] = (f, draw_value(rng, where, f, csv_path))
+            drawn[where] = (f, draw_value(rng, where, f))
     lines = []
     for cls in SECTIONS:
         lines.append(f"[{cls.section}]")
@@ -135,3 +144,35 @@ def test_a_drawn_config_is_rejected_by_key_or_runs_to_the_end(seed, tmp_path):
     assert members == list(range(config.topology.devices))
     events = read_strict_json(result.events_path)
     assert events[0]["type"] == "run_header" and len(events) == 1 + len(sim.events)
+    check_run_invariants(sim, events)
+    if seed % 4 == 0:
+        again = run_experiment(override(config, {"run.out_dir": str(tmp_path / "again")}))
+        for first, second in ((result.metrics_path, again.metrics_path),
+                              (result.events_path, again.events_path)):
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read(), first
+
+
+def test_the_draw_runs_the_paths_no_oracle_covers(tmp_path):
+    configs = []
+    for seed in range(CONFIGS):
+        csv_path = tmp_path / f"data{seed}.csv"
+        try:
+            config = parse_config(draw_config(seed, str(csv_path), str(tmp_path))[0])
+            if config.data.mode == "csv":
+                write_csv(csv_path, config.data, config.topology.devices, seed)
+            build_simulation(config)
+        except ConfigError:
+            continue
+        configs.append(config)
+    reached = {
+        "csv": any(c.data.mode == "csv" for c in configs),
+        # A split check trains the cluster's members for their weight deltas.
+        "use_weight_deltas": any(
+            c.clustering.enabled and c.clustering.use_weight_deltas
+            and c.run.rounds >= c.clustering.split_interval for c in configs),
+        "rayleigh": any(c.network.fading == "rayleigh" and c.run.rounds for c in configs),
+        "edge scope": any(c.ssl.enabled and c.clustering.enabled and c.run.rounds
+                          and c.ssl.candidate_scope == "edge" for c in configs),
+    }
+    assert all(reached.values()), reached

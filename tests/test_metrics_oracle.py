@@ -12,7 +12,7 @@ import numpy as np
 from cfsl.config import parse_config
 from cfsl.experiment import build_simulation
 from cfsl.models import LabeledBatch
-from references import ref_evaluate, ref_loss
+from references import check_run_invariants, ref_evaluate, ref_loss
 
 SYNTHETIC = """
 [topology]
@@ -64,7 +64,8 @@ def reference_scores(sim, copies):
 
 def run_checked(sim):
     """Run `sim` round by round; after each round, every device's scores and
-    the metrics row against the references. Returns the event types seen."""
+    the metrics row against the references, and at the end the run
+    invariants. Returns the event types seen."""
     copies = built_copies(sim)
     while True:
         row = sim.run_round()
@@ -76,6 +77,7 @@ def run_checked(sim):
             assert sim.loss_history[node.cluster_id][-1] == float(
                 np.mean([losses[k] for k in node.members]))
         if sim.check_termination() is not None:
+            check_run_invariants(sim, sim.events)
             return {e["type"] for e in sim.events}
 
 

@@ -397,6 +397,30 @@ def test_results_do_not_depend_on_how_batches_are_stacked(monkeypatch):
             assert fewest <= len(blocks) <= most and sum(blocks) == 17
 
 
+@pytest.mark.parametrize("hidden", [0, 7])
+def test_scoring_runs_one_matmul_per_batch_length(monkeypatch, hidden):
+    """The pairs of one length share one stacked matmul whatever their
+    models (some shared, most distinct), and each pair still gets the bits
+    it gets alone."""
+    runs = []
+    real = models._logits
+
+    def counting(hidden, views, x):
+        runs.append(x.shape[:2])
+        return real(hidden, views, x)
+    monkeypatch.setattr(models, "_logits", counting)
+    rng = np.random.default_rng([hidden, 29])
+    starts = start_models(rng, 17, 6, 5, hidden)
+    lengths = rng.choice([1, 8, 9, 30, 41], size=17).tolist()
+    batches = random_batches(rng, lengths, 6, 5)
+    per_length = sorted((lengths.count(n), n) for n in set(lengths))
+    for score in (loss, evaluate, gradient):
+        runs.clear()
+        score(starts, batches)
+        assert sorted(runs) == per_length, score.__name__
+    assert_scores_match_alone(starts, batches)
+
+
 def test_stacked_calls_reject_bad_input():
     params, batches, seeds = make_case(8, 0, 3, 12)
     short = LabeledBatch(batches[0].features[:11], batches[0].labels[:11])

@@ -1,6 +1,7 @@
 """Round-loop checks: aggregation arithmetic, split recovery, merging,
 labeling triggers, termination, and bit-level determinism."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -194,13 +195,23 @@ def test_same_seed_same_trajectory():
     assert a.metrics != c.metrics
 
 
-def test_pre_split_trajectory_equals_flat_fedavg():
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 7])
+def test_training_streams_equal_the_list_form(seed):
+    for r, k in ((1, 0), (7, 2**32 - 1), (2**32, 5), (2**40, 2**40), (3, 2**33 + 1)):
+        assert np.array_equal(
+            training_seed(seed, r, k).generate_state(4, np.uint64),
+            np.random.SeedSequence([seed, 4, r, k]).generate_state(4, np.uint64))
+
+
+@pytest.mark.parametrize("seed", [31, 2**32 + 5])
+def test_pre_split_trajectory_equals_flat_fedavg(seed):
     # With clustering off, replay the run as plain FedAvg over the logged
-    # schedules and demand bit-identical global models every round.
-    sim = make_sim(rounds=5, seed=31, subchannels=3)
+    # schedules and demand bit-identical global models every round. The
+    # reference builds each device's stream from the list form of its seed.
+    sim = make_sim(rounds=5, seed=seed, subchannels=3)
     sim.run()
     data, tr = sim.config.data, sim.config.model
-    w = init_params(data.features, data.classes, tr.hidden, seed=init_seed(31))
+    w = init_params(data.features, data.classes, tr.hidden, seed=init_seed(seed))
     hashes = [e["global_hash"] for e in events_of(sim, "round")]
     for r in range(1, sim.round_no + 1):
         participating = []
@@ -210,13 +221,11 @@ def test_pre_split_trajectory_equals_flat_fedavg():
         participating.sort()
         updates = [
             sgd_train([w], [sim.devices[k].train_batch()], tr.epochs, tr.batch_size,
-                      tr.learning_rate, [training_seed(31, r, k)])[0]
+                      tr.learning_rate, [np.random.SeedSequence([seed, 4, r, k])])[0]
             for k in participating
         ]
         weights = [sim.devices[k].labeled_size for k in participating]
         w = edge_aggregate(updates, weights)
-        import hashlib
-
         assert hashlib.sha256(w.weights.tobytes()).hexdigest() == hashes[r - 1]
 
 
