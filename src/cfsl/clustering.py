@@ -19,11 +19,6 @@ from .models import ModelParams
 EXACT_LIMIT = 15
 
 
-def _cosine(a: np.ndarray, b: np.ndarray, na, nb) -> float:
-    """Cosine of two vectors whose nonzero norms are already known."""
-    return float(np.dot(a, b) / (na * nb))
-
-
 @dataclass(frozen=True)
 class SimilarityMatrix:
     ids: tuple
@@ -38,27 +33,27 @@ class SimilarityMatrix:
 def similarity_matrix(gradients: dict) -> SimilarityMatrix:
     """Pairwise cosine similarities, rows/columns in ascending device id.
 
-    The matrix is exactly symmetric with a unit diagonal; a zero-norm
-    gradient is reported with the offending device id.
+    Every dot product, and each norm (the square root of a vector's dot with
+    itself, as `np.linalg.norm` takes it), is one vector-vector matmul of a
+    stacked pass, which numpy runs as the pair's own `np.dot`: each entry
+    has the bits of dot(g_i, g_j) / (|g_i| |g_j|), and as a dot has the
+    same bits in either order, the matrix is exactly symmetric. The diagonal
+    is 1; a zero-norm gradient is reported with the offending device id.
     """
     if len(gradients) < 2:
         raise ValueError("similarity matrix needs at least 2 devices")
     ids = tuple(sorted(gradients))
     vecs = [np.asarray(gradients[dev], dtype=np.float64) for dev in ids]
-    norms = [np.linalg.norm(v) for v in vecs]
-    for dev, norm in zip(ids, norms):
-        if norm == 0:
-            raise ValueError(f"device {dev}: zero-norm gradient, similarity undefined")
     for v in vecs:
         if v.shape != vecs[0].shape:
             raise ValueError(f"gradient shapes differ: {vecs[0].shape} vs {v.shape}")
-    n = len(ids)
-    values = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = _cosine(vecs[i], vecs[j], norms[i], norms[j])
-            values[i, j] = s
-            values[j, i] = s
+    v = np.array(vecs)
+    norms = np.sqrt((v[:, None] @ v[:, :, None])[:, 0, 0])
+    for dev, norm in zip(ids, norms):
+        if norm == 0:
+            raise ValueError(f"device {dev}: zero-norm gradient, similarity undefined")
+    values = (v[None, :, None] @ v[:, None, :, None])[..., 0, 0] / np.multiply.outer(norms, norms)
+    np.fill_diagonal(values, 1.0)
     return SimilarityMatrix(ids, values)
 
 

@@ -10,13 +10,15 @@ A selection reads the holdout and the pool once for all candidates and
 scores their holdout accuracy in one stacked pass (`holdout_accuracies`
 scores the devices that share a candidate set in one `accuracy_grid`
 call, which orders and blocks their holdouts itself). Accuracy ranks
-first, so only the contenders, the candidates tied at the best accuracy,
-can be chosen; only they run over the pool, in one stacked pass, to get their
-coverage. The contenders rank by coverage, then by the lowest model id.
-The selection hands back the chosen model's id, holdout accuracy and
-coverage, whose product enters the reported objective, and its pool
-predictions, which go on to `pseudo_label` so that it does not run that
-model again.
+first, so only the contenders, the candidates tied at the best accuracy
+(`contenders`), can be chosen; only they run over the pool, in one stacked
+pass, to get their coverage. A labeling phase runs every device's pass in
+one `models.pool_predictions` call and hands each selection its
+predictions, each pool read before its device injects. The contenders rank
+by coverage, then by the lowest model id. The selection hands back the
+chosen model's id, holdout accuracy and coverage, whose product enters the
+reported objective, and its pool predictions, which go on to
+`pseudo_label` so that it does not run that model again.
 """
 
 from __future__ import annotations
@@ -107,8 +109,16 @@ def holdout_accuracies(devices: list, candidates: dict) -> list:
     return accuracy_grid(list(candidates.values()), holdouts).T.tolist()
 
 
+def contenders(candidates: dict, accuracy: list) -> list:
+    """The ids, in candidate order, of the candidates tied at the best of
+    their holdout accuracies (`accuracy`, in candidate order): the only
+    ones a selection can choose and runs over the pool."""
+    best = max(accuracy)
+    return [mid for mid, acc in zip(candidates, accuracy) if acc == best]
+
+
 def select_best_model(device: DeviceDataset, candidates: dict, phi: float, pool: np.ndarray,
-                      accuracy: list | None = None):
+                      accuracy: list | None = None, predictions: tuple | None = None):
     """Pick exactly one candidate model for this device.
 
     Every candidate's holdout accuracy is scored in one stacked pass, unless
@@ -117,25 +127,27 @@ def select_best_model(device: DeviceDataset, candidates: dict, phi: float, pool:
     accuracy, can win, so only they run over `pool`, the device's pending
     features (`device.pending_features()[1]`), in one stacked pass in
     candidate order; row k of a stacked pass has the bits model k gets
-    alone. The contenders rank by coverage descending, then by model id
-    ascending. Returns (model id, holdout accuracy, coverage, (classes,
-    confidences) over the pool) of the chosen model; `pseudo_label` takes
-    the last.
+    alone; `predictions`, that pass's (K, n) (classes, confidences) of the
+    `contenders` when the caller has them, leaves only the ranking. The
+    contenders rank by coverage descending, then by model id ascending.
+    Returns (model id, holdout accuracy, coverage, (classes, confidences)
+    over the pool) of the chosen model; `pseudo_label` takes the last.
     """
     if not candidates:
         raise StateError(f"device {device.device_id}: no candidate models to select from")
     if accuracy is None:
         models = list(candidates.values())
         accuracy = accuracy_grid(models, [_scored_holdout(device)])[:, 0].tolist()
-    best = max(accuracy)
-    contenders = [mid for mid, acc in zip(candidates, accuracy) if acc == best]
-    classes, conf = confidences([candidates[mid] for mid in contenders], pool)
+    ids = contenders(candidates, accuracy)
+    if predictions is None:
+        predictions = confidences([candidates[mid] for mid in ids], pool)
+    classes, conf = predictions
     if pool.shape[0] == 0:
-        coverage = [0.0] * len(contenders)
+        coverage = [0.0] * len(ids)
     else:
         coverage = (conf >= phi).mean(axis=1).tolist()
-    k = min(range(len(contenders)), key=lambda j: (-coverage[j], contenders[j]))
-    return contenders[k], best, coverage[k], (classes[k], conf[k])
+    k = min(range(len(ids)), key=lambda j: (-coverage[j], ids[j]))
+    return ids[k], max(accuracy), coverage[k], (classes[k], conf[k])
 
 
 def utility(model_id: int, model: ModelParams, device: DeviceDataset, phi: float) -> tuple:

@@ -81,12 +81,20 @@ highest. A NaN sample (from NaN weights) has every class "not below" its
 NaN maximum, so it gets class 0, as ``argmax`` gives it.
 ``tests/test_labeling_oracle.py`` checks this against the row-wise code.
 
-``confidences`` of K models on one pool is one broadcast matmul, then the
-softmax in blocks of ``(c, K, b)`` samples of at most ``SOFTMAX_BLOCK``
-values. On one core (numpy 2.4.6, OpenBLAS, logistic, d=16), unblocked,
-K=12, c=6, n=5,000 took 6.8 ms against 4.7 ms for one call per model, and
-3.0 ms in blocks of 32,768 values (256 KiB); blocks of 8,192 values were
-1.6-1.7x slower at K=38, c=33, and 131,072 were no faster.
+Pool blocks. ``pool_predictions`` scores the (models, pool) group of each
+device of a labeling phase (``confidences`` is its one-group form). It cuts
+the groups, in order, into blocks of at most ``SOFTMAX_BLOCK`` logits: each
+group's one broadcast matmul ``(n, d) @ (K, d, c)`` writes into the block's
+row-major ``(R, c)`` buffer, and one transposing copy, softmax and
+``_top_class`` cover the block. A larger group runs alone, in chunks of
+whole models whose logits fit a block, so that they are read back from
+cache. On one core (numpy 2.4.6, OpenBLAS, d=16): K=12, c=6, n=5,000 took
+3.0 ms in blocks of 32,768 values, against 6.8 ms unblocked and 4.7 ms for
+one call per model; at K=38, c=33, the chunks take as long as one call per
+model (55 ms logistic, 71 ms with h=16), where one matmul over all 38
+models took 72 and 95 ms. Over 256 pools of 40-80 rows (d=8, c=4), one pass
+took 4.6 ms against 10.3 ms for a call per device with 1-2 contenders each,
+and 23.4 against 23.7 ms with 1-39, where the matmuls and ``exp`` dominate.
 """
 
 from __future__ import annotations
@@ -98,8 +106,8 @@ import numpy as np
 
 BITS_PER_PARAMETER = 32
 
-# Values per block of scoring and of the class-major softmax in
-# `confidences` (see the module docstring).
+# Values per block of scoring and of the pool passes' class-major softmax
+# (see the module docstring).
 SOFTMAX_BLOCK = 32768
 
 
@@ -185,19 +193,20 @@ def _unpack(p: ModelParams, weights: np.ndarray | None = None):
     )
 
 
-def _logits(hidden: int, views, x: np.ndarray):
-    """Raw class scores; for the tanh network also returns the hidden
-    activations. Biases and ``tanh`` are applied in place."""
+def _logits(hidden: int, views, x: np.ndarray, out: np.ndarray | None = None):
+    """Raw class scores, written to `out` if given; for the tanh network
+    also returns the hidden activations. Biases and ``tanh`` are applied in
+    place."""
     if hidden == 0:
         w, b = views
-        z = x @ w
+        z = np.matmul(x, w, out=out)
         z += b
         return z, None
     w1, b1, w2, b2 = views
     h = x @ w1
     h += b1
     np.tanh(h, out=h)
-    z = h @ w2
+    z = np.matmul(h, w2, out=out)
     z += b2
     return z, h
 
@@ -515,22 +524,71 @@ def _pairwise_sum(a: np.ndarray) -> np.ndarray:
 def confidences(models, features: np.ndarray):
     """(argmax class, max probability) of each of K same-shape models on
     each of the n rows of one pool, as (K, n) arrays whose row k is what
-    model k gets alone; ties go to the lowest class id. The softmax runs
-    class-major with the bits of the row-wise `_softmax` (see "Class-major
-    softmax")."""
-    first = _first_model(models, "confidences")
-    x = _check_features(first, features)
-    logits = _logits(first.hidden, _unpack(first, np.stack([m.weights for m in models])), x)[0]
-    n = logits.shape[1]
-    classes = np.empty((len(models), n), dtype=np.int64)
-    conf = np.empty((len(models), n))
-    if n == 0:
-        return classes, conf
-    # Class-major softmax, (c, K, n), in even blocks of samples.
-    blocks = -(-logits.size // SOFTMAX_BLOCK)
-    step = -(-n // blocks)
-    for lo in range(0, n, step):
-        probs = logits[:, lo : lo + step].transpose(2, 0, 1).copy()
-        classes[:, lo : lo + step], conf[:, lo : lo + step] = _top_class(
-            _softmax_columns(probs))
-    return classes, conf
+    model k gets alone; ties go to the lowest class id. The one-group form
+    of `pool_predictions`."""
+    return next(pool_predictions([(models, features)]))
+
+
+def pool_predictions(groups):
+    """For each (models, features) group, in order, what `confidences(models,
+    features)` returns: each model's bits alone, all models of one shape. A
+    generator that takes a group one ahead of the block it yields, runs its
+    features with its own block, and holds one block's predictions at a
+    time (see "Pool blocks")."""
+    block, total, shape = [], 0, None
+    for models, features in groups:
+        first = _first_model(models, "confidences")
+        shape = shape or (first.dim_in, first.dim_out, first.hidden)
+        if (first.dim_in, first.dim_out, first.hidden) != shape:
+            raise ValueError("confidences: models with different shapes cannot be stacked")
+        x = _check_features(first, features)
+        size = len(models) * x.shape[0] * first.dim_out
+        if block and total + size > SOFTMAX_BLOCK:
+            yield from _pool_block(block)
+            block, total = [], 0
+        block.append((first, models, x))
+        total += size
+    if block:
+        yield from _pool_block(block)
+
+
+def _pool_block(groups):
+    """(classes, confidences) of each (first model, models, features) group
+    of one block, in order, as views of the block's arrays; a lone group
+    larger than a block runs in chunks of whole models (see "Pool blocks")."""
+    rows = [0, *accumulate(len(models) * x.shape[0] for _, models, x in groups)]
+    classes = np.empty(rows[-1], dtype=np.int64)
+    conf = np.empty(rows[-1])
+    first, lone, x = groups[0]
+    n = x.shape[0]
+    step = max(1, SOFTMAX_BLOCK // max(1, n * first.dim_out))
+    if len(groups) == 1 and step < len(lone):
+        for lo in range(0, len(lone), step):
+            chunk = slice(lo * n, (lo + step) * n)
+            _score_pools([(first, lone[lo : lo + step], x)], classes[chunk], conf[chunk])
+    else:
+        _score_pools(groups, classes, conf)
+    for (_, models, _), lo, hi in zip(groups, rows, rows[1:]):
+        yield classes[lo:hi].reshape(len(models), -1), conf[lo:hi].reshape(len(models), -1)
+
+
+def _score_pools(groups, classes, conf):
+    """Write the predictions of (first model, models, features) groups, in
+    order, to `classes` and `conf`: one broadcast matmul per group into one
+    row-major logit buffer, whose rows take the class-major softmax in even
+    pieces of at most SOFTMAX_BLOCK values."""
+    c = groups[0][0].dim_out
+    logits = np.empty((classes.size, c))
+    lo = 0
+    for first, models, x in groups:
+        hi = lo + len(models) * x.shape[0]
+        # `np.array` copies the same rows as `np.stack`, about 5x faster for
+        # 35 vectors of 36 values.
+        views = _unpack(first, np.array([m.weights for m in models]))
+        _logits(first.hidden, views, x, out=logits[lo:hi].reshape(len(models), -1, c))
+        lo = hi
+    if classes.size:
+        step = -(-classes.size // -(-logits.size // SOFTMAX_BLOCK))
+        for lo in range(0, classes.size, step):
+            classes[lo : lo + step], conf[lo : lo + step] = _top_class(
+                _softmax_columns(logits[lo : lo + step].T.copy()))

@@ -30,6 +30,7 @@ from .clustering import (
 from .config import ExperimentConfig
 from .errors import StateError
 from .labeling import (
+    contenders,
     holdout_accuracies,
     inject,
     labeling_accuracy,
@@ -43,6 +44,7 @@ from .models import (
     gradient,
     init_params,
     loss,
+    pool_predictions,
     sgd_train,
 )
 from .network import rayleigh_fading, round_time, schedule_round
@@ -401,11 +403,18 @@ class Simulation:
         for ids in sharing.values():
             accuracy.update(zip(ids, holdout_accuracies(
                 [self.devices[k] for k in ids], candidates_of[ids[0]])))
-        for k, candidates in candidates_of.items():
+        # Every device's contenders over its pending pool in one pass, read
+        # block by block as the loop below takes the devices in order: each
+        # pool is scored before its device injects.
+        pending = {k: self.devices[k].pending_features() for k in candidates_of}
+        scored = pool_predictions(
+            ([candidates_of[k][mid] for mid in contenders(candidates_of[k], accuracy[k])],
+             pending[k][1]) for k in candidates_of)
+        for (k, candidates), pool_pass in zip(candidates_of.items(), scored):
             dev = self.devices[k]
-            idx, feats = dev.pending_features()
+            idx, feats = pending[k]
             mid, acc, cov, predictions = select_best_model(
-                dev, candidates, ssl.phi, feats, accuracy[k])
+                dev, candidates, ssl.phi, feats, accuracy[k], pool_pass)
             self.last_label_round[k] = r
             self.utilities[k] = acc * cov
             self._event({

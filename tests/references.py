@@ -2,8 +2,8 @@
 home of every oracle that more than one test file checks against.
 
 `record_pool_passes` spies on the models that selection runs over a pool.
-`cosine_similarity` is the pairwise definition that
-`clustering.similarity_matrix` computes for all pairs at once.
+`cosine_similarity` is the pairwise definition, one `np.dot` per pair,
+whose bits `clustering.similarity_matrix` must give every entry.
 
 The row-wise model reference: `forward` is the row-wise softmax whose bits
 `models.confidences` reproduces class-major, `ref_confidences` and
@@ -32,7 +32,6 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from cfsl import labeling
-from cfsl.clustering import _cosine
 from cfsl.models import LabeledBatch, ModelParams, param_count
 
 
@@ -70,7 +69,8 @@ def check_run_invariants(sim, events: list):
         members = sorted(k for node in e["tree"] if not node["children"]
                          and node["merged_into"] is None for k in node["members"])
         assert members == devices, f"round {e['round']}: leaves hold {members}"
-    times = [0.0] + [e["cumulative_time_s"] for e in rounds]
+    # Strict JSON writes an infinite time (every link at rate 0) as "inf".
+    times = [0.0] + [float(e["cumulative_time_s"]) for e in rounds]
     assert times[1:] == [row.cumulative_time_s for row in sim.metrics]
     assert all(a <= b for a, b in zip(times, times[1:])), times
     for row in sim.metrics:
@@ -111,7 +111,7 @@ def cosine_similarity(g1, g2) -> float:
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0 or nb == 0:
         raise ValueError("cosine similarity undefined for zero-norm gradient")
-    return _cosine(a, b, na, nb)
+    return float(np.dot(a, b) / (na * nb))
 
 
 def _unpack(p: ModelParams):

@@ -16,6 +16,7 @@ from cfsl.clustering import (
     similarity_matrix,
 )
 from cfsl.errors import StateError
+from cfsl.models import param_count
 from references import cosine_similarity, exhaustive_bipartition, max_cross, zero_params
 
 
@@ -71,16 +72,24 @@ def test_similarity_matrix_symmetric_unit_diagonal():
         assert np.all(sim.values >= -1 - 1e-12)
 
 
+# Gradient lengths of the workloads' two model families: logistic with
+# 8 features and 4 classes, and the MLP with 16 hidden units.
+WORKLOAD_P = (param_count(8, 4), param_count(8, 4, 16))
+
+
 def test_similarity_matrix_entries_equal_pairwise_cosine():
+    # The dots are one stacked matmul; every entry must keep the bits of
+    # its own pairwise `np.dot`, at magnitudes from 1e-3 to 1e3.
     rng = np.random.default_rng(4)
-    for n, dim in ((2, 3), (7, 40), (16, 200)):
-        g = {int(d): grad(rng.normal(size=dim) * rng.uniform(0.01, 100))
-             for d in rng.permutation(50)[:n]}
-        sim = similarity_matrix(g)
-        for i, a in enumerate(sim.ids):
-            for j, b in enumerate(sim.ids):
-                if i != j:
-                    assert sim.values[i, j] == cosine_similarity(g[a], g[b])
+    for dim in (3, 40, 200) + WORKLOAD_P:
+        for n in (2, 7, 15, 16, 64, 65):
+            g = {int(d): grad(rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3))
+                 for d in rng.permutation(100)[:n]}
+            sim = similarity_matrix(g)
+            for i, a in enumerate(sim.ids):
+                for j, b in enumerate(sim.ids):
+                    if i != j:
+                        assert sim.values[i, j] == cosine_similarity(g[a], g[b])
     with pytest.raises(ValueError, match="device 5"):
         similarity_matrix({2: grad([1.0, 0.0]), 5: grad([0.0, 0.0]), 9: grad([0.0, 0.0])})
     with pytest.raises(ValueError, match="shapes differ"):

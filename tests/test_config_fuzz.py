@@ -9,14 +9,17 @@ and any other key with a default half or twice it or one more, or its
 default where that value fails the key's check; in half the configs, one
 checked key gets a boundary value (0, 1, 0.5 or -1) instead, which may
 fail its check. Keys are left out half the time, so that defaults apply.
-Only the keys without a default are sized here, to keep each run small:
-at most 24 devices and 6 rounds. The csv path is always given, so that a
-csv draw reads a file. After a run, `events.jsonl` is strict JSON and
+The keys without a default are sized here, to keep each run small: at
+most 24 devices and 6 rounds; so is `ssl.label_interval`, 1-3 where it is
+drawn. A quarter of the configs are labeling draws: they run hfl-ssl with
+self-labeling on at phi 0.3 and always draw the interval, so that they
+label within 6 rounds. The csv path is always given, so that a csv draw
+reads a file. After a run, `events.jsonl` is strict JSON and
 `references.check_run_invariants` holds; every fourth config runs twice and
 must write the same bytes. The draw reaches the paths no oracle covers: csv
 data, split signals from local training (`use_weight_deltas`), Rayleigh
-fading and edge-scoped candidates. `CFSL_FUZZ_CONFIGS` sets the number of
-configs (40 by default) for a longer sweep.
+fading, edge-scoped candidates and labeling. `CFSL_FUZZ_CONFIGS` sets the
+number of configs (40 by default) for a longer sweep.
 """
 
 import json
@@ -33,8 +36,14 @@ from cfsl.experiment import build_simulation, run_experiment
 from references import check_run_invariants
 
 CONFIGS = int(os.environ.get("CFSL_FUZZ_CONFIGS", "40"))
-# The keys without a default.
-SIZES = {"topology.edges": range(1, 5), "topology.devices": range(3, 25), "run.rounds": range(7)}
+# The keys without a default, and a labeling interval that a run of at
+# most 6 rounds reaches.
+SIZES = {"topology.edges": range(1, 5), "topology.devices": range(3, 25), "run.rounds": range(7),
+         "ssl.label_interval": range(1, 4)}
+# The keys a labeling draw sets: hfl-ssl labels with the shared model from
+# round `label_interval` on, with no split to wait for.
+LABELING = {"ssl.enabled": True, "run.baseline": "hfl-ssl", "ssl.phi": 0.3}
+LABELING_SHARE = 0.25
 BOUNDARY = (0, 1, 0.5, -1)
 CHOICE = "must be one of "
 KEYS = [(f"{cls.section}.{ini_key(f)}", f) for cls in SECTIONS for f in fields(cls)]
@@ -78,6 +87,7 @@ def draw_config(seed, csv_path, out_dir):
                and not f.metadata["message"].startswith(CHOICE)
                and not isinstance(f.default, bool)]
     edge = rng.choice(checked) if rng.random() < 0.5 else None
+    labeling = rng.random() < LABELING_SHARE
     drawn = {}
     for where, f in KEYS:
         if where == "run.out_dir":
@@ -85,10 +95,13 @@ def draw_config(seed, csv_path, out_dir):
         elif where == "data.csv_path":
             # Given always, so that every csv draw reads a file.
             drawn[where] = (f, csv_path)
+        elif labeling and where in LABELING:
+            drawn[where] = (f, LABELING[where])
         elif where == edge:
             value = rng.choice(BOUNDARY)
             drawn[where] = (f, int(value) if is_int(f) else value)
-        elif f.default is REQUIRED or rng.random() < 0.5:
+        elif (f.default is REQUIRED or (labeling and where == "ssl.label_interval")
+              or rng.random() < 0.5):
             drawn[where] = (f, draw_value(rng, where, f))
     lines = []
     for cls in SECTIONS:
@@ -174,5 +187,9 @@ def test_the_draw_runs_the_paths_no_oracle_covers(tmp_path):
         "rayleigh": any(c.network.fading == "rayleigh" and c.run.rounds for c in configs),
         "edge scope": any(c.ssl.enabled and c.clustering.enabled and c.run.rounds
                           and c.ssl.candidate_scope == "edge" for c in configs),
+        # hfl-ssl labels with the shared model from round `label_interval`
+        # on, with no split to wait for.
+        "labeling": any(c.ssl.enabled and c.run.baseline == "hfl-ssl"
+                        and c.run.rounds >= c.ssl.label_interval for c in configs),
     }
     assert all(reached.values()), reached

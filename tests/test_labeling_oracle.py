@@ -23,13 +23,14 @@ import warnings
 import numpy as np
 import pytest
 
-from cfsl import labeling
+from cfsl import labeling, models
 from cfsl.config import DataConfig
 from cfsl.data import DeviceDataset, csv_devices
 from cfsl.errors import StateError
 from cfsl.labeling import (
     PseudoLabelBatch,
     holdout_accuracies,
+    inject,
     pseudo_label,
     select_best_model,
     utility,
@@ -43,6 +44,7 @@ from cfsl.models import (
     confidences,
     evaluate,
     param_count,
+    pool_predictions,
 )
 from references import _unpack, record_pool_passes, ref_confidences, ref_evaluate
 
@@ -565,6 +567,138 @@ def test_selection_with_empty_holdout_matches_reference():
     rng = np.random.default_rng(13)
     device = make_device(rng, 4, 3, n_holdout=0)
     check_selection(device, {k: random_model(rng, 4, 3, 7) for k in range(5)})
+
+
+# ---------------------------------------------------------------- labeling phase
+
+
+def phase_case(rng, family, c):
+    """Devices of one labeling phase in device order, each with (device,
+    candidates): pools of 0, 1, 5 and about 80 rows, holdouts of 1-4 rows
+    and 1-12 candidates under shuffled ids drawn from 4 shared models. The
+    first device has one candidate, the second 12 copies of one model, so
+    that the contenders number from 1 to 12."""
+    d, hidden = 5, FAMILIES[family]
+    shared = [random_model(rng, d, c, hidden, scale=float(rng.choice([0.3, 1.0, 3.0])),
+                           rounded=j % 2 == 1) for j in range(4)]
+    phase = []
+    for i, n_pool in enumerate((1, 80, 0, 5, 80, 1, 79, 81)):
+        n_holdout = int(rng.integers(1, 5))
+        device = make_device(rng, d, c, n_labeled=n_holdout + 4, n_pool=n_pool,
+                             n_holdout=n_holdout, rounded=i % 2 == 0)
+        k = (1, 12)[i] if i < 2 else int(rng.integers(1, 13))
+        ids = rng.choice(1000, size=k, replace=False).tolist()
+        picks = [0] * k if i == 1 else rng.integers(len(shared), size=k)
+        phase.append((device, {mid: shared[j] for mid, j in zip(ids, picks)}))
+    return phase
+
+
+def batched_phase(phase, phi):
+    """The labeling phase as `Simulation._labeling_phase` runs it: holdout
+    accuracies first, then one `pool_predictions` pass over every device's
+    contenders on its pending pool, consumed in device order, each device
+    selecting, pseudo-labeling and injecting before the next is taken.
+    Returns each device's (pool pass, selection, batch)."""
+    accuracy = [holdout_accuracies([dev], candidates)[0] for dev, candidates in phase]
+    pending = [dev.pending_features() for dev, _ in phase]
+    scored = pool_predictions(
+        ([candidates[mid] for mid in labeling.contenders(candidates, acc)], feats)
+        for (_, candidates), acc, (_, feats) in zip(phase, accuracy, pending))
+    out = []
+    for (dev, candidates), acc, (idx, feats), pool_pass in zip(phase, accuracy, pending, scored):
+        selection = select_best_model(dev, candidates, phi, feats, acc, pool_pass)
+        mid, predictions = selection[0], selection[3]
+        batch = pseudo_label(candidates[mid], feats, phi, dev.device_id, idx, predictions)
+        inject(dev, batch)
+        out.append((pool_pass, selection, batch))
+    return out
+
+
+# SOFTMAX_BLOCK for each way of cutting a phase into blocks, from the
+# phase's largest group (its contenders times its pool rows and classes),
+# the total of its groups, and its largest pool.
+BUDGETS = {
+    "rows of one model": lambda largest, total, rows: 1,
+    "two models of one group": lambda largest, total, rows: 2 * rows,
+    "whole groups": lambda largest, total, rows: largest,
+    "one block": lambda largest, total, rows: total,
+}
+
+
+@pytest.mark.parametrize("blocks", sorted(BUDGETS))
+@pytest.mark.parametrize("c", [2, 6, 33])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_batched_phase_equals_each_device_alone(family, c, blocks, monkeypatch):
+    rng = np.random.default_rng([c, FAMILIES[family], len(blocks)])
+    phase = phase_case(rng, family, c)
+    phi = 0.6
+    # The reference, device by device, on the pools before any injection.
+    want = []
+    for dev, candidates in phase:
+        chosen, scores = ref_select_best_model(dev, candidates, phi, 2e9, 20.0)
+        idx, feats = (a.copy() for a in dev.pending_features())
+        want.append((chosen, scores, feats, ref_pseudo_label(
+            candidates[chosen[0]], feats, phi, dev.device_id, idx)))
+    ran = [len(contenders(candidates, scores)) for (_, candidates), (_, scores, _, _)
+           in zip(phase, want)]
+    sizes = [k * feats.shape[0] * c for k, (_, _, feats, _) in zip(ran, want)]
+    rows = max(feats.shape[0] for _, _, feats, _ in want) * c
+    monkeypatch.setattr(models, "SOFTMAX_BLOCK", BUDGETS[blocks](max(sizes), sum(sizes), rows))
+    # The number of contenders of each group each scoring pass runs.
+    passes = []
+    real_score_pools = models._score_pools
+
+    def score_pools(groups, classes, conf):
+        passes.append([len(m) for _, m, _ in groups])
+        return real_score_pools(groups, classes, conf)
+    monkeypatch.setattr(models, "_score_pools", score_pools)
+
+    got = batched_phase(phase, phi)
+    for (dev, candidates), (chosen, scores, feats, batch), (pool_pass, selection, got_batch) \
+            in zip(phase, want, got):
+        assert selection[:3] == chosen[:3]
+        ids = [mid for mid, s in scores.items() if s[1] == chosen[1]]
+        classes, conf = pool_pass
+        assert classes.shape == conf.shape == (len(ids), feats.shape[0])
+        for k, mid in enumerate(ids):
+            assert_same_predictions((classes[k], conf[k]), ref_confidences(candidates[mid], feats))
+        assert_same_predictions(selection[3], ref_confidences(candidates[chosen[0]], feats))
+        assert_same_batch(got_batch, batch)
+    # The phase reaches one and many contenders, and injects.
+    assert {1, 12} <= set(ran)
+    assert sum(len(b) for _, _, b in got) > 0
+    flat = [k for p in passes for k in p]
+    assert {"rows of one model": flat == [1] * sum(ran),
+            # The second device's 12 contenders on 80 rows: 6 passes.
+            "two models of one group": passes.count([2]) >= 6 and sum(flat) == sum(ran),
+            "whole groups": flat == ran and 1 < max(map(len, passes)) < len(ran),
+            "one block": passes == [ran]}[blocks], passes
+
+
+def test_pool_predictions_score_a_group_with_its_own_block():
+    # The generator takes a group ahead to find where a block ends, but
+    # runs that group's rows only with its own block: until then the rows
+    # may still change.
+    rng = np.random.default_rng(5)
+    model = random_model(rng, 3, 2, 0)
+    pools = [rng.normal(size=(4, 3)) for _ in range(3)]
+    read = []
+
+    def groups():
+        for i, pool in enumerate(pools):
+            read.append(i)
+            yield [model], pool
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "SOFTMAX_BLOCK", 2 * 4 * 2)
+        scored = pool_predictions(groups())
+        first = next(scored)
+        assert read == [0, 1, 2]
+        pools[2] *= 2.0
+        rest = list(scored)
+    for (classes, conf), pool in zip([first, *rest], pools):
+        assert_same_predictions((classes[0], conf[0]), ref_confidences(model, pool))
+    with pytest.raises(ValueError, match="different shapes"):
+        list(pool_predictions([([model], pools[0]), ([random_model(rng, 3, 3, 0)], pools[1])]))
 
 
 # ---------------------------------------------------------------- selection fuzz

@@ -510,13 +510,14 @@ def one_device_per_call(monkeypatch):
     """Run the orchestrator's stacked calls one device per call: scoring
     blocks of one pair for `loss`, `gradient`, `evaluate` and the holdout
     grid, `sgd_train` patched to train one device at a time, and each
-    selection scoring its own device's holdout instead of taking the
-    grouped accuracies."""
+    selection scoring its own device's holdout and running its own pool
+    pass instead of taking the grouped accuracies and the phase's pool
+    predictions."""
     def trained_alone(models, batches, epochs, batch_size, lr, seeds):
         return [sgd_train([m], [b], epochs, batch_size, lr, [s])[0]
                 for m, b, s in zip(models, batches, seeds)]
 
-    def selected_alone(device, candidates, phi, pool, accuracy):
+    def selected_alone(device, candidates, phi, pool, accuracy, predictions):
         return select(device, candidates, phi, pool)
 
     select = orchestrator.select_best_model
@@ -529,13 +530,14 @@ def one_device_per_call(monkeypatch):
 def test_simulation_does_not_depend_on_how_devices_are_grouped(monkeypatch, scope):
     """The round as shipped (one training stack, one `evaluate` and one
     `loss` call over every device for the metrics, one `gradient` call per
-    split check, one holdout grid per candidate set) and one device per
-    call give byte-identical events and metrics, through splits and
+    split check, one holdout grid per candidate set, one pool pass per
+    labeling phase) and one device per call give byte-identical events and
+    metrics, through splits and
     injections that give the devices different models and train sizes, and
     with candidate sets shared by every edge or each edge's own."""
     config = parse_config(GROUPED.replace("[ssl]\n", f"[ssl]\ncandidate_scope = {scope}\n"))
     mixed = {"sgd_train": [], "loss": [], "gradient": []}
-    shared, scored = [], []
+    shared, scored, pooled = [], [], []
 
     def recording(name):
         real = getattr(orchestrator, name)
@@ -562,13 +564,24 @@ def test_simulation_does_not_depend_on_how_devices_are_grouped(monkeypatch, scop
             scored.append((len(batches), len({id(m) for m in models})))
             return real_evaluate(models, batches)
         patch.setattr(orchestrator, "evaluate", evaluated)
+        real_pool_predictions = orchestrator.pool_predictions
+
+        def pool_pass(groups):
+            pooled.append(0)
+
+            def counted():
+                for group in groups:
+                    pooled[-1] += 1
+                    yield group
+            return real_pool_predictions(counted())
+        patch.setattr(orchestrator, "pool_predictions", pool_pass)
         grouped = build_simulation(config)
         grouped.run()
     # Some call mixes models (for training and the loss) and train sizes,
     # and some holdout pass scores several devices.
     for name, calls in mixed.items():
         assert any(flag for _, flag in calls), name
-    assert max(shared) > 1
+    assert max(shared) > 1 and max(pooled) > 1
     # Accuracy and the loss are one call each over every device, some of
     # them on several models.
     assert all(n == 24 for n, _ in scored + mixed["loss"]) and max(m for _, m in scored) > 1

@@ -22,7 +22,7 @@ from cfsl.config import (
 from cfsl.data import make_task_universe, partition_devices
 from cfsl.errors import StateError
 from cfsl.models import ModelParams, init_params, param_count, sgd_train
-from references import zero_params
+from references import cosine_similarity, zero_params
 from cfsl.network import sample_radios
 from cfsl.orchestrator import MetricsRow, Simulation, edge_aggregate
 from cfsl.seeding import init_seed, training_seed
@@ -339,6 +339,33 @@ def test_merge_joins_near_identical_specialized_models():
     # Equal sample weights: the merged model is the midpoint, here base+u.
     assert np.allclose(node.model.weights, base + u)
     assert sim.tree.node(c).merged_into is None
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_merge_threshold_meets_the_pairwise_cosine_bits(below):
+    # gamma_merge at exactly the pairwise cosine of two clusters' centered
+    # models merges nothing (the test is strict); one ulp below, it merges
+    # that pair. Both hold only if the merge check's similarity has the
+    # bits of the pair's own `np.dot`, at offsets from 1e-3 to 1e2.
+    rng = np.random.default_rng(29)
+    sim = make_sim(dim=12, clustering=ClusteringConfig(enabled=True), rounds=3, seed=19)
+    a, b, c = split_three_ways(sim)
+    base = sim.global_model.weights
+    u, w = rng.normal(size=base.size), rng.normal(size=base.size)
+    for cid, offset in ((a, 1e-3 * u), (b, 1e2 * (u + 0.5 * w)), (c, 30.0 * (w - u))):
+        sim.tree.node(cid).model = sim.global_model.with_weights(base + offset)
+    centered = {cid: sim.tree.node(cid).model.weights - base for cid in (a, b, c)}
+    s = cosine_similarity(centered[a], centered[b])
+    assert s > max(cosine_similarity(centered[a], centered[c]),
+                   cosine_similarity(centered[b], centered[c]))
+    gamma = float(np.nextafter(s, -1.0)) if below else s
+    sim.config = replace(sim.config, clustering=replace(sim.config.clustering, gamma_merge=gamma))
+    sim._merge_check(1)
+    merges = events_of(sim, "merge")
+    if below:
+        assert [(m["clusters"], m["similarities"]) for m in merges] == [([a, b], [[a, b, s]])]
+    else:
+        assert merges == []
 
 
 def test_merge_log_only_leaves_tree_untouched():

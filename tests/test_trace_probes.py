@@ -2,13 +2,17 @@
 positional arguments, so every name it probes must resolve in the package.
 
 bench/tracing.py only imports the standard library; it is loaded from its
-file here, without installing anything.
+file here, without installing anything. One test installs every probe in a
+child process and runs a small self-labeling config through them.
 """
 
 import ast
 import importlib.util
 import inspect
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -84,3 +88,53 @@ def test_every_probe_but_the_known_dead_is_called_in_src():
     uncalled = {name for _, attr, name, _ in tracing.LAYERS
                 if attr.split(".")[-1] not in called}
     assert uncalled == KNOWN_DEAD
+
+
+TRACED_RUN = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install(tracing.LAYERS)
+from cfsl.config import parse_config
+from cfsl.experiment import run_experiment
+run_experiment(parse_config(sys.argv[2]))
+print(json.dumps({"layers": tracer.layers(), "counts": dict(tracer.counts)}))
+"""
+
+# hfl-ssl labels with the shared model from round `label_interval` on,
+# with no split to wait for.
+SELF_LABELING = """
+[topology]
+edges = 2
+devices = 8
+
+[data]
+samples_per_device = 60
+labeled_fraction = 0.2
+
+[ssl]
+phi = 0.3
+label_interval = 1
+
+[run]
+rounds = 3
+baseline = hfl-ssl
+out_dir = {out_dir}
+"""
+
+
+def test_every_probe_installs_and_counts_a_self_labeling_run(tmp_path):
+    # The counters read pseudo_label's features and inject's device and
+    # batch; a probe whose target changed shape fails the run or reads 0.
+    paths = (os.path.dirname(os.path.abspath(SRC)), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, TRACING, SELF_LABELING.format(out_dir=tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(proc.stdout.splitlines()[-1])
+    assert traced["counts"]["labeling.pseudo_label.rows"] > 0
+    assert traced["layers"]["labeling.inject"]["calls"] > 0
