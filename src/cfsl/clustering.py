@@ -80,7 +80,7 @@ def check_split_conditions(gradients: dict, sample_weights: dict, eps1: float, e
     if np.any(weights <= 0):
         raise ValueError("sample weights must be positive")
     weights = weights / weights.sum()
-    stacked = np.stack([gradients[d] for d in ids])
+    stacked = np.array([gradients[d] for d in ids])
     agg_norm = float(np.linalg.norm(weights @ stacked))
     max_norm = float(np.max(np.linalg.norm(stacked, axis=1)))
     return SplitCheck(agg_norm < eps1 and max_norm > eps2, agg_norm, max_norm)

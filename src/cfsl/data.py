@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, StateError
 from .models import LabeledBatch
-from .seeding import DATA_STREAM
+from .seeding import DATA_STREAM, streams
 
 log = logging.getLogger(__name__)
 
@@ -292,8 +292,7 @@ def partition_devices(universe: TaskUniverse, data, n_devices: int, seed) -> lis
     test_features = np.empty((n_devices, n_test, universe.dim))
     test_labels = np.empty((n_devices, n_test), dtype=np.int64)
     devices = []
-    for k in range(n_devices):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), DATA_STREAM, 2, k]))
+    for k, rng in enumerate(streams([int(seed), DATA_STREAM, 2], range(n_devices))):
         if data.distribution_assignment == "round-robin":
             dist_id = k % universe.n_distributions
         else:
@@ -362,10 +361,9 @@ def csv_devices(data, n_devices: int, seed) -> list:
         )
     whitelist = tuple(range(data.classes))
     devices = []
-    for k in range(n_devices):
+    for k, rng in enumerate(streams([int(seed), DATA_STREAM, 2], range(n_devices))):
         lab = LabeledBatch(labeled.features[k::n_devices], labeled.labels[k::n_devices])
         pool = unlabeled[k::n_devices]
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), DATA_STREAM, 2, k]))
         n_hold = int(round(data.holdout_fraction * len(lab)))
         if n_hold >= len(lab):
             raise ConfigError(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import NetworkConfig
-from .seeding import RADIO_STREAM
+from .seeding import RADIO_STREAM, streams
 
 
 def db_to_linear(db: float) -> float:
@@ -180,8 +180,8 @@ def sample_radios(edge_ids: list, seed, net: NetworkConfig) -> list:
     """Draw per-device radio attributes, uniform in the configured ranges
     (transmit power uniform in dBm, then converted to watts)."""
     radios = []
-    for k, edge_id in enumerate(edge_ids):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), RADIO_STREAM, k]))
+    draws = streams([int(seed), RADIO_STREAM], range(len(edge_ids)))
+    for k, (edge_id, rng) in enumerate(zip(edge_ids, draws)):
         radios.append(
             DeviceRadio(
                 device_id=k,

@@ -48,7 +48,7 @@ from .models import (
     sgd_train,
 )
 from .network import rayleigh_fading, round_time, schedule_round
-from .seeding import fading_seed, init_seed, training_seed
+from .seeding import TRAIN_STREAM, fading_seed, init_seed, streams
 
 log = logging.getLogger(__name__)
 
@@ -272,19 +272,28 @@ class Simulation:
         return dict(zip(ids, sgd_train(
             [starts[k] for k in ids], [self.devices[k].train_batch() for k in ids],
             tr.epochs, tr.batch_size, tr.learning_rate,
-            [training_seed(self.config.run.seed, r, k) for k in ids],
+            streams([self.config.run.seed, TRAIN_STREAM, r], ids),
         )))
 
-    def _split_signals(self, node, members: list, r: int) -> dict:
-        """{member: flat vector} in the order of `members`: the gradient of
-        the cluster's model on each member's train batch, in one `gradient`
-        call, or with `use_weight_deltas` each member's weight change from
-        local training."""
+    def _split_signals(self, leaves: list, r: int) -> dict:
+        """{cluster id: {member: flat vector}} of each nonempty leaf, its
+        members ascending: the gradient of the cluster's model on each
+        member's train batch, or with `use_weight_deltas` each member's
+        weight change from local training. One `gradient` or `_train` call
+        covers every leaf; leaves are disjoint, so no device comes twice."""
+        pairs = [(node, k) for node in leaves for k in sorted(node.members)]
+        if not pairs:
+            return {}
         if self.config.clustering.use_weight_deltas:
-            after = self._train(dict.fromkeys(members, node.model), r)
-            return {k: node.model.weights - after[k].weights for k in members}
-        return dict(zip(members, gradient(
-            [node.model] * len(members), [self.devices[k].train_batch() for k in members])))
+            after = self._train({k: node.model for node, k in pairs}, r)
+            signals = [node.model.weights - after[k].weights for node, k in pairs]
+        else:
+            signals = gradient([node.model for node, _ in pairs],
+                               [self.devices[k].train_batch() for _, k in pairs])
+        out = defaultdict(dict)
+        for (node, k), signal in zip(pairs, signals):
+            out[node.cluster_id][k] = signal
+        return out
 
     # ------------------------------------------------------------ round
 
@@ -440,11 +449,13 @@ class Simulation:
                 })
 
     def _split_checks(self, r: int):
-        for node in list(self.tree.active_leaves()):
-            members = sorted(node.members)
-            if not members:
-                continue
-            grads = self._split_signals(node, members, r)
+        # No leaf's model or train batch changes in the loop, so every
+        # leaf's signals are taken first.
+        leaves = [node for node in self.tree.active_leaves() if node.members]
+        signals = self._split_signals(leaves, r)
+        for node in leaves:
+            grads = signals[node.cluster_id]
+            members = list(grads)
             weights = {k: self.devices[k].labeled_size for k in members}
             norms = [float(np.linalg.norm(g)) for g in grads.values()]
             eps1, eps2 = self.config.clustering.eps1, self.config.clustering.eps2

@@ -20,6 +20,9 @@ runs it after every drawn config that runs.
 `NON_FINITE_NETWORK` lists `[network]` values whose latency or radio terms
 are not finite floats, each with the key the config must reject it under.
 
+`training_seed` is the spec of a device's training stream in a round,
+which `seeding.streams` re-derives for all of a round's devices at once.
+
 `exhaustive_bipartition` is the original pure-Python search over every
 bipartition, which `clustering.bipartition` must match.
 `kruskal_bipartition` reaches the same split for any size of symmetric
@@ -33,6 +36,7 @@ import numpy as np
 
 from cfsl import labeling
 from cfsl.models import LabeledBatch, ModelParams, param_count
+from cfsl.seeding import TRAIN_STREAM
 
 
 # [network] values that validated once but then overflowed a float, or
@@ -49,6 +53,11 @@ NON_FINITE_NETWORK = [
     ("distance_max_m = inf", "network.distance_max_m"),
     ("cpu_max_hz = inf", "network.cpu_max_hz"),
 ]
+
+
+def training_seed(seed: int, round_no: int, device_id: int) -> np.random.SeedSequence:
+    """Per-(round, device) training stream; independent of scheduling order."""
+    return np.random.SeedSequence([seed, TRAIN_STREAM, round_no, device_id])
 
 
 # The metrics that are fractions; labeling accuracy is None before any label.

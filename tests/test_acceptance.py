@@ -37,8 +37,7 @@ from cfsl.network import (
     upload_time,
 )
 from cfsl.orchestrator import edge_aggregate
-from cfsl.seeding import training_seed
-from references import exhaustive_bipartition, max_cross
+from references import exhaustive_bipartition, max_cross, training_seed
 
 logging.disable(logging.WARNING)
 

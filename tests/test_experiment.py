@@ -24,7 +24,8 @@ from cfsl.experiment import (
 from cfsl.labeling import inject, pseudo_label
 from cfsl.models import gradient, sgd_train
 from cfsl.network import dbm_to_watts, device_round_time
-from cfsl.seeding import sweep_seed, training_seed
+from cfsl.seeding import sweep_seed
+from references import training_seed
 
 BASE = """
 [topology]
@@ -166,33 +167,42 @@ def test_narrow_radio_ranges_bound_every_radio():
 
 
 def test_use_weight_deltas_makes_the_split_signal_the_weight_delta():
-    # Small minibatches, so that local training takes several steps.
-    text = BASE.replace("[model]\n", "[model]\nbatch_size = 4\n")
+    # Small minibatches, so that local training takes several steps; two
+    # edges, so that one call takes the signals of two leaves.
+    text = BASE.replace("[model]\n", "[model]\nbatch_size = 4\n").replace(
+        "edges = 1\ndevices = 4", "edges = 2\ndevices = 8")
     deltas = build_simulation(parse_config(
         text.replace("[clustering]\n", "[clustering]\nuse_weight_deltas = true\n")
     ))
     plain = build_simulation(parse_config(text))
     tr, seed, r = deltas.config.model, deltas.config.run.seed, 3
     for sim in (deltas, plain):
-        node = sim.tree.root_of_edge(0)
-        members = sorted(node.members)
-        # Pseudo-labels give the members different train sizes.
-        for k, count in zip(members, (0, 5, 2, 5)):
-            idx, feats = sim.devices[k].pending_features()
-            inject(sim.devices[k], pseudo_label(node.model, feats[:count], 0.0, device_id=k,
-                                                pool_indices=idx[:count]))
-        assert len({sim.devices[k].train_size for k in members}) == 3
-        signals = sim._split_signals(node, members, r)
-        assert list(signals) == members == [0, 1, 2, 3]
-        for k in members:
-            batch = sim.devices[k].train_batch()
-            if sim is deltas:
-                (after,) = sgd_train([node.model], [batch], tr.epochs, tr.batch_size,
-                                     tr.learning_rate, [training_seed(seed, r, k)])
-                want = node.model.weights - after.weights
-            else:
-                (want,) = gradient([node.model], [batch])
-            assert np.array_equal(signals[k], want)
+        leaves = [sim.tree.root_of_edge(e) for e in (1, 0)]
+        # The leaves run different models.
+        leaves[1].model = leaves[1].model.with_weights(leaves[1].model.weights * 3.0)
+        for node in leaves:
+            # Pseudo-labels give the members different train sizes.
+            for k, count in zip(sorted(node.members), (0, 5, 2, 5)):
+                idx, feats = sim.devices[k].pending_features()
+                inject(sim.devices[k], pseudo_label(node.model, feats[:count], 0.0,
+                                                    device_id=k, pool_indices=idx[:count]))
+        signals = sim._split_signals(leaves, r)
+        assert list(signals) == [node.cluster_id for node in leaves]
+        for node in leaves:
+            members = sorted(node.members)
+            assert len(members) == 4
+            assert len({sim.devices[k].train_size for k in members}) == 3
+            assert list(signals[node.cluster_id]) == members
+            for k in members:
+                batch = sim.devices[k].train_batch()
+                if sim is deltas:
+                    (after,) = sgd_train([node.model], [batch], tr.epochs, tr.batch_size,
+                                         tr.learning_rate, [training_seed(seed, r, k)])
+                    want = node.model.weights - after.weights
+                else:
+                    (want,) = gradient([node.model], [batch])
+                assert np.array_equal(signals[node.cluster_id][k], want)
+    assert deltas._split_signals([], r) == {}
 
 
 def feature_spread(sim):

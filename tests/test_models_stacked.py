@@ -456,6 +456,19 @@ def test_stacked_calls_reject_bad_input():
     ):
         with pytest.raises(ValueError):
             call()
+    # A stacked run of one batch length is checked as a whole, naming the
+    # columns the model expects.
+    narrow = LabeledBatch(batches[1].features[:, :-1], batches[1].labels)
+    for call in (
+        lambda: loss(pair, [batches[0], narrow]),
+        lambda: evaluate(pair, [narrow, narrow]),
+        lambda: gradient(pair, [narrow, batches[0]]),
+        lambda: accuracy_grid(pair, [batches[0], narrow]),
+        lambda: accuracy_grid(pair, [narrow, narrow]),
+        lambda: sgd_train(pair, [batches[0], narrow], 1, 4, 0.1, seeds[:2]),
+    ):
+        with pytest.raises(ValueError, match="with 6 columns"):
+            call()
 
 
 def test_non_finite_weights_raise():

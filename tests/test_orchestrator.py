@@ -25,7 +25,7 @@ from cfsl.models import ModelParams, init_params, param_count, sgd_train
 from references import cosine_similarity, zero_params
 from cfsl.network import sample_radios
 from cfsl.orchestrator import MetricsRow, Simulation, edge_aggregate
-from cfsl.seeding import init_seed, training_seed
+from cfsl.seeding import TRAIN_STREAM, init_seed, stream_states
 
 
 def flat(c, n=4):
@@ -197,10 +197,12 @@ def test_same_seed_same_trajectory():
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 7])
 def test_training_streams_equal_the_list_form(seed):
-    for r, k in ((1, 0), (7, 2**32 - 1), (2**32, 5), (2**40, 2**40), (3, 2**33 + 1)):
-        assert np.array_equal(
-            training_seed(seed, r, k).generate_state(4, np.uint64),
-            np.random.SeedSequence([seed, 4, r, k]).generate_state(4, np.uint64))
+    # Rounds and ids of 2^32 and above run the entropy past the 4-word pool;
+    # one call takes ids of one and of two words.
+    for r, ks in ((1, [0]), (7, [2**32 - 1, 0]), (2**32, [5, 2**33 + 1, 6]), (2**40, [2**40]),
+                  (3, [2**33 + 1, 2**32 - 1, 0])):
+        assert stream_states([seed, TRAIN_STREAM, r], ks) == [
+            np.random.PCG64(np.random.SeedSequence([seed, 4, r, k])).state for k in ks]
 
 
 @pytest.mark.parametrize("seed", [31, 2**32 + 5])
