@@ -89,6 +89,10 @@ def _nonneg(v):
     return v >= 0
 
 
+def _finite_pos(v):
+    return math.isfinite(v) and v > 0
+
+
 class _Section:
     """Base of the config sections; `section` is the INI header."""
 
@@ -127,8 +131,8 @@ class DataConfig(_Section):
     labeled_fraction: float = _key(float, 0.05, lambda v: 0 < v <= 1, "must be in (0, 1]")
     max_classes_per_device: int = _key(int, 2, lambda v: v >= 1, "must be >= 1")
     distribution_assignment: str = _choice("round-robin", "random")
-    separation: float = _key(float, 4.0, _pos, "must be > 0")
-    noise_scale: float = _key(float, 1.0, _pos, "must be > 0")
+    separation: float = _key(float, 4.0, _finite_pos, "must be finite and > 0")
+    noise_scale: float = _key(float, 1.0, _finite_pos, "must be finite and > 0")
     holdout_fraction: float = _key(float, 0.2, lambda v: 0 <= v < 1, "must be in [0, 1)")
     seed: int | None = _key(_auto_int, None, lambda v: v is None or v >= 0,
                             "must be >= 0 or auto")
@@ -161,7 +165,7 @@ class ModelConfig(_Section):
     family: str = _choice("logistic", "mlp")
     # parse_config defaults this by family: 0 for logistic, 16 for mlp.
     hidden: int = _key(int, 0, _nonneg, "must be >= 0")
-    learning_rate: float = _key(float, 0.01, _pos, "must be > 0")
+    learning_rate: float = _key(float, 0.01, _finite_pos, "must be finite and > 0")
     epochs: int = _key(int, 5, lambda v: v >= 1, "must be >= 1")
     batch_size: int = _key(int, 32, lambda v: v >= 1, "must be >= 1")
 
@@ -191,7 +195,8 @@ class SSLConfig(_Section):
     enabled: bool = _key(_bool, True)
     phi: float = _key(float, 0.8, lambda v: 0 <= v <= 1, "must be in [0, 1]")
     label_interval: int = _key(int, 10, lambda v: v >= 1, "must be >= 1")
-    lam: float = _key(float, 1.0, _nonneg, "must be >= 0", name="lambda")
+    lam: float = _key(float, 1.0, lambda v: math.isfinite(v) and v >= 0,
+                      "must be finite and >= 0", name="lambda")
     inference_cycles_per_sample: float = _key(float, 20.0, _pos, "must be > 0")
     candidate_scope: str = _choice("cloud", "edge")
 

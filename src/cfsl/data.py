@@ -240,11 +240,6 @@ class DeviceDataset:
             return 1.0
         return self.n_injected / self.injected_labels.size
 
-    @property
-    def train_size(self) -> int:
-        """len(self.train_batch())."""
-        return len(self._train_batch)
-
     def train_batch(self) -> LabeledBatch:
         """`train`, then the injected samples in pool order: read-only views
         of the device's rows, valid until the next `inject`."""

@@ -6,31 +6,33 @@ injects the samples that model labels with confidence at or above the
 threshold. Injected labels are frozen; the device's training workload
 grows accordingly, which feeds back into scheduling.
 
-A selection reads the holdout and the pool once for all candidates and
-scores their holdout accuracy in one stacked pass (`holdout_accuracies`
-scores the devices that share a candidate set in one `accuracy_grid`
-call, which orders and blocks their holdouts itself). Accuracy ranks
-first, so only the contenders, the candidates tied at the best accuracy
-(`contenders`), can be chosen; only they run over the pool, in one stacked
-pass, to get their coverage. A labeling phase runs every device's pass in
-one `models.pool_predictions` call and hands each selection its
-predictions, each pool read before its device injects. The contenders rank
-by coverage, then by the lowest model id. The selection hands back the
-chosen model's id, holdout accuracy and coverage, whose product enters the
-reported objective, and its pool predictions, which go on to
-`pseudo_label` so that it does not run that model again.
+One prediction kernel, `models.pool_predictions`, scores both sides of a
+selection. `holdout_accuracies` runs the devices that share a candidate
+set in one pass, a group (candidate models, holdout features) per device,
+and takes each accuracy as the share of predicted classes that match the
+labels. Accuracy ranks first, so only the contenders, the candidates tied
+at the best accuracy (`contenders`), can be chosen; only they run over the
+pool to get their coverage. A labeling phase runs every device's
+contenders over its pool in one more pass, each pool read before its
+device injects, and hands each selection its accuracies and predictions:
+`select_best_model` only ranks. The contenders rank by coverage, then by
+the lowest model id. The selection hands back the chosen model's id,
+holdout accuracy and coverage, whose product enters the reported
+objective, and its pool predictions, which go on to `pseudo_label` so
+that it does not run that model again.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .data import DeviceDataset
 from .errors import StateError
-from .models import LabeledBatch, ModelParams, accuracy_grid, confidences
+from .models import LabeledBatch, ModelParams, confidences, pool_predictions
 
 log = logging.getLogger(__name__)
 
@@ -70,7 +72,10 @@ def pseudo_label(
     is the model's (classes, confidences) over the features when the
     caller has them already, as the last item `select_best_model` returns
     for the chosen model; that saves running the model over the features
-    a second time.
+    a second time. Without them the model runs over the features here:
+    labeling with a bare model is a use of its own (the threshold
+    monotonicity acceptance check does it), and the benchmark's tracer
+    counts the rows of `features`, read at position 1.
     """
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phi must be in [0, 1]")
@@ -94,6 +99,8 @@ def _scored_holdout(device: DeviceDataset) -> LabeledBatch:
     train rows, with a warning, when the holdout is empty."""
     if len(device.holdout):
         return device.holdout
+    if not len(device.train):
+        raise ValueError(f"device {device.device_id}: no labeled rows to score accuracy on")
     log.warning(
         "device %d: empty holdout, scoring val_accuracy on the full labeled set",
         device.device_id,
@@ -103,10 +110,18 @@ def _scored_holdout(device: DeviceDataset) -> LabeledBatch:
 
 def holdout_accuracies(devices: list, candidates: dict) -> list:
     """Each device's holdout accuracy of every candidate, in candidate
-    order, as `select_best_model` scores it alone: one `accuracy_grid`
-    call over every device's holdout."""
+    order, with the bits `models.evaluate` gives each pair: one
+    `pool_predictions` pass with a group (candidate models, holdout
+    features) per device, all groups sharing one list of models, and one
+    count of matching classes per holdout."""
+    models = list(candidates.values())
     holdouts = [_scored_holdout(dev) for dev in devices]
-    return accuracy_grid(list(candidates.values()), holdouts).T.tolist()
+    scored = pool_predictions((models, holdout.features) for holdout in holdouts)
+    hits = np.concatenate([classes for classes, _ in scored], axis=1) == np.concatenate(
+        [holdout.labels for holdout in holdouts])
+    rows = [0, *accumulate(map(len, holdouts))]
+    # Exact counts: count / n is rounded once, as the mean of the bools is.
+    return (np.add.reduceat(hits, rows[:-1], axis=1, dtype=np.intp) / np.diff(rows)).T.tolist()
 
 
 def contenders(candidates: dict, accuracy: list) -> list:
@@ -117,32 +132,24 @@ def contenders(candidates: dict, accuracy: list) -> list:
     return [mid for mid, acc in zip(candidates, accuracy) if acc == best]
 
 
-def select_best_model(device: DeviceDataset, candidates: dict, phi: float, pool: np.ndarray,
-                      accuracy: list | None = None, predictions: tuple | None = None):
+def select_best_model(device: DeviceDataset, candidates: dict, phi: float, accuracy: list,
+                      predictions: tuple):
     """Pick exactly one candidate model for this device.
 
-    Every candidate's holdout accuracy is scored in one stacked pass, unless
-    `accuracy` gives them, in candidate order, as `holdout_accuracies`
-    returns them. Only the contenders, the candidates tied at the best
-    accuracy, can win, so only they run over `pool`, the device's pending
-    features (`device.pending_features()[1]`), in one stacked pass in
-    candidate order; row k of a stacked pass has the bits model k gets
-    alone; `predictions`, that pass's (K, n) (classes, confidences) of the
-    `contenders` when the caller has them, leaves only the ranking. The
-    contenders rank by coverage descending, then by model id ascending.
-    Returns (model id, holdout accuracy, coverage, (classes, confidences)
-    over the pool) of the chosen model; `pseudo_label` takes the last.
+    `accuracy` is every candidate's holdout accuracy, in candidate order,
+    as `holdout_accuracies` returns it. Only the contenders, the candidates
+    tied at the best accuracy, can win; `predictions` is their (K, n)
+    (classes, confidences) over the device's pending pool, in `contenders`
+    order, as `models.confidences` returns them. The contenders rank by
+    coverage descending, then by model id ascending. Returns (model id,
+    holdout accuracy, coverage, (classes, confidences) over the pool) of
+    the chosen model; `pseudo_label` takes the last.
     """
     if not candidates:
         raise StateError(f"device {device.device_id}: no candidate models to select from")
-    if accuracy is None:
-        models = list(candidates.values())
-        accuracy = accuracy_grid(models, [_scored_holdout(device)])[:, 0].tolist()
     ids = contenders(candidates, accuracy)
-    if predictions is None:
-        predictions = confidences([candidates[mid] for mid in ids], pool)
     classes, conf = predictions
-    if pool.shape[0] == 0:
+    if conf.shape[1] == 0:
         coverage = [0.0] * len(ids)
     else:
         coverage = (conf >= phi).mean(axis=1).tolist()
@@ -153,8 +160,11 @@ def select_best_model(device: DeviceDataset, candidates: dict, phi: float, pool:
 def utility(model_id: int, model: ModelParams, device: DeviceDataset, phi: float) -> tuple:
     """One candidate's (holdout accuracy, coverage of the remaining pool at
     threshold phi), as `select_best_model` scores it."""
-    pool = device.pending_features()[1]
-    _, val_accuracy, coverage, _ = select_best_model(device, {model_id: model}, phi, pool)
+    candidates = {model_id: model}
+    accuracy = holdout_accuracies([device], candidates)[0]
+    predictions = confidences([model], device.pending_features()[1])
+    _, val_accuracy, coverage, _ = select_best_model(device, candidates, phi, accuracy,
+                                                     predictions)
     return val_accuracy, coverage
 
 

@@ -27,12 +27,6 @@ against their own stacked weights, in which every pair keeps its own
 accuracy or gradient comes from its own columns (a run's loss means from
 one row-wise sum of its ``(r, n)`` values, which adds each row as a sum of
 that row alone does), and the answers come in input order.
-``accuracy_grid`` scores K models on the D holdouts of the devices that
-share a candidate set, blocked the same way, with one broadcast matmul per
-holdout length and the row-wise softmax. On so few rows it is the faster
-way to score them: on one core (numpy 2.4.6, d=16, c=6, both families,
-holdouts of 1-4 rows), taking the accuracy from ``confidences`` instead
-was 1.1-1.7x slower for K <= 12 candidates and 1.0-1.2x slower at K = 30.
 Training takes the class-major softmax too, on a contiguous copy of each
 step's logits. With the in-place forward and backward passes, on one core,
 a fedavg-128 round of ``sgd_train`` (64 MLP devices of 160 rows, d=8, h=16,
@@ -58,13 +52,13 @@ The batches themselves are views of each device's rows
 (``DeviceDataset.train_batch``): no caller gathers or caches them, so no
 injected row is stored twice. Scoring callers pass every pair in one call,
 and the blocks bound what a call holds at once, since a train batch can
-hold a device's whole pool: one unblocked ``accuracy_grid`` pass over all
-512 devices of split-512 against 61 candidates raised one replica's peak
-RSS from 55 to 65.5 MiB. The hidden units count because the blocks' size
-is also their speed: on one core, fedavg-128's metrics (one MLP, h=16,
-c=4, over 128 devices) took a median 6.7 ms in blocks of 32,768 logits,
-against 5.3 ms in chunks of 16 devices and 5.2 ms in blocks of 32,768
-activations.
+hold a device's whole pool: one unblocked pass scoring the holdouts of
+all 512 devices of split-512 against 61 candidates raised one replica's
+peak RSS from 55 to 65.5 MiB. The hidden units count because the blocks'
+size is also their speed: on one core, fedavg-128's metrics (one MLP,
+h=16, c=4, over 128 devices) took a median 6.7 ms in blocks of 32,768
+logits, against 5.3 ms in chunks of 16 devices and 5.2 ms in blocks of
+32,768 activations.
 
 Class-major softmax. The ``(n, c)`` logits are transposed to ``(c, n)``, so
 that each softmax step is a few long vector operations instead of n
@@ -86,11 +80,15 @@ NaN maximum, so it gets class 0, as ``argmax`` gives it.
 ``tests/test_labeling_oracle.py`` checks this against the row-wise code.
 
 Pool blocks. ``pool_predictions`` scores the (models, pool) group of each
-device of a labeling phase (``confidences`` is its one-group form). It cuts
-the groups, in order, into blocks of at most ``SOFTMAX_BLOCK`` logits: each
-group's one broadcast matmul ``(n, d) @ (K, d, c)`` writes into the block's
-row-major ``(R, c)`` buffer, and one transposing copy, softmax and
-``_top_class`` cover the block. A larger group runs alone, in chunks of
+device of a labeling phase (``confidences`` is its one-group form), and
+the (candidates, holdout) group of each device that shares a candidate
+set, from whose classes ``labeling.holdout_accuracies`` takes accuracies;
+those groups pass one list of models, whose check and weight stack the
+consecutive groups of a block share. It cuts the groups, in order, into
+blocks of at most ``SOFTMAX_BLOCK`` logits: each group's one broadcast
+matmul ``(n, d) @ (K, d, c)`` writes into the block's row-major ``(R, c)``
+buffer, and one transposing copy, softmax and ``_top_class`` cover the
+block. A larger group runs alone, in chunks of
 whole models whose logits fit a block, so that they are read back from
 cache. On one core (numpy 2.4.6, OpenBLAS, d=16): K=12, c=6, n=5,000 took
 3.0 ms in blocks of 32,768 values, against 6.8 ms unblocked and 4.7 ms for
@@ -213,12 +211,6 @@ def _logits(hidden: int, views, x: np.ndarray, out: np.ndarray | None = None):
     z = np.matmul(h, w2, out=out)
     z += b2
     return z, h
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _check_labels(p: ModelParams, labels: np.ndarray) -> np.ndarray:
@@ -483,34 +475,6 @@ def _first_model(models, caller: str) -> ModelParams:
     return first
 
 
-def accuracy_grid(models, batches) -> np.ndarray:
-    """(K, D) accuracies of K same-shape models on each of D nonempty
-    batches of any lengths (the holdouts of the devices that share a
-    candidate set): entry (k, j) has the bits `evaluate([models[k]],
-    [batches[j]])` gets. The batches are ordered by length and blocked as
-    "Ragged stacks" says, a batch of n rows counting K n (c + hidden); the
-    batches of one length in a block take one broadcast matmul of
-    (K, 1, d, c) weights against (1, D', n, d) rows, in which every pair
-    keeps its own (n, d) @ (d, c) BLAS call, and the softmax works row by
-    row."""
-    first = _first_model(models, "accuracy_grid")
-    lengths = [len(b) for b in batches]
-    if not lengths or min(lengths) == 0:
-        raise ValueError("accuracy_grid requires a nonempty batch")
-    views = _unpack(first, np.array([m.weights for m in models])[:, None])
-    out = np.empty((len(models), len(batches)))
-    size = len(models) * (first.dim_out + first.hidden)
-    for block in _blocks(sorted(range(len(batches)), key=lengths.__getitem__),
-                         [n * size for n in lengths]):
-        for _, run in groupby(block, key=lengths.__getitem__):
-            run = list(run)
-            x = _stacked_features(first, [batches[j].features for j in run])
-            labels = _check_labels(first, np.array([batches[j].labels for j in run]))
-            z = _logits(first.hidden, views, x)[0]
-            out[:, run] = (_softmax(z).argmax(axis=-1) == labels).mean(axis=-1)
-    return out
-
-
 def evaluate(models, batches) -> list:
     """Accuracy of each (model, batch) pair: the fraction of argmax
     predictions matching the labels, ties to the lowest class id (see
@@ -553,13 +517,16 @@ def pool_predictions(groups):
     features)` returns: each model's bits alone, all models of one shape. A
     generator that takes a group one ahead of the block it yields, runs its
     features with its own block, and holds one block's predictions at a
-    time (see "Pool blocks")."""
-    block, total, shape = [], 0, None
+    time (see "Pool blocks"). Consecutive groups that pass one list object
+    share its models' check and weight stack, so the list must not change
+    until its predictions are yielded."""
+    block, total, shape, last = [], 0, None, None
     for models, features in groups:
-        first = _first_model(models, "confidences")
-        shape = shape or (first.dim_in, first.dim_out, first.hidden)
-        if (first.dim_in, first.dim_out, first.hidden) != shape:
-            raise ValueError("confidences: models with different shapes cannot be stacked")
+        if models is not last:
+            first, last = _first_model(models, "confidences"), models
+            shape = shape or (first.dim_in, first.dim_out, first.hidden)
+            if (first.dim_in, first.dim_out, first.hidden) != shape:
+                raise ValueError("confidences: models with different shapes cannot be stacked")
         x = _check_features(first, features)
         size = len(models) * x.shape[0] * first.dim_out
         if block and total + size > SOFTMAX_BLOCK:
@@ -595,15 +562,17 @@ def _score_pools(groups, classes, conf):
     """Write the predictions of (first model, models, features) groups, in
     order, to `classes` and `conf`: one broadcast matmul per group into one
     row-major logit buffer, whose rows take the class-major softmax in even
-    pieces of at most SOFTMAX_BLOCK values."""
+    pieces of at most SOFTMAX_BLOCK values. A group that passes the previous
+    group's list object takes its weight stack."""
     c = groups[0][0].dim_out
     logits = np.empty((classes.size, c))
-    lo = 0
+    lo, last = 0, None
     for first, models, x in groups:
         hi = lo + len(models) * x.shape[0]
-        # `np.array` copies the same rows as `np.stack`, about 5x faster for
-        # 35 vectors of 36 values.
-        views = _unpack(first, np.array([m.weights for m in models]))
+        if models is not last:
+            # `np.array` copies the same rows as `np.stack`, about 5x faster
+            # for 35 vectors of 36 values.
+            views, last = _unpack(first, np.array([m.weights for m in models])), models
         _logits(first.hidden, views, x, out=logits[lo:hi].reshape(len(models), -1, c))
         lo = hi
     if classes.size:

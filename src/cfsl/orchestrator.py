@@ -423,7 +423,7 @@ class Simulation:
             dev = self.devices[k]
             idx, feats = pending[k]
             mid, acc, cov, predictions = select_best_model(
-                dev, candidates, ssl.phi, feats, accuracy[k], pool_pass)
+                dev, candidates, ssl.phi, accuracy[k], pool_pass)
             self.last_label_round[k] = r
             self.utilities[k] = acc * cov
             self._event({

@@ -2,6 +2,10 @@
 home of every oracle that more than one test file checks against.
 
 `record_pool_passes` spies on the models that selection runs over a pool.
+`select_alone` feeds `labeling.select_best_model` one device's holdout
+accuracies and contenders' pool predictions, as a labeling phase does;
+`holdout_devices` stands devices around bare holdout batches for
+`labeling.holdout_accuracies`.
 `cosine_similarity` is the pairwise definition, one `np.dot` per pair,
 whose bits `clustering.similarity_matrix` must give every entry.
 
@@ -18,7 +22,9 @@ round, from its simulation and its strict-JSON events: the config fuzz
 runs it after every drawn config that runs.
 
 `NON_FINITE_NETWORK` lists `[network]` values whose latency or radio terms
-are not finite floats, each with the key the config must reject it under.
+are not finite floats, each with the key the config must reject it under;
+`INFINITE_FLOATS` lists the float keys outside `[network]` that must be
+finite, each as a snippet that opens its section.
 
 `training_seed` is the spec of a device's training stream in a round,
 which `seeding.streams` re-derives for all of a round's devices at once.
@@ -31,6 +37,7 @@ matrix by another road: Kruskal's algorithm with a union-find.
 
 import itertools
 from collections import Counter, defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,6 +59,17 @@ NON_FINITE_NETWORK = [
     ("ref_distance_m = 1e80\ndistance_max_m = 1e81", "network.distance_min_m"),
     ("distance_max_m = inf", "network.distance_max_m"),
     ("cpu_max_hz = inf", "network.cpu_max_hz"),
+]
+
+
+# Float keys for which `inf` means nothing: as a learning rate it gave
+# non-finite weights in round 1, as a separation or noise scale no
+# distinguishable distributions, as lambda a -inf or NaN objective.
+INFINITE_FLOATS = [
+    ("[model]\nlearning_rate = inf", "model.learning_rate"),
+    ("[data]\nseparation = inf", "data.separation"),
+    ("[data]\nnoise_scale = inf", "data.noise_scale"),
+    ("[ssl]\nlambda = inf", "ssl.lambda"),
 ]
 
 
@@ -110,6 +128,22 @@ def record_pool_passes(monkeypatch) -> list:
 
     monkeypatch.setattr(labeling, "confidences", spy)
     return passes
+
+
+def select_alone(device, candidates: dict, phi: float):
+    """`labeling.select_best_model` of one device on its own: its holdout
+    accuracies, then its contenders over its pending pool in one
+    `labeling.confidences` call (which `record_pool_passes` records)."""
+    accuracy = labeling.holdout_accuracies([device], candidates)[0]
+    contenders = [candidates[mid] for mid in labeling.contenders(candidates, accuracy)]
+    predictions = labeling.confidences(contenders, device.pending_features()[1])
+    return labeling.select_best_model(device, candidates, phi, accuracy, predictions)
+
+
+def holdout_devices(batches) -> list:
+    """One stand-in device per batch, whose holdout and train rows are the
+    batch, with the fields `labeling.holdout_accuracies` reads."""
+    return [SimpleNamespace(device_id=k, holdout=b, train=b) for k, b in enumerate(batches)]
 
 
 def cosine_similarity(g1, g2) -> float:

@@ -18,7 +18,7 @@ from cfsl.config import (
 )
 from cfsl.errors import ConfigError
 from cfsl.experiment import build_simulation
-from references import NON_FINITE_NETWORK
+from references import INFINITE_FLOATS, NON_FINITE_NETWORK
 
 MINIMAL = """
 [topology]
@@ -227,10 +227,12 @@ def test_cross_checks():
         dataclasses.replace(NetworkConfig(), cpu_min_hz=1e10)
 
 
-@pytest.mark.parametrize("snippet, key", NON_FINITE_NETWORK)
+@pytest.mark.parametrize("snippet, key", NON_FINITE_NETWORK + INFINITE_FLOATS)
 def test_network_values_with_non_finite_latency_terms_are_rejected_by_key(snippet, key):
+    # The `INFINITE_FLOATS` snippets open their own section.
+    section = "" if snippet.startswith("[") else "[network]\n"
     with pytest.raises(ConfigError) as exc:
-        parse_config(MINIMAL + f"\n[network]\n{snippet}\n")
+        parse_config(MINIMAL + f"\n{section}{snippet}\n")
     assert exc.value.key == key
 
 

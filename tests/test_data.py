@@ -235,7 +235,7 @@ def check_counts_match_mask(dev):
     assert dev.unlabeled_remaining == int((~mask).sum())
     want = float(mask.mean()) if mask.size else 1.0
     assert type(dev.injected_fraction) is float and dev.injected_fraction == want
-    assert dev.train_size == len(dev.train) + int(mask.sum()) == len(dev.train_batch())
+    assert len(dev.train_batch()) == len(dev.train) + int(mask.sum())
     truth = dev.hidden_truth[mask]
     known = truth >= 0
     assert dev.n_known == int(known.sum())
@@ -395,7 +395,7 @@ class Reference:
         assert np.array_equal(dev.pool_features(), self.pool)
         assert dev.injected_labels.tolist() == [self.record.get(p, -1)
                                                 for p in range(len(self.pool))]
-        assert dev.train_size == len(batch) == len(self.train) + len(injected)
+        assert len(dev.train_batch()) == len(batch) == len(self.train) + len(injected)
         # Views of the one array, and no part of it writable from outside.
         for a in (batch.features, feats, dev.train.features, dev.holdout.features):
             assert a.base is dev.features and not a.flags.writeable

@@ -191,7 +191,7 @@ def test_use_weight_deltas_makes_the_split_signal_the_weight_delta():
         for node in leaves:
             members = sorted(node.members)
             assert len(members) == 4
-            assert len({sim.devices[k].train_size for k in members}) == 3
+            assert len({len(sim.devices[k].train_batch()) for k in members}) == 3
             assert list(signals[node.cluster_id]) == members
             for k in members:
                 batch = sim.devices[k].train_batch()

@@ -19,7 +19,7 @@ from cfsl.labeling import (
     utility,
 )
 from cfsl.models import LabeledBatch, ModelParams, evaluate, sgd_train
-from references import record_pool_passes, zero_params
+from references import record_pool_passes, select_alone, zero_params
 from cfsl.network import compute_time
 
 
@@ -133,8 +133,7 @@ def test_utility_empty_holdout_falls_back(caplog):
         assert warnings() == 1
         # One warning per selection, however many candidates it scores.
         for n_calls in (2, 3):
-            select_best_model(dev, {0: model, 1: zero_params(3, 4), 2: model}, 0.4,
-                              dev.pending_features()[1])
+            select_alone(dev, {0: model, 1: zero_params(3, 4), 2: model}, 0.4)
             assert warnings() == n_calls
     assert 0.0 <= val_accuracy <= 1.0
     assert val_accuracy == evaluate([model], [dev.train])[0]
@@ -148,11 +147,10 @@ def test_selection_prefers_accuracy_over_coverage(monkeypatch):
     dev = devices[0]
     good = trained_on(dev, u)
     bad = zero_params(3, 4)
-    pool = dev.pending_features()[1]
     loser = utility(5, bad, dev, 0.25)
     winner = utility(9, good, dev, 0.25)
     passes = record_pool_passes(monkeypatch)
-    mid, *score, _ = select_best_model(dev, {5: bad, 9: good}, 0.25, pool)
+    mid, *score, _ = select_alone(dev, {5: bad, 9: good}, 0.25)
     assert (mid, *score) == (9, *winner)
     assert winner[0] > loser[0]
     # The uniform model covers everything at phi=0.25 but loses on accuracy,
@@ -164,17 +162,36 @@ def test_selection_prefers_accuracy_over_coverage(monkeypatch):
 def test_selection_single_candidate_and_empty_error():
     u, devices = device_with_pool(seed=8)
     dev = devices[0]
-    pool = dev.pending_features()[1]
-    assert select_best_model(dev, {3: zero_params(3, 4)}, 0.4, pool)[0] == 3
+    assert select_alone(dev, {3: zero_params(3, 4)}, 0.4)[0] == 3
     with pytest.raises(StateError):
-        select_best_model(dev, {}, 0.4, pool)
+        select_best_model(dev, {}, 0.4, [], (np.zeros((0, 30), int), np.zeros((0, 30))))
+
+
+def test_selection_ranks_the_given_scores_and_runs_no_model(monkeypatch):
+    # Candidates 4 and 6 tie at the best accuracy, so the predictions are
+    # theirs; 6 covers more at phi = 0.5, and on an empty pool the tie
+    # goes to the lower id.
+    dev = device_with_pool(seed=8)[1][0]
+    m = zero_params(3, 4)
+    candidates = {4: m, 1: m, 6: m}
+    accuracy = [0.5, 0.25, 0.5]
+    classes = np.array([[0, 1, 2], [1, 1, 3]])
+    conf = np.array([[0.9, 0.2, 0.5], [0.6, 0.7, 0.5]])
+    monkeypatch.setattr("cfsl.labeling.confidences", None)
+    monkeypatch.setattr("cfsl.labeling.pool_predictions", None)
+    mid, acc, cov, (got_classes, got_conf) = select_best_model(
+        dev, candidates, 0.5, accuracy, (classes, conf))
+    assert (mid, acc, cov) == (6, 0.5, 1.0)
+    assert got_classes.tolist() == [1, 1, 3] and got_conf.tolist() == [0.6, 0.7, 0.5]
+    empty = (np.zeros((2, 0), dtype=np.int64), np.zeros((2, 0)))
+    assert select_best_model(dev, candidates, 0.5, accuracy, empty)[:3] == (4, 0.5, 0.0)
 
 
 def test_selection_tie_breaks_to_lowest_model_id():
     u, devices = device_with_pool(seed=9)
     dev = devices[0]
     m = zero_params(3, 4)
-    assert select_best_model(dev, {8: m, 2: m, 5: m}, 0.4, dev.pending_features()[1])[0] == 2
+    assert select_alone(dev, {8: m, 2: m, 5: m}, 0.4)[0] == 2
 
 
 def test_selection_tie_on_accuracy_goes_to_higher_coverage(monkeypatch):
@@ -184,11 +201,10 @@ def test_selection_tie_on_accuracy_goes_to_higher_coverage(monkeypatch):
     dev = devices[0]
     m = trained_on(dev, u, steps=5)
     sharp = m.with_weights(3.0 * m.weights)
-    pool = dev.pending_features()[1]
     (acc, cov), (sharp_acc, sharp_cov) = utility(2, m, dev, 0.9), utility(7, sharp, dev, 0.9)
     assert acc == sharp_acc and cov < sharp_cov
     passes = record_pool_passes(monkeypatch)
-    mid, *score, _ = select_best_model(dev, {2: m, 7: sharp}, 0.9, pool)
+    mid, *score, _ = select_alone(dev, {2: m, 7: sharp}, 0.9)
     assert (mid, *score) == (7, sharp_acc, sharp_cov)
     assert passes == [[id(m), id(sharp)]]
 

@@ -40,13 +40,19 @@ from cfsl.models import (
     LabeledBatch,
     ModelParams,
     _pairwise_sum,
-    accuracy_grid,
     confidences,
     evaluate,
     param_count,
     pool_predictions,
 )
-from references import _unpack, record_pool_passes, ref_confidences, ref_evaluate
+from references import (
+    _unpack,
+    holdout_devices,
+    record_pool_passes,
+    ref_confidences,
+    ref_evaluate,
+    select_alone,
+)
 
 log = logging.getLogger(__name__)
 
@@ -220,7 +226,7 @@ def check_selection(device, candidates, phi=0.6):
     idx, feats = device.pending_features()
     with pytest.MonkeyPatch.context() as mp:
         passes = record_pool_passes(mp)
-        mid, acc, cov, predictions = select_best_model(device, candidates, phi, feats)
+        mid, acc, cov, predictions = select_alone(device, candidates, phi)
     assert (mid, acc, cov) == want_chosen[:3]
     # Only the candidates tied at the best holdout accuracy can win; they
     # alone run over the pool, in candidate order, in one pass.
@@ -228,7 +234,7 @@ def check_selection(device, candidates, phi=0.6):
     for m, want in want_scores.items():
         assert utility(m, candidates[m], device, phi) == want[1:3]
     # A second read of the pool selects the same model.
-    assert select_best_model(device, candidates, phi, device.pending_features()[1])[0] == mid
+    assert select_alone(device, candidates, phi)[0] == mid
 
     model = candidates[mid]
     assert_same_predictions(predictions, ref_confidences(model, feats))
@@ -382,7 +388,8 @@ def test_stacked_evaluate_matches_one_model_at_a_time(family):
         for n in (1, 4, 13):
             batch = LabeledBatch(rng.normal(size=(n, 4)), rng.integers(0, c, size=n))
             want = [ref_evaluate(m, batch) for m in models]
-            assert accuracy_grid(models, [batch])[:, 0].tolist() == want
+            devices = holdout_devices([batch])
+            assert holdout_accuracies(devices, dict(enumerate(models))) == [want]
             assert [evaluate([m], [batch])[0] for m in models] == want
 
 
@@ -446,31 +453,38 @@ def test_holdout_accuracies_equal_evaluate_device_by_device(family, k, tmp_path,
         scored = dev.holdout if len(dev.holdout) else dev.train
         assert row == [ref_evaluate(m, scored) for m in models]
         assert all(type(v) is float for v in row)
-        # Given the accuracies, selection neither scores nor warns again.
-        pool = dev.pending_features()[1]
+        # Given the accuracies and the pool predictions, selection only
+        # ranks: it neither scores nor warns again.
+        ids = labeling.contenders(candidates, row)
+        predictions = confidences([candidates[mid] for mid in ids], dev.pending_features()[1])
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="cfsl.labeling"), \
                 pytest.MonkeyPatch.context() as mp:
-            mp.setattr(labeling, "accuracy_grid", None)
-            picked = select_best_model(dev, candidates, 0.6, pool, row)
+            mp.setattr(labeling, "pool_predictions", None)
+            mp.setattr(labeling, "confidences", None)
+            picked = select_best_model(dev, candidates, 0.6, row, predictions)
         assert not caplog.records
-        assert picked[:3] == select_best_model(dev, candidates, 0.6, pool)[:3]
+        assert picked[:3] == select_alone(dev, candidates, 0.6)[:3]
 
 
-def test_accuracy_grid_scores_ragged_and_rejects_empty_batches():
+def test_holdout_accuracies_score_ragged_and_reject_empty_batches():
     rng = np.random.default_rng(3)
     model = random_model(rng, 3, 2, 0)
     batches = [LabeledBatch(rng.normal(size=(n, 3)), rng.integers(0, 2, size=n))
                for n in (2, 3, 0)]
-    assert accuracy_grid([model], batches[:1]).shape == (1, 1)
+    assert holdout_accuracies(holdout_devices(batches[:1]), {0: model}) == [
+        [ref_evaluate(model, batches[0])]]
     # Batches of different lengths, in either order.
     for pair in (batches[:2], batches[1::-1]):
-        assert accuracy_grid([model], pair).tolist() == [[ref_evaluate(model, b) for b in pair]]
-    for empty in ([], batches[2:], batches):
-        with pytest.raises(ValueError, match="accuracy_grid requires a nonempty batch"):
-            accuracy_grid([model], empty)
-    with pytest.raises(ValueError, match="accuracy_grid requires at least one model"):
-        accuracy_grid([], batches[:1])
+        got = holdout_accuracies(holdout_devices(pair), {0: model})
+        assert got == [[ref_evaluate(model, b)] for b in pair]
+    for empty in (batches[2:], batches):
+        with pytest.raises(ValueError, match="no labeled rows to score accuracy on"):
+            holdout_accuracies(holdout_devices(empty), {0: model})
+    with pytest.raises(ValueError):  # no devices: nothing to concatenate
+        holdout_accuracies([], {0: model})
+    with pytest.raises(ValueError, match="at least one model"):
+        holdout_accuracies(holdout_devices(batches[:1]), {})
 
 
 # ---------------------------------------------------------------- selection
@@ -510,8 +524,7 @@ def test_selection_on_empty_and_one_row_pools_warns_nothing(n_pool):
     models = {k: random_model(rng, 3, 4, 0) for k in range(5)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pool = device.pending_features()[1]
-        _, _, coverage, (classes, conf) = select_best_model(device, models, 0.5, pool)
+        _, _, coverage, (classes, conf) = select_alone(device, models, 0.5)
         if n_pool == 0:
             assert coverage == 0.0
             assert all(utility(k, m, device, 0.5)[1] == 0.0 for k, m in models.items())
@@ -528,7 +541,7 @@ def test_selection_counts_confidence_equal_to_phi(monkeypatch):
     for phi in (0.5, 1.0):
         check_selection(device, models, phi=phi)
     passes = record_pool_passes(monkeypatch)
-    mid, acc, cov, _ = select_best_model(device, models, 0.5, device.pending_features()[1])
+    mid, acc, cov, _ = select_alone(device, models, 0.5)
     assert (mid, cov) == (1, 1.0)
     # The swapped model loses on holdout accuracy, so selection never runs
     # it over the pool; alone it covers the pool too.
@@ -593,20 +606,19 @@ def phase_case(rng, family, c):
     return phase
 
 
-def batched_phase(phase, phi):
-    """The labeling phase as `Simulation._labeling_phase` runs it: holdout
-    accuracies first, then one `pool_predictions` pass over every device's
-    contenders on its pending pool, consumed in device order, each device
-    selecting, pseudo-labeling and injecting before the next is taken.
-    Returns each device's (pool pass, selection, batch)."""
-    accuracy = [holdout_accuracies([dev], candidates)[0] for dev, candidates in phase]
+def batched_phase(phase, phi, accuracy):
+    """The labeling phase as `Simulation._labeling_phase` runs it, given
+    each device's holdout accuracies: one `pool_predictions` pass over
+    every device's contenders on its pending pool, consumed in device
+    order, each device selecting, pseudo-labeling and injecting before the
+    next is taken. Returns each device's (pool pass, selection, batch)."""
     pending = [dev.pending_features() for dev, _ in phase]
     scored = pool_predictions(
         ([candidates[mid] for mid in labeling.contenders(candidates, acc)], feats)
         for (_, candidates), acc, (_, feats) in zip(phase, accuracy, pending))
     out = []
     for (dev, candidates), acc, (idx, feats), pool_pass in zip(phase, accuracy, pending, scored):
-        selection = select_best_model(dev, candidates, phi, feats, acc, pool_pass)
+        selection = select_best_model(dev, candidates, phi, acc, pool_pass)
         mid, predictions = selection[0], selection[3]
         batch = pseudo_label(candidates[mid], feats, phi, dev.device_id, idx, predictions)
         inject(dev, batch)
@@ -644,7 +656,8 @@ def test_batched_phase_equals_each_device_alone(family, c, blocks, monkeypatch):
     sizes = [k * feats.shape[0] * c for k, (_, _, feats, _) in zip(ran, want)]
     rows = max(feats.shape[0] for _, _, feats, _ in want) * c
     monkeypatch.setattr(models, "SOFTMAX_BLOCK", BUDGETS[blocks](max(sizes), sum(sizes), rows))
-    # The number of contenders of each group each scoring pass runs.
+    accuracy = [holdout_accuracies([dev], candidates)[0] for dev, candidates in phase]
+    # The number of contenders of each group each pool scoring pass runs.
     passes = []
     real_score_pools = models._score_pools
 
@@ -653,7 +666,7 @@ def test_batched_phase_equals_each_device_alone(family, c, blocks, monkeypatch):
         return real_score_pools(groups, classes, conf)
     monkeypatch.setattr(models, "_score_pools", score_pools)
 
-    got = batched_phase(phase, phi)
+    got = batched_phase(phase, phi, accuracy)
     for (dev, candidates), (chosen, scores, feats, batch), (pool_pass, selection, got_batch) \
             in zip(phase, want, got):
         assert selection[:3] == chosen[:3]
@@ -699,6 +712,39 @@ def test_pool_predictions_score_a_group_with_its_own_block():
         assert_same_predictions((classes[0], conf[0]), ref_confidences(model, pool))
     with pytest.raises(ValueError, match="different shapes"):
         list(pool_predictions([([model], pools[0]), ([random_model(rng, 3, 3, 0)], pools[1])]))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_pool_predictions_share_the_stack_of_one_list_object(family, monkeypatch):
+    # Consecutive groups that pass one list, as the holdout groups of a
+    # candidate set do, take one weight stack per block and the bits that
+    # copies of the list get.
+    rng = np.random.default_rng([8, FAMILIES[family]])
+    shared = [random_model(rng, 3, 4, FAMILIES[family], rounded=k % 2 == 1) for k in range(5)]
+    pools = [rng.normal(size=(n, 3)) for n in (1, 4, 0, 7, 2, 4)]
+    stacks = []
+    real_unpack = models._unpack
+
+    def unpack(p, weights=None):
+        stacks.append(weights is not None)
+        return real_unpack(p, weights)
+    monkeypatch.setattr(models, "_unpack", unpack)
+    for budget in (1, 2 * 4 * 4, SOFTMAX_BLOCK):
+        monkeypatch.setattr(models, "SOFTMAX_BLOCK", budget)
+        stacks.clear()
+        reused = list(pool_predictions((shared, pool) for pool in pools))
+        if budget == SOFTMAX_BLOCK:
+            assert stacks == [True]
+        copied = list(pool_predictions((list(shared), pool) for pool in pools))
+        for (classes, conf), (want_classes, want_conf), pool in zip(reused, copied, pools):
+            assert_same_predictions((classes, conf), (want_classes, want_conf))
+            for k, model in enumerate(shared):
+                assert_same_predictions((classes[k], conf[k]), ref_confidences(model, pool))
+    # A group of another shape, or of mixed shapes, after a reused list.
+    wide = random_model(rng, 3, 5, 0)
+    for odd in ([wide], [shared[0], wide]):
+        with pytest.raises(ValueError, match="confidences: models with different shapes"):
+            list(pool_predictions([(shared, pools[0]), (shared, pools[1]), (odd, pools[1])]))
 
 
 # ---------------------------------------------------------------- selection fuzz
@@ -756,7 +802,7 @@ def test_selection_fuzz_scores_pool_only_for_best_accuracy(family, monkeypatch):
             want_chosen, want_scores = ref_select_best_model(device, candidates, phi, 2e9, 20.0)
             _, feats = device.pending_features()
             passes.clear()
-            mid, acc, cov, predictions = select_best_model(device, candidates, phi, feats)
+            mid, acc, cov, predictions = select_alone(device, candidates, phi)
             assert (mid, acc, cov) == want_chosen[:3]
             ran = contenders(candidates, want_scores)
             assert passes == [ran]

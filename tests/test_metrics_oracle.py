@@ -87,7 +87,7 @@ def test_metrics_match_the_references_through_splits_and_injections():
     assert {"split", "injection"} <= kinds
     # The devices ran several models and trained on different row counts.
     assert len({id(sim._model_of(sim.tree.cluster_of(k))) for k in range(20)}) > 2
-    assert len({d.train_size for d in sim.devices}) > 2
+    assert len({len(d.train_batch()) for d in sim.devices}) > 2
 
 
 def write_csv(path, seed, labeled, pool):

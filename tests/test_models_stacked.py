@@ -21,14 +21,22 @@ from cfsl.experiment import build_simulation
 from cfsl.models import (
     LabeledBatch,
     ModelParams,
-    accuracy_grid,
     evaluate,
     gradient,
     loss,
     param_count,
     sgd_train,
 )
-from references import _check_features, _logits, _unpack, ref_evaluate, ref_loss
+from cfsl.labeling import holdout_accuracies
+from references import (
+    _check_features,
+    _logits,
+    _unpack,
+    holdout_devices,
+    ref_evaluate,
+    ref_loss,
+    select_alone,
+)
 
 # ---------------------------------------------------------------- reference
 
@@ -390,10 +398,11 @@ def test_results_do_not_depend_on_how_batches_are_stacked(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(models, "SOFTMAX_BLOCK", budget)
                 assert_scores_match_alone(starts, batches)
-                grid = accuracy_grid(starts[:4], batches)
+                accuracy = holdout_accuracies(holdout_devices(batches),
+                                              dict(enumerate(starts[:4])))
                 blocks.clear()
                 loss(starts, batches)
-            assert grid.tolist() == [[ref_evaluate(m, b) for b in batches] for m in starts[:4]]
+            assert accuracy == [[ref_evaluate(m, b) for m in starts[:4]] for b in batches]
             assert fewest <= len(blocks) <= most and sum(blocks) == 17
 
 
@@ -463,8 +472,8 @@ def test_stacked_calls_reject_bad_input():
         lambda: loss(pair, [batches[0], narrow]),
         lambda: evaluate(pair, [narrow, narrow]),
         lambda: gradient(pair, [narrow, batches[0]]),
-        lambda: accuracy_grid(pair, [batches[0], narrow]),
-        lambda: accuracy_grid(pair, [narrow, narrow]),
+        lambda: holdout_accuracies(holdout_devices([batches[0], narrow]), dict(enumerate(pair))),
+        lambda: holdout_accuracies(holdout_devices([narrow, narrow]), dict(enumerate(pair))),
         lambda: sgd_train(pair, [batches[0], narrow], 1, 4, 0.1, seeds[:2]),
     ):
         with pytest.raises(ValueError, match="with 6 columns"):
@@ -521,8 +530,8 @@ seed = 4
 
 def one_device_per_call(monkeypatch):
     """Run the orchestrator's stacked calls one device per call: scoring
-    blocks of one pair for `loss`, `gradient`, `evaluate` and the holdout
-    grid, `sgd_train` patched to train one device at a time, and each
+    blocks of one pair for `loss`, `gradient` and `evaluate`, pool passes
+    one model at a time, `sgd_train` patched to train one device at a time, and each
     selection scoring its own device's holdout and running its own pool
     pass instead of taking the grouped accuracies and the phase's pool
     predictions."""
@@ -530,10 +539,9 @@ def one_device_per_call(monkeypatch):
         return [sgd_train([m], [b], epochs, batch_size, lr, [s])[0]
                 for m, b, s in zip(models, batches, seeds)]
 
-    def selected_alone(device, candidates, phi, pool, accuracy, predictions):
-        return select(device, candidates, phi, pool)
+    def selected_alone(device, candidates, phi, accuracy, predictions):
+        return select_alone(device, candidates, phi)
 
-    select = orchestrator.select_best_model
     monkeypatch.setattr(models, "SOFTMAX_BLOCK", 1)
     monkeypatch.setattr(orchestrator, "sgd_train", trained_alone)
     monkeypatch.setattr(orchestrator, "select_best_model", selected_alone)
@@ -543,7 +551,7 @@ def one_device_per_call(monkeypatch):
 def test_simulation_does_not_depend_on_how_devices_are_grouped(monkeypatch, scope):
     """The round as shipped (one training stack, one `evaluate` and one
     `loss` call over every device for the metrics, one `gradient` call per
-    split check, one holdout grid per candidate set, one pool pass per
+    split check, one holdout pass per candidate set, one pool pass per
     labeling phase) and one device per call give byte-identical events and
     metrics, through splits and
     injections that give the devices different models and train sizes, and

@@ -53,8 +53,9 @@ def test_counted_arguments_stay_positional(fn, second):
 
 
 # Probes of code that src/ no longer calls: they read 0 in every traced run.
-# Selection scores every candidate in labeling.select_best_model itself.
-# Every read of train rows in src/ goes through DeviceDataset.train_batch.
+# A labeling phase scores every candidate in its holdout and pool passes;
+# `labeling.utility`, which scores one candidate through `confidences`, has
+# no caller in src/.
 KNOWN_DEAD = {"labeling.utility"}
 
 
