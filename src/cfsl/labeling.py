@@ -7,29 +7,31 @@ threshold. Injected labels are frozen; the device's training workload
 grows accordingly, which feeds back into scheduling.
 
 One prediction kernel, `models.pool_predictions`, scores both sides of a
-selection. `holdout_accuracies` runs the devices that share a candidate
-set in one pass, a group (candidate models, holdout features) per device,
-and takes each accuracy as the share of predicted classes that match the
-labels. Accuracy ranks first, so only the contenders, the candidates tied
-at the best accuracy (`contenders`), can be chosen; only they run over the
-pool to get their coverage. A labeling phase runs every device's
-contenders over its pool in one more pass, each pool read before its
-device injects, and hands each selection its accuracies and predictions:
-`select_best_model` only ranks. The contenders rank by coverage, then by
-the lowest model id. The selection hands back the chosen model's id,
-holdout accuracy and coverage, whose product enters the reported
-objective, and its pool predictions, which go on to `pseudo_label` so
-that it does not run that model again.
+selection. A labeling phase does its candidate work once per candidate
+set: `holdout_accuracies` scores the holdouts of every device that has the
+set in one pass, those of one length stacked, and returns a (devices,
+candidates) array, each accuracy the share of predicted classes that match
+the labels. Accuracy ranks first, so only the contenders, the candidates
+tied at a device's best accuracy, can be chosen; the phase takes each
+device's best accuracy and contenders from the array, and runs every
+device's contenders over its pool in one more pass, each pool read before
+its device injects. `select_best_model` takes one device's contender ids,
+their accuracy and their pool predictions, and only ranks: by coverage,
+one count per contender, then by the lowest model id. It hands back the
+chosen model's id, holdout accuracy and coverage, whose product enters the
+reported objective, and its pool predictions, which go on to
+`pseudo_label` so that it does not run that model again.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import groupby
 
 import numpy as np
 
+from . import models
 from .data import DeviceDataset
 from .errors import StateError
 from .models import LabeledBatch, ModelParams, confidences, pool_predictions
@@ -108,62 +110,69 @@ def _scored_holdout(device: DeviceDataset) -> LabeledBatch:
     return device.train
 
 
-def holdout_accuracies(devices: list, candidates: dict) -> list:
-    """Each device's holdout accuracy of every candidate, in candidate
-    order, with the bits `models.evaluate` gives each pair: one
-    `pool_predictions` pass with a group (candidate models, holdout
-    features) per device, all groups sharing one list of models, and one
-    count of matching classes per holdout."""
-    models = list(candidates.values())
+def holdout_accuracies(devices: list, candidates: dict) -> np.ndarray:
+    """(devices, candidates) array: each device's holdout accuracy of every
+    candidate, in the given orders, with the bits `models.evaluate` gives
+    each pair. The holdouts of one length go in stacks whose logits fit one
+    block of `models.SOFTMAX_BLOCK`, a device alone when its own do not;
+    one `pool_predictions` pass scores them, a group (candidate models,
+    stack) each, all groups sharing one list of models. An accuracy is the
+    count of predicted classes that match the labels over the holdout's
+    rows. Errors name this function."""
+    if not devices:
+        raise ValueError("holdout_accuracies requires at least one device")
+    scorers = list(candidates.values())
     holdouts = [_scored_holdout(dev) for dev in devices]
-    scored = pool_predictions((models, holdout.features) for holdout in holdouts)
-    hits = np.concatenate([classes for classes, _ in scored], axis=1) == np.concatenate(
-        [holdout.labels for holdout in holdouts])
-    rows = [0, *accumulate(map(len, holdouts))]
-    # Exact counts: count / n is rounded once, as the mean of the bools is.
-    return (np.add.reduceat(hits, rows[:-1], axis=1, dtype=np.intp) / np.diff(rows)).T.tolist()
+    lengths = list(map(len, holdouts))
+    per_row = len(scorers) * scorers[0].dim_out if scorers else 1
+    stacks = []
+    for n, run in groupby(sorted(range(len(lengths)), key=lengths.__getitem__),
+                          key=lengths.__getitem__):
+        run = list(run)
+        step = max(1, models.SOFTMAX_BLOCK // (per_row * n))
+        stacks += [run[lo : lo + step] for lo in range(0, len(run), step)]
+    scored = pool_predictions(
+        ((scorers, [holdouts[i].features for i in stack] if len(stack) > 1
+          else holdouts[stack[0]].features) for stack in stacks),
+        "holdout_accuracies")
+    accuracy = np.empty((len(holdouts), len(scorers)))
+    for stack, (classes, _) in zip(stacks, scored):
+        labels = np.array([holdouts[i].labels for i in stack])
+        hits = classes.reshape(len(stack), len(scorers), -1) == labels[:, None]
+        # Exact counts: count / n is rounded once, as the mean of the bools is.
+        accuracy[stack] = np.add.reduce(hits, axis=2, dtype=np.intp) / labels.shape[1]
+    return accuracy
 
 
-def contenders(candidates: dict, accuracy: list) -> list:
-    """The ids, in candidate order, of the candidates tied at the best of
-    their holdout accuracies (`accuracy`, in candidate order): the only
-    ones a selection can choose and runs over the pool."""
-    best = max(accuracy)
-    return [mid for mid, acc in zip(candidates, accuracy) if acc == best]
-
-
-def select_best_model(device: DeviceDataset, candidates: dict, phi: float, accuracy: list,
+def select_best_model(device: DeviceDataset, ids: list, phi: float, accuracy: float,
                       predictions: tuple):
-    """Pick exactly one candidate model for this device.
+    """Pick exactly one of the contenders `ids` for this device.
 
-    `accuracy` is every candidate's holdout accuracy, in candidate order,
-    as `holdout_accuracies` returns it. Only the contenders, the candidates
-    tied at the best accuracy, can win; `predictions` is their (K, n)
-    (classes, confidences) over the device's pending pool, in `contenders`
-    order, as `models.confidences` returns them. The contenders rank by
-    coverage descending, then by model id ascending. Returns (model id,
-    holdout accuracy, coverage, (classes, confidences) over the pool) of
-    the chosen model; `pseudo_label` takes the last.
+    The contenders are the candidates tied at the device's best holdout
+    accuracy, `accuracy`; `predictions` is their (K, n) (classes,
+    confidences) over the device's pending pool, in `ids` order, as
+    `models.confidences` returns them. They rank by coverage, the share of
+    the pool at or above phi (one count per contender), descending, then by
+    model id ascending. Returns (model id, holdout accuracy, coverage,
+    (classes, confidences) over the pool) of the chosen model;
+    `pseudo_label` takes the last.
     """
-    if not candidates:
+    if not ids:
         raise StateError(f"device {device.device_id}: no candidate models to select from")
-    ids = contenders(candidates, accuracy)
     classes, conf = predictions
-    if conf.shape[1] == 0:
-        coverage = [0.0] * len(ids)
-    else:
-        coverage = (conf >= phi).mean(axis=1).tolist()
-    k = min(range(len(ids)), key=lambda j: (-coverage[j], ids[j]))
-    return ids[k], max(accuracy), coverage[k], (classes[k], conf[k])
+    n = conf.shape[1]
+    counts = np.add.reduce(conf >= phi, axis=1, dtype=np.intp).tolist()
+    k = min(range(len(ids)), key=lambda j: (-counts[j], ids[j]))
+    # Exact counts: the correctly rounded quotient, as the bool mean gives.
+    return ids[k], accuracy, counts[k] / n if n else 0.0, (classes[k], conf[k])
 
 
 def utility(model_id: int, model: ModelParams, device: DeviceDataset, phi: float) -> tuple:
     """One candidate's (holdout accuracy, coverage of the remaining pool at
     threshold phi), as `select_best_model` scores it."""
-    candidates = {model_id: model}
-    accuracy = holdout_accuracies([device], candidates)[0]
+    accuracy = float(holdout_accuracies([device], {model_id: model})[0, 0])
     predictions = confidences([model], device.pending_features()[1])
-    _, val_accuracy, coverage, _ = select_best_model(device, candidates, phi, accuracy,
+    _, val_accuracy, coverage, _ = select_best_model(device, [model_id], phi, accuracy,
                                                      predictions)
     return val_accuracy, coverage
 

@@ -30,7 +30,6 @@ from .clustering import (
 from .config import ExperimentConfig
 from .errors import StateError
 from .labeling import (
-    contenders,
     holdout_accuracies,
     inject,
     labeling_accuracy,
@@ -99,7 +98,6 @@ def edge_aggregate(models: list, weights: list) -> ModelParams:
 
 # Types `jsonable` returns as they are.
 _PLAIN = frozenset({int, str, bool, type(None)})
-_INTS = frozenset({int})
 
 
 def jsonable(obj):
@@ -108,17 +106,20 @@ def jsonable(obj):
 
     Leaves dispatch on the exact type: plain values and finite floats come
     back as they are, without a call per element of a container, and a
-    list of plain ints is copied whole."""
+    dict or list of plain keys and values is copied whole."""
     t = type(obj)
     if t in _PLAIN or (t is float and -math.inf < obj < math.inf):
         return obj
     if isinstance(obj, dict):
+        # `issuperset` stops at the first value of another type.
+        if _PLAIN.issuperset(map(type, obj.values())) and _PLAIN.issuperset(map(type, obj)):
+            return dict(obj)
         return {
             k if type(k) in _PLAIN else jsonable(k): v if type(v) in _PLAIN else jsonable(v)
             for k, v in obj.items()
         }
     if isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) <= _INTS:
+        if _PLAIN.issuperset(map(type, obj)):
             return list(obj)
         return [v if type(v) in _PLAIN else jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
@@ -235,19 +236,23 @@ class Simulation:
             by_edge[e] = {n.cluster_id: n.model for n in scoped}
         return by_edge
 
-    def _label_trigger(self, device_id: int, r: int) -> bool:
-        dev = self.devices[device_id]
-        if dev.unlabeled_remaining == 0:
-            return False
-        last = self.last_label_round.get(device_id)
-        if last is not None and r - last < self.config.ssl.label_interval:
-            return False
-        if r < self.config.ssl.label_interval:
-            return False
-        if self.use_global_model:
-            return True
-        root = self.tree.root_of_edge(self.radios[device_id].edge_id)
-        return not root.is_leaf
+    def _triggered(self, r: int, candidates_of_edge: dict) -> dict:
+        """{edge: its devices that label in round r, ascending} of each edge
+        that has candidates and labels: under hfl-ssl every edge, else one
+        whose root has split. A device labels when rows of its pool are
+        pending and it last labeled at least `label_interval` rounds ago; no
+        device labels before round `label_interval`."""
+        since = r - self.config.ssl.label_interval
+        if since < 0:
+            return {}
+        return {
+            e: [k for k in members
+                if self.devices[k].unlabeled_remaining
+                and self.last_label_round.get(k, since) <= since]
+            for e, members in enumerate(self.edge_members)
+            if candidates_of_edge[e]
+            and (self.use_global_model or not self.tree.root_of_edge(e).is_leaf)
+        }
 
     def _aggregate(self, r: int, scope: str, cluster, members: list, trained: dict):
         """Sample-weighted average of the members' trained models, logged
@@ -398,37 +403,47 @@ class Simulation:
     def _labeling_phase(self, r: int):
         ssl = self.config.ssl
         candidates_of_edge = self._candidate_models(r)
-        # The triggered devices with candidates, in device order.
-        candidates_of = {}
-        for k, radio in enumerate(self.radios):
-            if candidates_of_edge[radio.edge_id] and self._label_trigger(k, r):
-                candidates_of[k] = candidates_of_edge[radio.edge_id]
-        # Holdout accuracies first, no injection changes them: one pass per
-        # set of candidate ids over every device that has it.
+        # The triggered devices of each set of candidate ids.
         sharing = defaultdict(list)
-        for k, candidates in candidates_of.items():
-            sharing[tuple(candidates)].append(k)
-        accuracy = {}
-        for ids in sharing.values():
-            accuracy.update(zip(ids, holdout_accuracies(
-                [self.devices[k] for k in ids], candidates_of[ids[0]])))
+        for e, ks in self._triggered(r, candidates_of_edge).items():
+            if ks:
+                sharing[tuple(candidates_of_edge[e])] += ks
+        # One holdout pass per set (no injection changes the accuracies),
+        # and from it each device's best accuracy and contenders, one list
+        # object per contender mask, which the pool pass checks once:
+        # {device: (candidates, best accuracy, contender ids, contender
+        # models, z template)}.
+        plan = {}
+        for ids, ks in sharing.items():
+            ks.sort()
+            candidates = candidates_of_edge[self.radios[ks[0]].edge_id]
+            models = list(candidates.values())
+            template = dict.fromkeys(sorted(ids), 0)
+            accuracy = holdout_accuracies([self.devices[k] for k in ks], candidates)
+            best = accuracy.max(axis=1)
+            contenders = {}
+            for k, acc, mask in zip(ks, best.tolist(), accuracy == best[:, None]):
+                key = mask.tobytes()
+                if key not in contenders:
+                    cols = np.flatnonzero(mask).tolist()
+                    contenders[key] = [ids[j] for j in cols], [models[j] for j in cols]
+                plan[k] = (candidates, acc, *contenders[key], template)
         # Every device's contenders over its pending pool in one pass, read
         # block by block as the loop below takes the devices in order: each
         # pool is scored before its device injects.
-        pending = {k: self.devices[k].pending_features() for k in candidates_of}
-        scored = pool_predictions(
-            ([candidates_of[k][mid] for mid in contenders(candidates_of[k], accuracy[k])],
-             pending[k][1]) for k in candidates_of)
-        for (k, candidates), pool_pass in zip(candidates_of.items(), scored):
+        order = sorted(plan)
+        pending = {k: self.devices[k].pending_features() for k in order}
+        scored = pool_predictions((plan[k][3], pending[k][1]) for k in order)
+        for k, pool_pass in zip(order, scored):
             dev = self.devices[k]
             idx, feats = pending[k]
-            mid, acc, cov, predictions = select_best_model(
-                dev, candidates, ssl.phi, accuracy[k], pool_pass)
+            candidates, acc, ids, _, template = plan[k]
+            mid, acc, cov, predictions = select_best_model(dev, ids, ssl.phi, acc, pool_pass)
             self.last_label_round[k] = r
             self.utilities[k] = acc * cov
             self._event({
                 "type": "selection", "round": r, "device": k, "chosen_model": mid,
-                "z": {c: int(c == mid) for c in sorted(candidates)},
+                "z": {**template, mid: 1},
                 "val_accuracy": acc, "coverage": cov,
                 # One inference pass over the pool on the device's CPU: logged
                 # only, it ranks no candidate and adds no simulated time.
@@ -444,7 +459,8 @@ class Simulation:
                 self._event({
                     "type": "injection", "round": r, "device": k, "count": added,
                     "source_model": mid,
-                    "mean_confidence": float(batch.confidences.mean()),
+                    # The bits of `mean`, without its Python-level wrapper.
+                    "mean_confidence": float(np.add.reduce(batch.confidences)) / added,
                     "pool_remaining": dev.unlabeled_remaining,
                 })
 

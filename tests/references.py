@@ -2,10 +2,11 @@
 home of every oracle that more than one test file checks against.
 
 `record_pool_passes` spies on the models that selection runs over a pool.
-`select_alone` feeds `labeling.select_best_model` one device's holdout
-accuracies and contenders' pool predictions, as a labeling phase does;
-`holdout_devices` stands devices around bare holdout batches for
-`labeling.holdout_accuracies`.
+`select_alone` feeds `labeling.select_best_model` one device's contender
+ids (`contender_ids`), their holdout accuracy and their pool predictions,
+as a labeling phase does; `holdout_devices` stands devices around bare
+holdout batches for `labeling.holdout_accuracies`. `ref_labeling_phase`
+is the labeling phase as it ran device by device.
 `cosine_similarity` is the pairwise definition, one `np.dot` per pair,
 whose bits `clustering.similarity_matrix` must give every entry.
 
@@ -42,7 +43,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from cfsl import labeling
-from cfsl.models import LabeledBatch, ModelParams, param_count
+from cfsl.errors import StateError
+from cfsl.models import LabeledBatch, ModelParams, param_count, pool_predictions
 from cfsl.seeding import TRAIN_STREAM
 
 
@@ -130,14 +132,142 @@ def record_pool_passes(monkeypatch) -> list:
     return passes
 
 
+def contender_ids(candidates: dict, accuracy: list) -> list:
+    """The ids, in candidate order, of the candidates tied at the best of
+    their holdout accuracies (`accuracy`, in candidate order)."""
+    best = max(accuracy)
+    return [mid for mid, acc in zip(candidates, accuracy) if acc == best]
+
+
 def select_alone(device, candidates: dict, phi: float):
     """`labeling.select_best_model` of one device on its own: its holdout
     accuracies, then its contenders over its pending pool in one
     `labeling.confidences` call (which `record_pool_passes` records)."""
-    accuracy = labeling.holdout_accuracies([device], candidates)[0]
-    contenders = [candidates[mid] for mid in labeling.contenders(candidates, accuracy)]
-    predictions = labeling.confidences(contenders, device.pending_features()[1])
-    return labeling.select_best_model(device, candidates, phi, accuracy, predictions)
+    accuracy = labeling.holdout_accuracies([device], candidates)[0].tolist()
+    ids = contender_ids(candidates, accuracy)
+    predictions = labeling.confidences([candidates[mid] for mid in ids],
+                                       device.pending_features()[1])
+    return labeling.select_best_model(device, ids, phi, max(accuracy), predictions)
+
+
+# The per-device labeling phase, verbatim as `Simulation._labeling_phase`
+# ran it before the phase took its candidate work once per candidate set,
+# with the helpers it called in the forms they had then: a trigger test per
+# device, list-valued holdout accuracies scored one group per device, the
+# contenders and best accuracy worked out per device, and a selection that
+# took every candidate with its accuracy. `tests/test_labeling_phase_oracle.py`
+# checks the phase against it.
+
+
+def _ref_scored_holdout(device):
+    if len(device.holdout):
+        return device.holdout
+    if not len(device.train):
+        raise ValueError(f"device {device.device_id}: no labeled rows to score accuracy on")
+    labeling.log.warning(
+        "device %d: empty holdout, scoring val_accuracy on the full labeled set",
+        device.device_id,
+    )
+    return device.train
+
+
+def _ref_holdout_accuracies(devices: list, candidates: dict) -> list:
+    models = list(candidates.values())
+    holdouts = [_ref_scored_holdout(dev) for dev in devices]
+    scored = pool_predictions((models, holdout.features) for holdout in holdouts)
+    hits = np.concatenate([classes for classes, _ in scored], axis=1) == np.concatenate(
+        [holdout.labels for holdout in holdouts])
+    rows = [0, *itertools.accumulate(map(len, holdouts))]
+    return (np.add.reduceat(hits, rows[:-1], axis=1, dtype=np.intp) / np.diff(rows)).T.tolist()
+
+
+def _ref_contenders(candidates: dict, accuracy: list) -> list:
+    best = max(accuracy)
+    return [mid for mid, acc in zip(candidates, accuracy) if acc == best]
+
+
+def _ref_select_best_model(device, candidates: dict, phi: float, accuracy: list,
+                           predictions: tuple):
+    if not candidates:
+        raise StateError(f"device {device.device_id}: no candidate models to select from")
+    ids = _ref_contenders(candidates, accuracy)
+    classes, conf = predictions
+    if conf.shape[1] == 0:
+        coverage = [0.0] * len(ids)
+    else:
+        coverage = (conf >= phi).mean(axis=1).tolist()
+    k = min(range(len(ids)), key=lambda j: (-coverage[j], ids[j]))
+    return ids[k], max(accuracy), coverage[k], (classes[k], conf[k])
+
+
+def _ref_label_trigger(sim, device_id: int, r: int) -> bool:
+    dev = sim.devices[device_id]
+    if dev.unlabeled_remaining == 0:
+        return False
+    last = sim.last_label_round.get(device_id)
+    if last is not None and r - last < sim.config.ssl.label_interval:
+        return False
+    if r < sim.config.ssl.label_interval:
+        return False
+    if sim.use_global_model:
+        return True
+    root = sim.tree.root_of_edge(sim.radios[device_id].edge_id)
+    return not root.is_leaf
+
+
+def ref_labeling_phase(sim, r: int):
+    """Round r's labeling phase of `sim`, device by device."""
+    ssl = sim.config.ssl
+    candidates_of_edge = sim._candidate_models(r)
+    # The triggered devices with candidates, in device order.
+    candidates_of = {}
+    for k, radio in enumerate(sim.radios):
+        if candidates_of_edge[radio.edge_id] and _ref_label_trigger(sim, k, r):
+            candidates_of[k] = candidates_of_edge[radio.edge_id]
+    # Holdout accuracies first, no injection changes them: one pass per
+    # set of candidate ids over every device that has it.
+    sharing = defaultdict(list)
+    for k, candidates in candidates_of.items():
+        sharing[tuple(candidates)].append(k)
+    accuracy = {}
+    for ids in sharing.values():
+        accuracy.update(zip(ids, _ref_holdout_accuracies(
+            [sim.devices[k] for k in ids], candidates_of[ids[0]])))
+    # Every device's contenders over its pending pool in one pass, read
+    # block by block as the loop below takes the devices in order: each
+    # pool is scored before its device injects.
+    pending = {k: sim.devices[k].pending_features() for k in candidates_of}
+    scored = pool_predictions(
+        ([candidates_of[k][mid] for mid in _ref_contenders(candidates_of[k], accuracy[k])],
+         pending[k][1]) for k in candidates_of)
+    for (k, candidates), pool_pass in zip(candidates_of.items(), scored):
+        dev = sim.devices[k]
+        idx, feats = pending[k]
+        mid, acc, cov, predictions = _ref_select_best_model(
+            dev, candidates, ssl.phi, accuracy[k], pool_pass)
+        sim.last_label_round[k] = r
+        sim.utilities[k] = acc * cov
+        sim._event({
+            "type": "selection", "round": r, "device": k, "chosen_model": mid,
+            "z": {c: int(c == mid) for c in sorted(candidates)},
+            "val_accuracy": acc, "coverage": cov,
+            # One inference pass over the pool on the device's CPU: logged
+            # only, it ranks no candidate and adds no simulated time.
+            "est_label_latency_s":
+                feats.shape[0] * ssl.inference_cycles_per_sample / sim.radios[k].f_hz,
+        })
+        batch = labeling.pseudo_label(
+            candidates[mid], feats, ssl.phi,
+            device_id=k, pool_indices=idx, predictions=predictions,
+        )
+        added = labeling.inject(dev, batch)
+        if added:
+            sim._event({
+                "type": "injection", "round": r, "device": k, "count": added,
+                "source_model": mid,
+                "mean_confidence": float(batch.confidences.mean()),
+                "pool_remaining": dev.unlabeled_remaining,
+            })
 
 
 def holdout_devices(batches) -> list:

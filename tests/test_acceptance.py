@@ -592,12 +592,18 @@ def test_criterion_10_scheduling_and_selection_constraints(monkeypatch):
     with criterion(10, "bandwidth, drop, one-hot, and time-budget constraints hold"):
         start = time.perf_counter()
         offered = []  # each selection's candidate ids, ascending
-        select = orchestrator.select_best_model
+        scored_against = {}  # each device's candidate ids in its last holdout pass
+        holdouts, select = orchestrator.holdout_accuracies, orchestrator.select_best_model
 
-        def recording_select(device, candidates, *args, **kwargs):
-            offered.append(sorted(candidates))
-            return select(device, candidates, *args, **kwargs)
+        def recording_holdouts(devices, candidates):
+            scored_against.update((dev.device_id, sorted(candidates)) for dev in devices)
+            return holdouts(devices, candidates)
 
+        def recording_select(device, *args, **kwargs):
+            offered.append(scored_against[device.device_id])
+            return select(device, *args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "holdout_accuracies", recording_holdouts)
         monkeypatch.setattr(orchestrator, "select_best_model", recording_select)
         sim = build_simulation(parse_config(AUDIT_CONFIG.format(budget="")))
         reason = sim.run()

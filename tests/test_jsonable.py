@@ -138,6 +138,47 @@ def test_infinities_become_strings_and_numpy_values_plain():
     assert same(jsonable(np.array([[1.0, np.inf]])), [[1.0, "inf"]])
 
 
+def test_flat_containers_are_copied_whole_into_new_objects():
+    # A dict or list of plain keys and values comes back equal but new, so
+    # that changing the input afterwards leaves the stored copy as it was.
+    z = dict.fromkeys(range(5), 0)
+    flags = [1, "a", True, None]
+    event = jsonable({"z": z, "flags": flags})
+    assert same(event, {"z": dict.fromkeys(range(5), 0), "flags": [1, "a", True, None]})
+    assert event["z"] is not z and event["flags"] is not flags
+    z[3] = 1
+    flags.append(2)
+    assert event["z"][3] == 0 and event["flags"] == [1, "a", True, None]
+    sim = build_simulation(parse_config(SPLIT_AND_LABEL))
+    payload = {"type": "selection", "z": {4: 0, 7: 1}}
+    sim._event(payload)
+    payload["z"][4] = 1
+    assert sim.events[-1]["z"] == {4: 0, 7: 1}
+
+
+def test_flat_path_leaves_non_plain_values_to_the_recursion():
+    # One float, infinity, numpy scalar, bool subtype or nested value makes
+    # a container take the element-wise path, which maps it as before.
+    cases = [
+        {1: 0, 2: math.inf}, {1: 0, 2: -math.inf}, {1: 0.5, 2: 1},
+        {1: 0, 2: np.int64(3)}, {np.int64(1): 0, 2: 1}, {math.inf: 0},
+        {1: np.bool_(True)}, {1: [2, 3]}, {"a": {"b": np.float64(-np.inf)}},
+        [1, 2, math.inf], [1, np.float32(0.5)], [1, [np.int64(2)]], (1, -math.inf),
+    ]
+    for obj in cases:
+        assert same(jsonable(obj), ref_jsonable(obj)), obj
+
+
+def test_selection_payload_with_many_candidates_matches_the_recursive_path():
+    ids = list(range(100, 190))
+    payload = {"type": "selection", "round": 20, "device": 3, "chosen_model": 137,
+               "z": {**dict.fromkeys(ids, 0), 137: 1}, "val_accuracy": 0.75,
+               "coverage": 0.5, "est_label_latency_s": 1.6e-7}
+    got = jsonable(payload)
+    assert same(got, ref_jsonable(payload))
+    assert list(got["z"]) == ids and sum(got["z"].values()) == 1
+
+
 SPLIT_AND_LABEL = """
 [topology]
 edges = 2

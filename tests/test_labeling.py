@@ -164,27 +164,26 @@ def test_selection_single_candidate_and_empty_error():
     dev = devices[0]
     assert select_alone(dev, {3: zero_params(3, 4)}, 0.4)[0] == 3
     with pytest.raises(StateError):
-        select_best_model(dev, {}, 0.4, [], (np.zeros((0, 30), int), np.zeros((0, 30))))
+        select_best_model(dev, [], 0.4, 0.0, (np.zeros((0, 30), int), np.zeros((0, 30))))
 
 
 def test_selection_ranks_the_given_scores_and_runs_no_model(monkeypatch):
-    # Candidates 4 and 6 tie at the best accuracy, so the predictions are
-    # theirs; 6 covers more at phi = 0.5, and on an empty pool the tie
-    # goes to the lower id.
+    # Contenders 6 and 4, tied at the best accuracy, in that order: 6
+    # covers more at phi = 0.5, and on an empty pool the tie goes to the
+    # lower id.
     dev = device_with_pool(seed=8)[1][0]
-    m = zero_params(3, 4)
-    candidates = {4: m, 1: m, 6: m}
-    accuracy = [0.5, 0.25, 0.5]
-    classes = np.array([[0, 1, 2], [1, 1, 3]])
-    conf = np.array([[0.9, 0.2, 0.5], [0.6, 0.7, 0.5]])
+    classes = np.array([[1, 1, 3], [0, 1, 2]])
+    conf = np.array([[0.6, 0.7, 0.5], [0.9, 0.2, 0.5]])
     monkeypatch.setattr("cfsl.labeling.confidences", None)
     monkeypatch.setattr("cfsl.labeling.pool_predictions", None)
     mid, acc, cov, (got_classes, got_conf) = select_best_model(
-        dev, candidates, 0.5, accuracy, (classes, conf))
+        dev, [6, 4], 0.5, 0.5, (classes, conf))
     assert (mid, acc, cov) == (6, 0.5, 1.0)
     assert got_classes.tolist() == [1, 1, 3] and got_conf.tolist() == [0.6, 0.7, 0.5]
+    # Equal coverage: the lower id.
+    assert select_best_model(dev, [6, 4], 0.65, 0.5, (classes, conf))[:3] == (4, 0.5, 1 / 3)
     empty = (np.zeros((2, 0), dtype=np.int64), np.zeros((2, 0)))
-    assert select_best_model(dev, candidates, 0.5, accuracy, empty)[:3] == (4, 0.5, 0.0)
+    assert select_best_model(dev, [6, 4], 0.5, 0.5, empty)[:3] == (4, 0.5, 0.0)
 
 
 def test_selection_tie_breaks_to_lowest_model_id():

@@ -47,6 +47,7 @@ from cfsl.models import (
 )
 from references import (
     _unpack,
+    contender_ids,
     holdout_devices,
     record_pool_passes,
     ref_confidences,
@@ -389,7 +390,7 @@ def test_stacked_evaluate_matches_one_model_at_a_time(family):
             batch = LabeledBatch(rng.normal(size=(n, 4)), rng.integers(0, c, size=n))
             want = [ref_evaluate(m, batch) for m in models]
             devices = holdout_devices([batch])
-            assert holdout_accuracies(devices, dict(enumerate(models))) == [want]
+            assert holdout_accuracies(devices, dict(enumerate(models))).tolist() == [want]
             assert [evaluate([m], [batch])[0] for m in models] == want
 
 
@@ -442,27 +443,28 @@ def test_holdout_accuracies_equal_evaluate_device_by_device(family, k, tmp_path,
     models = list(candidates.values())
     with caplog.at_level(logging.WARNING, logger="cfsl.labeling"):
         got = holdout_accuracies(devices, candidates)
+    assert got.shape == (len(devices), k)
     # The empty holdouts fall back to the train rows, with one warning each.
     assert [r.getMessage().split(":")[0] for r in caplog.records] == ["device 20", "device 21"]
     # Blocks of 16 holdouts of 4 rows, or of one holdout, change no bit.
     for budget in (16 * 4 * k * c, 1):
         with monkeypatch.context() as mp:
             mp.setattr("cfsl.models.SOFTMAX_BLOCK", budget)
-            assert holdout_accuracies(devices, candidates) == got
-    for dev, row in zip(devices, got):
+            assert np.array_equal(holdout_accuracies(devices, candidates), got)
+    for dev, row in zip(devices, got.tolist()):
         scored = dev.holdout if len(dev.holdout) else dev.train
         assert row == [ref_evaluate(m, scored) for m in models]
         assert all(type(v) is float for v in row)
         # Given the accuracies and the pool predictions, selection only
         # ranks: it neither scores nor warns again.
-        ids = labeling.contenders(candidates, row)
+        ids = contender_ids(candidates, row)
         predictions = confidences([candidates[mid] for mid in ids], dev.pending_features()[1])
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="cfsl.labeling"), \
                 pytest.MonkeyPatch.context() as mp:
             mp.setattr(labeling, "pool_predictions", None)
             mp.setattr(labeling, "confidences", None)
-            picked = select_best_model(dev, candidates, 0.6, row, predictions)
+            picked = select_best_model(dev, ids, 0.6, max(row), predictions)
         assert not caplog.records
         assert picked[:3] == select_alone(dev, candidates, 0.6)[:3]
 
@@ -472,19 +474,24 @@ def test_holdout_accuracies_score_ragged_and_reject_empty_batches():
     model = random_model(rng, 3, 2, 0)
     batches = [LabeledBatch(rng.normal(size=(n, 3)), rng.integers(0, 2, size=n))
                for n in (2, 3, 0)]
-    assert holdout_accuracies(holdout_devices(batches[:1]), {0: model}) == [
+    assert holdout_accuracies(holdout_devices(batches[:1]), {0: model}).tolist() == [
         [ref_evaluate(model, batches[0])]]
     # Batches of different lengths, in either order.
     for pair in (batches[:2], batches[1::-1]):
         got = holdout_accuracies(holdout_devices(pair), {0: model})
-        assert got == [[ref_evaluate(model, b)] for b in pair]
+        assert got.tolist() == [[ref_evaluate(model, b)] for b in pair]
     for empty in (batches[2:], batches):
         with pytest.raises(ValueError, match="no labeled rows to score accuracy on"):
             holdout_accuracies(holdout_devices(empty), {0: model})
-    with pytest.raises(ValueError):  # no devices: nothing to concatenate
+    # The errors name the holdout pass, not the kernel it runs.
+    with pytest.raises(ValueError, match=r"^holdout_accuracies requires at least one device$"):
         holdout_accuracies([], {0: model})
-    with pytest.raises(ValueError, match="at least one model"):
+    with pytest.raises(ValueError, match=r"^holdout_accuracies requires at least one model$"):
         holdout_accuracies(holdout_devices(batches[:1]), {})
+    mixed = {0: model, 1: random_model(rng, 3, 2, 4)}
+    with pytest.raises(ValueError, match=r"^holdout_accuracies: models with different "
+                                         r"shapes cannot be stacked$"):
+        holdout_accuracies(holdout_devices(batches[:2]), mixed)
 
 
 # ---------------------------------------------------------------- selection
@@ -613,12 +620,14 @@ def batched_phase(phase, phi, accuracy):
     order, each device selecting, pseudo-labeling and injecting before the
     next is taken. Returns each device's (pool pass, selection, batch)."""
     pending = [dev.pending_features() for dev, _ in phase]
+    ids = [contender_ids(candidates, acc) for (_, candidates), acc in zip(phase, accuracy)]
     scored = pool_predictions(
-        ([candidates[mid] for mid in labeling.contenders(candidates, acc)], feats)
-        for (_, candidates), acc, (_, feats) in zip(phase, accuracy, pending))
+        ([candidates[mid] for mid in contenders], feats)
+        for (_, candidates), contenders, (_, feats) in zip(phase, ids, pending))
     out = []
-    for (dev, candidates), acc, (idx, feats), pool_pass in zip(phase, accuracy, pending, scored):
-        selection = select_best_model(dev, candidates, phi, acc, pool_pass)
+    for (dev, candidates), contenders, acc, (idx, feats), pool_pass in zip(
+            phase, ids, accuracy, pending, scored):
+        selection = select_best_model(dev, contenders, phi, max(acc), pool_pass)
         mid, predictions = selection[0], selection[3]
         batch = pseudo_label(candidates[mid], feats, phi, dev.device_id, idx, predictions)
         inject(dev, batch)
@@ -656,7 +665,7 @@ def test_batched_phase_equals_each_device_alone(family, c, blocks, monkeypatch):
     sizes = [k * feats.shape[0] * c for k, (_, _, feats, _) in zip(ran, want)]
     rows = max(feats.shape[0] for _, _, feats, _ in want) * c
     monkeypatch.setattr(models, "SOFTMAX_BLOCK", BUDGETS[blocks](max(sizes), sum(sizes), rows))
-    accuracy = [holdout_accuracies([dev], candidates)[0] for dev, candidates in phase]
+    accuracy = [holdout_accuracies([dev], candidates)[0].tolist() for dev, candidates in phase]
     # The number of contenders of each group each pool scoring pass runs.
     passes = []
     real_score_pools = models._score_pools

@@ -402,7 +402,7 @@ def test_results_do_not_depend_on_how_batches_are_stacked(monkeypatch):
                                               dict(enumerate(starts[:4])))
                 blocks.clear()
                 loss(starts, batches)
-            assert accuracy == [[ref_evaluate(m, b) for m in starts[:4]] for b in batches]
+            assert accuracy.tolist() == [[ref_evaluate(m, b) for m in starts[:4]] for b in batches]
             assert fewest <= len(blocks) <= most and sum(blocks) == 17
 
 
@@ -532,18 +532,27 @@ def one_device_per_call(monkeypatch):
     """Run the orchestrator's stacked calls one device per call: scoring
     blocks of one pair for `loss`, `gradient` and `evaluate`, pool passes
     one model at a time, `sgd_train` patched to train one device at a time, and each
-    selection scoring its own device's holdout and running its own pool
-    pass instead of taking the grouped accuracies and the phase's pool
-    predictions."""
+    selection scoring its own device's holdout against its edge's
+    candidates and running its own pool pass instead of taking the grouped
+    accuracies and the phase's pool predictions."""
     def trained_alone(models, batches, epochs, batch_size, lr, seeds):
         return [sgd_train([m], [b], epochs, batch_size, lr, [s])[0]
                 for m, b, s in zip(models, batches, seeds)]
 
-    def selected_alone(device, candidates, phi, accuracy, predictions):
-        return select_alone(device, candidates, phi)
+    offered = {}
+    real_candidates = orchestrator.Simulation._candidate_models
+
+    def candidate_models(sim, r):
+        by_edge = real_candidates(sim, r)
+        offered.update((k, by_edge[radio.edge_id]) for k, radio in enumerate(sim.radios))
+        return by_edge
+
+    def selected_alone(device, ids, phi, accuracy, predictions):
+        return select_alone(device, offered[device.device_id], phi)
 
     monkeypatch.setattr(models, "SOFTMAX_BLOCK", 1)
     monkeypatch.setattr(orchestrator, "sgd_train", trained_alone)
+    monkeypatch.setattr(orchestrator.Simulation, "_candidate_models", candidate_models)
     monkeypatch.setattr(orchestrator, "select_best_model", selected_alone)
 
 
