@@ -179,14 +179,19 @@ class DeviceDataset:
 
     def inject(self, indices, labels):
         """Pseudo-label pool positions `indices` with `labels` (one each, or one
-        for all). Positions must be in range, unique and pending (StateError:
-        injected labels are frozen) and labels >= 0, or nothing changes."""
-        indices, labels = np.asarray(indices, dtype=np.intp), np.asarray(labels)
+        for all). Positions and labels must be integers, positions in range,
+        unique and pending (StateError: injected labels are frozen) and labels
+        >= 0, or nothing changes."""
+        indices, labels = np.asarray(indices), np.asarray(labels)
         if labels.ndim and labels.shape != indices.shape:
             raise ValueError(f"device {self.device_id}: {labels.size} pseudo-labels "
                              f"for {indices.size} positions")
         if not indices.size:
             return
+        # A cast would truncate 1.7 to 1 and read True as 1.
+        if indices.dtype.kind not in "iu" or labels.dtype.kind not in "iu":
+            raise ValueError(f"device {self.device_id}: pseudo-label positions and labels "
+                             f"must be integers, got {indices.dtype} and {labels.dtype}")
         record = self.injected_labels
         # Checks by counts: `np.count_nonzero` costs a fraction of `any`,
         # `min` or `max` on a few dozen values. Positions in pool order, as

@@ -6,16 +6,17 @@ injects the samples that model labels with confidence at or above the
 threshold. Injected labels are frozen; the device's training workload
 grows accordingly, which feeds back into scheduling.
 
-One prediction kernel, `models.pool_predictions`, scores both sides of a
-selection. A labeling phase does its candidate work once per candidate
-set: `holdout_accuracies` scores the holdouts of every device that has the
-set in one pass, those of one length stacked, and returns a (devices,
-candidates) array, each accuracy the share of predicted classes that match
-the labels. Accuracy ranks first, so only the contenders, the candidates
-tied at a device's best accuracy, can be chosen; the phase takes each
-device's best accuracy and contenders from the array, and runs every
-device's contenders over its pool in one more pass, each pool read before
-its device injects. `select_best_model` takes one device's contender ids,
+The one scoring kernel of `models`, which also scores `loss`, `gradient`
+and `evaluate`, scores both sides of a selection through
+`models.pool_predictions`. A labeling phase does its candidate work once
+per candidate set: `holdout_accuracies` scores the holdouts of every device
+that has the set in one pass, those of one length stacked, and returns a
+(devices, candidates) array, each accuracy the share of predicted classes
+that match the labels. Accuracy ranks first, so only the contenders, the
+candidates tied at a device's best accuracy, can be chosen; the phase
+takes each device's best accuracy and contenders from the array, and runs
+every device's contenders over its pool in one more pass, each pool read
+before its device injects. `select_best_model` takes one device's contender ids,
 their accuracy and their pool predictions, and only ranks: by coverage,
 one count per contender, then by the lowest model id. It hands back the
 chosen model's id, holdout accuracy and coverage, whose product enters the
@@ -27,11 +28,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import repeat
 
 import numpy as np
 
-from . import models
 from .data import DeviceDataset
 from .errors import StateError
 from .models import LabeledBatch, ModelParams, confidences, pool_predictions
@@ -113,35 +113,26 @@ def _scored_holdout(device: DeviceDataset) -> LabeledBatch:
 def holdout_accuracies(devices: list, candidates: dict) -> np.ndarray:
     """(devices, candidates) array: each device's holdout accuracy of every
     candidate, in the given orders, with the bits `models.evaluate` gives
-    each pair. The holdouts of one length go in stacks whose logits fit one
-    block of `models.SOFTMAX_BLOCK`, a device alone when its own do not;
-    one `pool_predictions` pass scores them, a group (candidate models,
-    stack) each, all groups sharing one list of models. An accuracy is the
-    count of predicted classes that match the labels over the holdout's
-    rows. Errors name this function."""
+    each pair. One `pool_predictions` pass scores the holdouts, one item per
+    device sorted by length, all sharing one list of models, so that the
+    holdouts of one length are stacked. An accuracy is the count of
+    predicted classes that match the labels over the holdout's rows.
+    Errors name this function."""
     if not devices:
         raise ValueError("holdout_accuracies requires at least one device")
     scorers = list(candidates.values())
     holdouts = [_scored_holdout(dev) for dev in devices]
     lengths = list(map(len, holdouts))
-    per_row = len(scorers) * scorers[0].dim_out if scorers else 1
-    stacks = []
-    for n, run in groupby(sorted(range(len(lengths)), key=lengths.__getitem__),
-                          key=lengths.__getitem__):
-        run = list(run)
-        step = max(1, models.SOFTMAX_BLOCK // (per_row * n))
-        stacks += [run[lo : lo + step] for lo in range(0, len(run), step)]
-    scored = pool_predictions(
-        ((scorers, [holdouts[i].features for i in stack] if len(stack) > 1
-          else holdouts[stack[0]].features) for stack in stacks),
-        "holdout_accuracies")
-    accuracy = np.empty((len(holdouts), len(scorers)))
-    for stack, (classes, _) in zip(stacks, scored):
-        labels = np.array([holdouts[i].labels for i in stack])
-        hits = classes.reshape(len(stack), len(scorers), -1) == labels[:, None]
-        # Exact counts: count / n is rounded once, as the mean of the bools is.
-        accuracy[stack] = np.add.reduce(hits, axis=2, dtype=np.intp) / labels.shape[1]
-    return accuracy
+    order = sorted(range(len(holdouts)), key=lengths.__getitem__)
+    scored = pool_predictions(zip(repeat(scorers), [holdouts[i].features for i in order]),
+                              "holdout_accuracies")
+    # Each device's hits per candidate, in `order`, then in device order.
+    hits = np.empty((len(holdouts), len(scorers)), dtype=np.intp)
+    for row, i, (classes, _) in zip(hits, order, scored):
+        np.add.reduce(classes == holdouts[i].labels, axis=1, dtype=np.intp, out=row)
+    hits[order] = hits.copy()
+    # Exact counts: count / n is rounded once, as the mean of the bools is.
+    return hits / np.array(lengths)[:, None]
 
 
 def select_best_model(device: DeviceDataset, ids: list, phi: float, accuracy: float,

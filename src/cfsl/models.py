@@ -16,17 +16,7 @@ c=10), so every matmul runs on one batch's own ``(n, d)`` rows, alone or as
 a slice of a stacked operand, which numpy runs through the same BLAS call
 with the same strides. The rest works within one sample (softmax, log, the
 pick) or one batch (means, ``x.T @ delta``, column sums), so it may run
-over all pairs at once. The pairs come in any order: scoring orders them
-stably by batch length alone, cuts them into blocks of whole pairs of at
-most ``SOFTMAX_BLOCK`` activations (a row's logits and hidden units; a
-larger pair alone), and gives each block one class-major ``(c, N)`` table
-for one softmax (see "Class-major softmax"). In a block, the r pairs of
-one length n are one run: one matmul of their stacked ``(r, n, d)`` rows
-against their own stacked weights, in which every pair keeps its own
-``(n, d) @ (d, c)`` BLAS call, whatever model it has. Each pair's loss,
-accuracy or gradient comes from its own columns (a run's loss means from
-one row-wise sum of its ``(r, n)`` values, which adds each row as a sum of
-that row alone does), and the answers come in input order.
+over all pairs at once.
 Training takes the class-major softmax too, on a contiguous copy of each
 step's logits. With the in-place forward and backward passes, on one core,
 a fedavg-128 round of ``sgd_train`` (64 MLP devices of 160 rows, d=8, h=16,
@@ -50,15 +40,54 @@ core) went from 46.4 to 48.7 MiB on fedavg-128 (64 MLP devices train per
 round), 74.9 to 75.3 MiB on selflabel-64 and 65.4 to 66.5 MiB on split-512.
 The batches themselves are views of each device's rows
 (``DeviceDataset.train_batch``): no caller gathers or caches them, so no
-injected row is stored twice. Scoring callers pass every pair in one call,
-and the blocks bound what a call holds at once, since a train batch can
-hold a device's whole pool: one unblocked pass scoring the holdouts of
-all 512 devices of split-512 against 61 candidates raised one replica's
-peak RSS from 55 to 65.5 MiB. The hidden units count because the blocks'
-size is also their speed: on one core, fedavg-128's metrics (one MLP,
-h=16, c=4, over 128 devices) took a median 6.7 ms in blocks of 32,768
-logits, against 5.3 ms in chunks of 16 devices and 5.2 ms in blocks of
-32,768 activations.
+injected row is stored twice.
+
+Scoring kernel. ``loss``, ``gradient``, ``evaluate`` and
+``pool_predictions`` (``confidences`` is its one-pool form) share one
+kernel. Its unit is an item: a list of K same-shape models and one ``(n,
+d)`` feature matrix; a (model, batch) pair is an item of K = 1, and a
+(models, pool) group of a labeling phase an item of its contenders.
+- Runs. Adjacent items with the same n and K form a run, scored as one
+  ``(r, 1, n, d) @ (r|1, K, d, c)`` matmul in which each (rows, model) pair
+  keeps its own ``(n, d) @ (d, c)`` BLAS call. A run whose items pass one
+  list object shares its weights; pairs, and runs of several lists, stack
+  each item's own, ``(r, K, d, c)``. A pass builds a list's ``(K, P)``
+  stack, with its models' shape check, once. So the holdouts of one
+  length that a labeling phase scores against one candidate set are one
+  matmul: on one core, the 512 holdouts of 4 rows of a split-512 round
+  (d=8, c=4) against 61 candidates took a median 9.4 ms stacked against
+  13.5 ms as one matmul per device (41 alternating runs), with the same
+  bits.
+- Blocks. ``_blocks`` cuts the items, in order, into blocks of at most
+  ``SOFTMAX_BLOCK`` activations, K·n·(c + hidden) an item (a row's logits
+  and hidden units); a larger item runs alone, and one of K > 1 models in
+  chunks of whole models that fit a block, each starting one, so that
+  their logits are read back from cache. A call holds one block at a
+  time, since a batch can hold a device's whole pool: one unblocked pass
+  scoring the holdouts of all 512 devices of split-512 against 61
+  candidates raised one replica's peak RSS from 55 to 65.5 MiB. The hidden units count because the
+  blocks' size is also their speed: on one core, fedavg-128's metrics
+  (one MLP, h=16, c=4, over 128 devices) took a median 6.7 ms in blocks of
+  32,768 logits, against 5.3 ms in chunks of 16 devices and 5.2 ms in
+  blocks of 32,768 activations. The chunks: on one core (numpy 2.4.6,
+  OpenBLAS, d=16), K=12, c=6, n=5,000 took 3.0 ms in blocks of 32,768
+  values, against 6.8 ms unblocked and 4.7 ms for one call per model; at
+  K=38, c=33, the chunks take as long as one call per model (55 ms
+  logistic, 71 ms with h=16), where one matmul over all 38 models took 72
+  and 95 ms.
+- The table. ``_table`` writes a block's logits into one class-major ``(c,
+  N)`` table, item after item and, within an item, model after model, for
+  one softmax (see "Class-major softmax"); it keeps each run's weight
+  views, features and hidden units for ``gradient``'s backward pass. Each
+  pair's loss, accuracy or gradient comes from its own columns (a run's
+  loss means from one row-wise sum of its ``(r, n)`` values, which adds each
+  row as a sum of that row alone does), each pool's predictions from its
+  own. Pairs come in any order: they are ordered stably by length and
+  answered in input order. Pools are scored in the order given, so that a
+  caller may use a pool's predictions before a later block is read: over
+  256 pools of 40-80 rows (d=8, c=4), one pass took 4.6 ms against 10.3 ms
+  for a call per device with 1-2 contenders each, and 23.4 against 23.7 ms
+  with 1-39, where the matmuls and ``exp`` dominate.
 
 Class-major softmax. The ``(n, c)`` logits are transposed to ``(c, n)``, so
 that each softmax step is a few long vector operations instead of n
@@ -78,37 +107,13 @@ n=5,000): the first class whose probability is not below the sample's
 highest. A NaN sample (from NaN weights) has every class "not below" its
 NaN maximum, so it gets class 0, as ``argmax`` gives it.
 ``tests/test_labeling_oracle.py`` checks this against the row-wise code.
-
-Pool blocks. ``pool_predictions`` scores the (models, pool) group of each
-device of a labeling phase (``confidences`` is its one-group form), and
-the (candidates, holdouts) groups of the devices that share a candidate
-set, from whose classes ``labeling.holdout_accuracies`` takes accuracies.
-A holdout group stacks the holdouts of one length that fit a block, as a
-list of r pools of n rows, into one ``(r, 1, n, d) @ (K, d, c)`` matmul in
-which each (holdout, candidate) pair keeps its own ``(n, d) @ (d, c)``
-BLAS call. On one core, the 512 holdouts of 4 rows of a split-512 round
-(d=8, c=4) against 61 candidates took a median 9.4 ms stacked against
-13.5 ms as one group per device (41 alternating runs), with the same
-bits. Groups that pass one list of models share its check, and within a
-block its weight stack. It cuts the groups, in order, into blocks of at
-most ``SOFTMAX_BLOCK`` logits: each group's one broadcast matmul
-``(n, d) @ (K, d, c)`` writes into the block's row-major ``(R, c)``
-buffer, and one transposing copy, softmax and ``_top_class`` cover the
-block. A larger group runs alone, in chunks of
-whole models whose logits fit a block, so that they are read back from
-cache. On one core (numpy 2.4.6, OpenBLAS, d=16): K=12, c=6, n=5,000 took
-3.0 ms in blocks of 32,768 values, against 6.8 ms unblocked and 4.7 ms for
-one call per model; at K=38, c=33, the chunks take as long as one call per
-model (55 ms logistic, 71 ms with h=16), where one matmul over all 38
-models took 72 and 95 ms. Over 256 pools of 40-80 rows (d=8, c=4), one pass
-took 4.6 ms against 10.3 ms for a call per device with 1-2 contenders each,
-and 23.4 against 23.7 ms with 1-39, where the matmuls and ``exp`` dominate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -201,20 +206,19 @@ def _unpack(p: ModelParams, weights: np.ndarray | None = None):
     )
 
 
-def _logits(hidden: int, views, x: np.ndarray, out: np.ndarray | None = None):
-    """Raw class scores, written to `out` if given; for the tanh network
-    also returns the hidden activations. Biases and ``tanh`` are applied in
-    place."""
+def _logits(hidden: int, views, x: np.ndarray):
+    """Raw class scores; for the tanh network also returns the hidden
+    activations. Biases and ``tanh`` are applied in place."""
     if hidden == 0:
         w, b = views
-        z = np.matmul(x, w, out=out)
+        z = x @ w
         z += b
         return z, None
     w1, b1, w2, b2 = views
     h = x @ w1
     h += b1
     np.tanh(h, out=h)
-    z = np.matmul(h, w2, out=out)
+    z = h @ w2
     z += b2
     return z, h
 
@@ -287,60 +291,83 @@ def _stacked_features(p: ModelParams, features: list) -> np.ndarray:
 
 def _scored_in_blocks(models, batches, caller: str, score) -> list:
     """One result per pair of K models and K nonempty batches, in input
-    order: score(first model, *`_logit_table` of a block) gives one per
-    pair of the block, ordered and blocked as "Ragged stacks" says."""
+    order: score(first model, table, labels, rows, runs) of a block's
+    `_table` gives one per pair of the block (see "Scoring kernel")."""
     first = _first_model(models, caller)
     lengths = list(map(len, batches))
     if not lengths or min(lengths) == 0:
         raise ValueError(f"{caller} requires a nonempty batch")
     if len(models) != len(batches):
         raise ValueError(f"{caller} got {len(models)} models for {len(batches)} batches")
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
     out = [None] * len(batches)
-    for block in _blocks(sorted(range(len(lengths)), key=lengths.__getitem__),
-                         [n * (first.dim_out + first.hidden) for n in lengths]):
-        table = _logit_table(first, [models[i] for i in block], [batches[i] for i in block],
-                             [lengths[i] for i in block])
-        for i, result in zip(block, score(first, *table)):
+    done = 0
+    for block in _blocks([(1, lengths[i], first, models[i].weights, batches[i].features)
+                          for i in order]):
+        pairs = order[done : done + len(block)]
+        done += len(block)
+        labels = _check_labels(first, np.concatenate([batches[i].labels for i in pairs]))
+        table, rows, runs = _table(block)
+        for i, result in zip(pairs, score(first, table, labels, rows, runs)):
             out[i] = result
     return out
 
 
-def _blocks(order, sizes):
-    """The indices of `order`, in that order, cut into lists of at most
-    SOFTMAX_BLOCK total size, an index of a larger size alone."""
+def _blocks(items):
+    """Items (K, n, first model, weights, (n, d) features) cut, in order,
+    into lists of at most SOFTMAX_BLOCK activations, K·n·(c + hidden) an
+    item; a larger item alone, or, of K > 1 models, in chunks of whole
+    models that fit a block, each an item that starts a block. The weights
+    are a pair's (P,) vector or a list's (K, P) stack, whose chunks are
+    views."""
     block, total = [], 0
-    for i in order:
-        if block and total + sizes[i] > SOFTMAX_BLOCK:
+    for item in items:
+        k, n, first, stack, x = item
+        row = n * (first.dim_out + first.hidden)
+        if k > 1 and k * row > SOFTMAX_BLOCK:
+            step = max(1, SOFTMAX_BLOCK // row)
+            for lo in range(0, k, step):
+                if block:
+                    yield block
+                chunk = stack[lo : lo + step]
+                block, total = [(len(chunk), n, first, chunk, x)], len(chunk) * row
+            continue
+        if block and total + k * row > SOFTMAX_BLOCK:
             yield block
             block, total = [], 0
-        block.append(i)
-        total += sizes[i]
+        block.append(item)
+        total += k * row
     if block:
         yield block
 
 
-def _logit_table(first: ModelParams, models, batches, lengths):
-    """Every (model, batch) pair's logits in one class-major (c, N) table.
-    Adjacent pairs with one batch length share a stacked matmul of their
-    rows against their own stacked weights. Returns (table, labels (N,),
-    rows, runs): pair i has columns rows[i]:rows[i + 1], and a run is
-    (weight views, features (r, n, d), hidden activations, its first pair)."""
-    rows = [0, *accumulate(lengths)]
+def _table(block):
+    """The logits of a block's items in one class-major (c, N) table, item
+    after item, each model after model. Returns (table, rows, runs): item i
+    has columns rows[i]:rows[i + 1], and a run is (weight views, features
+    (r, 1, n, d), hidden activations, its first item)."""
+    first = block[0][2]
+    rows = [0, *accumulate([k * n for k, n, _, _, _ in block])]
     table = np.empty((first.dim_out, rows[-1]))
     runs = []
-    for _, run in groupby(range(len(batches)), key=lengths.__getitem__):
-        i, *rest = run
-        if rest:
-            x = _stacked_features(first, [batches[j].features for j in (i, *rest)])
-            views = _unpack(first, np.array([models[j].weights for j in (i, *rest)]))
+    i = 0
+    for (k, _), run in groupby(block, key=itemgetter(0, 1)):
+        _, _, _, stacks, xs = zip(*run)
+        if xs[1:]:
+            x = _stacked_features(first, xs)[:, None]
+            # The run's one list's (K, P) stack, or each item's own weights
+            # stacked (a pair's (P,) vector is never shared).
+            shared = stacks[0].ndim == 2 and len({*map(id, stacks)}) == 1
+            w = stacks[0] if shared else np.array(stacks).reshape(x.shape[0], k, -1)
         else:
-            x = _check_features(first, batches[i].features)[None]
-            views = _unpack(models[i])
+            x = _check_features(first, xs[0])[None, None]
+            w = stacks[0]
+        views = _unpack(first, w)
         z, h = _logits(first.hidden, views, x)
-        table[:, rows[i] : rows[i + len(x)]] = z.reshape(-1, first.dim_out).T
+        table[:, rows[i] : rows[i + x.shape[0]]] = z.reshape(-1, first.dim_out).T
         runs.append((views, x, h, i))
-    labels = _check_labels(first, np.concatenate([b.labels for b in batches]))
-    return table, labels, rows, runs
+        i += x.shape[0]
+    return table, rows, runs
 
 
 def _softmax_columns(table: np.ndarray) -> np.ndarray:
@@ -361,7 +388,7 @@ def _top_class(probs: np.ndarray):
     np.logical_not(at_top, out=at_top)
     # The first class not below the highest: the largest rank c - j.
     rank = np.arange(c, 0, -1, dtype=np.min_scalar_type(c)).reshape(c, *[1] * (probs.ndim - 1))
-    return c - (at_top.view(np.uint8) * rank).max(axis=0), top
+    return np.subtract(c, (at_top.view(np.uint8) * rank).max(axis=0), dtype=np.int64), top
 
 
 def loss(models, batches) -> list:
@@ -374,7 +401,7 @@ def loss(models, batches) -> list:
         # values, one contiguous row of its run's (r, n) view.
         out = np.empty(len(rows) - 1)
         for _, x, _, i in runs:
-            r, n = x.shape[:2]
+            r, n = x.shape[0], x.shape[2]
             np.add.reduce(picked[rows[i] : rows[i + r]].reshape(r, n), axis=1, out=out[i : i + r])
             out[i : i + r] /= n
         return (-out).tolist()
@@ -392,8 +419,8 @@ def gradient(models, batches) -> list:
         delta = delta.T.copy()
         out = np.empty((len(rows) - 1, first.weights.size))
         for views, x, h, i in runs:
-            r, n = x.shape[:2]
-            d = delta[rows[i] : rows[i + r]].reshape(r, n, -1)
+            r, n = x.shape[0], x.shape[2]
+            d = delta[rows[i] : rows[i + r]].reshape(r, 1, n, -1)
             d /= n
             grads = _backward(first.hidden, views, x, h, d)
             np.concatenate([g.reshape(r, -1) for g in grads], axis=-1, out=out[i : i + r])
@@ -503,7 +530,7 @@ def _pairwise_sum(a: np.ndarray) -> np.ndarray:
     if c < 8:
         return a.sum(axis=0)
     blocks = c - c % 8
-    r = a[:blocks].reshape(-1, 8, *a.shape[1:]).sum(axis=0)
+    r = a[:blocks].reshape(blocks // 8, 8, *a.shape[1:]).sum(axis=0)
     total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
     for row in a[blocks:]:
         total += row
@@ -521,83 +548,43 @@ def confidences(models, features: np.ndarray):
 def pool_predictions(groups, caller: str = "confidences"):
     """For each (models, features) group, in order, what `confidences(models,
     features)` returns: each model's bits alone, all models of one shape.
-    `features` is one pool's (n, d) matrix, or a list of r pools of n rows,
-    scored as one ``(r, 1, n, d) @ (K, d, c)`` matmul, in which each (pool,
-    model) pair keeps its own ``(n, d) @ (d, c)`` BLAS call, into (r, K, n)
-    predictions; the caller keeps such a stack within one block. A
-    generator that takes a group one ahead of the block it yields, runs its
-    features with its own block, and holds one block's predictions at a
-    time (see "Pool blocks"). Groups that pass one list object share its
-    models' check, and within a block their weight stack, so the list must
-    not change until its predictions are yielded. Errors name `caller`."""
-    block, total, shape, checked = [], 0, None, {}
-    for models, features in groups:
-        seen = checked.get(id(models))
-        if seen is None:
-            first = _first_model(models, caller)
-            shape = shape or (first.dim_in, first.dim_out, first.hidden)
-            if (first.dim_in, first.dim_out, first.hidden) != shape:
-                raise ValueError(f"{caller}: models with different shapes cannot be stacked")
-            # Kept with its check, the list's id is not reused.
-            checked[id(models)] = models, first
-        else:
-            first = seen[1]
-        if isinstance(features, list):
-            x = _stacked_features(first, features)
-        else:
-            x = _check_features(first, features)
-        size = len(models) * x.size // first.dim_in * first.dim_out
-        if block and total + size > SOFTMAX_BLOCK:
-            yield from _pool_block(block)
-            block, total = [], 0
-        block.append((first, models, x))
-        total += size
-    if block:
-        yield from _pool_block(block)
+    A generator over the items of "Scoring kernel": it takes a group one
+    ahead of the block it yields, scores its features with its own block,
+    and holds one block's predictions at a time. Groups that pass one list
+    object share its models' check and weight stack for the whole pass, so
+    the list must not change until the pass ends. Errors name `caller`."""
+    lists = {}
 
+    def items():
+        shape = None
+        for models, features in groups:
+            entry = lists.get(id(models))
+            if entry is None:
+                first = _first_model(models, caller)
+                shape = shape or (first.dim_in, first.dim_out, first.hidden)
+                if (first.dim_in, first.dim_out, first.hidden) != shape:
+                    raise ValueError(f"{caller}: models with different shapes cannot be stacked")
+                # Kept with its stack, the list's id is not reused in the pass.
+                stack = np.array([m.weights for m in models])
+                entry = lists[id(models)] = len(models), first, stack, models
+            k, first, stack, _ = entry
+            yield k, features.shape[0], first, stack, features
 
-def _pool_block(groups):
-    """(classes, confidences) of each (first model, models, features) group
-    of one block, in order, as views of the block's arrays; a lone pool
-    larger than a block runs in chunks of whole models (see "Pool blocks")."""
-    rows = [0, *accumulate(len(models) * x.size // first.dim_in for first, models, x in groups)]
-    classes = np.empty(rows[-1], dtype=np.int64)
-    conf = np.empty(rows[-1])
-    first, lone, x = groups[0]
-    n = x.shape[0]
-    step = max(1, SOFTMAX_BLOCK // max(1, n * first.dim_out))
-    if len(groups) == 1 and x.ndim == 2 and step < len(lone):
-        for lo in range(0, len(lone), step):
-            chunk = slice(lo * n, (lo + step) * n)
-            _score_pools([(first, lone[lo : lo + step], x)], classes[chunk], conf[chunk])
-    else:
-        _score_pools(groups, classes, conf)
-    for (_, models, x), lo, hi in zip(groups, rows, rows[1:]):
-        shape = (*x.shape[:-2], len(models), -1)
-        yield classes[lo:hi].reshape(shape), conf[lo:hi].reshape(shape)
-
-
-def _score_pools(groups, classes, conf):
-    """Write the predictions of (first model, models, features) groups, in
-    order, to `classes` and `conf`: one broadcast matmul per group into one
-    row-major logit buffer, whose rows take the class-major softmax in even
-    pieces of at most SOFTMAX_BLOCK values. Groups that pass one list object
-    share its weight stack."""
-    c = groups[0][0].dim_out
-    logits = np.empty((classes.size, c))
-    lo, stacks = 0, {}
-    for first, models, x in groups:
-        hi = lo + len(models) * x.size // first.dim_in
-        views = stacks.get(id(models))
-        if views is None:
-            # `np.array` copies the same rows as `np.stack`, about 5x faster
-            # for 35 vectors of 36 values.
-            views = stacks[id(models)] = _unpack(first, np.array([m.weights for m in models]))
-        out = logits[lo:hi].reshape(*x.shape[:-2], len(models), -1, c)
-        _logits(first.hidden, views, x if x.ndim == 2 else x[:, None], out=out)
-        lo = hi
-    if classes.size:
-        step = -(-classes.size // -(-logits.size // SOFTMAX_BLOCK))
-        for lo in range(0, classes.size, step):
-            classes[lo : lo + step], conf[lo : lo + step] = _top_class(
-                _softmax_columns(logits[lo : lo + step].T.copy()))
+    parts, done = [], 0
+    for block in _blocks(items()):
+        table, rows, runs = _table(block)
+        classes, conf = _top_class(_softmax_columns(table))
+        for _, x, _, i in runs:
+            k, n, _, stack, _ = block[i]
+            shape = (x.shape[0], k, n)
+            span = slice(rows[i], rows[i + x.shape[0]])
+            predictions = zip(classes[span].reshape(shape), conf[span].reshape(shape))
+            # A chunk, a view of its list's stack (which owns its data),
+            # starts a block; its group is yielded after its last chunk.
+            if stack.base is not None:
+                parts.append(next(predictions))
+                done += k
+                if done == stack.base.shape[0]:
+                    yield tuple(map(np.concatenate, zip(*parts)))
+                    parts, done = [], 0
+            yield from predictions

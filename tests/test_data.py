@@ -298,7 +298,11 @@ def test_inject_rejects_a_repeated_or_injected_position_and_changes_nothing():
     for indices, labels, error in (([3], [0], StateError), ([2, 2], [0, 0], ValueError),
                                    ([4], [0], ValueError), ([-1], [0], ValueError),
                                    ([2, 3], [0, 0], StateError), ([0, 1, 2], [1, 0], ValueError),
-                                   ([0, 1], [], ValueError)):
+                                   ([0, 1], [], ValueError),
+                                   # Neither truncated nor read as 0 and 1.
+                                   ([0, 1], [1.7, 0.2], ValueError), ([2], 1.0, ValueError),
+                                   ([2.0], [0], ValueError), ([0, 2], [True, False], ValueError),
+                                   ([True], [0], ValueError)):
         with pytest.raises(error, match="device 0"):
             dev.inject(indices, labels)
         assert state() == before

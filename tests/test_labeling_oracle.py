@@ -197,13 +197,34 @@ def assert_same_predictions(got, want):
     assert np.array_equal(got[1], want[1], equal_nan=True)
 
 
-def assert_stacked_matches(models, pool):
+def assert_stacked_matches(scorers, pool):
     """Stacked confidences, row k bit-equal to model k scored alone by the
-    row-wise reference."""
-    classes, conf = confidences(models, pool)
-    assert classes.shape == conf.shape == (len(models), pool.shape[0])
-    for k, model in enumerate(models):
-        assert_same_predictions((classes[k], conf[k]), ref_confidences(model, pool))
+    row-wise reference. So is every item form of the kernel, under budgets
+    of one activation, of three items and of the default block: the
+    diagonal pair form, each model alone on a pool of its own (even models
+    on `pool`, odd ones on its rows reversed), and runs of one pool length
+    that mix the shared list with another (the models reversed)."""
+    other = pool[::-1].copy()
+    want = {id(x): [ref_confidences(m, x) for m in scorers] for x in (pool, other)}
+    classes, conf = confidences(scorers, pool)
+    assert classes.shape == conf.shape == (len(scorers), pool.shape[0])
+    for k, model in enumerate(scorers):
+        assert_same_predictions((classes[k], conf[k]), want[id(pool)][k])
+    # (models, pool, index of each model in `scorers`)
+    items = [([m], (pool, other)[k % 2], [k]) for k, m in enumerate(scorers)]
+    every, back = range(len(scorers)), range(len(scorers) - 1, -1, -1)
+    rev = scorers[::-1]
+    items += [(scorers, pool, every), (scorers, other, every), (rev, pool, back),
+              (scorers, other, every), (rev, other, back)]
+    row = pool.shape[0] * (scorers[0].dim_out + scorers[0].hidden)
+    for budget in (1, 3 * row, SOFTMAX_BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "SOFTMAX_BLOCK", budget)
+            got = list(pool_predictions([(group, x) for group, x, _ in items]))
+        for (group, x, ks), (classes, conf) in zip(items, got, strict=True):
+            assert classes.shape == conf.shape == (len(group), x.shape[0])
+            for j, k in enumerate(ks):
+                assert_same_predictions((classes[j], conf[j]), want[id(x)][k])
 
 
 def assert_same_batch(got: PseudoLabelBatch, want: PseudoLabelBatch):
@@ -636,8 +657,9 @@ def batched_phase(phase, phi, accuracy):
 
 
 # SOFTMAX_BLOCK for each way of cutting a phase into blocks, from the
-# phase's largest group (its contenders times its pool rows and classes),
-# the total of its groups, and its largest pool.
+# phase's largest group (its contenders times its pool rows times the
+# kernel's row size, classes plus hidden units), the total of its groups,
+# and one model on its largest pool.
 BUDGETS = {
     "rows of one model": lambda largest, total, rows: 1,
     "two models of one group": lambda largest, total, rows: 2 * rows,
@@ -662,18 +684,19 @@ def test_batched_phase_equals_each_device_alone(family, c, blocks, monkeypatch):
             candidates[chosen[0]], feats, phi, dev.device_id, idx)))
     ran = [len(contenders(candidates, scores)) for (_, candidates), (_, scores, _, _)
            in zip(phase, want)]
-    sizes = [k * feats.shape[0] * c for k, (_, _, feats, _) in zip(ran, want)]
-    rows = max(feats.shape[0] for _, _, feats, _ in want) * c
+    row = c + FAMILIES[family]
+    sizes = [k * feats.shape[0] * row for k, (_, _, feats, _) in zip(ran, want)]
+    rows = max(feats.shape[0] for _, _, feats, _ in want) * row
     monkeypatch.setattr(models, "SOFTMAX_BLOCK", BUDGETS[blocks](max(sizes), sum(sizes), rows))
     accuracy = [holdout_accuracies([dev], candidates)[0].tolist() for dev, candidates in phase]
-    # The number of contenders of each group each pool scoring pass runs.
+    # The number of models of each item of each block the pool pass scores.
     passes = []
-    real_score_pools = models._score_pools
+    real_table = models._table
 
-    def score_pools(groups, classes, conf):
-        passes.append([len(m) for _, m, _ in groups])
-        return real_score_pools(groups, classes, conf)
-    monkeypatch.setattr(models, "_score_pools", score_pools)
+    def table(block):
+        passes.append([k for k, _, _, _, _ in block])
+        return real_table(block)
+    monkeypatch.setattr(models, "_table", table)
 
     got = batched_phase(phase, phi, accuracy)
     for (dev, candidates), (chosen, scores, feats, batch), (pool_pass, selection, got_batch) \
@@ -690,9 +713,11 @@ def test_batched_phase_equals_each_device_alone(family, c, blocks, monkeypatch):
     assert {1, 12} <= set(ran)
     assert sum(len(b) for _, _, b in got) > 0
     flat = [k for p in passes for k in p]
-    assert {"rows of one model": flat == [1] * sum(ran),
-            # The second device's 12 contenders on 80 rows: 6 passes.
-            "two models of one group": passes.count([2]) >= 6 and sum(flat) == sum(ran),
+    # An empty pool is no larger than a block: its contenders are one item.
+    alone = [m for k, (_, _, feats, _) in zip(ran, want) for m in ([1] * k if len(feats) else [k])]
+    assert {"rows of one model": flat == alone,
+            # The second device's 12 contenders on 80 rows: 6 items.
+            "two models of one group": flat.count(2) >= 6 and sum(flat) == sum(ran),
             "whole groups": flat == ran and 1 < max(map(len, passes)) < len(ran),
             "one block": passes == [ran]}[blocks], passes
 
@@ -723,32 +748,53 @@ def test_pool_predictions_score_a_group_with_its_own_block():
         list(pool_predictions([([model], pools[0]), ([random_model(rng, 3, 3, 0)], pools[1])]))
 
 
+class StackCounter:
+    """numpy, counting the `array` calls that stack model weight vectors."""
+
+    def __init__(self):
+        self.built = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def array(self, obj, *args, **kwargs):
+        if isinstance(obj, list) and all(isinstance(w, np.ndarray) and w.ndim == 1 for w in obj):
+            self.built += 1
+        return np.array(obj, *args, **kwargs)
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_pool_predictions_share_the_stack_of_one_list_object(family, monkeypatch):
-    # Consecutive groups that pass one list, as the holdout groups of a
-    # candidate set do, take one weight stack per block and the bits that
-    # copies of the list get.
+    # Groups that pass one list, as the holdouts of a candidate set do, take
+    # one weight stack for the whole pass, whatever the blocks, and the bits
+    # that copies of the list get.
     rng = np.random.default_rng([8, FAMILIES[family]])
     shared = [random_model(rng, 3, 4, FAMILIES[family], rounded=k % 2 == 1) for k in range(5)]
-    pools = [rng.normal(size=(n, 3)) for n in (1, 4, 0, 7, 2, 4)]
-    stacks = []
-    real_unpack = models._unpack
-
-    def unpack(p, weights=None):
-        stacks.append(weights is not None)
-        return real_unpack(p, weights)
-    monkeypatch.setattr(models, "_unpack", unpack)
-    for budget in (1, 2 * 4 * 4, SOFTMAX_BLOCK):
+    pools = [rng.normal(size=(n, 3)) for n in (1, 4, 0, 7, 2, 4, 4)]
+    stacks = StackCounter()
+    monkeypatch.setattr(models, "np", stacks)
+    row = 4 + FAMILIES[family]
+    for budget in (1, 2 * 4 * row, SOFTMAX_BLOCK):
         monkeypatch.setattr(models, "SOFTMAX_BLOCK", budget)
-        stacks.clear()
+        stacks.built = 0
         reused = list(pool_predictions((shared, pool) for pool in pools))
-        if budget == SOFTMAX_BLOCK:
-            assert stacks == [True]
-        copied = list(pool_predictions((list(shared), pool) for pool in pools))
+        assert stacks.built == 1
+        stacks.built = 0
+        copies = [list(shared) for _ in pools]
+        copied = list(pool_predictions(zip(copies, pools)))
+        assert stacks.built == len(copies)
         for (classes, conf), (want_classes, want_conf), pool in zip(reused, copied, pools):
             assert_same_predictions((classes, conf), (want_classes, want_conf))
             for k, model in enumerate(shared):
                 assert_same_predictions((classes[k], conf[k]), ref_confidences(model, pool))
+    # The last chunk of a list cut into chunks of 2 models, and a list of
+    # as many models on as many rows after it: one run of two lists.
+    monkeypatch.setattr(models, "SOFTMAX_BLOCK", 2 * 4 * row)
+    groups = [(shared, pools[1]), (shared[:1], pools[5]), (shared[1:2], pools[6])]
+    for (group, pool), (classes, conf) in zip(groups, pool_predictions(groups), strict=True):
+        assert classes.shape == (len(group), len(pool))
+        for k, model in enumerate(group):
+            assert_same_predictions((classes[k], conf[k]), ref_confidences(model, pool))
     # A group of another shape, or of mixed shapes, after a reused list.
     wide = random_model(rng, 3, 5, 0)
     for odd in ([wide], [shared[0], wide]):

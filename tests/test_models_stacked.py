@@ -25,6 +25,7 @@ from cfsl.models import (
     gradient,
     loss,
     param_count,
+    pool_predictions,
     sgd_train,
 )
 from cfsl.labeling import holdout_accuracies
@@ -33,6 +34,7 @@ from references import (
     _logits,
     _unpack,
     holdout_devices,
+    ref_confidences,
     ref_evaluate,
     ref_loss,
     select_alone,
@@ -380,29 +382,41 @@ def test_results_do_not_depend_on_how_batches_are_stacked(monkeypatch):
                  + sgd_train(starts[cut:], batches[cut:], 2, 8, 0.2, seeds[cut:]))
         assert all(np.array_equal(a.weights, b.weights) for a, b in zip(whole, parts))
     # Scoring: shared models, repeated and distinct lengths, pairs in
-    # shuffled order, in blocks of one pair, of a few pairs and of the
-    # default budget; `blocks` has the pairs of each block of a `loss` call.
+    # shuffled order, in blocks of one pair, of pairs of 60 rows in all and
+    # of the default budget, in the kernel's row size (classes plus hidden
+    # units); `blocks` has the pairs of each block of a `loss` call. The
+    # pool pass takes the same pairs in their diagonal form (each model
+    # alone on its batch) and, as in a holdout pass, runs that mix one
+    # shared list with others (its models reversed).
     blocks = []
-    real_table = models._logit_table
+    real_table = models._table
 
-    def table(first, block_models, block_batches, lengths):
-        blocks.append(len(block_batches))
-        return real_table(first, block_models, block_batches, lengths)
-    monkeypatch.setattr(models, "_logit_table", table)
+    def table(block):
+        blocks.append(len(block))
+        return real_table(block)
+    monkeypatch.setattr(models, "_table", table)
     c = 5
     for hidden in (0, 7):
         rng = np.random.default_rng([hidden, 17])
         starts = start_models(rng, 17, 6, c, hidden)
         batches = random_batches(rng, rng.choice([1, 8, 9, 30, 41], size=17), 6, c)
-        for budget, fewest, most in ((1, 17, 17), (60 * c, 2, 16), (models.SOFTMAX_BLOCK, 1, 1)):
+        shared = starts[:4]
+        groups = [([m], b.features) for m, b in zip(starts, batches)]
+        groups += [(shared if i % 3 else shared[::-1], b.features) for i, b in enumerate(batches)]
+        want = [[ref_confidences(m, x) for m in group] for group, x in groups]
+        for budget, fewest, most in ((1, 17, 17), (60 * (c + hidden), 2, 16),
+                                     (models.SOFTMAX_BLOCK, 1, 1)):
             with monkeypatch.context() as patch:
                 patch.setattr(models, "SOFTMAX_BLOCK", budget)
                 assert_scores_match_alone(starts, batches)
-                accuracy = holdout_accuracies(holdout_devices(batches),
-                                              dict(enumerate(starts[:4])))
+                accuracy = holdout_accuracies(holdout_devices(batches), dict(enumerate(shared)))
+                for (classes, conf), refs in zip(pool_predictions(groups), want, strict=True):
+                    for k, (want_classes, want_conf) in enumerate(refs):
+                        assert np.array_equal(classes[k], want_classes)
+                        assert np.array_equal(conf[k], want_conf)
                 blocks.clear()
                 loss(starts, batches)
-            assert accuracy.tolist() == [[ref_evaluate(m, b) for m in starts[:4]] for b in batches]
+            assert accuracy.tolist() == [[ref_evaluate(m, b) for m in shared] for b in batches]
             assert fewest <= len(blocks) <= most and sum(blocks) == 17
 
 
@@ -415,7 +429,7 @@ def test_scoring_runs_one_matmul_per_batch_length(monkeypatch, hidden):
     real = models._logits
 
     def counting(hidden, views, x):
-        runs.append(x.shape[:2])
+        runs.append((x.shape[0], x.shape[2]))
         return real(hidden, views, x)
     monkeypatch.setattr(models, "_logits", counting)
     rng = np.random.default_rng([hidden, 29])
