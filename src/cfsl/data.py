@@ -179,8 +179,8 @@ class DeviceDataset:
 
     def inject(self, indices, labels):
         """Pseudo-label pool positions `indices` with `labels` (one each, or one
-        for all). Positions and labels must be integers, positions in range,
-        unique and pending (StateError: injected labels are frozen) and labels
+        for all). Positions must be one-dimensional integers, in range, unique
+        and pending (StateError: injected labels are frozen), labels integers
         >= 0, or nothing changes."""
         indices, labels = np.asarray(indices), np.asarray(labels)
         if labels.ndim and labels.shape != indices.shape:
@@ -188,6 +188,9 @@ class DeviceDataset:
                              f"for {indices.size} positions")
         if not indices.size:
             return
+        if indices.ndim != 1:
+            raise ValueError(f"device {self.device_id}: pseudo-label positions must be "
+                             f"one-dimensional, got shape {indices.shape}")
         # A cast would truncate 1.7 to 1 and read True as 1.
         if indices.dtype.kind not in "iu" or labels.dtype.kind not in "iu":
             raise ValueError(f"device {self.device_id}: pseudo-label positions and labels "
@@ -292,6 +295,17 @@ def partition_devices(universe: TaskUniverse, data, n_devices: int, seed) -> lis
     of which each device's `test` is a view.
     """
     samples_per_device, labeled_fraction = data.samples_per_device, data.labeled_fraction
+    width = min(data.max_classes_per_device, universe.n_classes)
+    n_labeled, n_hold = labeled_split(
+        labeled_fraction, samples_per_device, width, data.holdout_fraction
+    )
+    asked = round(labeled_fraction * samples_per_device)
+    if n_labeled > asked:
+        log.warning(
+            "labeled_fraction %.4g gives %d labeled samples per device; "
+            "raising to the 1-per-class floor of %d",
+            labeled_fraction, asked, width,
+        )
     assign_rng = np.random.default_rng(np.random.SeedSequence([int(seed), DATA_STREAM, 1]))
     n_test = data.test_samples_per_device
     test_features = np.empty((n_devices, n_test, universe.dim))
@@ -302,20 +316,7 @@ def partition_devices(universe: TaskUniverse, data, n_devices: int, seed) -> lis
             dist_id = k % universe.n_distributions
         else:
             dist_id = int(assign_rng.integers(0, universe.n_distributions))
-
-        width = min(data.max_classes_per_device, universe.n_classes)
         whitelist = np.sort(rng.choice(universe.n_classes, size=width, replace=False))
-
-        n_labeled, n_hold = labeled_split(
-            labeled_fraction, samples_per_device, width, data.holdout_fraction
-        )
-        asked = round(labeled_fraction * samples_per_device)
-        if n_labeled > asked:
-            log.warning(
-                "device %d: labeled_fraction %.4g gives %d labeled samples; "
-                "raising to the 1-per-class floor of %d",
-                k, labeled_fraction, asked, width,
-            )
 
         # First `width` labels cover the whitelist once so every class has
         # at least one labeled sample; the rest are uniform draws.

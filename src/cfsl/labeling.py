@@ -10,7 +10,7 @@ The one scoring kernel of `models`, which also scores `loss`, `gradient`
 and `evaluate`, scores both sides of a selection through
 `models.pool_predictions`. A labeling phase does its candidate work once
 per candidate set: `holdout_accuracies` scores the holdouts of every device
-that has the set in one pass, those of one length stacked, and returns a
+that has the set in one pass, in device order, and returns a
 (devices, candidates) array, each accuracy the share of predicted classes
 that match the labels. Accuracy ranks first, so only the contenders, the
 candidates tied at a device's best accuracy, can be chosen; the phase
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -114,25 +113,19 @@ def holdout_accuracies(devices: list, candidates: dict) -> np.ndarray:
     """(devices, candidates) array: each device's holdout accuracy of every
     candidate, in the given orders, with the bits `models.evaluate` gives
     each pair. One `pool_predictions` pass scores the holdouts, one item per
-    device sorted by length, all sharing one list of models, so that the
-    holdouts of one length are stacked. An accuracy is the count of
-    predicted classes that match the labels over the holdout's rows.
-    Errors name this function."""
+    device, in the given order. An accuracy is the count of predicted
+    classes that match the labels over the holdout's rows. Errors name this
+    function."""
     if not devices:
         raise ValueError("holdout_accuracies requires at least one device")
     scorers = list(candidates.values())
     holdouts = [_scored_holdout(dev) for dev in devices]
-    lengths = list(map(len, holdouts))
-    order = sorted(range(len(holdouts)), key=lengths.__getitem__)
-    scored = pool_predictions(zip(repeat(scorers), [holdouts[i].features for i in order]),
-                              "holdout_accuracies")
-    # Each device's hits per candidate, in `order`, then in device order.
+    scored = pool_predictions(((scorers, h.features) for h in holdouts), "holdout_accuracies")
     hits = np.empty((len(holdouts), len(scorers)), dtype=np.intp)
-    for row, i, (classes, _) in zip(hits, order, scored):
-        np.add.reduce(classes == holdouts[i].labels, axis=1, dtype=np.intp, out=row)
-    hits[order] = hits.copy()
+    for row, holdout, (classes, _) in zip(hits, holdouts, scored):
+        np.add.reduce(classes == holdout.labels, axis=1, dtype=np.intp, out=row)
     # Exact counts: count / n is rounded once, as the mean of the bools is.
-    return hits / np.array(lengths)[:, None]
+    return hits / np.array(list(map(len, holdouts)))[:, None]
 
 
 def select_best_model(device: DeviceDataset, ids: list, phi: float, accuracy: float,

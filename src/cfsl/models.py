@@ -48,16 +48,15 @@ kernel. Its unit is an item: a list of K same-shape models and one ``(n,
 d)`` feature matrix; a (model, batch) pair is an item of K = 1, and a
 (models, pool) group of a labeling phase an item of its contenders.
 - Runs. Adjacent items with the same n and K form a run, scored as one
-  ``(r, 1, n, d) @ (r|1, K, d, c)`` matmul in which each (rows, model) pair
-  keeps its own ``(n, d) @ (d, c)`` BLAS call. A run whose items pass one
-  list object shares its weights; pairs, and runs of several lists, stack
-  each item's own, ``(r, K, d, c)``. A pass builds a list's ``(K, P)``
-  stack, with its models' shape check, once. So the holdouts of one
-  length that a labeling phase scores against one candidate set are one
-  matmul: on one core, the 512 holdouts of 4 rows of a split-512 round
-  (d=8, c=4) against 61 candidates took a median 9.4 ms stacked against
-  13.5 ms as one matmul per device (41 alternating runs), with the same
-  bits.
+  ``(r, 1, n, d) @ W`` matmul in which each (rows, model) pair keeps its
+  own ``(n, d) @ (d, c)`` BLAS call. A run shares its weights exactly when
+  all its items carry one weights array (a pair's ``(P,)`` vector or a
+  group's ``(K, P)`` stack), W of ``(d, c)`` or ``(K, d, c)``; otherwise W
+  stacks each item's own, ``(r, K, d, c)``. So the holdouts of one length
+  that a labeling phase scores against one candidate set are one matmul:
+  on one core, the 512 holdouts of 4 rows of a split-512 round (d=8, c=4)
+  against 61 candidates took a median 9.4 ms stacked against 13.5 ms as
+  one matmul per device (41 alternating runs), with the same bits.
 - Blocks. ``_blocks`` cuts the items, in order, into blocks of at most
   ``SOFTMAX_BLOCK`` activations, K·n·(c + hidden) an item (a row's logits
   and hidden units); a larger item runs alone, and one of K > 1 models in
@@ -275,10 +274,12 @@ def _check_features(p: ModelParams, features: np.ndarray):
     return features
 
 
-def _stacked_features(p: ModelParams, features: list) -> np.ndarray:
-    """One float64 (r, n, d) copy of r feature matrices of n rows, checked
-    once as a whole. `np.array` copies the same rows as `np.stack`, about
-    2x faster for 35 matrices of 16 x 36 values (numpy 2.4.6)."""
+def _stacked_features(p: ModelParams, features) -> np.ndarray:
+    """(r, n, d) float64 stack of r feature matrices of n rows, checked once
+    as a whole: a lone matrix's view or one copy (`np.array` copies as
+    `np.stack`, 2x faster for 35 matrices of 16 x 36 values, numpy 2.4.6)."""
+    if len(features) == 1:
+        return _check_features(p, features[0])[None]
     try:
         x = np.array(features, dtype=np.float64)
     except ValueError:  # numpy refuses matrices of different shapes
@@ -318,7 +319,7 @@ def _blocks(items):
     into lists of at most SOFTMAX_BLOCK activations, K·n·(c + hidden) an
     item; a larger item alone, or, of K > 1 models, in chunks of whole
     models that fit a block, each an item that starts a block. The weights
-    are a pair's (P,) vector or a list's (K, P) stack, whose chunks are
+    are a pair's (P,) vector or a group's (K, P) stack, whose chunks are
     views."""
     block, total = [], 0
     for item in items:
@@ -353,15 +354,9 @@ def _table(block):
     i = 0
     for (k, _), run in groupby(block, key=itemgetter(0, 1)):
         _, _, _, stacks, xs = zip(*run)
-        if xs[1:]:
-            x = _stacked_features(first, xs)[:, None]
-            # The run's one list's (K, P) stack, or each item's own weights
-            # stacked (a pair's (P,) vector is never shared).
-            shared = stacks[0].ndim == 2 and len({*map(id, stacks)}) == 1
-            w = stacks[0] if shared else np.array(stacks).reshape(x.shape[0], k, -1)
-        else:
-            x = _check_features(first, xs[0])[None, None]
-            w = stacks[0]
+        x = _stacked_features(first, xs)[:, None]
+        shared = len({*map(id, stacks)}) == 1
+        w = stacks[0] if shared else np.array(stacks).reshape(len(xs), k, -1)
         views = _unpack(first, w)
         z, h = _logits(first.hidden, views, x)
         table[:, rows[i] : rows[i + x.shape[0]]] = z.reshape(-1, first.dim_out).T
@@ -550,23 +545,25 @@ def pool_predictions(groups, caller: str = "confidences"):
     features)` returns: each model's bits alone, all models of one shape.
     A generator over the items of "Scoring kernel": it takes a group one
     ahead of the block it yields, scores its features with its own block,
-    and holds one block's predictions at a time. Groups that pass one list
-    object share its models' check and weight stack for the whole pass, so
-    the list must not change until the pass ends. Errors name `caller`."""
-    lists = {}
+    and holds one block's predictions at a time. Groups of the same models,
+    in the same order, share one check and one weight stack for the whole
+    pass, whichever list carries them, so adjacent ones of one length share
+    their weights in a run. Errors name `caller`."""
+    stacks = {}
 
     def items():
         shape = None
         for models, features in groups:
-            entry = lists.get(id(models))
+            key = tuple(map(id, models))
+            entry = stacks.get(key)
             if entry is None:
                 first = _first_model(models, caller)
                 shape = shape or (first.dim_in, first.dim_out, first.hidden)
                 if (first.dim_in, first.dim_out, first.hidden) != shape:
                     raise ValueError(f"{caller}: models with different shapes cannot be stacked")
-                # Kept with its stack, the list's id is not reused in the pass.
+                # Held with their stack, the models' ids are not reused in the pass.
                 stack = np.array([m.weights for m in models])
-                entry = lists[id(models)] = len(models), first, stack, models
+                entry = stacks[key] = len(models), first, stack, tuple(models)
             k, first, stack, _ = entry
             yield k, features.shape[0], first, stack, features
 
@@ -579,7 +576,7 @@ def pool_predictions(groups, caller: str = "confidences"):
             shape = (x.shape[0], k, n)
             span = slice(rows[i], rows[i + x.shape[0]])
             predictions = zip(classes[span].reshape(shape), conf[span].reshape(shape))
-            # A chunk, a view of its list's stack (which owns its data),
+            # A chunk, a view of its group's stack (which owns its data),
             # starts a block; its group is yielded after its last chunk.
             if stack.base is not None:
                 parts.append(next(predictions))

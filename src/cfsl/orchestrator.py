@@ -16,7 +16,7 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 
@@ -409,25 +409,19 @@ class Simulation:
             if ks:
                 sharing[tuple(candidates_of_edge[e])] += ks
         # One holdout pass per set (no injection changes the accuracies),
-        # and from it each device's best accuracy and contenders, one list
-        # object per contender mask, which the pool pass checks once:
+        # and from it each device's best accuracy and contenders:
         # {device: (candidates, best accuracy, contender ids, contender
         # models, z template)}.
         plan = {}
         for ids, ks in sharing.items():
             ks.sort()
             candidates = candidates_of_edge[self.radios[ks[0]].edge_id]
-            models = list(candidates.values())
             template = dict.fromkeys(sorted(ids), 0)
             accuracy = holdout_accuracies([self.devices[k] for k in ks], candidates)
             best = accuracy.max(axis=1)
-            contenders = {}
-            for k, acc, mask in zip(ks, best.tolist(), accuracy == best[:, None]):
-                key = mask.tobytes()
-                if key not in contenders:
-                    cols = np.flatnonzero(mask).tolist()
-                    contenders[key] = [ids[j] for j in cols], [models[j] for j in cols]
-                plan[k] = (candidates, acc, *contenders[key], template)
+            for k, acc, mask in zip(ks, best.tolist(), (accuracy == best[:, None]).tolist()):
+                plan[k] = (candidates, acc, list(compress(ids, mask)),
+                           list(compress(candidates.values(), mask)), template)
         # Every device's contenders over its pending pool in one pass, read
         # block by block as the loop below takes the devices in order: each
         # pool is scored before its device injects.

@@ -1,5 +1,8 @@
 """Data generation and partitioning checks."""
 
+import logging
+from itertools import groupby
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from cfsl.data import (
     make_task_universe,
     partition_devices,
 )
+from cfsl.labeling import _scored_holdout
 from cfsl.models import LabeledBatch
 
 
@@ -123,10 +127,16 @@ def test_partition_whitelist_closure_and_cap():
         assert (hist > 0).sum() <= 2
 
 
-def test_partition_one_label_per_class_floor():
+def test_partition_one_label_per_class_floor(caplog):
     u = small_universe(seed=9)
-    # 1% of 50 rounds to 0 labeled; floor lifts it to one per whitelisted class.
-    devices = partition(u, 3, samples_per_device=50, labeled_fraction=0.01, seed=9)
+    # 1% of 50 rounds to 0 labeled; floor lifts it to one per whitelisted
+    # class, with one warning for the whole population.
+    with caplog.at_level(logging.WARNING, logger="cfsl.data"):
+        devices = partition(u, 5, samples_per_device=50, labeled_fraction=0.01, seed=9)
+    assert [r.getMessage() for r in caplog.records] == [
+        "labeled_fraction 0.01 gives 0 labeled samples per device; "
+        "raising to the 1-per-class floor of 2"
+    ]
     for dev in devices:
         assert len(labeled_labels(dev)) == len(dev.class_whitelist)
         assert set(labeled_labels(dev)) == set(dev.class_whitelist)
@@ -302,9 +312,14 @@ def test_inject_rejects_a_repeated_or_injected_position_and_changes_nothing():
                                    # Neither truncated nor read as 0 and 1.
                                    ([0, 1], [1.7, 0.2], ValueError), ([2], 1.0, ValueError),
                                    ([2.0], [0], ValueError), ([0, 2], [True, False], ValueError),
-                                   ([True], [0], ValueError)):
-        with pytest.raises(error, match="device 0"):
+                                   ([True], [0], ValueError),
+                                   # Positions that are not one-dimensional.
+                                   ([[0], [2]], [[0], [0]], ValueError),
+                                   ([[2], [0]], [[0], [0]], ValueError),
+                                   ([[0, 2]], [[0, 0]], ValueError)):
+        with pytest.raises(error, match="device 0") as raised:
             dev.inject(indices, labels)
+        assert ("one-dimensional" in str(raised.value)) == (np.ndim(indices) > 1)
         assert state() == before
         assert not any(a.flags.writeable
                        for a in (dev.injected_labels, dev.features, dev.labels))
@@ -585,3 +600,35 @@ def test_csv_errors_carry_row_numbers(tmp_path):
     unknown_class = write_csv(tmp_path, "1.0,2.0,9\n")
     with pytest.raises(ValueError, match="class id"):
         load_csv_dataset(unknown_class, n_features=2, n_classes=2)
+
+
+def test_scored_holdout_lengths_form_at_most_two_runs_in_device_order(tmp_path):
+    # A labeling phase scores its devices' holdouts (the train rows where a
+    # holdout is empty) in device order, and the scoring kernel stacks the
+    # adjacent ones of one length: every data mode gives at most two
+    # lengths, each one contiguous run of devices.
+    populations = []
+    for mode in ("label-permutation", "gaussian-clusters"):
+        u = small_universe(seed=31, mode=mode)
+        for n, samples, labeled, holdout in ((7, 50, 0.01, 0.2), (16, 40, 0.2, 0.2),
+                                             (5, 30, 1.0, 0.1), (9, 60, 0.1, 0.0)):
+            populations.append(partition(u, n, samples, labeled, seed=31, mode=mode,
+                                         holdout_fraction=holdout))
+    rng = np.random.default_rng(31)
+    # Labeled rows dealt to devices: ragged holdouts of 4 and 3 rows; of 1
+    # row and none (the train rows, 2); none at all (2 and 1 train rows);
+    # none, every device alike.
+    for rows, n, holdout in ((40, 3, 0.25), (23, 10, 0.2), (15, 10, 0.2), (30, 10, 0.0)):
+        lines = [",".join(f"{x:.3f}" for x in rng.normal(size=3)) + f",{j % 3}"
+                 for j in range(rows)]
+        path = write_csv(tmp_path, "\n".join(lines) + "\n")
+        data = DataConfig(mode="csv", csv_path=path, features=3, classes=3,
+                          holdout_fraction=holdout)
+        populations.append(csv_devices(data, n, seed=31))
+    shapes = set()
+    for devices in populations:
+        lengths = [len(_scored_holdout(dev)) for dev in devices]
+        assert len([n for n, _ in groupby(lengths)]) <= 2, lengths
+        shapes.add((len(set(lengths)), any(not len(dev.holdout) for dev in devices)))
+    # Ragged and uniform lengths, with and without the train-row fallback.
+    assert shapes == {(1, False), (2, False), (1, True), (2, True)}

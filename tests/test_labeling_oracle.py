@@ -764,29 +764,30 @@ class StackCounter:
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_pool_predictions_share_the_stack_of_one_list_object(family, monkeypatch):
-    # Groups that pass one list, as the holdouts of a candidate set do, take
-    # one weight stack for the whole pass, whatever the blocks, and the bits
-    # that copies of the list get.
+def test_pool_predictions_share_the_stack_of_the_same_models(family, monkeypatch):
+    # Groups of the same models in the same order take one weight stack for
+    # the whole pass, whichever list carries them and whatever the blocks;
+    # the same models reordered take another. Every group gets each model's
+    # bits alone.
     rng = np.random.default_rng([8, FAMILIES[family]])
     shared = [random_model(rng, 3, 4, FAMILIES[family], rounded=k % 2 == 1) for k in range(5)]
     pools = [rng.normal(size=(n, 3)) for n in (1, 4, 0, 7, 2, 4, 4)]
     stacks = StackCounter()
     monkeypatch.setattr(models, "np", stacks)
     row = 4 + FAMILIES[family]
-    for budget in (1, 2 * 4 * row, SOFTMAX_BLOCK):
+    one_list = [shared] * len(pools)
+    copies = [list(shared) for _ in pools]
+    reordered = [shared[::-1] if i % 2 else list(shared) for i in range(len(pools))]
+    # One model at a time, chunks of 2 models, three groups of 4 rows, one block.
+    for budget in (1, 2 * 4 * row, 3 * 5 * 4 * row, SOFTMAX_BLOCK):
         monkeypatch.setattr(models, "SOFTMAX_BLOCK", budget)
-        stacks.built = 0
-        reused = list(pool_predictions((shared, pool) for pool in pools))
-        assert stacks.built == 1
-        stacks.built = 0
-        copies = [list(shared) for _ in pools]
-        copied = list(pool_predictions(zip(copies, pools)))
-        assert stacks.built == len(copies)
-        for (classes, conf), (want_classes, want_conf), pool in zip(reused, copied, pools):
-            assert_same_predictions((classes, conf), (want_classes, want_conf))
-            for k, model in enumerate(shared):
-                assert_same_predictions((classes[k], conf[k]), ref_confidences(model, pool))
+        for lists, built in ((one_list, 1), (copies, 1), (reordered, 2)):
+            stacks.built = 0
+            scored = list(pool_predictions(zip(lists, pools)))
+            assert stacks.built == built
+            for group, pool, (classes, conf) in zip(lists, pools, scored, strict=True):
+                for k, model in enumerate(group):
+                    assert_same_predictions((classes[k], conf[k]), ref_confidences(model, pool))
     # The last chunk of a list cut into chunks of 2 models, and a list of
     # as many models on as many rows after it: one run of two lists.
     monkeypatch.setattr(models, "SOFTMAX_BLOCK", 2 * 4 * row)

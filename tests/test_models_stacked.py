@@ -381,13 +381,15 @@ def test_results_do_not_depend_on_how_batches_are_stacked(monkeypatch):
         parts = (sgd_train(starts[:cut], batches[:cut], 2, 8, 0.2, seeds[:cut])
                  + sgd_train(starts[cut:], batches[cut:], 2, 8, 0.2, seeds[cut:]))
         assert all(np.array_equal(a.weights, b.weights) for a, b in zip(whole, parts))
-    # Scoring: shared models, repeated and distinct lengths, pairs in
-    # shuffled order, in blocks of one pair, of pairs of 60 rows in all and
-    # of the default budget, in the kernel's row size (classes plus hidden
-    # units); `blocks` has the pairs of each block of a `loss` call. The
-    # pool pass takes the same pairs in their diagonal form (each model
-    # alone on its batch) and, as in a holdout pass, runs that mix one
-    # shared list with others (its models reversed).
+    # Scoring: repeated and distinct lengths, pairs in shuffled order, each
+    # on its own model, all on one model (runs that share its weights) or
+    # on one of three (runs that share and runs that stack), in blocks of
+    # one pair, of pairs of 60 rows in all and of the default budget, in the
+    # kernel's row size (classes plus hidden units); `blocks` has the pairs
+    # of each block of a `loss` call. The pool pass takes the same pairs in
+    # their diagonal form (each model alone on its batch) and, as in a
+    # holdout pass, runs that mix four models in one order with the same
+    # models reversed.
     blocks = []
     real_table = models._table
 
@@ -409,6 +411,8 @@ def test_results_do_not_depend_on_how_batches_are_stacked(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(models, "SOFTMAX_BLOCK", budget)
                 assert_scores_match_alone(starts, batches)
+                assert_scores_match_alone([starts[0]] * 17, batches)
+                assert_scores_match_alone([starts[i // 6] for i in range(17)], batches)
                 accuracy = holdout_accuracies(holdout_devices(batches), dict(enumerate(shared)))
                 for (classes, conf), refs in zip(pool_predictions(groups), want, strict=True):
                     for k, (want_classes, want_conf) in enumerate(refs):
@@ -424,12 +428,14 @@ def test_results_do_not_depend_on_how_batches_are_stacked(monkeypatch):
 def test_scoring_runs_one_matmul_per_batch_length(monkeypatch, hidden):
     """The pairs of one length share one stacked matmul whatever their
     models (some shared, most distinct), and each pair still gets the bits
-    it gets alone."""
-    runs = []
+    it gets alone. A run shares its weights exactly when its pairs carry
+    one model; otherwise it stacks each pair's."""
+    runs, shared = [], []
     real = models._logits
 
     def counting(hidden, views, x):
         runs.append((x.shape[0], x.shape[2]))
+        shared.append(views[0].ndim == 2)
         return real(hidden, views, x)
     monkeypatch.setattr(models, "_logits", counting)
     rng = np.random.default_rng([hidden, 29])
@@ -439,8 +445,14 @@ def test_scoring_runs_one_matmul_per_batch_length(monkeypatch, hidden):
     per_length = sorted((lengths.count(n), n) for n in set(lengths))
     for score in (loss, evaluate, gradient):
         runs.clear()
+        shared.clear()
         score(starts, batches)
         assert sorted(runs) == per_length, score.__name__
+        assert shared == [r == 1 for r, _ in runs], score.__name__
+        runs.clear()
+        shared.clear()
+        score([starts[0]] * 17, batches)
+        assert sorted(runs) == per_length and all(shared), score.__name__
     assert_scores_match_alone(starts, batches)
 
 
