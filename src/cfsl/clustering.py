@@ -224,23 +224,30 @@ class ClusterTree:
 
     `nodes` maps cluster id to node in id order: a new cluster's id is the
     number of nodes before it. Two indexes answer the lookups without
-    scanning the nodes: a device -> current-leaf map, which add_root, split
-    and merge point at the leaf each device lands in, and an edge -> root
-    map, which add_root fills.
+    scanning the nodes: `leaf_of`, an array of each device's current leaf
+    id (-1 for none), and an edge -> root map, which add_root fills.
+    add_root, split and merge replace `leaf_of` with an updated copy and
+    never write an array they replaced, so a caller may keep one as the
+    record of the leaves at that moment.
     """
 
     def __init__(self):
         self.nodes: dict[int, ClusterNode] = {}
-        self._leaf_of: dict = {}
+        self.leaf_of = np.empty(0, dtype=np.intp)
         self._root_of: dict = {}
 
     def add_root(self, edge_id: int, members, model: ModelParams) -> int:
+        """A new root for edge `edge_id` over `members`, ids >= 0 of devices
+        that no current leaf holds."""
         members = frozenset(members)
         if edge_id in self._root_of:
             raise ValueError(f"edge {edge_id} already has root {self._root_of[edge_id]}")
         for d in members:
-            if d in self._leaf_of:
-                raise ValueError(f"device {d} already belongs to cluster {self._leaf_of[d]}")
+            if d < 0:
+                raise ValueError(f"device id {d} is negative")
+            if d < self.leaf_of.size and self.leaf_of[d] >= 0:
+                raise ValueError(f"device {d} already belongs to cluster "
+                                 f"{self.cluster_of(d).cluster_id}")
         cid = len(self.nodes)
         self.nodes[cid] = ClusterNode(cid, edge_id, members, model)
         self._root_of[edge_id] = cid
@@ -248,8 +255,11 @@ class ClusterTree:
         return cid
 
     def _own(self, cluster_id: int):
-        for d in self.nodes[cluster_id].members:
-            self._leaf_of[d] = cluster_id
+        ids = np.fromiter(self.nodes[cluster_id].members, np.intp)
+        leaf_of = np.full(max(self.leaf_of.size, ids.max(initial=-1) + 1), -1, dtype=np.intp)
+        leaf_of[: self.leaf_of.size] = self.leaf_of
+        leaf_of[ids] = cluster_id
+        self.leaf_of = leaf_of
 
     def node(self, cluster_id: int) -> ClusterNode:
         return self.nodes[cluster_id]
@@ -321,8 +331,8 @@ class ClusterTree:
         return cid
 
     def leaves(self) -> list:
-        """Current leaves, in cluster id order."""
-        return [n for n in self.nodes.values() if n.is_current]
+        """Current leaves (`is_current`), in cluster id order."""
+        return [n for n in self.nodes.values() if not n.children and n.merged_into is None]
 
     def active_leaves(self) -> list:
         return [n for n in self.leaves() if n.status == ACTIVE]
@@ -338,9 +348,9 @@ class ClusterTree:
 
     def cluster_of(self, device_id: int) -> ClusterNode:
         """The current leaf that owns a device."""
-        if device_id not in self._leaf_of:
+        if not 0 <= device_id < self.leaf_of.size or self.leaf_of[device_id] < 0:
             raise KeyError(f"device {device_id} belongs to no current cluster")
-        return self.nodes[self._leaf_of[device_id]]
+        return self.nodes[int(self.leaf_of[device_id])]
 
     def root_of_edge(self, edge_id: int) -> ClusterNode:
         """The edge's root; KeyError for an unknown edge or a root that a

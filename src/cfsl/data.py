@@ -11,6 +11,13 @@ test draw used for reporting.
 Rows are stored once, where and in the order a round reads them, so that
 no round gathers rows: a device's rows are one array (see `DeviceDataset`),
 and the population's test draws are one table.
+
+A device's counts are one column of a population table, an int64 array
+with a row per count (`HOLDOUT` ... `DISTRIBUTION`), so that a round reads
+every device's counts as arrays. `population` gathers a simulation's
+devices into one table, and each device's `inject` then keeps its column
+up in place: the counts always equal what the device's `injected_labels`
+and `hidden_truth` give. A device belongs to one population at a time.
 """
 
 from __future__ import annotations
@@ -30,6 +37,10 @@ log = logging.getLogger(__name__)
 DISTINGUISH_PROBE = 400
 DISTINGUISH_MIN = 0.30
 GENERATION_RETRIES = 100
+
+# The rows of a population table: holdout, train and pool lengths, injected
+# labels, those of a known truth and those matching it, edge, distribution.
+HOLDOUT, TRAIN, POOL, INJECTED, KNOWN, CORRECT, EDGE, DISTRIBUTION = range(8)
 
 
 @dataclass(frozen=True)
@@ -129,9 +140,9 @@ class DeviceDataset:
     pseudo-labeling: each pool position's label, -1 while it is pending.
     It and the rows are read-only outside `inject`, which checks every rule
     on the record, moves the accepted rows into the pseudo-labeled part and
-    keeps the counts of injected labels, of those with a known truth
-    (`n_known`) and of those matching it (`n_correct`). Pool positions
-    index the record and hidden_truth wherever their row is;
+    keeps the device's counts, column `column` of the population table
+    `table` (the edge is -1 until `population` takes the device in). Pool
+    positions index the record and hidden_truth wherever their row is;
     `pool_features()` reads the pool in their order. hidden_truth and test
     are for metrics only; `test` defaults to the holdout, or the train rows
     when there is none.
@@ -149,6 +160,8 @@ class DeviceDataset:
     train: LabeledBatch = field(init=False)
     hidden_truth: np.ndarray = field(init=False)
     injected_labels: np.ndarray = field(init=False)
+    table: np.ndarray = field(init=False, repr=False)
+    column: int = field(init=False)
 
     def __post_init__(self):
         h, lo = self.n_holdout, self.n_holdout + self.n_train
@@ -175,7 +188,8 @@ class DeviceDataset:
         self.injected_labels.setflags(write=False)
         # The pool position of each pool row, in row order.
         self._positions = np.arange(n_u)
-        self.n_injected = self.n_known = self.n_correct = 0
+        self.table = np.array([h, self.n_train, n_u, 0, 0, 0, -1, self.distribution_id])[:, None]
+        self.column = 0
 
     def inject(self, indices, labels):
         """Pseudo-label pool positions `indices` with `labels` (one each, or one
@@ -215,43 +229,35 @@ class DeviceDataset:
         record.setflags(write=True)
         record[indices] = labels
         record.setflags(write=False)
+        counts = self.table[:, self.column]
         truth = self.hidden_truth[indices]
-        self.n_known += int(np.count_nonzero(truth >= 0))
+        counts[KNOWN] += np.count_nonzero(truth >= 0)
         # A label is never negative, so it matches only a known truth.
-        self.n_correct += int(np.count_nonzero(record[indices] == truth))
-        self.n_injected = n = self.n_injected + indices.size
-        # The pool rows again, pseudo-labeled then pending, each in pool order.
-        positions = np.argsort(record < 0, kind="stable")
-        row_of = np.empty_like(positions)
-        row_of[self._positions] = np.arange(positions.size)
-        lo = self._pool_row
+        counts[CORRECT] += np.count_nonzero(labels == truth)
+        done = int(counts[INJECTED])
+        counts[INJECTED] = n = done + indices.size
+        # The pool rows again, pseudo-labeled then pending, each in pool order:
+        # the accepted rows take their slots among the pseudo-labeled
+        # positions and the others fill the rest in order (row i takes pool
+        # row source[i]; the rows before the first slot taken stay).
+        positions, lo = self._positions, self._pool_row
+        moved = done + positions[done:].searchsorted(ordered)
+        at = positions[:done].searchsorted(ordered) + np.arange(moved.size)
+        free, rest = np.ones(positions.size, dtype=bool), np.ones(positions.size, dtype=bool)
+        free[at] = rest[moved] = False
+        source = np.empty(positions.size, dtype=np.intp)
+        source[at] = moved
+        source[free] = rest.nonzero()[0]
+        start = int(at[0])
+        positions[start:] = positions[source[start:]]
         for rows in (self.features, self.labels):
             rows.setflags(write=True)
-        self.features[lo:] = self.features[lo:].take(row_of[positions], axis=0)
-        self.labels[lo : lo + n] = record[positions[:n]]
+        self.features[lo + start :] = self.features[lo:].take(source[start:], axis=0)
+        self.labels[lo + start : lo + n] = record[positions[start:n]]
         for rows in (self.features, self.labels):
             rows.setflags(write=False)
-        self._positions = positions
         h = self.n_holdout
         self._train_batch = LabeledBatch(self.features[h : lo + n], self.labels[h : lo + n])
-
-    @property
-    def labeled_size(self) -> int:
-        """Original labels, holdout included, plus injected ones."""
-        return self._pool_row + self.n_injected
-
-    @property
-    def unlabeled_remaining(self) -> int:
-        return self.injected_labels.size - self.n_injected
-
-    # Exact integer counts: count / size is the same correctly rounded
-    # quotient as the mean of a bool mask.
-    @property
-    def injected_fraction(self) -> float:
-        """Share of the original unlabeled pool already pseudo-labeled."""
-        if self.injected_labels.size == 0:
-            return 1.0
-        return self.n_injected / self.injected_labels.size
 
     def train_batch(self) -> LabeledBatch:
         """`train`, then the injected samples in pool order: read-only views
@@ -261,12 +267,34 @@ class DeviceDataset:
     def pending_features(self):
         """(pool positions, features) of the samples not yet injected, in pool
         order: read-only views, valid until the next `inject`."""
-        n = self.n_injected
+        n = self.table[INJECTED, self.column]
         return self._positions[n:], self.features[self._pool_row + n :]
 
     def pool_features(self) -> np.ndarray:
         """Every pool row's features in pool order, pending or injected (a copy)."""
         return self.features[self._pool_row :][np.argsort(self._positions)]
+
+
+def population(devices: list, edge_ids) -> np.ndarray:
+    """The population table of `devices`, in list order, with their edges
+    `edge_ids`: each device's counts move into its column."""
+    table = np.concatenate([d.table[:, d.column, None] for d in devices], axis=1)
+    table[EDGE] = edge_ids
+    for k, dev in enumerate(devices):
+        dev.table, dev.column = table, k
+    return table
+
+
+def labeled_sizes(table: np.ndarray) -> np.ndarray:
+    """Each device's labeled rows: holdout, train and injected."""
+    return table[HOLDOUT] + table[TRAIN] + table[INJECTED]
+
+
+def injected_fractions(table: np.ndarray) -> np.ndarray:
+    """Each device's share of its pool pseudo-labeled, 1.0 for an empty pool
+    (count / size is rounded once, as the mean of a bool mask is)."""
+    pool = table[POOL]
+    return np.divide(table[INJECTED], pool, out=np.ones(pool.shape), where=pool > 0)
 
 
 def labeled_split(

@@ -6,28 +6,20 @@ injects the samples that model labels with confidence at or above the
 threshold. Injected labels are frozen; the device's training workload
 grows accordingly, which feeds back into scheduling.
 
-The one scoring kernel of `models`, which also scores `loss`, `gradient`
-and `evaluate`, scores both sides of a selection through
-`models.pool_predictions`. A labeling phase does its candidate work once
-per candidate set: `holdout_accuracies` scores the holdouts of every device
-that has the set in one pass, in device order, and returns a
-(devices, candidates) array, each accuracy the share of predicted classes
-that match the labels. Accuracy ranks first, so only the contenders, the
-candidates tied at a device's best accuracy, can be chosen; the phase
-takes each device's best accuracy and contenders from the array, and runs
-every device's contenders over its pool in one more pass, each pool read
-before its device injects. `select_best_model` takes one device's contender ids,
-their accuracy and their pool predictions, and only ranks: by coverage,
-one count per contender, then by the lowest model id. It hands back the
-chosen model's id, holdout accuracy and coverage, whose product enters the
-reported objective, and its pool predictions, which go on to
-`pseudo_label` so that it does not run that model again.
+A labeling phase does its candidate work once per candidate set, through
+the one scoring kernel of `models`: `holdout_accuracies` scores every
+holdout against the set, accuracy ranks first, and only the contenders (the
+candidates tied at a device's best accuracy) run over the device's pool,
+read before the device injects. `select_best_model` then only ranks them,
+and the chosen model's pool predictions go on to `pseudo_label`, so that no
+model runs twice.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import groupby, repeat
 
 import numpy as np
 
@@ -113,19 +105,32 @@ def holdout_accuracies(devices: list, candidates: dict) -> np.ndarray:
     """(devices, candidates) array: each device's holdout accuracy of every
     candidate, in the given orders, with the bits `models.evaluate` gives
     each pair. One `pool_predictions` pass scores the holdouts, one item per
-    device, in the given order. An accuracy is the count of predicted
-    classes that match the labels over the holdout's rows. Errors name this
-    function."""
+    device, in the given order; the label hits of each run of holdouts of
+    one length are counted by one compare and one reduce. An accuracy is the
+    count of predicted classes that match the labels over the holdout's
+    rows. Errors name this function."""
     if not devices:
         raise ValueError("holdout_accuracies requires at least one device")
     scorers = list(candidates.values())
     holdouts = [_scored_holdout(dev) for dev in devices]
-    scored = pool_predictions(((scorers, h.features) for h in holdouts), "holdout_accuracies")
+    scored = pool_predictions(zip(repeat(scorers), [h.features for h in holdouts]),
+                              "holdout_accuracies")
+    lengths = [h.labels.shape[0] for h in holdouts]
     hits = np.empty((len(holdouts), len(scorers)), dtype=np.intp)
-    for row, holdout, (classes, _) in zip(hits, holdouts, scored):
-        np.add.reduce(classes == holdout.labels, axis=1, dtype=np.intp, out=row)
+    # Each run's classes are copied, block by block as the pass yields them,
+    # into one table of the smallest integer type: the pass holds one block.
+    small = np.min_scalar_type(max([m.dim_out for m in scorers], default=0))
+    lo = 0
+    for n, run in groupby(lengths):
+        hi = lo + len(list(run))
+        classes = np.empty((hi - lo, len(scorers), n), dtype=small)
+        for row, (predicted, _) in zip(classes, scored):
+            row[...] = predicted
+        labels = np.array([h.labels for h in holdouts[lo:hi]])[:, None]
+        np.add.reduce(classes == labels, axis=2, dtype=np.intp, out=hits[lo:hi])
+        lo = hi
     # Exact counts: count / n is rounded once, as the mean of the bools is.
-    return hits / np.array(list(map(len, holdouts)))[:, None]
+    return hits / np.array(lengths)[:, None]
 
 
 def select_best_model(device: DeviceDataset, ids: list, phi: float, accuracy: float,
@@ -174,16 +179,6 @@ def inject(device: DeviceDataset, batch: PseudoLabelBatch) -> int:
         )
     device.inject(batch.indices, batch.labels)
     return len(batch)
-
-
-def labeling_accuracy(device: DeviceDataset):
-    """Fraction of injected labels matching hidden truth; None before any
-    injection or when the truth is unknown (the metric is undefined, not
-    zero)."""
-    if device.n_known == 0:
-        return None
-    # Exact counts: the correctly rounded quotient, as the bool mean gives.
-    return device.n_correct / device.n_known
 
 
 def objective_value(device_losses: dict, utilities: dict, lam: float) -> float:

@@ -6,105 +6,57 @@ float64 vector so that averaging, cosine similarity, and upload-size
 accounting all operate on the same object.
 
 Ragged stacks. ``sgd_train``, ``gradient``, ``evaluate`` and ``loss`` take
-a list of K same-shape models and a list of K nonempty batches of any
-lengths, and return a list of K results, one per (model, batch) pair; a
-gradient is a flat float64 vector. Each pair gets the bits it gets alone;
-``tests/test_models_stacked.py`` checks this against a verbatim copy of
-the per-device code. A matmul's BLAS result can depend on its row
-count (splitting the rows changed bits for d=32, c=10 and for d=20, h=32,
-c=10), so every matmul runs on one batch's own ``(n, d)`` rows, alone or as
-a slice of a stacked operand, which numpy runs through the same BLAS call
-with the same strides. The rest works within one sample (softmax, log, the
-pick) or one batch (means, ``x.T @ delta``, column sums), so it may run
-over all pairs at once.
-Training takes the class-major softmax too, on a contiguous copy of each
-step's logits. With the in-place forward and backward passes, on one core,
-a fedavg-128 round of ``sgd_train`` (64 MLP devices of 160 rows, d=8, h=16,
-c=4) ran 1.17-1.23x faster than row-wise; a step of a few rows pays for the
-copy (one one-row device, or two MLP devices of 3 and 5 rows: 1-6% slower).
-The ``(epochs, rows)`` shuffle table starts as the table's row indices in
-every epoch. Each device, in input order, shuffles its own columns in place
-with one ``permuted`` call on its generator: the ``(epochs, n)`` rows in
-turn, with the draws of one ``permutation(n)`` call per epoch, so no copy
-and no offsets are added. The generators are taken one at a time, so the
-orchestrator passes one reused generator re-stated per device
-(``seeding.streams``) instead of building a ``SeedSequence`` and a
-``PCG64`` per device (about 17 us a device). At each step position, each run of
-devices whose minibatch has the same size takes one ``_grads`` step
-through views of its slice of the ``(K, P)`` weights.
-
-Training takes one stack per round: every participating device goes into
-one ``sgd_train`` call, which copies each device's rows into one table.
-Against chunks of 16, the benchmark's peak RSS (seed 0, two runs each, one
-core) went from 46.4 to 48.7 MiB on fedavg-128 (64 MLP devices train per
-round), 74.9 to 75.3 MiB on selflabel-64 and 65.4 to 66.5 MiB on split-512.
-The batches themselves are views of each device's rows
-(``DeviceDataset.train_batch``): no caller gathers or caches them, so no
-injected row is stored twice.
+K same-shape models and K nonempty batches of any lengths and return K
+results, each with the bits its (model, batch) pair gets alone
+(``tests/test_models_stacked.py`` checks this against the per-device code).
+A matmul's BLAS result can depend on its row count, so every matmul runs on
+one batch's own ``(n, d)`` rows, alone or as a slice of a stacked operand
+with the same strides; the rest works within one sample or one batch, so it
+may run over all pairs at once. Training takes a round's devices in one
+``sgd_train`` call over views of their rows (``DeviceDataset.train_batch``),
+with the class-major softmax on a copy of each step's logits. Each device
+shuffles its own columns of the ``(epochs, rows)`` table of row indices in
+place with one ``permuted`` call, the draws of one ``permutation(n)`` per
+epoch, and each run of devices whose minibatch has the same size takes one
+``_grads`` step through views of its slice of the ``(K, P)`` weights.
 
 Scoring kernel. ``loss``, ``gradient``, ``evaluate`` and
 ``pool_predictions`` (``confidences`` is its one-pool form) share one
-kernel. Its unit is an item: a list of K same-shape models and one ``(n,
-d)`` feature matrix; a (model, batch) pair is an item of K = 1, and a
-(models, pool) group of a labeling phase an item of its contenders.
-- Runs. Adjacent items with the same n and K form a run, scored as one
-  ``(r, 1, n, d) @ W`` matmul in which each (rows, model) pair keeps its
-  own ``(n, d) @ (d, c)`` BLAS call. A run shares its weights exactly when
-  all its items carry one weights array (a pair's ``(P,)`` vector or a
-  group's ``(K, P)`` stack), W of ``(d, c)`` or ``(K, d, c)``; otherwise W
-  stacks each item's own, ``(r, K, d, c)``. So the holdouts of one length
-  that a labeling phase scores against one candidate set are one matmul:
-  on one core, the 512 holdouts of 4 rows of a split-512 round (d=8, c=4)
-  against 61 candidates took a median 9.4 ms stacked against 13.5 ms as
-  one matmul per device (41 alternating runs), with the same bits.
-- Blocks. ``_blocks`` cuts the items, in order, into blocks of at most
-  ``SOFTMAX_BLOCK`` activations, K·n·(c + hidden) an item (a row's logits
-  and hidden units); a larger item runs alone, and one of K > 1 models in
-  chunks of whole models that fit a block, each starting one, so that
-  their logits are read back from cache. A call holds one block at a
-  time, since a batch can hold a device's whole pool: one unblocked pass
-  scoring the holdouts of all 512 devices of split-512 against 61
-  candidates raised one replica's peak RSS from 55 to 65.5 MiB. The hidden units count because the
-  blocks' size is also their speed: on one core, fedavg-128's metrics
-  (one MLP, h=16, c=4, over 128 devices) took a median 6.7 ms in blocks of
-  32,768 logits, against 5.3 ms in chunks of 16 devices and 5.2 ms in
-  blocks of 32,768 activations. The chunks: on one core (numpy 2.4.6,
-  OpenBLAS, d=16), K=12, c=6, n=5,000 took 3.0 ms in blocks of 32,768
-  values, against 6.8 ms unblocked and 4.7 ms for one call per model; at
-  K=38, c=33, the chunks take as long as one call per model (55 ms
-  logistic, 71 ms with h=16), where one matmul over all 38 models took 72
-  and 95 ms.
-- The table. ``_table`` writes a block's logits into one class-major ``(c,
-  N)`` table, item after item and, within an item, model after model, for
-  one softmax (see "Class-major softmax"); it keeps each run's weight
-  views, features and hidden units for ``gradient``'s backward pass. Each
-  pair's loss, accuracy or gradient comes from its own columns (a run's
-  loss means from one row-wise sum of its ``(r, n)`` values, which adds each
-  row as a sum of that row alone does), each pool's predictions from its
-  own. Pairs come in any order: they are ordered stably by length and
-  answered in input order. Pools are scored in the order given, so that a
-  caller may use a pool's predictions before a later block is read: over
-  256 pools of 40-80 rows (d=8, c=4), one pass took 4.6 ms against 10.3 ms
-  for a call per device with 1-2 contenders each, and 23.4 against 23.7 ms
-  with 1-39, where the matmuls and ``exp`` dominate.
+kernel over items, each K same-shape models and one ``(n, d)`` matrix: a
+(model, batch) pair is an item of K = 1, a labeling phase's (models, pool)
+group an item of its contenders.
+- Runs. Adjacent items of one n and K are one ``(r, 1, n, d) @ W`` matmul
+  in which each (rows, model) pair keeps its own ``(n, d) @ (d, c)`` BLAS
+  call. W is shared exactly when the items carry one weights array (a
+  pair's ``(P,)`` vector or a group's ``(K, P)`` stack), else it stacks
+  each item's own, so the holdouts of one length scored against one
+  candidate set are one matmul.
+- Blocks. ``_blocks`` cuts the items into blocks of at most
+  ``SOFTMAX_BLOCK`` activations (hidden units count, since a block's size
+  is also its speed; an item of many models goes in chunks of whole
+  models), so a call holds one block at a time even when a batch is a pool.
+- The table. ``_table`` writes a block's logits class-major, item after
+  item and model after model, and keeps each run's weight views, features
+  and hidden units for ``gradient``. Each pair's result comes from its own
+  columns (a run's loss means from one row-wise sum, which adds each row as
+  it is alone), each pool's from its own. Pairs are ordered stably by
+  length and answered in input order; pools are scored in the order given,
+  so a caller may use a pool's predictions before a later block is read.
+CHANGES.md holds the timings behind these choices.
 
 Class-major softmax. The ``(n, c)`` logits are transposed to ``(c, n)``, so
-that each softmax step is a few long vector operations instead of n
-reductions over c values. The max, the subtraction, ``exp``, ``log`` (the
-same contiguous kernels) and the division are exact or elementwise, which
-leaves the sum. numpy sums a contiguous row of c values pairwise: below 8
-values from left to right; up to 128 into eight accumulators
-``r[j] = a[j] + a[j+8] + ...`` over the whole blocks of 8, combined as
-``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the leftover values from left
-to right; above 128 it splits at half the count, rounded down to a multiple
-of 8, and adds the two halves' sums. ``_pairwise_sum`` adds the class rows
-in that order, so every class count gets the row-wise bits. The predicted
-class is the first index of the highest probability (logits that differ may
-round to equal probabilities), found without ``argmax`` along the class
-axis, which copies the table transposed (9 ms against 1 ms at K=38, c=6,
-n=5,000): the first class whose probability is not below the sample's
-highest. A NaN sample (from NaN weights) has every class "not below" its
-NaN maximum, so it gets class 0, as ``argmax`` gives it.
+that each softmax step is a few long vector operations. Everything but the
+sum is exact or elementwise, and ``_pairwise_sum`` adds the class rows in
+the order numpy sums a contiguous row of c values: below 8 from left to
+right; up to 128 into eight accumulators ``r[j] = a[j] + a[j+8] + ...``
+over the whole blocks of 8, combined as
+``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the leftovers from left to
+right; above 128 as the sums of two halves split at half the count, rounded
+down to a multiple of 8. So every class count gets the row-wise bits. The
+predicted class is the first whose probability is not below the sample's
+highest (logits that differ may round to equal probabilities; ``argmax``
+along the class axis would copy the table transposed), and a NaN sample
+(from NaN weights) gets class 0, as ``argmax`` gives it.
 ``tests/test_labeling_oracle.py`` checks this against the row-wise code.
 """
 
@@ -276,8 +228,8 @@ def _check_features(p: ModelParams, features: np.ndarray):
 
 def _stacked_features(p: ModelParams, features) -> np.ndarray:
     """(r, n, d) float64 stack of r feature matrices of n rows, checked once
-    as a whole: a lone matrix's view or one copy (`np.array` copies as
-    `np.stack`, 2x faster for 35 matrices of 16 x 36 values, numpy 2.4.6)."""
+    as a whole: a lone matrix's view or one copy (`np.array`, faster than
+    `np.stack`)."""
     if len(features) == 1:
         return _check_features(p, features[0])[None]
     try:
@@ -295,7 +247,7 @@ def _scored_in_blocks(models, batches, caller: str, score) -> list:
     order: score(first model, table, labels, rows, runs) of a block's
     `_table` gives one per pair of the block (see "Scoring kernel")."""
     first = _first_model(models, caller)
-    lengths = list(map(len, batches))
+    lengths = [b.labels.shape[0] for b in batches]
     if not lengths or min(lengths) == 0:
         raise ValueError(f"{caller} requires a nonempty batch")
     if len(models) != len(batches):
@@ -444,9 +396,11 @@ def sgd_train(models, batches, epochs: int, batch_size: int, lr: float, seeds) -
         raise ValueError("learning rate must be > 0")
     first = _first_model(models, "sgd_train")
     k = len(batches)
-    # Longest first: the devices still training at a step are a prefix.
-    order = sorted(range(k), key=lambda i: -len(batches[i]))
-    lengths = [len(batches[i]) for i in order]
+    # Longest first, ties in input order (a reversed sort is stable): the
+    # devices still training at a step are a prefix.
+    lengths = [b.labels.shape[0] for b in batches]
+    order = sorted(range(k), key=lengths.__getitem__, reverse=True)
+    lengths = [lengths[i] for i in order]
     if not lengths or lengths[-1] == 0:
         raise ValueError("sgd_train requires a nonempty batch")
     if len(models) != k:
@@ -493,14 +447,14 @@ def sgd_train(models, batches, epochs: int, batch_size: int, lr: float, seeds) -
 
 
 def _first_model(models, caller: str) -> ModelParams:
-    """The first of a nonempty list of same-shape models."""
+    """The first of a nonempty list of same-shape models, each distinct
+    model checked once."""
     if not models:
         raise ValueError(f"{caller} requires at least one model")
-    first = models[0]
-    if any((m.dim_in, m.dim_out, m.hidden) != (first.dim_in, first.dim_out, first.hidden)
-           for m in models):
+    distinct = dict(zip(map(id, models), models)).values()
+    if len({(m.dim_in, m.dim_out, m.hidden) for m in distinct}) > 1:
         raise ValueError(f"{caller}: models with different shapes cannot be stacked")
-    return first
+    return models[0]
 
 
 def evaluate(models, batches) -> list:

@@ -102,7 +102,7 @@ class ScheduleEntry:
 
     @property
     def participating(self) -> tuple:
-        return tuple(d for d in self.selected if d not in self.dropped)
+        return tuple([d for d in self.selected if d not in self.dropped])
 
     @property
     def idle(self) -> bool:
@@ -111,7 +111,7 @@ class ScheduleEntry:
     @property
     def round_s(self) -> float:
         """The slowest participating device's estimate; 0.0 when idle."""
-        return max((self.est_times[d] for d in self.participating), default=0.0)
+        return max([self.est_times[d] for d in self.participating], default=0.0)
 
 
 def device_round_time(
@@ -138,27 +138,34 @@ def schedule_round(
     net: NetworkConfig,
     subchannels: int,
     radios: list,
-    workloads: dict,
+    gains,
+    workloads,
     payload_bits: float,
     epochs: int,
     fading: dict | None = None,
 ) -> ScheduleEntry:
     """Pick up to `subchannels` (Q) of the edge's eligible `radios`,
-    fastest estimated round time first.
+    fastest estimated round time first. `gains` (see `path_gains`),
+    `workloads` and `fading` give each device's path-loss gain, training
+    samples and fading multiplier by device id.
 
     Every scheduled device gets one sub-channel (beta = 1/Q). The
     deadline is kappa times the median selected estimate, or a fixed
     configured value; estimates above it are dropped before training.
     """
+    if fading is not None and min(fading.values(), default=0.0) < 0:
+        raise ValueError("fading multipliers must be >= 0")
     beta = 1.0 / subchannels
+    band = beta * net.bandwidth_hz
+    # device_round_time's sum, by the same operations in the same order.
     est = {}
     for radio in radios:
-        mult = 1.0 if fading is None else fading[radio.device_id]
-        t_cmp, t_com = device_round_time(
-            radio, beta, net, payload_bits, epochs, workloads[radio.device_id], mult,
-        )
-        est[radio.device_id] = t_cmp + t_com
-    order = sorted(est, key=lambda d: (est[d], d))
+        k = radio.device_id
+        mult = 1.0 if fading is None else fading[k]
+        rate = band * math.log2(1.0 + gains[k] * mult * radio.power_w / net.noise_w)
+        est[k] = (epochs * workloads[k] * net.cycles_per_sample / radio.f_hz
+                  + (payload_bits / rate if rate else math.inf))
+    order = [d for _, d in sorted(zip(est.values(), est))]
     selected = tuple(sorted(order[:subchannels]))
     if not selected:
         return ScheduleEntry((), beta, 0.0, (), est)
@@ -166,7 +173,7 @@ def schedule_round(
         deadline = float(net.deadline_s)
     else:
         deadline = net.deadline_kappa * float(np.median([est[d] for d in selected]))
-    dropped = tuple(d for d in selected if est[d] > deadline)
+    dropped = tuple([d for d in selected if est[d] > deadline])
     return ScheduleEntry(selected, beta, deadline, dropped, est)
 
 
@@ -192,6 +199,12 @@ def sample_radios(edge_ids: list, seed, net: NetworkConfig) -> list:
             )
         )
     return radios
+
+
+def path_gains(radios: list, net: NetworkConfig) -> dict:
+    """{device id: path-loss gain} of each radio under `net`: a constant."""
+    g0 = db_to_linear(net.ref_gain_db)
+    return {r.device_id: channel_gain(r.distance_m, g0, net.ref_distance_m) for r in radios}
 
 
 def rayleigh_fading(device_ids, rng: np.random.Generator) -> dict:

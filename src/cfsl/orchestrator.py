@@ -7,6 +7,12 @@ cluster, test split conditions on a cadence, refresh the shared global
 model from devices still in unsplit clusters, check for cloud-level
 merges, then account the round's wall-clock time. Every step is
 deterministic given the run seed.
+
+A round reads each device's counts from the population table
+(`data.population`) and its leaf from `ClusterTree.leaf_of`, as arrays:
+its bookkeeping takes no call per device, and selection, pseudo-labeling
+and injection one each per selecting device. Every mean and aggregate
+keeps the bits of the per-device loops that `tests/references.py` holds.
 """
 
 from __future__ import annotations
@@ -16,23 +22,22 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations, compress, groupby
 
 import numpy as np
 
 from .clustering import (
-    ACTIVE,
     ClusterTree,
     bipartition,
     check_split_conditions,
     similarity_matrix,
 )
 from .config import ExperimentConfig
+from .data import CORRECT, INJECTED, KNOWN, POOL, injected_fractions, labeled_sizes, population
 from .errors import StateError
 from .labeling import (
     holdout_accuracies,
     inject,
-    labeling_accuracy,
     objective_value,
     pseudo_label,
     select_best_model,
@@ -46,7 +51,7 @@ from .models import (
     pool_predictions,
     sgd_train,
 )
-from .network import rayleigh_fading, round_time, schedule_round
+from .network import path_gains, rayleigh_fading, round_time, schedule_round
 from .seeding import TRAIN_STREAM, fading_seed, init_seed, streams
 
 log = logging.getLogger(__name__)
@@ -79,25 +84,29 @@ class MetricsRow:
 def edge_aggregate(models: list, weights: list) -> ModelParams:
     """Weighted average of flat parameter vectors, weights normalized by
     their sum. Callers pass contributors in ascending id order so the
-    accumulation is bit-reproducible."""
+    accumulation, a running sum from zero, is bit-reproducible."""
     if not models or len(models) != len(weights):
         raise ValueError("models and weights must be nonempty and aligned")
-    w = np.array([float(x) for x in weights])
+    w = np.array(weights, dtype=float)
     if np.any(w <= 0):
         raise ValueError("aggregation weights must be positive")
     first = models[0]
-    for m in models[1:]:
-        if (m.dim_in, m.dim_out, m.hidden) != (first.dim_in, first.dim_out, first.hidden):
-            raise ValueError("cannot aggregate models with different shapes")
-    wn = w / w.sum()
-    acc = np.zeros_like(first.weights)
-    for wi, m in zip(wn, models):
-        acc += wi * m.weights
-    return first.with_weights(acc)
+    if len({(m.dim_in, m.dim_out, m.hidden) for m in models}) > 1:
+        raise ValueError("cannot aggregate models with different shapes")
+    terms = np.zeros((len(models) + 1, first.weights.size))
+    np.multiply((w / w.sum())[:, None], [m.weights for m in models], out=terms[1:])
+    return first.with_weights(np.add.accumulate(terms)[-1])
 
 
-# Types `jsonable` returns as they are.
+# Types `jsonable` returns as they are; a float too, when finite.
 _PLAIN = frozenset({int, str, bool, type(None)})
+
+
+def _whole(values) -> bool:
+    """Whether `jsonable` returns `values` as they are: all plain, or all
+    floats of a finite sum (so none is infinite or NaN)."""
+    types = set(map(type, values))
+    return types <= _PLAIN or (types == {float} and -math.inf < sum(values) < math.inf)
 
 
 def jsonable(obj):
@@ -105,21 +114,22 @@ def jsonable(obj):
     become Python values, infinities the strings "inf" and "-inf".
 
     Leaves dispatch on the exact type: plain values and finite floats come
-    back as they are, without a call per element of a container, and a
-    dict or list of plain keys and values is copied whole."""
+    back as they are, and a dict or list of such keys and values is copied
+    whole, without a call per element."""
     t = type(obj)
     if t in _PLAIN or (t is float and -math.inf < obj < math.inf):
         return obj
     if isinstance(obj, dict):
-        # `issuperset` stops at the first value of another type.
-        if _PLAIN.issuperset(map(type, obj.values())) and _PLAIN.issuperset(map(type, obj)):
+        if _whole(obj.values()) and _whole(obj):
             return dict(obj)
         return {
-            k if type(k) in _PLAIN else jsonable(k): v if type(v) in _PLAIN else jsonable(v)
+            k if type(k) in _PLAIN else jsonable(k):
+            v if type(v) in _PLAIN or type(v) is float and -math.inf < v < math.inf
+            else jsonable(v)
             for k, v in obj.items()
         }
     if isinstance(obj, (list, tuple)):
-        if _PLAIN.issuperset(map(type, obj)):
+        if _whole(obj):
             return list(obj)
         return [v if type(v) in _PLAIN else jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
@@ -173,6 +183,9 @@ class Simulation:
         self.devices = list(devices)
         self.radios = list(radios)
         self.config = config
+        # The devices' counts, which each `inject` keeps up, and path gains.
+        self.population = population(self.devices, [r.edge_id for r in self.radios])
+        self.gains = path_gains(self.radios, config.network)
         self.use_global_model = config.run.baseline == "hfl-ssl"
 
         self.global_model = init_params(
@@ -195,11 +208,9 @@ class Simulation:
         self.last_label_round: dict = {}
         # Holdout accuracy times coverage of each device's last chosen labeler.
         self.utilities: dict = {}
-        self.label_crossing = {
-            d.device_id: 0.0
-            for d in self.devices
-            if d.injected_fraction >= LABEL_DONE_FRACTION
-        }
+        # When each device first had LABEL_DONE_FRACTION of its pool labeled.
+        self.label_crossing = np.where(
+            injected_fractions(self.population) >= LABEL_DONE_FRACTION, 0.0, np.nan)
         self.termination_reason = None
 
     # ------------------------------------------------------------ helpers
@@ -207,11 +218,11 @@ class Simulation:
     def _event(self, payload: dict):
         self.events.append(jsonable(payload))
 
-    def _model_of(self, node):
-        """The model the members of current leaf `node` run: the shared
-        global model before their cluster ever split, else the cluster's
-        own specialized model."""
-        return node.model if self.tree.is_specialized(node) else self.global_model
+    def _leaf_models(self) -> dict:
+        """{current leaf id: the model its members run}: the shared global
+        model before their cluster ever split, else the cluster's own."""
+        return {n.cluster_id: n.model if self.tree.is_specialized(n) else self.global_model
+                for n in self.tree.leaves()}
 
     def global_hash(self) -> str:
         return hashlib.sha256(
@@ -245,21 +256,21 @@ class Simulation:
         since = r - self.config.ssl.label_interval
         if since < 0:
             return {}
+        pending = (self.population[POOL] > self.population[INJECTED]).tolist()
+        recent = {k for k, last in self.last_label_round.items() if last > since}
         return {
-            e: [k for k in members
-                if self.devices[k].unlabeled_remaining
-                and self.last_label_round.get(k, since) <= since]
+            e: [k for k in members if pending[k] and k not in recent]
             for e, members in enumerate(self.edge_members)
             if candidates_of_edge[e]
             and (self.use_global_model or not self.tree.root_of_edge(e).is_leaf)
         }
 
-    def _aggregate(self, r: int, scope: str, cluster, members: list, trained: dict):
-        """Sample-weighted average of the members' trained models, logged
-        as an `aggregate` event with the normalized weights."""
-        weights = [self.devices[k].labeled_size for k in members]
+    def _aggregate(self, r: int, scope: str, cluster, members: list, trained: dict, sizes):
+        """The members' trained models averaged by their labeled `sizes`,
+        logged as an `aggregate` event with the normalized weights."""
+        weights = sizes[members]
         model = edge_aggregate([trained[k] for k in members], weights)
-        wn = np.array(weights, dtype=float)
+        wn = weights.astype(float)
         self._event({
             "type": "aggregate", "round": r, "scope": scope, "cluster": cluster,
             "contributors": list(members), "weights": (wn / wn.sum()).tolist(),
@@ -314,18 +325,19 @@ class Simulation:
             rng = np.random.default_rng(fading_seed(self.config.run.seed, r))
             fading = rayleigh_fading([d.device_id for d in self.devices], rng)
 
-        leaf_at_training = {
-            d.device_id: self.tree.cluster_of(d.device_id) for d in self.devices
-        }
+        # Each device's leaf as the round begins (the tree replaces the array).
+        leaf = self.tree.leaf_of.tolist()
+        models = self._leaf_models()
+        active = {n.cluster_id for n in self.tree.active_leaves()}
+        workloads = labeled_sizes(self.population).tolist()
 
         # (1) scheduling per edge
         schedules = []
         for e, members in enumerate(self.edge_members):
-            eligible = [k for k in members if leaf_at_training[k].status == ACTIVE]
+            eligible = [k for k in members if leaf[k] in active]
             entry = schedule_round(
-                net, self.subchannels[e], [self.radios[k] for k in eligible],
-                {k: self.devices[k].labeled_size for k in eligible},
-                self.payload_bits, tr.epochs, fading,
+                net, self.subchannels[e], [self.radios[k] for k in eligible], self.gains,
+                workloads, self.payload_bits, tr.epochs, fading,
             )
             schedules.append(entry)
             self._event({
@@ -340,26 +352,25 @@ class Simulation:
 
         # (2) local training from each device's cluster model
         trained = self._train({
-            k: self._model_of(leaf_at_training[k])
-            for entry in schedules for k in entry.participating
+            k: models[leaf[k]] for entry in schedules for k in entry.participating
         }, r)
 
         # (3) labeling phase
         if self.config.ssl.enabled:
             self._labeling_phase(r)
+        sizes = labeled_sizes(self.population)
 
         # (4) aggregation per cluster (for an unsplit root this is the edge
         # aggregate; injected samples already count toward the weights)
-        by_cluster = defaultdict(list)
-        for k in sorted(trained):
-            by_cluster[leaf_at_training[k].cluster_id].append(k)
-        pre_split = [k for k in sorted(trained)
-                     if not self.tree.is_specialized(leaf_at_training[k])]
+        ids = sorted(trained)
+        by_cluster = {cid: list(ks) for cid, ks in
+                      groupby(sorted(ids, key=leaf.__getitem__), key=leaf.__getitem__)}
+        unsplit = {cid for cid in by_cluster if not self.tree.is_specialized(self.tree.node(cid))}
+        pre_split = [k for k in ids if leaf[k] in unsplit]
 
-        for cid in sorted(by_cluster):
-            node = self.tree.node(cid)
-            scope = "cluster" if self.tree.is_specialized(node) else "edge"
-            node.model = self._aggregate(r, scope, cid, by_cluster[cid], trained)
+        for cid, members in by_cluster.items():
+            scope = "edge" if cid in unsplit else "cluster"
+            self.tree.node(cid).model = self._aggregate(r, scope, cid, members, trained, sizes)
         idle = [n.cluster_id for n in self.tree.active_leaves()
                 if n.members and n.cluster_id not in by_cluster]
         if idle:
@@ -371,7 +382,7 @@ class Simulation:
 
         # (6) cloud refresh of the shared model from unsplit-cluster devices
         if pre_split:
-            self.global_model = self._aggregate(r, "global", None, pre_split, trained)
+            self.global_model = self._aggregate(r, "global", None, pre_split, trained, sizes)
 
         # (7) cloud similarity check over specialized models, on the same
         # cadence as splits so fresh clusters train before being compared
@@ -383,20 +394,20 @@ class Simulation:
         drops = sum(len(entry.dropped) for entry in schedules)
         self.cumulative_time_s += duration
 
-        for dev in self.devices:
-            k = dev.device_id
-            if k not in self.label_crossing and dev.injected_fraction >= LABEL_DONE_FRACTION:
-                self.label_crossing[k] = self.cumulative_time_s
+        injected = injected_fractions(self.population)
+        crossed = np.isnan(self.label_crossing) & (injected >= LABEL_DONE_FRACTION)
+        self.label_crossing[crossed] = self.cumulative_time_s
 
         specialized = len(self.tree.specialized())
-        row = self._emit_metrics(r, drops, specialized)
+        row = self._emit_metrics(r, drops, specialized, injected)
         self._event({
             "type": "round", "round": r, "duration_s": duration,
             "cumulative_time_s": self.cumulative_time_s,
             "global_hash": self.global_hash(),
             "specialized": specialized,
-            "tree": self.tree.snapshot(),
         })
+        # A new list of plain values: strict JSON as it is.
+        self.events[-1]["tree"] = self.tree.snapshot()
         self.round_no = r
         return row
 
@@ -455,7 +466,7 @@ class Simulation:
                     "source_model": mid,
                     # The bits of `mean`, without its Python-level wrapper.
                     "mean_confidence": float(np.add.reduce(batch.confidences)) / added,
-                    "pool_remaining": dev.unlabeled_remaining,
+                    "pool_remaining": feats.shape[0] - added,
                 })
 
     def _split_checks(self, r: int):
@@ -463,11 +474,14 @@ class Simulation:
         # leaf's signals are taken first.
         leaves = [node for node in self.tree.active_leaves() if node.members]
         signals = self._split_signals(leaves, r)
+        sizes = labeled_sizes(self.population)
         for node in leaves:
             grads = signals[node.cluster_id]
             members = list(grads)
-            weights = {k: self.devices[k].labeled_size for k in members}
-            norms = [float(np.linalg.norm(g)) for g in grads.values()]
+            weights = dict(zip(members, sizes[members].tolist()))
+            # Each norm as `np.linalg.norm` takes it: the root of a dot.
+            v = np.array(list(grads.values()))
+            norms = np.sqrt((v[:, None] @ v[:, :, None])[:, 0, 0])
             eps1, eps2 = self.config.clustering.eps1, self.config.clustering.eps2
             if eps1 is None:
                 eps1 = RELATIVE_EPS1_FACTOR * float(np.mean(norms))
@@ -485,7 +499,7 @@ class Simulation:
                     log.warning("cluster %d: split conditions met with a single member, skipping",
                                 node.cluster_id)
                     continue
-                if any(n == 0 for n in norms):
+                if norms.min() == 0:
                     log.warning("cluster %d: zero-norm member gradient, skipping split in round %d",
                                 node.cluster_id, r)
                     continue
@@ -520,6 +534,7 @@ class Simulation:
             centered[n.cluster_id] = v
         if len(centered) < 2:
             return
+        sizes = labeled_sizes(self.population)
         sim = similarity_matrix(centered)
         # Union-find over matrix positions, which ascend with cluster id; the
         # roots, in order, set the order of the merges and so their new ids.
@@ -542,9 +557,7 @@ class Simulation:
                 continue
             group = [sim.ids[i] for i in groups[root]]
             nodes = [self.tree.node(c) for c in group]
-            weights = [
-                sum(self.devices[k].labeled_size for k in n.members) for n in nodes
-            ]
+            weights = [sizes[list(n.members)].sum() for n in nodes]
             merged_model = edge_aggregate([n.model for n in nodes], weights)
             acted = not self.config.clustering.merge_log_only
             event = {
@@ -561,39 +574,42 @@ class Simulation:
         """(test accuracies, train losses) of the devices, in device order,
         each under its own model: one `evaluate` call over every test set
         and one `loss` call over every train batch."""
-        models = [self._model_of(self.tree.cluster_of(d.device_id)) for d in self.devices]
+        by_leaf = self._leaf_models()
+        models = [by_leaf[c] for c in self.tree.leaf_of.tolist()]
         return (evaluate(models, [d.test for d in self.devices]),
                 loss(models, [d.train_batch() for d in self.devices]))
 
-    def _emit_metrics(self, r: int, drops: int, clusters: int) -> MetricsRow:
+    def _emit_metrics(self, r: int, drops: int, clusters: int, injected: np.ndarray) -> MetricsRow:
+        """The round's metrics row, given each device's `injected` fraction:
+        every mean is `np.mean`'s over the devices' values in device order."""
         accs, losses = self._device_scores()
-        device_losses = dict(zip((d.device_id for d in self.devices), losses))
-
+        by_device = np.array(losses)
         for node in self.tree.active_leaves():
-            vals = [device_losses[k] for k in node.members]
-            self.loss_history[node.cluster_id].append(float(np.mean(vals)))
+            # The bits of `np.mean` over the members' losses, in member order.
+            members = by_device[list(node.members)]
+            self.loss_history[node.cluster_id].append(float(np.add.reduce(members) / members.size))
 
-        lab = [labeling_accuracy(d) for d in self.devices]
-        present = [v for v in lab if v is not None]
-        lab_mean = float(np.mean(present)) if present else None
-        injected = float(np.mean([d.injected_fraction for d in self.devices]))
-        objective = objective_value(device_losses, self.utilities, self.config.ssl.lam)
-        latency = float(np.mean([
-            self.label_crossing.get(d.device_id, self.cumulative_time_s)
-            for d in self.devices
-        ]))
+        pop = self.population
+        known = pop[KNOWN] > 0
+        # Exact counts: the correctly rounded quotient, as the bool mean gives.
+        lab = pop[CORRECT][known] / pop[KNOWN][known]
+        objective = objective_value(dict(enumerate(losses)), self.utilities,
+                                    self.config.ssl.lam)
+        crossing = self.label_crossing
+        latency = np.where(np.isnan(crossing), self.cumulative_time_s, crossing)
+        accs = np.array(accs)
         row = MetricsRow(
             round_no=r,
             cumulative_time_s=self.cumulative_time_s,
-            acc_min=float(np.min(accs)),
-            acc_mean=float(np.mean(accs)),
-            acc_max=float(np.max(accs)),
-            labeling_accuracy_mean=lab_mean,
-            injected_fraction=injected,
+            acc_min=float(accs.min()),
+            acc_mean=float(accs.mean()),
+            acc_max=float(accs.max()),
+            labeling_accuracy_mean=float(lab.mean()) if lab.size else None,
+            injected_fraction=float(injected.mean()),
             clusters=clusters,
             objective=float(objective),
             drops=drops,
-            mean_labeling_latency_s=latency,
+            mean_labeling_latency_s=float(latency.mean()),
         )
         self.metrics.append(row)
         return row

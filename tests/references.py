@@ -22,6 +22,15 @@ kernels cannot also change the reference they are checked against.
 round, from its simulation and its strict-JSON events: the config fuzz
 runs it after every drawn config that runs.
 
+`ref_edge_aggregate` is the aggregation loop whose bits
+`orchestrator.edge_aggregate` keeps. `model_of` is the model a device
+runs, found through its leaf. `counts` reads a device's column of its
+population table; `labeled_size`, `unlabeled_remaining`,
+`labeling_accuracy` and `injected_fraction` derive a device's counts from
+its rows and injection record instead, as the per-device properties and
+function that the table replaced defined them. `ref_metrics_row` is the
+metrics pass as it ran device by device.
+
 `NON_FINITE_NETWORK` lists `[network]` values whose latency or radio terms
 are not finite floats, each with the key the config must reject it under;
 `INFINITE_FLOATS` lists the float keys outside `[network]` that must be
@@ -43,8 +52,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from cfsl import labeling
+from cfsl.data import INJECTED
 from cfsl.errors import StateError
-from cfsl.models import LabeledBatch, ModelParams, param_count, pool_predictions
+from cfsl.labeling import objective_value
+from cfsl.models import LabeledBatch, ModelParams, evaluate, loss, param_count, pool_predictions
+from cfsl.orchestrator import LABEL_DONE_FRACTION, MetricsRow
 from cfsl.seeding import TRAIN_STREAM
 
 
@@ -110,7 +122,94 @@ def check_run_invariants(sim, events: list):
     for e in events:
         if e["type"] == "injection":
             injected[e["device"]] += e["count"]
-    assert [d.n_injected for d in sim.devices] == [injected[k] for k in devices]
+    assert [counts(d)[INJECTED] for d in sim.devices] == [injected[k] for k in devices]
+    assert [d.injected_labels.size - unlabeled_remaining(d) for d in sim.devices] == [
+        injected[k] for k in devices]
+
+
+def ref_edge_aggregate(models: list, weights: list) -> np.ndarray:
+    """The weights of `orchestrator.edge_aggregate` as a loop adds them:
+    from zero, each normalized weight times its model in turn."""
+    w = np.array([float(x) for x in weights])
+    acc = np.zeros_like(models[0].weights)
+    for wi, m in zip(w / w.sum(), models):
+        acc += wi * m.weights
+    return acc
+
+
+def model_of(sim, device_id: int):
+    """The model a device of `sim` runs: the shared global model before its
+    cluster ever split, else its cluster's own specialized model."""
+    node = sim.tree.cluster_of(device_id)
+    return node.model if sim.tree.is_specialized(node) else sim.global_model
+
+
+def counts(dev):
+    """The device's column of its population table, its counts indexed by
+    `data.HOLDOUT` ... `data.DISTRIBUTION`."""
+    return dev.table[:, dev.column]
+
+
+def labeled_size(dev) -> int:
+    """Original labels, holdout included, plus injected ones."""
+    return len(dev.holdout) + len(dev.train_batch())
+
+
+def unlabeled_remaining(dev) -> int:
+    """Pool positions not yet pseudo-labeled."""
+    return int(np.count_nonzero(dev.injected_labels < 0))
+
+
+def labeling_accuracy(dev):
+    """Share of the injected labels that match a known truth; None while
+    none has one."""
+    injected = dev.injected_labels >= 0
+    truth = dev.hidden_truth[injected]
+    known = truth >= 0
+    if not known.any():
+        return None
+    return float((dev.injected_labels[injected][known] == truth[known]).mean())
+
+
+def injected_fraction(dev) -> float:
+    """Share of the original unlabeled pool already pseudo-labeled."""
+    size = dev.injected_labels.size
+    return (size - unlabeled_remaining(dev)) / size if size else 1.0
+
+
+def ref_metrics_row(sim, crossing: dict) -> tuple:
+    """(`MetricsRow`, {leaf id: loss mean}) of `sim`'s last round, by the
+    per-device list expressions the metrics pass used before the population
+    table. `crossing` is {device: time its pool first reached
+    `LABEL_DONE_FRACTION`}, which this keeps up first, as the round did."""
+    cum = sim.cumulative_time_s
+    for dev in sim.devices:
+        if dev.device_id not in crossing and injected_fraction(dev) >= LABEL_DONE_FRACTION:
+            crossing[dev.device_id] = cum
+    models = [model_of(sim, d.device_id) for d in sim.devices]
+    accs = evaluate(models, [d.test for d in sim.devices])
+    losses = loss(models, [d.train_batch() for d in sim.devices])
+    device_losses = dict(zip((d.device_id for d in sim.devices), losses))
+    leaf_means = {node.cluster_id: float(np.mean([device_losses[k] for k in node.members]))
+                  for node in sim.tree.active_leaves()}
+    lab = [labeling_accuracy(d) for d in sim.devices]
+    present = [v for v in lab if v is not None]
+    row = MetricsRow(
+        round_no=sim.round_no,
+        cumulative_time_s=cum,
+        acc_min=float(np.min(accs)),
+        acc_mean=float(np.mean(accs)),
+        acc_max=float(np.max(accs)),
+        labeling_accuracy_mean=float(np.mean(present)) if present else None,
+        injected_fraction=float(np.mean([injected_fraction(d) for d in sim.devices])),
+        clusters=len(sim.tree.specialized()),
+        objective=float(objective_value(device_losses, sim.utilities, sim.config.ssl.lam)),
+        drops=sum(len(e["dropped"]) for e in sim.events
+                  if e["type"] == "schedule" and e["round"] == sim.round_no),
+        mean_labeling_latency_s=float(np.mean([crossing.get(d.device_id, cum)
+                                               for d in sim.devices])),
+    )
+    return row, leaf_means
 
 
 def zero_params(dim_in: int, dim_out: int, hidden: int = 0) -> ModelParams:
@@ -202,7 +301,7 @@ def _ref_select_best_model(device, candidates: dict, phi: float, accuracy: list,
 
 def _ref_label_trigger(sim, device_id: int, r: int) -> bool:
     dev = sim.devices[device_id]
-    if dev.unlabeled_remaining == 0:
+    if unlabeled_remaining(dev) == 0:
         return False
     last = sim.last_label_round.get(device_id)
     if last is not None and r - last < sim.config.ssl.label_interval:
@@ -266,7 +365,7 @@ def ref_labeling_phase(sim, r: int):
                 "type": "injection", "round": r, "device": k, "count": added,
                 "source_model": mid,
                 "mean_confidence": float(batch.confidences.mean()),
-                "pool_remaining": dev.unlabeled_remaining,
+                "pool_remaining": unlabeled_remaining(dev),
             })
 
 

@@ -37,7 +37,7 @@ from cfsl.network import (
     upload_time,
 )
 from cfsl.orchestrator import edge_aggregate
-from references import exhaustive_bipartition, max_cross, training_seed
+from references import exhaustive_bipartition, labeled_size, max_cross, training_seed
 
 logging.disable(logging.WARNING)
 
@@ -532,7 +532,7 @@ def test_criterion_09_pre_split_matches_flat_averaging():
                               [training_seed(cfg.run.seed, r, k)])[0]
                     for k in ks
                 ]
-                sizes = [ref.devices[k].labeled_size for k in ks]
+                sizes = [labeled_size(ref.devices[k]) for k in ks]
                 model = edge_aggregate(updates, sizes)
             digest = hashlib.sha256(
                 np.ascontiguousarray(model.weights).tobytes()).hexdigest()

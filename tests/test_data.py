@@ -9,14 +9,26 @@ import pytest
 from cfsl.config import DataConfig
 from cfsl.errors import StateError
 from cfsl.data import (
+    CORRECT,
+    DISTRIBUTION,
+    EDGE,
+    HOLDOUT,
+    INJECTED,
+    KNOWN,
+    POOL,
+    TRAIN,
     DeviceDataset,
     csv_devices,
+    injected_fractions,
+    labeled_sizes,
     load_csv_dataset,
     make_task_universe,
     partition_devices,
+    population,
 )
 from cfsl.labeling import _scored_holdout
 from cfsl.models import LabeledBatch
+from references import counts
 
 
 def small_universe(seed=0, mode="label-permutation", dists=2, classes=4):
@@ -148,8 +160,8 @@ def test_partition_fully_labeled_edge():
     for dev in devices:
         assert len(dev.train) + len(dev.holdout) == 30
         assert dev.pool_features().shape[0] == 0
-        assert dev.injected_fraction == 1.0
-        assert dev.unlabeled_remaining == 0
+        assert injected_fractions(dev.table)[dev.column] == 1.0
+        assert counts(dev)[POOL] == counts(dev)[INJECTED] == 0
         check_counts_match_mask(dev)
 
 
@@ -230,7 +242,7 @@ def test_train_batch_includes_injections_in_pool_order():
     dev.inject([7, 2], [dev.class_whitelist[0], dev.class_whitelist[1]])
     train = dev.train_batch()
     assert len(train) == 12
-    assert dev.labeled_size == 12
+    assert labeled_sizes(dev.table)[dev.column] == 12
     assert np.array_equal(train.features[-2], dev.pool_features()[2])
     assert np.array_equal(train.features[-1], dev.pool_features()[7])
     assert train.labels[-2] == dev.class_whitelist[1]
@@ -240,16 +252,19 @@ def test_train_batch_includes_injections_in_pool_order():
 def check_counts_match_mask(dev):
     """The injection counts against their mask-reduction definitions."""
     mask = dev.injected_labels >= 0
-    assert type(dev.n_injected) is int and dev.n_injected == int(mask.sum())
-    assert type(dev.unlabeled_remaining) is int
-    assert dev.unlabeled_remaining == int((~mask).sum())
+    row = counts(dev)
+    assert dev.table.dtype == np.int64 and dev.table.shape[0] == 8
+    assert (row[HOLDOUT], row[TRAIN]) == (len(dev.holdout), len(dev.train))
+    assert row[INJECTED] == int(mask.sum()) and row[POOL] == mask.size
+    assert row[POOL] - row[INJECTED] == int((~mask).sum())
     want = float(mask.mean()) if mask.size else 1.0
-    assert type(dev.injected_fraction) is float and dev.injected_fraction == want
+    assert injected_fractions(dev.table)[dev.column] == want
     assert len(dev.train_batch()) == len(dev.train) + int(mask.sum())
+    assert labeled_sizes(dev.table)[dev.column] == len(dev.holdout) + len(dev.train_batch())
     truth = dev.hidden_truth[mask]
     known = truth >= 0
-    assert dev.n_known == int(known.sum())
-    assert dev.n_correct == int((dev.injected_labels[mask][known] == truth[known]).sum())
+    assert row[KNOWN] == int(known.sum())
+    assert row[CORRECT] == int((dev.injected_labels[mask][known] == truth[known]).sum())
 
 
 def reference_train_batch(dev):
@@ -273,7 +288,27 @@ def test_injection_counts_equal_mask_reductions_under_inject():
     rest = np.flatnonzero(dev.injected_labels < 0)[::-1]
     dev.inject(rest, dev.hidden_truth[rest])
     check_counts_match_mask(dev)
-    assert dev.injected_fraction == 1.0 and dev.unlabeled_remaining == 0
+    assert injected_fractions(dev.table)[dev.column] == 1.0
+    assert counts(dev)[POOL] == counts(dev)[INJECTED]
+
+
+def test_population_holds_every_device_row_and_inject_keeps_it_up():
+    u = small_universe(seed=21)
+    devices = partition(u, 3, 40, 0.25, seed=21)
+    built = [counts(d).tolist() for d in devices]
+    table = population(devices, [1, 0, 1])
+    assert table.shape == (8, 3) and all(d.table is table for d in devices)
+    assert [d.column for d in devices] == [0, 1, 2]
+    assert table[EDGE].tolist() == [1, 0, 1]
+    assert table[DISTRIBUTION].tolist() == [d.distribution_id for d in devices]
+    # Every count but the edge is the device's own.
+    for column, own in zip(table.T.tolist(), built):
+        assert column[:EDGE] + column[EDGE + 1:] == own[:EDGE] + own[EDGE + 1:]
+    devices[1].inject([5, 0], [devices[1].class_whitelist[0]] * 2)
+    devices[2].inject([3], [devices[2].class_whitelist[1]])
+    assert table[INJECTED].tolist() == [0, 2, 1]
+    for dev in devices:
+        check_counts_match_mask(dev)
 
 
 def test_injection_state_is_read_only_outside_inject():
@@ -292,7 +327,7 @@ def test_inject_rejects_a_negative_label():
     for labels in ([-1], [dev.class_whitelist[0], -2]):
         with pytest.raises(ValueError, match="negative"):
             dev.inject([3, 4][:len(labels)], labels)
-        assert dev.n_injected == 0 and np.all(dev.injected_labels == -1)
+        assert counts(dev)[INJECTED] == 0 and np.all(dev.injected_labels == -1)
 
 
 def test_inject_rejects_a_repeated_or_injected_position_and_changes_nothing():
@@ -300,7 +335,9 @@ def test_inject_rejects_a_repeated_or_injected_position_and_changes_nothing():
     dev = DeviceDataset(0, np.zeros((6, 2)), np.array([0, 1, 0, 1, 0, 1]), 0, 2, 0, (0, 1))
 
     def state():
-        return dev.n_injected, dev.n_known, dev.n_correct, dev.injected_labels.tolist()
+        row = counts(dev)
+        return (int(row[INJECTED]), int(row[KNOWN]), int(row[CORRECT]),
+                dev.injected_labels.tolist())
 
     dev.inject([3], [1])
     before = state()
@@ -344,9 +381,10 @@ def test_injected_fraction_is_the_rounded_mean_for_every_count():
             built = device(size)
             built.inject(np.flatnonzero(mask), 0)
             for d in (dev, built):
-                assert d.injected_fraction == float(mask.mean())
-                assert d.n_injected == count and d.unlabeled_remaining == size - count
-                assert d.n_known == d.n_correct == count
+                row = counts(d)
+                assert injected_fractions(d.table)[d.column] == float(mask.mean())
+                assert row[INJECTED] == count and row[POOL] - row[INJECTED] == size - count
+                assert row[KNOWN] == row[CORRECT] == count
 
 
 def test_train_batch_equals_its_definition_with_and_without_injections():
@@ -471,7 +509,8 @@ def run_inject_sequence(dev, seed, ref=None):
     before = layout(dev)
     dev.inject([], [])
     assert layout(dev) == before
-    assert dev.injected_fraction == 1.0 and dev.unlabeled_remaining == 0
+    assert injected_fractions(dev.table)[dev.column] == 1.0
+    assert counts(dev)[POOL] == counts(dev)[INJECTED]
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -25,7 +25,7 @@ from cfsl.labeling import inject, pseudo_label
 from cfsl.models import gradient, sgd_train
 from cfsl.network import dbm_to_watts, device_round_time
 from cfsl.seeding import sweep_seed
-from references import training_seed
+from references import training_seed, unlabeled_remaining
 
 BASE = """
 [topology]
@@ -481,7 +481,7 @@ def test_label_latency_is_the_pool_inference_time_and_only_logged(tmp_path, monk
     select = orchestrator.select_best_model
 
     def recording_select(device, *args):
-        pending.append(device.unlabeled_remaining)
+        pending.append(unlabeled_remaining(device))
         return select(device, *args)
 
     monkeypatch.setattr(orchestrator, "select_best_model", recording_select)

@@ -7,19 +7,26 @@ import numpy as np
 import pytest
 
 from cfsl.config import DataConfig
-from cfsl.data import make_task_universe, partition_devices
+from cfsl.data import CORRECT, INJECTED, KNOWN, POOL, make_task_universe, partition_devices
 from cfsl.errors import StateError
 from cfsl.labeling import (
     PseudoLabelBatch,
     inject,
-    labeling_accuracy,
     objective_value,
     pseudo_label,
     select_best_model,
     utility,
 )
 from cfsl.models import LabeledBatch, ModelParams, evaluate, sgd_train
-from references import record_pool_passes, select_alone, zero_params
+from references import (
+    counts,
+    labeled_size,
+    labeling_accuracy,
+    record_pool_passes,
+    select_alone,
+    unlabeled_remaining,
+    zero_params,
+)
 from cfsl.network import compute_time
 
 
@@ -214,15 +221,16 @@ def test_selection_tie_on_accuracy_goes_to_higher_coverage(monkeypatch):
 def test_inject_moves_counts_per_sum_rule():
     u, devices = device_with_pool(seed=11, labeled_fraction=0.25, samples=40)
     dev = devices[0]
-    pool_before = dev.unlabeled_remaining
+    pool_before = unlabeled_remaining(dev)
     batch = PseudoLabelBatch(
         dev.device_id, np.arange(5), np.array([dev.class_whitelist[0]] * 5),
         np.full(5, 0.99), phi=0.8,
     )
     added = inject(dev, batch)
     assert added == 5
-    assert dev.labeled_size == 10 + 5
-    assert dev.unlabeled_remaining == pool_before - 5
+    assert labeled_size(dev) == 10 + 5
+    assert unlabeled_remaining(dev) == pool_before - 5
+    assert counts(dev)[INJECTED] == 5 and counts(dev)[POOL] == pool_before
     # Conservation: originals plus pool size never change.
     assert len(dev.train) + len(dev.holdout) + dev.injected_labels.size == 40
 
@@ -230,10 +238,11 @@ def test_inject_moves_counts_per_sum_rule():
 def test_inject_empty_batch_is_noop():
     u, devices = device_with_pool(seed=12)
     dev = devices[0]
-    before = dev.labeled_size
+    before = labeled_size(dev)
     batch = pseudo_label(zero_params(3, 4), np.zeros((0, 3)), 0.4, device_id=dev.device_id)
     assert inject(dev, batch) == 0
-    assert dev.labeled_size == before
+    assert labeled_size(dev) == before
+    assert counts(dev)[INJECTED] == 0
 
 
 def test_inject_rejects_reinjection_and_bad_indices():
@@ -262,12 +271,12 @@ def test_inject_rejects_reinjection_and_bad_indices():
 def test_inject_increases_compute_time():
     u, devices = device_with_pool(seed=14)
     dev = devices[0]
-    before = compute_time(5, dev.labeled_size, 20, 1e9)
+    before = compute_time(5, labeled_size(dev), 20, 1e9)
     batch = PseudoLabelBatch(dev.device_id, np.array([0, 1]),
                              np.array([dev.class_whitelist[0]] * 2),
                              np.array([0.9, 0.9]), 0.5)
     inject(dev, batch)
-    assert compute_time(5, dev.labeled_size, 20, 1e9) > before
+    assert compute_time(5, labeled_size(dev), 20, 1e9) > before
 
 
 # ---------------------------------------------------------------- accuracy metric
@@ -276,7 +285,7 @@ def test_inject_increases_compute_time():
 def test_labeling_accuracy_undefined_then_counts():
     u, devices = device_with_pool(seed=15)
     dev = devices[0]
-    assert labeling_accuracy(dev) is None
+    assert labeling_accuracy(dev) is None and counts(dev)[KNOWN] == 0
     truth = dev.hidden_truth[:4]
     labels = truth.copy()
     labels[3] = [c for c in dev.class_whitelist if c != truth[3]][0]
@@ -284,6 +293,7 @@ def test_labeling_accuracy_undefined_then_counts():
                              np.full(4, 0.9), 0.5)
     inject(dev, batch)
     assert labeling_accuracy(dev) == 0.75
+    assert (counts(dev)[KNOWN], counts(dev)[CORRECT]) == (4, 3)
 
 
 def test_labeling_accuracy_perfect_and_adversarial():
@@ -306,9 +316,9 @@ def test_labeling_accuracy_perfect_and_adversarial():
     bad = pseudo_label(foreign, feats2, phi=0.9, device_id=dev.device_id,
                        pool_indices=idx2)
     if len(bad):
-        correct_before = labeling_accuracy(dev) * dev.n_injected
+        correct_before = labeling_accuracy(dev) * counts(dev)[INJECTED]
         inject(dev, bad)
-        wrong_share = (dev.n_injected - correct_before) / dev.n_injected
+        wrong_share = (counts(dev)[INJECTED] - correct_before) / counts(dev)[INJECTED]
         assert wrong_share > 0
 
 

@@ -20,7 +20,7 @@ import pytest
 from cfsl.config import parse_config
 from cfsl.experiment import build_simulation
 from cfsl.orchestrator import jsonable
-from references import ref_labeling_phase
+from references import counts, labeled_size, ref_labeling_phase, unlabeled_remaining
 
 SPLIT_HEAVY = """
 [topology]
@@ -145,7 +145,7 @@ def device_state(sim) -> list:
         arrays = (dev.features, dev.labels, dev.injected_labels, dev.hidden_truth, idx, feats,
                   batch.features, batch.labels)
         state.append(([(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
-                      repr((dev.n_injected, dev.n_known, dev.n_correct, dev.labeled_size))))
+                      repr((counts(dev).tolist(), labeled_size(dev)))))
     return state
 
 
@@ -167,7 +167,7 @@ def check_phases(sim) -> dict:
         seen["injections"] += sum(e["type"] == "injection" for e in new)
         seen["candidates"] = max([seen["candidates"]]
                                  + [len(e["z"]) for e in new if e["type"] == "selection"])
-        seen["empty pools"] |= {d.device_id for d in sim.devices if d.unlabeled_remaining == 0}
+        seen["empty pools"] |= {d.device_id for d in sim.devices if unlabeled_remaining(d) == 0}
         sim.run_round()
         sim.termination_reason = sim.check_termination()
     return seen
@@ -200,7 +200,7 @@ def test_csv_devices_ragged_holdouts_and_empty_pools(tmp_path, caplog, holdout):
     sim = build_simulation(parse_config(csv_config(tmp_path, holdout)))
     lengths = {len(d.holdout) for d in sim.devices}
     assert lengths == ({2, 3} if holdout else {0})
-    assert sum(d.unlabeled_remaining == 0 for d in sim.devices) == 3
+    assert sum(unlabeled_remaining(d) == 0 for d in sim.devices) == 3
     with caplog.at_level(logging.WARNING, logger="cfsl.labeling"):
         seen = check_phases(sim)
     assert seen["selections"] > 0 and seen["injections"] > 0

@@ -12,7 +12,7 @@ import numpy as np
 from cfsl.config import parse_config
 from cfsl.experiment import build_simulation
 from cfsl.models import LabeledBatch
-from references import check_run_invariants, ref_evaluate, ref_loss
+from references import check_run_invariants, model_of, ref_evaluate, ref_loss
 
 SYNTHETIC = """
 [topology]
@@ -53,7 +53,7 @@ def built_copies(sim):
 def reference_scores(sim, copies):
     accs, losses = [], []
     for dev, (train, pool) in zip(sim.devices, copies):
-        model = sim._model_of(sim.tree.cluster_of(dev.device_id))
+        model = model_of(sim, dev.device_id)
         injected = np.flatnonzero(dev.injected_labels >= 0)
         batch = LabeledBatch(np.concatenate([train.features, pool[injected]]),
                              np.concatenate([train.labels, dev.injected_labels[injected]]))
@@ -86,7 +86,7 @@ def test_metrics_match_the_references_through_splits_and_injections():
     kinds = run_checked(sim)
     assert {"split", "injection"} <= kinds
     # The devices ran several models and trained on different row counts.
-    assert len({id(sim._model_of(sim.tree.cluster_of(k))) for k in range(20)}) > 2
+    assert len({id(model_of(sim, k)) for k in range(20)}) > 2
     assert len({len(d.train_batch()) for d in sim.devices}) > 2
 
 

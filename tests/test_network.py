@@ -17,6 +17,7 @@ from cfsl.network import (
     db_to_linear,
     dbm_to_watts,
     device_round_time,
+    path_gains,
     rayleigh_fading,
     round_time,
     sample_radios,
@@ -116,6 +117,13 @@ def test_compute_time_hand_values():
         compute_time(5, 100, 20, 0.0)
 
 
+def test_compute_time_takes_zero_epochs_and_rejects_negative_terms():
+    assert compute_time(0, 100, 20, 1e9) == 0.0
+    for args in ((-1, 100, 20, 1e9), (5, -1, 20, 1e9), (5, 100, -1.0, 1e9)):
+        with pytest.raises(ValueError, match="workload terms"):
+            compute_time(*args)
+
+
 def test_injection_strictly_increases_compute_time():
     rng = np.random.default_rng(1)
     for _ in range(30):
@@ -152,6 +160,15 @@ def test_device_round_time_zero_rate_is_infinite_upload():
     assert math.isinf(t_com)
 
 
+def test_device_round_time_zero_fading_is_infinite_upload():
+    # A faded-out link has rate 0, not an error; only a negative multiplier is.
+    radio = DeviceRadio(0, f_hz=2e9, power_w=0.01, distance_m=4.0, edge_id=0)
+    t_cmp, t_com = device_round_time(radio, 0.5, NET, 3.2e5, 5, 100, fading=0.0)
+    assert t_cmp == 5 * 100 * 20 / 2e9 and t_com == math.inf
+    with pytest.raises(ValueError, match="fading"):
+        device_round_time(radio, 0.5, NET, 3.2e5, 5, 100, fading=-1e-9)
+
+
 # ---------------------------------------------------------------- scheduling
 
 
@@ -161,7 +178,7 @@ def radio(k, f=1e9, p_dbm=10.0, d=4.0, edge=0):
 
 def schedule(q, radios, workloads, payload_bits, net=NET):
     """schedule_round with q sub-channels and 5 epochs."""
-    return schedule_round(net, q, radios, workloads, payload_bits, 5)
+    return schedule_round(net, q, radios, path_gains(radios, net), workloads, payload_bits, 5)
 
 
 def test_schedule_selects_all_when_capacity_allows():
@@ -211,11 +228,33 @@ def test_schedule_empty_eligible_set_is_idle():
 
 
 def test_schedule_estimates_match_device_round_time():
-    radios = [radio(0, f=3e9, d=10.0), radio(1, f=2e9, d=20.0)]
-    entry = schedule(2, radios, {0: 80, 1: 120}, 2e5)
-    for r, load in zip(radios, (80, 120)):
-        t_cmp, t_com = device_round_time(r, 0.5, NET, 2e5, 5, load)
-        assert math.isclose(entry.est_times[r.device_id], t_cmp + t_com, rel_tol=1e-12)
+    # The same operations in the same order: the same bits, with and without
+    # fading, and an infinite estimate for a device faded out.
+    radios = [radio(0, f=3e9, d=10.0), radio(1, f=2e9, d=20.0), radio(2, f=1e9, d=5.0)]
+    loads = {0: 80, 1: 120, 2: 7}
+    for fading in (None, {0: 0.37, 1: 2.9, 2: 0.0}):
+        entry = schedule_round(NET, 2, radios, path_gains(radios, NET), loads, 2e5, 5, fading)
+        for r in radios:
+            mult = 1.0 if fading is None else fading[r.device_id]
+            t_cmp, t_com = device_round_time(r, 0.5, NET, 2e5, 5, loads[r.device_id], mult)
+            assert entry.est_times[r.device_id] == t_cmp + t_com
+    assert entry.est_times[2] == math.inf and entry.selected == (0, 1)
+    # Drawn radios near enough for an SNR of order 1, and a fractional cycle
+    # count, where a reordered product in either time shows in its bits.
+    rng = np.random.default_rng(4)
+    net = replace(NET, cycles_per_sample=17312.7)
+    drawn = [radio(k, f=rng.uniform(1e9, 9e9), p_dbm=rng.uniform(0, 20), d=rng.uniform(2, 4))
+             for k in range(40)]
+    loads = {k: int(rng.integers(1, 500)) for k in range(40)}
+    fading = {k: float(rng.exponential()) for k in range(40)}
+    entry = schedule_round(net, 8, drawn, path_gains(drawn, net), loads, 2e4, 7, fading)
+    for r in drawn:
+        t_cmp, t_com = device_round_time(r, 1 / 8, net, 2e4, 7, loads[r.device_id],
+                                         fading[r.device_id])
+        assert entry.est_times[r.device_id] == t_cmp + t_com
+    with pytest.raises(ValueError, match="fading"):
+        schedule_round(NET, 2, radios, path_gains(radios, NET), loads, 2e5, 5,
+                       {0: 1.0, 1: -0.5, 2: 1.0})
 
 
 # ---------------------------------------------------------------- aggregation

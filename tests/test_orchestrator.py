@@ -22,8 +22,15 @@ from cfsl.config import (
 from cfsl.data import make_task_universe, partition_devices
 from cfsl.errors import StateError
 from cfsl.models import ModelParams, init_params, param_count, sgd_train
-from references import cosine_similarity, zero_params
+from references import (
+    cosine_similarity,
+    labeled_size,
+    ref_edge_aggregate,
+    unlabeled_remaining,
+    zero_params,
+)
 from cfsl.network import sample_radios
+from cfsl import orchestrator
 from cfsl.orchestrator import MetricsRow, Simulation, edge_aggregate
 from cfsl.seeding import TRAIN_STREAM, init_seed, stream_states
 
@@ -53,6 +60,22 @@ def test_aggregate_hand_weighted_mean():
 
 def test_aggregate_symmetric_two_edges_midpoint():
     assert np.allclose(edge_aggregate([flat(0.0), flat(2.0)], [5, 5]).weights, 1.0)
+
+
+def test_aggregate_has_the_bits_of_adding_each_model_in_turn():
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 3, 8, 9, 17, 40):
+        for _ in range(20):
+            models = [ModelParams(rng.normal(size=6) * 10.0 ** rng.integers(-3, 4), 1, 3)
+                      for _ in range(k)]
+            # Signed zeros: +0.0 from the start plus -0.0 terms stays +0.0.
+            models[0].weights[0] = -0.0
+            for m in models:
+                m.weights[1] = -0.0
+            weights = rng.integers(1, 1000, size=k)
+            for ws in (weights, weights.tolist(), (weights / 7).tolist()):
+                got = edge_aggregate(models, ws).weights
+                assert got.tobytes() == ref_edge_aggregate(models, ws).tobytes()
 
 
 def test_aggregate_validates():
@@ -138,6 +161,24 @@ def test_split_recovers_label_permutation_groups():
     assert parts in ([by_dist[0], by_dist[1]], [by_dist[1], by_dist[0]])
     # Specialized clusters converge and reach their stopping point.
     assert len(events_of(sim, "stop")) == 2
+
+
+@pytest.mark.parametrize("eps2", [None, 1.8])
+def test_vanished_gradients_stop_their_cluster(monkeypatch, eps2):
+    # With eps1 unset, a leaf whose every member gradient is exactly zero gets
+    # eps1 = 0 (and eps2 = 0 unless set), which `check_split_conditions`
+    # rejects: the split check stops the leaf instead, with zero norms.
+    spec = ClusteringConfig(enabled=True, eps2=eps2, split_interval=3)
+    sim = make_sim(n_edges=2, clustering=spec, rounds=3, seed=11)
+    monkeypatch.setattr(orchestrator, "gradient",
+                        lambda models, batches: [np.zeros(m.weights.size) for m in models])
+    sim.run()
+    stops = events_of(sim, "stop")
+    roots = [sim.tree.root_of_edge(e).cluster_id for e in (0, 1)]
+    assert [(e["round"], e["cluster"]) for e in stops] == [(3, c) for c in roots]
+    assert all(e["agg_norm"] == e["max_norm"] == 0.0 for e in stops)
+    assert all(sim.tree.node(c).status == STOPPED for c in roots)
+    assert events_of(sim, "split") == [] and sim.termination_reason == "convergence"
 
 
 def test_single_distribution_generous_eps2_never_splits():
@@ -226,7 +267,7 @@ def test_pre_split_trajectory_equals_flat_fedavg(seed):
                       tr.learning_rate, [np.random.SeedSequence([seed, 4, r, k])])[0]
             for k in participating
         ]
-        weights = [sim.devices[k].labeled_size for k in participating]
+        weights = [labeled_size(sim.devices[k]) for k in participating]
         w = edge_aggregate(updates, weights)
         assert hashlib.sha256(w.weights.tobytes()).hexdigest() == hashes[r - 1]
 
@@ -246,7 +287,7 @@ def test_injections_start_only_after_split():
     # after the split, so they become usable labelers the round after that.
     assert min(e["round"] for e in injections) == split_round + 2
     # phi=0 accepts everything, so one pass labels each device's whole pool.
-    assert all(d.unlabeled_remaining == 0 for d in sim.devices)
+    assert all(unlabeled_remaining(d) == 0 for d in sim.devices)
     assert sim.metrics[-1].injected_fraction == 1.0
 
 
@@ -273,7 +314,7 @@ def test_global_model_labeling_mode():
     assert selections
     assert min(e["round"] for e in selections) == 3
     assert all(e["chosen_model"] == -1 for e in selections)
-    assert all(d.unlabeled_remaining == 0 for d in sim.devices)
+    assert all(unlabeled_remaining(d) == 0 for d in sim.devices)
 
 
 def test_stopped_cluster_still_labels_and_stays_a_candidate():
@@ -292,7 +333,7 @@ def test_stopped_cluster_still_labels_and_stays_a_candidate():
     assert {ev["device"] for ev in selections} == set(range(8))
     assert {ev["device"] for ev in events_of(sim, "injection")} == set(range(8))
     assert all(set(ev["z"]) == {stopped, live} for ev in selections)
-    assert all(d.unlabeled_remaining == 0 for d in sim.devices)
+    assert all(unlabeled_remaining(d) == 0 for d in sim.devices)
 
 
 def test_edge_scope_candidates_include_cross_edge_merge():
@@ -488,7 +529,7 @@ def test_merge_groups_are_similarity_components_across_edges(seed):
         assert m["acted"]
         merged = sim.tree.node(m["merged_into"])
         assert merged.members == frozenset().union(*(nodes[c].members for c in group))
-        weights = [sum(sim.devices[k].labeled_size for k in nodes[c].members) for c in group]
+        weights = [sum(labeled_size(sim.devices[k]) for k in nodes[c].members) for c in group]
         want_model = edge_aggregate([nodes[c].model for c in group], weights)
         assert np.array_equal(merged.model.weights, want_model.weights)
         pairs = [(a, b) for a, b, _ in m["similarities"]]
