@@ -99,7 +99,8 @@ def make_task_universe(data, seed) -> TaskUniverse:
 
     Candidate parameter draws are rejected until every pair of
     distributions disagrees on at least 30% of a probe set; after 100
-    failed draws generation gives up.
+    failed draws generation gives up with a `ConfigError` naming
+    `data.distributions`.
     """
     n_distributions, n_classes, dim = data.distributions, data.classes, data.features
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), DATA_STREAM, 0]))
@@ -121,9 +122,11 @@ def make_task_universe(data, seed) -> TaskUniverse:
             for j in range(i + 1, n_distributions)
         ):
             return universe
-    raise ValueError(
-        f"could not generate {n_distributions} distinguishable distributions "
-        f"after {GENERATION_RETRIES} attempts"
+    raise ConfigError(
+        "data.distributions",
+        f"could not generate {n_distributions} distinguishable distributions of "
+        f"{n_classes} classes after {GENERATION_RETRIES} attempts; use fewer "
+        "distributions, or more data.classes",
     )
 
 

@@ -133,18 +133,16 @@ def holdout_accuracies(devices: list, candidates: dict) -> np.ndarray:
     return hits / np.array(lengths)[:, None]
 
 
-def select_best_model(device: DeviceDataset, ids: list, phi: float, accuracy: float,
-                      predictions: tuple):
+def select_best_model(device: DeviceDataset, ids: list, phi: float, predictions: tuple):
     """Pick exactly one of the contenders `ids` for this device.
 
     The contenders are the candidates tied at the device's best holdout
-    accuracy, `accuracy`; `predictions` is their (K, n) (classes,
-    confidences) over the device's pending pool, in `ids` order, as
-    `models.confidences` returns them. They rank by coverage, the share of
-    the pool at or above phi (one count per contender), descending, then by
-    model id ascending. Returns (model id, holdout accuracy, coverage,
-    (classes, confidences) over the pool) of the chosen model;
-    `pseudo_label` takes the last.
+    accuracy; `predictions` is their (K, n) (classes, confidences) over the
+    device's pending pool, in `ids` order, as `models.confidences` returns
+    them. They rank by coverage, the share of the pool at or above phi (one
+    count per contender), descending, then by model id ascending. Returns
+    (model id, coverage, (classes, confidences) over the pool) of the
+    chosen model; `pseudo_label` takes the last.
     """
     if not ids:
         raise StateError(f"device {device.device_id}: no candidate models to select from")
@@ -153,17 +151,15 @@ def select_best_model(device: DeviceDataset, ids: list, phi: float, accuracy: fl
     counts = np.add.reduce(conf >= phi, axis=1, dtype=np.intp).tolist()
     k = min(range(len(ids)), key=lambda j: (-counts[j], ids[j]))
     # Exact counts: the correctly rounded quotient, as the bool mean gives.
-    return ids[k], accuracy, counts[k] / n if n else 0.0, (classes[k], conf[k])
+    return ids[k], counts[k] / n if n else 0.0, (classes[k], conf[k])
 
 
 def utility(model_id: int, model: ModelParams, device: DeviceDataset, phi: float) -> tuple:
     """One candidate's (holdout accuracy, coverage of the remaining pool at
-    threshold phi), as `select_best_model` scores it."""
+    threshold phi), as the labeling phase scores it."""
     accuracy = float(holdout_accuracies([device], {model_id: model})[0, 0])
     predictions = confidences([model], device.pending_features()[1])
-    _, val_accuracy, coverage, _ = select_best_model(device, [model_id], phi, accuracy,
-                                                     predictions)
-    return val_accuracy, coverage
+    return accuracy, select_best_model(device, [model_id], phi, predictions)[1]
 
 
 def inject(device: DeviceDataset, batch: PseudoLabelBatch) -> int:

@@ -1,16 +1,18 @@
 """Wireless latency model: path loss, Shannon rates, scheduling, deadlines.
 
-Closed-form timing only. A device's round cost is local compute time
-(epochs * samples * cycles-per-sample / CPU frequency) plus upload time
-(model bits / achieved rate) on its OFDMA sub-channel. An edge's round
-time, `ScheduleEntry.round_s`, is the slowest participating device's
-estimate; a global round, `round_time`, is the slowest edge that shipped
-anything plus the one cloud hop every edge shares. Broadcast time is
-treated as zero.
+Closed-form timing only, after Yang et al., "Energy Efficient Federated
+Learning Over Wireless Communication Networks" (IEEE TWC 2021): a device's
+round estimate is its local compute time plus its upload at the Shannon
+rate of one OFDMA sub-channel. `schedule_round` computes it, and nothing
+else does. An edge's round time, `ScheduleEntry.round_s`, is the slowest
+participating device's estimate; a global round, `round_time`, is the
+slowest edge that shipped anything plus the one cloud hop every edge
+shares. Broadcast time is treated as zero.
 
 Every setting of the model (band, channel, CPU cycles, deadline rule,
 radio ranges) is read from the validated `[network]` section,
-`config.NetworkConfig`; only a round's sub-channel count is per edge.
+`config.NetworkConfig`, and every radio attribute from a checked
+`DeviceRadio`; only a round's sub-channel count is per edge.
 """
 
 from __future__ import annotations
@@ -37,34 +39,6 @@ def channel_gain(distance_m: float, ref_gain_linear: float, ref_distance_m: floa
     if distance_m <= 0 or ref_distance_m <= 0:
         raise ValueError("distances must be > 0")
     return ref_gain_linear * (ref_distance_m / distance_m) ** 4
-
-
-def data_rate(beta: float, bandwidth_hz: float, gain: float, power_w: float, noise_w: float) -> float:
-    """Shannon rate on a beta-wide slice of the band, in bits/s."""
-    if not 0 < beta <= 1:
-        raise ValueError("beta must be in (0, 1]")
-    if bandwidth_hz <= 0 or noise_w <= 0:
-        raise ValueError("bandwidth and noise power must be > 0")
-    if gain < 0 or power_w < 0:
-        raise ValueError("gain and transmit power must be >= 0")
-    return beta * bandwidth_hz * math.log2(1.0 + gain * power_w / noise_w)
-
-
-def compute_time(epochs: int, n_samples: int, cycles_per_sample: float, f_hz: float) -> float:
-    """Local training time: epochs * samples * cycles / frequency."""
-    if f_hz <= 0:
-        raise ValueError("CPU frequency must be > 0")
-    if epochs < 0 or n_samples < 0 or cycles_per_sample < 0:
-        raise ValueError("workload terms must be >= 0")
-    return epochs * n_samples * cycles_per_sample / f_hz
-
-
-def upload_time(payload_bits: float, rate_bps: float) -> float:
-    if rate_bps <= 0:
-        raise ValueError("rate must be > 0")
-    if payload_bits < 0:
-        raise ValueError("payload must be >= 0")
-    return payload_bits / rate_bps
 
 
 @dataclass(frozen=True)
@@ -114,26 +88,6 @@ class ScheduleEntry:
         return max([self.est_times[d] for d in self.participating], default=0.0)
 
 
-def device_round_time(
-    radio: DeviceRadio,
-    beta: float,
-    net: NetworkConfig,
-    payload_bits: float,
-    epochs: int,
-    workload: int,
-    fading: float = 1.0,
-):
-    """(compute seconds, upload seconds) for one device this round."""
-    if fading < 0:
-        raise ValueError("fading multiplier must be >= 0")
-    gain = channel_gain(radio.distance_m, db_to_linear(net.ref_gain_db), net.ref_distance_m)
-    rate = data_rate(beta, net.bandwidth_hz, gain * fading, radio.power_w, net.noise_w)
-    t_cmp = compute_time(epochs, workload, net.cycles_per_sample, radio.f_hz)
-    if rate == 0:
-        return t_cmp, math.inf
-    return t_cmp, upload_time(payload_bits, rate)
-
-
 def schedule_round(
     net: NetworkConfig,
     subchannels: int,
@@ -142,22 +96,29 @@ def schedule_round(
     workloads,
     payload_bits: float,
     epochs: int,
-    fading: dict | None = None,
+    fading: list | None = None,
 ) -> ScheduleEntry:
     """Pick up to `subchannels` (Q) of the edge's eligible `radios`,
     fastest estimated round time first. `gains` (see `path_gains`),
-    `workloads` and `fading` give each device's path-loss gain, training
-    samples and fading multiplier by device id.
+    `workloads` and `fading` (see `rayleigh_fading`; None is a multiplier
+    of 1) give each device's path-loss gain g, training samples and
+    fading multiplier by device id.
 
-    Every scheduled device gets one sub-channel (beta = 1/Q). The
-    deadline is kappa times the median selected estimate, or a fixed
-    configured value; estimates above it are dropped before training.
+    Every scheduled device gets one sub-channel (beta = 1/Q). A device's
+    estimate, `est_times`, is, evaluated left to right,
+
+        epochs * samples * cycles_per_sample / f
+            + payload_bits / (beta * B * log2(1 + g * fading * p / N0)),
+
+    with B the band, p the transmit power and N0 the noise power; it is
+    infinite when the rate is 0. The deadline is kappa times the median
+    selected estimate, or a fixed configured value; estimates above it are
+    dropped before training.
     """
-    if fading is not None and min(fading.values(), default=0.0) < 0:
+    if fading is not None and min(fading, default=0.0) < 0:
         raise ValueError("fading multipliers must be >= 0")
     beta = 1.0 / subchannels
     band = beta * net.bandwidth_hz
-    # device_round_time's sum, by the same operations in the same order.
     est = {}
     for radio in radios:
         k = radio.device_id
@@ -207,7 +168,7 @@ def path_gains(radios: list, net: NetworkConfig) -> dict:
     return {r.device_id: channel_gain(r.distance_m, g0, net.ref_distance_m) for r in radios}
 
 
-def rayleigh_fading(device_ids, rng: np.random.Generator) -> dict:
-    """Unit-mean exponential power-fading multipliers, one per device,
-    drawn in ascending device order for reproducibility."""
-    return {d: float(rng.exponential(1.0)) for d in sorted(device_ids)}
+def rayleigh_fading(n_devices: int, rng: np.random.Generator) -> list:
+    """Unit-mean exponential power-fading multipliers, indexed by device id:
+    one draw per device, in device order."""
+    return rng.exponential(1.0, n_devices).tolist()

@@ -323,7 +323,7 @@ class Simulation:
         fading = None
         if net.fading == "rayleigh":
             rng = np.random.default_rng(fading_seed(self.config.run.seed, r))
-            fading = rayleigh_fading([d.device_id for d in self.devices], rng)
+            fading = rayleigh_fading(len(self.devices), rng)
 
         # Each device's leaf as the round begins (the tree replaces the array).
         leaf = self.tree.leaf_of.tolist()
@@ -443,7 +443,7 @@ class Simulation:
             dev = self.devices[k]
             idx, feats = pending[k]
             candidates, acc, ids, _, template = plan[k]
-            mid, acc, cov, predictions = select_best_model(dev, ids, ssl.phi, acc, pool_pass)
+            mid, cov, predictions = select_best_model(dev, ids, ssl.phi, pool_pass)
             self.last_label_round[k] = r
             self.utilities[k] = acc * cov
             self._event({

@@ -3,8 +3,8 @@ home of every oracle that more than one test file checks against.
 
 `record_pool_passes` spies on the models that selection runs over a pool.
 `select_alone` feeds `labeling.select_best_model` one device's contender
-ids (`contender_ids`), their holdout accuracy and their pool predictions,
-as a labeling phase does; `holdout_devices` stands devices around bare
+ids (`contender_ids`) and their pool predictions, as a labeling phase does,
+and returns the contenders' holdout accuracy with the choice; `holdout_devices` stands devices around bare
 holdout batches for `labeling.holdout_accuracies`. `ref_labeling_phase`
 is the labeling phase as it ran device by device.
 `cosine_similarity` is the pairwise definition, one `np.dot` per pair,
@@ -239,14 +239,17 @@ def contender_ids(candidates: dict, accuracy: list) -> list:
 
 
 def select_alone(device, candidates: dict, phi: float):
-    """`labeling.select_best_model` of one device on its own: its holdout
-    accuracies, then its contenders over its pending pool in one
-    `labeling.confidences` call (which `record_pool_passes` records)."""
+    """One device's selection on its own: its holdout accuracies, then its
+    contenders over its pending pool in one `labeling.confidences` call
+    (which `record_pool_passes` records), ranked by
+    `labeling.select_best_model`. Returns (model id, holdout accuracy,
+    coverage, (classes, confidences) over the pool) of the chosen model."""
     accuracy = labeling.holdout_accuracies([device], candidates)[0].tolist()
     ids = contender_ids(candidates, accuracy)
     predictions = labeling.confidences([candidates[mid] for mid in ids],
                                        device.pending_features()[1])
-    return labeling.select_best_model(device, ids, phi, max(accuracy), predictions)
+    mid, coverage, chosen = labeling.select_best_model(device, ids, phi, predictions)
+    return mid, max(accuracy), coverage, chosen
 
 
 # The per-device labeling phase, verbatim as `Simulation._labeling_phase`

@@ -22,19 +22,21 @@ import pytest
 
 from cfsl import orchestrator
 from cfsl.clustering import SimilarityMatrix, bipartition
-from cfsl.config import parse_config
+from cfsl.config import NetworkConfig, parse_config
 from cfsl.experiment import build_simulation, run_experiment
 from cfsl.labeling import pseudo_label
 from cfsl.models import LabeledBatch, gradient, init_params, loss, sgd_train
 from cfsl.network import (
+    DeviceRadio,
     ScheduleEntry,
     channel_gain,
-    compute_time,
-    data_rate,
     db_to_linear,
     dbm_to_watts,
+    path_gains,
+    rayleigh_fading,
     round_time,
-    upload_time,
+    sample_radios,
+    schedule_round,
 )
 from cfsl.orchestrator import edge_aggregate
 from references import exhaustive_bipartition, labeled_size, max_cross, training_seed
@@ -68,9 +70,37 @@ def _mp_rel(value, oracle):
     return abs(mpmath.mpf(float(value)) - oracle) / abs(oracle)
 
 
+def _mp_estimate(net, radio, power_w, q, workload, payload, epochs, fading=1.0):
+    """(compute, upload) seconds of one device at 50 digits, from the
+    config's and the radio's values and the transmit power `power_w`."""
+    g_lin = mpmath.mpf(10) ** (mpmath.mpf(net.ref_gain_db) / 10)
+    gain = g_lin * (mpmath.mpf(net.ref_distance_m) / mpmath.mpf(radio.distance_m)) ** 4
+    snr = gain * mpmath.mpf(fading) * power_w / mpmath.mpf(net.noise_w)
+    rate = mpmath.mpf(net.bandwidth_hz) / q * mpmath.log(1 + snr) / mpmath.log(2)
+    t_cmp = (mpmath.mpf(epochs) * workload * mpmath.mpf(net.cycles_per_sample)
+             / mpmath.mpf(radio.f_hz))
+    return t_cmp, mpmath.mpf(payload) / rate
+
+
+def _scheduled_terms(net, radios, q, workloads, payload, epochs, fading=None):
+    """`schedule_round`'s estimate of each radio's upload alone (workload
+    0), compute alone (payload 0) and their sum: [(upload, compute, sum)]."""
+    gains = path_gains(radios, net)
+    idle = {r.device_id: 0 for r in radios}
+
+    def est(loads, bits):
+        return schedule_round(net, q, radios, gains, loads, bits, epochs, fading).est_times
+
+    up, cmp, total = est(idle, payload), est(workloads, 0.0), est(workloads, payload)
+    return [(up[r.device_id], cmp[r.device_id], total[r.device_id]) for r in radios]
+
+
 def test_criterion_01_latency_formula_exactness():
-    """Channel, rate, compute, upload, and round-time formulas agree with
-    a 50-digit reference implementation to 1e-12 relative."""
+    """Channel gain, unit conversions, and `schedule_round`'s estimate term
+    by term (upload alone, compute alone, their sum), on fixed cases and on
+    drawn radios under Rayleigh fading, plus the edge and global round
+    times, agree with a 50-digit reference implementation to 1e-12
+    relative."""
     with criterion(1, "latency formulas match 50-digit oracle (rel <= 1e-12)"):
         start = time.perf_counter()
         rng = np.random.default_rng(20260813)
@@ -99,34 +129,53 @@ def test_criterion_01_latency_formula_exactness():
         assert len(cases) == 20
 
         tol = mpmath.mpf("1e-12")
+
+        def check_terms(got, oracle):
+            (up, cmp, total), (t_cmp, t_up) = got, oracle
+            assert _mp_rel(up, t_up) <= tol
+            assert _mp_rel(cmp, t_cmp) <= tol
+            assert _mp_rel(total, t_cmp + t_up) <= tol
+
         totals = []
         with mpmath.workdps(50):
-            ln2 = mpmath.log(2)
             for c in cases:
                 g_lin = mpmath.mpf(10) ** (mpmath.mpf(c["g_db"]) / 10)
                 p_w = mpmath.mpf(10) ** ((mpmath.mpf(c["p_dbm"]) - 30) / 10)
                 gain = g_lin * (mpmath.mpf(c["d0"]) / mpmath.mpf(c["d"])) ** 4
-                beta = mpmath.mpf(1) / c["q"]
-                snr = gain * p_w / mpmath.mpf(c["N0"])
-                rate = beta * mpmath.mpf(c["B"]) * mpmath.log(1 + snr) / ln2
-                t_cmp = (mpmath.mpf(c["epochs"]) * c["n"] * mpmath.mpf(c["theta"])
-                         / mpmath.mpf(c["f"]))
-                t_up = mpmath.mpf(c["payload"]) / rate
-
                 got_lin = db_to_linear(c["g_db"])
                 got_p = dbm_to_watts(c["p_dbm"])
-                got_gain = channel_gain(c["d"], got_lin, c["d0"])
-                got_rate = data_rate(1.0 / c["q"], c["B"], got_gain, got_p, c["N0"])
-                got_cmp = compute_time(c["epochs"], c["n"], c["theta"], c["f"])
-                got_up = upload_time(c["payload"], got_rate)
-
                 assert _mp_rel(got_lin, g_lin) <= tol
                 assert _mp_rel(got_p, p_w) <= tol
-                assert _mp_rel(got_gain, gain) <= tol
-                assert _mp_rel(got_rate, rate) <= tol
-                assert _mp_rel(got_cmp, t_cmp) <= tol
-                assert _mp_rel(got_up, t_up) <= tol
-                totals.append((got_cmp + got_up, t_cmp + t_up))
+                assert _mp_rel(channel_gain(c["d"], got_lin, c["d0"]), gain) <= tol
+
+                net = NetworkConfig(bandwidth_hz=c["B"], ref_gain_db=c["g_db"],
+                                    ref_distance_m=c["d0"], noise_w=c["N0"],
+                                    cycles_per_sample=c["theta"])
+                radio = DeviceRadio(0, f_hz=c["f"], power_w=got_p, distance_m=c["d"],
+                                    edge_id=0)
+                [got] = _scheduled_terms(net, [radio], c["q"], {0: c["n"]}, c["payload"],
+                                         c["epochs"])
+                # The oracle takes the exact power of the dBm value.
+                oracle = _mp_estimate(net, radio, p_w, c["q"], c["n"], c["payload"],
+                                      c["epochs"])
+                check_terms(got, oracle)
+                totals.append((got[2], sum(oracle)))
+
+            # Drawn radios, as a round schedules them: sampled attributes,
+            # their path gains and one Rayleigh multiplier per device. The
+            # float sum 1 + snr costs the rate about eps / snr of relative
+            # accuracy, so the radios are near and the noise low enough
+            # for an SNR above about 1e-2.
+            net = NetworkConfig(noise_w=1e-9, power_min_dbm=0.0, distance_max_m=10.0,
+                                cycles_per_sample=17312.7)
+            radios = sample_radios([0] * 24, 7, net)
+            fading = rayleigh_fading(24, np.random.default_rng(8))
+            loads = {r.device_id: int(rng.integers(1, 500)) for r in radios}
+            got = _scheduled_terms(net, radios, 8, loads, 2e4, 7, fading)
+            for r, terms in zip(radios, got):
+                check_terms(terms, _mp_estimate(net, r, mpmath.mpf(r.power_w), 8,
+                                                loads[r.device_id], 2e4, 7,
+                                                fading[r.device_id]))
 
             # Edge round time: slowest surviving device; the dropped one
             # must not count. Device ids index into the cases.

@@ -6,8 +6,10 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from cfsl.config import DataConfig
-from cfsl.errors import StateError
+import cfsl.data as data
+from cfsl.config import DataConfig, parse_config
+from cfsl.errors import ConfigError, StateError
+from cfsl.experiment import build_simulation
 from cfsl.data import (
     CORRECT,
     DISTRIBUTION,
@@ -109,6 +111,38 @@ def test_distributions_distinguishable_empirically():
             )
             disagree = (u.nearest_mean_labels(0, x) != u.nearest_mean_labels(1, x)).mean()
             assert disagree >= 0.30
+
+
+def test_too_many_distributions_name_the_key():
+    # Valid as a section, but 4 classes give no 9 label permutations that
+    # pairwise disagree enough: generation gives up naming the key.
+    config = parse_config("[topology]\nedges = 2\ndevices = 6\n"
+                          "[data]\ndistributions = 9\n[run]\nrounds = 1\n")
+    with pytest.raises(ConfigError, match="data.distributions") as err:
+        build_simulation(config)
+    assert err.value.key == "data.distributions"
+
+
+@pytest.mark.parametrize("mode", ["label-permutation", "gaussian-clusters"])
+def test_distinguish_min_is_the_least_accepted_disagreement(monkeypatch, mode):
+    # A disagreement of exactly DISTINGUISH_MIN accepts the first draw, one
+    # probe per pair; one just below it never does.
+    probes = []
+
+    def probe(value):
+        def disagreement(universe, i, j, rng):
+            probes.append((i, j))
+            return value
+        return disagreement
+
+    monkeypatch.setattr(data, "_probe_disagreement", probe(data.DISTINGUISH_MIN))
+    small_universe(mode=mode, dists=3)
+    assert probes == [(0, 1), (0, 2), (1, 2)]
+    monkeypatch.setattr(data, "_probe_disagreement",
+                        probe(float(np.nextafter(data.DISTINGUISH_MIN, 0.0))))
+    with pytest.raises(ConfigError) as err:
+        small_universe(mode=mode, dists=3)
+    assert err.value.key == "data.distributions"
 
 
 # ---------------------------------------------------------------- partition

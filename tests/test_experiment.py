@@ -23,7 +23,7 @@ from cfsl.experiment import (
 )
 from cfsl.labeling import inject, pseudo_label
 from cfsl.models import gradient, sgd_train
-from cfsl.network import dbm_to_watts, device_round_time
+from cfsl.network import dbm_to_watts, schedule_round
 from cfsl.seeding import sweep_seed
 from references import training_seed, unlabeled_remaining
 
@@ -130,11 +130,12 @@ def test_schedule_deadline_follows_the_policy():
 
 
 def upload_times(sim):
-    """Each device's estimated upload time on the whole band of its edge."""
-    return [
-        device_round_time(radio, 1.0, sim.config.network, sim.payload_bits, 1, 1)[1]
-        for radio in sim.radios
-    ]
+    """Each device's estimated upload time on the whole band: its estimate
+    with no training samples."""
+    idle = [0] * len(sim.radios)
+    entry = schedule_round(sim.config.network, 1, sim.radios, sim.gains, idle,
+                           sim.payload_bits, 1)
+    return [entry.est_times[radio.device_id] for radio in sim.radios]
 
 
 def test_ref_gain_db_shortens_every_upload():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cfsl.config import DataConfig
+from cfsl.config import DataConfig, NetworkConfig
 from cfsl.data import CORRECT, INJECTED, KNOWN, POOL, make_task_universe, partition_devices
 from cfsl.errors import StateError
 from cfsl.labeling import (
@@ -18,6 +18,7 @@ from cfsl.labeling import (
     utility,
 )
 from cfsl.models import LabeledBatch, ModelParams, evaluate, sgd_train
+from cfsl.network import DeviceRadio, path_gains, schedule_round
 from references import (
     counts,
     labeled_size,
@@ -27,7 +28,6 @@ from references import (
     unlabeled_remaining,
     zero_params,
 )
-from cfsl.network import compute_time
 
 
 def device_with_pool(seed=0, labeled_fraction=0.25, samples=40, classes=4, dists=2,
@@ -171,7 +171,7 @@ def test_selection_single_candidate_and_empty_error():
     dev = devices[0]
     assert select_alone(dev, {3: zero_params(3, 4)}, 0.4)[0] == 3
     with pytest.raises(StateError):
-        select_best_model(dev, [], 0.4, 0.0, (np.zeros((0, 30), int), np.zeros((0, 30))))
+        select_best_model(dev, [], 0.4, (np.zeros((0, 30), int), np.zeros((0, 30))))
 
 
 def test_selection_ranks_the_given_scores_and_runs_no_model(monkeypatch):
@@ -183,14 +183,13 @@ def test_selection_ranks_the_given_scores_and_runs_no_model(monkeypatch):
     conf = np.array([[0.6, 0.7, 0.5], [0.9, 0.2, 0.5]])
     monkeypatch.setattr("cfsl.labeling.confidences", None)
     monkeypatch.setattr("cfsl.labeling.pool_predictions", None)
-    mid, acc, cov, (got_classes, got_conf) = select_best_model(
-        dev, [6, 4], 0.5, 0.5, (classes, conf))
-    assert (mid, acc, cov) == (6, 0.5, 1.0)
+    mid, cov, (got_classes, got_conf) = select_best_model(dev, [6, 4], 0.5, (classes, conf))
+    assert (mid, cov) == (6, 1.0)
     assert got_classes.tolist() == [1, 1, 3] and got_conf.tolist() == [0.6, 0.7, 0.5]
     # Equal coverage: the lower id.
-    assert select_best_model(dev, [6, 4], 0.65, 0.5, (classes, conf))[:3] == (4, 0.5, 1 / 3)
+    assert select_best_model(dev, [6, 4], 0.65, (classes, conf))[:2] == (4, 1 / 3)
     empty = (np.zeros((2, 0), dtype=np.int64), np.zeros((2, 0)))
-    assert select_best_model(dev, [6, 4], 0.5, 0.5, empty)[:3] == (4, 0.5, 0.0)
+    assert select_best_model(dev, [6, 4], 0.5, empty)[:2] == (4, 0.0)
 
 
 def test_selection_tie_breaks_to_lowest_model_id():
@@ -271,12 +270,21 @@ def test_inject_rejects_reinjection_and_bad_indices():
 def test_inject_increases_compute_time():
     u, devices = device_with_pool(seed=14)
     dev = devices[0]
-    before = compute_time(5, labeled_size(dev), 20, 1e9)
+    radio = DeviceRadio(dev.device_id, f_hz=1e9, power_w=0.01, distance_m=4.0, edge_id=0)
+    net = NetworkConfig(cycles_per_sample=20.0)
+
+    def compute_time():
+        # With no payload the scheduled estimate is the compute time alone.
+        entry = schedule_round(net, 1, [radio], path_gains([radio], net),
+                               {dev.device_id: labeled_size(dev)}, 0.0, 5)
+        return entry.est_times[dev.device_id]
+
+    before = compute_time()
     batch = PseudoLabelBatch(dev.device_id, np.array([0, 1]),
                              np.array([dev.class_whitelist[0]] * 2),
                              np.array([0.9, 0.9]), 0.5)
     inject(dev, batch)
-    assert compute_time(5, labeled_size(dev), 20, 1e9) > before
+    assert compute_time() > before
 
 
 # ---------------------------------------------------------------- accuracy metric

@@ -485,9 +485,10 @@ def test_holdout_accuracies_equal_evaluate_device_by_device(family, k, tmp_path,
                 pytest.MonkeyPatch.context() as mp:
             mp.setattr(labeling, "pool_predictions", None)
             mp.setattr(labeling, "confidences", None)
-            picked = select_best_model(dev, ids, 0.6, max(row), predictions)
+            picked = select_best_model(dev, ids, 0.6, predictions)
         assert not caplog.records
-        assert picked[:3] == select_alone(dev, candidates, 0.6)[:3]
+        mid, _, coverage, _ = select_alone(dev, candidates, 0.6)
+        assert picked[:2] == (mid, coverage)
 
 
 def test_holdout_accuracies_score_ragged_and_reject_empty_batches():
@@ -639,7 +640,8 @@ def batched_phase(phase, phi, accuracy):
     each device's holdout accuracies: one `pool_predictions` pass over
     every device's contenders on its pending pool, consumed in device
     order, each device selecting, pseudo-labeling and injecting before the
-    next is taken. Returns each device's (pool pass, selection, batch)."""
+    next is taken. Returns each device's (pool pass, (model id, holdout
+    accuracy, coverage, predictions), batch)."""
     pending = [dev.pending_features() for dev, _ in phase]
     ids = [contender_ids(candidates, acc) for (_, candidates), acc in zip(phase, accuracy)]
     scored = pool_predictions(
@@ -648,11 +650,11 @@ def batched_phase(phase, phi, accuracy):
     out = []
     for (dev, candidates), contenders, acc, (idx, feats), pool_pass in zip(
             phase, ids, accuracy, pending, scored):
-        selection = select_best_model(dev, contenders, phi, max(acc), pool_pass)
-        mid, predictions = selection[0], selection[3]
+        # The phase keeps each device's best accuracy from its holdout pass.
+        mid, coverage, predictions = select_best_model(dev, contenders, phi, pool_pass)
         batch = pseudo_label(candidates[mid], feats, phi, dev.device_id, idx, predictions)
         inject(dev, batch)
-        out.append((pool_pass, selection, batch))
+        out.append((pool_pass, (mid, max(acc), coverage, predictions), batch))
     return out
 
 

@@ -557,7 +557,8 @@ seed = 4
 def one_device_per_call(monkeypatch):
     """Run the orchestrator's stacked calls one device per call: scoring
     blocks of one pair for `loss`, `gradient` and `evaluate`, pool passes
-    one model at a time, `sgd_train` patched to train one device at a time, and each
+    one model at a time, `sgd_train` patched to train one device at a time,
+    the phase's holdout pass scoring one device per call, and each
     selection scoring its own device's holdout against its edge's
     candidates and running its own pool pass instead of taking the grouped
     accuracies and the phase's pool predictions."""
@@ -573,12 +574,17 @@ def one_device_per_call(monkeypatch):
         offered.update((k, by_edge[radio.edge_id]) for k, radio in enumerate(sim.radios))
         return by_edge
 
-    def selected_alone(device, ids, phi, accuracy, predictions):
-        return select_alone(device, offered[device.device_id], phi)
+    def holdouts_alone(devices, candidates):
+        return np.array([holdout_accuracies([dev], candidates)[0] for dev in devices])
+
+    def selected_alone(device, ids, phi, predictions):
+        mid, _, coverage, chosen = select_alone(device, offered[device.device_id], phi)
+        return mid, coverage, chosen
 
     monkeypatch.setattr(models, "SOFTMAX_BLOCK", 1)
     monkeypatch.setattr(orchestrator, "sgd_train", trained_alone)
     monkeypatch.setattr(orchestrator.Simulation, "_candidate_models", candidate_models)
+    monkeypatch.setattr(orchestrator, "holdout_accuracies", holdouts_alone)
     monkeypatch.setattr(orchestrator, "select_best_model", selected_alone)
 
 

@@ -12,17 +12,13 @@ from cfsl.network import (
     DeviceRadio,
     ScheduleEntry,
     channel_gain,
-    compute_time,
-    data_rate,
     db_to_linear,
     dbm_to_watts,
-    device_round_time,
     path_gains,
     rayleigh_fading,
     round_time,
     sample_radios,
     schedule_round,
-    upload_time,
 )
 
 G0 = db_to_linear(-35.0)
@@ -54,74 +50,68 @@ def test_channel_gain_reference_and_falloff():
         channel_gain(2.0, G0, -1.0)
 
 
+def estimate(radio, q=1, workload=100, payload_bits=3.2e5, net=NET, gain=None):
+    """`schedule_round`'s estimate for one device alone on 1/q of the band
+    and 5 epochs, at its path gain under `net` unless `gain` is given."""
+    gains = path_gains([radio], net) if gain is None else {radio.device_id: gain}
+    entry = schedule_round(net, q, [radio], gains, {radio.device_id: workload}, payload_bits, 5)
+    return entry.est_times[radio.device_id]
+
+
 def test_data_rate_unit_snr():
-    # gain * P / N0 == 1 turns log2(1 + snr) into exactly 1.
-    assert math.isclose(data_rate(1.0, 1e7, 0.5, 2e-6, 1e-6), 1e7, rel_tol=1e-12)
+    # gain * P / N0 == 1 turns log2(1 + snr) into exactly 1: the rate is
+    # the sub-channel's band, B / Q.
+    unit = DeviceRadio(0, f_hz=2e9, power_w=2e-6, distance_m=4.0, edge_id=0)
+    assert estimate(unit, workload=0, payload_bits=1e7, gain=0.5) == 1.0
+    assert estimate(unit, q=4, workload=0, payload_bits=1e7, gain=0.5) == 4.0
 
 
 def test_data_rate_zero_power_and_beta_linearity():
-    assert data_rate(1.0, 1e7, G0, 0.0, 1e-6) == 0.0
-    full = data_rate(1.0, 1e7, G0, 0.01, 1e-6)
-    half = data_rate(0.5, 1e7, G0, 0.01, 1e-6)
-    assert math.isclose(half, full / 2, rel_tol=1e-12)
+    silent = DeviceRadio(0, f_hz=2e9, power_w=0.0, distance_m=4.0, edge_id=0)
+    assert estimate(silent) == math.inf
+    # Half the band, half the rate: twice the upload time.
+    loud = DeviceRadio(0, f_hz=2e9, power_w=0.01, distance_m=4.0, edge_id=0)
+    full = estimate(loud, q=1, workload=0)
+    assert math.isclose(estimate(loud, q=2, workload=0), 2 * full, rel_tol=1e-12)
 
 
 def test_data_rate_monotone():
+    # More band, more power or fewer sub-channels: a higher rate, so a
+    # shorter upload.
     rng = np.random.default_rng(0)
     for _ in range(50):
-        beta = rng.uniform(0.1, 0.9)
-        bw = rng.uniform(1e6, 2e7)
-        p = rng.uniform(1e-4, 0.1)
-        base = data_rate(beta, bw, G0, p, 1e-6)
-        assert data_rate(beta * 1.1, bw, G0, p, 1e-6) > base
-        assert data_rate(beta, bw * 1.1, G0, p, 1e-6) > base
-        assert data_rate(beta, bw, G0, p * 1.1, 1e-6) > base
+        q = int(rng.integers(2, 9))
+        net = replace(NET, bandwidth_hz=rng.uniform(1e6, 2e7))
+        wider = replace(net, bandwidth_hz=net.bandwidth_hz * 1.1)
+        r = DeviceRadio(0, f_hz=2e9, power_w=rng.uniform(1e-4, 0.1), distance_m=10.0, edge_id=0)
+        louder = replace(r, power_w=r.power_w * 1.1)
+        base = estimate(r, q=q, workload=0, net=net)
+        assert estimate(r, q=q - 1, workload=0, net=net) < base
+        assert estimate(r, q=q, workload=0, net=wider) < base
+        assert estimate(louder, q=q, workload=0, net=net) < base
 
 
 def test_data_rate_against_high_precision():
     mpmath.mp.dps = 50
-    beta, bw = 0.5, 1e7
-    gain = channel_gain(10.0, G0, 2.0)
-    power = dbm_to_watts(15.0)
-    got = data_rate(beta, bw, gain, power, 1e-6)
+    r = DeviceRadio(0, f_hz=2e9, power_w=dbm_to_watts(15.0), distance_m=10.0, edge_id=0)
+    got = estimate(r, q=2, workload=0, payload_bits=3.2e5)
     snr = (
         mpmath.mpf(10) ** mpmath.mpf("-3.5")
         * (mpmath.mpf(2) / 10) ** 4
         * (mpmath.mpf("1e-3") * mpmath.mpf(10) ** mpmath.mpf("1.5"))
         / mpmath.mpf("1e-6")
     )
-    expected = mpmath.mpf("0.5") * mpmath.mpf(1e7) * mpmath.log(1 + snr) / mpmath.log(2)
-    assert math.isclose(got, float(expected), rel_tol=1e-12)
-
-
-def test_data_rate_rejects_bad_domains():
-    for args in [
-        (0.0, 1e7, G0, 0.01, 1e-6),
-        (1.5, 1e7, G0, 0.01, 1e-6),
-        (1.0, 0.0, G0, 0.01, 1e-6),
-        (1.0, 1e7, G0, 0.01, 0.0),
-        (1.0, 1e7, -G0, 0.01, 1e-6),
-        (1.0, 1e7, G0, -0.01, 1e-6),
-    ]:
-        with pytest.raises(ValueError):
-            data_rate(*args)
+    rate = mpmath.mpf("0.5") * mpmath.mpf(1e7) * mpmath.log(1 + snr) / mpmath.log(2)
+    assert math.isclose(got, float(mpmath.mpf("3.2e5") / rate), rel_tol=1e-12)
 
 
 def test_compute_time_hand_values():
-    assert math.isclose(compute_time(5, 100, 20, 1e9), 1e-5, rel_tol=1e-12)
-    assert compute_time(5, 0, 20, 1e9) == 0.0
-    assert math.isclose(
-        compute_time(5, 200, 20, 1e9), 2 * compute_time(5, 100, 20, 1e9), rel_tol=1e-12
-    )
-    with pytest.raises(ValueError):
-        compute_time(5, 100, 20, 0.0)
-
-
-def test_compute_time_takes_zero_epochs_and_rejects_negative_terms():
-    assert compute_time(0, 100, 20, 1e9) == 0.0
-    for args in ((-1, 100, 20, 1e9), (5, -1, 20, 1e9), (5, 100, -1.0, 1e9)):
-        with pytest.raises(ValueError, match="workload terms"):
-            compute_time(*args)
+    # With no payload the estimate is the compute time alone.
+    r = DeviceRadio(0, f_hz=1e9, power_w=0.01, distance_m=4.0, edge_id=0)
+    assert math.isclose(estimate(r, payload_bits=0.0), 1e-5, rel_tol=1e-12)
+    assert estimate(r, workload=0, payload_bits=0.0) == 0.0
+    assert math.isclose(estimate(r, workload=200, payload_bits=0.0),
+                        2 * estimate(r, payload_bits=0.0), rel_tol=1e-12)
 
 
 def test_injection_strictly_increases_compute_time():
@@ -129,44 +119,50 @@ def test_injection_strictly_increases_compute_time():
     for _ in range(30):
         d = int(rng.integers(1, 500))
         extra = int(rng.integers(1, 100))
-        f = rng.uniform(1e9, 9e9)
-        assert compute_time(5, d + extra, 20, f) > compute_time(5, d, 20, f)
+        r = DeviceRadio(0, f_hz=rng.uniform(1e9, 9e9), power_w=0.01, distance_m=4.0, edge_id=0)
+        assert estimate(r, workload=d + extra) > estimate(r, workload=d)
 
 
 def test_upload_time_hand_values():
-    assert upload_time(1e7, 1e7) == 1.0
-    assert math.isclose(upload_time(3.2e6, 1e7), 0.32, rel_tol=1e-12)
-    assert upload_time(0.0, 1e7) == 0.0
-    with pytest.raises(ValueError):
-        upload_time(1.0, 0.0)
+    # Unit SNR on the whole band: a rate of 1e7 bits/s.
+    r = DeviceRadio(0, f_hz=1e9, power_w=2e-6, distance_m=4.0, edge_id=0)
+    assert math.isclose(estimate(r, workload=0, payload_bits=3.2e6, gain=0.5), 0.32,
+                        rel_tol=1e-12)
+    assert estimate(r, workload=0, payload_bits=0.0, gain=0.5) == 0.0
 
 
 # ---------------------------------------------------------------- device time
 
 
 def test_device_round_time_composition():
-    radio = DeviceRadio(0, f_hz=2e9, power_w=0.01, distance_m=4.0, edge_id=0)
-    t_cmp, t_com = device_round_time(
-        radio, beta=0.25, net=NET, payload_bits=3.2e5, epochs=5, workload=100,
-    )
-    assert math.isclose(t_cmp, 5 * 100 * 20 / 2e9, rel_tol=1e-12)
-    rate = data_rate(0.25, 1e7, channel_gain(4.0, G0, 2.0), 0.01, 1e-6)
-    assert math.isclose(t_com, 3.2e5 / rate, rel_tol=1e-12)
+    r = DeviceRadio(0, f_hz=2e9, power_w=0.01, distance_m=4.0, edge_id=0)
+    t_cmp = 5 * 100 * 20 / 2e9
+    rate = 0.25 * 1e7 * math.log2(1.0 + channel_gain(4.0, G0, 2.0) * 0.01 / 1e-6)
+    assert math.isclose(estimate(r, q=4), t_cmp + 3.2e5 / rate, rel_tol=1e-12)
 
 
 def test_device_round_time_zero_rate_is_infinite_upload():
-    radio = DeviceRadio(0, f_hz=2e9, power_w=0.0, distance_m=4.0, edge_id=0)
-    _, t_com = device_round_time(radio, 0.5, NET, 3.2e5, 5, 100)
-    assert math.isinf(t_com)
+    # Rate 0 is an infinite estimate even with nothing to upload, so the
+    # device is scheduled after every device that can upload.
+    silent = DeviceRadio(0, f_hz=1e9, power_w=0.0, distance_m=4.0, edge_id=0)
+    loud = radio(1, d=40.0)
+    entry = schedule(1, [silent, loud], {0: 0, 1: 500}, 0.0)
+    assert entry.est_times[0] == math.inf and entry.selected == (1,)
 
 
 def test_device_round_time_zero_fading_is_infinite_upload():
-    # A faded-out link has rate 0, not an error; only a negative multiplier is.
-    radio = DeviceRadio(0, f_hz=2e9, power_w=0.01, distance_m=4.0, edge_id=0)
-    t_cmp, t_com = device_round_time(radio, 0.5, NET, 3.2e5, 5, 100, fading=0.0)
-    assert t_cmp == 5 * 100 * 20 / 2e9 and t_com == math.inf
+    # A faded-out link has rate 0, not an error; only a negative multiplier
+    # is. Multipliers are read by device id.
+    radios = [radio(3, f=3e9, d=10.0), radio(4, f=2e9, d=20.0), radio(5, f=1e9, d=5.0)]
+    loads = {3: 80, 4: 120, 5: 7}
+    fading = [1.0, 1.0, 1.0, 0.37, 2.9, 0.0]
+    entry = schedule_round(NET, 2, radios, path_gains(radios, NET), loads, 2e5, 5, fading)
+    assert entry.est_times[5] == math.inf and entry.selected == (3, 4)
+    assert entry.est_times[3] == estimate(radios[0], q=2, workload=80, payload_bits=2e5,
+                                          gain=path_gains(radios, NET)[3] * 0.37)
     with pytest.raises(ValueError, match="fading"):
-        device_round_time(radio, 0.5, NET, 3.2e5, 5, 100, fading=-1e-9)
+        schedule_round(NET, 2, radios, path_gains(radios, NET), loads, 2e5, 5,
+                       [1.0, 1.0, 1.0, 1.0, -1e-9, 1.0])
 
 
 # ---------------------------------------------------------------- scheduling
@@ -227,34 +223,24 @@ def test_schedule_empty_eligible_set_is_idle():
     assert entry.selected == ()
 
 
-def test_schedule_estimates_match_device_round_time():
-    # The same operations in the same order: the same bits, with and without
-    # fading, and an infinite estimate for a device faded out.
-    radios = [radio(0, f=3e9, d=10.0), radio(1, f=2e9, d=20.0), radio(2, f=1e9, d=5.0)]
-    loads = {0: 80, 1: 120, 2: 7}
-    for fading in (None, {0: 0.37, 1: 2.9, 2: 0.0}):
-        entry = schedule_round(NET, 2, radios, path_gains(radios, NET), loads, 2e5, 5, fading)
-        for r in radios:
-            mult = 1.0 if fading is None else fading[r.device_id]
-            t_cmp, t_com = device_round_time(r, 0.5, NET, 2e5, 5, loads[r.device_id], mult)
-            assert entry.est_times[r.device_id] == t_cmp + t_com
-    assert entry.est_times[2] == math.inf and entry.selected == (0, 1)
-    # Drawn radios near enough for an SNR of order 1, and a fractional cycle
-    # count, where a reordered product in either time shows in its bits.
+def test_schedule_estimates_keep_the_docstring_order():
+    # The estimate's bits are part of every digest: each product and sum
+    # runs in the order schedule_round's docstring writes them. Radios near
+    # enough for an SNR of order 1, fading multipliers and a fractional
+    # cycle count make a reordered product show in the bits.
     rng = np.random.default_rng(4)
     net = replace(NET, cycles_per_sample=17312.7)
     drawn = [radio(k, f=rng.uniform(1e9, 9e9), p_dbm=rng.uniform(0, 20), d=rng.uniform(2, 4))
              for k in range(40)]
     loads = {k: int(rng.integers(1, 500)) for k in range(40)}
-    fading = {k: float(rng.exponential()) for k in range(40)}
-    entry = schedule_round(net, 8, drawn, path_gains(drawn, net), loads, 2e4, 7, fading)
+    fading = rayleigh_fading(40, rng)
+    gains = path_gains(drawn, net)
+    entry = schedule_round(net, 6, drawn, gains, loads, 2e4, 7, fading)
     for r in drawn:
-        t_cmp, t_com = device_round_time(r, 1 / 8, net, 2e4, 7, loads[r.device_id],
-                                         fading[r.device_id])
-        assert entry.est_times[r.device_id] == t_cmp + t_com
-    with pytest.raises(ValueError, match="fading"):
-        schedule_round(NET, 2, radios, path_gains(radios, NET), loads, 2e5, 5,
-                       {0: 1.0, 1: -0.5, 2: 1.0})
+        k = r.device_id
+        snr = gains[k] * fading[k] * r.power_w / net.noise_w
+        rate = 1 / 6 * net.bandwidth_hz * math.log2(1 + snr)
+        assert entry.est_times[k] == 7 * loads[k] * net.cycles_per_sample / r.f_hz + 2e4 / rate
 
 
 # ---------------------------------------------------------------- aggregation
@@ -323,12 +309,21 @@ def test_radio_validation():
 
 
 def test_rayleigh_fading_unit_mean_and_determinism():
-    rng = np.random.default_rng(7)
-    draws = rayleigh_fading(range(20000), rng)
-    assert abs(np.mean(list(draws.values())) - 1.0) < 0.02
-    a = rayleigh_fading([3, 1, 2], np.random.default_rng(5))
-    b = rayleigh_fading([1, 2, 3], np.random.default_rng(5))
-    assert a == b
+    draws = rayleigh_fading(20000, np.random.default_rng(7))
+    assert len(draws) == 20000 and abs(np.mean(draws) - 1.0) < 0.02
+    assert rayleigh_fading(3, np.random.default_rng(5)) == rayleigh_fading(
+        3, np.random.default_rng(5))
+
+
+def test_rayleigh_fading_equals_one_draw_per_device():
+    # One vector draw has the bits of one scalar draw per device, in device
+    # order, from the same stream.
+    for seed in range(5):
+        for n in (1, 7, 512):
+            rng = np.random.default_rng(seed)
+            scalars = [float(rng.exponential(1.0)) for _ in range(n)]
+            got = rayleigh_fading(n, np.random.default_rng(seed))
+            assert got == scalars and all(type(v) is float for v in got)
 
 
 def ks_statistic(sample, cdf) -> float:
@@ -350,7 +345,7 @@ def test_rayleigh_fading_power_is_unit_exponential():
         return 1.0 - np.exp(-x)
 
     for seed in (0, 1, 2):
-        draws = np.array(list(rayleigh_fading(range(n), np.random.default_rng(seed)).values()))
+        draws = np.array(rayleigh_fading(n, np.random.default_rng(seed)))
         assert ks_statistic(draws, unit_exponential) < critical
         # The test can tell the wrong law: the amplitude instead of the
         # power, or a power of mean 2, is rejected.
