@@ -77,8 +77,8 @@ def check_split_conditions(gradients: dict, sample_weights: dict, eps1: float, e
         raise ValueError("check_split_conditions needs at least one gradient")
     ids = sorted(gradients)
     weights = np.array([float(sample_weights[d]) for d in ids])
-    if np.any(weights <= 0):
-        raise ValueError("sample weights must be positive")
+    if not np.all((weights > 0) & (weights < math.inf)):
+        raise ValueError("sample weights must be finite and positive")
     weights = weights / weights.sum()
     stacked = np.array([gradients[d] for d in ids])
     agg_norm = float(np.linalg.norm(weights @ stacked))
@@ -313,8 +313,8 @@ class ClusterTree:
         The old leaves stay in the tree but point at the merged node and
         never train or split again.
         """
-        if len(cluster_ids) < 2:
-            raise ValueError("merge needs at least 2 clusters")
+        if len(set(cluster_ids)) != len(cluster_ids) or len(cluster_ids) < 2:
+            raise ValueError(f"merge needs at least 2 distinct clusters, got {list(cluster_ids)}")
         nodes = [self.nodes[c] for c in cluster_ids]
         for n in nodes:
             if not n.is_current:

@@ -13,7 +13,7 @@ no round gathers rows: a device's rows are one array (see `DeviceDataset`),
 and the population's test draws are one table.
 
 A device's counts are one column of a population table, an int64 array
-with a row per count (`HOLDOUT` ... `DISTRIBUTION`), so that a round reads
+with a row per count (`HOLDOUT` ... `CORRECT`), so that a round reads
 every device's counts as arrays. `population` gathers a simulation's
 devices into one table, and each device's `inject` then keeps its column
 up in place: the counts always equal what the device's `injected_labels`
@@ -39,8 +39,8 @@ DISTINGUISH_MIN = 0.30
 GENERATION_RETRIES = 100
 
 # The rows of a population table: holdout, train and pool lengths, injected
-# labels, those of a known truth and those matching it, edge, distribution.
-HOLDOUT, TRAIN, POOL, INJECTED, KNOWN, CORRECT, EDGE, DISTRIBUTION = range(8)
+# labels, those of a known truth and those matching it.
+HOLDOUT, TRAIN, POOL, INJECTED, KNOWN, CORRECT = range(6)
 
 
 @dataclass(frozen=True)
@@ -144,11 +144,10 @@ class DeviceDataset:
     It and the rows are read-only outside `inject`, which checks every rule
     on the record, moves the accepted rows into the pseudo-labeled part and
     keeps the device's counts, column `column` of the population table
-    `table` (the edge is -1 until `population` takes the device in). Pool
-    positions index the record and hidden_truth wherever their row is;
-    `pool_features()` reads the pool in their order. hidden_truth and test
-    are for metrics only; `test` defaults to the holdout, or the train rows
-    when there is none.
+    `table`. Pool positions index the record and hidden_truth wherever
+    their row is; `pool_features()` reads the pool in their order.
+    hidden_truth and test are for metrics only; `test` defaults to the
+    holdout, or the train rows when there is none.
     """
 
     device_id: int
@@ -191,7 +190,7 @@ class DeviceDataset:
         self.injected_labels.setflags(write=False)
         # The pool position of each pool row, in row order.
         self._positions = np.arange(n_u)
-        self.table = np.array([h, self.n_train, n_u, 0, 0, 0, -1, self.distribution_id])[:, None]
+        self.table = np.array([h, self.n_train, n_u, 0, 0, 0])[:, None]
         self.column = 0
 
     def inject(self, indices, labels):
@@ -237,28 +236,20 @@ class DeviceDataset:
         counts[KNOWN] += np.count_nonzero(truth >= 0)
         # A label is never negative, so it matches only a known truth.
         counts[CORRECT] += np.count_nonzero(labels == truth)
-        done = int(counts[INJECTED])
-        counts[INJECTED] = n = done + indices.size
-        # The pool rows again, pseudo-labeled then pending, each in pool order:
-        # the accepted rows take their slots among the pseudo-labeled
-        # positions and the others fill the rest in order (row i takes pool
-        # row source[i]; the rows before the first slot taken stay).
-        positions, lo = self._positions, self._pool_row
-        moved = done + positions[done:].searchsorted(ordered)
-        at = positions[:done].searchsorted(ordered) + np.arange(moved.size)
-        free, rest = np.ones(positions.size, dtype=bool), np.ones(positions.size, dtype=bool)
-        free[at] = rest[moved] = False
-        source = np.empty(positions.size, dtype=np.intp)
-        source[at] = moved
-        source[free] = rest.nonzero()[0]
-        start = int(at[0])
-        positions[start:] = positions[source[start:]]
+        counts[INJECTED] = n = int(counts[INJECTED]) + indices.size
+        # The pool rows again, pseudo-labeled then pending, each in pool
+        # order: row i takes the row that holds pool position order[i].
+        order = np.argsort(record < 0, kind="stable")
+        row_of = np.empty_like(order)
+        row_of[self._positions] = np.arange(order.size)
+        lo = self._pool_row
         for rows in (self.features, self.labels):
             rows.setflags(write=True)
-        self.features[lo + start :] = self.features[lo:].take(source[start:], axis=0)
-        self.labels[lo + start : lo + n] = record[positions[start:n]]
+        self.features[lo:] = self.features[lo:].take(row_of[order], axis=0)
+        self.labels[lo : lo + n] = record[order[:n]]
         for rows in (self.features, self.labels):
             rows.setflags(write=False)
+        self._positions = order
         h = self.n_holdout
         self._train_batch = LabeledBatch(self.features[h : lo + n], self.labels[h : lo + n])
 
@@ -278,11 +269,10 @@ class DeviceDataset:
         return self.features[self._pool_row :][np.argsort(self._positions)]
 
 
-def population(devices: list, edge_ids) -> np.ndarray:
-    """The population table of `devices`, in list order, with their edges
-    `edge_ids`: each device's counts move into its column."""
+def population(devices: list) -> np.ndarray:
+    """The population table of `devices`, in list order: each device's
+    counts move into its column."""
     table = np.concatenate([d.table[:, d.column, None] for d in devices], axis=1)
-    table[EDGE] = edge_ids
     for k, dev in enumerate(devices):
         dev.table, dev.column = table, k
     return table

@@ -46,17 +46,14 @@ CHANGES.md holds the timings behind these choices.
 
 Class-major softmax. The ``(n, c)`` logits are transposed to ``(c, n)``, so
 that each softmax step is a few long vector operations. Everything but the
-sum is exact or elementwise, and ``_pairwise_sum`` adds the class rows in
-the order numpy sums a contiguous row of c values: below 8 from left to
-right; up to 128 into eight accumulators ``r[j] = a[j] + a[j+8] + ...``
-over the whole blocks of 8, combined as
-``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the leftovers from left to
-right; above 128 as the sums of two halves split at half the count, rounded
-down to a multiple of 8. So every class count gets the row-wise bits. The
-predicted class is the first whose probability is not below the sample's
-highest (logits that differ may round to equal probabilities; ``argmax``
-along the class axis would copy the table transposed), and a NaN sample
-(from NaN weights) gets class 0, as ``argmax`` gives it.
+sum is exact or elementwise, and ``_pairwise_sum`` adds each column's c
+values as numpy sums a contiguous row of them, so every class count gets
+the row-wise bits: below 8 classes row by row (numpy's order there), from
+8 on as numpy's own row sum of a transposed copy. The predicted class is
+the first whose probability is not below the sample's highest (logits that
+differ may round to equal probabilities; ``argmax`` along the class axis
+would copy the table transposed), and a NaN sample (from NaN weights) gets
+class 0, as ``argmax`` gives it.
 ``tests/test_labeling_oracle.py`` checks this against the row-wise code.
 """
 
@@ -469,21 +466,11 @@ def evaluate(models, batches) -> list:
 
 
 def _pairwise_sum(a: np.ndarray) -> np.ndarray:
-    """Sums of the columns of a (c, n) array, adding its c rows in the
-    order numpy sums a contiguous row of c values (see the module
-    docstring)."""
-    c = a.shape[0]
-    if c > 128:  # numpy's pairwise block size
-        half = c // 2 - (c // 2) % 8
-        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
-    if c < 8:
+    """Sums of the columns of a (c, n) array, each as numpy sums a
+    contiguous row of its c values (see "Class-major softmax")."""
+    if a.shape[0] < 8:
         return a.sum(axis=0)
-    blocks = c - c % 8
-    r = a[:blocks].reshape(blocks // 8, 8, *a.shape[1:]).sum(axis=0)
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for row in a[blocks:]:
-        total += row
-    return total
+    return np.ascontiguousarray(a.T).sum(axis=1)
 
 
 def confidences(models, features: np.ndarray):

@@ -88,8 +88,8 @@ def edge_aggregate(models: list, weights: list) -> ModelParams:
     if not models or len(models) != len(weights):
         raise ValueError("models and weights must be nonempty and aligned")
     w = np.array(weights, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("aggregation weights must be positive")
+    if not np.all((w > 0) & (w < math.inf)):
+        raise ValueError("aggregation weights must be finite and positive")
     first = models[0]
     if len({(m.dim_in, m.dim_out, m.hidden) for m in models}) > 1:
         raise ValueError("cannot aggregate models with different shapes")
@@ -184,7 +184,7 @@ class Simulation:
         self.radios = list(radios)
         self.config = config
         # The devices' counts, which each `inject` keeps up, and path gains.
-        self.population = population(self.devices, [r.edge_id for r in self.radios])
+        self.population = population(self.devices)
         self.gains = path_gains(self.radios, config.network)
         self.use_global_model = config.run.baseline == "hfl-ssl"
 

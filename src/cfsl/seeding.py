@@ -7,9 +7,9 @@ training loop re-deriving exactly the per-device training generators).
 Per-device streams in one pass. A round trains its devices on the streams
 of ``SeedSequence([seed, TRAIN_STREAM, round_no, k])``, and setup draws each
 device's data and radio from ``SeedSequence([seed, stream, ..., k])``.
-Building a ``SeedSequence`` and a ``PCG64`` costs about 17 us a device
-(numpy 2.4.6). ``stream_states`` re-implements both for all K devices at
-once: numpy's ``SeedSequence`` entropy pool (each int of the list split
+Building a ``SeedSequence`` and a ``PCG64`` per device is slow (CHANGES.md
+has the timings), so ``stream_states`` re-implements both for all K devices
+at once: numpy's ``SeedSequence`` entropy pool (each int of the list split
 into little-endian 32-bit words, one for 0; the uint32 hashmix and mix of
 a 4-word pool; ``generate_state(4, uint64)``) as uint32 arrays over the
 devices, then ``PCG64``'s 128-bit seeding step with Python ints.

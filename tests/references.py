@@ -146,7 +146,7 @@ def model_of(sim, device_id: int):
 
 def counts(dev):
     """The device's column of its population table, its counts indexed by
-    `data.HOLDOUT` ... `data.DISTRIBUTION`."""
+    `data.HOLDOUT` ... `data.CORRECT`."""
     return dev.table[:, dev.column]
 
 

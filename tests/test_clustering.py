@@ -156,6 +156,9 @@ def test_split_conditions_validate_inputs():
         check_split_conditions(g, {0: 1, 1: -1}, eps1=1, eps2=1)
     with pytest.raises(ValueError):
         check_split_conditions({}, {}, eps1=1, eps2=1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive"):
+            check_split_conditions(g, {0: 1.0, 1: bad}, eps1=1, eps2=1)
 
 
 # ---------------------------------------------------------------- bipartition
@@ -312,6 +315,9 @@ def test_tree_merge_across_edges():
     r1 = tree.add_root(1, [2, 3], model)
     a, _ = tree.split(r0, ((0,), (1,)))
     b, _ = tree.split(r1, ((2,), (3,)))
+    for ids in ([a], [a, a], [a, b, a]):
+        with pytest.raises(ValueError, match="distinct"):
+            tree.merge(ids, model)
     merged = tree.merge([a, b], model)
     node = tree.node(merged)
     assert node.members == frozenset([0, 2])

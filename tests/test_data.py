@@ -12,8 +12,6 @@ from cfsl.errors import ConfigError, StateError
 from cfsl.experiment import build_simulation
 from cfsl.data import (
     CORRECT,
-    DISTRIBUTION,
-    EDGE,
     HOLDOUT,
     INJECTED,
     KNOWN,
@@ -287,7 +285,7 @@ def check_counts_match_mask(dev):
     """The injection counts against their mask-reduction definitions."""
     mask = dev.injected_labels >= 0
     row = counts(dev)
-    assert dev.table.dtype == np.int64 and dev.table.shape[0] == 8
+    assert dev.table.dtype == np.int64 and dev.table.shape[0] == 6
     assert (row[HOLDOUT], row[TRAIN]) == (len(dev.holdout), len(dev.train))
     assert row[INJECTED] == int(mask.sum()) and row[POOL] == mask.size
     assert row[POOL] - row[INJECTED] == int((~mask).sum())
@@ -330,14 +328,10 @@ def test_population_holds_every_device_row_and_inject_keeps_it_up():
     u = small_universe(seed=21)
     devices = partition(u, 3, 40, 0.25, seed=21)
     built = [counts(d).tolist() for d in devices]
-    table = population(devices, [1, 0, 1])
-    assert table.shape == (8, 3) and all(d.table is table for d in devices)
+    table = population(devices)
+    assert table.shape == (6, 3) and all(d.table is table for d in devices)
     assert [d.column for d in devices] == [0, 1, 2]
-    assert table[EDGE].tolist() == [1, 0, 1]
-    assert table[DISTRIBUTION].tolist() == [d.distribution_id for d in devices]
-    # Every count but the edge is the device's own.
-    for column, own in zip(table.T.tolist(), built):
-        assert column[:EDGE] + column[EDGE + 1:] == own[:EDGE] + own[EDGE + 1:]
+    assert table.T.tolist() == built
     devices[1].inject([5, 0], [devices[1].class_whitelist[0]] * 2)
     devices[2].inject([3], [devices[2].class_whitelist[1]])
     assert table[INJECTED].tolist() == [0, 2, 1]

@@ -464,6 +464,54 @@ def test_selflabel_digests_pinned(tmp_path):
     assert artifact_digests(res) == SELFLABEL_PIN_DIGESTS
 
 
+# Ten classes: the only pin whose softmax sums 8 or more class rows, the
+# numpy row-sum branch of `models._pairwise_sum`; same numpy/BLAS caveat as
+# above.
+TEN_CLASS_PIN = """
+[topology]
+edges = 2
+devices = 16
+
+[data]
+seed = 0
+distributions = 2
+classes = 10
+features = 12
+samples_per_device = 250
+labeled_fraction = 0.1
+max_classes_per_device = 4
+
+[model]
+family = mlp
+hidden = 8
+learning_rate = 0.1
+
+[clustering]
+split_interval = 3
+
+[ssl]
+phi = 0.5
+label_interval = 3
+
+[run]
+rounds = 15
+convergence_window = 16
+seed = 0
+"""
+TEN_CLASS_PIN_DIGESTS = (
+    "f06d45da597f8faacc5e47c13221f32a18dbfe7c62c66c4ca8d07b833148c370",
+    "4c9e44d679a7a0407869fe14c08acfde9b8cee18d19d1ddc8980ffb6ca1d262d",
+)
+
+
+def test_ten_class_mlp_digests_pinned(tmp_path):
+    cfg = override(parse_config(TEN_CLASS_PIN), {"run.out_dir": str(tmp_path)})
+    res = run_experiment(cfg)
+    kinds = [e["type"] for e in res.sim.events]
+    assert (kinds.count("split"), kinds.count("selection"), kinds.count("injection")) == (1, 32, 24)
+    assert artifact_digests(res) == TEN_CLASS_PIN_DIGESTS
+
+
 def test_clusters_without_an_update_log_one_warning_per_round(tmp_path, caplog):
     # In the pin, the lone members of clusters 5 and 9 are never scheduled
     # after the round-5 split, and cluster 7 gets no update until round 11.

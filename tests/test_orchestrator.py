@@ -87,6 +87,9 @@ def test_aggregate_validates():
         edge_aggregate([flat(1.0), zero_params(2, 3)], [1, 1])
     with pytest.raises(ValueError):
         edge_aggregate([flat(1.0)], [1, 2])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive"):
+            edge_aggregate([flat(1.0), flat(2.0)], [1.0, bad])
 
 
 # ---------------------------------------------------------------- harness

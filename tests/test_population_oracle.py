@@ -14,8 +14,6 @@ import numpy as np
 from cfsl.config import parse_config
 from cfsl.data import (
     CORRECT,
-    DISTRIBUTION,
-    EDGE,
     HOLDOUT,
     INJECTED,
     KNOWN,
@@ -96,14 +94,13 @@ def leaf_scan(sim) -> list:
 
 
 def count_scan(sim, k: int) -> dict:
-    """Device k's counts from its rows, injection record and radio."""
+    """Device k's counts from its rows and injection record."""
     dev = sim.devices[k]
     injected = dev.injected_labels >= 0
     truth = dev.hidden_truth[injected]
     return {HOLDOUT: len(dev.holdout), TRAIN: len(dev.train), POOL: injected.size,
             INJECTED: int(injected.sum()), KNOWN: int((truth >= 0).sum()),
-            CORRECT: int((dev.injected_labels[injected] == truth).sum()),
-            EDGE: sim.radios[k].edge_id, DISTRIBUTION: dev.distribution_id}
+            CORRECT: int((dev.injected_labels[injected] == truth).sum())}
 
 
 def run_checked(sim) -> list:
@@ -149,5 +146,5 @@ def test_csv_mode(tmp_path):
     events = run_checked(sim)
     assert sum(e["type"] == "injection" for e in events) > 0
     assert (sim.population[POOL] == 0).sum() == 3 and not sim.population[KNOWN].any()
-    assert (sim.population[DISTRIBUTION] == -1).all()
+    assert all(dev.distribution_id == -1 for dev in sim.devices)
     assert sim.metrics[-1].labeling_accuracy_mean is None
