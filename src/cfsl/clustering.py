@@ -21,6 +21,8 @@ EXACT_LIMIT = 15
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
+    """Pairwise similarities, rows and columns in strictly ascending `ids`."""
+
     ids: tuple
     values: np.ndarray
 
@@ -28,6 +30,8 @@ class SimilarityMatrix:
         n = len(self.ids)
         if self.values.shape != (n, n):
             raise ValueError("similarity matrix shape does not match id list")
+        if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
+            raise ValueError("similarity matrix ids must strictly ascend")
 
 
 def similarity_matrix(gradients: dict) -> SimilarityMatrix:
@@ -182,11 +186,7 @@ def bipartition(sim: SimilarityMatrix):
         i1, i2 = _exact_bipartition(sim.values, n)
     else:
         i1, i2 = _complete_linkage_bipartition(sim.values, n)
-    c1 = tuple(sim.ids[i] for i in i1)
-    c2 = tuple(sim.ids[i] for i in i2)
-    if min(c2) < min(c1):
-        c1, c2 = c2, c1
-    return c1, c2
+    return tuple(sim.ids[i] for i in i1), tuple(sim.ids[i] for i in i2)
 
 
 ACTIVE = "active"

@@ -310,17 +310,8 @@ def baseline_variant(cfg: ExperimentConfig) -> ExperimentConfig:
 def _cross_checks(cfg: ExperimentConfig):
     data = cfg.data
     if data.mode != "csv":
-        labeled_fraction = baseline_variant(cfg).data.labeled_fraction
-        width = min(data.max_classes_per_device, data.classes)
-        n_labeled, n_hold = labeled_split(
-            labeled_fraction, data.samples_per_device, width, data.holdout_fraction
-        )
-        if n_hold >= n_labeled:
-            raise ConfigError(
-                "data.holdout_fraction",
-                f"holds out all {n_labeled} labeled samples of each device, "
-                "leaving none to train on",
-            )
+        labeled_split(baseline_variant(cfg).data.labeled_fraction, data.samples_per_device,
+                      min(data.max_classes_per_device, data.classes), data.holdout_fraction)
 
 
 def parse_config(text: str) -> ExperimentConfig:

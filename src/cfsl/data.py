@@ -290,17 +290,28 @@ def injected_fractions(table: np.ndarray) -> np.ndarray:
     return np.divide(table[INJECTED], pool, out=np.ones(pool.shape), where=pool > 0)
 
 
+def holdout_size(n_labeled: int, holdout_fraction: float, owner: str) -> int:
+    """round(holdout_fraction * n_labeled), the labeled rows `owner` holds
+    out; a `ConfigError` naming `data.holdout_fraction` when that leaves
+    none to train on."""
+    n_hold = int(round(holdout_fraction * n_labeled))
+    if n_hold >= n_labeled:
+        raise ConfigError("data.holdout_fraction", f"holds out all {n_labeled} labeled rows "
+                          f"of {owner}, leaving none to train on")
+    return n_hold
+
+
 def labeled_split(
     labeled_fraction: float, samples_per_device: int, width: int, holdout_fraction: float
 ):
     """(labeled, holdout) sample counts of one synthetic device.
 
     round(labeled_fraction * samples_per_device) samples are labeled, raised
-    to `width`, the floor of one per whitelisted class; round(holdout_fraction
-    * labeled) of them are held out.
+    to `width`, the floor of one per whitelisted class; `holdout_size` of
+    them are held out.
     """
     n_labeled = max(int(round(labeled_fraction * samples_per_device)), width)
-    return n_labeled, int(round(holdout_fraction * n_labeled))
+    return n_labeled, holdout_size(n_labeled, holdout_fraction, "each device")
 
 
 def partition_devices(universe: TaskUniverse, data, n_devices: int, seed) -> list:
@@ -391,13 +402,7 @@ def csv_devices(data, n_devices: int, seed) -> list:
     for k, rng in enumerate(streams([int(seed), DATA_STREAM, 2], range(n_devices))):
         lab = LabeledBatch(labeled.features[k::n_devices], labeled.labels[k::n_devices])
         pool = unlabeled[k::n_devices]
-        n_hold = int(round(data.holdout_fraction * len(lab)))
-        if n_hold >= len(lab):
-            raise ConfigError(
-                "data.holdout_fraction",
-                f"holds out all {len(lab)} labeled rows of device {k}, "
-                "leaving none to train on",
-            )
+        n_hold = holdout_size(len(lab), data.holdout_fraction, f"device {k}")
         held = np.zeros(len(lab), dtype=bool)
         held[rng.choice(len(lab), size=n_hold, replace=False)] = True
         devices.append(

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
 from .data import DeviceDataset
 from .errors import StateError
-from .models import LabeledBatch, ModelParams, confidences, pool_predictions
+from .models import LabeledBatch, ModelParams, confidences, hit_rates, pool_predictions
 
 log = logging.getLogger(__name__)
 
@@ -105,32 +105,19 @@ def holdout_accuracies(devices: list, candidates: dict) -> np.ndarray:
     """(devices, candidates) array: each device's holdout accuracy of every
     candidate, in the given orders, with the bits `models.evaluate` gives
     each pair. One `pool_predictions` pass scores the holdouts, one item per
-    device, in the given order; the label hits of each run of holdouts of
-    one length are counted by one compare and one reduce. An accuracy is the
-    count of predicted classes that match the labels over the holdout's
-    rows. Errors name this function."""
+    device, in the given order; its (candidates, n) classes, side by side,
+    are counted against the labels by one `models.hit_rates` call, as
+    `evaluate` counts its pairs. Errors name this function."""
     if not devices:
         raise ValueError("holdout_accuracies requires at least one device")
     scorers = list(candidates.values())
     holdouts = [_scored_holdout(dev) for dev in devices]
     scored = pool_predictions(zip(repeat(scorers), [h.features for h in holdouts]),
                               "holdout_accuracies")
-    lengths = [h.labels.shape[0] for h in holdouts]
-    hits = np.empty((len(holdouts), len(scorers)), dtype=np.intp)
-    # Each run's classes are copied, block by block as the pass yields them,
-    # into one table of the smallest integer type: the pass holds one block.
-    small = np.min_scalar_type(max([m.dim_out for m in scorers], default=0))
-    lo = 0
-    for n, run in groupby(lengths):
-        hi = lo + len(list(run))
-        classes = np.empty((hi - lo, len(scorers), n), dtype=small)
-        for row, (predicted, _) in zip(classes, scored):
-            row[...] = predicted
-        labels = np.array([h.labels for h in holdouts[lo:hi]])[:, None]
-        np.add.reduce(classes == labels, axis=2, dtype=np.intp, out=hits[lo:hi])
-        lo = hi
-    # Exact counts: count / n is rounded once, as the mean of the bools is.
-    return hits / np.array(lengths)[:, None]
+    classes = np.concatenate([predicted for predicted, _ in scored], axis=1)
+    labels = np.concatenate([h.labels for h in holdouts])
+    rows = [0, *accumulate(h.labels.shape[0] for h in holdouts)]
+    return hit_rates(classes, labels, rows).T
 
 
 def select_best_model(device: DeviceDataset, ids: list, phi: float, predictions: tuple):

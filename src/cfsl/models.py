@@ -456,13 +456,19 @@ def _first_model(models, caller: str) -> ModelParams:
 
 def evaluate(models, batches) -> list:
     """Accuracy of each (model, batch) pair: the fraction of argmax
-    predictions matching the labels, ties to the lowest class id (see
-    "Ragged stacks")."""
+    predictions matching the labels, ties to the lowest class id, counted
+    by `hit_rates` (see "Ragged stacks")."""
     def score(first, z, y, rows, runs):
-        hits = _top_class(_softmax_columns(z))[0] == y
-        # Exact counts: count / n is rounded once, as the mean of the bools is.
-        return (np.add.reduceat(hits, rows[:-1], dtype=np.intp) / np.diff(rows)).tolist()
+        return hit_rates(_top_class(_softmax_columns(z))[0], y, rows).tolist()
     return _scored_in_blocks(models, batches, "evaluate", score)
+
+
+def hit_rates(classes: np.ndarray, labels: np.ndarray, rows) -> np.ndarray:
+    """The share of predicted `classes` (..., N) that match `labels` (N,) in
+    each nonempty span rows[i]:rows[i + 1] of the last axis, as (..., spans):
+    an exact count over the span's length, rounded once, as the mean of the
+    bools is. `evaluate` and `labeling.holdout_accuracies` score through it."""
+    return np.add.reduceat(classes == labels, rows[:-1], axis=-1, dtype=np.intp) / np.diff(rows)
 
 
 def _pairwise_sum(a: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import cfsl.experiment as experiment
 from cfsl.cli import main
 from references import NON_FINITE_NETWORK
 
@@ -126,7 +127,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["run"]) == 1  # missing config path
 
 
-def test_sweep_command(tmp_path, capsys):
+def test_sweep_command(tmp_path, capsys, monkeypatch):
     cfg_path = write_config(tmp_path)
     out = tmp_path / "sw"
     code = main(
@@ -137,6 +138,22 @@ def test_sweep_command(tmp_path, capsys):
     assert (out / "seed=1" / "metrics.csv").exists()
     assert (out / "seed=2" / "metrics.csv").exists()
     assert (out / "sweep_metrics.csv").exists()
+
+    # A failed run is named on stderr; the sweep still exits 0.
+    real = experiment.build_simulation
+
+    def flaky(cfg):
+        if cfg.run.seed == 2:
+            raise RuntimeError("injected fault")
+        return real(cfg)
+
+    monkeypatch.setattr(experiment, "build_simulation", flaky)
+    code = main(["sweep", cfg_path, "--axis", "seed", "--values", "1, 2",
+                 "--out-dir", str(tmp_path / "flaky")])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "1 completed, 1 failed" in captured.out
+    assert "  seed=2: RuntimeError: injected fault\n" in captured.err
 
 
 def test_sweep_bad_value_exit_1(tmp_path, capsys):

@@ -251,6 +251,15 @@ def test_bipartition_rejects_non_finite_similarity():
         bipartition(SimilarityMatrix((0, 1, 2), values))
 
 
+def test_similarity_matrix_rejects_bad_shape_and_unsorted_ids():
+    # bipartition puts index 0, the lowest id, in c1: ids must ascend.
+    for ids, values, match in (((0, 1, 2), np.eye(2), "shape"),
+                               ((0, 2, 1), np.eye(3), "ascend"),
+                               ((0, 1, 1), np.eye(3), "ascend")):
+        with pytest.raises(ValueError, match=match):
+            SimilarityMatrix(ids, values)
+
+
 # ---------------------------------------------------------------- tree
 
 
@@ -288,6 +297,8 @@ def test_tree_stop_freezes_node():
     left, right = tree.split(root, ((0, 1), (2, 3)))
     tree.stop(left)
     assert tree.node(left).status == "stopped"
+    with pytest.raises(StateError, match="internal"):
+        tree.stop(root)
     with pytest.raises(StateError):
         tree.split(left, ((0,), (1,)))
     assert [n.cluster_id for n in tree.active_leaves()] == [right]
@@ -329,6 +340,8 @@ def test_tree_merge_across_edges():
     assert tree.cluster_of(0).cluster_id == merged
     with pytest.raises(StateError):
         tree.merge([a, merged], model)
+    with pytest.raises(StateError, match="merged away"):
+        tree.split(a, ((0,), ()))
 
 
 def test_tree_records_birth_rounds_and_stopped_merges():
@@ -438,3 +451,5 @@ def test_tree_add_root_rejects_owned_device():
         tree.add_root(1, [3, 4], zero_params(3, 2))
     with pytest.raises(ValueError, match="already has root"):
         tree.add_root(0, [8, 9], zero_params(3, 2))
+    with pytest.raises(ValueError, match="negative"):
+        tree.add_root(1, [8, -1], zero_params(3, 2))

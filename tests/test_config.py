@@ -95,6 +95,8 @@ def test_bad_value_names_key():
     with pytest.raises(ConfigError) as exc:
         parse_config(MINIMAL + "\n[model]\nepochs = zero\n")
     assert "model.epochs" in str(exc.value)
+    with pytest.raises(ConfigError, match="ssl.enabled.*not a boolean"):
+        parse_config(MINIMAL + "\n[ssl]\nenabled = maybe\n")
 
 
 def test_domain_checks():

@@ -578,13 +578,14 @@ def test_layout_on_an_empty_and_a_fully_injected_pool():
 
 
 def test_device_dataset_rejects_whitelist_violation():
+    # A holdout, a train and a pool row, each in turn outside the whitelist.
     bad, good = 3, 1
-    for holdout, train in ((bad, good), (good, bad)):
+    for labels in ((bad, good, good), (good, bad, good), (good, good, bad)):
         with pytest.raises(ValueError, match="outside whitelist"):
             DeviceDataset(
                 device_id=0,
-                features=np.zeros((2, 2)),
-                labels=np.array([holdout, train]),
+                features=np.zeros((3, 2)),
+                labels=np.array(labels),
                 n_holdout=1,
                 n_train=1,
                 distribution_id=0,
@@ -667,6 +668,10 @@ def test_csv_errors_carry_row_numbers(tmp_path):
     unknown_class = write_csv(tmp_path, "1.0,2.0,9\n")
     with pytest.raises(ValueError, match="class id"):
         load_csv_dataset(unknown_class, n_features=2, n_classes=2)
+
+    fractional_label = write_csv(tmp_path, "1.0,2.0,0\n1.0,2.0,1.5\n")
+    with pytest.raises(ValueError, match=":2: label '1.5' is not an integer"):
+        load_csv_dataset(fractional_label, n_features=2, n_classes=2)
 
 
 def test_scored_holdout_lengths_form_at_most_two_runs_in_device_order(tmp_path):

@@ -1,5 +1,6 @@
 """Experiment driver: artifact writing, baselines, sweeps, plot tables."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -763,6 +764,21 @@ out_dir = {tmp_path / "out"}
         build_simulation(parse_config(text.format(holdout=0.9)))
     assert "data.holdout_fraction" in str(exc.value)
     assert run_experiment(parse_config(text.format(holdout=0.4))).rows
+
+
+def test_synthetic_holdout_is_checked_where_devices_are_built():
+    # One labeled row per device (1% of 30 samples, raised to the floor of a
+    # 1-class whitelist), of which a 0.6 holdout takes round(0.6) = 1.
+    # cfl-fully-labeled labels all 30 rows, so the file passes; a baseline
+    # changed in code skips the config's check, and building the devices
+    # must catch the holdout before a round trains on no rows.
+    cfg = parse_config(BASE.replace("labeled_fraction = 0.3", "labeled_fraction = 0.01\n"
+                                    "max_classes_per_device = 1\nholdout_fraction = 0.6")
+                       + "baseline = cfl-fully-labeled\n")
+    assert build_simulation(cfg).devices[0].n_holdout == 18
+    cfsl = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, baseline="cfsl"))
+    with pytest.raises(ConfigError, match="data.holdout_fraction.*all 1 labeled rows of each"):
+        build_simulation(cfsl)
 
 
 # ------------------------------------------------------------ sweep

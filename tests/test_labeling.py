@@ -94,6 +94,8 @@ def test_pseudo_label_batch_validation():
     with pytest.raises(ValueError):
         PseudoLabelBatch(0, np.array([1, 2]), np.array([0, 0]),
                          np.array([0.9, 0.3]), 0.5)
+    with pytest.raises(ValueError, match="align"):
+        PseudoLabelBatch(0, np.array([1, 2]), np.array([0]), np.array([0.9, 0.8]), 0.5)
     with pytest.raises(ValueError):
         pseudo_label(zero_params(2, 2), np.zeros((1, 2)), phi=1.5)
 

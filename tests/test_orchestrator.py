@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfsl.clustering import STOPPED
+from cfsl.clustering import ACTIVE, STOPPED
 from cfsl.config import (
     ClusteringConfig,
     DataConfig,
@@ -182,6 +182,29 @@ def test_vanished_gradients_stop_their_cluster(monkeypatch, eps2):
     assert all(e["agg_norm"] == e["max_norm"] == 0.0 for e in stops)
     assert all(sim.tree.node(c).status == STOPPED for c in roots)
     assert events_of(sim, "split") == [] and sim.termination_reason == "convergence"
+
+
+def test_zero_norm_member_gradient_skips_the_split(monkeypatch, caplog):
+    # Members of equal weight with gradients 0, +v, -v, ..., +v, -v, 0: the
+    # aggregate vanishes while the largest norm is 10, so the conditions
+    # call for a split, but a zero-norm member has no cosine to split on.
+    spec = ClusteringConfig(enabled=True, eps1=0.5, eps2=1.5, split_interval=5)
+    sim = make_sim(clustering=spec, rounds=5, seed=11)
+    signs = [0, 1, -1, 1, -1, 1, -1, 0]
+
+    def signals(models, batches):
+        v = np.zeros(models[0].weights.size)
+        v[0] = 10.0
+        return [s * v for s in signs]
+
+    monkeypatch.setattr(orchestrator, "gradient", signals)
+    root = sim.tree.root_of_edge(0)
+    with caplog.at_level("WARNING", logger="cfsl.orchestrator"):
+        sim.run()
+    assert "cluster 0: zero-norm member gradient, skipping split in round 5" in caplog.text
+    assert events_of(sim, "split") == [] and events_of(sim, "stop") == []
+    assert sim.tree.root_of_edge(0) is root and root.is_current and root.status == ACTIVE
+    assert root.members == frozenset(range(8))
 
 
 def test_single_distribution_generous_eps2_never_splits():
@@ -614,6 +637,8 @@ def test_validation_rejects_misaligned_population():
     radios = sample_radios([0, 0, 0, 0], 1, config.network)
     with pytest.raises(ValueError, match="align"):
         Simulation(devices[:3], radios, config)
+    with pytest.raises(ValueError, match="ordered by contiguous device_id"):
+        Simulation(devices[::-1], radios, config)
     with pytest.raises(ValueError, match=r"unknown edges \[7\]"):
         Simulation(devices, sample_radios([0, 0, 0, 7], 1, config.network), config)
     with pytest.raises(ValueError, match="edge 1 has no devices"):
