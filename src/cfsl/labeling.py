@@ -105,16 +105,18 @@ def holdout_accuracies(devices: list, candidates: dict) -> np.ndarray:
     """(devices, candidates) array: each device's holdout accuracy of every
     candidate, in the given orders, with the bits `models.evaluate` gives
     each pair. One `pool_predictions` pass scores the holdouts, one item per
-    device, in the given order; its (candidates, n) classes, side by side,
-    are counted against the labels by one `models.hit_rates` call, as
-    `evaluate` counts its pairs. Errors name this function."""
+    device, in the given order; its (candidates, n) classes, side by side
+    in the smallest integer type that holds a class (each block cast as it
+    comes), are counted against the labels by one `models.hit_rates` call,
+    as `evaluate` counts its pairs. Errors name this function."""
     if not devices:
         raise ValueError("holdout_accuracies requires at least one device")
     scorers = list(candidates.values())
     holdouts = [_scored_holdout(dev) for dev in devices]
     scored = pool_predictions(zip(repeat(scorers), [h.features for h in holdouts]),
                               "holdout_accuracies")
-    classes = np.concatenate([predicted for predicted, _ in scored], axis=1)
+    classes = np.concatenate([predicted.astype(np.min_scalar_type(scorers[0].dim_out - 1))
+                              for predicted, _ in scored], axis=1)
     labels = np.concatenate([h.labels for h in holdouts])
     rows = [0, *accumulate(h.labels.shape[0] for h in holdouts)]
     return hit_rates(classes, labels, rows).T

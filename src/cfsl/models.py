@@ -1,60 +1,42 @@
 """Flat-vector softmax classifiers with hand-derived gradients.
 
-Two shapes are supported: multinomial logistic regression (``hidden == 0``)
-and a one-hidden-layer tanh network. Parameters travel as a single flat
-float64 vector so that averaging, cosine similarity, and upload-size
-accounting all operate on the same object.
+Two shapes: multinomial logistic regression (``hidden == 0``) and a
+one-hidden-layer tanh network. Parameters travel as one flat float64 vector,
+so averaging, cosine similarity and upload-size accounting share one object.
 
 Ragged stacks. ``sgd_train``, ``gradient``, ``evaluate`` and ``loss`` take
 K same-shape models and K nonempty batches of any lengths and return K
 results, each with the bits its (model, batch) pair gets alone
-(``tests/test_models_stacked.py`` checks this against the per-device code).
-A matmul's BLAS result can depend on its row count, so every matmul runs on
-one batch's own ``(n, d)`` rows, alone or as a slice of a stacked operand
-with the same strides; the rest works within one sample or one batch, so it
-may run over all pairs at once. Training takes a round's devices in one
-``sgd_train`` call over views of their rows (``DeviceDataset.train_batch``),
-with the class-major softmax on a copy of each step's logits. Each device
-shuffles its own columns of the ``(epochs, rows)`` table of row indices in
-place with one ``permuted`` call, the draws of one ``permutation(n)`` per
-epoch, and each run of devices whose minibatch has the same size takes one
-``_grads`` step through views of its slice of the ``(K, P)`` weights.
+(``tests/test_models_stacked.py`` checks them against per-device code). A
+matmul's BLAS result can depend on its row count, so each runs on one
+batch's own ``(n, d)`` rows, at any row stride; the rest works within one
+sample or one batch (a bias gradient adds the batch's rows in order), so it
+may span all pairs at once.
+
+Training steps. Each device shuffles its own columns of an ``(epochs,
+rows)`` table of row indices with one ``permuted`` call, the draws of one
+``permutation(n)`` per epoch. A run of devices whose minibatch has one size
+b takes one step on row-position-major stacks: ``(K, b, ·)`` views whose
+``swapaxes(0, 1)`` is C-contiguous, so that each bias add and bias-gradient
+sum is a few long loops, not K·b short ones. ``_logits`` and ``_backward``
+lay results out like their input, and the gradients land in views of one
+``(K, P)`` buffer laid out like the weights, so an update is two operations.
 
 Scoring kernel. ``loss``, ``gradient``, ``evaluate`` and
-``pool_predictions`` (``confidences`` is its one-pool form) share one
-kernel over items, each K same-shape models and one ``(n, d)`` matrix: a
-(model, batch) pair is an item of K = 1, a labeling phase's (models, pool)
-group an item of its contenders.
-- Runs. Adjacent items of one n and K are one ``(r, 1, n, d) @ W`` matmul
-  in which each (rows, model) pair keeps its own ``(n, d) @ (d, c)`` BLAS
-  call. W is shared exactly when the items carry one weights array (a
-  pair's ``(P,)`` vector or a group's ``(K, P)`` stack), else it stacks
-  each item's own, so the holdouts of one length scored against one
-  candidate set are one matmul.
-- Blocks. ``_blocks`` cuts the items into blocks of at most
-  ``SOFTMAX_BLOCK`` activations (hidden units count, since a block's size
-  is also its speed; an item of many models goes in chunks of whole
-  models), so a call holds one block at a time even when a batch is a pool.
-- The table. ``_table`` writes a block's logits class-major, item after
-  item and model after model, and keeps each run's weight views, features
-  and hidden units for ``gradient``. Each pair's result comes from its own
-  columns (a run's loss means from one row-wise sum, which adds each row as
-  it is alone), each pool's from its own. Pairs are ordered stably by
-  length and answered in input order; pools are scored in the order given,
-  so a caller may use a pool's predictions before a later block is read.
-CHANGES.md holds the timings behind these choices.
+``pool_predictions`` (``confidences`` is its one-pool form) share one kernel
+over items, each K same-shape models and one C-contiguous ``(n, d)`` matrix:
+a pair is an item of K = 1, a labeling phase's pool an item of its
+contenders. ``_blocks`` cuts the items into blocks of at most
+``SOFTMAX_BLOCK`` activations and ``_table`` scores a block in runs. Pairs
+are ordered stably by length and answered in input order; pools are scored
+in the order given, so a caller may use one before a later block is read.
 
-Class-major softmax. The ``(n, c)`` logits are transposed to ``(c, n)``, so
-that each softmax step is a few long vector operations. Everything but the
-sum is exact or elementwise, and ``_pairwise_sum`` adds each column's c
-values as numpy sums a contiguous row of them, so every class count gets
-the row-wise bits: below 8 classes row by row (numpy's order there), from
-8 on as numpy's own row sum of a transposed copy. The predicted class is
-the first whose probability is not below the sample's highest (logits that
-differ may round to equal probabilities; ``argmax`` along the class axis
-would copy the table transposed), and a NaN sample (from NaN weights) gets
-class 0, as ``argmax`` gives it.
-``tests/test_labeling_oracle.py`` checks this against the row-wise code.
+Class-major softmax. Each softmax step is a few long vector operations on
+``(c, n)`` logits, with the row-wise bits: ``_pairwise_sum`` adds each
+column's c values as numpy sums a contiguous row. The predicted class is the
+first not below the highest probability, and a NaN sample gets class 0, as
+``argmax`` gives them. ``tests/test_labeling_oracle.py`` checks this against
+the row-wise code. CHANGES.md holds the timings behind these choices.
 """
 
 from __future__ import annotations
@@ -154,19 +136,27 @@ def _unpack(p: ModelParams, weights: np.ndarray | None = None):
     )
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in a new array laid out like `a`, so that a row-position-major
+    stack stays one (see "Training steps")."""
+    shape = np.broadcast(a[..., :1], b[..., :1, :]).shape
+    return np.matmul(a, b, out=np.empty_like(a, shape=shape))
+
+
 def _logits(hidden: int, views, x: np.ndarray):
-    """Raw class scores; for the tanh network also returns the hidden
-    activations. Biases and ``tanh`` are applied in place."""
+    """Raw class scores, laid out like `x`; for the tanh network also
+    returns the hidden activations. Biases and ``tanh`` are applied in
+    place."""
     if hidden == 0:
         w, b = views
-        z = x @ w
+        z = _product(x, w)
         z += b
         return z, None
     w1, b1, w2, b2 = views
-    h = x @ w1
+    h = _product(x, w1)
     h += b1
     np.tanh(h, out=h)
-    z = h @ w2
+    z = _product(h, w2)
     z += b2
     return z, h
 
@@ -183,39 +173,41 @@ def _onehot(p: ModelParams, labels: np.ndarray) -> np.ndarray:
     return (labels[..., None] == np.arange(p.dim_out)).astype(np.float64)
 
 
-def _grads(hidden: int, views, x: np.ndarray, onehot: np.ndarray) -> tuple:
-    """Per-view gradients of the mean cross-entropy, shaped like `views`,
-    for a (K, b, d) stack of minibatches, with the class-major softmax on a
-    (c, K * b) copy; `delta` overwrites the C-contiguous logits. Subtracting
-    the 0.0/1.0 one-hot rows gives the bits of subtracting 1.0 at each label."""
+def _grads(hidden: int, views, x: np.ndarray, onehot: np.ndarray, grads) -> None:
+    """Writes into `grads`, views shaped like `views`, the gradients of the
+    mean cross-entropy of a row-position-major (K, b, d) stack of minibatches
+    (see "Training steps"). The class-major softmax runs on a (c, b * K)
+    copy of the logits, and `delta` overwrites them. Subtracting the 0.0/1.0
+    one-hot rows gives the bits of subtracting 1.0 at each label."""
     z, h = _logits(hidden, views, x)
-    probs = _softmax_columns(z.reshape(-1, z.shape[-1]).T.copy())
-    delta = np.subtract(probs.T.reshape(z.shape), onehot, out=z)
+    stored = z.swapaxes(0, 1)
+    probs = _softmax_columns(stored.reshape(-1, stored.shape[-1]).T.copy())
+    delta = np.subtract(probs.T.reshape(stored.shape).swapaxes(0, 1), onehot, out=z)
     delta /= onehot.shape[-2]
-    return _backward(hidden, views, x, h, delta)
+    _backward(hidden, views, x, h, delta, grads)
 
 
-def _backward(hidden: int, views, x: np.ndarray, h, delta: np.ndarray) -> tuple:
-    """Per-view gradients, shaped like `views`, of a (K, b, d) stack from
-    `delta`, the gradient of the mean cross-entropy with respect to the
-    logits, and the hidden activations `h`; tanh's derivative is in place."""
-    xt = x.swapaxes(-1, -2)
-    if hidden == 0:
-        return xt @ delta, delta.sum(axis=-2, keepdims=True)
-    dh = delta @ views[2].swapaxes(-1, -2)
-    g = h * h
-    np.subtract(1.0, g, out=g)
-    dh *= g
-    return (
-        xt @ dh,
-        dh.sum(axis=-2, keepdims=True),
-        h.swapaxes(-1, -2) @ delta,
-        delta.sum(axis=-2, keepdims=True),
-    )
+def _backward(hidden: int, views, x: np.ndarray, h, delta: np.ndarray, grads) -> None:
+    """Writes into `grads`, views shaped like `views`, the gradients of a
+    (..., b, d) stack from `delta`, the gradient of the mean cross-entropy
+    with respect to the logits, and the hidden activations `h`, in any
+    layout: each matmul runs on one batch's b rows, and each bias gradient
+    adds them in order. tanh's derivative is in place."""
+    if hidden:
+        np.matmul(h.swapaxes(-1, -2), delta, out=grads[2])
+        np.add.reduce(delta, axis=-2, keepdims=True, out=grads[3])
+        delta = _product(delta, views[2].swapaxes(-1, -2))
+        g = h * h
+        np.subtract(1.0, g, out=g)
+        delta *= g
+    np.matmul(x.swapaxes(-1, -2), delta, out=grads[0])
+    np.add.reduce(delta, axis=-2, keepdims=True, out=grads[1])
 
 
 def _check_features(p: ModelParams, features: np.ndarray):
-    features = np.asarray(features, dtype=np.float64)
+    """`features` as a C-contiguous float64 (n, dim_in) matrix: scoring lays
+    its results out like its features (see "Scoring kernel")."""
+    features = np.ascontiguousarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != p.dim_in:
         raise ValueError(
             f"feature matrix must be 2-D with {p.dim_in} columns, got shape {features.shape}"
@@ -293,8 +285,11 @@ def _blocks(items):
 
 def _table(block):
     """The logits of a block's items in one class-major (c, N) table, item
-    after item, each model after model. Returns (table, rows, runs): item i
-    has columns rows[i]:rows[i + 1], and a run is (weight views, features
+    after item, each model after model. A run, adjacent items of one n and
+    K, is one ``(r, 1, n, d) @ W`` matmul in which each (rows, model) pair
+    keeps its own BLAS call; W is shared when the items carry one weights
+    array, else stacks each item's. Returns (table, rows, runs): item i has
+    columns rows[i]:rows[i + 1], and a run is (weight views, features
     (r, 1, n, d), hidden activations, its first item)."""
     first = block[0][2]
     rows = [0, *accumulate([k * n for k, n, _, _, _ in block])]
@@ -325,7 +320,8 @@ def _softmax_columns(table: np.ndarray) -> np.ndarray:
 
 def _top_class(probs: np.ndarray):
     """(class, probability) of the first highest probability in each column
-    of class-major (c, ...) probabilities, NaN to class 0, as `argmax`."""
+    of class-major (c, ...) probabilities, NaN to class 0, as `argmax`
+    (along the class axis it would copy the table transposed)."""
     c = probs.shape[0]
     top = probs.max(axis=0)
     at_top = np.less(probs, top)
@@ -366,8 +362,7 @@ def gradient(models, batches) -> list:
             r, n = x.shape[0], x.shape[2]
             d = delta[rows[i] : rows[i + r]].reshape(r, 1, n, -1)
             d /= n
-            grads = _backward(first.hidden, views, x, h, d)
-            np.concatenate([g.reshape(r, -1) for g in grads], axis=-1, out=out[i : i + r])
+            _backward(first.hidden, views, x, h, d, _unpack(first, out[i : i + r, None]))
         if not np.all(np.isfinite(out)):
             raise ValueError("gradient contains non-finite entries")
         return out
@@ -406,13 +401,16 @@ def sgd_train(models, batches, epochs: int, batch_size: int, lr: float, seeds) -
     x = np.concatenate([_check_features(first, batches[i].features) for i in order])
     onehot = _onehot(first, np.concatenate([batches[i].labels for i in order]))
     weights = np.array([models[i].weights for i in order])
-    # (run of devices, minibatch columns, weight views) of every step.
+    grads = np.empty_like(weights)
+    # (run of devices, minibatch columns, weight and gradient views) of
+    # every step.
     steps = []
     for start in range(0, lengths[0], batch_size):
         lo = 0
         for m, run in groupby(min(n - start, batch_size) for n in lengths if n > start):
             hi = lo + len(list(run))
-            steps.append((lo, hi, start, start + m, _unpack(first, weights[lo:hi])))
+            steps.append((lo, hi, start, start + m, _unpack(first, weights[lo:hi]),
+                          _unpack(first, grads[lo:hi])))
             lo = hi
     # Row e of `shuffles` holds every device's epoch-e order of its table
     # rows, device by device: one in-place `permuted` call per device, in
@@ -430,12 +428,13 @@ def sgd_train(models, batches, epochs: int, batch_size: int, lr: float, seeds) -
     filled = np.arange(lengths[0]) < np.array(lengths)[:, None]
     for shuffled in shuffles:
         table_rows[filled] = shuffled
-        for lo, hi, start, stop, views in steps:
-            rows = table_rows[lo:hi, start:stop]
-            grads = _grads(first.hidden, views, x.take(rows, axis=0), onehot.take(rows, axis=0))
-            for view, g in zip(views, grads):
-                g *= lr
-                view -= g
+        for lo, hi, start, stop, views, grad_views in steps:
+            rows = table_rows[lo:hi, start:stop].T
+            _grads(first.hidden, views, x.take(rows, axis=0).swapaxes(0, 1),
+                   onehot.take(rows, axis=0).swapaxes(0, 1), grad_views)
+            g = grads[lo:hi]
+            g *= lr
+            weights[lo:hi] -= g
     # A non-finite gradient makes the weights non-finite for good, so one
     # check at the end stands in for a check at every step.
     if not np.all(np.isfinite(weights)):
@@ -473,7 +472,8 @@ def hit_rates(classes: np.ndarray, labels: np.ndarray, rows) -> np.ndarray:
 
 def _pairwise_sum(a: np.ndarray) -> np.ndarray:
     """Sums of the columns of a (c, n) array, each as numpy sums a
-    contiguous row of its c values (see "Class-major softmax")."""
+    contiguous row of its c values: below 8 rows row by row (numpy's order
+    there), from 8 on as numpy's own row sum of a transposed copy."""
     if a.shape[0] < 8:
         return a.sum(axis=0)
     return np.ascontiguousarray(a.T).sum(axis=1)

@@ -491,7 +491,7 @@ def test_holdout_accuracies_equal_evaluate_device_by_device(family, k, tmp_path,
         assert picked[:2] == (mid, coverage)
 
 
-def test_holdout_accuracies_score_ragged_and_reject_empty_batches():
+def test_holdout_accuracies_score_ragged_and_reject_empty_batches(monkeypatch):
     rng = np.random.default_rng(3)
     model = random_model(rng, 3, 2, 0)
     batches = [LabeledBatch(rng.normal(size=(n, 3)), rng.integers(0, 2, size=n))
@@ -502,6 +502,15 @@ def test_holdout_accuracies_score_ragged_and_reject_empty_batches():
     for pair in (batches[:2], batches[1::-1]):
         got = holdout_accuracies(holdout_devices(pair), {0: model})
         assert got.tolist() == [[ref_evaluate(model, b)] for b in pair]
+    # The phase's classes are counted in the smallest type that holds a
+    # class, not in the pool pass's int64.
+    counted = []
+    with monkeypatch.context() as patch:
+        patch.setattr(labeling, "hit_rates",
+                      lambda classes, *rest: counted.append(classes.dtype)
+                      or models.hit_rates(classes, *rest))
+        holdout_accuracies(holdout_devices(batches[:2]), {0: model})
+    assert counted == [np.uint8]
     for empty in (batches[2:], batches):
         with pytest.raises(ValueError, match="no labeled rows to score accuracy on"):
             holdout_accuracies(holdout_devices(empty), {0: model})

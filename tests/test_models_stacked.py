@@ -62,21 +62,26 @@ def ref_gradient(params: ModelParams, batch: LabeledBatch) -> np.ndarray:
     delta = probs
     delta[np.arange(n), batch.labels] -= 1.0
     delta /= n
-    if params.hidden == 0:
-        gw = x.T @ delta
-        gb = delta.sum(axis=0)
-        flat = np.concatenate([gw.ravel(), gb])
-    else:
-        _, _, w2, _ = _unpack(params)
-        gw2 = hidden.T @ delta
-        gb2 = delta.sum(axis=0)
-        dhidden = (delta @ w2.T) * (1.0 - hidden * hidden)
-        gw1 = x.T @ dhidden
-        gb1 = dhidden.sum(axis=0)
-        flat = np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+    flat = ref_backward(params, x, hidden, delta)
     if not np.all(np.isfinite(flat)):
         raise ValueError("gradient contains non-finite entries")
     return flat
+
+
+def ref_backward(params: ModelParams, x, hidden, delta) -> np.ndarray:
+    """The flat gradient of one batch's rows `x` from `delta`, the gradient
+    with respect to the logits, and the hidden activations."""
+    if params.hidden == 0:
+        gw = x.T @ delta
+        gb = delta.sum(axis=0)
+        return np.concatenate([gw.ravel(), gb])
+    _, _, w2, _ = _unpack(params)
+    gw2 = hidden.T @ delta
+    gb2 = delta.sum(axis=0)
+    dhidden = (delta @ w2.T) * (1.0 - hidden * hidden)
+    gw1 = x.T @ dhidden
+    gb1 = dhidden.sum(axis=0)
+    return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
 
 
 def ref_sgd_train(
@@ -167,10 +172,10 @@ def test_stacked_evaluate_and_loss_match_per_device_bit_for_bit(hidden, k):
 
 
 # Logistic and MLP at the default case shape, the split-512 shape
-# (d = 16, c = 6), and two shapes whose BLAS results depend on the row
-# count when the rows are split.
+# (d = 16, c = 6), two shapes whose BLAS results depend on the row count
+# when the rows are split, the fedavg-128 MLP and a two-class MLP.
 @pytest.mark.parametrize("hidden,d,c", [(0, 6, 5), (7, 6, 5), (0, 16, 6), (0, 32, 10),
-                                        (32, 20, 10)])
+                                        (32, 20, 10), (16, 8, 4), (16, 6, 2)])
 @pytest.mark.parametrize("k", [1, 2, 16, 17])
 def test_stacked_gradient_matches_per_batch_bit_for_bit(hidden, d, c, k):
     params, batches, _ = make_case(23 + k, hidden, k, 37, d=d, c=c)
@@ -178,6 +183,15 @@ def test_stacked_gradient_matches_per_batch_bit_for_bit(hidden, d, c, k):
     assert isinstance(got, list) and len(got) == k
     for batch, g in zip(batches, got):
         assert np.array_equal(g, ref_gradient(params, batch))
+    # Each gradient is written through views of its result row, for distinct
+    # models too, and features stored column-major or in wider rows score as
+    # their C-contiguous copy does.
+    starts = start_models(np.random.default_rng([k, d]), k, d, c, hidden)
+    for stored in (np.asfortranarray, lambda f: np.repeat(f, 2, axis=1)[:, ::2]):
+        other = [LabeledBatch(stored(b.features), b.labels) for b in batches]
+        assert not other[0].features.flags.c_contiguous
+        for m, batch, g in zip(starts, batches, gradient(starts, other)):
+            assert np.array_equal(g, ref_gradient(m, batch))
 
 
 # (hidden, d, c): logistic and MLP at the default case shape, and the two
@@ -312,28 +326,78 @@ def test_ragged_sgd_at_the_workload_shapes(hidden, d, c):
 @pytest.mark.parametrize("hidden", [0, 7])
 def test_training_steps_run_on_contiguous_operands(monkeypatch, hidden):
     """A step's class-major softmax runs on a C-contiguous copy of the
-    logits, and its backward matmuls get a C-contiguous delta, as the
-    row-wise code gave them. A strided table gives the same bits, only
-    slower, so the bit-equality oracles cannot see it."""
-    layouts = []
+    logits. Every per-row operand of the step (features, one-hot rows,
+    hidden units, logits, delta and tanh's backward product) is
+    row-position-major: C-contiguous after swapaxes(0, 1). The gradients
+    are views of one (K, P) array beside the weights. A strided or mixed
+    layout gives the same bits, only slower, so the bit-equality oracles
+    cannot see it."""
+    tables, stacks, grads = [], [], []
+    real = {name: getattr(models, name)
+            for name in ("_softmax_columns", "_grads", "_backward", "_product")}
 
-    def recording(name, at):
-        real = getattr(models, name)
+    def softmax(table):
+        tables.append(table)
+        return real["_softmax_columns"](table)
 
-        def call(*args):
-            layouts.append((name, args[at].flags.c_contiguous))
-            return real(*args)
-        return call
+    def step(hidden, views, x, onehot, out):
+        stacks.extend([x, onehot])
+        return real["_grads"](hidden, views, x, onehot, out)
 
-    # The softmax's table is its first argument, the delta _backward's last.
-    for name, at in (("_softmax_columns", 0), ("_backward", -1)):
-        monkeypatch.setattr(models, name, recording(name, at))
+    def backward(hidden, views, x, h, delta, out):
+        stacks.extend([delta] + ([h] if hidden else []))
+        grads.append((views, out))
+        return real["_backward"](hidden, views, x, h, delta, out)
+
+    def product(a, b):
+        stacks.append(real["_product"](a, b))
+        return stacks[-1]
+    for name, patch in (("_softmax_columns", softmax), ("_grads", step),
+                        ("_backward", backward), ("_product", product)):
+        monkeypatch.setattr(models, name, patch)
     rng = np.random.default_rng([hidden, 3])
     lengths = [1, 9, 20, 20]
     starts = start_models(rng, len(lengths), 6, 5, hidden)
     sgd_train(starts, random_batches(rng, lengths, 6, 5), 2, 8, 0.3, range(len(lengths)))
-    assert {name for name, _ in layouts} == {"_softmax_columns", "_backward"}
-    assert all(contiguous for _, contiguous in layouts)
+    assert tables and all(t.flags.c_contiguous for t in tables)
+    assert all(s.ndim == 3 and s.swapaxes(0, 1).flags.c_contiguous for s in stacks)
+    # Steps of several devices and rows, whose stacks are not C-contiguous.
+    assert any(not s.flags.c_contiguous for s in stacks)
+    buffers = {id(g.base) for _, out in grads for g in out}
+    assert len(buffers) == 1
+    buffer = grads[0][1][0].base
+    assert buffer.shape == (len(lengths), starts[0].weights.size)
+    assert all(w.base is not buffer for views, _ in grads for w in views)
+
+
+# Row-position-major stacks of K devices and b rows, at the workloads'
+# class counts, against each device's backward alone: the bias sums over the
+# stack's outer axis and the matmuls' strided `out=` writes.
+@pytest.mark.parametrize("hidden", [0, 16])
+@pytest.mark.parametrize("c", [2, 4, 8, 10])
+@pytest.mark.parametrize("b", [1, 7, 8, 9, 32])
+@pytest.mark.parametrize("k", [1, 2, 64])
+def test_backward_on_row_position_major_stacks_matches_each_device(k, b, c, hidden):
+    d = 6
+    rng = np.random.default_rng([k, b, c, hidden])
+    starts = start_models(rng, k, d, c, hidden)
+    first = starts[0]
+    weights = np.array([m.weights for m in starts])
+    views = models._unpack(first, weights)
+    x = rng.normal(size=(b, k, d))
+    delta = rng.normal(size=(b, k, c)) / b
+    # A column of -0.0: its bias sum keeps the sign the device's own sum gives.
+    delta[:, 0, -1] = -0.0
+    z, h = models._logits(hidden, views, x.swapaxes(0, 1))
+    assert z.swapaxes(0, 1).flags.c_contiguous
+    out = np.full_like(weights, np.nan)
+    models._backward(hidden, views, x.swapaxes(0, 1), h, delta.swapaxes(0, 1),
+                     models._unpack(first, out))
+    for j, m in enumerate(starts):
+        want_z, want_h = _logits(m, x[:, j])
+        assert np.array_equal(z[j], want_z)
+        want = ref_backward(m, x[:, j], want_h, delta[:, j])
+        assert np.array_equal(out[j].view(np.int64), want.view(np.int64))
 
 
 def permutation_model(perm) -> ModelParams:
