@@ -9,8 +9,14 @@ only for scoring, the pseudo-labels injected into that pool, and a fresh
 test draw used for reporting.
 
 Rows are stored once, where and in the order a round reads them, so that
-no round gathers rows: a device's rows are one array (see `DeviceDataset`),
-and the population's test draws are one table.
+no round gathers rows. The population's rows are one read-only row store,
+a `LabeledBatch` in compressed-sparse-row form: device k owns the fixed
+segment from its first row on, laid out holdout | train | pseudo-labeled |
+pending (see `DeviceDataset`), so that each part of every device is a
+(first row, length) span that the first rows and the counts give as an
+array expression (`row_store`, `train_spans`). The synthetic test draws
+are one table of back-to-back spans; a csv device's test set is a span of
+the store.
 
 A device's counts are one column of a population table, an int64 array
 with a row per count (`HOLDOUT` ... `CORRECT`), so that a round reads
@@ -134,30 +140,36 @@ def make_task_universe(data, seed) -> TaskUniverse:
 class DeviceDataset:
     """One device's local data and pseudo-labeling state.
 
-    The device takes over one features and one labels array laid out as
-    holdout | train | pool, the pool labeled with its truth (-1 where it is
-    unknown), and keeps each row there: the pool becomes pseudo-labeled |
-    pending, each part in pool order, and its truth moves to hidden_truth.
-    `holdout`, `train`, `train_batch()` (train and pseudo-labeled) and
-    `pending_features()` are views. injected_labels is the one record of
+    The device takes over its `segment` of the population's row store,
+    laid out as holdout | train | pool, the pool labeled with its truth (-1
+    where it is unknown), and keeps each row there: the pool becomes
+    pseudo-labeled | pending, each part in pool order, and its truth moves
+    to hidden_truth. `features`, `labels`, `holdout`, `train`,
+    `train_batch()` (train and pseudo-labeled) and `pending_features()` are
+    views of the segment. injected_labels is the one record of
     pseudo-labeling: each pool position's label, -1 while it is pending.
-    It and the rows are read-only outside `inject`, which checks every rule
+    It and the store are read-only outside `inject`, which checks every rule
     on the record, moves the accepted rows into the pseudo-labeled part and
     keeps the device's counts, column `column` of the population table
     `table`. Pool positions index the record and hidden_truth wherever
     their row is; `pool_features()` reads the pool in their order.
-    hidden_truth and test are for metrics only; `test` defaults to the
-    holdout, or the train rows when there is none.
+    hidden_truth and `test` are for metrics only; `test` is the
+    `test_segment` of `test_rows`, or with no `test_rows` the holdout, or
+    the train rows when there is none.
     """
 
     device_id: int
-    features: np.ndarray
-    labels: np.ndarray
+    store: LabeledBatch = field(repr=False)
+    segment: slice
     n_holdout: int
     n_train: int
     distribution_id: int
     class_whitelist: tuple
-    test: LabeledBatch | None = None
+    test_rows: LabeledBatch | None = field(default=None, repr=False)
+    test_segment: slice | None = None
+    features: np.ndarray = field(init=False, repr=False)
+    labels: np.ndarray = field(init=False, repr=False)
+    test: LabeledBatch = field(init=False, repr=False)
     holdout: LabeledBatch = field(init=False)
     train: LabeledBatch = field(init=False)
     hidden_truth: np.ndarray = field(init=False)
@@ -166,6 +178,10 @@ class DeviceDataset:
     column: int = field(init=False)
 
     def __post_init__(self):
+        start, stop, _ = self.segment.indices(len(self.store))
+        self.segment = slice(start, stop)
+        self.features = self.store.features[self.segment]
+        self.labels = self.store.labels[self.segment]
         h, lo = self.n_holdout, self.n_holdout + self.n_train
         # First row of the pool: pseudo-labeled, then pending.
         self._pool_row = lo
@@ -177,13 +193,20 @@ class DeviceDataset:
         # whitelisted.
         if not set(self.hidden_truth.tolist()) - {-1} <= wl:
             raise ValueError(f"device {self.device_id}: hidden truth outside whitelist")
-        self.labels[lo:] = -1
+        self._open_store(True)
+        self.store.labels[self.segment][lo:] = -1
+        self._open_store(False)
         self.features.setflags(write=False)
         self.labels.setflags(write=False)
         self.holdout = LabeledBatch(self.features[:h], self.labels[:h])
         self.train = self._train_batch = LabeledBatch(self.features[h:lo], self.labels[h:lo])
-        if self.test is None:
+        if self.test_rows is None:
+            self.test_rows = self.store
+            self.test_segment = slice(start, start + h) if h else slice(start + h, start + lo)
             self.test = self.holdout if h else self.train
+        else:
+            tests, at = self.test_rows, self.test_segment
+            self.test = LabeledBatch(tests.features[at], tests.labels[at])
         n_u = self.hidden_truth.size
         self.injected_labels = np.empty(n_u, dtype=np.int64)
         self.injected_labels.fill(-1)  # faster than np.full for small pools
@@ -192,6 +215,12 @@ class DeviceDataset:
         self._positions = np.arange(n_u)
         self.table = np.array([h, self.n_train, n_u, 0, 0, 0])[:, None]
         self.column = 0
+
+    def _open_store(self, write: bool):
+        """Opens the row store for writing through new views, or closes it;
+        the device's own views stay read-only."""
+        self.store.features.setflags(write=write)
+        self.store.labels.setflags(write=write)
 
     def inject(self, indices, labels):
         """Pseudo-label pool positions `indices` with `labels` (one each, or one
@@ -243,12 +272,11 @@ class DeviceDataset:
         row_of = np.empty_like(order)
         row_of[self._positions] = np.arange(order.size)
         lo = self._pool_row
-        for rows in (self.features, self.labels):
-            rows.setflags(write=True)
-        self.features[lo:] = self.features[lo:].take(row_of[order], axis=0)
-        self.labels[lo : lo + n] = record[order[:n]]
-        for rows in (self.features, self.labels):
-            rows.setflags(write=False)
+        self._open_store(True)
+        features, labels = self.store.features[self.segment], self.store.labels[self.segment]
+        features[lo:] = features[lo:].take(row_of[order], axis=0)
+        labels[lo : lo + n] = record[order[:n]]
+        self._open_store(False)
         self._positions = order
         h = self.n_holdout
         self._train_batch = LabeledBatch(self.features[h : lo + n], self.labels[h : lo + n])
@@ -276,6 +304,25 @@ def population(devices: list) -> np.ndarray:
     for k, dev in enumerate(devices):
         dev.table, dev.column = table, k
     return table
+
+
+def row_store(devices: list):
+    """(rows, starts, tests, test spans) of `devices`: the row store they
+    share and each device's first row in it, and the test rows they share
+    and each device's test set as a (first row, length) span of them. A
+    ValueError when they share no store or test rows."""
+    rows, tests = devices[0].store, devices[0].test_rows
+    if any(d.store is not rows or d.test_rows is not tests for d in devices):
+        raise ValueError("devices must share one row store and one table of test rows")
+    bounds = np.array([(d.segment.start, d.test_segment.start, d.test_segment.stop)
+                       for d in devices])
+    return rows, bounds[:, 0], tests, np.stack([bounds[:, 1], bounds[:, 2] - bounds[:, 1]], 1)
+
+
+def train_spans(table: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each device's train and pseudo-labeled rows as a (first row, length)
+    span of the row store its segment `starts` at."""
+    return np.stack([starts + table[HOLDOUT], table[TRAIN] + table[INJECTED]], axis=1)
 
 
 def labeled_sizes(table: np.ndarray) -> np.ndarray:
@@ -322,9 +369,10 @@ def partition_devices(universe: TaskUniverse, data, n_devices: int, seed) -> lis
     Exactly round(labeled_fraction * samples_per_device) samples are
     labeled, raised to one per whitelisted class (with a warning) when
     the fraction is too small; the rest form the unlabeled pool with
-    their true labels retained for scoring only. The population's test
-    draws are one (n_devices, test_samples_per_device, features) table,
-    of which each device's `test` is a view.
+    their true labels retained for scoring only. Every device's rows are
+    one segment of one row store, device after device, and the
+    population's test draws one (n_devices, test_samples_per_device,
+    features) table, of which each device's `test` is a view.
     """
     samples_per_device, labeled_fraction = data.samples_per_device, data.labeled_fraction
     width = min(data.max_classes_per_device, universe.n_classes)
@@ -339,10 +387,13 @@ def partition_devices(universe: TaskUniverse, data, n_devices: int, seed) -> lis
             labeled_fraction, asked, width,
         )
     assign_rng = np.random.default_rng(np.random.SeedSequence([int(seed), DATA_STREAM, 1]))
-    n_test = data.test_samples_per_device
-    test_features = np.empty((n_devices, n_test, universe.dim))
+    dim, n_test = universe.dim, data.test_samples_per_device
+    store = LabeledBatch(np.empty((n_devices * samples_per_device, dim)),
+                         np.empty(n_devices * samples_per_device, dtype=np.int64))
+    test_features = np.empty((n_devices, n_test, dim))
     test_labels = np.empty((n_devices, n_test), dtype=np.int64)
-    devices = []
+    tests = LabeledBatch(test_features.reshape(-1, dim), test_labels.reshape(-1))
+    drawn = []
     for k, rng in enumerate(streams([int(seed), DATA_STREAM, 2], range(n_devices))):
         if data.distribution_assignment == "round-robin":
             dist_id = k % universe.n_distributions
@@ -358,27 +409,31 @@ def partition_devices(universe: TaskUniverse, data, n_devices: int, seed) -> lis
 
         held = np.zeros(n_labeled, dtype=bool)
         held[rng.choice(n_labeled, size=n_hold, replace=False)] = True
-        # Reordered in place to holdout | train | pool, each part in draw
-        # order, the layout the device keeps.
-        order = np.argsort(~held, kind="stable")
-        features[:n_labeled], labels[:n_labeled] = features[order], labels[order]
+        # Into the device's segment of the store as holdout | train | pool,
+        # each part in draw order, the layout the device keeps.
+        order = np.concatenate((np.argsort(~held, kind="stable"),
+                                np.arange(n_labeled, samples_per_device)))
+        segment = slice(k * samples_per_device, (k + 1) * samples_per_device)
+        features.take(order, axis=0, out=store.features[segment])
+        labels.take(order, out=store.labels[segment])
 
         test_labels[k] = rng.choice(whitelist, size=n_test, replace=True)
         test_features[k] = universe.sample_features(dist_id, test_labels[k], rng)
-
-        devices.append(
-            DeviceDataset(
-                device_id=k,
-                features=features,
-                labels=labels,
-                n_holdout=n_hold,
-                n_train=n_labeled - n_hold,
-                distribution_id=dist_id,
-                class_whitelist=tuple(int(c) for c in whitelist),
-                test=LabeledBatch(test_features[k], test_labels[k]),
-            )
+        drawn.append((segment, dist_id, tuple(int(c) for c in whitelist)))
+    return [
+        DeviceDataset(
+            device_id=k,
+            store=store,
+            segment=segment,
+            n_holdout=n_hold,
+            n_train=n_labeled - n_hold,
+            distribution_id=dist_id,
+            class_whitelist=whitelist,
+            test_rows=tests,
+            test_segment=slice(k * n_test, (k + 1) * n_test),
         )
-    return devices
+        for k, (segment, dist_id, whitelist) in enumerate(drawn)
+    ]
 
 
 def csv_devices(data, n_devices: int, seed) -> list:
@@ -398,26 +453,33 @@ def csv_devices(data, n_devices: int, seed) -> list:
             f"{len(labeled)} labeled rows cannot cover {n_devices} devices",
         )
     whitelist = tuple(range(data.classes))
-    devices = []
+    # Each device's rows as holdout | train | pool, then all in one store.
+    parts = []
     for k, rng in enumerate(streams([int(seed), DATA_STREAM, 2], range(n_devices))):
         lab = LabeledBatch(labeled.features[k::n_devices], labeled.labels[k::n_devices])
         pool = unlabeled[k::n_devices]
         n_hold = holdout_size(len(lab), data.holdout_fraction, f"device {k}")
         held = np.zeros(len(lab), dtype=bool)
         held[rng.choice(len(lab), size=n_hold, replace=False)] = True
-        devices.append(
-            DeviceDataset(
-                device_id=k,
-                features=np.concatenate([lab.features[held], lab.features[~held], pool]),
-                labels=np.concatenate([lab.labels[held], lab.labels[~held],
-                                       np.full(pool.shape[0], -1, dtype=np.int64)]),
-                n_holdout=n_hold,
-                n_train=len(lab) - n_hold,
-                distribution_id=-1,
-                class_whitelist=whitelist,
-            )
+        parts.append((np.concatenate([lab.features[held], lab.features[~held], pool]),
+                      np.concatenate([lab.labels[held], lab.labels[~held],
+                                      np.full(pool.shape[0], -1, dtype=np.int64)]),
+                      n_hold, len(lab) - n_hold))
+    features, labels, holdouts, trains = zip(*parts)
+    store = LabeledBatch(np.concatenate(features), np.concatenate(labels))
+    starts = np.cumsum([0, *map(len, labels)]).tolist()
+    return [
+        DeviceDataset(
+            device_id=k,
+            store=store,
+            segment=slice(starts[k], starts[k + 1]),
+            n_holdout=holdouts[k],
+            n_train=trains[k],
+            distribution_id=-1,
+            class_whitelist=whitelist,
         )
-    return devices
+        for k in range(n_devices)
+    ]
 
 
 def load_csv_dataset(path: str, n_features: int, n_classes: int):

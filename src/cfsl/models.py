@@ -4,12 +4,14 @@ Two shapes: multinomial logistic regression (``hidden == 0``) and a
 one-hidden-layer tanh network. Parameters travel as one flat float64 vector,
 so averaging, cosine similarity and upload-size accounting share one object.
 
-Ragged stacks. ``sgd_train``, ``gradient``, ``evaluate`` and ``loss`` take
-K same-shape models and K nonempty batches of any lengths and return K
-results, each with the bits its (model, batch) pair gets alone
+Ragged stacks. ``sgd_train`` takes K same-shape models and K nonempty
+batches of any lengths; ``gradient``, ``evaluate`` and ``loss`` take K
+models, one ``LabeledBatch`` of rows and a (K, 2) integer array of spans,
+each a (first row, length) of those rows. Each returns K results, each
+with the bits its (model, rows) pair gets alone
 (``tests/test_models_stacked.py`` checks them against per-device code). A
 matmul's BLAS result can depend on its row count, so each runs on one
-batch's own ``(n, d)`` rows, at any row stride; the rest works within one
+pair's own ``(n, d)`` rows, at any row stride; the rest works within one
 sample or one batch (a bias gradient adds the batch's rows in order), so it
 may span all pairs at once.
 
@@ -23,13 +25,18 @@ lay results out like their input, and the gradients land in views of one
 ``(K, P)`` buffer laid out like the weights, so an update is two operations.
 
 Scoring kernel. ``loss``, ``gradient``, ``evaluate`` and
-``pool_predictions`` (``confidences`` is its one-pool form) share one kernel
-over items, each K same-shape models and one C-contiguous ``(n, d)`` matrix:
-a pair is an item of K = 1, a labeling phase's pool an item of its
-contenders. ``_blocks`` cuts the items into blocks of at most
-``SOFTMAX_BLOCK`` activations and ``_table`` scores a block in runs. Pairs
-are ordered stably by length and answered in input order; pools are scored
-in the order given, so a caller may use one before a later block is read.
+``pool_predictions`` (``confidences`` is its one-pool form) share one table
+builder, ``_table``, over runs: each r items of n C-contiguous rows and K
+same-shape models, a (model, span) pair being an item of K = 1 and a
+labeling phase's pool an item of its contenders. Spans are ordered stably
+by length, cut at the cumulative activation counts into blocks of at most
+``SOFTMAX_BLOCK`` activations, and answered in input order through one
+scatter. A run of equal-length spans whose first rows step up by one gap
+no smaller than their length (back to back, or one per device segment) is
+one strided view of the rows, any other run one ``take``, and its weights
+rows of one stack of the pairs' weights. Pools are cut by ``_blocks`` and
+scored in the order given, so a caller may use one before a later block
+is read.
 
 Class-major softmax. Each softmax step is a few long vector operations on
 ``(c, n)`` logits, with the row-wise bits: ``_pairwise_sum`` adds each
@@ -41,6 +48,7 @@ the row-wise code. CHANGES.md holds the timings behind these choices.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 from operator import itemgetter
@@ -231,27 +239,75 @@ def _stacked_features(p: ModelParams, features) -> np.ndarray:
     return x
 
 
-def _scored_in_blocks(models, batches, caller: str, score) -> list:
-    """One result per pair of K models and K nonempty batches, in input
-    order: score(first model, table, labels, rows, runs) of a block's
-    `_table` gives one per pair of the block (see "Scoring kernel")."""
+def _check_spans(rows: LabeledBatch, spans, count: int, caller: str) -> np.ndarray:
+    """`spans` as a (count, 2) integer array of (first row, length) of
+    nonempty spans of `rows`; a ValueError naming `caller` otherwise."""
+    spans = np.asarray(spans)
+    if spans.ndim != 2 or spans.shape[1] != 2 or spans.dtype.kind not in "iu":
+        raise ValueError(f"{caller} takes a (K, 2) integer array of spans, got "
+                         f"{spans.dtype} of shape {spans.shape}")
+    if len(spans) != count:
+        raise ValueError(f"{caller} got {count} models for {len(spans)} spans")
+    first, length = spans.min(axis=0)
+    if length < 1:
+        raise ValueError(f"{caller} requires a nonempty span")
+    if first < 0 or spans.sum(axis=1).max() > len(rows):
+        raise ValueError(f"{caller}: a span lies outside the {len(rows)} rows")
+    return spans.astype(np.intp, copy=False)
+
+
+def _spans_view(x: np.ndarray, labels: np.ndarray, first: int, count: int, n: int, gap: int):
+    """(count, n, d) and (count, n) views of C-contiguous rows `x` and their
+    `labels`: the `count` spans of `n` rows whose first rows are first,
+    first + gap, ... (`as_strided`'s views, made at a tenth of its cost).
+    With gap >= n their strides fall from axis to axis, so that results
+    laid out like them are C-contiguous."""
+    row, step = x.strides[0], labels.strides[0]
+    return (np.ndarray((count, n, x.shape[1]), x.dtype, x, first * row, (gap * row, *x.strides)),
+            np.ndarray((count, n), labels.dtype, labels, first * step, (gap * step, step)))
+
+
+def _scored_spans(models, rows: LabeledBatch, spans, caller: str, score) -> np.ndarray:
+    """One result per (model, span) pair, in input order, as one array:
+    score(first model, table, labels, columns, runs) of a block's `_table`
+    gives one per pair of the block (see "Scoring kernel")."""
     first = _first_model(models, caller)
-    lengths = [b.labels.shape[0] for b in batches]
-    if not lengths or min(lengths) == 0:
-        raise ValueError(f"{caller} requires a nonempty batch")
-    if len(models) != len(batches):
-        raise ValueError(f"{caller} got {len(models)} models for {len(batches)} batches")
-    order = sorted(range(len(lengths)), key=lengths.__getitem__)
-    out = [None] * len(batches)
-    done = 0
-    for block in _blocks([(1, lengths[i], first, models[i].weights, batches[i].features)
-                          for i in order]):
-        pairs = order[done : done + len(block)]
-        done += len(block)
-        labels = _check_labels(first, np.concatenate([batches[i].labels for i in pairs]))
-        table, rows, runs = _table(block)
-        for i, result in zip(pairs, score(first, table, labels, rows, runs)):
-            out[i] = result
+    spans = _check_spans(rows, spans, len(models), caller)
+    x, labels = _check_features(first, rows.features), np.ascontiguousarray(rows.labels)
+    order = np.argsort(spans[:, 1], kind="stable")
+    spans = spans[order]
+    # Every pair's weights, in length order.
+    weights = np.array([models[i].weights for i in order.tolist()])
+    edges = np.concatenate(([0], np.cumsum(spans[:, 1])))
+    # A block holds the most pairs from lo on whose activations fit
+    # SOFTMAX_BLOCK, or one; a run ends where the length changes or a block
+    # ends.
+    changes = (np.flatnonzero(np.diff(spans[:, 1])) + 1).tolist()
+    fit = SOFTMAX_BLOCK // (first.dim_out + first.hidden)
+    (first_rows, lengths), ends = spans.T.tolist(), edges.tolist()
+    out, lo = None, 0
+    while lo < len(order):
+        hi = max(lo + 1, bisect_right(ends, ends[lo] + fit) - 1)
+        cuts = [lo, *changes[bisect_right(changes, lo) : bisect_left(changes, hi)], hi]
+        runs, ys = [], []
+        for a, b in zip(cuts, cuts[1:]):
+            r, s, n = b - a, first_rows[a], lengths[a]
+            gap = first_rows[a + 1] - s if r > 1 else n
+            # Spans that follow each other `gap` rows apart are one view.
+            if gap >= n and first_rows[a:b] == [*range(s, s + r * gap, gap)]:
+                xs, y = _spans_view(x, labels, s, r, n, gap)
+            else:
+                at_rows = (spans[a:b, :1] + np.arange(n)).ravel()
+                xs, y = x.take(at_rows, axis=0).reshape(r, n, -1), labels.take(at_rows)
+            runs.append((xs[:, None], weights[a:b, None]))
+            ys.append(y)
+        y = _check_labels(first, np.concatenate(ys, axis=None))
+        table, scored = _table(first, runs)
+        result = score(first, table, y, edges[lo : hi + 1] - edges[lo], scored)
+        if out is None:
+            out = np.empty((len(order), *result.shape[1:]))
+        out[order[lo:hi]] = result
+        lo = hi
     return out
 
 
@@ -260,8 +316,7 @@ def _blocks(items):
     into lists of at most SOFTMAX_BLOCK activations, K·n·(c + hidden) an
     item; a larger item alone, or, of K > 1 models, in chunks of whole
     models that fit a block, each an item that starts a block. The weights
-    are a pair's (P,) vector or a group's (K, P) stack, whose chunks are
-    views."""
+    are a group's (K, P) stack, whose chunks are views."""
     block, total = [], 0
     for item in items:
         k, n, first, stack, x = item
@@ -283,30 +338,23 @@ def _blocks(items):
         yield block
 
 
-def _table(block):
-    """The logits of a block's items in one class-major (c, N) table, item
-    after item, each model after model. A run, adjacent items of one n and
-    K, is one ``(r, 1, n, d) @ W`` matmul in which each (rows, model) pair
-    keeps its own BLAS call; W is shared when the items carry one weights
-    array, else stacks each item's. Returns (table, rows, runs): item i has
-    columns rows[i]:rows[i + 1], and a run is (weight views, features
-    (r, 1, n, d), hidden activations, its first item)."""
-    first = block[0][2]
-    rows = [0, *accumulate([k * n for k, n, _, _, _ in block])]
-    table = np.empty((first.dim_out, rows[-1]))
-    runs = []
-    i = 0
-    for (k, _), run in groupby(block, key=itemgetter(0, 1)):
-        _, _, _, stacks, xs = zip(*run)
-        x = _stacked_features(first, xs)[:, None]
-        shared = len({*map(id, stacks)}) == 1
-        w = stacks[0] if shared else np.array(stacks).reshape(len(xs), k, -1)
+def _table(first: ModelParams, runs):
+    """The logits of `runs` in one class-major (c, N) table, run after run,
+    each item after item and model after model. A run is (x, w): r items'
+    features (r, 1, n, d) and their K models' weights, one (K, P) stack
+    they share or r stacks (r, K, P). Its one ``x @ W`` matmul keeps each
+    (rows, model) pair's own BLAS call. Returns (table, scored): run j is
+    scored[j], (weight views, x, hidden activations, first column)."""
+    c = first.dim_out
+    columns = [0, *accumulate(x.shape[0] * w.shape[-2] * x.shape[2] for x, w in runs)]
+    table = np.empty((c, columns[-1]))
+    scored = []
+    for (x, w), lo, hi in zip(runs, columns, columns[1:]):
         views = _unpack(first, w)
         z, h = _logits(first.hidden, views, x)
-        table[:, rows[i] : rows[i + x.shape[0]]] = z.reshape(-1, first.dim_out).T
-        runs.append((views, x, h, i))
-        i += x.shape[0]
-    return table, rows, runs
+        table[:, lo:hi] = z.reshape(-1, c).T
+        scored.append((views, x, h, lo))
+    return table, scored
 
 
 def _softmax_columns(table: np.ndarray) -> np.ndarray:
@@ -331,42 +379,46 @@ def _top_class(probs: np.ndarray):
     return np.subtract(c, (at_top.view(np.uint8) * rank).max(axis=0), dtype=np.int64), top
 
 
-def loss(models, batches) -> list:
-    """Mean cross-entropy of each (model, batch) pair, as a float
+def loss(models, rows: LabeledBatch, spans) -> list:
+    """Mean cross-entropy of each (model, span of `rows`) pair, as a float
     (log-softmax form for accuracy; see "Ragged stacks")."""
-    def score(first, z, y, rows, runs):
+    def score(first, z, y, columns, scored):
         z -= z.max(axis=0)
         picked = z[y, np.arange(y.size)] - np.log(_pairwise_sum(np.exp(z)))
         # Each pair's mean as `mean` takes it: the pairwise sum of its n
         # values, one contiguous row of its run's (r, n) view.
-        out = np.empty(len(rows) - 1)
-        for _, x, _, i in runs:
+        out = np.empty(len(columns) - 1)
+        i = 0
+        for _, x, _, lo in scored:
             r, n = x.shape[0], x.shape[2]
-            np.add.reduce(picked[rows[i] : rows[i + r]].reshape(r, n), axis=1, out=out[i : i + r])
+            np.add.reduce(picked[lo : lo + r * n].reshape(r, n), axis=1, out=out[i : i + r])
             out[i : i + r] /= n
-        return (-out).tolist()
-    return _scored_in_blocks(models, batches, "loss", score)
+            i += r
+        return -out
+    return _scored_spans(models, rows, spans, "loss", score).tolist()
 
 
-def gradient(models, batches) -> list:
-    """Exact analytic gradient of `loss` for each (model, batch) pair, as a
-    flat float64 vector laid out like the model's weights (see "Ragged
-    stacks"). Raises ValueError if any entry is not finite."""
-    def score(first, z, y, rows, runs):
+def gradient(models, rows: LabeledBatch, spans) -> np.ndarray:
+    """Exact analytic gradient of `loss` for each (model, span of `rows`)
+    pair, as row i of a (K, P) array laid out like the models' weights (see
+    "Ragged stacks"). Raises ValueError if any entry is not finite."""
+    def score(first, z, y, columns, scored):
         delta = _softmax_columns(z)
         delta[y, np.arange(y.size)] -= 1.0
-        # Row-major again, as each batch's backward matmuls take it alone.
+        # Row-major again, as each span's backward matmuls take it alone.
         delta = delta.T.copy()
-        out = np.empty((len(rows) - 1, first.weights.size))
-        for views, x, h, i in runs:
+        out = np.empty((len(columns) - 1, first.weights.size))
+        i = 0
+        for views, x, h, lo in scored:
             r, n = x.shape[0], x.shape[2]
-            d = delta[rows[i] : rows[i + r]].reshape(r, 1, n, -1)
+            d = delta[lo : lo + r * n].reshape(r, 1, n, -1)
             d /= n
             _backward(first.hidden, views, x, h, d, _unpack(first, out[i : i + r, None]))
+            i += r
         if not np.all(np.isfinite(out)):
             raise ValueError("gradient contains non-finite entries")
         return out
-    return _scored_in_blocks(models, batches, "gradient", score)
+    return _scored_spans(models, rows, spans, "gradient", score)
 
 
 def sgd_train(models, batches, epochs: int, batch_size: int, lr: float, seeds) -> list:
@@ -453,13 +505,13 @@ def _first_model(models, caller: str) -> ModelParams:
     return models[0]
 
 
-def evaluate(models, batches) -> list:
-    """Accuracy of each (model, batch) pair: the fraction of argmax
+def evaluate(models, rows: LabeledBatch, spans) -> list:
+    """Accuracy of each (model, span of `rows`) pair: the fraction of argmax
     predictions matching the labels, ties to the lowest class id, counted
     by `hit_rates` (see "Ragged stacks")."""
-    def score(first, z, y, rows, runs):
-        return hit_rates(_top_class(_softmax_columns(z))[0], y, rows).tolist()
-    return _scored_in_blocks(models, batches, "evaluate", score)
+    def score(first, z, y, columns, scored):
+        return hit_rates(_top_class(_softmax_columns(z))[0], y, columns)
+    return _scored_spans(models, rows, spans, "evaluate", score).tolist()
 
 
 def hit_rates(classes: np.ndarray, labels: np.ndarray, rows) -> np.ndarray:
@@ -516,12 +568,22 @@ def pool_predictions(groups, caller: str = "confidences"):
 
     parts, done = [], 0
     for block in _blocks(items()):
-        table, rows, runs = _table(block)
+        first = block[0][2]
+        # A run: adjacent items of one n and K, which share their weights
+        # when they carry one stack.
+        items_of_runs = [list(run) for _, run in groupby(block, key=itemgetter(0, 1))]
+        runs = []
+        for run in items_of_runs:
+            _, _, _, weights, xs = zip(*run)
+            x = _stacked_features(first, xs)[:, None]
+            shared = len({*map(id, weights)}) == 1
+            runs.append((x, weights[0] if shared else np.array(weights)))
+        table, scored = _table(first, runs)
         classes, conf = _top_class(_softmax_columns(table))
-        for _, x, _, i in runs:
-            k, n, _, stack, _ = block[i]
+        for run, (_, x, _, lo) in zip(items_of_runs, scored):
+            k, n, _, stack, _ = run[0]
             shape = (x.shape[0], k, n)
-            span = slice(rows[i], rows[i + x.shape[0]])
+            span = slice(lo, lo + x.shape[0] * k * n)
             predictions = zip(classes[span].reshape(shape), conf[span].reshape(shape))
             # A chunk, a view of its group's stack (which owns its data),
             # starts a block; its group is yielded after its last chunk.

@@ -33,7 +33,17 @@ from .clustering import (
     similarity_matrix,
 )
 from .config import ExperimentConfig
-from .data import CORRECT, INJECTED, KNOWN, POOL, injected_fractions, labeled_sizes, population
+from .data import (
+    CORRECT,
+    INJECTED,
+    KNOWN,
+    POOL,
+    injected_fractions,
+    labeled_sizes,
+    population,
+    row_store,
+    train_spans,
+)
 from .errors import StateError
 from .labeling import (
     holdout_accuracies,
@@ -183,8 +193,11 @@ class Simulation:
         self.devices = list(devices)
         self.radios = list(radios)
         self.config = config
-        # The devices' counts, which each `inject` keeps up, and path gains.
+        # The devices' counts, which each `inject` keeps up, their row store
+        # and each one's first row in it, their test rows and test spans,
+        # and path gains.
         self.population = population(self.devices)
+        self.rows, self.starts, self.tests, self.test_spans = row_store(self.devices)
         self.gains = path_gains(self.radios, config.network)
         self.use_global_model = config.run.baseline == "hfl-ssl"
 
@@ -304,8 +317,9 @@ class Simulation:
             after = self._train({k: node.model for node, k in pairs}, r)
             signals = [node.model.weights - after[k].weights for node, k in pairs]
         else:
-            signals = gradient([node.model for node, _ in pairs],
-                               [self.devices[k].train_batch() for _, k in pairs])
+            ids = [k for _, k in pairs]
+            signals = gradient([node.model for node, _ in pairs], self.rows,
+                               train_spans(self.population, self.starts)[ids])
         out = defaultdict(dict)
         for (node, k), signal in zip(pairs, signals):
             out[node.cluster_id][k] = signal
@@ -572,12 +586,12 @@ class Simulation:
 
     def _device_scores(self) -> tuple:
         """(test accuracies, train losses) of the devices, in device order,
-        each under its own model: one `evaluate` call over every test set
-        and one `loss` call over every train batch."""
+        each under its own model: one `evaluate` call over every test span
+        and one `loss` call over every train span."""
         by_leaf = self._leaf_models()
         models = [by_leaf[c] for c in self.tree.leaf_of.tolist()]
-        return (evaluate(models, [d.test for d in self.devices]),
-                loss(models, [d.train_batch() for d in self.devices]))
+        return (evaluate(models, self.tests, self.test_spans),
+                loss(models, self.rows, train_spans(self.population, self.starts)))
 
     def _emit_metrics(self, r: int, drops: int, clusters: int, injected: np.ndarray) -> MetricsRow:
         """The round's metrics row, given each device's `injected` fraction:

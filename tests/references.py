@@ -22,6 +22,9 @@ kernels cannot also change the reference they are checked against.
 round, from its simulation and its strict-JSON events: the config fuzz
 runs it after every drawn config that runs.
 
+`as_spans` lays test batches back to back in the span form that
+`models.loss`, `gradient` and `evaluate` take.
+
 `ref_edge_aggregate` is the aggregation loop whose bits
 `orchestrator.edge_aggregate` keeps. `model_of` is the model a device
 runs, found through its leaf. `counts` reads a device's column of its
@@ -187,8 +190,8 @@ def ref_metrics_row(sim, crossing: dict) -> tuple:
         if dev.device_id not in crossing and injected_fraction(dev) >= LABEL_DONE_FRACTION:
             crossing[dev.device_id] = cum
     models = [model_of(sim, d.device_id) for d in sim.devices]
-    accs = evaluate(models, [d.test for d in sim.devices])
-    losses = loss(models, [d.train_batch() for d in sim.devices])
+    accs = evaluate(models, *as_spans([d.test for d in sim.devices]))
+    losses = loss(models, *as_spans([d.train_batch() for d in sim.devices]))
     device_losses = dict(zip((d.device_id for d in sim.devices), losses))
     leaf_means = {node.cluster_id: float(np.mean([device_losses[k] for k in node.members]))
                   for node in sim.tree.active_leaves()}
@@ -464,6 +467,16 @@ def ref_loss(params: ModelParams, batch: LabeledBatch) -> float:
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     picked = log_probs[np.arange(len(batch)), batch.labels]
     return float(-picked.mean())
+
+
+def as_spans(batches) -> tuple:
+    """(rows, spans) of nonempty `batches` laid back to back: one
+    `LabeledBatch` of their rows and a (K, 2) array of each batch's (first
+    row, length) in it."""
+    lengths = [len(b) for b in batches]
+    rows = LabeledBatch(np.concatenate([b.features for b in batches]),
+                        np.concatenate([b.labels for b in batches]))
+    return rows, np.stack([np.cumsum([0, *lengths[:-1]]), lengths], axis=1)
 
 
 def max_cross(values: np.ndarray, c1, c2) -> float:

@@ -39,7 +39,7 @@ from cfsl.network import (
     schedule_round,
 )
 from cfsl.orchestrator import edge_aggregate
-from references import exhaustive_bipartition, labeled_size, max_cross, training_seed
+from references import as_spans, exhaustive_bipartition, labeled_size, max_cross, training_seed
 
 logging.disable(logging.WARNING)
 
@@ -210,8 +210,8 @@ def _central_differences(params, batch, h=1e-5):
         wp, wm = w.copy(), w.copy()
         wp[i] += step
         wm[i] -= step
-        out[i] = (loss([params.with_weights(wp)], [batch])[0]
-                  - loss([params.with_weights(wm)], [batch])[0]) / (2 * step)
+        out[i] = (loss([params.with_weights(wp)], *as_spans([batch]))[0]
+                  - loss([params.with_weights(wm)], *as_spans([batch]))[0]) / (2 * step)
     return out
 
 
@@ -231,7 +231,7 @@ def test_criterion_02_analytic_gradients_match_finite_differences():
                                      seed=int(rng.integers(1 << 30)), scale=0.5)
                 batch = LabeledBatch(rng.normal(size=(n, dim)),
                                      rng.integers(0, classes, size=n))
-                (analytic,) = gradient([params], [batch])
+                (analytic,) = gradient([params], *as_spans([batch]))
                 fd = _central_differences(params, batch)
                 denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-5)
                 worst = float(np.max(np.abs(analytic - fd) / denom))

@@ -1,7 +1,7 @@
 """Data generation and partitioning checks."""
 
 import logging
-from itertools import groupby
+from itertools import combinations, groupby
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from cfsl.data import (
     make_task_universe,
     partition_devices,
     population,
+    row_store,
 )
 from cfsl.labeling import _scored_holdout
 from cfsl.models import LabeledBatch
@@ -259,8 +260,10 @@ def test_labeled_rows_and_pool_are_views_of_one_array():
         parts = (dev.holdout.features, dev.train.features, train.features[len(dev.train):],
                  pending)
         assert all(len(p) for p in parts)
-        assert all(p.base is rows for p in (*parts, train.features))
-        assert all(b.labels.base is labels for b in (dev.holdout, dev.train, train))
+        # Views of the device's segment of the population's row store.
+        assert all(p.base is dev.store.features for p in (rows, *parts, train.features))
+        assert all(b.base is dev.store.labels
+                   for b in (labels, dev.holdout.labels, dev.train.labels, train.labels))
         # Each row is stored once: the parts tile the array in order.
         assert rows.shape[0] == sum(len(p) for p in parts) == labels.shape[0]
         assert np.array_equal(rows, np.vstack(parts))
@@ -360,7 +363,8 @@ def test_inject_rejects_a_negative_label():
 
 def test_inject_rejects_a_repeated_or_injected_position_and_changes_nothing():
     # Two train rows, labeled 0 and 1, then a pool of four with truth 0, 1, 0, 1.
-    dev = DeviceDataset(0, np.zeros((6, 2)), np.array([0, 1, 0, 1, 0, 1]), 0, 2, 0, (0, 1))
+    dev = DeviceDataset(0, LabeledBatch(np.zeros((6, 2)), np.array([0, 1, 0, 1, 0, 1])),
+                        slice(None), 0, 2, 0, (0, 1))
 
     def state():
         row = counts(dev)
@@ -395,8 +399,8 @@ def test_inject_rejects_a_repeated_or_injected_position_and_changes_nothing():
 def test_injected_fraction_is_the_rounded_mean_for_every_count():
     def device(size):
         return DeviceDataset(
-            0, np.zeros((2 + size, 2)), np.r_[0, 1, np.zeros(size, dtype=np.int64)], 0, 2,
-            0, (0, 1), LabeledBatch(np.zeros((1, 2)), np.array([0])),
+            0, LabeledBatch(np.zeros((2 + size, 2)), np.r_[0, 1, np.zeros(size, dtype=np.int64)]),
+            slice(None), 0, 2, 0, (0, 1), LabeledBatch(np.zeros((1, 2)), np.array([0])), slice(0, 1),
         )
 
     for size in (1, 3, 7, 10, 49, 97, 192):
@@ -426,7 +430,8 @@ def test_train_batch_equals_its_definition_with_and_without_injections():
         assert train.features.dtype == feats.dtype and train.labels.dtype == labels.dtype
         assert np.array_equal(train.features, feats) and np.array_equal(train.labels, labels)
         # The batch is a read-only view of the device's rows: no copy.
-        assert train.features.base is dev.features and train.labels.base is dev.labels
+        assert train.features.base is dev.store.features
+        assert train.labels.base is dev.store.labels
         assert not train.features.flags.writeable and not train.labels.flags.writeable
         check_counts_match_mask(dev)
 
@@ -444,6 +449,86 @@ def test_test_sets_are_views_of_one_population_table():
     for x, y in zip(devices, partition(u, 2, 60, 0.3, seed=19, test_samples_per_device=7)):
         assert np.array_equal(x.test.features, y.test.features)
         assert np.array_equal(x.test.labels, y.test.labels)
+
+
+def same_view(a, b) -> bool:
+    """Whether arrays `a` and `b` view the same memory the same way."""
+    return (a.__array_interface__["data"][0], a.shape, a.strides) == (
+        b.__array_interface__["data"][0], b.shape, b.strides)
+
+
+def assert_one_row_store(devices):
+    """Every device's features and labels are views of one read-only row
+    store, whose segments are disjoint and tile it in device order."""
+    rows, starts, _, _ = row_store(devices)
+    assert not rows.features.flags.writeable and not rows.labels.flags.writeable
+    bounds = [(dev.segment.start, dev.segment.stop) for dev in devices]
+    assert starts.tolist() == [start for start, _ in bounds]
+    assert bounds[0][0] == 0 and bounds[-1][1] == len(rows)
+    assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
+    for dev in devices:
+        assert dev.features.base is rows.features and dev.labels.base is rows.labels
+        assert same_view(dev.features, rows.features[dev.segment])
+        assert same_view(dev.labels, rows.labels[dev.segment])
+    for a, b in combinations(devices, 2):
+        assert not np.shares_memory(a.features, b.features)
+        assert not np.shares_memory(a.labels, b.labels)
+
+
+def test_devices_are_disjoint_segments_of_one_row_store(tmp_path):
+    u = small_universe(seed=25)
+    assert_one_row_store(partition(u, 5, 40, 0.25, seed=25))
+    lines = [",".join(f"{x:.3f}" for x in np.random.default_rng(j).normal(size=3))
+             + ("," if j % 4 else f",{j % 3}") for j in range(50)]
+    data = DataConfig(mode="csv", csv_path=write_csv(tmp_path, "\n".join(lines) + "\n"),
+                      features=3, classes=3)
+    devices = csv_devices(data, 4, seed=1)
+    assert_one_row_store(devices)
+    # A csv device's test set is its holdout span in the store.
+    rows, _, tests, spans = row_store(devices)
+    assert tests is rows
+    for (start, n), dev in zip(spans, devices):
+        assert (start, n) == (dev.segment.start, len(dev.holdout)) and n > 0
+    # Devices of two stores have no spans in common.
+    with pytest.raises(ValueError, match="one row store"):
+        row_store([devices[0], *partition(u, 2, 40, 0.25, seed=26)])
+
+
+def test_synthetic_test_sets_are_back_to_back_spans_of_one_table():
+    u = small_universe(seed=19)
+    devices = partition(u, 4, 60, 0.3, seed=19, test_samples_per_device=7)
+    _, _, tests, spans = row_store(devices)
+    assert tests.features.base.shape == (4, 7, u.dim) and tests.labels.base.shape == (4, 7)
+    assert spans.tolist() == [[7 * k, 7] for k in range(4)]
+    for (start, n), dev in zip(spans, devices):
+        at = slice(start, start + n)
+        assert same_view(dev.test.features, tests.features[at])
+        assert same_view(dev.test.labels, tests.labels[at])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_an_injection_leaves_every_other_row_byte_for_byte(seed):
+    """Only the injected device's pool part of the store moves: every other
+    device's rows and labels, and its own holdout and train rows, keep
+    their bytes."""
+    u = small_universe(seed=30 + seed)
+    devices = partition(u, 5, 40, 0.2, seed=seed)
+    rows, _, _, _ = row_store(devices)
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        dev = devices[rng.integers(len(devices))]
+        pending = np.flatnonzero(dev.injected_labels < 0)
+        if not pending.size:
+            continue
+        features, labels = rows.features.copy(), rows.labels.copy()
+        idx = rng.choice(pending, size=min(pending.size, int(rng.integers(1, 6))), replace=False)
+        dev.inject(idx, rng.choice(dev.class_whitelist, size=idx.size))
+        kept = np.ones(len(rows), dtype=bool)
+        kept[dev.segment.start + dev.n_holdout + dev.n_train : dev.segment.stop] = False
+        assert rows.features[kept].tobytes() == features[kept].tobytes()
+        assert rows.labels[kept].tobytes() == labels[kept].tobytes()
+        assert not rows.features.flags.writeable and not rows.labels.flags.writeable
+    assert any(d.table[INJECTED, d.column] for d in devices)
 
 
 # ---------------------------------------------------------------- layout oracle
@@ -483,7 +568,7 @@ class Reference:
         assert len(dev.train_batch()) == len(batch) == len(self.train) + len(injected)
         # Views of the one array, and no part of it writable from outside.
         for a in (batch.features, feats, dev.train.features, dev.holdout.features):
-            assert a.base is dev.features and not a.flags.writeable
+            assert a.base is dev.store.features and not a.flags.writeable
         check_counts_match_mask(dev)
 
 
@@ -584,8 +669,8 @@ def test_device_dataset_rejects_whitelist_violation():
         with pytest.raises(ValueError, match="outside whitelist"):
             DeviceDataset(
                 device_id=0,
-                features=np.zeros((3, 2)),
-                labels=np.array(labels),
+                store=LabeledBatch(np.zeros((3, 2)), np.array(labels)),
+                segment=slice(None),
                 n_holdout=1,
                 n_train=1,
                 distribution_id=0,

@@ -26,7 +26,7 @@ from cfsl.labeling import inject, pseudo_label
 from cfsl.models import gradient, sgd_train
 from cfsl.network import dbm_to_watts, schedule_round
 from cfsl.seeding import sweep_seed
-from references import training_seed, unlabeled_remaining
+from references import as_spans, training_seed, unlabeled_remaining
 
 BASE = """
 [topology]
@@ -202,7 +202,7 @@ def test_use_weight_deltas_makes_the_split_signal_the_weight_delta():
                                          tr.learning_rate, [training_seed(seed, r, k)])
                     want = node.model.weights - after.weights
                 else:
-                    (want,) = gradient([node.model], [batch])
+                    (want,) = gradient([node.model], *as_spans([batch]))
                 assert np.array_equal(signals[node.cluster_id][k], want)
     assert deltas._split_signals([], r) == {}
 

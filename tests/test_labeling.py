@@ -20,6 +20,7 @@ from cfsl.labeling import (
 from cfsl.models import LabeledBatch, ModelParams, evaluate, sgd_train
 from cfsl.network import DeviceRadio, path_gains, schedule_round
 from references import (
+    as_spans,
     counts,
     labeled_size,
     labeling_accuracy,
@@ -145,7 +146,7 @@ def test_utility_empty_holdout_falls_back(caplog):
             select_alone(dev, {0: model, 1: zero_params(3, 4), 2: model}, 0.4)
             assert warnings() == n_calls
     assert 0.0 <= val_accuracy <= 1.0
-    assert val_accuracy == evaluate([model], [dev.train])[0]
+    assert val_accuracy == evaluate([model], *as_spans([dev.train]))[0]
 
 
 # ---------------------------------------------------------------- selection

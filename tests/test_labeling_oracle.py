@@ -46,6 +46,7 @@ from cfsl.models import (
     pool_predictions,
 )
 from references import (
+    as_spans,
     _unpack,
     contender_ids,
     holdout_devices,
@@ -181,13 +182,15 @@ def make_device(rng, d, c, n_labeled=10, n_pool=60, n_holdout=4, rounded=False, 
     train = np.setdiff1d(np.arange(n_labeled), held)
     return DeviceDataset(
         device_id=device_id,
-        features=np.concatenate([feats[held], feats[train], pool]),
-        labels=np.concatenate([labels[held], labels[train], hidden_truth]),
+        store=LabeledBatch(np.concatenate([feats[held], feats[train], pool]),
+                           np.concatenate([labels[held], labels[train], hidden_truth])),
+        segment=slice(None),
         n_holdout=n_holdout,
         n_train=train.size,
         distribution_id=0,
         class_whitelist=tuple(range(c)),
-        test=LabeledBatch(feats, labels),
+        test_rows=LabeledBatch(feats, labels),
+        test_segment=slice(0, len(labels)),
     )
 
 
@@ -412,16 +415,17 @@ def test_stacked_evaluate_matches_one_model_at_a_time(family):
             want = [ref_evaluate(m, batch) for m in models]
             devices = holdout_devices([batch])
             assert holdout_accuracies(devices, dict(enumerate(models))).tolist() == [want]
-            assert [evaluate([m], [batch])[0] for m in models] == want
+            assert [evaluate([m], *as_spans([batch]))[0] for m in models] == want
 
 
 def test_stacked_evaluate_rejects_mixed_shapes_and_no_models():
     batch = LabeledBatch(np.zeros((2, 3)), np.array([0, 1]))
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="different shapes"):
-        evaluate([random_model(rng, 3, 2, 0), random_model(rng, 3, 2, 4)], [batch, batch])
+        evaluate([random_model(rng, 3, 2, 0), random_model(rng, 3, 2, 4)],
+                 *as_spans([batch, batch]))
     with pytest.raises(ValueError, match="at least one model"):
-        evaluate([], [batch])
+        evaluate([], *as_spans([batch]))
     # confidences stacks its models the same way.
     with pytest.raises(ValueError, match="different shapes"):
         confidences([random_model(rng, 3, 2, 0), random_model(rng, 3, 3, 0)], batch.features)
@@ -704,9 +708,9 @@ def test_batched_phase_equals_each_device_alone(family, c, blocks, monkeypatch):
     passes = []
     real_table = models._table
 
-    def table(block):
-        passes.append([k for k, _, _, _, _ in block])
-        return real_table(block)
+    def table(first, runs):
+        passes.append([w.shape[-2] for x, w in runs for _ in range(x.shape[0])])
+        return real_table(first, runs)
     monkeypatch.setattr(models, "_table", table)
 
     got = batched_phase(phase, phi, accuracy)

@@ -18,7 +18,7 @@ from cfsl.models import (
     param_count,
     sgd_train,
 )
-from references import forward, zero_params
+from references import as_spans, forward, zero_params
 
 
 def make_batch(rng, n, d, c):
@@ -57,7 +57,7 @@ def test_gradient_rejects_nan():
     p = ModelParams(np.array([1.0, np.nan, 0.0, 0.0]), 1, 2)
     batch = LabeledBatch(np.array([[1.0], [2.0], [-1.0]]), np.array([0, 1, 1]))
     with pytest.raises(ValueError, match="gradient contains non-finite entries"):
-        gradient([p], [batch])
+        gradient([p], *as_spans([batch]))
 
 
 # ---------------------------------------------------------------- forward / loss
@@ -75,7 +75,7 @@ def test_zero_weight_loss_is_log_c():
         p = zero_params(3, c)
         rng = np.random.default_rng(c)
         batch = make_batch(rng, 10, 3, c)
-        assert math.isclose(loss([p], [batch])[0], math.log(c), rel_tol=1e-12)
+        assert math.isclose(loss([p], *as_spans([batch]))[0], math.log(c), rel_tol=1e-12)
 
 
 def test_forward_matches_high_precision_softmax():
@@ -99,7 +99,7 @@ def test_forward_matches_high_precision_softmax():
 
     lab = LabeledBatch(x, np.array([2]))
     expected_loss = float(-mpmath.log(exps[2] / total))
-    assert math.isclose(loss([p], [lab])[0], expected_loss, rel_tol=1e-13)
+    assert math.isclose(loss([p], *as_spans([lab]))[0], expected_loss, rel_tol=1e-13)
 
 
 def test_forward_is_overflow_safe():
@@ -143,8 +143,8 @@ def finite_difference(p, batch, eps=1e-6):
         up[i] += eps
         down = base.copy()
         down[i] -= eps
-        out[i] = (loss([p.with_weights(up)], [batch])[0]
-                  - loss([p.with_weights(down)], [batch])[0]) / (2 * eps)
+        out[i] = (loss([p.with_weights(up)], *as_spans([batch]))[0]
+                  - loss([p.with_weights(down)], *as_spans([batch]))[0]) / (2 * eps)
     return out
 
 
@@ -154,7 +154,7 @@ def test_gradient_matches_central_differences(hidden):
     for _ in range(8):
         p = random_params(rng, 4, 3, hidden)
         batch = make_batch(rng, 6, 4, 3)
-        (g,) = gradient([p], [batch])
+        (g,) = gradient([p], *as_spans([batch]))
         fd = finite_difference(p, batch)
         denom = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(g - fd) / denom < 1e-6
@@ -164,7 +164,7 @@ def test_gradient_zero_at_perfect_separation_limit():
     # Saturated correct predictions push the gradient toward zero.
     p = ModelParams(np.array([50.0, -50.0, 0.0, 0.0]), 1, 2)
     batch = LabeledBatch(np.array([[1.0], [-1.0]]), np.array([0, 1]))
-    (g,) = gradient([p], [batch])
+    (g,) = gradient([p], *as_spans([batch]))
     assert np.linalg.norm(g) < 1e-12
 
 
@@ -177,15 +177,15 @@ def test_gradient_mean_scaling():
         np.vstack([batch.features, batch.features]),
         np.concatenate([batch.labels, batch.labels]),
     )
-    assert np.allclose(*gradient([p, p], [batch, doubled]), rtol=1e-12)
+    assert np.allclose(*gradient([p, p], *as_spans([batch, doubled])), rtol=1e-12)
 
 
 def test_empty_batch_rejected():
     p = zero_params(2, 2)
-    empty = LabeledBatch(np.zeros((0, 2)), np.zeros(0, dtype=int))
+    rows = LabeledBatch(np.zeros((2, 2)), np.zeros(2, dtype=int))
     for fn in (loss, gradient, evaluate):
-        with pytest.raises(ValueError):
-            fn([p], [empty])
+        with pytest.raises(ValueError, match="nonempty span"):
+            fn([p], rows, np.array([[1, 0]]))
 
 
 # ---------------------------------------------------------------- sgd
@@ -196,7 +196,7 @@ def test_one_step_sgd_is_one_gradient_step():
     p = random_params(rng, 3, 2)
     batch = make_batch(rng, 4, 3, 2)
     lr = 0.1
-    (g,) = gradient([p], [batch])
+    (g,) = gradient([p], *as_spans([batch]))
     # batch_size >= D and one epoch: a single full-batch step.
     (trained,) = sgd_train([p], [batch], epochs=1, batch_size=10, lr=lr, seeds=[0])
     assert np.allclose(trained.weights, p.weights - lr * g, rtol=1e-12)
@@ -211,7 +211,7 @@ def test_sgd_step_count_via_tiny_lr():
     (a,) = sgd_train([p], [batch], epochs=2, batch_size=3, lr=1e-9, seeds=[1])
     steps = 2 * math.ceil(7 / 3)
     moved = np.linalg.norm(a.weights - p.weights)
-    per_step = np.linalg.norm(gradient([p], [batch])[0]) * 1e-9
+    per_step = np.linalg.norm(gradient([p], *as_spans([batch]))[0]) * 1e-9
     # Mini-batch gradients vary but stay within a loose factor of the mean.
     assert moved > 0
     assert moved < steps * per_step * 50
@@ -246,10 +246,10 @@ def test_sgd_reduces_loss_on_separable_data():
     batch = LabeledBatch(x, y)
     for hidden in (0, 4):
         p = init_params(2, 2, hidden, seed=0)
-        (before,) = loss([p], [batch])
+        (before,) = loss([p], *as_spans([batch]))
         (trained,) = sgd_train([p], [batch], epochs=5, batch_size=16, lr=0.1, seeds=[1])
-        assert loss([trained], [batch])[0] < before
-        assert evaluate([trained], [batch])[0] > 0.95
+        assert loss([trained], *as_spans([batch]))[0] < before
+        assert evaluate([trained], *as_spans([batch]))[0] > 0.95
 
 
 def test_sgd_validates_arguments():
@@ -279,7 +279,7 @@ def test_init_bounds_and_determinism():
 def test_argmax_tie_breaks_to_lowest_class():
     p = zero_params(2, 3)
     batch = LabeledBatch(np.array([[1.0, 1.0]]), np.array([0]))
-    assert evaluate([p], [batch]) == [1.0]
+    assert evaluate([p], *as_spans([batch])) == [1.0]
     classes, conf = confidences([p], np.array([[1.0, 1.0]]))
     assert classes[0, 0] == 0
     assert math.isclose(conf[0, 0], 1 / 3, rel_tol=1e-12)
@@ -295,4 +295,4 @@ def test_evaluate_counts_correct_fraction():
     w = np.array([1.0, -1.0, 0.0, 0.0])
     p = ModelParams(w, 1, 2)
     batch = LabeledBatch(np.array([[1.0], [1.0], [-1.0], [-1.0]]), np.array([0, 1, 1, 0]))
-    assert evaluate([p], [batch]) == [0.5]
+    assert evaluate([p], *as_spans([batch])) == [0.5]

@@ -30,6 +30,7 @@ from cfsl.models import (
 )
 from cfsl.labeling import holdout_accuracies
 from references import (
+    as_spans,
     _check_features,
     _logits,
     _unpack,
@@ -157,16 +158,18 @@ def test_single_batch_is_one_model_and_matches_reference(hidden):
     (got,) = sgd_train([params], [batch], 2, 16, 0.1, [seed])
     assert isinstance(got, ModelParams)
     assert np.array_equal(got.weights, ref_sgd_train(params, batch, 2, 16, 0.1, seed).weights)
-    assert np.array_equal(gradient([params], [batch])[0], ref_gradient(params, batch))
-    assert evaluate([params], [batch]) == [ref_evaluate(params, batch)]
-    assert loss([params], [batch]) == [ref_loss(params, batch)]
+    rows, spans = as_spans([batch])
+    assert np.array_equal(gradient([params], rows, spans)[0], ref_gradient(params, batch))
+    assert evaluate([params], rows, spans) == [ref_evaluate(params, batch)]
+    assert loss([params], rows, spans) == [ref_loss(params, batch)]
 
 
 @pytest.mark.parametrize("hidden", [0, 7])
 @pytest.mark.parametrize("k", [1, 2, 16, 17])
 def test_stacked_evaluate_and_loss_match_per_device_bit_for_bit(hidden, k):
     params, batches, _ = make_case(11 + k, hidden, k, 41)
-    accs, losses = evaluate([params] * k, batches), loss([params] * k, batches)
+    rows, spans = as_spans(batches)
+    accs, losses = evaluate([params] * k, rows, spans), loss([params] * k, rows, spans)
     assert accs == [ref_evaluate(params, b) for b in batches]
     assert losses == [ref_loss(params, b) for b in batches]
 
@@ -179,18 +182,19 @@ def test_stacked_evaluate_and_loss_match_per_device_bit_for_bit(hidden, k):
 @pytest.mark.parametrize("k", [1, 2, 16, 17])
 def test_stacked_gradient_matches_per_batch_bit_for_bit(hidden, d, c, k):
     params, batches, _ = make_case(23 + k, hidden, k, 37, d=d, c=c)
-    got = gradient([params] * k, batches)
-    assert isinstance(got, list) and len(got) == k
+    rows, spans = as_spans(batches)
+    got = gradient([params] * k, rows, spans)
+    assert got.shape == (k, params.weights.size)
     for batch, g in zip(batches, got):
         assert np.array_equal(g, ref_gradient(params, batch))
     # Each gradient is written through views of its result row, for distinct
-    # models too, and features stored column-major or in wider rows score as
+    # models too, and rows stored column-major or in wider rows score as
     # their C-contiguous copy does.
     starts = start_models(np.random.default_rng([k, d]), k, d, c, hidden)
     for stored in (np.asfortranarray, lambda f: np.repeat(f, 2, axis=1)[:, ::2]):
-        other = [LabeledBatch(stored(b.features), b.labels) for b in batches]
-        assert not other[0].features.flags.c_contiguous
-        for m, batch, g in zip(starts, batches, gradient(starts, other)):
+        other = LabeledBatch(stored(rows.features), rows.labels)
+        assert not other.features.flags.c_contiguous
+        for m, batch, g in zip(starts, batches, gradient(starts, other, spans)):
             assert np.array_equal(g, ref_gradient(m, batch))
 
 
@@ -250,17 +254,29 @@ def test_ragged_sgd_matches_each_device_alone_bit_for_bit(hidden, d, c, k, kind)
             assert np.array_equal(g.weights, ref_sgd_train(starts[0], batch, 2, bs, 0.3, s).weights)
 
 
-def assert_scores_match_alone(models, batches):
-    """Every pair's ragged loss, accuracy and gradient are bit-equal to what
-    the reference gives that model and batch alone."""
-    losses, accs = loss(models, batches), evaluate(models, batches)
+def span_batch(rows, span) -> LabeledBatch:
+    """The rows of one (first row, length) span of `rows`."""
+    start, n = span
+    return LabeledBatch(rows.features[start : start + n], rows.labels[start : start + n])
+
+
+def assert_spans_match_alone(models, rows, spans):
+    """Every pair's loss, accuracy and gradient over its span of `rows` are
+    bit-equal to what the reference gives that model and span alone."""
+    batches = [span_batch(rows, span) for span in spans]
+    losses, accs = loss(models, rows, spans), evaluate(models, rows, spans)
     assert len(losses) == len(accs) == len(batches)
     for m, b, got_loss, got_acc in zip(models, batches, losses, accs):
         assert np.array_equal(got_loss, ref_loss(m, b), equal_nan=True)
         assert np.array_equal(got_acc, ref_evaluate(m, b))
     if all(np.isfinite(m.weights).all() for m in models):
-        for m, b, got in zip(models, batches, gradient(models, batches)):
+        for m, b, got in zip(models, batches, gradient(models, rows, spans)):
             assert np.array_equal(got, ref_gradient(m, b))
+
+
+def assert_scores_match_alone(models, batches):
+    """`assert_spans_match_alone` on the batches laid back to back."""
+    assert_spans_match_alone(models, *as_spans(batches))
 
 
 def random_batches(rng, lengths, d, c):
@@ -278,11 +294,59 @@ def test_ragged_scoring_matches_each_pair_alone_bit_for_bit(hidden, d, c, k, kin
         assert_scores_match_alone(models, batches)
         # One model shared by every batch, as in the split checks.
         assert_scores_match_alone([models[0]] * k, batches)
-        # K models meeting one batch.
+        # K models meeting one batch: one span, repeated.
         one = batches[0]
-        assert loss(models, [one] * k) == [ref_loss(m, one) for m in models]
-        for m, got in zip(models, gradient(models, [one] * k)):
+        rows, (span,) = as_spans([one])
+        assert loss(models, rows, [span] * k) == [ref_loss(m, one) for m in models]
+        for m, got in zip(models, gradient(models, rows, [span] * k)):
             assert np.array_equal(got, ref_gradient(m, one))
+
+
+# How spans lie in their rows: back to back in length order, or each at the
+# start of a fixed-size segment in length order (each run one view); or in a
+# drawn order, given in any order, with gaps between them, overlapping their
+# neighbours, repeated, or in segments given last first (runs of one take).
+SPAN_LAYOUTS = ["by length", "segments", "back to back", "any order", "gapped", "overlapping",
+                "repeated", "segments reversed"]
+
+
+def span_layout(rng, lengths, layout):
+    """(total rows, spans) of spans of `lengths` laid out as `layout` says."""
+    by_length = layout in ("by length", "segments", "segments reversed")
+    lengths = np.sort(lengths) if by_length else np.array(lengths)
+    steps = lengths + (rng.integers(1, 4, size=lengths.size) if layout == "gapped" else 0)
+    if layout == "overlapping":
+        steps = (lengths + 1) // 2
+    if layout.startswith("segments"):
+        steps = np.full(lengths.size, lengths.max() + 3)
+    spans = np.stack([np.cumsum(np.r_[0, steps[:-1]]), lengths], axis=1)
+    if layout == "any order":
+        spans = spans[rng.permutation(len(spans))]
+    if layout == "repeated":
+        spans = spans[rng.integers(0, len(spans) // 3, size=len(spans))]
+    if layout == "segments reversed":
+        spans = spans[::-1]
+    return int((spans[:, 0] + spans[:, 1]).max()) + 2, spans
+
+
+# The workloads' scoring shapes: selflabel-64's (16 -> 6) and split-512's
+# (8 -> 4) logistic models, and fedavg-128's MLP (8 -> 16 -> 4).
+@pytest.mark.parametrize("budget", ["default", "small"])
+@pytest.mark.parametrize("layout", SPAN_LAYOUTS)
+@pytest.mark.parametrize("hidden,d,c", [(0, 16, 6), (0, 8, 4), (16, 8, 4)])
+def test_span_scoring_matches_each_pair_alone_bit_for_bit(monkeypatch, hidden, d, c, layout,
+                                                          budget):
+    rng = np.random.default_rng([hidden, d, c, SPAN_LAYOUTS.index(layout)])
+    k = 24
+    lengths = rng.choice([1, 7, 8, 40, 41, 160], size=k)
+    total, spans = span_layout(rng, lengths, layout)
+    rows = LabeledBatch(rng.normal(size=(total, d)), rng.integers(0, c, size=total))
+    if budget == "small":
+        # Blocks of two or three 40-row spans: runs cross blocks.
+        monkeypatch.setattr(models, "SOFTMAX_BLOCK", 100 * (c + hidden))
+    scored = start_models(rng, k, d, c, hidden)
+    assert_spans_match_alone(scored, rows, spans)
+    assert_spans_match_alone([scored[0]] * k, rows, spans)
 
 
 @pytest.mark.parametrize("c", [2, 3, 4, 5, 6, 7, 8, 9, 12, 17, 33, 129])
@@ -421,7 +485,7 @@ def test_ragged_evaluate_keeps_first_of_tied_probabilities(c):
     assert_scores_match_alone(models, batches)
     # Every class tied: class 0 wins, so only the first label is a hit.
     tied = LabeledBatch(np.zeros((3, c)), np.array([0, 1, c - 1]))
-    assert evaluate([identity], [tied]) == [1 / 3]
+    assert evaluate([identity], *as_spans([tied])) == [1 / 3]
 
 
 def test_ragged_scoring_with_nan_weights_matches_row_wise():
@@ -431,10 +495,11 @@ def test_ragged_scoring_with_nan_weights_matches_row_wise():
     batches = random_batches(rng, [4, 9, 2], 3, 5)
     assert_scores_match_alone(models, batches)
     # Every sample of the NaN model gets class 0, as argmax gives it.
-    assert evaluate(models, batches)[1] == float(np.mean(batches[1].labels == 0))
-    assert np.isnan(loss(models, batches)[1])
+    rows, spans = as_spans(batches)
+    assert evaluate(models, rows, spans)[1] == float(np.mean(batches[1].labels == 0))
+    assert np.isnan(loss(models, rows, spans)[1])
     with pytest.raises(ValueError, match="non-finite"):
-        gradient(models, batches)
+        gradient(models, rows, spans)
 
 
 def test_results_do_not_depend_on_how_batches_are_stacked(monkeypatch):
@@ -445,9 +510,8 @@ def test_results_do_not_depend_on_how_batches_are_stacked(monkeypatch):
         parts = (sgd_train(starts[:cut], batches[:cut], 2, 8, 0.2, seeds[:cut])
                  + sgd_train(starts[cut:], batches[cut:], 2, 8, 0.2, seeds[cut:]))
         assert all(np.array_equal(a.weights, b.weights) for a, b in zip(whole, parts))
-    # Scoring: repeated and distinct lengths, pairs in shuffled order, each
-    # on its own model, all on one model (runs that share its weights) or
-    # on one of three (runs that share and runs that stack), in blocks of
+    # Scoring: repeated and distinct lengths, spans in shuffled order, each
+    # on its own model, all on one model or on one of three, in blocks of
     # one pair, of pairs of 60 rows in all and of the default budget, in the
     # kernel's row size (classes plus hidden units); `blocks` has the pairs
     # of each block of a `loss` call. The pool pass takes the same pairs in
@@ -457,15 +521,17 @@ def test_results_do_not_depend_on_how_batches_are_stacked(monkeypatch):
     blocks = []
     real_table = models._table
 
-    def table(block):
-        blocks.append(len(block))
-        return real_table(block)
+    def table(first, runs):
+        blocks.append(sum(x.shape[0] * w.shape[-2] for x, w in runs))
+        return real_table(first, runs)
     monkeypatch.setattr(models, "_table", table)
     c = 5
     for hidden in (0, 7):
         rng = np.random.default_rng([hidden, 17])
         starts = start_models(rng, 17, 6, c, hidden)
         batches = random_batches(rng, rng.choice([1, 8, 9, 30, 41], size=17), 6, c)
+        rows, spans = as_spans(batches)
+        shuffled = rng.permutation(17)
         shared = starts[:4]
         groups = [([m], b.features) for m, b in zip(starts, batches)]
         groups += [(shared if i % 3 else shared[::-1], b.features) for i, b in enumerate(batches)]
@@ -477,47 +543,68 @@ def test_results_do_not_depend_on_how_batches_are_stacked(monkeypatch):
                 assert_scores_match_alone(starts, batches)
                 assert_scores_match_alone([starts[0]] * 17, batches)
                 assert_scores_match_alone([starts[i // 6] for i in range(17)], batches)
+                assert_spans_match_alone([starts[i] for i in shuffled], rows, spans[shuffled])
                 accuracy = holdout_accuracies(holdout_devices(batches), dict(enumerate(shared)))
                 for (classes, conf), refs in zip(pool_predictions(groups), want, strict=True):
                     for k, (want_classes, want_conf) in enumerate(refs):
                         assert np.array_equal(classes[k], want_classes)
                         assert np.array_equal(conf[k], want_conf)
                 blocks.clear()
-                loss(starts, batches)
+                loss(starts, rows, spans)
             assert accuracy.tolist() == [[ref_evaluate(m, b) for m in shared] for b in batches]
             assert fewest <= len(blocks) <= most and sum(blocks) == 17
 
 
 @pytest.mark.parametrize("hidden", [0, 7])
 def test_scoring_runs_one_matmul_per_batch_length(monkeypatch, hidden):
-    """The pairs of one length share one stacked matmul whatever their
+    """The spans of one length share one stacked matmul whatever their
     models (some shared, most distinct), and each pair still gets the bits
-    it gets alone. A run shares its weights exactly when its pairs carry
-    one model; otherwise it stacks each pair's."""
-    runs, shared = [], []
+    it gets alone. A run's rows are one view of `rows` when its spans follow
+    each other a fixed number of rows apart, no fewer than their length,
+    else one take; its weights are (r, 1, P) rows of one stack."""
+    runs = []
     real = models._logits
-
-    def counting(hidden, views, x):
-        runs.append((x.shape[0], x.shape[2]))
-        shared.append(views[0].ndim == 2)
-        return real(hidden, views, x)
-    monkeypatch.setattr(models, "_logits", counting)
     rng = np.random.default_rng([hidden, 29])
     starts = start_models(rng, 17, 6, 5, hidden)
     lengths = rng.choice([1, 8, 9, 30, 41], size=17).tolist()
     batches = random_batches(rng, lengths, 6, 5)
     per_length = sorted((lengths.count(n), n) for n in set(lengths))
+    by_length = sorted(range(17), key=lengths.__getitem__)
+    # Laid out by length: back to back, or each batch at the start of a
+    # 50-row segment, so that each length's spans are one view.
+    rows, spans = as_spans([batches[i] for i in by_length])
+    spans = spans[np.argsort(by_length)]
+    segments = LabeledBatch(np.zeros((17 * 50, 6)), np.zeros(17 * 50, dtype=np.int64))
+    for j, i in enumerate(by_length):
+        segments.features[j * 50 : j * 50 + lengths[i]] = batches[i].features
+        segments.labels[j * 50 : j * 50 + lengths[i]] = batches[i].labels
+    segment_spans = np.stack([np.argsort(by_length) * 50, lengths], axis=1)
+    # With batch 0 after every batch: a length's spans lie unevenly apart,
+    # unless there are two of them.
+    gapped, gapped_spans = as_spans([part for b in batches for part in (b, batches[0])])
+    gapped_spans = gapped_spans[::2]
+
+    def one_view(spans, n):
+        gaps = np.diff(spans[spans[:, 1] == n, 0])
+        return gaps.size == 0 or gaps.min() == gaps.max() >= n
+
+    def counting(hidden, views, x):
+        viewed = any(np.shares_memory(x, data.features) for data in (rows, segments, gapped))
+        runs.append((x.shape[0], x.shape[2], viewed, views[0].shape[:2]))
+        return real(hidden, views, x)
+    monkeypatch.setattr(models, "_logits", counting)
     for score in (loss, evaluate, gradient):
-        runs.clear()
-        shared.clear()
-        score(starts, batches)
-        assert sorted(runs) == per_length, score.__name__
-        assert shared == [r == 1 for r, _ in runs], score.__name__
-        runs.clear()
-        shared.clear()
-        score([starts[0]] * 17, batches)
-        assert sorted(runs) == per_length and all(shared), score.__name__
-    assert_scores_match_alone(starts, batches)
+        for batch_models in (starts, [starts[0]] * 17):
+            for data, at in ((rows, spans), (segments, segment_spans), (gapped, gapped_spans)):
+                runs.clear()
+                score(batch_models, data, at)
+                assert sorted(r[:2] for r in runs) == per_length, score.__name__
+                assert all(viewed == one_view(at, n) for _, n, viewed, _ in runs)
+                assert all(shape == (r, 1) for r, _, _, shape in runs)
+    monkeypatch.undo()
+    assert any(not one_view(gapped_spans, n) for n in set(lengths))
+    for data, at in ((rows, spans), (segments, segment_spans), (gapped, gapped_spans)):
+        assert_spans_match_alone(starts, data, at)
 
 
 def test_stacked_calls_reject_bad_input():
@@ -526,42 +613,41 @@ def test_stacked_calls_reject_bad_input():
     empty = LabeledBatch(batches[0].features[:0], batches[0].labels[:0])
     wide = ModelParams(np.zeros(param_count(7, 5)), 7, 5)
     pair = [params, params]
+    two = short.features[:2]
     # Unequal lengths are valid everywhere (see the ragged tests).
-    assert evaluate(pair, [batches[0], short]) == [ref_evaluate(params, b)
-                                                   for b in (batches[0], short)]
-    assert loss(pair, [short, batches[1]]) == [ref_loss(params, b)
-                                               for b in (short, batches[1])]
-    assert np.array_equal(gradient(pair, [batches[0], short])[1], ref_gradient(params, short))
+    rows, spans = as_spans([batches[0], short])
+    assert evaluate(pair, rows, spans) == [ref_evaluate(params, b) for b in (batches[0], short)]
+    assert loss(pair, rows, spans) == [ref_loss(params, b) for b in (batches[0], short)]
+    assert np.array_equal(gradient(pair, rows, spans)[1], ref_gradient(params, short))
     for call in (
         lambda: sgd_train([params] * 3, batches, 1, 4, 0.1, seeds[:2]),
         lambda: sgd_train([params, wide, params], batches, 1, 4, 0.1, seeds),
         lambda: sgd_train(pair, batches, 1, 4, 0.1, seeds),
         lambda: sgd_train([params] * 3, [batches[0], empty, batches[2]], 1, 4, 0.1, seeds),
         lambda: sgd_train([params], [], 1, 4, 0.1, []),
-        lambda: evaluate([params], []),
-        lambda: gradient([params], []),
-        lambda: loss(pair, [batches[0], empty]),
-        lambda: evaluate(pair, [batches[0]]),
-        lambda: gradient([params], [empty]),
-        lambda: gradient([params], batches),
-        lambda: loss(pair, batches),
-        lambda: gradient([params, params, params], batches[:2]),
-        lambda: evaluate([params, wide], batches[:2]),
-        lambda: evaluate([params], [empty]),
-        lambda: evaluate([params], [LabeledBatch(short.features[:2], np.array([5, 0]))]),
-        lambda: evaluate([params], [LabeledBatch(short.features[:2], np.array([0, -1]))]),
-        lambda: loss([], batches),
-        lambda: gradient([params], [LabeledBatch(short.features, short.labels + 5)]),
+        lambda: evaluate([params, wide], *as_spans(batches[:2])),
+        lambda: evaluate([params], *as_spans([LabeledBatch(two, np.array([5, 0]))])),
+        lambda: evaluate([params], *as_spans([LabeledBatch(two, np.array([0, -1]))])),
+        lambda: loss([], *as_spans(batches)),
+        lambda: gradient([params], *as_spans([LabeledBatch(short.features, short.labels + 5)])),
     ):
         with pytest.raises(ValueError):
             call()
-    # A stacked run of one batch length is checked as a whole, naming the
-    # columns the model expects.
+    # Bad spans: past the end of the 23 rows, a negative start, a zero
+    # length, more or fewer spans than models, and not a (K, 2) integer
+    # array. Each error names its caller.
+    for score in (loss, gradient, evaluate):
+        for scored, bad in (([params], [[12, 12]]), ([params], [[-1, 5]]),
+                             ([params], [[3, 0]]), (pair, spans[:1]), ([params], spans),
+                             ([params], [[0, 5, 1]]), ([params], [[0.0, 5.0]]), ([params], [])):
+            with pytest.raises(ValueError, match=score.__name__):
+                score(scored, rows, np.array(bad))
+    # The rows are checked as a whole, naming the columns the model expects.
     narrow = LabeledBatch(batches[1].features[:, :-1], batches[1].labels)
     for call in (
-        lambda: loss(pair, [batches[0], narrow]),
-        lambda: evaluate(pair, [narrow, narrow]),
-        lambda: gradient(pair, [narrow, batches[0]]),
+        lambda: loss(pair, *as_spans([narrow, narrow])),
+        lambda: evaluate(pair, *as_spans([narrow, narrow])),
+        lambda: gradient(pair, *as_spans([narrow, narrow])),
         lambda: holdout_accuracies(holdout_devices([batches[0], narrow]), dict(enumerate(pair))),
         lambda: holdout_accuracies(holdout_devices([narrow, narrow]), dict(enumerate(pair))),
         lambda: sgd_train(pair, [batches[0], narrow], 1, 4, 0.1, seeds[:2]),
@@ -668,11 +754,13 @@ def test_simulation_does_not_depend_on_how_devices_are_grouped(monkeypatch, scop
     def recording(name):
         real = getattr(orchestrator, name)
 
-        def call(models, batches, *args):
+        def call(models, *args):
+            lengths = ([len(b) for b in args[0]] if name == "sgd_train"
+                       else args[1][:, 1].tolist())
             # The split checks score one cluster model per call.
             many_models = name == "gradient" or len({m.weights.tobytes() for m in models}) > 1
-            mixed[name].append((len(batches), many_models and len({len(b) for b in batches}) > 1))
-            return real(models, batches, *args)
+            mixed[name].append((len(lengths), many_models and len(set(lengths)) > 1))
+            return real(models, *args)
         return call
 
     with monkeypatch.context() as patch:
@@ -686,9 +774,9 @@ def test_simulation_does_not_depend_on_how_devices_are_grouped(monkeypatch, scop
         patch.setattr(orchestrator, "holdout_accuracies", holdouts)
         real_evaluate = orchestrator.evaluate
 
-        def evaluated(models, batches):
-            scored.append((len(batches), len({id(m) for m in models})))
-            return real_evaluate(models, batches)
+        def evaluated(models, rows, spans):
+            scored.append((len(spans), len({id(m) for m in models})))
+            return real_evaluate(models, rows, spans)
         patch.setattr(orchestrator, "evaluate", evaluated)
         real_pool_predictions = orchestrator.pool_predictions
 

@@ -174,7 +174,7 @@ def test_vanished_gradients_stop_their_cluster(monkeypatch, eps2):
     spec = ClusteringConfig(enabled=True, eps2=eps2, split_interval=3)
     sim = make_sim(n_edges=2, clustering=spec, rounds=3, seed=11)
     monkeypatch.setattr(orchestrator, "gradient",
-                        lambda models, batches: [np.zeros(m.weights.size) for m in models])
+                        lambda models, rows, spans: [np.zeros(m.weights.size) for m in models])
     sim.run()
     stops = events_of(sim, "stop")
     roots = [sim.tree.root_of_edge(e).cluster_id for e in (0, 1)]
@@ -192,7 +192,7 @@ def test_zero_norm_member_gradient_skips_the_split(monkeypatch, caplog):
     sim = make_sim(clustering=spec, rounds=5, seed=11)
     signs = [0, 1, -1, 1, -1, 1, -1, 0]
 
-    def signals(models, batches):
+    def signals(models, rows, spans):
         v = np.zeros(models[0].weights.size)
         v[0] = 10.0
         return [s * v for s in signs]

@@ -19,6 +19,7 @@ from cfsl.data import (
     KNOWN,
     POOL,
     TRAIN,
+    train_spans,
 )
 from cfsl.experiment import build_simulation
 from cfsl.orchestrator import LABEL_DONE_FRACTION
@@ -93,6 +94,12 @@ def leaf_scan(sim) -> list:
     return leaf_of
 
 
+def first_row(view, store) -> int:
+    """The row of `store` at which `view`, a view of its rows, begins."""
+    offset = view.__array_interface__["data"][0] - store.__array_interface__["data"][0]
+    return offset // store.strides[0]
+
+
 def count_scan(sim, k: int) -> dict:
     """Device k's counts from its rows and injection record."""
     dev = sim.devices[k]
@@ -101,6 +108,21 @@ def count_scan(sim, k: int) -> dict:
     return {HOLDOUT: len(dev.holdout), TRAIN: len(dev.train), POOL: injected.size,
             INJECTED: int(injected.sum()), KNOWN: int((truth >= 0).sum()),
             CORRECT: int((dev.injected_labels[injected] == truth).sum())}
+
+
+def check_spans(sim):
+    """The spans the metrics pass scores read each device's train batch and
+    test set, in place, and its segment begins at its first row."""
+    spans = train_spans(sim.population, sim.starts)
+    for (start, n), (test_start, n_test), first, dev in zip(spans, sim.test_spans,
+                                                            sim.starts, sim.devices):
+        assert first_row(dev.features, sim.rows.features) == first
+        train = dev.train_batch()
+        assert n == len(train) and first_row(train.features, sim.rows.features) == start
+        assert n_test == len(dev.test)
+        assert first_row(dev.test.features, sim.tests.features) == test_start
+        assert np.array_equal(sim.rows.labels[start : start + n], train.labels)
+        assert np.array_equal(sim.tests.labels[test_start : test_start + n_test], dev.test.labels)
 
 
 def run_checked(sim) -> list:
@@ -116,6 +138,7 @@ def run_checked(sim) -> list:
             assert dev.table is sim.population and dev.column == k
             scan = count_scan(sim, k)
             assert sim.population[:, k].tolist() == [scan[i] for i in range(len(scan))]
+        check_spans(sim)
         want, leaf_means = ref_metrics_row(sim, crossing)
         assert repr(row) == repr(want)
         assert repr({c: sim.loss_history[c][-1] for c in leaf_means}) == repr(leaf_means)
